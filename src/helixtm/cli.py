@@ -12,7 +12,8 @@ radius.  With the default R = 1 this is the identity.
 
 Options may come from a ``key = value`` config file (``--config``);
 explicit flags win over file values.  Exit codes: 0 success, 2 bad
-usage/configuration, 3 numerical non-convergence.
+usage/configuration or an unwritable output file, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -380,17 +381,17 @@ def main(argv=None):
             if not 0 <= p < settings.omega:
                 raise UsageError(f"branch index must satisfy 0 <= p < omega, got p={p}")
         text = _COMMANDS[args.command](settings)
+        if settings.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except (QuadratureNotConverged, NoConvergence, HermiticityViolation) as exc:
         print(f"helixtm: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"helixtm: error: {exc}", file=sys.stderr)
         return 2
-    if settings.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
     return 0
 
 

@@ -71,6 +71,10 @@ class HelixShape:
     omega: int
 
     def __post_init__(self):
+        for name in ("R", "a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"shape parameters must be finite, got {name}={value}")
         if not self.R > 0:
             raise ValueError(f"major radius must be positive, got R={self.R}")
         if not self.a > 0:

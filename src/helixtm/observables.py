@@ -21,13 +21,25 @@ curve is
     T = (1/10) * Integral [ (j_vec . r) r - 2 r^2 j_vec ] f dphi,
 
 with j_vec = j(phi) * T_hat.  Since T_hat * f = dr/dphi, the integrand
-reduces to j(phi) * [ (r' . r) r - 2 r^2 r' ] with no explicit frame or
-extra speed factor; the same reduction with a constant loop current I
-gives the classical moment, whose closed form is
+reduces to j(phi) * g(phi) with g = (r' . r) r - 2 r^2 r', with no
+explicit frame or extra speed factor; the same reduction with a constant
+loop current I gives the classical moment, whose closed form is
 
     T_classical = -(pi * omega * I * a * b * R / 2) z_hat
 
 for the elliptic cross-section (a = b recovers the circular case).
+
+For an eigenstate, conj(S0) * S1 is a double sum over harmonics, so each
+component of the quantum moment is a quadratic form in the coefficients:
+
+    T_axis = (2*pi/10) * Re( C^H M_axis C ),
+    M_axis[m, n] = k_n * coeff_{omega*(n - m)}[ g_axis / (2*pi*f^2) ],
+
+where coeff_d[h] = (1/(2*pi)) Integral h e^{i d phi} dphi.
+``toroidal_moment`` takes those coefficients of the three real functions
+g_axis / (2*pi*f^2) from one converged grid (``integrate_harmonics``).
+``_moment_from_current`` integrates j * g_axis directly, for the
+classical loop and as the reference for the quadratic form.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .quadrature import QuadratureSpec, integrate_periodic
+from .quadrature import QuadratureSpec, integrate_harmonics, integrate_periodic
 
 
 @dataclass(frozen=True)
@@ -131,6 +143,16 @@ def sample_current_profile(state, shape, grid_size):
     )
 
 
+def _moment_weights(shape, phi):
+    """g / (2 pi f^2) with g = (r' . r) r - 2 r^2 r', shape (..., 3)."""
+    r = geometry.position(shape, phi)
+    v = geometry.velocity(shape, phi)
+    dot = np.sum(v * r, axis=-1)
+    rsq = np.sum(r * r, axis=-1)
+    f = geometry.speed(shape, phi)
+    return (dot[..., None] * r - 2.0 * rsq[..., None] * v) / (2.0 * math.pi * f * f)[..., None]
+
+
 def _moment_from_current(shape, current_fn, quad):
     if quad is None:
         quad = QuadratureSpec(initial_points=64 * shape.omega)
@@ -148,7 +170,24 @@ def _moment_from_current(shape, current_fn, quad):
 
 def toroidal_moment(state, shape, quad=None):
     """Toroidal moment of an eigenstate's current distribution."""
-    vec = _moment_from_current(shape, lambda phi: current(state, shape, phi), quad)
+    if quad is None:
+        quad = QuadratureSpec(initial_points=64 * shape.omega)
+    c = state.coefficients
+    n = state.n_indices
+    k = state.p + shape.omega * n
+    offsets = n[None, :] - n[:, None] + 2 * state.n_max
+
+    def gather(integrals):
+        # Re sum_{m,n} conj(C_m) C_n k_n I_{omega(n-m)} per axis
+        return np.real(np.einsum("m,amn,n->a", c.conj(), integrals[:, offsets], k * c))
+
+    result = integrate_harmonics(
+        lambda phi: _moment_weights(shape, phi).T,
+        shape.omega * np.arange(-2 * state.n_max, 2 * state.n_max + 1),
+        gather,
+        quad,
+    )
+    vec = result.value / 10.0
     return MomentResult(
         vector=vec, z=float(vec[2]), state_ref=(state.p, state.alpha, state.include_vc)
     )

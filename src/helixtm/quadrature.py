@@ -6,6 +6,15 @@ estimates agree gives both the value and a usable error estimate.  Node
 doubling reuses every previously evaluated point: the refined grid is the
 old grid interleaved with its midpoints.
 
+Two entry points share that one doubling loop.  ``integrate_periodic``
+integrates a single scalar integrand.  ``integrate_harmonics`` samples a
+few real functions once per grid, takes the trapezoid integrals of any
+set of their Fourier harmonics from one real FFT, and gathers them into
+an array-valued result (a whole Hamiltonian, a moment vector); the loop
+stops when that whole array settles.  The trapezoid sum is linear, so on
+a given grid each gathered entry is the same sum ``integrate_periodic``
+would form for it, taken in another order.
+
 Integrands are called once per grid with an ndarray of angles and must
 return the values elementwise, so evaluation is a single vectorised pass.
 Summation runs over ascending node index with numpy's pairwise algorithm,
@@ -39,7 +48,15 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
+    """Converged (or best) estimate of a periodic integral.
+
+    ``value`` is a complex number from ``integrate_periodic`` and an
+    ndarray from ``integrate_harmonics``.  ``error_estimate`` is the last
+    inter-grid change (the largest over the entries of an array value)
+    and ``points_used`` the final grid size.
+    """
+
+    value: complex | np.ndarray
     error_estimate: float
     points_used: int
 
@@ -64,6 +81,46 @@ def _eval(fn, nodes):
     return vals
 
 
+def _refine(sample, estimate, spec, relative):
+    """The node-doubling loop shared by both integrators.
+
+    ``sample(nodes)`` returns values with the node axis last;
+    ``estimate(values)`` turns the samples of a whole grid into the
+    quantity being computed.  Each doubling samples only the midpoints
+    and interleaves them with the old values.  The loop stops once the
+    largest change of the estimate is at most ``spec.tolerance``, scaled
+    by ``max(1, max |estimate|)`` when ``relative`` is set.
+    """
+    n = spec.initial_points
+    nodes = 2.0 * math.pi * np.arange(n) / n
+    vals = sample(nodes)
+    current = estimate(vals)
+
+    for _ in range(spec.max_doublings):
+        mids = nodes + math.pi / n
+        mid_vals = sample(mids)
+        merged = np.empty(vals.shape[:-1] + (2 * n,), dtype=vals.dtype)
+        merged[..., 0::2] = vals
+        merged[..., 1::2] = mid_vals
+        merged_nodes = np.empty(2 * n)
+        merged_nodes[0::2] = nodes
+        merged_nodes[1::2] = mids
+        nodes, vals, n = merged_nodes, merged, 2 * n
+
+        refined = estimate(vals)
+        change = float(np.max(np.abs(refined - current)))
+        current = refined
+        limit = spec.tolerance
+        if relative:
+            limit *= max(1.0, float(np.max(np.abs(current))))
+        if change <= limit:
+            return QuadratureResult(value=current, error_estimate=change, points_used=n)
+
+    raise QuadratureNotConverged(
+        QuadratureResult(value=current, error_estimate=change, points_used=n)
+    )
+
+
 def integrate_periodic(fn, spec=None):
     """Integrate fn over [0, 2*pi) to the spec's tolerance.
 
@@ -78,7 +135,8 @@ def integrate_periodic(fn, spec=None):
     -------
     QuadratureResult
         ``value`` is the converged estimate, ``error_estimate`` the last
-        inter-grid change, ``points_used`` the final grid size.
+        inter-grid change (at most ``spec.tolerance``), ``points_used``
+        the final grid size.
 
     Raises
     ------
@@ -88,28 +146,65 @@ def integrate_periodic(fn, spec=None):
     """
     if spec is None:
         spec = QuadratureSpec()
-    n = spec.initial_points
-    nodes = 2.0 * math.pi * np.arange(n) / n
-    vals = _eval(fn, nodes)
-    estimate = 2.0 * math.pi * np.sum(vals) / n
-
-    for _ in range(spec.max_doublings):
-        mids = nodes + math.pi / n
-        mid_vals = _eval(fn, mids)
-        merged = np.empty(2 * n, dtype=complex)
-        merged[0::2] = vals
-        merged[1::2] = mid_vals
-        merged_nodes = np.empty(2 * n)
-        merged_nodes[0::2] = nodes
-        merged_nodes[1::2] = mids
-        nodes, vals, n = merged_nodes, merged, 2 * n
-
-        refined = 2.0 * math.pi * np.sum(vals) / n
-        change = abs(refined - estimate)
-        estimate = refined
-        if change <= spec.tolerance:
-            return QuadratureResult(value=complex(estimate), error_estimate=change, points_used=n)
-
-    raise QuadratureNotConverged(
-        QuadratureResult(value=complex(estimate), error_estimate=change, points_used=n)
+    return _refine(
+        lambda nodes: _eval(fn, nodes),
+        lambda vals: complex(2.0 * math.pi * np.sum(vals) / vals.shape[-1]),
+        spec,
+        relative=False,
     )
+
+
+def integrate_harmonics(sample, harmonics, gather, spec=None):
+    """Harmonic integrals of a few real periodic functions, gathered and converged.
+
+    Parameters
+    ----------
+    sample : callable
+        Maps an ndarray of N angles to a real array of shape (k, N): the
+        k functions g_i sampled at those angles.
+    harmonics : array_like of int
+        The wanted harmonics h_j.
+    gather : callable
+        Maps the complex (k, len(harmonics)) array of trapezoid integrals
+        ``I[i, j] = Integral_0^{2pi} g_i(phi) exp(i h_j phi) dphi`` to the
+        quantity being computed, an ndarray.
+    spec : QuadratureSpec, optional
+        Defaults to QuadratureSpec().
+
+    Returns
+    -------
+    QuadratureResult
+        ``value`` is the gathered array on the final grid.  The loop stops
+        when no entry changes by more than ``spec.tolerance * max(1,
+        max |value|)`` between two grids; ``error_estimate`` is that
+        largest change.
+
+    Raises
+    ------
+    QuadratureNotConverged
+        If max_doublings refinements do not reach the tolerance.
+
+    Notes
+    -----
+    One real FFT per grid gives every harmonic.  A harmonic at or beyond
+    the grid's Nyquist index aliases exactly as in the trapezoid sum
+    itself, so coarse grids give the same (under-resolved) integrals as
+    ``integrate_periodic`` would.  Only the (k, N) samples and their
+    (k, N/2 + 1) transform are held.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    harmonics = np.asarray(harmonics, dtype=int)
+
+    def estimate(vals):
+        n = vals.shape[-1]
+        spectra = np.fft.rfft(vals, axis=-1)
+        # sum_j g(phi_j) e^{i h phi_j} is DFT index (-h) mod n; indices past
+        # n/2 are the conjugates of their mirror images for real g.
+        idx = (-harmonics) % n
+        upper = idx > n // 2
+        picked = spectra[:, np.where(upper, n - idx, idx)]
+        picked[:, upper] = picked[:, upper].conj()
+        return gather(picked * (2.0 * math.pi / n))
+
+    return _refine(sample, estimate, spec, relative=True)

@@ -24,11 +24,26 @@ onto this basis gives, with k = p + omega*n,
 
 The f-derivative terms come from moving the flat Laplacian through the
 1/sqrt(f) normalisation; integration by parts shows the matrix is
-Hermitian, and each element is integrated independently so a failed
-hermiticity check flags a too-loose quadrature rather than being masked
-by construction.  In the circular-ring limit (a = b -> 0) the matrix is
-diagonal
-with entries k^2/(2R^2) - 1/(8R^2).
+Hermitian.  In the circular-ring limit (a = b -> 0) the matrix is
+diagonal with entries k^2/(2R^2) - 1/(8R^2).
+
+The bracket is A + k^2 B + i k C with three real functions of the shape,
+
+    A = V_c [if included] - (5/8) f'^2/f^4 + f''/(4 f^3),
+    B = 1/(2 f^2),    C = f'/f^3,
+
+so every element is a Fourier coefficient at harmonic d = omega*(n - m):
+
+    H[m, n] = A_d + k_n^2 B_d + i k_n C_d,   X_d = (1/(2*pi)) Integral X e^{i d phi}.
+
+``build_hamiltonian`` samples A, B and C once per grid, takes all their
+harmonics from one real FFT and gathers the matrix, refining the grid
+until the whole matrix settles (``integrate_harmonics``).  Nothing
+enforces the symmetry: H[n, m] uses the harmonic -d and the other k, and
+(k_n - k_m) B_d + i C_d = 0 holds only to quadrature accuracy, so the
+hermiticity check on construction still flags a too-coarse grid.
+``hamiltonian_element`` integrates one element on its own and serves as
+the reference for the gathered matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ import numpy as np
 
 from . import geometry
 from .linalg import HermitianMatrix, eigen_decompose, fix_phase
-from .quadrature import QuadratureSpec, integrate_periodic
+from .quadrature import QuadratureSpec, integrate_harmonics, integrate_periodic
 
 
 @dataclass(frozen=True)
@@ -154,16 +169,38 @@ def hamiltonian_element(shape, basis, m, n, config):
 def build_hamiltonian(shape, basis, config):
     """Assemble the full matrix over the basis as a HermitianMatrix.
 
-    Every element is integrated separately (no symmetry shortcut), so the
+    All elements come from one converged grid: the harmonics
+    omega*(n - m) of A, B and C are gathered into A_d + k^2 B_d + i k C_d.
+    Both triangles are gathered (no symmetry shortcut), so the
     hermiticity check on construction is a real consistency test of the
     quadrature.
     """
     idx = basis.indices
-    entries = np.empty((basis.dim, basis.dim), dtype=complex)
-    for i, m in enumerate(idx):
-        for j, n in enumerate(idx):
-            entries[i, j] = hamiltonian_element(shape, basis, m, n, config)
-    return HermitianMatrix(entries)
+    k = basis.momentum(idx).astype(float)
+    offsets = idx[None, :] - idx[:, None] + 2 * basis.n_max
+
+    def sample(phi):
+        f = geometry.speed(shape, phi)
+        f1, f2 = geometry.speed_derivatives(shape, phi)
+        terms = np.empty((3, phi.size))
+        terms[0] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
+        if config.include_vc:
+            terms[0] += geometry.curvature_potential(shape, phi)
+        terms[1] = 0.5 / (f * f)
+        terms[2] = f1 / f**3
+        return terms
+
+    def gather(integrals):
+        a, b, c = integrals[:, offsets]
+        return a + (k * k) * b + 1j * k * c
+
+    result = integrate_harmonics(
+        sample,
+        basis.omega * np.arange(-2 * basis.n_max, 2 * basis.n_max + 1),
+        gather,
+        _resolve_quad(shape, config),
+    )
+    return HermitianMatrix(result.value / (2.0 * math.pi))
 
 
 def make_basis(shape, p, config):

@@ -261,6 +261,29 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_large_matrix_elements_converge(self, capsys):
+        # |H| reaches about 1.5e4 for this nearly flat coil; the stopping
+        # test scales with the matrix, so it converges instead of exiting 3
+        code, out, err = run_cli(capsys, "spectrum", "--a", "0.99", "--b", "0.01", "--omega", "6")
+        assert code == 0
+        assert err == ""
+        assert out.startswith("p,vc,row,")
+
+    def test_non_finite_radius_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--R", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("helixtm: error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "geometry", "--grid", "8", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("helixtm: error:") and err.count("\n") == 1
+        assert not target.exists()
+
 
 class TestInstalledEntryPoint:
     def test_console_script(self):

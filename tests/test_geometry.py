@@ -94,6 +94,13 @@ class TestShapeValidation:
         with pytest.raises(ValueError):
             HelixShape(R=1.0, a=1.5, b=0.5, omega=4)
 
+    def test_rejects_non_finite_lengths(self):
+        for bad in (math.inf, math.nan):
+            for kwargs in ({"R": bad}, {"a": bad}, {"b": bad}):
+                params = {"R": 1.0, "a": 0.5, "b": 0.5, "omega": 4, **kwargs}
+                with pytest.raises(ValueError, match="finite"):
+                    HelixShape(**params)
+
 
 class TestPosition:
     def test_circular_at_zero(self):

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from helixtm.geometry import HelixShape, arc_length, speed
 from helixtm.observables import (
     CurrentProfile,
+    _moment_from_current,
     MomentResult,
     ThermalSpec,
     classical_moment_closed,
@@ -141,6 +142,24 @@ class TestQuantumMoment:
         default = toroidal_moment(state, UP4).z
         fine = toroidal_moment(state, UP4, QuadratureSpec(initial_points=512, tolerance=1e-12)).z
         assert default == pytest.approx(fine, abs=1e-9)
+
+
+    @pytest.mark.parametrize(
+        "shape, p, n_max",
+        [
+            (UP4, 1.0, 2),
+            (FLAT4, 3.0, 2),
+            (HelixShape(R=1.0, a=0.75, b=0.25, omega=6), 2.0, 8),
+            (HelixShape(R=1.0, a=0.12, b=0.88, omega=40), 7.0, 2),
+        ],
+    )
+    def test_quadratic_form_matches_current_quadrature(self, shape, p, n_max):
+        # the quadratic form against integrating j(phi) * g(phi) directly
+        for include_vc in (False, True):
+            for state in states_for(shape, p, include_vc, n_max):
+                want = _moment_from_current(shape, lambda phi: current(state, shape, phi), None)
+                got = toroidal_moment(state, shape).vector
+                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestClassicalMoment:

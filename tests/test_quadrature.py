@@ -1,5 +1,6 @@
 """Periodic trapezoid rule: exactness on low harmonics, spectral
-convergence on smooth integrands, and failure reporting."""
+convergence on smooth integrands, failure reporting, and the FFT path
+for many harmonics of a few real functions."""
 
 import math
 
@@ -10,6 +11,7 @@ from helixtm.quadrature import (
     QuadratureNotConverged,
     QuadratureResult,
     QuadratureSpec,
+    integrate_harmonics,
     integrate_periodic,
 )
 
@@ -136,3 +138,66 @@ class TestDeterminism:
         b = integrate_periodic(fn)
         assert a.value == b.value
         assert a.points_used == b.points_used
+
+
+def _two_functions(phi):
+    return np.stack([np.exp(np.cos(phi)), 1.0 / (2.0 + np.sin(3 * phi))])
+
+
+class TestHarmonics:
+    def test_trig_polynomial_exact(self):
+        sample = lambda phi: np.stack([3.0 + np.cos(2 * phi), np.sin(5 * phi)])
+        res = integrate_harmonics(sample, [-5, -2, 0, 2, 5], lambda integrals: integrals)
+        pi = math.pi
+        want = [[0, pi, 6 * pi, pi, 0], [-1j * pi, 0, 0, 0, 1j * pi]]
+        assert isinstance(res.value, np.ndarray)
+        assert res.value.shape == (2, 5)
+        assert np.max(np.abs(res.value - np.array(want))) < 1e-13
+
+    def test_each_harmonic_is_the_trapezoid_sum(self):
+        # one grid, with harmonics past its Nyquist index: every entry is
+        # the same (aliased) sum integrate_periodic forms for it
+        spec = QuadratureSpec(initial_points=8, tolerance=1e6, max_doublings=1)
+        harmonics = np.arange(-20, 21)
+        res = integrate_harmonics(_two_functions, harmonics, lambda integrals: integrals, spec)
+        assert res.points_used == 16
+        for i in range(2):
+            for j, h in enumerate(harmonics):
+                want = integrate_periodic(
+                    lambda phi: _two_functions(phi)[i] * np.exp(1j * h * phi), spec
+                ).value
+                assert abs(res.value[i, j] - want) < 1e-13
+
+    def test_gather_sees_converged_integrals(self):
+        spec = QuadratureSpec(tolerance=1e-13)
+        res = integrate_harmonics(
+            _two_functions, [0, 2], lambda integrals: integrals[0, 1] / integrals[0, 0], spec
+        )
+        # ratio of modified Bessel functions I_2(1) / I_0(1)
+        assert res.value.real == pytest.approx(0.13574766976703828 / 1.2660658777520082, rel=1e-12)
+
+    def test_stopping_test_scales_with_the_result(self):
+        # e^{cos phi} scaled by 1e8 stops on the same grid as unscaled, with
+        # its error estimate inside the scaled tolerance; the absolute test
+        # of integrate_periodic needs a finer grid for the scaled integrand
+        spec = QuadratureSpec(initial_points=8)
+        identity = lambda integrals: integrals
+        runs = [
+            integrate_harmonics(
+                lambda phi, s=s: s * np.exp(np.cos(phi))[None], [0, 1], identity, spec
+            )
+            for s in (1.0, 1e8)
+        ]
+        assert runs[1].points_used == runs[0].points_used
+        assert runs[1].error_estimate <= spec.tolerance * np.max(np.abs(runs[1].value))
+        absolute = integrate_periodic(lambda phi: 1e8 * np.exp(np.cos(phi)), spec)
+        assert absolute.points_used > runs[1].points_used
+
+    def test_not_converged_carries_array_result(self):
+        spec = QuadratureSpec(initial_points=8, tolerance=1e-300, max_doublings=1)
+        with pytest.raises(QuadratureNotConverged) as exc:
+            integrate_harmonics(_two_functions, [0, 1, 2], lambda integrals: integrals, spec)
+        partial = exc.value.result
+        assert partial.points_used == 16
+        assert partial.value.shape == (2, 3)
+        assert partial.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-6)

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helixtm.geometry import HelixShape, curvature_potential, speed
-from helixtm.linalg import HermitianMatrix
+from helixtm.linalg import HermitianMatrix, HermiticityViolation
 from helixtm.quadrature import QuadratureSpec, integrate_periodic
 from helixtm.spectrum import (
     BlochBasis,
@@ -212,6 +212,46 @@ class TestHamiltonianStructure:
         h1 = build_hamiltonian(FLAT6, basis, coarse).entries
         h2 = build_hamiltonian(FLAT6, basis, fine).entries
         assert np.max(np.abs(h1 - h2)) < 1e-8
+
+
+class TestSpectralAssembly:
+    """The gathered matrix against element-by-element quadrature."""
+
+    @staticmethod
+    def elementwise(shape, basis, cfg):
+        idx = basis.indices
+        return np.array(
+            [[hamiltonian_element(shape, basis, m, n, cfg) for n in idx] for m in idx]
+        )
+
+    @pytest.mark.parametrize(
+        "a, b, omega, n_max",
+        [
+            (0.75, 0.25, 6, 2),
+            (0.75, 0.25, 6, 8),
+            (0.75, 0.25, 6, 16),
+            (0.5, 0.5, 4, 2),
+            (0.12, 0.88, 40, 2),
+        ],
+    )
+    def test_matches_hamiltonian_element(self, a, b, omega, n_max):
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        for include_vc in (False, True):
+            cfg = SpectrumConfig(include_vc=include_vc, n_max=n_max)
+            basis = make_basis(shape, 1, cfg)
+            h = build_hamiltonian(shape, basis, cfg).entries
+            want = self.elementwise(shape, basis, cfg)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(h - want)) <= 1e-10 * scale
+
+    def test_under_resolved_grid_fails_hermiticity(self):
+        # 192 -> 384 points cannot resolve harmonics up to 2*omega*n_max =
+        # 192 to 1e-9; nothing symmetrises the gathered matrix, so the
+        # drift reaches the check
+        quad = QuadratureSpec(initial_points=192, tolerance=1e6, max_doublings=1)
+        cfg = SpectrumConfig(n_max=16, quad=quad)
+        with pytest.raises(HermiticityViolation):
+            build_hamiltonian(FLAT6, make_basis(FLAT6, 1, cfg), cfg)
 
 
 class TestReferenceConfiguration:
