@@ -243,18 +243,20 @@ def _solve_branch(shape, settings, p, include_vc):
     return solve_states(shape, basis, config)
 
 
+def _grid_table(header, columns, digits):
+    """CSV text of a header line and one row per grid angle."""
+    lines = [header]
+    lines.extend(",".join(_fmt(x, digits) for x in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_geometry(settings):
     shape = _single_shape(settings)
-    d = settings.digits
-    lines = [GEOMETRY_HEADER]
     phi = _grid_angles(settings)
-    r = position(shape, phi)
     frame = frenet_frame(shape, phi)
-    for i in range(len(phi)):
-        row = [phi[i], *r[i], frame.speed[i], frame.kappa[i], frame.tau[i],
-               *frame.tangent[i], *frame.normal[i], *frame.binormal[i]]
-        lines.append(",".join(_fmt(x, d) for x in row))
-    return "\n".join(lines) + "\n"
+    columns = [phi, *position(shape, phi).T, frame.speed, frame.kappa, frame.tau,
+               *frame.tangent.T, *frame.normal.T, *frame.binormal.T]
+    return _grid_table(GEOMETRY_HEADER, columns, settings.digits)
 
 
 def _cmd_potential(settings):
@@ -264,15 +266,11 @@ def _cmd_potential(settings):
         HelixShape(R=settings.R, a=a, b=b, omega=settings.omega)
         for a, b in zip(settings.a_list, settings.b_list)
     ]
-    d = settings.digits
     scale = settings.R**2
     header = "phi," + ",".join(f"Vc[a={s.a:g};b={s.b:g}]" for s in shapes)
-    lines = [header]
     phi = _grid_angles(settings)
-    columns = [scale * curvature_potential(s, phi) for s in shapes]
-    for i in range(len(phi)):
-        lines.append(",".join([_fmt(phi[i], d)] + [_fmt(col[i], d) for col in columns]))
-    return "\n".join(lines) + "\n"
+    columns = [phi] + [scale * curvature_potential(s, phi) for s in shapes]
+    return _grid_table(header, columns, settings.digits)
 
 
 def _cmd_spectrum(settings):
@@ -295,10 +293,9 @@ def _cmd_spectrum(settings):
 
 def _cmd_current(settings):
     shape = _single_shape(settings)
-    d = settings.digits
     scale = settings.R**2
     header = ["phi"]
-    columns = []
+    columns = [_grid_angles(settings)]
     for p in settings.p_list:
         for include_vc in _vc_variants(settings):
             tag = "on" if include_vc else "off"
@@ -306,11 +303,7 @@ def _cmd_current(settings):
                 profile = sample_current_profile(state, shape, settings.grid)
                 header.append(f"j[p={p};alpha={state.alpha};vc={tag}]")
                 columns.append(scale * profile.values)
-    phi = _grid_angles(settings)
-    lines = [",".join(header)]
-    for i in range(len(phi)):
-        lines.append(",".join([_fmt(phi[i], d)] + [_fmt(col[i], d) for col in columns]))
-    return "\n".join(lines) + "\n"
+    return _grid_table(",".join(header), columns, settings.digits)
 
 
 def _cmd_moments(settings):

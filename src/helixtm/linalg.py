@@ -1,26 +1,22 @@
-"""Dense Hermitian eigensolver built on cyclic Jacobi rotations.
+"""Dense Hermitian eigendecomposition with reproducible eigenvector phases.
 
-The matrices here are small (tens of rows), dominated by their diagonal,
-and must decompose reproducibly, so a self-contained cyclic Jacobi sweep
-is used instead of an external solver.  Each complex off-diagonal entry
-is zeroed by a two-step plane transform: a diagonal phase absorbs the
-entry's argument, then a real rotation (the stable small-angle root of
-the usual quadratic) kills the remainder.  Sweeps repeat until the
-off-diagonal mass is at machine level relative to the matrix norm.
-
-``fix_phase`` standardises eigenvector phases, which otherwise float
-freely and would spoil bitwise reproducibility of downstream output.
+``HermitianMatrix`` validates the input (square, finite, Hermitian up
+to a tolerance), ``eigen_decompose`` hands it to LAPACK through
+``numpy.linalg.eigh`` and ``fix_phase`` standardises eigenvector phases,
+which otherwise float freely and would spoil bitwise reproducibility of
+downstream output.  The solver is checked against an inertia-count
+bisection oracle in the tests.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_HERMITICITY_TOL = 1e-9
-_MAX_SWEEPS = 50
+# Relative magnitude gap below which fix_phase treats entries as tied.
+_TIE_RTOL = 1e-9
 
 
 class HermiticityViolation(ValueError):
@@ -28,7 +24,7 @@ class HermiticityViolation(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Jacobi sweeps failed to reduce the off-diagonal mass."""
+    """The eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -69,89 +65,40 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return math.sqrt(float(np.sum(np.abs(off) ** 2).real))
+def eigen_decompose(matrix):
+    """Full eigendecomposition of a HermitianMatrix by LAPACK (``numpy.linalg.eigh``).
 
-
-def _rotate(a, v, p, q):
-    """Zero a[p, q] (and a[q, p]) with a unitary plane transform."""
-    g = a[p, q]
-    r = abs(g)
-    if r == 0.0:
-        return
-    cd = np.conj(g) / r  # phase absorbed into column q
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if theta >= 0.0:
-        t = -1.0 / (theta + math.hypot(theta, 1.0))
-    else:
-        t = 1.0 / (-theta + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # U acts on columns p, q; U* on rows.  V accumulates the column action.
-    ap, aq = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * ap + s * cd * aq
-    a[:, q] = -s * ap + c * cd * aq
-    rp, rq = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * rp + s * np.conj(cd) * rq
-    a[q, :] = -s * rp + c * np.conj(cd) * rq
-    vp, vq = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vp + s * cd * vq
-    v[:, q] = -s * vp + c * cd * vq
-
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-
-def eigen_decompose(matrix, max_sweeps=_MAX_SWEEPS):
-    """Full eigendecomposition of a HermitianMatrix by cyclic Jacobi.
+    The solver sees the exactly Hermitian average ``(A + A*) / 2``, so
+    tolerance-level drift in the stored entries cannot bias it.
 
     Returns
     -------
     EigenDecomposition
         Ascending real eigenvalues and the matching unitary column set.
+        Column phases are whatever LAPACK returns; ``fix_phase`` makes
+        them reproducible.
 
     Raises
     ------
     NoConvergence
-        If the off-diagonal mass is still above the stopping level after
-        ``max_sweeps`` full sweeps (does not occur for valid input and
-        default settings).
+        If LAPACK reports that the decomposition did not converge.
     """
-    n = matrix.dim
-    # Work on the exactly Hermitian average so tol-level noise cannot bias
-    # the rotations.
     a = 0.5 * (matrix.entries + matrix.entries.conj().T)
-    v = np.eye(n, dtype=complex)
-    norm = math.sqrt(float(np.sum(np.abs(a) ** 2).real))
-    stop = 1e-14 * norm
-
-    if norm > 0.0:
-        for _ in range(max_sweeps):
-            if _offdiag_norm(a) <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate(a, v, p, q)
-        else:
-            raise NoConvergence(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} above {stop:.3e} "
-                f"after {max_sweeps} sweeps"
-            )
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(
-        eigenvalues=eigenvalues[order], eigenvectors=v[:, order]
-    )
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def fix_phase(vectors):
     """Rotate each vector's global phase so its largest-magnitude
-    component is real and positive (lowest index wins ties).
+    component is real and positive.
+
+    Entries within a relative 1e-9 of the largest magnitude count as
+    tied and the lowest index among them wins, so a tie that holds only
+    up to round-off (the mirror-symmetric +-k pairs of a Bloch branch)
+    picks the same entry whatever rounding the solver left.
 
     Accepts a single vector or a matrix of column vectors; returns the
     same shape.  Raises ValueError on a zero vector.
@@ -159,11 +106,11 @@ def fix_phase(vectors):
     arr = np.array(vectors, dtype=complex)
     single = arr.ndim == 1
     cols = arr[:, None] if single else arr
-    for j in range(cols.shape[1]):
-        col = cols[:, j]
-        i = int(np.argmax(np.abs(col)))
-        mag = abs(col[i])
-        if mag == 0.0:
-            raise ValueError("cannot fix the phase of a zero vector")
-        cols[:, j] = col * (np.conj(col[i]) / mag)
+    mags = np.abs(cols)
+    top = mags.max(axis=0)
+    if np.any(top == 0.0):
+        raise ValueError("cannot fix the phase of a zero vector")
+    first = np.argmax(mags >= (1.0 - _TIE_RTOL) * top, axis=0)
+    pivot = cols[first, np.arange(cols.shape[1])]
+    cols = cols * (np.conj(pivot) / np.abs(pivot))
     return cols[:, 0] if single else cols

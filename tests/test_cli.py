@@ -105,6 +105,18 @@ class TestSpectrum:
         seen = {line.split(",")[0] for line in out.strip().split("\n")[1:]}
         assert seen == {"1", "2", "3"}
 
+    def test_mirror_branch_dominant_coefficients_positive(self, capsys):
+        # at p=0 the dominant +-k coefficients tie up to round-off; the
+        # first of them must still print positive
+        _, out, _ = run_cli(
+            capsys, "spectrum", "--a", "0.75", "--b", "0.25", "--omega", "4", "--p", "0", "--both"
+        )
+        _, rows = parse_csv(out)
+        for start in (0, 6):
+            coeffs = np.array([[float(x) for x in row[3:]] for row in rows[start + 1 : start + 6]])
+            dominant = coeffs[np.argmax(np.abs(coeffs), axis=0), np.arange(coeffs.shape[1])]
+            assert np.all(dominant > 0)
+
 
 class TestMoments:
     def test_stationary_branch_all_zero(self, capsys):

@@ -1,10 +1,13 @@
 """Hermitian eigensolver checks.
 
-The primary oracle is an inertia-count bisection coded here from scratch:
-Sylvester's law says the number of negative pivots of the Gaussian
-elimination of A - lam*I equals the number of eigenvalues below lam, so
-bisecting each count boundary pins every eigenvalue independently of any
-rotation-based scheme.  numpy.linalg.eigh is kept as a second witness.
+The solver under test is LAPACK through ``numpy.linalg.eigh``.  Its
+independent oracle is an inertia-count bisection coded here from
+scratch: Sylvester's law says the number of negative pivots of the
+Gaussian elimination of A - lam*I equals the number of eigenvalues below
+lam, so bisecting each count boundary pins every eigenvalue without any
+rotation-based scheme.  The comparisons with ``numpy.linalg.eigvalsh``
+check the wrapper's conventions (ascending order, Hermitian averaging),
+not the solver itself.
 """
 
 import math
@@ -13,6 +16,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helixtm.cli import main
+from helixtm.geometry import HelixShape
 from helixtm.linalg import (
     EigenDecomposition,
     HermiticityViolation,
@@ -21,6 +26,7 @@ from helixtm.linalg import (
     eigen_decompose,
     fix_phase,
 )
+from helixtm.spectrum import BlochBasis, SpectrumConfig, build_hamiltonian
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -104,6 +110,16 @@ class TestAgainstBisectionOracle:
         got = eigen_decompose(HermitianMatrix(a, hermiticity_tol=1e-9)).eigenvalues
         want = bisection_eigenvalues(a)
         assert_allclose(got, want, atol=1e-9)
+
+    def test_helix_hamiltonian(self):
+        # a production matrix: dim 17, entries up to about 1.4e2
+        shape = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
+        basis = BlochBasis(p=1, n_max=8, omega=6)
+        h = build_hamiltonian(shape, basis, SpectrumConfig(include_vc=True, n_max=8))
+        a = 0.5 * (h.entries + h.entries.conj().T)
+        got = eigen_decompose(h).eigenvalues
+        want = bisection_eigenvalues(a)
+        assert_allclose(got, want, atol=1e-9 * max(1.0, np.max(np.abs(a))))
 
 
 class TestAgainstNumpy:
@@ -194,11 +210,18 @@ class TestValidation:
         with pytest.raises((ValueError, RuntimeError)):
             m.entries[0, 0] = 5.0
 
-    def test_no_convergence_is_reported(self):
+    def test_no_convergence_is_reported(self, monkeypatch, capsys):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         rng = np.random.default_rng(15)
-        a = random_hermitian(rng, 8)
         with pytest.raises(NoConvergence):
-            eigen_decompose(HermitianMatrix(a), max_sweeps=1)
+            eigen_decompose(HermitianMatrix(random_hermitian(rng, 8)))
+        assert main(["spectrum", "--p", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("helixtm: numerical failure:")
+        assert err.count("\n") == 1
 
 
 class TestFixPhase:
@@ -216,6 +239,9 @@ class TestFixPhase:
         v = fix_phase(np.array([-1.0, 1.0]) / math.sqrt(2))
         assert v[0] == pytest.approx(1 / math.sqrt(2))
         assert v[1] == pytest.approx(-1 / math.sqrt(2))
+        # a tie that holds only up to round-off still goes to the lowest index
+        v = fix_phase(np.array([0.6, 0.1, -0.6 * (1 + 1e-15)]))
+        assert_allclose(v, [0.6, 0.1, -0.6 * (1 + 1e-15)], rtol=1e-15)
 
     def test_matrix_columns_fixed_independently(self):
         cols = fix_phase(np.array([[1j, 0.0], [0.0, -1.0]]))

@@ -325,6 +325,23 @@ class TestPhysicalBehaviour:
             assert big[k] <= small[k] + 1e-10
             assert small[k] <= big[k + 2] + 1e-10
 
+    @pytest.mark.parametrize(
+        "a, b, omega, p", [(0.75, 0.25, 6, 1), (0.25, 0.75, 4, 1), (0.9, 0.1, 40, 3)]
+    )
+    def test_mirror_gap_shrinks_with_basis(self, a, b, omega, p):
+        # time reversal maps branch p onto omega - p, so their levels agree
+        # untruncated; the gap left by truncation must fall as the basis grows
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        gaps = []
+        for n_max in (2, 4, 8):
+            cfg = SpectrumConfig(include_vc=True, n_max=n_max)
+            levels = [
+                [s.energy for s in solve_states(shape, BlochBasis(q, n_max, omega), cfg)[:3]]
+                for q in (p, omega - p)
+            ]
+            gaps.append(max(abs(x - y) for x, y in zip(*levels)))
+        assert gaps[0] > gaps[1] > gaps[2]
+
 
 class TestSolveStates:
     def test_state_invariants(self):
