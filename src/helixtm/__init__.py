@@ -34,11 +34,11 @@ from .observables import (
     classical_moment_closed,
     classical_moment_numeric,
     current,
-    current_mode_sum,
     free_particle_current,
     sample_current_profile,
     thermal_average,
     toroidal_moment,
+    toroidal_moments,
 )
 from .quadrature import (
     QuadratureNotConverged,
@@ -52,8 +52,10 @@ from .spectrum import (
     SpectrumConfig,
     basis_wavefunction,
     build_hamiltonian,
+    build_hamiltonians,
     hamiltonian_element,
     make_basis,
+    solve_branches,
     solve_states,
 )
 

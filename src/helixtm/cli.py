@@ -32,10 +32,10 @@ from .observables import (
     free_particle_current,
     sample_current_profile,
     thermal_average,
-    toroidal_moment,
+    toroidal_moments,
 )
 from .quadrature import QuadratureNotConverged, QuadratureSpec
-from .spectrum import BlochBasis, SpectrumConfig, solve_states
+from .spectrum import solve_branches
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
@@ -203,9 +203,10 @@ def _resolve(args):
     qp = _pick(args.quad_points, config, "quad_points", None, int, path)
     qt = _pick(args.quad_tol, config, "quad_tol", None, float, path)
     if qp is not None or qt is not None:
+        default = QuadratureSpec.per_winding(settings.omega)
         settings.quad = QuadratureSpec(
-            initial_points=qp if qp is not None else 64 * settings.omega,
-            tolerance=qt if qt is not None else 1e-10,
+            initial_points=qp if qp is not None else default.initial_points,
+            tolerance=qt if qt is not None else default.tolerance,
         )
     if settings.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {settings.grid}")
@@ -222,8 +223,10 @@ def _single_shape(settings):
     )
 
 
-def _vc_variants(settings):
-    return {"with": [True], "without": [False], "both": [False, True]}[settings.vc]
+def _branch_pairs(settings):
+    """The (p, include_vc) pairs the --p and V_c flags ask for, in print order."""
+    variants = {"with": [True], "without": [False], "both": [False, True]}[settings.vc]
+    return [(p, include_vc) for p in settings.p_list for include_vc in variants]
 
 
 def _grid_angles(settings):
@@ -237,10 +240,12 @@ def _fmt(value, digits):
     return "%.*g" % (digits, value)
 
 
-def _solve_branch(shape, settings, p, include_vc):
-    basis = BlochBasis(p=p, n_max=settings.n_max, omega=shape.omega)
-    config = SpectrumConfig(include_vc=include_vc, n_max=settings.n_max, quad=settings.quad)
-    return solve_states(shape, basis, config)
+def _moments_z(shape, settings, branches):
+    """z moments of every state of every branch, from one moment pass."""
+    states = [s for branch in branches for s in branch]
+    z = [m.z for m in toroidal_moments(states, shape, settings.quad)]
+    dim = 2 * settings.n_max + 1
+    return [z[i:i + dim] for i in range(0, len(z), dim)]
 
 
 def _grid_table(header, columns, digits):
@@ -279,15 +284,15 @@ def _cmd_spectrum(settings):
     scale = settings.R**2
     dim = 2 * settings.n_max + 1
     lines = ["p,vc,row," + ",".join(f"alpha{i}" for i in range(dim))]
-    for p in settings.p_list:
-        for include_vc in _vc_variants(settings):
-            states = _solve_branch(shape, settings, p, include_vc)
-            tag = "on" if include_vc else "off"
-            energies = ",".join(_fmt(scale * s.energy, d) for s in states)
-            lines.append(f"{p},{tag},E,{energies}")
-            for i, n in enumerate(range(-settings.n_max, settings.n_max + 1)):
-                coeffs = ",".join(_fmt(s.coefficients[i].real, d) for s in states)
-                lines.append(f"{p},{tag},m={n},{coeffs}")
+    pairs = _branch_pairs(settings)
+    branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
+    for (p, include_vc), states in zip(pairs, branches):
+        tag = "on" if include_vc else "off"
+        energies = ",".join(_fmt(scale * s.energy, d) for s in states)
+        lines.append(f"{p},{tag},E,{energies}")
+        for i, n in enumerate(range(-settings.n_max, settings.n_max + 1)):
+            coeffs = ",".join(_fmt(s.coefficients[i].real, d) for s in states)
+            lines.append(f"{p},{tag},m={n},{coeffs}")
     return "\n".join(lines) + "\n"
 
 
@@ -296,13 +301,14 @@ def _cmd_current(settings):
     scale = settings.R**2
     header = ["phi"]
     columns = [_grid_angles(settings)]
-    for p in settings.p_list:
-        for include_vc in _vc_variants(settings):
-            tag = "on" if include_vc else "off"
-            for state in _solve_branch(shape, settings, p, include_vc):
-                profile = sample_current_profile(state, shape, settings.grid)
-                header.append(f"j[p={p};alpha={state.alpha};vc={tag}]")
-                columns.append(scale * profile.values)
+    pairs = _branch_pairs(settings)
+    branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
+    for (p, include_vc), states in zip(pairs, branches):
+        tag = "on" if include_vc else "off"
+        for state in states:
+            profile = sample_current_profile(state, shape, settings.grid)
+            header.append(f"j[p={p};alpha={state.alpha};vc={tag}]")
+            columns.append(scale * profile.values)
     return _grid_table(",".join(header), columns, settings.digits)
 
 
@@ -311,14 +317,13 @@ def _cmd_moments(settings):
     d = settings.digits
     scale = 1.0 / settings.R
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
-    for p in settings.p_list:
-        off = _solve_branch(shape, settings, p, False)
-        on = _solve_branch(shape, settings, p, True)
-        loop = free_particle_current(shape, p, settings.quad)
+    pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
+    z = _moments_z(shape, settings, solve_branches(shape, pairs, settings.n_max, settings.quad))
+    loops = free_particle_current(shape, np.array(settings.p_list, dtype=float), settings.quad)
+    for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
         classical = scale * classical_moment_closed(shape, loop)[2]
-        for alpha in range(len(off)):
-            t_off = scale * toroidal_moment(off[alpha], shape, settings.quad).z
-            t_on = scale * toroidal_moment(on[alpha], shape, settings.quad).z
+        for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
+            t_off, t_on = scale * t_off, scale * t_on
             ratio = "" if abs(t_on) < 1e-6 else _fmt(t_off / t_on, d)
             lines.append(
                 f"{p},{alpha},{_fmt(t_off, d)},{_fmt(t_on, d)},{ratio},{_fmt(classical, d)}"
@@ -339,20 +344,17 @@ def _cmd_thermal(settings):
         f"thermal toroidal moment averages, temperature = {_fmt(settings.temperature, d)}",
         "p  vc   normalized  unnormalized",
     ]
-    for p in settings.p_list:
-        for include_vc in _vc_variants(settings):
-            states = _solve_branch(shape, settings, p, include_vc)
-            pairs = [
-                (e_scale * s.energy, t_scale * toroidal_moment(s, shape, settings.quad).z)
-                for s in states
-            ]
-            avg = thermal_average(pairs, spec_norm)
-            try:
-                raw = _fmt(thermal_average(pairs, spec_raw), d)
-            except OverflowError:
-                raw = "overflow"
-            tag = "on " if include_vc else "off"
-            lines.append(f"{p}  {tag}  {_fmt(avg, d)}  {raw}")
+    pairs = _branch_pairs(settings)
+    branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
+    for (p, include_vc), states, z in zip(pairs, branches, _moments_z(shape, settings, branches)):
+        levels = [(e_scale * s.energy, t_scale * t) for s, t in zip(states, z)]
+        avg = thermal_average(levels, spec_norm)
+        try:
+            raw = _fmt(thermal_average(levels, spec_raw), d)
+        except OverflowError:
+            raw = "overflow"
+        tag = "on " if include_vc else "off"
+        lines.append(f"{p}  {tag}  {_fmt(avg, d)}  {raw}")
     return "\n".join(lines) + "\n"
 
 

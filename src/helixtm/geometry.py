@@ -151,8 +151,16 @@ def position(shape, phi):
 
 
 def velocity(shape, phi):
-    """First derivative dr/dphi, shape (..., 3)."""
-    return curve_derivatives(shape, phi)[0]
+    """First derivative dr/dphi, shape (..., 3).
+
+    The first of ``curve_derivatives`` in Cartesian components, without
+    building the second and third derivatives.
+    """
+    s, c, W = _sc(shape, phi)
+    phi = np.asarray(phi, dtype=float)
+    w1 = -shape.a * shape.omega * s
+    cp, sp = np.cos(phi), np.sin(phi)
+    return np.stack([w1 * cp - W * sp, w1 * sp + W * cp, shape.b * shape.omega * c], axis=-1)
 
 
 def curve_derivatives(shape, phi):
@@ -351,9 +359,11 @@ def arc_length(shape, spec=None):
     """Total curve length, integral of f over one full turn.
 
     Always exceeds 2*pi*R (the planar circle is the degenerate limit).
+    The default grid starts with 64 points per winding, like every other
+    integral over the curve.
     """
     from .quadrature import QuadratureSpec, integrate_periodic
 
     if spec is None:
-        spec = QuadratureSpec()
+        spec = QuadratureSpec.per_winding(shape.omega)
     return integrate_periodic(lambda phi: speed(shape, phi), spec).value.real

@@ -10,10 +10,7 @@ curve (the flux through the cross-section at angle phi) is
     S0 = sum_n C_n e^{i n omega phi},  S1 = sum_n (p + n*omega) C_n e^{i n omega phi}.
 
 The branch phase e^{i p phi} cancels between the factors, so only the
-relative harmonics enter.  ``current_mode_sum`` evaluates the same
-quantity as an explicit double sum over (m, n) pairs without conjugation,
-which is valid for real coefficient vectors and serves as an independent
-cross-check of the spectral path.
+relative harmonics enter.
 
 The toroidal (anapole) moment of a line current j(phi) flowing along the
 curve is
@@ -35,9 +32,13 @@ component of the quantum moment is a quadratic form in the coefficients:
     T_axis = (2*pi/10) * Re( C^H M_axis C ),
     M_axis[m, n] = k_n * coeff_{omega*(n - m)}[ g_axis / (2*pi*f^2) ],
 
-where coeff_d[h] = (1/(2*pi)) Integral h e^{i d phi} dphi.
-``toroidal_moment`` takes those coefficients of the three real functions
-g_axis / (2*pi*f^2) from one converged grid (``integrate_harmonics``).
+where coeff_d[h] = (1/(2*pi)) Integral h e^{i d phi} dphi.  The
+coefficients depend only on the shape; the state enters through C and
+k_n = p + omega*n.  ``toroidal_moments`` therefore takes the moments of
+any list of states of one shape and one n_max (mixed branches and V_c
+settings) from one converged grid of the three real functions
+g_axis / (2*pi*f^2) (``integrate_harmonics``), refined until every
+moment of the list settles; ``toroidal_moment`` is its one-state case.
 ``_moment_from_current`` integrates j * g_axis directly, for the
 classical loop and as the reference for the quadratic form.
 """
@@ -107,30 +108,6 @@ def current(state, shape, phi):
     return np.real(np.conj(s0) * s1) / (2.0 * math.pi * f * f)
 
 
-def current_mode_sum(state, shape, phi):
-    """j(phi) as an explicit (m, n) double sum; assumes real coefficients.
-
-    Includes the odd sin term multiplying f'/(2 f^3), which cancels pair
-    by pair for a symmetric coefficient product; it is kept so the
-    cancellation itself is exercised by the cross-check.
-    """
-    phi = np.asarray(phi, dtype=float)
-    f = geometry.speed(shape, phi)
-    f1, _ = geometry.speed_derivatives(shape, phi)
-    c = state.coefficients
-    idx = state.n_indices
-    w = shape.omega
-    total = np.zeros_like(phi, dtype=complex)
-    for i, m in enumerate(idx):
-        for j, n in enumerate(idx):
-            arg = w * (n - m) * phi
-            total = total + c[i] * c[j] * (
-                (state.p + w * n) * np.cos(arg) / (f * f)
-                - f1 * np.sin(arg) / (2.0 * f**3)
-            )
-    return total.real / (2.0 * math.pi)
-
-
 def sample_current_profile(state, shape, grid_size):
     """Tabulate j on a uniform angle grid (at least 2 points per winding)."""
     if grid_size < 2 * shape.omega:
@@ -155,7 +132,7 @@ def _moment_weights(shape, phi):
 
 def _moment_from_current(shape, current_fn, quad):
     if quad is None:
-        quad = QuadratureSpec(initial_points=64 * shape.omega)
+        quad = QuadratureSpec.per_winding(shape.omega)
     out = np.empty(3)
     for axis in range(3):
         def integrand(phi, axis=axis):
@@ -168,29 +145,45 @@ def _moment_from_current(shape, current_fn, quad):
     return out
 
 
-def toroidal_moment(state, shape, quad=None):
-    """Toroidal moment of an eigenstate's current distribution."""
+def toroidal_moments(states, shape, quad=None):
+    """Toroidal moments of several eigenstates of one shape, from one grid.
+
+    The states must share n_max; their branches and V_c settings may
+    differ.  Returns one MomentResult per state, in order.  The grid is
+    refined until all moments together settle to
+    ``tolerance * max(1, max |T|)``.
+    """
+    if not states:
+        raise ValueError("need at least one state")
+    n_max = states[0].n_max
+    if any(state.n_max != n_max for state in states):
+        raise ValueError("all states must share one n_max")
     if quad is None:
-        quad = QuadratureSpec(initial_points=64 * shape.omega)
-    c = state.coefficients
-    n = state.n_indices
-    k = state.p + shape.omega * n
-    offsets = n[None, :] - n[:, None] + 2 * state.n_max
+        quad = QuadratureSpec.per_winding(shape.omega)
+    n = np.arange(-n_max, n_max + 1)
+    c = np.array([state.coefficients for state in states])
+    kc = np.array([state.p + shape.omega * n for state in states]) * c
+    offsets = n[None, :] - n[:, None] + 2 * n_max
 
     def gather(integrals):
-        # Re sum_{m,n} conj(C_m) C_n k_n I_{omega(n-m)} per axis
-        return np.real(np.einsum("m,amn,n->a", c.conj(), integrals[:, offsets], k * c))
+        # Re sum_{m,n} conj(C_m) C_n k_n I_{omega(n-m)} per state and axis
+        return np.real(np.einsum("sm,amn,sn->sa", c.conj(), integrals[:, offsets], kc))
 
     result = integrate_harmonics(
         lambda phi: _moment_weights(shape, phi).T,
-        shape.omega * np.arange(-2 * state.n_max, 2 * state.n_max + 1),
+        shape.omega * np.arange(-2 * n_max, 2 * n_max + 1),
         gather,
         quad,
     )
-    vec = result.value / 10.0
-    return MomentResult(
-        vector=vec, z=float(vec[2]), state_ref=(state.p, state.alpha, state.include_vc)
-    )
+    return [
+        MomentResult(vector=vec, z=float(vec[2]), state_ref=(s.p, s.alpha, s.include_vc))
+        for s, vec in zip(states, result.value / 10.0)
+    ]
+
+
+def toroidal_moment(state, shape, quad=None):
+    """Toroidal moment of an eigenstate's current distribution."""
+    return toroidal_moments([state], shape, quad)[0]
 
 
 def classical_moment_numeric(shape, loop_current, quad=None):

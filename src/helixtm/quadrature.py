@@ -45,6 +45,15 @@ class QuadratureSpec:
         if self.max_doublings < 1:
             raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
+    @classmethod
+    def per_winding(cls, omega):
+        """Default spec for an integrand over an omega-winding curve.
+
+        64 points per winding resolve the winding harmonics from the first
+        grid.
+        """
+        return cls(initial_points=64 * omega)
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -81,6 +90,14 @@ def _eval(fn, nodes):
     return vals
 
 
+def _interleave(old, new):
+    """Samples of the doubled grid: ``old`` at even and ``new`` at odd nodes."""
+    merged = np.empty(old.shape[:-1] + (2 * old.shape[-1],), dtype=old.dtype)
+    merged[..., 0::2] = old
+    merged[..., 1::2] = new
+    return merged
+
+
 def _refine(sample, estimate, spec, relative):
     """The node-doubling loop shared by both integrators.
 
@@ -98,14 +115,9 @@ def _refine(sample, estimate, spec, relative):
 
     for _ in range(spec.max_doublings):
         mids = nodes + math.pi / n
-        mid_vals = sample(mids)
-        merged = np.empty(vals.shape[:-1] + (2 * n,), dtype=vals.dtype)
-        merged[..., 0::2] = vals
-        merged[..., 1::2] = mid_vals
-        merged_nodes = np.empty(2 * n)
-        merged_nodes[0::2] = nodes
-        merged_nodes[1::2] = mids
-        nodes, vals, n = merged_nodes, merged, 2 * n
+        vals = _interleave(vals, sample(mids))
+        nodes = _interleave(nodes, mids)
+        n *= 2
 
         refined = estimate(vals)
         change = float(np.max(np.abs(refined - current)))

@@ -36,14 +36,19 @@ so every element is a Fourier coefficient at harmonic d = omega*(n - m):
 
     H[m, n] = A_d + k_n^2 B_d + i k_n C_d,   X_d = (1/(2*pi)) Integral X e^{i d phi}.
 
-``build_hamiltonian`` samples A, B and C once per grid, takes all their
-harmonics from one real FFT and gathers the matrix, refining the grid
-until the whole matrix settles (``integrate_harmonics``).  Nothing
-enforces the symmetry: H[n, m] uses the harmonic -d and the other k, and
-(k_n - k_m) B_d + i C_d = 0 holds only to quadrature accuracy, so the
-hermiticity check on construction still flags a too-coarse grid.
-``hamiltonian_element`` integrates one element on its own and serves as
-the reference for the gathered matrix.
+Only A depends on whether V_c is included and only k on the branch p,
+so ``build_hamiltonians`` assembles any list of (p, include_vc) pairs
+from one pass: it samples A without V_c and A with V_c (each only if a
+pair needs it), B and C once per grid, takes all their harmonics from one
+real FFT, gathers every matrix and refines the grid until the whole
+stack settles (``integrate_harmonics``).  ``solve_branches`` diagonalises
+such a stack.  ``build_hamiltonian`` and ``solve_states`` are their
+one-branch cases.  Nothing enforces the symmetry: H[n, m] uses the
+harmonic -d and the other k, and (k_n - k_m) B_d + i C_d = 0 holds only
+to quadrature accuracy, so the hermiticity check on construction of each
+matrix still flags a too-coarse grid.  ``hamiltonian_element``
+integrates one element on its own and serves as the reference for the
+gathered matrices.
 """
 
 from __future__ import annotations
@@ -134,13 +139,6 @@ def basis_wavefunction(shape, basis, n, phi):
     return np.exp(1j * k * phi) / np.sqrt(2.0 * math.pi * geometry.speed(shape, phi))
 
 
-def _resolve_quad(shape, config):
-    if config.quad is not None:
-        return config.quad
-    # A multiple of omega resolves the winding harmonics from the start.
-    return QuadratureSpec(initial_points=64 * shape.omega)
-
-
 def hamiltonian_element(shape, basis, m, n, config):
     """Matrix element H[m, n] between basis functions m and n."""
     for idx in (m, n):
@@ -162,45 +160,57 @@ def hamiltonian_element(shape, basis, m, n, config):
             bracket = bracket + geometry.curvature_potential(shape, phi)
         return np.exp(1j * hop * phi) * bracket
 
-    result = integrate_periodic(integrand, _resolve_quad(shape, config))
-    return result.value / (2.0 * math.pi)
+    quad = config.quad if config.quad is not None else QuadratureSpec.per_winding(shape.omega)
+    return integrate_periodic(integrand, quad).value / (2.0 * math.pi)
 
 
-def build_hamiltonian(shape, basis, config):
-    """Assemble the full matrix over the basis as a HermitianMatrix.
+def build_hamiltonians(shape, branches, n_max, quad=None):
+    """One HermitianMatrix per (p, include_vc) pair, all from one converged grid.
 
-    All elements come from one converged grid: the harmonics
-    omega*(n - m) of A, B and C are gathered into A_d + k^2 B_d + i k C_d.
+    Every matrix gathers the harmonics omega*(n - m) of the shared
+    samples into A_d + k^2 B_d + i k C_d with its own k = p + omega*n.
     Both triangles are gathered (no symmetry shortcut), so the
-    hermiticity check on construction is a real consistency test of the
-    quadrature.
+    hermiticity check on construction of each matrix is a real
+    consistency test of the quadrature.  The grid is refined until the
+    whole stack settles to ``tolerance * max(1, max |H|)``.
     """
-    idx = basis.indices
-    k = basis.momentum(idx).astype(float)
-    offsets = idx[None, :] - idx[:, None] + 2 * basis.n_max
+    if not branches:
+        raise ValueError("need at least one branch")
+    if quad is None:
+        quad = QuadratureSpec.per_winding(shape.omega)
+    bases = [BlochBasis(p=p, n_max=n_max, omega=shape.omega) for p, _ in branches]
+    idx = np.arange(-n_max, n_max + 1)
+    k = np.array([basis.momentum(idx) for basis in bases], dtype=float)[:, None, :]
+    offsets = idx[None, :] - idx[:, None] + 2 * n_max
+    # one sampled row of A per V_c setting in use (the one with V_c
+    # last), then B and C
+    variants = sorted({bool(vc) for _, vc in branches})
+    a_rows = [variants.index(bool(vc)) for _, vc in branches]
 
     def sample(phi):
         f = geometry.speed(shape, phi)
         f1, f2 = geometry.speed_derivatives(shape, phi)
-        terms = np.empty((3, phi.size))
-        terms[0] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
-        if config.include_vc:
-            terms[0] += geometry.curvature_potential(shape, phi)
-        terms[1] = 0.5 / (f * f)
-        terms[2] = f1 / f**3
+        terms = np.empty((len(variants) + 2, phi.size))
+        terms[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
+        if variants[-1]:
+            terms[len(variants) - 1] += geometry.curvature_potential(shape, phi)
+        terms[-2] = 0.5 / (f * f)
+        terms[-1] = f1 / f**3
         return terms
 
     def gather(integrals):
-        a, b, c = integrals[:, offsets]
-        return a + (k * k) * b + 1j * k * c
+        blocks = integrals[:, offsets]
+        return blocks[a_rows] + (k * k) * blocks[-2] + 1j * k * blocks[-1]
 
     result = integrate_harmonics(
-        sample,
-        basis.omega * np.arange(-2 * basis.n_max, 2 * basis.n_max + 1),
-        gather,
-        _resolve_quad(shape, config),
+        sample, shape.omega * np.arange(-2 * n_max, 2 * n_max + 1), gather, quad
     )
-    return HermitianMatrix(result.value / (2.0 * math.pi))
+    return [HermitianMatrix(h) for h in result.value / (2.0 * math.pi)]
+
+
+def build_hamiltonian(shape, basis, config):
+    """The matrix of one branch over the basis (``build_hamiltonians`` of one pair)."""
+    return build_hamiltonians(shape, [(basis.p, config.include_vc)], basis.n_max, config.quad)[0]
 
 
 def make_basis(shape, p, config):
@@ -208,19 +218,30 @@ def make_basis(shape, p, config):
     return BlochBasis(p=p, n_max=config.n_max, omega=shape.omega)
 
 
+def solve_branches(shape, branches, n_max, quad=None):
+    """States of every (p, include_vc) pair from one ``build_hamiltonians`` pass.
+
+    Returns one list per pair, each with its 2*n_max + 1 states sorted by
+    ascending energy.
+    """
+    out = []
+    for h, (p, include_vc) in zip(build_hamiltonians(shape, branches, n_max, quad), branches):
+        dec = eigen_decompose(h)
+        vecs = fix_phase(dec.eigenvectors)
+        norms = np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0))
+        out.append([
+            EigenState(
+                energy=float(dec.eigenvalues[i]),
+                coefficients=vecs[:, i] / norms[i],
+                p=p,
+                alpha=int(i),
+                include_vc=include_vc,
+            )
+            for i in range(h.dim)
+        ])
+    return out
+
+
 def solve_states(shape, basis, config):
     """All 2*n_max + 1 states of a branch, sorted by ascending energy."""
-    h = build_hamiltonian(shape, basis, config)
-    dec = eigen_decompose(h)
-    vecs = fix_phase(dec.eigenvectors)
-    norms = np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0))
-    return [
-        EigenState(
-            energy=float(dec.eigenvalues[i]),
-            coefficients=vecs[:, i] / norms[i],
-            p=basis.p,
-            alpha=int(i),
-            include_vc=config.include_vc,
-        )
-        for i in range(basis.dim)
-    ]
+    return solve_branches(shape, [(basis.p, config.include_vc)], basis.n_max, config.quad)[0]

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from helixtm import observables, spectrum
 from helixtm.cli import GEOMETRY_HEADER, main
+from helixtm.quadrature import integrate_harmonics
 
 FLAT6_ARGS = ["--R", "1", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1"]
 
@@ -149,6 +151,32 @@ class TestMoments:
             assert float(row[4]) == pytest.approx(float(row[2]) / float(row[3]), rel=1e-4)
 
 
+class TestSharedPasses:
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["moments", "--omega", "6", "--p", "0-5"], 2),
+            (["thermal", "--omega", "6", "--p", "0-5", "--temperature", "0.1"], 2),
+            (["spectrum", "--omega", "6", "--p", "0-5"], 1),
+            (["current", "--omega", "6", "--p", "0-5", "--grid", "16"], 1),
+        ],
+    )
+    def test_one_assembly_and_one_moment_pass_per_command(self, capsys, monkeypatch, argv, passes):
+        # every branch and V_c setting shares one assembly, every state one
+        # moment pass
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate_harmonics(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "integrate_harmonics", counting)
+        monkeypatch.setattr(observables, "integrate_harmonics", counting)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == passes
+
+
 class TestPotential:
     def test_multi_case_columns(self, capsys):
         _, out, _ = run_cli(
@@ -280,6 +308,18 @@ class TestExitCodes:
         assert code == 0
         assert err == ""
         assert out.startswith("p,vc,row,")
+
+    @pytest.mark.parametrize("n_max", ["2", "8"])
+    def test_flat_high_winding_moments_converge(self, capsys, n_max):
+        # the classical column's arc length needs 64 points per winding
+        # from the start at omega = 40
+        code, out, err = run_cli(
+            capsys, "moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "1",
+            "--n-max", n_max,
+        )
+        assert code == 0
+        assert err == ""
+        assert len(out.strip().split("\n")) == 1 + 2 * int(n_max) + 1
 
     def test_non_finite_radius_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--R", "inf")

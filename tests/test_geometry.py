@@ -133,6 +133,14 @@ class TestPosition:
             fd = (position(shape, phi + h) - position(shape, phi - h)) / (2 * h)
             assert_allclose(velocity(shape, phi), fd, rtol=1e-7, atol=1e-7)
 
+    def test_velocity_is_first_curve_derivative(self):
+        rng = np.random.default_rng(14)
+        for shape in random_shapes(rng, 5) + [HelixShape(R=1.0, a=0.12, b=0.88, omega=40)]:
+            phi = rng.uniform(-2 * math.pi, 4 * math.pi, 200)
+            want = curve_derivatives(shape, phi)[0]
+            assert np.max(np.abs(velocity(shape, phi) - want)) <= 1e-15 * np.max(np.abs(want))
+        assert velocity(SIXTURN, 0.3).shape == (3,)
+
     def test_higher_curve_derivatives_match_differences(self):
         rng = np.random.default_rng(13)
         h = 1e-5
@@ -411,6 +419,14 @@ class TestArcLength:
         rng = np.random.default_rng(71)
         for shape in random_shapes(rng, 6):
             assert arc_length(shape) > 2 * math.pi * shape.R
+
+    def test_flat_high_winding_coil_converges(self):
+        # 64 starting points cannot resolve omega = 40; the default grid
+        # starts with 64 points per winding, as every other curve integral
+        coil = HelixShape(R=1.0, a=0.99, b=0.01, omega=40)
+        n = 1 << 20
+        dense = 2 * math.pi * np.mean(speed(coil, 2 * math.pi * np.arange(n) / n))
+        assert arc_length(coil) == pytest.approx(dense, rel=1e-12)
 
     def test_quadrature_spec_is_honoured(self):
         loose = arc_length(UPRIGHT, QuadratureSpec(initial_points=32, tolerance=1e-6))

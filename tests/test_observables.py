@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helixtm.geometry import HelixShape, arc_length, speed
+from helixtm.geometry import HelixShape, arc_length, speed, speed_derivatives
 from helixtm.observables import (
     CurrentProfile,
     _moment_from_current,
@@ -21,11 +21,11 @@ from helixtm.observables import (
     classical_moment_closed,
     classical_moment_numeric,
     current,
-    current_mode_sum,
     free_particle_current,
     sample_current_profile,
     thermal_average,
     toroidal_moment,
+    toroidal_moments,
 )
 from helixtm.quadrature import QuadratureSpec
 from helixtm.spectrum import EigenState, SpectrumConfig, make_basis, solve_states
@@ -40,6 +40,31 @@ FLAT8 = HelixShape(R=1.0, a=0.75, b=0.25, omega=8)
 def states_for(shape, p, include_vc, n_max=2):
     cfg = SpectrumConfig(include_vc=include_vc, n_max=n_max)
     return solve_states(shape, make_basis(shape, p, cfg), cfg)
+
+
+def current_mode_sum(state, shape, phi):
+    """j(phi) as an explicit (m, n) double sum; assumes real coefficients.
+
+    An independent cross-check of ``current``.  It includes the odd sin
+    term multiplying f'/(2 f^3), which cancels pair by pair for a
+    symmetric coefficient product; it is kept so the cancellation itself
+    is exercised.
+    """
+    phi = np.asarray(phi, dtype=float)
+    f = speed(shape, phi)
+    f1, _ = speed_derivatives(shape, phi)
+    c = state.coefficients
+    idx = state.n_indices
+    w = shape.omega
+    total = np.zeros_like(phi, dtype=complex)
+    for i, m in enumerate(idx):
+        for j, n in enumerate(idx):
+            arg = w * (n - m) * phi
+            total = total + c[i] * c[j] * (
+                (state.p + w * n) * np.cos(arg) / (f * f)
+                - f1 * np.sin(arg) / (2.0 * f**3)
+            )
+    return total.real / (2.0 * math.pi)
 
 
 def one_hot_state(shape, p, n, n_max=2):
@@ -160,6 +185,36 @@ class TestQuantumMoment:
                 want = _moment_from_current(shape, lambda phi: current(state, shape, phi), None)
                 got = toroidal_moment(state, shape).vector
                 assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestBatchedMoments:
+    @pytest.mark.parametrize(
+        "shape, branches",
+        [
+            (UP4, (0, 1, 3)),
+            (HelixShape(R=1.0, a=0.12, b=0.88, omega=40), (1, 20)),
+        ],
+    )
+    def test_mixed_states_match_current_quadrature(self, shape, branches):
+        # one call over several branches and both V_c settings; each
+        # moment against integrating its own j(phi) * g(phi)
+        states = [
+            s for p in branches for include_vc in (True, False)
+            for s in states_for(shape, p, include_vc)
+        ]
+        results = toroidal_moments(states, shape)
+        assert len(results) == len(states)
+        for state, res in zip(states, results):
+            want = _moment_from_current(shape, lambda phi: current(state, shape, phi), None)
+            assert np.max(np.abs(res.vector - want)) <= 1e-12
+            assert res.state_ref == (state.p, state.alpha, state.include_vc)
+
+    def test_rejects_empty_and_mixed_basis_sizes(self):
+        with pytest.raises(ValueError):
+            toroidal_moments([], UP4)
+        mixed = states_for(UP4, 1, True)[:1] + states_for(UP4, 1, True, n_max=3)[:1]
+        with pytest.raises(ValueError):
+            toroidal_moments(mixed, UP4)
 
 
 class TestClassicalMoment:

@@ -17,6 +17,7 @@ from helixtm.spectrum import (
     SpectrumConfig,
     basis_wavefunction,
     build_hamiltonian,
+    build_hamiltonians,
     hamiltonian_element,
     make_basis,
     solve_states,
@@ -243,6 +244,28 @@ class TestSpectralAssembly:
             want = self.elementwise(shape, basis, cfg)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(h - want)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "shape, branches, n_max",
+        [
+            (FLAT6, [(0, False), (1, True), (3, False), (3, True), (5, True)], 3),
+            (HelixShape(R=1.0, a=0.12, b=0.88, omega=40), [(7, True), (0, False), (39, True)], 2),
+        ],
+    )
+    def test_batched_matrices_match_hamiltonian_element(self, shape, branches, n_max):
+        mats = build_hamiltonians(shape, branches, n_max)
+        assert len(mats) == len(branches)
+        for (p, include_vc), h in zip(branches, mats):
+            cfg = SpectrumConfig(include_vc=include_vc, n_max=n_max)
+            want = self.elementwise(shape, make_basis(shape, p, cfg), cfg)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(h.entries - want)) <= 1e-10 * scale
+
+    def test_batch_validates_branches(self):
+        with pytest.raises(ValueError):
+            build_hamiltonians(FLAT6, [], 2)
+        with pytest.raises(ValueError):
+            build_hamiltonians(FLAT6, [(1, True), (6, True)], 2)
 
     def test_under_resolved_grid_fails_hermiticity(self):
         # 192 -> 384 points cannot resolve harmonics up to 2*omega*n_max =
