@@ -36,6 +36,7 @@ from .observables import (
     current,
     free_particle_current,
     sample_current_profile,
+    sample_current_profiles,
     thermal_average,
     toroidal_moment,
     toroidal_moments,

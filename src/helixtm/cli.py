@@ -30,7 +30,7 @@ from .observables import (
     ThermalSpec,
     classical_moment_closed,
     free_particle_current,
-    sample_current_profile,
+    sample_current_profiles,
     thermal_average,
     toroidal_moments,
 )
@@ -248,11 +248,29 @@ def _moments_z(shape, settings, branches):
     return [z[i:i + dim] for i in range(0, len(z), dim)]
 
 
+# Values per formatted block of a grid table.
+_BLOCK_VALUES = 1 << 14
+
+
 def _grid_table(header, columns, digits):
-    """CSV text of a header line and one row per grid angle."""
-    lines = [header]
-    lines.extend(",".join(_fmt(x, digits) for x in row) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    """CSV text of a header line and one row per grid angle.
+
+    Every value is printed as ``%.<digits>g``, with -0.0 as 0, like
+    ``_fmt``.  The columns are stacked into one table and formatted with
+    one row format, a block of rows per ``%``.  A block holds about
+    ``_BLOCK_VALUES`` values (at least one row) whatever the table's
+    width, so the Python floats of one block, not of the whole table,
+    are alive at a time.
+    """
+    table = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
+    rows, ncols = table.shape
+    row_format = ",".join([f"%.{digits}g"] * ncols) + "\n"
+    step = max(1, _BLOCK_VALUES // ncols)
+    parts = [header + "\n"]
+    for start in range(0, rows, step):
+        block = table[start:start + step]
+        parts.append((row_format * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _cmd_geometry(settings):
@@ -303,10 +321,11 @@ def _cmd_current(settings):
     columns = [_grid_angles(settings)]
     pairs = _branch_pairs(settings)
     branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
+    profiles = iter(sample_current_profiles(
+        [s for states in branches for s in states], shape, settings.grid))
     for (p, include_vc), states in zip(pairs, branches):
         tag = "on" if include_vc else "off"
-        for state in states:
-            profile = sample_current_profile(state, shape, settings.grid)
+        for state, profile in zip(states, profiles):
             header.append(f"j[p={p};alpha={state.alpha};vc={tag}]")
             columns.append(scale * profile.values)
     return _grid_table(",".join(header), columns, settings.digits)

@@ -10,7 +10,9 @@ curve (the flux through the cross-section at angle phi) is
     S0 = sum_n C_n e^{i n omega phi},  S1 = sum_n (p + n*omega) C_n e^{i n omega phi}.
 
 The branch phase e^{i p phi} cancels between the factors, so only the
-relative harmonics enter.
+relative harmonics enter: ``sample_current_profiles`` tabulates j of
+several states of one n_max from one table of e^{i n omega phi} and one
+evaluation of f.
 
 The toroidal (anapole) moment of a line current j(phi) flowing along the
 curve is
@@ -91,33 +93,65 @@ class ThermalSpec:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def _harmonic_sums(state, shape, phi):
-    phi = np.asarray(phi, dtype=float)
-    n = state.n_indices
-    k = state.p + shape.omega * n
-    phases = np.exp(1j * shape.omega * np.multiply.outer(phi, n.astype(float)))
+def _shared_n_max(states):
+    """The n_max of a non-empty list of states that all share it."""
+    if not states:
+        raise ValueError("need at least one state")
+    n_max = states[0].n_max
+    if any(state.n_max != n_max for state in states):
+        raise ValueError("all states must share one n_max")
+    return n_max
+
+
+def _phase_table(shape, phi, n):
+    """exp(i omega phi n) for every angle (rows) and harmonic (columns)."""
+    return np.exp(1j * shape.omega * np.multiply.outer(phi, n.astype(float)))
+
+
+def _current_values(state, shape, phases, denominator):
+    k = state.p + shape.omega * state.n_indices
     s0 = phases @ state.coefficients
     s1 = phases @ (k * state.coefficients)
-    return s0, s1
+    return np.real(np.conj(s0) * s1) / denominator
 
 
 def current(state, shape, phi):
     """Scalar current j(phi) of a normalised eigenstate."""
-    s0, s1 = _harmonic_sums(state, shape, phi)
+    phi = np.asarray(phi, dtype=float)
     f = geometry.speed(shape, phi)
-    return np.real(np.conj(s0) * s1) / (2.0 * math.pi * f * f)
+    return _current_values(state, shape, _phase_table(shape, phi, state.n_indices),
+                           2.0 * math.pi * f * f)
+
+
+def sample_current_profiles(states, shape, grid_size):
+    """Tabulate j of several eigenstates of one shape on one uniform grid.
+
+    The states must share n_max; their branches and V_c settings may
+    differ.  The phase table and the speed are evaluated once for all of
+    them.  Returns one CurrentProfile per state, in order, with the
+    values of ``current`` bit for bit.  The grid needs at least 2 points
+    per winding.
+    """
+    _shared_n_max(states)
+    if grid_size < 2 * shape.omega:
+        raise ValueError(f"grid_size must be >= 2*omega = {2 * shape.omega}, got {grid_size}")
+    phi = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    phases = _phase_table(shape, phi, states[0].n_indices)
+    f = geometry.speed(shape, phi)
+    denominator = 2.0 * math.pi * f * f
+    return [
+        CurrentProfile(
+            phi=phi,
+            values=_current_values(state, shape, phases, denominator),
+            state_ref=(state.p, state.alpha, state.include_vc),
+        )
+        for state in states
+    ]
 
 
 def sample_current_profile(state, shape, grid_size):
     """Tabulate j on a uniform angle grid (at least 2 points per winding)."""
-    if grid_size < 2 * shape.omega:
-        raise ValueError(f"grid_size must be >= 2*omega = {2 * shape.omega}, got {grid_size}")
-    phi = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    return CurrentProfile(
-        phi=phi,
-        values=current(state, shape, phi),
-        state_ref=(state.p, state.alpha, state.include_vc),
-    )
+    return sample_current_profiles([state], shape, grid_size)[0]
 
 
 def _moment_weights(shape, phi):
@@ -153,11 +187,7 @@ def toroidal_moments(states, shape, quad=None):
     refined until all moments together settle to
     ``tolerance * max(1, max |T|)``.
     """
-    if not states:
-        raise ValueError("need at least one state")
-    n_max = states[0].n_max
-    if any(state.n_max != n_max for state in states):
-        raise ValueError("all states must share one n_max")
+    n_max = _shared_n_max(states)
     if quad is None:
         quad = QuadratureSpec.per_winding(shape.omega)
     n = np.arange(-n_max, n_max + 1)

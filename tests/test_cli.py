@@ -229,6 +229,12 @@ class TestCurrent:
         assert len(header) == 11
         assert len(rows) == 8
 
+    def test_grid_below_two_points_per_winding_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "current", "--omega", "4", "--grid", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("helixtm: error:") and err.count("\n") == 1
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):

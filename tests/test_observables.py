@@ -23,6 +23,7 @@ from helixtm.observables import (
     current,
     free_particle_current,
     sample_current_profile,
+    sample_current_profiles,
     thermal_average,
     toroidal_moment,
     toroidal_moments,
@@ -138,6 +139,31 @@ class TestCurrent:
         state = states_for(UP4, 1.0, True)[0]
         with pytest.raises(ValueError):
             sample_current_profile(state, UP4, 7)
+
+
+class TestBatchedCurrents:
+    def test_mixed_states_match_pointwise_current_exactly(self):
+        # one phase table and one speed for several branches and both V_c
+        # settings; every column equals the one-state evaluation bit for bit
+        states = [
+            s for p in (0.0, 1.0, 3.0) for include_vc in (True, False)
+            for s in states_for(FLAT4, p, include_vc)
+        ]
+        profiles = sample_current_profiles(states, FLAT4, 97)
+        assert len(profiles) == len(states)
+        for state, prof in zip(states, profiles):
+            assert np.array_equal(prof.values, current(state, FLAT4, prof.phi))
+            assert prof.state_ref == (state.p, state.alpha, state.include_vc)
+            assert prof.phi.shape == (97,)
+
+    def test_rejects_empty_mixed_basis_sizes_and_coarse_grid(self):
+        with pytest.raises(ValueError):
+            sample_current_profiles([], UP4, 64)
+        mixed = states_for(UP4, 1.0, True)[:1] + states_for(UP4, 1.0, True, n_max=3)[:1]
+        with pytest.raises(ValueError):
+            sample_current_profiles(mixed, UP4, 64)
+        with pytest.raises(ValueError):
+            sample_current_profiles(states_for(UP4, 1.0, True), UP4, 7)
 
 
 class TestQuantumMoment:
