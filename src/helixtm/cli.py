@@ -19,6 +19,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -65,7 +66,9 @@ class Settings:
     out: str
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("shape and solver")
     g.add_argument("--R", type=float, default=None, help="major radius (default 1)")
@@ -203,7 +206,7 @@ def _resolve(args):
     qp = _pick(args.quad_points, config, "quad_points", None, int, path)
     qt = _pick(args.quad_tol, config, "quad_tol", None, float, path)
     if qp is not None or qt is not None:
-        default = QuadratureSpec.per_winding(settings.omega)
+        default = QuadratureSpec()
         settings.quad = QuadratureSpec(
             initial_points=qp if qp is not None else default.initial_points,
             tolerance=qt if qt is not None else default.tolerance,

@@ -359,11 +359,11 @@ def arc_length(shape, spec=None):
     """Total curve length, integral of f over one full turn.
 
     Always exceeds 2*pi*R (the planar circle is the degenerate limit).
-    The default grid starts with 64 points per winding, like every other
+    f depends on phi only through theta = omega*phi, so the length is the
+    integral of f(theta/omega) over one winding of theta, with no extra
+    factor; the grid counts points per winding, like every other
     integral over the curve.
     """
-    from .quadrature import QuadratureSpec, integrate_periodic
+    from .quadrature import integrate_periodic
 
-    if spec is None:
-        spec = QuadratureSpec.per_winding(shape.omega)
-    return integrate_periodic(lambda phi: speed(shape, phi), spec).value.real
+    return integrate_periodic(lambda theta: speed(shape, theta / shape.omega), spec).value.real

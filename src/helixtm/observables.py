@@ -34,21 +34,35 @@ component of the quantum moment is a quadratic form in the coefficients:
     T_axis = (2*pi/10) * Re( C^H M_axis C ),
     M_axis[m, n] = k_n * coeff_{omega*(n - m)}[ g_axis / (2*pi*f^2) ],
 
-where coeff_d[h] = (1/(2*pi)) Integral h e^{i d phi} dphi.  The
-coefficients depend only on the shape; the state enters through C and
-k_n = p + omega*n.  ``toroidal_moments`` therefore takes the moments of
-any list of states of one shape and one n_max (mixed branches and V_c
-settings) from one converged grid of the three real functions
-g_axis / (2*pi*f^2) (``integrate_harmonics``), refined until every
-moment of the list settles; ``toroidal_moment`` is its one-state case.
-``_moment_from_current`` integrates j * g_axis directly, for the
-classical loop and as the reference for the quadratic form.
+where coeff_h[w] = (1/(2*pi)) Integral_0^{2pi} w(phi) e^{i h phi} dphi.
+The coefficients depend only on the shape; the state enters through C
+and k_n = p + omega*n.
+
+The z weight depends on phi only through the winding angle
+theta = omega*phi, so, as for the Hamiltonian (see ``quadrature``), its
+coefficient at harmonic omega*d is the one-winding coefficient
+(1/(2*pi)) Integral_0^{2pi} w_z(theta) e^{i d theta} dtheta, sampled at
+phi = theta/omega.  The x and y weights are e^{+-i phi} times functions
+of theta, so their harmonics are +-1 + omega*j, which never equal
+omega*(n - m) once omega >= 2: the in-plane moments vanish identically
+and only the z row is integrated, while ``vector`` still carries the
+exact zeros.  At omega = 1 one winding is the whole turn and all three
+rows are integrated.
+
+``toroidal_moments`` therefore takes the moments of any list of states
+of one shape and one n_max (mixed branches and V_c settings) from one
+converged one-winding grid of the nonzero rows of g / (2*pi*f^2)
+(``integrate_harmonics``), refined until every moment of the list
+settles; ``toroidal_moment`` is its one-state case.
+``classical_moment_numeric`` takes harmonic 0 of the same rows of g.
+``_moment_from_current`` integrates j * g_axis over the full turn, all
+three axes, as the reference for both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,27 +168,50 @@ def sample_current_profile(state, shape, grid_size):
     return sample_current_profiles([state], shape, grid_size)[0]
 
 
-def _moment_weights(shape, phi):
-    """g / (2 pi f^2) with g = (r' . r) r - 2 r^2 r', shape (..., 3)."""
+def _moment_integrand(shape, phi):
+    """g = (r' . r) r - 2 r^2 r', shape (..., 3)."""
     r = geometry.position(shape, phi)
     v = geometry.velocity(shape, phi)
     dot = np.sum(v * r, axis=-1)
     rsq = np.sum(r * r, axis=-1)
+    return dot[..., None] * r - 2.0 * rsq[..., None] * v
+
+
+def _moment_weights(shape, phi):
+    """g / (2 pi f^2), shape (..., 3)."""
     f = geometry.speed(shape, phi)
-    return (dot[..., None] * r - 2.0 * rsq[..., None] * v) / (2.0 * math.pi * f * f)[..., None]
+    return _moment_integrand(shape, phi) / (2.0 * math.pi * f * f)[..., None]
+
+
+def _winding_moments(shape, weights, harmonics, gather, quad):
+    """Moment vectors from the one-winding harmonics of a weight's nonzero rows.
+
+    ``weights(shape, phi)`` has the axis last.  Only its z row is sampled
+    for omega >= 2 (all three at omega = 1); ``gather`` maps the
+    integrals of those rows to an array with them on the last axis, and
+    the rows left out come back as exact zeros.
+    """
+    axes = [0, 1, 2] if shape.omega == 1 else [2]
+    result = integrate_harmonics(
+        lambda theta: weights(shape, theta / shape.omega)[..., axes].T, harmonics, gather, quad
+    )
+    out = np.zeros(result.value.shape[:-1] + (3,))
+    out[..., axes] = result.value
+    return out
 
 
 def _moment_from_current(shape, current_fn, quad):
-    if quad is None:
-        quad = QuadratureSpec.per_winding(shape.omega)
+    """Moment vector from integrating current * g per axis over the full turn.
+
+    The reference for the one-winding passes: all three axes, no
+    harmonic bookkeeping, and omega times the spec's points per winding.
+    """
+    quad = quad if quad is not None else QuadratureSpec()
+    quad = replace(quad, initial_points=quad.initial_points * shape.omega)
     out = np.empty(3)
     for axis in range(3):
         def integrand(phi, axis=axis):
-            r = geometry.position(shape, phi)
-            v = geometry.velocity(shape, phi)
-            dot = np.sum(v * r, axis=-1)
-            rsq = np.sum(r * r, axis=-1)
-            return current_fn(phi) * (dot * r[..., axis] - 2.0 * rsq * v[..., axis])
+            return current_fn(phi) * _moment_integrand(shape, phi)[..., axis]
         out[axis] = integrate_periodic(integrand, quad).value.real / 10.0
     return out
 
@@ -183,31 +220,26 @@ def toroidal_moments(states, shape, quad=None):
     """Toroidal moments of several eigenstates of one shape, from one grid.
 
     The states must share n_max; their branches and V_c settings may
-    differ.  Returns one MomentResult per state, in order.  The grid is
-    refined until all moments together settle to
+    differ.  Returns one MomentResult per state, in order.  The grid of
+    one winding is refined until all moments together settle to
     ``tolerance * max(1, max |T|)``.
     """
     n_max = _shared_n_max(states)
-    if quad is None:
-        quad = QuadratureSpec.per_winding(shape.omega)
     n = np.arange(-n_max, n_max + 1)
     c = np.array([state.coefficients for state in states])
     kc = np.array([state.p + shape.omega * n for state in states]) * c
     offsets = n[None, :] - n[:, None] + 2 * n_max
 
     def gather(integrals):
-        # Re sum_{m,n} conj(C_m) C_n k_n I_{omega(n-m)} per state and axis
+        # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and axis
         return np.real(np.einsum("sm,amn,sn->sa", c.conj(), integrals[:, offsets], kc))
 
-    result = integrate_harmonics(
-        lambda phi: _moment_weights(shape, phi).T,
-        shape.omega * np.arange(-2 * n_max, 2 * n_max + 1),
-        gather,
-        quad,
+    vectors = _winding_moments(
+        shape, _moment_weights, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad
     )
     return [
         MomentResult(vector=vec, z=float(vec[2]), state_ref=(s.p, s.alpha, s.include_vc))
-        for s, vec in zip(states, result.value / 10.0)
+        for s, vec in zip(states, vectors / 10.0)
     ]
 
 
@@ -218,7 +250,9 @@ def toroidal_moment(state, shape, quad=None):
 
 def classical_moment_numeric(shape, loop_current, quad=None):
     """Toroidal moment vector of a constant loop current by quadrature."""
-    return _moment_from_current(shape, lambda phi: np.full(np.shape(phi), loop_current), quad)
+    return _winding_moments(
+        shape, _moment_integrand, [0], lambda integrals: loop_current * integrals[:, 0].real, quad
+    ) / 10.0
 
 
 def classical_moment_closed(shape, loop_current):

@@ -15,6 +15,24 @@ stops when that whole array settles.  The trapezoid sum is linear, so on
 a given grid each gathered entry is the same sum ``integrate_periodic``
 would form for it, taken in another order.
 
+On a helix every function the spectral passes integrate depends on the
+turn angle phi only through the winding angle theta = omega*phi, and
+every harmonic they need is a multiple of omega.  Substituting
+theta = omega*phi turns a full-turn integral into a one-winding one with
+no extra factor,
+
+    Integral_0^{2pi} G(omega phi) e^{i omega d phi} dphi
+        = Integral_0^{2pi} G(theta) e^{i d theta} dtheta,
+
+and the trapezoid estimate from N*omega nodes over the turn equals the
+one from N nodes over the winding.  So the callers hand these integrators the
+winding angle theta as their [0, 2*pi) variable (sampling at
+phi = theta/omega) and ask for harmonic d in place of omega*d, at a cost
+that does not depend on omega.  ``QuadratureSpec.initial_points``
+therefore counts points per winding; an integrand over the full turn
+(the reference paths in ``spectrum`` and ``observables``) scales it by
+omega to keep the same density.
+
 Integrands are called once per grid with an ndarray of angles and must
 return the values elementwise, so evaluation is a single vectorised pass.
 Summation runs over ascending node index with numpy's pairwise algorithm,
@@ -31,7 +49,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid-refinement policy: start size, target accuracy, refinement cap."""
+    """Grid-refinement policy: start size, target accuracy, refinement cap.
+
+    ``initial_points`` is the first grid's size on [0, 2*pi).  The
+    Hamiltonian, moment and arc-length passes integrate over one winding,
+    so there it counts points per winding; the default of 64 resolves the
+    low winding harmonics from the first grid for every omega.
+    """
 
     initial_points: int = 64
     tolerance: float = 1e-10
@@ -44,15 +68,6 @@ class QuadratureSpec:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_doublings < 1:
             raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
-
-    @classmethod
-    def per_winding(cls, omega):
-        """Default spec for an integrand over an omega-winding curve.
-
-        64 points per winding resolve the winding harmonics from the first
-        grid.
-        """
-        return cls(initial_points=64 * omega)
 
 
 @dataclass(frozen=True)

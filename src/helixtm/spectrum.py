@@ -30,31 +30,40 @@ diagonal with entries k^2/(2R^2) - 1/(8R^2).
 The bracket is A + k^2 B + i k C with three real functions of the shape,
 
     A = V_c [if included] - (5/8) f'^2/f^4 + f''/(4 f^3),
-    B = 1/(2 f^2),    C = f'/f^3,
+    B = 1/(2 f^2),    C = f'/f^3.
 
-so every element is a Fourier coefficient at harmonic d = omega*(n - m):
+A, B and C depend on phi only through the winding angle
+theta = omega*phi, and the phase has harmonic omega*(n - m), so the
+substitution theta = omega*phi turns every element into a Fourier
+coefficient over one winding at harmonic d = n - m:
 
-    H[m, n] = A_d + k_n^2 B_d + i k_n C_d,   X_d = (1/(2*pi)) Integral X e^{i d phi}.
+    H[m, n] = A_d + k_n^2 B_d + i k_n C_d,
+    X_d = (1/(2*pi)) Integral_0^{2pi} X(theta) e^{i d theta} dtheta,
+
+with no factor left over (see ``quadrature``).  The functions are
+sampled at phi = theta/omega, so the grid, and the cost, do not grow
+with omega.
 
 Only A depends on whether V_c is included and only k on the branch p,
 so ``build_hamiltonians`` assembles any list of (p, include_vc) pairs
 from one pass: it samples A without V_c and A with V_c (each only if a
-pair needs it), B and C once per grid, takes all their harmonics from one
-real FFT, gathers every matrix and refines the grid until the whole
-stack settles (``integrate_harmonics``).  ``solve_branches`` diagonalises
-such a stack.  ``build_hamiltonian`` and ``solve_states`` are their
-one-branch cases.  Nothing enforces the symmetry: H[n, m] uses the
-harmonic -d and the other k, and (k_n - k_m) B_d + i C_d = 0 holds only
-to quadrature accuracy, so the hermiticity check on construction of each
-matrix still flags a too-coarse grid.  ``hamiltonian_element``
-integrates one element on its own and serves as the reference for the
-gathered matrices.
+pair needs it), B and C once per grid of one winding, takes all their
+harmonics from one real FFT, gathers every matrix and refines the grid
+until the whole stack settles (``integrate_harmonics``).
+``solve_branches`` diagonalises such a stack.  ``build_hamiltonian``
+and ``solve_states`` are their one-branch cases.  Nothing enforces the
+symmetry: H[n, m] uses the harmonic -d and the other k, and
+(k_n - k_m) B_d + i C_d = 0 holds only to quadrature accuracy, so the
+hermiticity check on construction of each matrix still flags a
+too-coarse grid.  ``hamiltonian_element`` integrates one element on its
+own over the full turn, from omega times as many points, and serves as
+the reference for the gathered matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,7 +149,11 @@ def basis_wavefunction(shape, basis, n, phi):
 
 
 def hamiltonian_element(shape, basis, m, n, config):
-    """Matrix element H[m, n] between basis functions m and n."""
+    """Matrix element H[m, n] between basis functions m and n.
+
+    Integrates over the full turn, so it starts from omega times the
+    spec's points per winding.
+    """
     for idx in (m, n):
         if not -basis.n_max <= idx <= basis.n_max:
             raise ValueError(f"basis index {idx} outside [-{basis.n_max}, {basis.n_max}]")
@@ -160,15 +173,17 @@ def hamiltonian_element(shape, basis, m, n, config):
             bracket = bracket + geometry.curvature_potential(shape, phi)
         return np.exp(1j * hop * phi) * bracket
 
-    quad = config.quad if config.quad is not None else QuadratureSpec.per_winding(shape.omega)
+    quad = config.quad if config.quad is not None else QuadratureSpec()
+    quad = replace(quad, initial_points=quad.initial_points * shape.omega)
     return integrate_periodic(integrand, quad).value / (2.0 * math.pi)
 
 
 def build_hamiltonians(shape, branches, n_max, quad=None):
     """One HermitianMatrix per (p, include_vc) pair, all from one converged grid.
 
-    Every matrix gathers the harmonics omega*(n - m) of the shared
-    samples into A_d + k^2 B_d + i k C_d with its own k = p + omega*n.
+    Every matrix gathers the harmonics d = n - m of the shared samples,
+    taken over one winding, into A_d + k^2 B_d + i k C_d with its own
+    k = p + omega*n.
     Both triangles are gathered (no symmetry shortcut), so the
     hermiticity check on construction of each matrix is a real
     consistency test of the quadrature.  The grid is refined until the
@@ -176,8 +191,6 @@ def build_hamiltonians(shape, branches, n_max, quad=None):
     """
     if not branches:
         raise ValueError("need at least one branch")
-    if quad is None:
-        quad = QuadratureSpec.per_winding(shape.omega)
     bases = [BlochBasis(p=p, n_max=n_max, omega=shape.omega) for p, _ in branches]
     idx = np.arange(-n_max, n_max + 1)
     k = np.array([basis.momentum(idx) for basis in bases], dtype=float)[:, None, :]
@@ -187,7 +200,8 @@ def build_hamiltonians(shape, branches, n_max, quad=None):
     variants = sorted({bool(vc) for _, vc in branches})
     a_rows = [variants.index(bool(vc)) for _, vc in branches]
 
-    def sample(phi):
+    def sample(theta):
+        phi = theta / shape.omega
         f = geometry.speed(shape, phi)
         f1, f2 = geometry.speed_derivatives(shape, phi)
         terms = np.empty((len(variants) + 2, phi.size))
@@ -202,9 +216,7 @@ def build_hamiltonians(shape, branches, n_max, quad=None):
         blocks = integrals[:, offsets]
         return blocks[a_rows] + (k * k) * blocks[-2] + 1j * k * blocks[-1]
 
-    result = integrate_harmonics(
-        sample, shape.omega * np.arange(-2 * n_max, 2 * n_max + 1), gather, quad
-    )
+    result = integrate_harmonics(sample, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad)
     return [HermitianMatrix(h) for h in result.value / (2.0 * math.pi)]
 
 

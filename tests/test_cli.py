@@ -343,6 +343,25 @@ class TestExitCodes:
         assert not target.exists()
 
 
+class TestSharedParser:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # the parser is built once per process; each call after the first
+        # must still print what a fresh process prints for its arguments
+        argvs = [
+            ["moments", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1", "--with-vc"],
+            ["spectrum", "--omega", "4", "--p", "2", "--n-max", "3"],
+            ["current", "--omega", "4", "--p", "9"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in argvs]
+        fresh = [
+            subprocess.run([sys.executable, "-m", "helixtm.cli", *argv],
+                           capture_output=True, text=True)
+            for argv in argvs
+        ]
+        assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+        assert [code for code, _, _ in in_process] == [0, 0, 2]
+
+
 class TestInstalledEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

@@ -421,8 +421,9 @@ class TestArcLength:
             assert arc_length(shape) > 2 * math.pi * shape.R
 
     def test_flat_high_winding_coil_converges(self):
-        # 64 starting points cannot resolve omega = 40; the default grid
-        # starts with 64 points per winding, as every other curve integral
+        # the default grid samples one winding of theta = omega*phi from 64
+        # points, as every other curve integral, so omega = 40 is resolved
+        # from the first grid
         coil = HelixShape(R=1.0, a=0.99, b=0.01, omega=40)
         n = 1 << 20
         dense = 2 * math.pi * np.mean(speed(coil, 2 * math.pi * np.arange(n) / n))

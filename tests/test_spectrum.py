@@ -207,8 +207,8 @@ class TestHamiltonianStructure:
                 assert abs((h_on[i, j] - h_off[i, j]) - conv) < 1e-10
 
     def test_quadrature_refinement_independence(self):
-        coarse = SpectrumConfig(quad=QuadratureSpec(initial_points=64 * 6, tolerance=1e-11))
-        fine = SpectrumConfig(quad=QuadratureSpec(initial_points=128 * 6, tolerance=1e-13))
+        coarse = SpectrumConfig(quad=QuadratureSpec(initial_points=64, tolerance=1e-11))
+        fine = SpectrumConfig(quad=QuadratureSpec(initial_points=128, tolerance=1e-13))
         basis = make_basis(FLAT6, 1.0, coarse)
         h1 = build_hamiltonian(FLAT6, basis, coarse).entries
         h2 = build_hamiltonian(FLAT6, basis, fine).entries
@@ -268,10 +268,10 @@ class TestSpectralAssembly:
             build_hamiltonians(FLAT6, [(1, True), (6, True)], 2)
 
     def test_under_resolved_grid_fails_hermiticity(self):
-        # 192 -> 384 points cannot resolve harmonics up to 2*omega*n_max =
-        # 192 to 1e-9; nothing symmetrises the gathered matrix, so the
-        # drift reaches the check
-        quad = QuadratureSpec(initial_points=192, tolerance=1e6, max_doublings=1)
+        # 32 -> 64 points per winding cannot resolve harmonics up to
+        # 2*n_max = 32 to 1e-9; nothing symmetrises the gathered matrix,
+        # so the drift reaches the check
+        quad = QuadratureSpec(initial_points=32, tolerance=1e6, max_doublings=1)
         cfg = SpectrumConfig(n_max=16, quad=quad)
         with pytest.raises(HermiticityViolation):
             build_hamiltonian(FLAT6, make_basis(FLAT6, 1, cfg), cfg)
