@@ -312,7 +312,7 @@ def _cmd_spectrum(settings):
         energies = ",".join(_fmt(scale * s.energy, d) for s in states)
         lines.append(f"{p},{tag},E,{energies}")
         for i, n in enumerate(range(-settings.n_max, settings.n_max + 1)):
-            coeffs = ",".join(_fmt(s.coefficients[i].real, d) for s in states)
+            coeffs = ",".join(_fmt(s.coefficients[i], d) for s in states)
             lines.append(f"{p},{tag},m={n},{coeffs}")
     return "\n".join(lines) + "\n"
 

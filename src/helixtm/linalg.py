@@ -6,6 +6,12 @@ to a tolerance), ``eigen_decompose`` hands it to LAPACK through
 which otherwise float freely and would spoil bitwise reproducibility of
 downstream output.  The solver is checked against an inertia-count
 bisection oracle in the tests.
+
+Real input stays real throughout: a real matrix is stored as float64,
+LAPACK's real symmetric solver returns real eigenvectors, and
+``fix_phase`` fixes their sign.  Complex input stays complex.  The helix
+Hamiltonians are real symmetric (see ``spectrum``), so production never
+takes the complex path.
 """
 
 from __future__ import annotations
@@ -19,6 +25,12 @@ DEFAULT_HERMITICITY_TOL = 1e-9
 _TIE_RTOL = 1e-9
 
 
+def _real_or_complex(values):
+    """A float64 copy of real input, a complex128 copy of complex input."""
+    arr = np.asarray(values)
+    return arr.astype(complex if np.iscomplexobj(arr) else float)
+
+
 class HermiticityViolation(ValueError):
     """Matrix differs from its conjugate transpose beyond tolerance."""
 
@@ -29,20 +41,21 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A validated square complex matrix with A == A* up to tolerance.
+    """A validated square matrix with A == A* up to tolerance.
 
-    Construction copies the input and rejects non-square or
-    non-Hermitian data, so downstream code can rely on both.
+    Construction copies the input, as float64 if it is real and as
+    complex128 if it is complex, and rejects non-square, non-finite or
+    non-Hermitian data, so downstream code can rely on all three.
     """
 
     entries: np.ndarray
     hermiticity_tol: float = DEFAULT_HERMITICITY_TOL
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
+        arr = _real_or_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         drift = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
         if drift > self.hermiticity_tol:
@@ -69,14 +82,16 @@ def eigen_decompose(matrix):
     """Full eigendecomposition of a HermitianMatrix by LAPACK (``numpy.linalg.eigh``).
 
     The solver sees the exactly Hermitian average ``(A + A*) / 2``, so
-    tolerance-level drift in the stored entries cannot bias it.
+    tolerance-level drift in the stored entries cannot bias it.  A real
+    matrix goes to the real symmetric solver.
 
     Returns
     -------
     EigenDecomposition
-        Ascending real eigenvalues and the matching unitary column set.
-        Column phases are whatever LAPACK returns; ``fix_phase`` makes
-        them reproducible.
+        Ascending real eigenvalues and the matching orthonormal column
+        set, real for a real matrix.  Column phases (signs, for a real
+        matrix) are whatever LAPACK returns; ``fix_phase`` makes them
+        reproducible.
 
     Raises
     ------
@@ -100,10 +115,13 @@ def fix_phase(vectors):
     up to round-off (the mirror-symmetric +-k pairs of a Bloch branch)
     picks the same entry whatever rounding the solver left.
 
+    Real vectors stay real: the rotation is then a sign, +-1, which makes
+    that entry positive and leaves the norm exactly as it was.
+
     Accepts a single vector or a matrix of column vectors; returns the
     same shape.  Raises ValueError on a zero vector.
     """
-    arr = np.array(vectors, dtype=complex)
+    arr = _real_or_complex(vectors)
     single = arr.ndim == 1
     cols = arr[:, None] if single else arr
     mags = np.abs(cols)

@@ -55,19 +55,20 @@ converged one-winding grid of the nonzero rows of g / (2*pi*f^2)
 (``integrate_harmonics``), refined until every moment of the list
 settles; ``toroidal_moment`` is its one-state case.
 ``classical_moment_numeric`` takes harmonic 0 of the same rows of g.
-``_moment_from_current`` integrates j * g_axis over the full turn, all
-three axes, as the reference for both.
+The tests check the quantum moments against integrating j * g_axis
+over the full turn on all three axes, and the classical one against its
+closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .quadrature import QuadratureSpec, integrate_harmonics, integrate_periodic
+from .quadrature import integrate_harmonics
 
 
 @dataclass(frozen=True)
@@ -197,22 +198,6 @@ def _winding_moments(shape, weights, harmonics, gather, quad):
     )
     out = np.zeros(result.value.shape[:-1] + (3,))
     out[..., axes] = result.value
-    return out
-
-
-def _moment_from_current(shape, current_fn, quad):
-    """Moment vector from integrating current * g per axis over the full turn.
-
-    The reference for the one-winding passes: all three axes, no
-    harmonic bookkeeping, and omega times the spec's points per winding.
-    """
-    quad = quad if quad is not None else QuadratureSpec()
-    quad = replace(quad, initial_points=quad.initial_points * shape.omega)
-    out = np.empty(3)
-    for axis in range(3):
-        def integrand(phi, axis=axis):
-            return current_fn(phi) * _moment_integrand(shape, phi)[..., axis]
-        out[axis] = integrate_periodic(integrand, quad).value.real / 10.0
     return out
 
 

@@ -30,8 +30,8 @@ winding angle theta as their [0, 2*pi) variable (sampling at
 phi = theta/omega) and ask for harmonic d in place of omega*d, at a cost
 that does not depend on omega.  ``QuadratureSpec.initial_points``
 therefore counts points per winding; an integrand over the full turn
-(the reference paths in ``spectrum`` and ``observables``) scales it by
-omega to keep the same density.
+(the test references in ``tests/oracles.py``) scales it by omega to
+keep the same density.
 
 Integrands are called once per grid with an ndarray of angles and must
 return the values elementwise, so evaluation is a single vectorised pass.

@@ -44,6 +44,22 @@ with no factor left over (see ``quadrature``).  The functions are
 sampled at phi = theta/omega, so the grid, and the cost, do not grow
 with omega.
 
+H is real symmetric.  For every shape of the family
+
+    f^2 = (R + a cos theta)^2 + omega^2 (a^2 sin^2 theta + b^2 cos^2 theta)
+
+is even in theta, and so are f'', V_c, A and B, while f' and C are
+odd.  So A_d and B_d are real, C_d is imaginary, and
+
+    H[m, n] = Re A_d + k_n^2 Re B_d - k_n Im C_d.
+
+``build_hamiltonians`` gathers exactly that.  The parts it drops vanish
+on the trapezoid grid, which is symmetric under theta -> -theta, up to
+rounding; the tests check the real matrices against a complex
+full-turn reference element, imaginary part included.  Everything downstream
+(eigenvectors, coefficients, the printed tables) is real, with a sign
+in place of a phase.
+
 Only A depends on whether V_c is included and only k on the branch p,
 so ``build_hamiltonians`` assembles any list of (p, include_vc) pairs
 from one pass: it samples A without V_c and A with V_c (each only if a
@@ -53,23 +69,27 @@ until the whole stack settles (``integrate_harmonics``).
 ``solve_branches`` diagonalises such a stack.  ``build_hamiltonian``
 and ``solve_states`` are their one-branch cases.  Nothing enforces the
 symmetry: H[n, m] uses the harmonic -d and the other k, and
-(k_n - k_m) B_d + i C_d = 0 holds only to quadrature accuracy, so the
-hermiticity check on construction of each matrix still flags a
-too-coarse grid.  ``hamiltonian_element`` integrates one element on its
-own over the full turn, from omega times as many points, and serves as
-the reference for the gathered matrices.
+H[m, n] - H[n, m] = (k_n + k_m) * ((k_n - k_m) Re B_d - Im C_d)
+vanishes only to quadrature accuracy (integration by parts makes the
+bracket zero exactly), so the symmetry check on construction of each
+matrix still flags a too-coarse grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .linalg import HermitianMatrix, eigen_decompose, fix_phase
-from .quadrature import QuadratureSpec, integrate_harmonics, integrate_periodic
+from .quadrature import QuadratureSpec, integrate_harmonics
+
+
+def _check_n_max(n_max):
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +105,7 @@ class BlochBasis:
             raise ValueError(f"omega must be >= 1, got {self.omega}")
         if not 0 <= self.p < self.omega:
             raise ValueError(f"branch index must satisfy 0 <= p < omega, got p={self.p}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        _check_n_max(self.n_max)
 
     @property
     def indices(self):
@@ -110,8 +129,7 @@ class SpectrumConfig:
     quad: QuadratureSpec | None = None
 
     def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        _check_n_max(self.n_max)
 
 
 @dataclass(frozen=True)
@@ -119,8 +137,8 @@ class EigenState:
     """One bound state: energy and basis coefficients.
 
     ``coefficients[i]`` multiplies chi_n with n = i - n_max.  The vector
-    is unit-norm with the phase fixed so the dominant coefficient is
-    real and positive.  ``alpha`` is the index within the branch,
+    is real (float64) and unit-norm, with the sign fixed so the dominant
+    coefficient is positive.  ``alpha`` is the index within the branch,
     counting from the lowest energy.
     """
 
@@ -148,44 +166,15 @@ def basis_wavefunction(shape, basis, n, phi):
     return np.exp(1j * k * phi) / np.sqrt(2.0 * math.pi * geometry.speed(shape, phi))
 
 
-def hamiltonian_element(shape, basis, m, n, config):
-    """Matrix element H[m, n] between basis functions m and n.
-
-    Integrates over the full turn, so it starts from omega times the
-    spec's points per winding.
-    """
-    for idx in (m, n):
-        if not -basis.n_max <= idx <= basis.n_max:
-            raise ValueError(f"basis index {idx} outside [-{basis.n_max}, {basis.n_max}]")
-    k = float(basis.momentum(n))
-    hop = shape.omega * (n - m)
-
-    def integrand(phi):
-        f = geometry.speed(shape, phi)
-        f1, f2 = geometry.speed_derivatives(shape, phi)
-        bracket = (
-            k * k / (2.0 * f * f)
-            + 1j * k * f1 / f**3
-            - 0.625 * f1 * f1 / f**4
-            + f2 / (4.0 * f**3)
-        )
-        if config.include_vc:
-            bracket = bracket + geometry.curvature_potential(shape, phi)
-        return np.exp(1j * hop * phi) * bracket
-
-    quad = config.quad if config.quad is not None else QuadratureSpec()
-    quad = replace(quad, initial_points=quad.initial_points * shape.omega)
-    return integrate_periodic(integrand, quad).value / (2.0 * math.pi)
-
-
 def build_hamiltonians(shape, branches, n_max, quad=None):
-    """One HermitianMatrix per (p, include_vc) pair, all from one converged grid.
+    """One real symmetric HermitianMatrix per (p, include_vc) pair, all from one grid.
 
     Every matrix gathers the harmonics d = n - m of the shared samples,
-    taken over one winding, into A_d + k^2 B_d + i k C_d with its own
-    k = p + omega*n.
+    taken over one winding, into Re A_d + k^2 Re B_d - k Im C_d with its
+    own k = p + omega*n (see the module docstring for why that is all of
+    A_d + k^2 B_d + i k C_d).
     Both triangles are gathered (no symmetry shortcut), so the
-    hermiticity check on construction of each matrix is a real
+    symmetry check on construction of each matrix is a real
     consistency test of the quadrature.  The grid is refined until the
     whole stack settles to ``tolerance * max(1, max |H|)``.
     """
@@ -214,7 +203,7 @@ def build_hamiltonians(shape, branches, n_max, quad=None):
 
     def gather(integrals):
         blocks = integrals[:, offsets]
-        return blocks[a_rows] + (k * k) * blocks[-2] + 1j * k * blocks[-1]
+        return blocks[a_rows].real + (k * k) * blocks[-2].real - k * blocks[-1].imag
 
     result = integrate_harmonics(sample, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad)
     return [HermitianMatrix(h) for h in result.value / (2.0 * math.pi)]
@@ -240,11 +229,10 @@ def solve_branches(shape, branches, n_max, quad=None):
     for h, (p, include_vc) in zip(build_hamiltonians(shape, branches, n_max, quad), branches):
         dec = eigen_decompose(h)
         vecs = fix_phase(dec.eigenvectors)
-        norms = np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0))
         out.append([
             EigenState(
                 energy=float(dec.eigenvalues[i]),
-                coefficients=vecs[:, i] / norms[i],
+                coefficients=vecs[:, i],
                 p=p,
                 alpha=int(i),
                 include_vc=include_vc,

@@ -119,6 +119,20 @@ class TestSpectrum:
             dominant = coeffs[np.argmax(np.abs(coeffs), axis=0), np.arange(coeffs.shape[1])]
             assert np.all(dominant > 0)
 
+    def test_degenerate_columns_print_unit_norm(self, capsys):
+        # the round cross-section at p = omega/2 has degenerate pairs; the
+        # printed columns are the real eigenvectors themselves, unit-norm
+        # to the 6-digit print precision
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--a", "0.5", "--b", "0.5", "--omega", "40", "--p", "20",
+            "--n-max", "8", "--both",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        for start in (0, 18):
+            coeffs = np.array([[float(x) for x in row[3:]] for row in rows[start + 1 : start + 18]])
+            assert np.max(np.abs(np.linalg.norm(coeffs, axis=0) - 1.0)) <= 2e-5
+
 
 class TestMoments:
     def test_stationary_branch_all_zero(self, capsys):
@@ -295,6 +309,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "potential", "--a", "0.25,0.75", "--b", "0.75")
         assert code == 2
         assert "same length" in err
+
+    def test_basis_below_two_harmonics_per_side(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n-max", "1", "--p", "1", "--without-vc")
+        assert code == 2
+        assert out == ""
+        assert err == "helixtm: error: n_max must be >= 2, got 1\n"
 
     def test_invalid_shape(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--R", "-1")

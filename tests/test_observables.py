@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from helixtm.geometry import HelixShape, arc_length, speed, speed_derivatives
 from helixtm.observables import (
     CurrentProfile,
-    _moment_from_current,
     MomentResult,
     ThermalSpec,
     classical_moment_closed,
@@ -30,6 +29,7 @@ from helixtm.observables import (
 )
 from helixtm.quadrature import QuadratureSpec
 from helixtm.spectrum import EigenState, SpectrumConfig, make_basis, solve_states
+from oracles import moment_from_current
 
 CIRC4 = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UP4 = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -208,7 +208,7 @@ class TestQuantumMoment:
         # the quadratic form against integrating j(phi) * g(phi) directly
         for include_vc in (False, True):
             for state in states_for(shape, p, include_vc, n_max):
-                want = _moment_from_current(shape, lambda phi: current(state, shape, phi), None)
+                want = moment_from_current(shape, lambda phi: current(state, shape, phi), None)
                 got = toroidal_moment(state, shape).vector
                 assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -231,7 +231,7 @@ class TestBatchedMoments:
         results = toroidal_moments(states, shape)
         assert len(results) == len(states)
         for state, res in zip(states, results):
-            want = _moment_from_current(shape, lambda phi: current(state, shape, phi), None)
+            want = moment_from_current(shape, lambda phi: current(state, shape, phi), None)
             assert np.max(np.abs(res.vector - want)) <= 1e-12
             assert res.state_ref == (state.p, state.alpha, state.include_vc)
 

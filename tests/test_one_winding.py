@@ -16,15 +16,15 @@ import pytest
 from helixtm import geometry
 from helixtm.cli import main
 from helixtm.geometry import HelixShape, arc_length, speed
-from helixtm.observables import _moment_from_current, current, toroidal_moments
+from helixtm.observables import current, toroidal_moments
 from helixtm.quadrature import QuadratureSpec
 from helixtm.spectrum import (
     SpectrumConfig,
     build_hamiltonians,
-    hamiltonian_element,
     make_basis,
     solve_branches,
 )
+from oracles import hamiltonian_element, moment_from_current
 
 CASES = [
     (a, b, omega)
@@ -67,7 +67,7 @@ def test_moments_match_full_turn_current_integral(a, b, omega):
     quad = QuadratureSpec(tolerance=1e-13)
     states = [s for branch in solve_branches(shape, branches, N_MAX) for s in branch]
     for state, res in zip(states, toroidal_moments(states, shape, quad)):
-        want = _moment_from_current(shape, lambda phi: current(state, shape, phi), quad)
+        want = moment_from_current(shape, lambda phi: current(state, shape, phi), quad)
         assert np.max(np.abs(res.vector - want)) <= 1e-12
         if omega > 1:
             assert res.vector[0] == 0.0 and res.vector[1] == 0.0

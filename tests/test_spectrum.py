@@ -18,10 +18,11 @@ from helixtm.spectrum import (
     basis_wavefunction,
     build_hamiltonian,
     build_hamiltonians,
-    hamiltonian_element,
     make_basis,
+    solve_branches,
     solve_states,
 )
+from oracles import hamiltonian_element
 
 FLAT6 = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
 
@@ -88,6 +89,8 @@ class TestValidation:
             BlochBasis(p=4.0, n_max=2, omega=4)
         with pytest.raises(ValueError):
             BlochBasis(p=1.0, n_max=0, omega=4)
+        with pytest.raises(ValueError, match="n_max must be >= 2"):
+            BlochBasis(p=1.0, n_max=1, omega=4)
         with pytest.raises(ValueError):
             BlochBasis(p=1.0, n_max=2, omega=0)
 
@@ -260,6 +263,14 @@ class TestSpectralAssembly:
             want = self.elementwise(shape, make_basis(shape, p, cfg), cfg)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(h.entries - want)) <= 1e-10 * scale
+
+    def test_production_path_is_real(self):
+        branches = [(0, False), (1, True), (3, True)]
+        for h in build_hamiltonians(FLAT6, branches, 3):
+            assert h.entries.dtype == np.float64
+        for states in solve_branches(FLAT6, branches, 3):
+            for state in states:
+                assert state.coefficients.dtype == np.float64
 
     def test_batch_validates_branches(self):
         with pytest.raises(ValueError):
