@@ -31,12 +31,12 @@ from .observables import (
     ThermalSpec,
     classical_moment_closed,
     free_particle_current,
+    moment_vectors,
     sample_current_profiles,
     thermal_average,
-    toroidal_moments,
 )
 from .quadrature import QuadratureNotConverged, QuadratureSpec
-from .spectrum import solve_branches
+from .spectrum import branch_momenta, branch_spectra, solve_branches
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
@@ -243,37 +243,48 @@ def _fmt(value, digits):
     return "%.*g" % (digits, value)
 
 
-def _moments_z(shape, settings, branches):
-    """z moments of every state of every branch, from one moment pass."""
-    states = [s for branch in branches for s in branch]
-    z = [m.z for m in toroidal_moments(states, shape, settings.quad)]
-    dim = 2 * settings.n_max + 1
-    return [z[i:i + dim] for i in range(0, len(z), dim)]
+def _energies_and_moments_z(shape, settings, pairs):
+    """Energies and z moments of every state of every pair, one list per pair,
+    from one solve and one moment pass."""
+    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
+    k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
+    z = moment_vectors(shape, dec.eigenvectors, k, settings.quad)[..., 2]
+    return dec.eigenvalues.tolist(), z.tolist()
 
 
 # Values per formatted block of a grid table.
 _BLOCK_VALUES = 1 << 14
 
 
-def _grid_table(header, columns, digits):
-    """CSV text of a header line and one row per grid angle.
+def _grid_blocks(header, columns, digits):
+    """CSV text of a header line and one row per grid angle, as an iterator
+    of chunks: the header line, then one block of rows per chunk.
 
     Every value is printed as ``%.<digits>g``, with -0.0 as 0, like
-    ``_fmt``.  The columns are stacked into one table and formatted with
-    one row format, a block of rows per ``%``.  A block holds about
-    ``_BLOCK_VALUES`` values (at least one row) whatever the table's
-    width, so the Python floats of one block, not of the whole table,
-    are alive at a time.
+    ``_fmt``.  The columns are stacked into one table here, before the
+    first chunk is asked for, and formatted with one row format, a block
+    of rows per ``%``.  A block holds about ``_BLOCK_VALUES`` values (at
+    least one row) whatever the table's width, so a writer that takes
+    the chunks one at a time holds the Python floats and the text of one
+    block, not of the whole table.
     """
     table = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
     rows, ncols = table.shape
     row_format = ",".join([f"%.{digits}g"] * ncols) + "\n"
     step = max(1, _BLOCK_VALUES // ncols)
-    parts = [header + "\n"]
-    for start in range(0, rows, step):
-        block = table[start:start + step]
-        parts.append((row_format * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, rows, step):
+            block = table[start:start + step]
+            yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+    return chunks()
+
+
+def _grid_table(header, columns, digits):
+    """The whole text of ``_grid_blocks``."""
+    return "".join(_grid_blocks(header, columns, digits))
 
 
 def _cmd_geometry(settings):
@@ -282,7 +293,7 @@ def _cmd_geometry(settings):
     frame = frenet_frame(shape, phi)
     columns = [phi, *position(shape, phi).T, frame.speed, frame.kappa, frame.tau,
                *frame.tangent.T, *frame.normal.T, *frame.binormal.T]
-    return _grid_table(GEOMETRY_HEADER, columns, settings.digits)
+    return _grid_blocks(GEOMETRY_HEADER, columns, settings.digits)
 
 
 def _cmd_potential(settings):
@@ -296,7 +307,7 @@ def _cmd_potential(settings):
     header = "phi," + ",".join(f"Vc[a={s.a:g};b={s.b:g}]" for s in shapes)
     phi = _grid_angles(settings)
     columns = [phi] + [scale * curvature_potential(s, phi) for s in shapes]
-    return _grid_table(header, columns, settings.digits)
+    return _grid_blocks(header, columns, settings.digits)
 
 
 def _cmd_spectrum(settings):
@@ -306,15 +317,14 @@ def _cmd_spectrum(settings):
     dim = 2 * settings.n_max + 1
     lines = ["p,vc,row," + ",".join(f"alpha{i}" for i in range(dim))]
     pairs = _branch_pairs(settings)
-    branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
-    for (p, include_vc), states in zip(pairs, branches):
+    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
+    for (p, include_vc), energies, rows in zip(
+            pairs, dec.eigenvalues.tolist(), dec.eigenvectors.tolist()):
         tag = "on" if include_vc else "off"
-        energies = ",".join(_fmt(scale * s.energy, d) for s in states)
-        lines.append(f"{p},{tag},E,{energies}")
-        for i, n in enumerate(range(-settings.n_max, settings.n_max + 1)):
-            coeffs = ",".join(_fmt(s.coefficients[i], d) for s in states)
-            lines.append(f"{p},{tag},m={n},{coeffs}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{p},{tag},E," + ",".join(_fmt(scale * e, d) for e in energies))
+        for n, row in zip(range(-settings.n_max, settings.n_max + 1), rows):
+            lines.append(f"{p},{tag},m={n}," + ",".join(_fmt(x, d) for x in row))
+    return ["\n".join(lines) + "\n"]
 
 
 def _cmd_current(settings):
@@ -331,7 +341,7 @@ def _cmd_current(settings):
         for state, profile in zip(states, profiles):
             header.append(f"j[p={p};alpha={state.alpha};vc={tag}]")
             columns.append(scale * profile.values)
-    return _grid_table(",".join(header), columns, settings.digits)
+    return _grid_blocks(",".join(header), columns, settings.digits)
 
 
 def _cmd_moments(settings):
@@ -340,7 +350,7 @@ def _cmd_moments(settings):
     scale = 1.0 / settings.R
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
     pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
-    z = _moments_z(shape, settings, solve_branches(shape, pairs, settings.n_max, settings.quad))
+    _, z = _energies_and_moments_z(shape, settings, pairs)
     loops = free_particle_current(shape, np.array(settings.p_list, dtype=float), settings.quad)
     for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
         classical = scale * classical_moment_closed(shape, loop)[2]
@@ -350,7 +360,7 @@ def _cmd_moments(settings):
             lines.append(
                 f"{p},{alpha},{_fmt(t_off, d)},{_fmt(t_on, d)},{ratio},{_fmt(classical, d)}"
             )
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _cmd_thermal(settings):
@@ -367,9 +377,9 @@ def _cmd_thermal(settings):
         "p  vc   normalized  unnormalized",
     ]
     pairs = _branch_pairs(settings)
-    branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
-    for (p, include_vc), states, z in zip(pairs, branches, _moments_z(shape, settings, branches)):
-        levels = [(e_scale * s.energy, t_scale * t) for s, t in zip(states, z)]
+    for (p, include_vc), energies, z in zip(pairs, *_energies_and_moments_z(
+            shape, settings, pairs)):
+        levels = [(e_scale * e, t_scale * t) for e, t in zip(energies, z)]
         avg = thermal_average(levels, spec_norm)
         try:
             raw = _fmt(thermal_average(levels, spec_raw), d)
@@ -377,7 +387,7 @@ def _cmd_thermal(settings):
             raw = "overflow"
         tag = "on " if include_vc else "off"
         lines.append(f"{p}  {tag}  {_fmt(avg, d)}  {raw}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 _COMMANDS = {
@@ -397,12 +407,14 @@ def main(argv=None):
         for p in settings.p_list:
             if not 0 <= p < settings.omega:
                 raise UsageError(f"branch index must satisfy 0 <= p < omega, got p={p}")
-        text = _COMMANDS[args.command](settings)
+        # every command computes its numbers before returning; the chunks
+        # only format them, so a failure leaves no --out file behind
+        chunks = _COMMANDS[args.command](settings)
         if settings.out == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
             with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
     except (QuadratureNotConverged, NoConvergence, HermiticityViolation) as exc:
         print(f"helixtm: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -194,12 +194,42 @@ def curve_derivatives(shape, phi):
     return r1, r2, r3
 
 
-def speed(shape, phi):
-    """Parametrisation speed f(phi) = |dr/dphi|."""
+def _speed_from(shape, s, c, W):
+    """f from the winding-angle sin/cos and W (see ``speed``)."""
     a, b, w = shape.a, shape.b, shape.omega
-    s, c, W = _sc(shape, phi)
     psq = (a * s) ** 2 + (b * c) ** 2
     return np.sqrt(psq * w * w + W * W)
+
+
+def _speed_derivatives_from(shape, phi, s, c, W, f):
+    """(f', f'') from the winding-angle sin/cos, W and f (see ``speed_derivatives``)."""
+    a, b, w = shape.a, shape.b, shape.omega
+    dsq = a * a - b * b
+    d1 = w**3 * dsq * np.sin(2 * w * phi) - 2 * a * w * s * W
+    d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
+    f1 = d1 / (2 * f)
+    f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
+    return f1, f2
+
+
+def _curvature_components_from(shape, s, c, W):
+    """(k_n, k_e) from the winding-angle sin/cos and W (see ``curvature_components``)."""
+    a, b, w = shape.a, shape.b, shape.omega
+    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
+    fsq = P * P * w * w + W * W
+    k_n = -(b / P) * (a * w * w + W * c) / fsq
+    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * (a * a - b * b) * c + P * P * a * w * w) / (fsq * P))
+    return k_n, k_e
+
+
+def _curvature_potential_from(shape, s, c, W):
+    """-kappa^2/8 from the winding-angle sin/cos and W (see ``curvature_potential``)."""
+    return -np.hypot(*_curvature_components_from(shape, s, c, W)) ** 2 / 8.0
+
+
+def speed(shape, phi):
+    """Parametrisation speed f(phi) = |dr/dphi|."""
+    return _speed_from(shape, *_sc(shape, phi))
 
 
 def speed_derivatives(shape, phi):
@@ -212,16 +242,9 @@ def speed_derivatives(shape, phi):
               - 2*a*omega^2*c*W + 2*a^2*omega^2*s^2
         f'  = D'/(2 f),   f'' = D''/(2 f) - D'^2/(4 f^3)
     """
-    a, b, w = shape.a, shape.b, shape.omega
     s, c, W = _sc(shape, phi)
     phi = np.asarray(phi, dtype=float)
-    f = speed(shape, phi)
-    dsq = a * a - b * b
-    d1 = w**3 * dsq * np.sin(2 * w * phi) - 2 * a * w * s * W
-    d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
-    f1 = d1 / (2 * f)
-    f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
-    return f1, f2
+    return _speed_derivatives_from(shape, phi, s, c, W, _speed_from(shape, s, c, W))
 
 
 def curvature_components(shape, phi):
@@ -230,13 +253,23 @@ def curvature_components(shape, phi):
     k_n is the projection on the cross-section normal n_hat, k_e the
     projection on the transverse direction e2 (see module docstring).
     """
-    a, b, w = shape.a, shape.b, shape.omega
+    return _curvature_components_from(shape, *_sc(shape, phi))
+
+
+def speed_terms(shape, phi, with_potential=True):
+    """(f, f', f'', V_c) from one evaluation of the winding angle's sin and cos.
+
+    Each array equals ``speed``, ``speed_derivatives`` and
+    ``curvature_potential`` bit for bit: the same private formulas on the
+    same sin, cos and W, which those three evaluate once each (f' and f''
+    also take sin and cos of the doubled angle, as ``speed_derivatives``
+    does).  V_c is None when ``with_potential`` is false.
+    """
     s, c, W = _sc(shape, phi)
-    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
-    fsq = P * P * w * w + W * W
-    k_n = -(b / P) * (a * w * w + W * c) / fsq
-    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * (a * a - b * b) * c + P * P * a * w * w) / (fsq * P))
-    return k_n, k_e
+    phi = np.asarray(phi, dtype=float)
+    f = _speed_from(shape, s, c, W)
+    f1, f2 = _speed_derivatives_from(shape, phi, s, c, W, f)
+    return f, f1, f2, _curvature_potential_from(shape, s, c, W) if with_potential else None
 
 
 def curvature(shape, phi):
@@ -264,7 +297,7 @@ def torsion(shape, phi):
 
 def curvature_potential(shape, phi):
     """Binding potential -kappa^2/8 from confinement to the curve (<= 0)."""
-    return -curvature(shape, phi) ** 2 / 8.0
+    return _curvature_potential_from(shape, *_sc(shape, phi))
 
 
 def frenet_frame(shape, phi):

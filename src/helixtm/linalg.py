@@ -7,6 +7,15 @@ which otherwise float freely and would spoil bitwise reproducibility of
 downstream output.  The solver is checked against an inertia-count
 bisection oracle in the tests.
 
+``eigh_stack`` does all three for a whole stack of matrices of one size
+at once: one validation pass over the (B, d, d) array (the same
+tolerance, exceptions and messages as ``HermitianMatrix``, reporting the
+first matrix that fails), one ``eigh`` call and one ``fix_phase`` call.
+``numpy.linalg.eigh`` solves a stack matrix by matrix with the same
+LAPACK routine, so every result equals the one-matrix solve bit for bit;
+``HermitianMatrix`` and ``eigen_decompose`` are the one-matrix cases of
+its validation and its solve.
+
 Real input stays real throughout: a real matrix is stored as float64,
 LAPACK's real symmetric solver returns real eigenvectors, and
 ``fix_phase`` fixes their sign.  Complex input stays complex.  The helix
@@ -31,12 +40,35 @@ def _real_or_complex(values):
     return arr.astype(complex if np.iscomplexobj(arr) else float)
 
 
+def _adjoint(arr):
+    """Conjugate transpose of every matrix of a (..., d, d) stack."""
+    return np.swapaxes(arr, -1, -2).conj()
+
+
 class HermiticityViolation(ValueError):
     """Matrix differs from its conjugate transpose beyond tolerance."""
 
 
 class NoConvergence(RuntimeError):
     """The eigensolver failed to converge."""
+
+
+def _check_stack(arr, tol):
+    """Raise for the first matrix of a (B, d, d) stack that is not finite
+    or not Hermitian to ``tol``, as a ``HermitianMatrix`` of each in turn would."""
+    if arr.size == 0:
+        return
+    finite = np.isfinite(arr).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf in a matrix reported as non-finite
+        drift = np.abs(arr - _adjoint(arr)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~finite | (drift > tol))
+    if bad.size == 0:
+        return
+    if not finite[bad[0]]:
+        raise ValueError("matrix entries must be finite")
+    raise HermiticityViolation(
+        f"max |A - A*| = {float(drift[bad[0]]):.3e} exceeds tolerance {tol:.1e}"
+    )
 
 
 @dataclass(frozen=True)
@@ -55,13 +87,7 @@ class HermitianMatrix:
         arr = _real_or_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        drift = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        if drift > self.hermiticity_tol:
-            raise HermiticityViolation(
-                f"max |A - A*| = {drift:.3e} exceeds tolerance {self.hermiticity_tol:.1e}"
-            )
+        _check_stack(arr[None], self.hermiticity_tol)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -72,7 +98,11 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in ascending order; eigenvector i in column i."""
+    """Eigenvalues in ascending order; eigenvector i in column i.
+
+    For a stack of B matrices, eigenvalues (B, d) and eigenvectors
+    (B, d, d), one matrix per leading index.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -98,12 +128,49 @@ def eigen_decompose(matrix):
     NoConvergence
         If LAPACK reports that the decomposition did not converge.
     """
-    a = 0.5 * (matrix.entries + matrix.entries.conj().T)
+    dec = _eigh(matrix.entries[None])
+    return EigenDecomposition(eigenvalues=dec.eigenvalues[0], eigenvectors=dec.eigenvectors[0])
+
+
+def _eigh(arr):
+    """LAPACK on the Hermitian averages of a (B, d, d) stack, phases as returned."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(a)
+        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + _adjoint(arr)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def eigh_stack(entries, hermiticity_tol=DEFAULT_HERMITICITY_TOL):
+    """Validate, solve and phase-fix a (B, d, d) stack of Hermitian matrices.
+
+    Equivalent to ``fix_phase(eigen_decompose(HermitianMatrix(h)).eigenvectors)``
+    for every matrix h of the stack, bit for bit, from one validation
+    pass, one ``numpy.linalg.eigh`` call and one ``fix_phase`` call.
+
+    Returns
+    -------
+    EigenDecomposition
+        ``eigenvalues`` of shape (B, d), ascending per matrix, and
+        ``eigenvectors`` of shape (B, d, d), eigenvector i of matrix b in
+        ``eigenvectors[b, :, i]``, with fixed phases.
+
+    Raises
+    ------
+    ValueError
+        If the input is not a (B, d, d) stack or a matrix is not finite.
+    HermiticityViolation
+        If a matrix drifts from its conjugate transpose by more than
+        ``hermiticity_tol``.
+    NoConvergence
+        If LAPACK reports that the decomposition did not converge.
+    """
+    arr = _real_or_complex(entries)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
+    _check_stack(arr, hermiticity_tol)
+    dec = _eigh(arr)
+    return EigenDecomposition(eigenvalues=dec.eigenvalues, eigenvectors=fix_phase(dec.eigenvectors))
 
 
 def fix_phase(vectors):
@@ -118,17 +185,18 @@ def fix_phase(vectors):
     Real vectors stay real: the rotation is then a sign, +-1, which makes
     that entry positive and leaves the norm exactly as it was.
 
-    Accepts a single vector or a matrix of column vectors; returns the
-    same shape.  Raises ValueError on a zero vector.
+    Accepts a single vector, a matrix of column vectors or a stack of
+    such matrices, shape (..., n, k), each column fixed on its own;
+    returns the same shape.  Raises ValueError on a zero vector.
     """
     arr = _real_or_complex(vectors)
     single = arr.ndim == 1
     cols = arr[:, None] if single else arr
     mags = np.abs(cols)
-    top = mags.max(axis=0)
+    top = mags.max(axis=-2, keepdims=True)
     if np.any(top == 0.0):
         raise ValueError("cannot fix the phase of a zero vector")
-    first = np.argmax(mags >= (1.0 - _TIE_RTOL) * top, axis=0)
-    pivot = cols[first, np.arange(cols.shape[1])]
+    first = np.argmax(mags >= (1.0 - _TIE_RTOL) * top, axis=-2)
+    pivot = np.take_along_axis(cols, first[..., None, :], axis=-2)
     cols = cols * (np.conj(pivot) / np.abs(pivot))
     return cols[:, 0] if single else cols

@@ -49,11 +49,16 @@ and only the z row is integrated, while ``vector`` still carries the
 exact zeros.  At omega = 1 one winding is the whole turn and all three
 rows are integrated.
 
-``toroidal_moments`` therefore takes the moments of any list of states
-of one shape and one n_max (mixed branches and V_c settings) from one
-converged one-winding grid of the nonzero rows of g / (2*pi*f^2)
-(``integrate_harmonics``), refined until every moment of the list
-settles; ``toroidal_moment`` is its one-state case.
+``moment_vectors`` therefore takes the moments of a whole stack of
+states of one shape and one n_max as arrays: coefficients (B, d, S), S
+states per group in columns (the eigenvectors of
+``spectrum.branch_spectra``), and the (B, d) table of k = p + omega*n
+(``spectrum.branch_momenta``), from one converged one-winding grid of
+the nonzero rows of g / (2*pi*f^2) (``integrate_harmonics``), refined
+until every moment of the stack settles.  ``toroidal_moments`` wraps it
+for any list of ``EigenState`` objects (mixed branches and V_c
+settings, one state per group) and returns ``MomentResult`` objects;
+``toroidal_moment`` is its one-state case.
 ``classical_moment_numeric`` takes harmonic 0 of the same rows of g.
 The tests check the quantum moments against integrating j * g_axis
 over the full turn on all three axes, and the classical one against its
@@ -201,30 +206,49 @@ def _winding_moments(shape, weights, harmonics, gather, quad):
     return out
 
 
-def toroidal_moments(states, shape, quad=None):
-    """Toroidal moments of several eigenstates of one shape, from one grid.
+def moment_vectors(shape, coefficients, k, quad=None):
+    """Toroidal moment vectors of stacks of states of one shape, from one grid.
 
-    The states must share n_max; their branches and V_c settings may
-    differ.  Returns one MomentResult per state, in order.  The grid of
-    one winding is refined until all moments together settle to
-    ``tolerance * max(1, max |T|)``.
+    ``coefficients`` has shape (B, d, S): S states per group in columns,
+    d = 2*n_max + 1 coefficients each (the ``eigenvectors`` of
+    ``spectrum.branch_spectra``), and ``k`` shape (B, d): the wavenumbers
+    p + omega*n of group b (``spectrum.branch_momenta``).  Returns the
+    (B, S, 3) moment vectors.  The grid of one winding is refined until
+    all moments together settle to ``tolerance * max(1, max |T|)``.
     """
-    n_max = _shared_n_max(states)
+    groups, d, per_group = coefficients.shape
+    n_max = (d - 1) // 2
     n = np.arange(-n_max, n_max + 1)
-    c = np.array([state.coefficients for state in states])
-    kc = np.array([state.p + shape.omega * n for state in states]) * c
+    # one row per state, group-major, as C-contiguous (states, d) arrays
+    c = np.ascontiguousarray(np.swapaxes(coefficients, 1, 2)).reshape(-1, d)
+    c_conj = c.conj()
+    kc = np.repeat(k, per_group, axis=0) * c
     offsets = n[None, :] - n[:, None] + 2 * n_max
 
     def gather(integrals):
         # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and axis
-        return np.real(np.einsum("sm,amn,sn->sa", c.conj(), integrals[:, offsets], kc))
+        return np.real(np.einsum("sm,amn,sn->sa", c_conj, integrals[:, offsets], kc))
 
     vectors = _winding_moments(
         shape, _moment_weights, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad
     )
+    return (vectors / 10.0).reshape(groups, per_group, 3)
+
+
+def toroidal_moments(states, shape, quad=None):
+    """Toroidal moments of several eigenstates of one shape, from one grid.
+
+    The states must share n_max; their branches and V_c settings may
+    differ.  Returns one MomentResult per state, in order
+    (``moment_vectors`` with one state per group).
+    """
+    n_max = _shared_n_max(states)
+    n = np.arange(-n_max, n_max + 1)
+    c = np.array([state.coefficients for state in states])[:, :, None]
+    k = np.array([state.p + shape.omega * n for state in states])
     return [
         MomentResult(vector=vec, z=float(vec[2]), state_ref=(s.p, s.alpha, s.include_vc))
-        for s, vec in zip(states, vectors / 10.0)
+        for s, vec in zip(states, moment_vectors(shape, c, k, quad)[:, 0])
     ]
 
 

@@ -65,9 +65,18 @@ so ``build_hamiltonians`` assembles any list of (p, include_vc) pairs
 from one pass: it samples A without V_c and A with V_c (each only if a
 pair needs it), B and C once per grid of one winding, takes all their
 harmonics from one real FFT, gathers every matrix and refines the grid
-until the whole stack settles (``integrate_harmonics``).
-``solve_branches`` diagonalises such a stack.  ``build_hamiltonian``
-and ``solve_states`` are their one-branch cases.  Nothing enforces the
+until the whole stack settles (``integrate_harmonics``).  The sampler
+takes f, f', f'' and V_c from one evaluation of the winding angle's sine
+and cosine (``geometry.speed_terms``).
+
+``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
+with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
+sign rule for all B matrices, giving energies (B, d) and coefficients
+(B, d, d).  ``branch_momenta`` is the matching k = p + omega*n table,
+which ``observables.moment_vectors`` takes with the coefficients.
+``solve_branches`` wraps the arrays in ``EigenState`` objects;
+``build_hamiltonian`` and ``solve_states`` are the one-branch cases of
+``build_hamiltonians`` and ``solve_branches``.  Nothing enforces the
 symmetry: H[n, m] uses the harmonic -d and the other k, and
 H[m, n] - H[n, m] = (k_n + k_m) * ((k_n - k_m) Re B_d - Im C_d)
 vanishes only to quadrature accuracy (integration by parts makes the
@@ -83,13 +92,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .linalg import HermitianMatrix, eigen_decompose, fix_phase
+from .linalg import HermitianMatrix, eigh_stack
 from .quadrature import QuadratureSpec, integrate_harmonics
 
 
 def _check_n_max(n_max):
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+
+
+def _check_branch(p, omega):
+    if not 0 <= p < omega:
+        raise ValueError(f"branch index must satisfy 0 <= p < omega, got p={p}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +117,7 @@ class BlochBasis:
     def __post_init__(self):
         if self.omega < 1:
             raise ValueError(f"omega must be >= 1, got {self.omega}")
-        if not 0 <= self.p < self.omega:
-            raise ValueError(f"branch index must satisfy 0 <= p < omega, got p={self.p}")
+        _check_branch(self.p, self.omega)
         _check_n_max(self.n_max)
 
     @property
@@ -166,6 +179,50 @@ def basis_wavefunction(shape, basis, n, phi):
     return np.exp(1j * k * phi) / np.sqrt(2.0 * math.pi * geometry.speed(shape, phi))
 
 
+def branch_momenta(shape, ps, n_max):
+    """The k = p + omega*n table of branches ``ps``, shape (len(ps), 2*n_max + 1).
+
+    Row b holds the wavenumbers of branch ps[b] for n = -n_max..n_max,
+    as floats.  Branches and n_max are validated as in ``BlochBasis``.
+    """
+    for p in ps:
+        _check_branch(p, shape.omega)
+    _check_n_max(n_max)
+    idx = np.arange(-n_max, n_max + 1)
+    return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
+
+
+def _hamiltonian_stack(shape, branches, n_max, quad):
+    """The (len(branches), d, d) array of matrices ``build_hamiltonians`` returns."""
+    if not branches:
+        raise ValueError("need at least one branch")
+    idx = np.arange(-n_max, n_max + 1)
+    k = branch_momenta(shape, [p for p, _ in branches], n_max)[:, None, :]
+    offsets = idx[None, :] - idx[:, None] + 2 * n_max
+    # one sampled row of A per V_c setting in use (the one with V_c
+    # last), then B and C
+    variants = sorted({bool(vc) for _, vc in branches})
+    a_rows = [variants.index(bool(vc)) for _, vc in branches]
+
+    def sample(theta):
+        phi = theta / shape.omega
+        f, f1, f2, vc = geometry.speed_terms(shape, phi, with_potential=variants[-1])
+        terms = np.empty((len(variants) + 2, phi.size))
+        terms[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
+        if variants[-1]:
+            terms[len(variants) - 1] += vc
+        terms[-2] = 0.5 / (f * f)
+        terms[-1] = f1 / f**3
+        return terms
+
+    def gather(integrals):
+        blocks = integrals[:, offsets]
+        return blocks[a_rows].real + (k * k) * blocks[-2].real - k * blocks[-1].imag
+
+    result = integrate_harmonics(sample, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad)
+    return result.value / (2.0 * math.pi)
+
+
 def build_hamiltonians(shape, branches, n_max, quad=None):
     """One real symmetric HermitianMatrix per (p, include_vc) pair, all from one grid.
 
@@ -178,35 +235,7 @@ def build_hamiltonians(shape, branches, n_max, quad=None):
     consistency test of the quadrature.  The grid is refined until the
     whole stack settles to ``tolerance * max(1, max |H|)``.
     """
-    if not branches:
-        raise ValueError("need at least one branch")
-    bases = [BlochBasis(p=p, n_max=n_max, omega=shape.omega) for p, _ in branches]
-    idx = np.arange(-n_max, n_max + 1)
-    k = np.array([basis.momentum(idx) for basis in bases], dtype=float)[:, None, :]
-    offsets = idx[None, :] - idx[:, None] + 2 * n_max
-    # one sampled row of A per V_c setting in use (the one with V_c
-    # last), then B and C
-    variants = sorted({bool(vc) for _, vc in branches})
-    a_rows = [variants.index(bool(vc)) for _, vc in branches]
-
-    def sample(theta):
-        phi = theta / shape.omega
-        f = geometry.speed(shape, phi)
-        f1, f2 = geometry.speed_derivatives(shape, phi)
-        terms = np.empty((len(variants) + 2, phi.size))
-        terms[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
-        if variants[-1]:
-            terms[len(variants) - 1] += geometry.curvature_potential(shape, phi)
-        terms[-2] = 0.5 / (f * f)
-        terms[-1] = f1 / f**3
-        return terms
-
-    def gather(integrals):
-        blocks = integrals[:, offsets]
-        return blocks[a_rows].real + (k * k) * blocks[-2].real - k * blocks[-1].imag
-
-    result = integrate_harmonics(sample, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad)
-    return [HermitianMatrix(h) for h in result.value / (2.0 * math.pi)]
+    return [HermitianMatrix(h) for h in _hamiltonian_stack(shape, branches, n_max, quad)]
 
 
 def build_hamiltonian(shape, basis, config):
@@ -219,27 +248,36 @@ def make_basis(shape, p, config):
     return BlochBasis(p=p, n_max=config.n_max, omega=shape.omega)
 
 
+def branch_spectra(shape, branches, n_max, quad=None):
+    """Spectra of every (p, include_vc) pair as arrays, from one pass and one solve.
+
+    The matrices of ``build_hamiltonians`` go through ``eigh_stack`` as
+    one (B, d, d) array, B = len(branches), d = 2*n_max + 1: the same
+    checks (``HermiticityViolation`` for a too-coarse grid), one LAPACK
+    call and one sign rule.  Returns an ``EigenDecomposition`` with
+    ``eigenvalues`` (B, d), ascending per pair, and ``eigenvectors``
+    (B, d, d), the coefficients of state alpha of pair b in column
+    ``eigenvectors[b, :, alpha]`` (row i multiplies chi_n, n = i - n_max).
+    """
+    return eigh_stack(_hamiltonian_stack(shape, branches, n_max, quad))
+
+
 def solve_branches(shape, branches, n_max, quad=None):
-    """States of every (p, include_vc) pair from one ``build_hamiltonians`` pass.
+    """States of every (p, include_vc) pair from one ``branch_spectra`` solve.
 
     Returns one list per pair, each with its 2*n_max + 1 states sorted by
     ascending energy.
     """
-    out = []
-    for h, (p, include_vc) in zip(build_hamiltonians(shape, branches, n_max, quad), branches):
-        dec = eigen_decompose(h)
-        vecs = fix_phase(dec.eigenvectors)
-        out.append([
-            EigenState(
-                energy=float(dec.eigenvalues[i]),
-                coefficients=vecs[:, i],
-                p=p,
-                alpha=int(i),
-                include_vc=include_vc,
-            )
-            for i in range(h.dim)
-        ])
-    return out
+    dec = branch_spectra(shape, branches, n_max, quad)
+    return [
+        [
+            EigenState(energy=energy, coefficients=vecs[:, alpha], p=p, alpha=alpha,
+                       include_vc=include_vc)
+            for alpha, energy in enumerate(energies)
+        ]
+        for (p, include_vc), energies, vecs in zip(
+            branches, dec.eigenvalues.tolist(), dec.eigenvectors)
+    ]
 
 
 def solve_states(shape, basis, config):

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, unit rescaling, config file
 handling, and exit codes (0 success, 2 usage, 3 numerical failure)."""
 
+import io
 import math
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helixtm import observables, spectrum
+from helixtm import cli, observables, spectrum
 from helixtm.cli import GEOMETRY_HEADER, main
 from helixtm.quadrature import integrate_harmonics
 
@@ -56,6 +57,31 @@ class TestGeometry:
         assert code == 0
         assert out == ""
         assert target.read_text() == stdout_text
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--grid", "2500"],
+        ["potential", "--a", "0.5,0.75", "--b", "0.5,0.25", "--grid", "6000"],
+        ["current", "--p", "1", "--both", "--grid", "300"],
+    ])
+    def test_grid_tables_are_written_block_by_block(self, monkeypatch, argv):
+        # each block goes to the output as it is formatted, so the text of
+        # the whole table is never held at once
+        writes = []
+
+        class Recorder(io.TextIOBase):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", 1000)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        rows = int(argv[argv.index("--grid") + 1])
+        ncols = writes[0].count(",") + 1
+        step = max(1, 1000 // ncols)
+        assert len(writes) == 1 + -(-rows // step)
+        assert all(chunk.count("\n") == step for chunk in writes[1:-1])
+        assert "".join(writes).count("\n") == 1 + rows
 
 
 class TestSpectrum:
@@ -285,6 +311,34 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["spectrum", "moments", "thermal"])
+    def test_under_resolved_grid_is_exit_three(self, capsys, tmp_path, command):
+        # 32 -> 64 points per winding leave the n_max = 16 matrices
+        # visibly unsymmetric; the stacked solve reports the first of them
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            capsys, command, *FLAT6_ARGS, "--n-max", "16", "--quad-points", "32",
+            "--quad-tol", "1e6", "--temperature", "0.1", "--out", str(target),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "helixtm: numerical failure: max |A - A*| = 1.353e-03 exceeds tolerance 1.0e-09\n"
+        )
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv, status", [
+        (["current", "--omega", "4", "--grid", "7"], 2),
+        (["current", *FLAT6_ARGS, "--n-max", "16", "--quad-points", "32", "--quad-tol", "1e6"], 3),
+        (["geometry", "--grid", "1"], 2),
+    ])
+    def test_failed_grid_table_leaves_no_file(self, capsys, tmp_path, argv, status):
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == status
+        assert err.count("\n") == 1
+        assert not target.exists()
+
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--p", "7", "--omega", "4")
         assert code == 2

@@ -23,6 +23,7 @@ from helixtm.geometry import (
     position,
     speed,
     speed_derivatives,
+    speed_terms,
     torsion,
     velocity,
 )
@@ -194,6 +195,55 @@ class TestSpeed:
             assert_allclose(speed(shape, phi + step), speed(shape, phi), rtol=1e-12)
             for got, want in zip(speed_derivatives(shape, phi + step), speed_derivatives(shape, phi)):
                 assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def separate_speed_terms(shape, phi):
+    """f, f', f'' and -kappa^2/8 written out term by term, each from its own
+    sin/cos evaluation: the formulas as they stood before the shared core."""
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c = np.sin(w * phi), np.cos(w * phi)
+    W = shape.R + a * c
+    f = np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
+    dsq = a * a - b * b
+    d1 = w**3 * dsq * np.sin(2 * w * phi) - 2 * a * w * s * W
+    d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
+    f1 = d1 / (2 * f)
+    f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
+    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
+    fsq = P * P * w * w + W * W
+    k_n = -(b / P) * (a * w * w + W * c) / fsq
+    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * dsq * c + P * P * a * w * w) / (fsq * P))
+    return f, f1, f2, -np.hypot(k_n, k_e) ** 2 / 8.0
+
+
+class TestSpeedTerms:
+    """The fused sampler of the Hamiltonian pass against the separate functions."""
+
+    @pytest.mark.parametrize("omega", [1, 2, 4, 6, 40])
+    def test_bit_identical_to_separate_functions(self, omega):
+        rng = np.random.default_rng(omega)
+        shapes = [HelixShape(R=1.0, a=a, b=b, omega=omega)
+                  for a, b in [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]]
+        shapes += [HelixShape(R=s.R, a=s.a, b=s.b, omega=omega) for s in random_shapes(rng, 4)]
+        # the one-winding grids the Hamiltonian pass samples, and random angles
+        theta = 2 * math.pi * np.arange(256) / 256
+        for phi in (theta / omega, rng.uniform(-10.0, 10.0, 301)):
+            for shape in shapes:
+                f, f1, f2, vc = speed_terms(shape, phi)
+                want_f1, want_f2 = speed_derivatives(shape, phi)
+                assert np.array_equal(f, speed(shape, phi))
+                assert np.array_equal(f1, want_f1)
+                assert np.array_equal(f2, want_f2)
+                assert np.array_equal(vc, curvature_potential(shape, phi))
+                for got, want in zip((f, f1, f2, vc), separate_speed_terms(shape, phi)):
+                    assert np.array_equal(got, want)
+
+    def test_potential_only_on_request(self):
+        phi = np.linspace(0.0, 1.0, 9)
+        f, f1, f2, vc = speed_terms(SIXTURN, phi, with_potential=False)
+        assert vc is None
+        assert np.array_equal(f, speed(SIXTURN, phi))
+        assert np.array_equal(f2, speed_derivatives(SIXTURN, phi)[1])
 
 
 class TestCurvature:

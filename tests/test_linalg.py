@@ -24,6 +24,7 @@ from helixtm.linalg import (
     HermitianMatrix,
     NoConvergence,
     eigen_decompose,
+    eigh_stack,
     fix_phase,
 )
 from helixtm.spectrum import BlochBasis, SpectrumConfig, build_hamiltonian
@@ -259,3 +260,101 @@ class TestFixPhase:
     def test_decomposition_type(self):
         dec = eigen_decompose(HermitianMatrix(np.eye(2)))
         assert isinstance(dec, EigenDecomposition)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_matrix_by_matrix(self, dtype):
+        rng = np.random.default_rng(18)
+        stack = rng.standard_normal((7, 5, 6)).astype(dtype)
+        if dtype is complex:
+            stack += 1j * rng.standard_normal(stack.shape)
+        # ties: an exact one, ones within the 1e-9 tie tolerance (either
+        # side of the pivot) and one just outside it
+        stack[0, :, 0] = [0.5, -0.5, 0.1, 0.2, 0.3]
+        stack[1, :, 1] = [0.1, 0.7, 0.2, -0.7 * (1 + 5e-10), 0.0]
+        stack[2, :, 2] = [-0.4 * (1 - 5e-10), 0.1, 0.4, 0.0, 0.2]
+        stack[3, :, 3] = [0.3, 0.0, -0.3 * (1 + 1e-15), 0.3 * (1 - 9e-10), 0.1]
+        stack[4, :, 4] = [0.6, 0.0, -0.6 * (1 + 2e-9), 0.1, 0.2]
+        got = fix_phase(stack)
+        want = np.array([fix_phase(matrix) for matrix in stack])
+        assert got.shape == stack.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # a column and a lone vector go through the same rule
+        for b, k in [(0, 0), (1, 1), (3, 3), (4, 4)]:
+            assert np.array_equal(fix_phase(stack[b, :, k]), want[b, :, k])
+        assert got[4, 2, 4] > 0  # 2e-9 outside the tolerance: the larger entry wins
+
+    def test_zero_column_in_stack_rejected(self):
+        stack = np.ones((3, 4, 2))
+        stack[2, :, 1] = 0.0
+        with pytest.raises(ValueError):
+            fix_phase(stack)
+
+
+class TestEighStack:
+    """The stacked solve against one HermitianMatrix, eigen_decompose and
+    fix_phase per matrix."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_matrix_by_matrix(self, dtype):
+        rng = np.random.default_rng(19)
+        stack = np.array([
+            random_hermitian(rng, 9).real if dtype is float else random_hermitian(rng, 9)
+            for _ in range(6)
+        ])
+        dec = eigh_stack(stack)
+        assert isinstance(dec, EigenDecomposition)
+        assert dec.eigenvalues.shape == (6, 9) and dec.eigenvectors.shape == (6, 9, 9)
+        for h, values, vectors in zip(stack, dec.eigenvalues, dec.eigenvectors):
+            one = eigen_decompose(HermitianMatrix(h))
+            assert np.array_equal(values, one.eigenvalues)
+            assert np.array_equal(vectors, fix_phase(one.eigenvectors))
+
+    def test_non_finite_stack_rejected(self):
+        good = np.eye(3)
+        for bad in (np.nan, np.inf):
+            stack = np.array([good, good, good])
+            stack[1, 0, 2] = stack[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="finite") as info:
+                eigh_stack(stack)
+            assert not isinstance(info.value, HermiticityViolation)
+
+    def test_reports_first_failing_matrix_as_one_matrix_would(self):
+        good = np.eye(3)
+        drift_small = good.copy()
+        drift_small[0, 1] = 3e-8
+        drift_large = good.copy()
+        drift_large[0, 1] = 5e-6
+        non_finite = good.copy()
+        non_finite[2, 2] = np.nan
+        for stack in (
+            [good, drift_small, drift_large],
+            [good, drift_large, drift_small],
+            [drift_small, non_finite],
+            [non_finite, drift_small],
+        ):
+            with pytest.raises(ValueError) as want:
+                for h in stack:
+                    HermitianMatrix(h)
+            with pytest.raises(ValueError) as got:
+                eigh_stack(np.array(stack))
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+    def test_tolerance_semantics(self):
+        a = np.array([[[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]]])
+        eigh_stack(a, hermiticity_tol=1e-9)
+        with pytest.raises(HermiticityViolation, match="exceeds tolerance 1.0e-11"):
+            eigh_stack(a, hermiticity_tol=1e-11)
+
+    def test_shape_rejected(self):
+        for bad in (np.eye(3), np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(ValueError, match="stack of square matrices"):
+                eigh_stack(bad)
+
+    def test_no_convergence_is_reported(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NoConvergence):
+            eigh_stack(np.array([np.eye(2)]))

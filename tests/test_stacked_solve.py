@@ -1,0 +1,85 @@
+"""The stacked spectrum against the per-matrix path it replaced.
+
+``spectrum.branch_spectra`` validates, solves and sign-fixes a shape's
+whole (p, V_c) stack with one ``linalg.eigh_stack`` call.  Each matrix
+must come out exactly as from one ``HermitianMatrix``, one
+``eigen_decompose`` and one ``fix_phase`` per matrix, and the moments of
+the grouped states exactly as from ``toroidal_moments`` of the state
+list.
+"""
+
+import numpy as np
+import pytest
+
+from helixtm.geometry import HelixShape
+from helixtm.linalg import HermiticityViolation, HermitianMatrix, eigen_decompose, fix_phase
+from helixtm.observables import moment_vectors, toroidal_moments
+from helixtm.quadrature import QuadratureSpec
+from helixtm.spectrum import (
+    BlochBasis,
+    branch_momenta,
+    branch_spectra,
+    build_hamiltonians,
+    solve_branches,
+)
+
+SHAPES = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
+FLAT6 = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
+
+
+def all_pairs(omega):
+    return [(p, include_vc) for p in range(omega) for include_vc in (False, True)]
+
+
+@pytest.mark.parametrize("n_max", [2, 8, 16])
+@pytest.mark.parametrize("omega", [1, 4, 6, 40])
+@pytest.mark.parametrize("a, b", SHAPES)
+def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    pairs = all_pairs(omega)
+    dec = branch_spectra(shape, pairs, n_max)
+    branches = solve_branches(shape, pairs, n_max)
+    mats = build_hamiltonians(shape, pairs, n_max)
+    for h, values, vectors, states in zip(mats, dec.eigenvalues, dec.eigenvectors, branches):
+        one = eigen_decompose(HermitianMatrix(h.entries))
+        want = fix_phase(one.eigenvectors)
+        assert np.array_equal(values, one.eigenvalues)
+        assert np.array_equal(vectors, want)
+        assert [s.energy for s in states] == one.eigenvalues.tolist()
+        for alpha, state in enumerate(states):
+            assert np.array_equal(state.coefficients, want[:, alpha])
+
+
+@pytest.mark.parametrize(
+    "shape, n_max",
+    [(FLAT6, 2), (HelixShape(R=1.0, a=0.1, b=0.9, omega=40), 8), (HelixShape(1.0, 0.9, 0.1, 1), 2)],
+)
+def test_grouped_moments_equal_state_list(shape, n_max):
+    # mixed branches and V_c settings, in an order that is not sorted
+    pairs = [(p, vc) for p in sorted(range(shape.omega), reverse=True)[:3] for vc in (True, False)]
+    dec = branch_spectra(shape, pairs, n_max)
+    got = moment_vectors(shape, dec.eigenvectors, branch_momenta(shape, [p for p, _ in pairs], n_max))
+    states = [s for branch in solve_branches(shape, pairs, n_max) for s in branch]
+    want = np.array([m.vector for m in toroidal_moments(states, shape)])
+    assert got.shape == (len(pairs), 2 * n_max + 1, 3)
+    assert np.array_equal(got.reshape(-1, 3), want)
+
+
+def test_momenta_table_matches_basis():
+    ps = [3, 0, 5, 3]
+    k = branch_momenta(FLAT6, ps, 4)
+    assert k.dtype == np.float64 and k.shape == (4, 9)
+    for p, row in zip(ps, k):
+        basis = BlochBasis(p=p, n_max=4, omega=6)
+        assert np.array_equal(row, basis.momentum(basis.indices))
+    with pytest.raises(ValueError, match="branch index"):
+        branch_momenta(FLAT6, [1, 6], 4)
+    with pytest.raises(ValueError, match="n_max"):
+        branch_momenta(FLAT6, [1], 1)
+
+
+def test_under_resolved_grid_fails_hermiticity():
+    # the stacked path checks every matrix, as HermitianMatrix does
+    quad = QuadratureSpec(initial_points=32, tolerance=1e6, max_doublings=1)
+    with pytest.raises(HermiticityViolation, match="exceeds tolerance 1.0e-09"):
+        solve_branches(FLAT6, [(0, False), (1, True)], 16, quad)
