@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _gformat
 from .geometry import HelixShape, curvature_potential, frenet_frame, position, speed
 from .linalg import HermiticityViolation, NoConvergence
 from .observables import (
@@ -262,22 +263,31 @@ def _grid_blocks(header, columns, digits):
 
     Every value is printed as ``%.<digits>g``, with -0.0 as 0, like
     ``_fmt``.  The columns are stacked into one table here, before the
-    first chunk is asked for, and formatted with one row format, a block
-    of rows per ``%``.  A block holds about ``_BLOCK_VALUES`` values (at
-    least one row) whatever the table's width, so a writer that takes
-    the chunks one at a time holds the Python floats and the text of one
+    first chunk is asked for.  A block holds about ``_BLOCK_VALUES`` values
+    (at least one row) whatever the table's width, so a writer that takes
+    the chunks one at a time holds the temporaries and the text of one
     block, not of the whole table.
+
+    ``_gformat.block_text`` formats each block, by one of two paths that
+    it picks from the values and ``digits`` alone.  Up to
+    ``_gformat.MAX_DIGITS`` digits, the fixed-notation values are formatted
+    as arrays and the rest go to ``%`` one value at a time: values printed
+    in exponent notation, values that are not finite, and values whose
+    mantissa, scaled by a power of ten in float64, lies within 16 ulp of a
+    rounding tie or a decade edge.  Only there could the scaled float and
+    the exact binary value, which ``%`` rounds, print differently, so both
+    paths give ``_fmt``'s bytes.  At more digits, or when more than half
+    of a block's values would go to ``%``, the whole block is one row
+    format filled by one ``%``.
     """
     table = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
     rows, ncols = table.shape
-    row_format = ",".join([f"%.{digits}g"] * ncols) + "\n"
     step = max(1, _BLOCK_VALUES // ncols)
 
     def chunks():
         yield header + "\n"
         for start in range(0, rows, step):
-            block = table[start:start + step]
-            yield (row_format * len(block)) % tuple(block.ravel().tolist())
+            yield _gformat.block_text(table[start:start + step], digits)
 
     return chunks()
 

@@ -312,6 +312,14 @@ def frenet_frame(shape, phi):
     DegenerateFrame
         If kappa <= KAPPA_MIN anywhere in ``phi``.
     """
+    k_n, k_e = curvature_components(shape, phi)
+    kappa = np.hypot(k_n, k_e)
+    if np.any(kappa <= KAPPA_MIN):
+        raise DegenerateFrame(f"curvature {np.min(kappa):g} <= KAPPA_MIN, frame undefined")
+    # torsion first: its (..., 3) derivatives are freed before the frame's
+    # nine (..., 3) arrays exist
+    tau = torsion(shape, phi)
+
     a, b, w = shape.a, shape.b, shape.omega
     s, c, W = _sc(shape, phi)
     phi = np.asarray(phi, dtype=float)
@@ -325,11 +333,6 @@ def frenet_frame(shape, phi):
     n_hat = ((b * c / P)[..., None] * rho + (a * s / P)[..., None] * zhat)
     tangent = ((P * w / f)[..., None] * theta + (W / f)[..., None] * az)
     e2 = ((W / f)[..., None] * theta - (P * w / f)[..., None] * az)
-
-    k_n, k_e = curvature_components(shape, phi)
-    kappa = np.hypot(k_n, k_e)
-    if np.any(kappa <= KAPPA_MIN):
-        raise DegenerateFrame(f"curvature {np.min(kappa):g} <= KAPPA_MIN, frame undefined")
     normal = ((k_e / kappa)[..., None] * e2 + (k_n / kappa)[..., None] * n_hat)
     binormal = ((-k_n / kappa)[..., None] * e2 + (k_e / kappa)[..., None] * n_hat)
 
@@ -338,7 +341,7 @@ def frenet_frame(shape, phi):
         normal=normal,
         binormal=binormal,
         kappa=kappa,
-        tau=torsion(shape, phi),
+        tau=tau,
         speed=f,
     )
 

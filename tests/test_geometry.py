@@ -296,6 +296,15 @@ class TestTorsion:
         # away from the degenerate angle the same shape is fine
         assert np.isfinite(torsion(degenerate, 0.3))
 
+    def test_degenerate_frame_reports_the_frame(self):
+        # the frame checks its curvature before it evaluates the torsion,
+        # so it raises its own message, not the torsion's
+        degenerate = HelixShape(R=1.0, a=0.1, b=0.1, omega=3)
+        with pytest.raises(DegenerateFrame, match=r"<= KAPPA_MIN, frame undefined$"):
+            frenet_frame(degenerate, np.array([0.1, math.pi / 3]))
+        with pytest.raises(DegenerateFrame, match="torsion undefined"):
+            torsion(degenerate, np.array([0.1, math.pi / 3]))
+
 
 class TestFrenetFrame:
     def test_orthonormal_right_handed_everywhere(self):
