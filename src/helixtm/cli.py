@@ -30,14 +30,14 @@ from .geometry import HelixShape, curvature_potential, frenet_frame, position, s
 from .linalg import HermiticityViolation, NoConvergence
 from .observables import (
     ThermalSpec,
+    branch_moments,
     classical_moment_closed,
-    free_particle_current,
-    moment_vectors,
+    loop_current,
     sample_current_profiles,
     thermal_average,
 )
 from .quadrature import QuadratureNotConverged, QuadratureSpec
-from .spectrum import branch_momenta, branch_spectra, solve_branches
+from .spectrum import branch_spectra, solve_branches
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
@@ -244,15 +244,6 @@ def _fmt(value, digits):
     return "%.*g" % (digits, value)
 
 
-def _energies_and_moments_z(shape, settings, pairs):
-    """Energies and z moments of every state of every pair, one list per pair,
-    from one solve and one moment pass."""
-    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
-    k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
-    z = moment_vectors(shape, dec.eigenvectors, k, settings.quad)[..., 2]
-    return dec.eigenvalues.tolist(), z.tolist()
-
-
 # Values per formatted block of a grid table.
 _BLOCK_VALUES = 1 << 14
 
@@ -360,8 +351,10 @@ def _cmd_moments(settings):
     scale = 1.0 / settings.R
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
     pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
-    _, z = _energies_and_moments_z(shape, settings, pairs)
-    loops = free_particle_current(shape, np.array(settings.p_list, dtype=float), settings.quad)
+    # spectra, moments and the arc length from one sampling pass
+    _, vectors, length = branch_moments(shape, pairs, settings.n_max, settings.quad, length=True)
+    z = vectors[..., 2].tolist()
+    loops = loop_current(np.array(settings.p_list, dtype=float), length)
     for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
         classical = scale * classical_moment_closed(shape, loop)[2]
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
@@ -387,8 +380,9 @@ def _cmd_thermal(settings):
         "p  vc   normalized  unnormalized",
     ]
     pairs = _branch_pairs(settings)
-    for (p, include_vc), energies, z in zip(pairs, *_energies_and_moments_z(
-            shape, settings, pairs)):
+    dec, vectors, _ = branch_moments(shape, pairs, settings.n_max, settings.quad)
+    for (p, include_vc), energies, z in zip(
+            pairs, dec.eigenvalues.tolist(), vectors[..., 2].tolist()):
         levels = [(e_scale * e, t_scale * t) for e, t in zip(energies, z)]
         avg = thermal_average(levels, spec_norm)
         try:

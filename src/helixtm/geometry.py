@@ -256,20 +256,45 @@ def curvature_components(shape, phi):
     return _curvature_components_from(shape, *_sc(shape, phi))
 
 
-def speed_terms(shape, phi, with_potential=True):
-    """(f, f', f'', V_c) from one evaluation of the winding angle's sin and cos.
+def _moment_integrand_from(shape, phi, s, c, W, axes):
+    """Rows ``axes`` of g = (r' . r) r - 2 r^2 r' (see ``winding_terms``)."""
+    a, b, w = shape.a, shape.b, shape.omega
+    cp, sp = np.cos(phi), np.sin(phi)
+    w1 = -a * w * s
+    r = (W * cp, W * sp, b * s)
+    v = (w1 * cp - W * sp, w1 * sp + W * cp, b * w * c)
+    dot = v[0] * r[0] + v[1] * r[1] + v[2] * r[2]
+    twice_rsq = 2.0 * (r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+    g = np.empty((len(axes),) + np.shape(phi))
+    for row, axis in enumerate(axes):
+        g[row] = dot * r[axis] - twice_rsq * v[axis]
+    return g
 
-    Each array equals ``speed``, ``speed_derivatives`` and
-    ``curvature_potential`` bit for bit: the same private formulas on the
-    same sin, cos and W, which those three evaluate once each (f' and f''
+
+def winding_terms(shape, phi, derivatives=True, potential=True, moment_axes=()):
+    """(f, f', f'', V_c, g): every sampled function of a pass over the winding.
+
+    One evaluation of the winding angle's sine and cosine (and, for g, of
+    cos phi and sin phi) serves them all.  f, f' and f'' equal ``speed``
+    and ``speed_derivatives``, and V_c ``curvature_potential``, bit for
+    bit: the same private formulas on the same sin, cos and W (f' and f''
     also take sin and cos of the doubled angle, as ``speed_derivatives``
-    does).  V_c is None when ``with_potential`` is false.
+    does).  g holds the rows ``moment_axes`` (0, 1, 2 for x, y, z) of the
+    toroidal-moment integrand g = (r' . r) r - 2 r^2 r', shape
+    (len(moment_axes),) + phi.shape, written elementwise from the
+    components of ``position`` and ``velocity`` without stacking them:
+    g_axis = dot * r_axis - 2 r^2 * v_axis with
+    dot = v_x r_x + v_y r_y + v_z r_z.  f' and f'' are None unless
+    ``derivatives`` is set, V_c is None unless ``potential`` is, and g is
+    None without moment axes.
     """
     s, c, W = _sc(shape, phi)
     phi = np.asarray(phi, dtype=float)
     f = _speed_from(shape, s, c, W)
-    f1, f2 = _speed_derivatives_from(shape, phi, s, c, W, f)
-    return f, f1, f2, _curvature_potential_from(shape, s, c, W) if with_potential else None
+    f1, f2 = _speed_derivatives_from(shape, phi, s, c, W, f) if derivatives else (None, None)
+    vc = _curvature_potential_from(shape, s, c, W) if potential else None
+    g = _moment_integrand_from(shape, phi, s, c, W, moment_axes) if moment_axes else None
+    return f, f1, f2, vc, g
 
 
 def curvature(shape, phi):
@@ -398,8 +423,11 @@ def arc_length(shape, spec=None):
     f depends on phi only through theta = omega*phi, so the length is the
     integral of f(theta/omega) over one winding of theta, with no extra
     factor; the grid counts points per winding, like every other
-    integral over the curve.
+    integral over the curve.  This is the one-quantity case of the
+    spectrum's pass over the winding: the same sampler, a grid of the f
+    row alone, and the trapezoid sum of ``quadrature.integrate_periodic``.
     """
-    from .quadrature import integrate_periodic
+    from .quadrature import settle
+    from .spectrum import winding_grid
 
-    return integrate_periodic(lambda theta: speed(shape, theta / shape.omega), spec).value.real
+    return settle(winding_grid(shape, spec, length=True), "length").value.real

@@ -53,16 +53,22 @@ rows are integrated.
 states of one shape and one n_max as arrays: coefficients (B, d, S), S
 states per group in columns (the eigenvectors of
 ``spectrum.branch_spectra``), and the (B, d) table of k = p + omega*n
-(``spectrum.branch_momenta``), from one converged one-winding grid of
-the nonzero rows of g / (2*pi*f^2) (``integrate_harmonics``), refined
-until every moment of the stack settles.  ``toroidal_moments`` wraps it
+(``spectrum.branch_momenta``), from the harmonics of the nonzero rows of
+g / (2*pi*f^2) on one grid of one winding (``spectrum.winding_grid``),
+refined until every moment of the stack settles.  ``branch_moments``
+puts those rows on the grid of the Hamiltonian (and f, for the arc
+length) and settles the spectra, their moments and the length in one
+sampling pass, each at its own level; every result equals the one of the
+standalone call bit for bit.  The command line's ``moments`` and
+``thermal`` use it.  ``toroidal_moments`` wraps ``moment_vectors``
 for any list of ``EigenState`` objects (mixed branches and V_c
 settings, one state per group) and returns ``MomentResult`` objects;
 ``toroidal_moment`` is its one-state case.
 ``classical_moment_numeric`` takes harmonic 0 of the same rows of g.
+The rows of g are written elementwise by ``geometry.winding_terms``.
 The tests check the quantum moments against integrating j * g_axis
-over the full turn on all three axes, and the classical one against its
-closed form.
+over the full turn on all three axes, with g formed from the stacked
+position and velocity, and the classical one against its closed form.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .quadrature import integrate_harmonics
+from .linalg import eigh_stack
+from .quadrature import settle
+from .spectrum import _hamiltonians, _moment_axes, branch_momenta, winding_grid
 
 
 @dataclass(frozen=True)
@@ -174,36 +182,24 @@ def sample_current_profile(state, shape, grid_size):
     return sample_current_profiles([state], shape, grid_size)[0]
 
 
-def _moment_integrand(shape, phi):
-    """g = (r' . r) r - 2 r^2 r', shape (..., 3)."""
-    r = geometry.position(shape, phi)
-    v = geometry.velocity(shape, phi)
-    dot = np.sum(v * r, axis=-1)
-    rsq = np.sum(r * r, axis=-1)
-    return dot[..., None] * r - 2.0 * rsq[..., None] * v
+def _moments(grid, shape, coefficients, k):
+    """``moment_vectors`` settled on a ``spectrum.winding_grid`` with moment weights."""
+    groups, d, per_group = coefficients.shape
+    n_max = (d - 1) // 2
+    n = np.arange(-n_max, n_max + 1)
+    # one row per state, group-major, as C-contiguous (states, d) arrays
+    c = np.ascontiguousarray(np.swapaxes(coefficients, 1, 2)).reshape(-1, d)
+    c_conj = c.conj()
+    kc = np.repeat(k, per_group, axis=0) * c
+    offsets = n[None, :] - n[:, None] + 2 * n_max
 
+    def gather(integrals):
+        # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and sampled axis
+        return np.real(np.einsum("sm,amn,sn->sa", c_conj, integrals[:, offsets], kc))
 
-def _moment_weights(shape, phi):
-    """g / (2 pi f^2), shape (..., 3)."""
-    f = geometry.speed(shape, phi)
-    return _moment_integrand(shape, phi) / (2.0 * math.pi * f * f)[..., None]
-
-
-def _winding_moments(shape, weights, harmonics, gather, quad):
-    """Moment vectors from the one-winding harmonics of a weight's nonzero rows.
-
-    ``weights(shape, phi)`` has the axis last.  Only its z row is sampled
-    for omega >= 2 (all three at omega = 1); ``gather`` maps the
-    integrals of those rows to an array with them on the last axis, and
-    the rows left out come back as exact zeros.
-    """
-    axes = [0, 1, 2] if shape.omega == 1 else [2]
-    result = integrate_harmonics(
-        lambda theta: weights(shape, theta / shape.omega)[..., axes].T, harmonics, gather, quad
-    )
-    out = np.zeros(result.value.shape[:-1] + (3,))
-    out[..., axes] = result.value
-    return out
+    vectors = np.zeros((groups * per_group, 3))
+    vectors[:, _moment_axes(shape)] = settle(grid, "moments", gather, relative=True).value
+    return (vectors / 10.0).reshape(groups, per_group, 3)
 
 
 def moment_vectors(shape, coefficients, k, quad=None):
@@ -216,23 +212,29 @@ def moment_vectors(shape, coefficients, k, quad=None):
     (B, S, 3) moment vectors.  The grid of one winding is refined until
     all moments together settle to ``tolerance * max(1, max |T|)``.
     """
-    groups, d, per_group = coefficients.shape
-    n_max = (d - 1) // 2
-    n = np.arange(-n_max, n_max + 1)
-    # one row per state, group-major, as C-contiguous (states, d) arrays
-    c = np.ascontiguousarray(np.swapaxes(coefficients, 1, 2)).reshape(-1, d)
-    c_conj = c.conj()
-    kc = np.repeat(k, per_group, axis=0) * c
-    offsets = n[None, :] - n[:, None] + 2 * n_max
+    n_max = (coefficients.shape[1] - 1) // 2
+    return _moments(winding_grid(shape, quad, n_max, moments="weights"), shape, coefficients, k)
 
-    def gather(integrals):
-        # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and axis
-        return np.real(np.einsum("sm,amn,sn->sa", c_conj, integrals[:, offsets], kc))
 
-    vectors = _winding_moments(
-        shape, _moment_weights, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad
-    )
-    return (vectors / 10.0).reshape(groups, per_group, 3)
+def branch_moments(shape, branches, n_max, quad=None, length=False):
+    """Spectra and moments of every (p, include_vc) pair, and the arc length, from one pass.
+
+    One ``spectrum.winding_grid`` samples the Hamiltonian's rows, the
+    moment weights and (when ``length`` is set) f together.  The
+    Hamiltonians settle first and are solved as ``branch_spectra`` solves
+    them; the moments of all their states then settle on the stored
+    levels, as ``moment_vectors`` of the eigenvectors, and the arc length
+    last, as ``geometry.arc_length``.  Each quantity stops at its own
+    level, so every result equals the one of the standalone call bit for
+    bit.  Returns ``(decomposition, vectors, length)``: the
+    ``EigenDecomposition`` of ``branch_spectra``, the (B, d, 3) moment
+    vectors and the length (None unless ``length`` is set).
+    """
+    grid = winding_grid(shape, quad, n_max, branches, moments="weights", length=length)
+    dec = eigh_stack(_hamiltonians(grid, shape, branches, n_max))
+    k = branch_momenta(shape, [p for p, _ in branches], n_max)
+    vectors = _moments(grid, shape, dec.eigenvectors, k)
+    return dec, vectors, settle(grid, "length").value.real if length else None
 
 
 def toroidal_moments(states, shape, quad=None):
@@ -259,9 +261,12 @@ def toroidal_moment(state, shape, quad=None):
 
 def classical_moment_numeric(shape, loop_current, quad=None):
     """Toroidal moment vector of a constant loop current by quadrature."""
-    return _winding_moments(
-        shape, _moment_integrand, [0], lambda integrals: loop_current * integrals[:, 0].real, quad
-    ) / 10.0
+    grid = winding_grid(shape, quad, moments="integrand")
+    vector = np.zeros(3)
+    vector[list(_moment_axes(shape))] = settle(
+        grid, "moments", lambda integrals: loop_current * integrals[:, 0].real, relative=True
+    ).value
+    return vector / 10.0
 
 
 def classical_moment_closed(shape, loop_current):
@@ -270,10 +275,14 @@ def classical_moment_closed(shape, loop_current):
     return np.array([0.0, 0.0, z])
 
 
+def loop_current(p, length):
+    """Loop current 2*pi*p/L^2 of a curvature-free particle in branch p on a curve of length L."""
+    return 2.0 * math.pi * p / (length * length)
+
+
 def free_particle_current(shape, p, quad=None):
     """Loop current 2*pi*p/L^2 of a curvature-free particle in branch p."""
-    length = geometry.arc_length(shape, quad)
-    return 2.0 * math.pi * p / (length * length)
+    return loop_current(p, geometry.arc_length(shape, quad))
 
 
 def thermal_average(moments, spec):

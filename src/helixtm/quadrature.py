@@ -6,14 +6,25 @@ estimates agree gives both the value and a usable error estimate.  Node
 doubling reuses every previously evaluated point: the refined grid is the
 old grid interleaved with its midpoints.
 
-Two entry points share that one doubling loop.  ``integrate_periodic``
-integrates a single scalar integrand.  ``integrate_harmonics`` samples a
-few real functions once per grid, takes the trapezoid integrals of any
-set of their Fourier harmonics from one real FFT, and gathers them into
-an array-valued result (a whole Hamiltonian, a moment vector); the loop
-stops when that whole array settles.  The trapezoid sum is linear, so on
-a given grid each gathered entry is the same sum ``integrate_periodic``
-would form for it, taken in another order.
+One loop, ``settle``, does all the doubling.  It walks the levels of a
+``NestedGrid``: the samples of a few groups of rows (parts) on one grid,
+of which only the finest are kept, since level l is every
+2**(finest - l)-th of them.  Several quantities settle on one grid one
+after another, each with its own estimate and stopping rule and at its
+own level; a later quantity reads the levels already stored and samples
+only its own rows past them.  A part can be read through the trapezoid
+integrals of a set of its Fourier harmonics, taken by one real FFT per
+level for all such rows of the grid and kept for later quantities.
+The trapezoid sum is linear, so on a given level each of those entries is
+the same sum ``integrate_periodic`` would form for it, taken in another
+order.
+
+``integrate_periodic`` (one scalar integrand, absolute stopping test) and
+``integrate_harmonics`` (harmonics of a few real functions gathered into
+an array, such as a whole Hamiltonian; relative stopping test) are the
+one-quantity grids.  The spectrum's pass over a shape
+(``spectrum.winding_grid``) holds the Hamiltonian's rows, the moment
+weights and the speed on one grid.
 
 On a helix every function the spectral passes integrate depends on the
 turn angle phi only through the winding angle theta = omega*phi, and
@@ -52,9 +63,13 @@ class QuadratureSpec:
     """Grid-refinement policy: start size, target accuracy, refinement cap.
 
     ``initial_points`` is the first grid's size on [0, 2*pi).  The
-    Hamiltonian, moment and arc-length passes integrate over one winding,
-    so there it counts points per winding; the default of 64 resolves the
-    low winding harmonics from the first grid for every omega.
+    Hamiltonian, the moments and the arc length are integrated over one
+    winding, so there it counts points per winding; the default of 64
+    resolves the low winding harmonics from the first grid for every
+    omega.  ``tolerance`` and ``max_doublings`` apply to each quantity of
+    a ``NestedGrid`` separately: each may double the grid up to
+    ``max_doublings`` times, to ``initial_points * 2**max_doublings``
+    points.
     """
 
     initial_points: int = 64
@@ -74,10 +89,10 @@ class QuadratureSpec:
 class QuadratureResult:
     """Converged (or best) estimate of a periodic integral.
 
-    ``value`` is a complex number from ``integrate_periodic`` and an
-    ndarray from ``integrate_harmonics``.  ``error_estimate`` is the last
-    inter-grid change (the largest over the entries of an array value)
-    and ``points_used`` the final grid size.
+    ``value`` is what the quantity's estimate returns: a complex number
+    from ``integrate_periodic``, an ndarray from ``integrate_harmonics``.
+    ``error_estimate`` is the last inter-grid change (the largest over the
+    entries of an array value) and ``points_used`` the final grid size.
     """
 
     value: complex | np.ndarray
@@ -113,39 +128,154 @@ def _interleave(old, new):
     return merged
 
 
-def _refine(sample, estimate, spec, relative):
-    """The node-doubling loop shared by both integrators.
+def _trapezoid(vals):
+    """The trapezoid integral over [0, 2*pi) of one row of samples, as a complex."""
+    return complex(2.0 * math.pi * np.sum(np.asarray(vals, dtype=complex)) / vals.shape[-1])
 
-    ``sample(nodes)`` returns values with the node axis last;
-    ``estimate(values)`` turns the samples of a whole grid into the
-    quantity being computed.  Each doubling samples only the midpoints
-    and interleaves them with the old values.  The loop stops once the
-    largest change of the estimate is at most ``spec.tolerance``, scaled
-    by ``max(1, max |estimate|)`` when ``relative`` is set.
+
+class NestedGrid:
+    """Samples of a few groups of rows, the *parts*, on one node-doubling grid.
+
+    ``sample(nodes, names)`` returns the rows of the named parts at the
+    given nodes, stacked in the order of ``parts``, node axis last.
+    ``parts`` maps each name to its number of rows, in that order (None
+    for a grid of one part, whose rows are whatever ``sample`` returns).
+    The rows of the parts named in ``transformed``, which come first,
+    are read through the trapezoid integrals of their ``harmonics``.
+
+    Quantities computed from the parts settle one after another with
+    ``settle``, each at its own level.  Level l has
+    ``spec.initial_points * 2**l`` nodes, and only the finest samples of
+    a part are kept: its level l is every 2**(finest - l)-th of them,
+    the same floats, because doubling interleaves the new midpoints with
+    the old nodes.  Until the first quantity has settled, each level
+    samples every part in one ``sample`` call; after that a quantity that
+    needs a level past the stored ones samples only its own rows.  The
+    harmonics of a level are taken by one real FFT over the transformed
+    rows of one stored array and kept for the quantities that settle
+    later.
     """
-    n = spec.initial_points
-    nodes = 2.0 * math.pi * np.arange(n) / n
-    vals = sample(nodes)
-    current = estimate(vals)
 
-    for _ in range(spec.max_doublings):
-        mids = nodes + math.pi / n
-        vals = _interleave(vals, sample(mids))
-        nodes = _interleave(nodes, mids)
-        n *= 2
+    def __init__(self, sample, parts, spec=None, harmonics=(), transformed=()):
+        self._sample = sample
+        self.spec = spec if spec is not None else QuadratureSpec()
+        self._names = tuple(parts)
+        self._rows, start = {}, 0
+        for name, count in parts.items():
+            self._rows[name] = slice(None) if count is None else slice(start, start + count)
+            start += count or 0
+        self._transformed = tuple(transformed)
+        # the rows of every transformed part
+        self._joint = slice(0, self._rows[transformed[-1]].stop) if transformed else None
+        self._harmonics = np.asarray(harmonics, dtype=int)
+        n = self.spec.initial_points
+        self._nodes = 2.0 * math.pi * np.arange(n) / n  # the finest nodes so far
+        self._top = 0  # their level
+        self._shared, self._shared_level = None, -1  # every part, sampled together
+        self._own = {}  # name -> (level, samples) of a part refined on its own
+        self._picked = {}  # (name, level) -> harmonic integrals
+        self._together = True
 
-        refined = estimate(vals)
-        change = float(np.max(np.abs(refined - current)))
-        current = refined
-        limit = spec.tolerance
-        if relative:
-            limit *= max(1.0, float(np.max(np.abs(current))))
-        if change <= limit:
-            return QuadratureResult(value=current, error_estimate=change, points_used=n)
+    def _mids(self, level):
+        """The nodes that level ``level`` adds to level - 1."""
+        if level > self._top:
+            mids = self._nodes + math.pi / (self.spec.initial_points << self._top)
+            self._nodes = _interleave(self._nodes, mids)
+            self._top = level
+            return mids
+        step = 1 << (self._top - level)
+        return self._nodes[step::2 * step]
 
-    raise QuadratureNotConverged(
-        QuadratureResult(value=current, error_estimate=change, points_used=n)
-    )
+    def _samples(self, name, level):
+        """The part's samples on level ``level``, at most one level past the stored ones."""
+        top, vals = self._own.get(name, (self._shared_level, self._shared))
+        if level > top:
+            names = self._names if self._together else (name,)
+            new = self._sample(self._nodes if level == 0 else self._mids(level), names)
+            if self._together:
+                self._shared = new if level == 0 else _interleave(self._shared, new)
+                self._shared_level = top = level
+                vals = self._shared
+            else:
+                old = vals if name in self._own else vals[self._rows[name]]
+                vals = _interleave(old, new)
+                self._own[name] = (level, vals)
+                return vals
+        if name not in self._own:
+            vals = vals[self._rows[name]]
+        return vals[..., :: 1 << (top - level)]
+
+    def _integrals(self, name, level):
+        """Trapezoid integrals of the part's harmonics on level ``level``, cached."""
+        picked = self._picked.get((name, level))
+        if picked is not None:
+            return picked
+        vals = self._samples(name, level)
+        if level > self._shared_level:  # the part's own rows
+            names, rows = (name,), {name: slice(None)}
+        else:  # every transformed part of the shared samples
+            vals = self._shared[self._joint, :: 1 << (self._shared_level - level)]
+            names, rows = self._transformed, self._rows
+        n = vals.shape[-1]
+        spectra = np.fft.rfft(vals, axis=-1)
+        # sum_j g(phi_j) e^{i h phi_j} is DFT index (-h) mod n; indices past
+        # n/2 are the conjugates of their mirror images for real g.
+        idx = (-self._harmonics) % n
+        upper = idx > n // 2
+        picked = spectra[:, np.where(upper, n - idx, idx)]
+        picked[:, upper] = picked[:, upper].conj()
+        picked *= 2.0 * math.pi / n
+        for other in names:
+            self._picked[(other, level)] = picked[rows[other]]
+        return self._picked[(name, level)]
+
+    def _estimate(self, name, level, gather):
+        if name in self._transformed:
+            return gather(self._integrals(name, level))
+        return gather(self._samples(name, level))
+
+
+def settle(grid, part, gather=_trapezoid, relative=False):
+    """Walk the levels of one part of a grid until its quantity settles.
+
+    This is the package's one node-doubling loop.  ``gather`` maps the
+    part's level to the quantity being computed: the (k, len(harmonics))
+    trapezoid integrals ``I[i, j] = Integral_0^{2pi} g_i(phi) exp(i h_j
+    phi) dphi`` of a transformed part, the samples of any other part.
+    The default integrates a part of one row.  Levels already stored
+    cost no sampling; the walk samples a level only when it first needs
+    it (see ``NestedGrid``).  It stops once the largest change of the
+    quantity between two levels is at most ``spec.tolerance``, scaled by
+    ``max(1, max |quantity|)`` when ``relative`` is set, and returns the
+    quantity on the finer level.  Once this returns or raises, later
+    quantities of the grid refine only their own rows.
+
+    Raises
+    ------
+    QuadratureNotConverged
+        If ``spec.max_doublings`` levels do not reach the tolerance.  The
+        exception's ``result`` attribute holds the best estimate.
+    """
+    spec = grid.spec
+    try:
+        current = grid._estimate(part, 0, gather)
+        for level in range(1, spec.max_doublings + 1):
+            refined = grid._estimate(part, level, gather)
+            change = float(np.max(np.abs(refined - current)))
+            current = refined
+            limit = spec.tolerance
+            if relative:
+                limit *= max(1.0, float(np.max(np.abs(current))))
+            if change <= limit:
+                return QuadratureResult(
+                    value=current, error_estimate=change, points_used=spec.initial_points << level
+                )
+        raise QuadratureNotConverged(QuadratureResult(
+            value=current, error_estimate=change,
+            points_used=spec.initial_points << spec.max_doublings,
+        ))
+    finally:
+        grid._together = False
 
 
 def integrate_periodic(fn, spec=None):
@@ -171,14 +301,8 @@ def integrate_periodic(fn, spec=None):
         If max_doublings refinements do not reach the tolerance.  The
         exception's ``result`` attribute holds the best estimate.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    return _refine(
-        lambda nodes: _eval(fn, nodes),
-        lambda vals: complex(2.0 * math.pi * np.sum(vals) / vals.shape[-1]),
-        spec,
-        relative=False,
-    )
+    grid = NestedGrid(lambda nodes, names: _eval(fn, nodes), {"fn": None}, spec)
+    return settle(grid, "fn")
 
 
 def integrate_harmonics(sample, harmonics, gather, spec=None):
@@ -216,22 +340,8 @@ def integrate_harmonics(sample, harmonics, gather, spec=None):
     One real FFT per grid gives every harmonic.  A harmonic at or beyond
     the grid's Nyquist index aliases exactly as in the trapezoid sum
     itself, so coarse grids give the same (under-resolved) integrals as
-    ``integrate_periodic`` would.  Only the (k, N) samples and their
-    (k, N/2 + 1) transform are held.
+    ``integrate_periodic`` would.  The (k, N) samples of the finest level
+    are held, with the wanted harmonics of every level.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    harmonics = np.asarray(harmonics, dtype=int)
-
-    def estimate(vals):
-        n = vals.shape[-1]
-        spectra = np.fft.rfft(vals, axis=-1)
-        # sum_j g(phi_j) e^{i h phi_j} is DFT index (-h) mod n; indices past
-        # n/2 are the conjugates of their mirror images for real g.
-        idx = (-harmonics) % n
-        upper = idx > n // 2
-        picked = spectra[:, np.where(upper, n - idx, idx)]
-        picked[:, upper] = picked[:, upper].conj()
-        return gather(picked * (2.0 * math.pi / n))
-
-    return _refine(sample, estimate, spec, relative=True)
+    grid = NestedGrid(lambda nodes, names: sample(nodes), {"g": None}, spec, harmonics, ["g"])
+    return settle(grid, "g", gather, relative=True)

@@ -65,9 +65,19 @@ so ``build_hamiltonians`` assembles any list of (p, include_vc) pairs
 from one pass: it samples A without V_c and A with V_c (each only if a
 pair needs it), B and C once per grid of one winding, takes all their
 harmonics from one real FFT, gathers every matrix and refines the grid
-until the whole stack settles (``integrate_harmonics``).  The sampler
-takes f, f', f'' and V_c from one evaluation of the winding angle's sine
-and cosine (``geometry.speed_terms``).
+until the whole stack settles (``quadrature.settle``, relative test).
+The sampler takes f, f', f'' and V_c from one evaluation of the winding
+angle's sine and cosine (``geometry.winding_terms``).
+
+That grid is ``winding_grid``, the one pass over a shape.  Besides the
+rows of H it can hold the moment weights g / (2 pi f^2) and f itself, so
+``observables.branch_moments`` samples the Hamiltonian, the toroidal
+moments and the arc length of a command together: H settles first, the
+moments then settle with its eigenvectors on the stored levels, and the
+arc length last, each at its own level and refining only its own rows
+past the stored ones.  ``branch_spectra``, ``observables.moment_vectors``,
+``observables.classical_moment_numeric`` and ``geometry.arc_length`` are
+the grids of one quantity.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
@@ -93,7 +103,7 @@ import numpy as np
 
 from . import geometry
 from .linalg import HermitianMatrix, eigh_stack
-from .quadrature import QuadratureSpec, integrate_harmonics
+from .quadrature import NestedGrid, QuadratureSpec, settle
 
 
 def _check_n_max(n_max):
@@ -192,35 +202,94 @@ def branch_momenta(shape, ps, n_max):
     return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
 
 
-def _hamiltonian_stack(shape, branches, n_max, quad):
-    """The (len(branches), d, d) array of matrices ``build_hamiltonians`` returns."""
+def _moment_axes(shape):
+    """The rows of g a moment pass samples: z for omega >= 2, all three at omega = 1."""
+    return (0, 1, 2) if shape.omega == 1 else (2,)
+
+
+def _vc_variants(branches):
+    """The V_c settings in use, sorted: one sampled row of A each, the one with V_c last."""
+    return sorted({bool(vc) for _, vc in branches})
+
+
+def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=False):
+    """The ``quadrature.NestedGrid`` of one shape's pass over one winding.
+
+    Its parts, sampled together by one ``geometry.winding_terms`` call
+    per level until the first of them settles, are
+
+    - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
+      setting the (p, include_vc) pairs use, then B and C;
+    - ``"moments"``: the nonzero rows of the toroidal-moment weight
+      g / (2 pi f^2) (``moments="weights"``) or of g itself
+      (``moments="integrand"``), the z row for omega >= 2 and all three
+      rows at omega = 1 (see ``observables``);
+    - ``"length"`` (when ``length`` is set): f.
+
+    The first two are read through their harmonics -2*n_max..2*n_max
+    (harmonic 0 alone at n_max = 0).  Every part is sampled at
+    phi = theta/omega, so the grid counts points per winding.  Nothing is
+    sampled until a quantity settles on the grid (``quadrature.settle``).
+    """
+    variants = _vc_variants(branches)
+    axes = _moment_axes(shape) if moments else ()
+    parts = {}
+    if variants:
+        parts["hamiltonian"] = len(variants) + 2
+    if moments:
+        parts["moments"] = len(axes)
+    if length:
+        parts["length"] = 1
+    weighted = moments == "weights"
+
+    def sample(theta, names):
+        phi = theta / shape.omega
+        hamiltonian = "hamiltonian" in names
+        f, f1, f2, vc, g = geometry.winding_terms(
+            shape, phi, derivatives=hamiltonian, potential=hamiltonian and variants[-1],
+            moment_axes=axes if "moments" in names else (),
+        )
+        out = np.empty((sum(parts[name] for name in names), phi.size))
+        row = 0
+        if hamiltonian:
+            out[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
+            if variants[-1]:
+                out[len(variants) - 1] += vc
+            out[len(variants)] = 0.5 / (f * f)
+            out[len(variants) + 1] = f1 / f**3
+            row = len(variants) + 2
+        if g is not None:
+            out[row: row + len(axes)] = g / (2.0 * math.pi * f * f) if weighted else g
+            row += len(axes)
+        if "length" in names:
+            out[row] = f
+        return out
+
+    transformed = [name for name in ("hamiltonian", "moments") if name in parts]
+    return NestedGrid(sample, parts, quad, np.arange(-2 * n_max, 2 * n_max + 1), transformed)
+
+
+def _hamiltonians(grid, shape, branches, n_max):
+    """The (len(branches), d, d) matrices of the pairs, settled on a ``winding_grid``
+    of the same branches and n_max."""
     if not branches:
         raise ValueError("need at least one branch")
     idx = np.arange(-n_max, n_max + 1)
     k = branch_momenta(shape, [p for p, _ in branches], n_max)[:, None, :]
     offsets = idx[None, :] - idx[:, None] + 2 * n_max
-    # one sampled row of A per V_c setting in use (the one with V_c
-    # last), then B and C
-    variants = sorted({bool(vc) for _, vc in branches})
+    variants = _vc_variants(branches)
     a_rows = [variants.index(bool(vc)) for _, vc in branches]
-
-    def sample(theta):
-        phi = theta / shape.omega
-        f, f1, f2, vc = geometry.speed_terms(shape, phi, with_potential=variants[-1])
-        terms = np.empty((len(variants) + 2, phi.size))
-        terms[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
-        if variants[-1]:
-            terms[len(variants) - 1] += vc
-        terms[-2] = 0.5 / (f * f)
-        terms[-1] = f1 / f**3
-        return terms
 
     def gather(integrals):
         blocks = integrals[:, offsets]
         return blocks[a_rows].real + (k * k) * blocks[-2].real - k * blocks[-1].imag
 
-    result = integrate_harmonics(sample, np.arange(-2 * n_max, 2 * n_max + 1), gather, quad)
-    return result.value / (2.0 * math.pi)
+    return settle(grid, "hamiltonian", gather, relative=True).value / (2.0 * math.pi)
+
+
+def _hamiltonian_stack(shape, branches, n_max, quad):
+    """The (len(branches), d, d) array of matrices ``build_hamiltonians`` returns."""
+    return _hamiltonians(winding_grid(shape, quad, n_max, branches), shape, branches, n_max)
 
 
 def build_hamiltonians(shape, branches, n_max, quad=None):

@@ -6,8 +6,10 @@ toroidal moments as quadratic forms in the coefficients.  The references
 here do neither.  ``hamiltonian_element`` integrates one complex element
 H[m, n] over the whole turn, imaginary part included, and
 ``moment_from_current`` integrates j(phi) * g_axis(phi) over the whole
-turn on all three axes.  Both start from omega times the spec's points
-per winding, the density production works at.
+turn on all three axes, with g = (r' . r) r - 2 r^2 r' formed from the
+stacked ``position`` and ``velocity`` (``moment_integrand``) rather than
+from production's elementwise rows.  Both integrals start from omega
+times the spec's points per winding, the density production works at.
 """
 
 import math
@@ -16,8 +18,16 @@ from dataclasses import replace
 import numpy as np
 
 from helixtm import geometry
-from helixtm.observables import _moment_integrand
 from helixtm.quadrature import QuadratureSpec, integrate_periodic
+
+
+def moment_integrand(shape, phi):
+    """g = (r' . r) r - 2 r^2 r' from the stacked ``position`` and ``velocity``, shape (..., 3)."""
+    r = geometry.position(shape, phi)
+    v = geometry.velocity(shape, phi)
+    dot = np.sum(v * r, axis=-1)
+    rsq = np.sum(r * r, axis=-1)
+    return dot[..., None] * r - 2.0 * rsq[..., None] * v
 
 
 def hamiltonian_element(shape, basis, m, n, config):
@@ -53,6 +63,6 @@ def moment_from_current(shape, current_fn, quad):
     out = np.empty(3)
     for axis in range(3):
         def integrand(phi, axis=axis):
-            return current_fn(phi) * _moment_integrand(shape, phi)[..., axis]
+            return current_fn(phi) * moment_integrand(shape, phi)[..., axis]
         out[axis] = integrate_periodic(integrand, quad).value.real / 10.0
     return out

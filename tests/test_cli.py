@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from helixtm import cli, observables, spectrum
+from helixtm import cli, geometry, observables, spectrum
 from helixtm.cli import GEOMETRY_HEADER, main
-from helixtm.quadrature import integrate_harmonics
+from helixtm.quadrature import NestedGrid, QuadratureNotConverged
 
 FLAT6_ARGS = ["--R", "1", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1"]
 
@@ -193,28 +193,45 @@ class TestMoments:
 
 class TestSharedPasses:
     @pytest.mark.parametrize(
-        "argv, passes",
+        "argv",
         [
-            (["moments", "--omega", "6", "--p", "0-5"], 2),
-            (["thermal", "--omega", "6", "--p", "0-5", "--temperature", "0.1"], 2),
-            (["spectrum", "--omega", "6", "--p", "0-5"], 1),
-            (["current", "--omega", "6", "--p", "0-5", "--grid", "16"], 1),
+            ["moments", "--omega", "6", "--p", "0-5"],
+            ["thermal", "--omega", "6", "--p", "0-5", "--temperature", "0.1"],
+            ["spectrum", "--omega", "6", "--p", "0-5"],
+            ["current", "--omega", "6", "--p", "0-5", "--grid", "16"],
         ],
     )
-    def test_one_assembly_and_one_moment_pass_per_command(self, capsys, monkeypatch, argv, passes):
-        # every branch and V_c setting shares one assembly, every state one
-        # moment pass
-        calls = []
+    def test_one_sampling_pass_per_command(self, capsys, monkeypatch, argv):
+        # every branch and V_c setting, every state's moment and the arc
+        # length share one nested grid of the shape
+        grids = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return integrate_harmonics(*args, **kwargs)
+        class Counting(NestedGrid):
+            def __init__(self, *args, **kwargs):
+                grids.append(args)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "integrate_harmonics", counting)
-        monkeypatch.setattr(observables, "integrate_harmonics", counting)
+        monkeypatch.setattr(spectrum, "NestedGrid", Counting)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == passes
+        assert len(grids) == 1
+
+    def test_moments_samples_no_angle_twice(self, capsys, monkeypatch):
+        angles = []
+        original = geometry.winding_terms
+
+        def recording(shape, phi, *args, **kwargs):
+            angles.append(np.array(phi))
+            return original(shape, phi, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "winding_terms", recording)
+        code, _, _ = run_cli(capsys, "moments", "--omega", "6", "--p", "0-5")
+        assert code == 0
+        sampled = np.concatenate(angles)
+        # the Hamiltonian, the moments and the arc length of this round coil
+        # all settle by 256 points per winding
+        assert 64 <= sampled.size <= 256
+        assert np.unique(sampled).size == sampled.size
 
 
 class TestPotential:
@@ -327,6 +344,44 @@ class TestExitCodes:
         )
         assert not target.exists()
 
+    # One stage of the shared pass fails in each case: the Hamiltonian, the
+    # moments or the arc length reaches the doubling cap while the stages
+    # before it settle.  The messages are those the three separate passes
+    # printed before they shared one grid.
+    @pytest.mark.parametrize("argv, stage, message", [
+        (["moments", "--a", "0.99", "--b", "0.01", "--omega", "6", "--p", "0",
+          "--quad-tol", "3e-15"],
+         "hamiltonian", "no convergence after 16384 points (last change 8.586e-10)"),
+        (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0", "--n-max", "8",
+          "--quad-tol", "3e-15"],
+         "moments", "no convergence after 16384 points (last change 5.995e-15)"),
+        (["thermal", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0", "--n-max", "8",
+          "--quad-tol", "3e-15", "--temperature", "1"],
+         "moments", "no convergence after 16384 points (last change 5.995e-15)"),
+        (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0",
+          "--quad-tol", "1e-14"],
+         "length", "no convergence after 16384 points (last change 2.842e-14)"),
+    ])
+    def test_each_stage_of_the_pass_fails_as_before(self, capsys, monkeypatch, tmp_path, argv,
+                                                    stage, message):
+        failed = []
+        original = observables.settle
+
+        def recording(grid, part, *args, **kwargs):
+            try:
+                return original(grid, part, *args, **kwargs)
+            except QuadratureNotConverged:
+                failed.append(part)
+                raise
+
+        monkeypatch.setattr(observables, "settle", recording)
+        monkeypatch.setattr(spectrum, "settle", recording)
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (3, "", f"helixtm: numerical failure: {message}\n")
+        assert failed == [stage]
+        assert not target.exists()
+
     @pytest.mark.parametrize("argv, status", [
         (["current", "--omega", "4", "--grid", "7"], 2),
         (["current", *FLAT6_ARGS, "--n-max", "16", "--quad-points", "32", "--quad-tol", "1e6"], 3),
@@ -415,6 +470,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("helixtm: error:") and err.count("\n") == 1
         assert not target.exists()
+
+
+class TestDegenerateFrame:
+    def test_round_coil_at_one_winding_is_usage_error(self, capsys, tmp_path):
+        # a (omega^2 + 1) = R: the curvature vanishes at phi = pi, a grid
+        # angle, where the frame is undefined; the table is refused whole
+        target = tmp_path / "g.csv"
+        code, out, err = run_cli(capsys, "geometry", "--omega", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("helixtm: error: curvature ") and err.count("\n") == 1
+        assert err.endswith("<= KAPPA_MIN, frame undefined\n")
+        assert "Traceback" not in err
+        assert not target.exists()
+        # an odd grid misses phi = pi and prints the table
+        code, out, _ = run_cli(capsys, "geometry", "--omega", "1", "--grid", "255")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 256
 
 
 class TestSharedParser:

@@ -23,11 +23,13 @@ from helixtm.geometry import (
     position,
     speed,
     speed_derivatives,
-    speed_terms,
     torsion,
     velocity,
+    winding_terms,
 )
 from helixtm.quadrature import QuadratureSpec
+
+from oracles import moment_integrand
 
 CIRCULAR = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UPRIGHT = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -216,8 +218,8 @@ def separate_speed_terms(shape, phi):
     return f, f1, f2, -np.hypot(k_n, k_e) ** 2 / 8.0
 
 
-class TestSpeedTerms:
-    """The fused sampler of the Hamiltonian pass against the separate functions."""
+class TestWindingTerms:
+    """The fused sampler of the pass over the winding against the separate functions."""
 
     @pytest.mark.parametrize("omega", [1, 2, 4, 6, 40])
     def test_bit_identical_to_separate_functions(self, omega):
@@ -225,11 +227,11 @@ class TestSpeedTerms:
         shapes = [HelixShape(R=1.0, a=a, b=b, omega=omega)
                   for a, b in [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]]
         shapes += [HelixShape(R=s.R, a=s.a, b=s.b, omega=omega) for s in random_shapes(rng, 4)]
-        # the one-winding grids the Hamiltonian pass samples, and random angles
+        # the one-winding grids the passes sample, and random angles
         theta = 2 * math.pi * np.arange(256) / 256
         for phi in (theta / omega, rng.uniform(-10.0, 10.0, 301)):
             for shape in shapes:
-                f, f1, f2, vc = speed_terms(shape, phi)
+                f, f1, f2, vc, g = winding_terms(shape, phi, moment_axes=(0, 1, 2))
                 want_f1, want_f2 = speed_derivatives(shape, phi)
                 assert np.array_equal(f, speed(shape, phi))
                 assert np.array_equal(f1, want_f1)
@@ -237,13 +239,21 @@ class TestSpeedTerms:
                 assert np.array_equal(vc, curvature_potential(shape, phi))
                 for got, want in zip((f, f1, f2, vc), separate_speed_terms(shape, phi)):
                     assert np.array_equal(got, want)
+                # the elementwise rows of g equal the ones formed from the
+                # stacked position and velocity
+                assert g.shape == (3, phi.size)
+                assert np.array_equal(g, moment_integrand(shape, phi).T)
 
-    def test_potential_only_on_request(self):
+    def test_terms_only_on_request(self):
         phi = np.linspace(0.0, 1.0, 9)
-        f, f1, f2, vc = speed_terms(SIXTURN, phi, with_potential=False)
-        assert vc is None
+        f, f1, f2, vc, g = winding_terms(SIXTURN, phi, potential=False)
+        assert vc is None and g is None
         assert np.array_equal(f, speed(SIXTURN, phi))
         assert np.array_equal(f2, speed_derivatives(SIXTURN, phi)[1])
+        f, f1, f2, vc, g = winding_terms(SIXTURN, phi, derivatives=False, potential=False,
+                                         moment_axes=(2,))
+        assert f1 is None and f2 is None and vc is None
+        assert np.array_equal(g, moment_integrand(SIXTURN, phi)[:, 2:].T)
 
 
 class TestCurvature:

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from helixtm.quadrature import (
+    NestedGrid,
     QuadratureNotConverged,
     QuadratureResult,
     QuadratureSpec,
     integrate_harmonics,
     integrate_periodic,
+    settle,
 )
 
 
@@ -201,3 +203,80 @@ class TestHarmonics:
         assert partial.points_used == 16
         assert partial.value.shape == (2, 3)
         assert partial.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-6)
+
+
+def _smooth(phi):
+    return np.stack([np.exp(np.cos(phi)), 1.0 / (2.0 + np.sin(3 * phi))])
+
+
+def _sharp(phi):
+    return (1.0 / (1.02 + np.cos(phi)))[None]
+
+
+class TestNestedGrid:
+    """Quantities of one grid, each at its own level, against one integrator each."""
+
+    def grid(self, calls, spec):
+        rows = {"smooth": _smooth, "sharp": _sharp, "plain": lambda phi: np.exp(np.sin(phi))[None]}
+
+        def sample(nodes, names):
+            calls.append((names, nodes.size))
+            return np.concatenate([rows[name](nodes) for name in names])
+
+        return NestedGrid(sample, {"smooth": 2, "sharp": 1, "plain": 1}, spec,
+                          np.arange(-4, 5), ["smooth", "sharp"])
+
+    @pytest.mark.parametrize("first", ["smooth", "sharp"])
+    def test_each_quantity_equals_its_own_integrator(self, first):
+        # the sharp row needs a finer grid than the smooth ones: settled
+        # second it refines alone past the stored levels, settled first it
+        # leaves stored levels for the others to read
+        spec = QuadratureSpec(initial_points=8)
+        identity = lambda integrals: integrals
+        calls = []
+        grid = self.grid(calls, spec)
+        second = "sharp" if first == "smooth" else "smooth"
+        got = {name: settle(grid, name, identity, relative=True) for name in (first, second)}
+        got["plain"] = settle(grid, "plain", lambda vals: _trapezoid_of(vals[0]))
+        want = {
+            "smooth": integrate_harmonics(_smooth, np.arange(-4, 5), identity, spec),
+            "sharp": integrate_harmonics(_sharp, np.arange(-4, 5), identity, spec),
+            "plain": integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec),
+        }
+        assert got["sharp"].points_used > got["smooth"].points_used
+        for name, result in got.items():
+            assert np.array_equal(result.value, want[name].value)
+            assert result.points_used == want[name].points_used
+            assert result.error_estimate == want[name].error_estimate
+        # every part is sampled with the first quantity, up to its level;
+        # past it a part is sampled alone, and no angle of a part twice
+        levels = int(math.log2(got[first].points_used // 8)) + 1
+        assert [names for names, _ in calls[:levels]] == [("smooth", "sharp", "plain")] * levels
+        assert all(len(names) == 1 for names, _ in calls[levels:])
+        for name, result in got.items():
+            sampled = sum(size for names, size in calls if name in names)
+            assert sampled == max(got[first].points_used, result.points_used)
+
+    def test_default_gather_is_the_trapezoid_sum(self):
+        spec = QuadratureSpec(initial_points=8)
+        grid = NestedGrid(lambda nodes, names: np.exp(np.sin(nodes))[None], {"f": 1}, spec)
+        want = integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec)
+        got = settle(grid, "f")
+        assert got.value == want.value
+        assert (got.points_used, got.error_estimate) == (want.points_used, want.error_estimate)
+
+    def test_second_quantity_hits_the_cap_alone(self):
+        spec = QuadratureSpec(initial_points=8, max_doublings=4)
+        calls = []
+        grid = self.grid(calls, spec)
+        settle(grid, "smooth", lambda integrals: integrals, relative=True)
+        with pytest.raises(QuadratureNotConverged) as exc:
+            settle(grid, "sharp", lambda integrals: integrals, relative=True)
+        with pytest.raises(QuadratureNotConverged) as alone:
+            integrate_harmonics(_sharp, np.arange(-4, 5), lambda integrals: integrals, spec)
+        assert str(exc.value) == str(alone.value)
+        assert np.array_equal(exc.value.result.value, alone.value.result.value)
+
+
+def _trapezoid_of(row):
+    return complex(2.0 * math.pi * np.sum(row.astype(complex)) / row.size)

@@ -5,15 +5,17 @@ whole (p, V_c) stack with one ``linalg.eigh_stack`` call.  Each matrix
 must come out exactly as from one ``HermitianMatrix``, one
 ``eigen_decompose`` and one ``fix_phase`` per matrix, and the moments of
 the grouped states exactly as from ``toroidal_moments`` of the state
-list.
+list.  ``observables.branch_moments`` samples the Hamiltonian, the
+moments and the arc length in one pass; each must come out exactly as
+from its standalone call.
 """
 
 import numpy as np
 import pytest
 
-from helixtm.geometry import HelixShape
+from helixtm.geometry import HelixShape, arc_length
 from helixtm.linalg import HermiticityViolation, HermitianMatrix, eigen_decompose, fix_phase
-from helixtm.observables import moment_vectors, toroidal_moments
+from helixtm.observables import branch_moments, moment_vectors, toroidal_moments
 from helixtm.quadrature import QuadratureSpec
 from helixtm.spectrum import (
     BlochBasis,
@@ -48,6 +50,22 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
         assert [s.energy for s in states] == one.eigenvalues.tolist()
         for alpha, state in enumerate(states):
             assert np.array_equal(state.coefficients, want[:, alpha])
+
+
+@pytest.mark.parametrize("n_max", [2, 8, 16])
+@pytest.mark.parametrize("omega", [1, 4, 6, 40])
+@pytest.mark.parametrize("a, b", SHAPES)
+def test_one_pass_equals_standalone_calls(a, b, omega, n_max):
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    pairs = all_pairs(omega)
+    dec, vectors, length = branch_moments(shape, pairs, n_max, length=True)
+    alone = branch_spectra(shape, pairs, n_max)
+    k = branch_momenta(shape, [p for p, _ in pairs], n_max)
+    assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
+    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))
+    assert length == arc_length(shape)
+    assert branch_moments(shape, pairs, n_max)[2] is None
 
 
 @pytest.mark.parametrize(
