@@ -7,7 +7,7 @@ other name is imported from its module (``helixtm.geometry``,
 """
 
 from .geometry import HelixShape
-from .observables import toroidal_moment, toroidal_moments
-from .spectrum import SpectrumConfig, make_basis, solve_branches, solve_states
+from .observables import toroidal_moment
+from .spectrum import SpectrumConfig, make_basis, solve_states
 
 __version__ = "0.1.0"

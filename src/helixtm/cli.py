@@ -32,12 +32,12 @@ from .observables import (
     ThermalSpec,
     branch_moments,
     classical_moment_closed,
+    currents,
     loop_current,
-    sample_current_profiles,
     thermal_average,
 )
 from .quadrature import QuadratureNotConverged, QuadratureSpec
-from .spectrum import branch_spectra, solve_branches
+from .spectrum import branch_momenta, branch_spectra
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
@@ -237,6 +237,14 @@ def _grid_angles(settings):
     return 2.0 * np.pi * np.arange(settings.grid) / settings.grid
 
 
+def _r_squared(settings):
+    """R^2, the unit of reported energies and currents."""
+    try:
+        return settings.R**2
+    except OverflowError:
+        raise OverflowError(f"R^2 overflows for R = {settings.R:g}") from None
+
+
 def _fmt(value, digits):
     value = float(value)
     if value == 0.0:
@@ -283,11 +291,6 @@ def _grid_blocks(header, columns, digits):
     return chunks()
 
 
-def _grid_table(header, columns, digits):
-    """The whole text of ``_grid_blocks``."""
-    return "".join(_grid_blocks(header, columns, digits))
-
-
 def _cmd_geometry(settings):
     shape = _single_shape(settings)
     phi = _grid_angles(settings)
@@ -304,7 +307,7 @@ def _cmd_potential(settings):
         HelixShape(R=settings.R, a=a, b=b, omega=settings.omega)
         for a, b in zip(settings.a_list, settings.b_list)
     ]
-    scale = settings.R**2
+    scale = _r_squared(settings)
     header = "phi," + ",".join(f"Vc[a={s.a:g};b={s.b:g}]" for s in shapes)
     phi = _grid_angles(settings)
     columns = [phi] + [scale * curvature_potential(s, phi) for s in shapes]
@@ -314,7 +317,7 @@ def _cmd_potential(settings):
 def _cmd_spectrum(settings):
     shape = _single_shape(settings)
     d = settings.digits
-    scale = settings.R**2
+    scale = _r_squared(settings)
     dim = 2 * settings.n_max + 1
     lines = ["p,vc,row," + ",".join(f"alpha{i}" for i in range(dim))]
     pairs = _branch_pairs(settings)
@@ -330,19 +333,20 @@ def _cmd_spectrum(settings):
 
 def _cmd_current(settings):
     shape = _single_shape(settings)
-    scale = settings.R**2
-    header = ["phi"]
-    columns = [_grid_angles(settings)]
+    scale = _r_squared(settings)
     pairs = _branch_pairs(settings)
-    branches = solve_branches(shape, pairs, settings.n_max, settings.quad)
-    profiles = iter(sample_current_profiles(
-        [s for states in branches for s in states], shape, settings.grid))
-    for (p, include_vc), states in zip(pairs, branches):
-        tag = "on" if include_vc else "off"
-        for state, profile in zip(states, profiles):
-            header.append(f"j[p={p};alpha={state.alpha};vc={tag}]")
-            columns.append(scale * profile.values)
-    return _grid_blocks(",".join(header), columns, settings.digits)
+    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
+    if settings.grid < 2 * shape.omega:
+        raise UsageError(f"grid_size must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
+    phi = _grid_angles(settings)
+    k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
+    j = currents(shape, dec.eigenvectors, k, phi)
+    header = ["phi"] + [
+        f"j[p={p};alpha={alpha};vc={'on' if include_vc else 'off'}]"
+        for p, include_vc in pairs for alpha in range(j.shape[1])
+    ]
+    return _grid_blocks(",".join(header), [phi, *(scale * j).reshape(-1, settings.grid)],
+                        settings.digits)
 
 
 def _cmd_moments(settings):
@@ -372,7 +376,7 @@ def _cmd_thermal(settings):
         raise UsageError("'thermal' needs --temperature (or temperature= in the config)")
     d = settings.digits
     t_scale = 1.0 / settings.R
-    e_scale = settings.R**2
+    e_scale = _r_squared(settings)
     spec_norm = ThermalSpec(temperature=settings.temperature, normalize=True)
     spec_raw = ThermalSpec(temperature=settings.temperature, normalize=False)
     lines = [
@@ -419,8 +423,9 @@ def main(argv=None):
         else:
             with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
-    except (QuadratureNotConverged, NoConvergence, HermiticityViolation) as exc:
-        print(f"helixtm: numerical failure: {exc}", file=sys.stderr)
+    except (QuadratureNotConverged, NoConvergence, HermiticityViolation, OverflowError,
+            MemoryError) as exc:
+        print(f"helixtm: numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (UsageError, ValueError, OSError) as exc:
         print(f"helixtm: error: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ curve (the flux through the cross-section at angle phi) is
     S0 = sum_n C_n e^{i n omega phi},  S1 = sum_n (p + n*omega) C_n e^{i n omega phi}.
 
 The branch phase e^{i p phi} cancels between the factors, so only the
-relative harmonics enter: ``sample_current_profiles`` tabulates j of
-several states of one n_max from one table of e^{i n omega phi} and one
-evaluation of f.
+relative harmonics enter: ``currents`` tabulates j of a whole stack of
+states of one shape from one table of e^{i n omega phi} and one
+evaluation of f; ``current`` is its one-state case.
 
 The toroidal (anapole) moment of a line current j(phi) flowing along the
 curve is
@@ -60,10 +60,8 @@ puts those rows on the grid of the Hamiltonian (and f, for the arc
 length) and settles the spectra, their moments and the length in one
 sampling pass, each at its own level; every result equals the one of the
 standalone call bit for bit.  The command line's ``moments`` and
-``thermal`` use it.  ``toroidal_moments`` wraps ``moment_vectors``
-for any list of ``EigenState`` objects (mixed branches and V_c
-settings, one state per group) and returns ``MomentResult`` objects;
-``toroidal_moment`` is its one-state case.
+``thermal`` use it.  ``toroidal_moment`` is the one-state case of
+``moment_vectors``, wrapped in a ``MomentResult``.
 ``classical_moment_numeric`` takes harmonic 0 of the same rows of g.
 The rows of g are written elementwise by ``geometry.winding_terms``.
 The tests check the quantum moments against integrating j * g_axis
@@ -82,15 +80,6 @@ from . import geometry
 from .linalg import eigh_stack
 from .quadrature import settle
 from .spectrum import _hamiltonians, _moment_axes, branch_momenta, winding_grid
-
-
-@dataclass(frozen=True)
-class CurrentProfile:
-    """Sampled scalar current over one turn; state_ref = (p, alpha, vc)."""
-
-    phi: np.ndarray
-    values: np.ndarray
-    state_ref: tuple
 
 
 @dataclass(frozen=True)
@@ -121,65 +110,43 @@ class ThermalSpec:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def _shared_n_max(states):
-    """The n_max of a non-empty list of states that all share it."""
-    if not states:
-        raise ValueError("need at least one state")
-    n_max = states[0].n_max
-    if any(state.n_max != n_max for state in states):
-        raise ValueError("all states must share one n_max")
-    return n_max
-
-
 def _phase_table(shape, phi, n):
     """exp(i omega phi n) for every angle (rows) and harmonic (columns)."""
     return np.exp(1j * shape.omega * np.multiply.outer(phi, n.astype(float)))
 
 
-def _current_values(state, shape, phases, denominator):
-    k = state.p + shape.omega * state.n_indices
-    s0 = phases @ state.coefficients
-    s1 = phases @ (k * state.coefficients)
-    return np.real(np.conj(s0) * s1) / denominator
+def currents(shape, coefficients, k, phi):
+    """Scalar currents j(phi) of stacks of states of one shape, from one phase table.
+
+    ``coefficients`` (B, d, S) and ``k`` (B, d) are those of
+    ``moment_vectors``: S states per group in columns and the wavenumbers
+    p + omega*n of group b.  The phase table e^{i n omega phi} and the
+    speed are evaluated once for the whole stack.  Returns the currents
+    as a (B, S) + phi.shape array, the current of column s of group b at
+    ``[b, s]``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    groups, d, per_group = coefficients.shape
+    n_max = (d - 1) // 2
+    phases = _phase_table(shape, phi, np.arange(-n_max, n_max + 1))
+    f = geometry.speed(shape, phi)
+    denominator = 2.0 * math.pi * f * f
+    out = np.empty((groups, per_group) + phi.shape)
+    for b in range(groups):
+        for s in range(per_group):
+            # one product per column: a single one over all columns rounds
+            # differently, in the last bit
+            c = coefficients[b, :, s]
+            s0 = phases @ c
+            s1 = phases @ (k[b] * c)
+            out[b, s] = np.real(np.conj(s0) * s1) / denominator
+    return out
 
 
 def current(state, shape, phi):
-    """Scalar current j(phi) of a normalised eigenstate."""
-    phi = np.asarray(phi, dtype=float)
-    f = geometry.speed(shape, phi)
-    return _current_values(state, shape, _phase_table(shape, phi, state.n_indices),
-                           2.0 * math.pi * f * f)
-
-
-def sample_current_profiles(states, shape, grid_size):
-    """Tabulate j of several eigenstates of one shape on one uniform grid.
-
-    The states must share n_max; their branches and V_c settings may
-    differ.  The phase table and the speed are evaluated once for all of
-    them.  Returns one CurrentProfile per state, in order, with the
-    values of ``current`` bit for bit.  The grid needs at least 2 points
-    per winding.
-    """
-    _shared_n_max(states)
-    if grid_size < 2 * shape.omega:
-        raise ValueError(f"grid_size must be >= 2*omega = {2 * shape.omega}, got {grid_size}")
-    phi = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    phases = _phase_table(shape, phi, states[0].n_indices)
-    f = geometry.speed(shape, phi)
-    denominator = 2.0 * math.pi * f * f
-    return [
-        CurrentProfile(
-            phi=phi,
-            values=_current_values(state, shape, phases, denominator),
-            state_ref=(state.p, state.alpha, state.include_vc),
-        )
-        for state in states
-    ]
-
-
-def sample_current_profile(state, shape, grid_size):
-    """Tabulate j on a uniform angle grid (at least 2 points per winding)."""
-    return sample_current_profiles([state], shape, grid_size)[0]
+    """Scalar current j(phi) of a normalised eigenstate (``currents`` of one state)."""
+    k = state.p + shape.omega * state.n_indices
+    return currents(shape, state.coefficients[None, :, None], k[None], phi)[0, 0]
 
 
 def _moments(grid, shape, coefficients, k):
@@ -237,26 +204,12 @@ def branch_moments(shape, branches, n_max, quad=None, length=False):
     return dec, vectors, settle(grid, "length").value.real if length else None
 
 
-def toroidal_moments(states, shape, quad=None):
-    """Toroidal moments of several eigenstates of one shape, from one grid.
-
-    The states must share n_max; their branches and V_c settings may
-    differ.  Returns one MomentResult per state, in order
-    (``moment_vectors`` with one state per group).
-    """
-    n_max = _shared_n_max(states)
-    n = np.arange(-n_max, n_max + 1)
-    c = np.array([state.coefficients for state in states])[:, :, None]
-    k = np.array([state.p + shape.omega * n for state in states])
-    return [
-        MomentResult(vector=vec, z=float(vec[2]), state_ref=(s.p, s.alpha, s.include_vc))
-        for s, vec in zip(states, moment_vectors(shape, c, k, quad)[:, 0])
-    ]
-
-
 def toroidal_moment(state, shape, quad=None):
-    """Toroidal moment of an eigenstate's current distribution."""
-    return toroidal_moments([state], shape, quad)[0]
+    """Toroidal moment of an eigenstate's current distribution (``moment_vectors`` of one state)."""
+    k = state.p + shape.omega * state.n_indices
+    vector = moment_vectors(shape, state.coefficients[None, :, None], k[None], quad)[0, 0]
+    return MomentResult(vector=vector, z=float(vector[2]),
+                        state_ref=(state.p, state.alpha, state.include_vc))
 
 
 def classical_moment_numeric(shape, loop_current, quad=None):

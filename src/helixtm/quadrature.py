@@ -19,12 +19,11 @@ The trapezoid sum is linear, so on a given level each of those entries is
 the same sum ``integrate_periodic`` would form for it, taken in another
 order.
 
-``integrate_periodic`` (one scalar integrand, absolute stopping test) and
-``integrate_harmonics`` (harmonics of a few real functions gathered into
-an array, such as a whole Hamiltonian; relative stopping test) are the
-one-quantity grids.  The spectrum's pass over a shape
+``integrate_periodic`` (one scalar integrand, absolute stopping test) is
+the grid of one part of one row.  The spectrum's pass over a shape
 (``spectrum.winding_grid``) holds the Hamiltonian's rows, the moment
-weights and the speed on one grid.
+weights and the speed on one grid; its Hamiltonian and moments are read
+through their harmonics, with a relative stopping test.
 
 On a helix every function the spectral passes integrate depends on the
 turn angle phi only through the winding angle theta = omega*phi, and
@@ -90,7 +89,7 @@ class QuadratureResult:
     """Converged (or best) estimate of a periodic integral.
 
     ``value`` is what the quantity's estimate returns: a complex number
-    from ``integrate_periodic``, an ndarray from ``integrate_harmonics``.
+    from ``integrate_periodic``, an ndarray from a gather that returns one.
     ``error_estimate`` is the last inter-grid change (the largest over the
     entries of an array value) and ``points_used`` the final grid size.
     """
@@ -138,8 +137,7 @@ class NestedGrid:
 
     ``sample(nodes, names)`` returns the rows of the named parts at the
     given nodes, stacked in the order of ``parts``, node axis last.
-    ``parts`` maps each name to its number of rows, in that order (None
-    for a grid of one part, whose rows are whatever ``sample`` returns).
+    ``parts`` maps each name to its number of rows, in that order.
     The rows of the parts named in ``transformed``, which come first,
     are read through the trapezoid integrals of their ``harmonics``.
 
@@ -162,8 +160,8 @@ class NestedGrid:
         self._names = tuple(parts)
         self._rows, start = {}, 0
         for name, count in parts.items():
-            self._rows[name] = slice(None) if count is None else slice(start, start + count)
-            start += count or 0
+            self._rows[name] = slice(start, start + count)
+            start += count
         self._transformed = tuple(transformed)
         # the rows of every transformed part
         self._joint = slice(0, self._rows[transformed[-1]].stop) if transformed else None
@@ -301,47 +299,5 @@ def integrate_periodic(fn, spec=None):
         If max_doublings refinements do not reach the tolerance.  The
         exception's ``result`` attribute holds the best estimate.
     """
-    grid = NestedGrid(lambda nodes, names: _eval(fn, nodes), {"fn": None}, spec)
+    grid = NestedGrid(lambda nodes, names: _eval(fn, nodes)[None], {"fn": 1}, spec)
     return settle(grid, "fn")
-
-
-def integrate_harmonics(sample, harmonics, gather, spec=None):
-    """Harmonic integrals of a few real periodic functions, gathered and converged.
-
-    Parameters
-    ----------
-    sample : callable
-        Maps an ndarray of N angles to a real array of shape (k, N): the
-        k functions g_i sampled at those angles.
-    harmonics : array_like of int
-        The wanted harmonics h_j.
-    gather : callable
-        Maps the complex (k, len(harmonics)) array of trapezoid integrals
-        ``I[i, j] = Integral_0^{2pi} g_i(phi) exp(i h_j phi) dphi`` to the
-        quantity being computed, an ndarray.
-    spec : QuadratureSpec, optional
-        Defaults to QuadratureSpec().
-
-    Returns
-    -------
-    QuadratureResult
-        ``value`` is the gathered array on the final grid.  The loop stops
-        when no entry changes by more than ``spec.tolerance * max(1,
-        max |value|)`` between two grids; ``error_estimate`` is that
-        largest change.
-
-    Raises
-    ------
-    QuadratureNotConverged
-        If max_doublings refinements do not reach the tolerance.
-
-    Notes
-    -----
-    One real FFT per grid gives every harmonic.  A harmonic at or beyond
-    the grid's Nyquist index aliases exactly as in the trapezoid sum
-    itself, so coarse grids give the same (under-resolved) integrals as
-    ``integrate_periodic`` would.  The (k, N) samples of the finest level
-    are held, with the wanted harmonics of every level.
-    """
-    grid = NestedGrid(lambda nodes, names: sample(nodes), {"g": None}, spec, harmonics, ["g"])
-    return settle(grid, "g", gather, relative=True)

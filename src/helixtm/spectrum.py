@@ -53,7 +53,7 @@ odd.  So A_d and B_d are real, C_d is imaginary, and
 
     H[m, n] = Re A_d + k_n^2 Re B_d - k_n Im C_d.
 
-``build_hamiltonians`` gathers exactly that.  The parts it drops vanish
+The assembly gathers exactly that.  The parts it drops vanish
 on the trapezoid grid, which is symmetric under theta -> -theta, up to
 rounding; the tests check the real matrices against a complex
 full-turn reference element, imaginary part included.  Everything downstream
@@ -61,11 +61,12 @@ full-turn reference element, imaginary part included.  Everything downstream
 in place of a phase.
 
 Only A depends on whether V_c is included and only k on the branch p,
-so ``build_hamiltonians`` assembles any list of (p, include_vc) pairs
-from one pass: it samples A without V_c and A with V_c (each only if a
-pair needs it), B and C once per grid of one winding, takes all their
-harmonics from one real FFT, gathers every matrix and refines the grid
-until the whole stack settles (``quadrature.settle``, relative test).
+so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a
+shape from one pass: it samples A without V_c and A with V_c (each only
+if a pair needs it), B and C once per grid of one winding, takes all
+their harmonics from one real FFT, gathers every matrix and refines the
+grid until the whole stack settles (``quadrature.settle``, relative
+test).
 The sampler takes f, f', f'' and V_c from one evaluation of the winding
 angle's sine and cosine (``geometry.winding_terms``).
 
@@ -83,11 +84,12 @@ the grids of one quantity.
 with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
 sign rule for all B matrices, giving energies (B, d) and coefficients
 (B, d, d).  ``branch_momenta`` is the matching k = p + omega*n table,
-which ``observables.moment_vectors`` takes with the coefficients.
-``solve_branches`` wraps the arrays in ``EigenState`` objects;
-``build_hamiltonian`` and ``solve_states`` are the one-branch cases of
-``build_hamiltonians`` and ``solve_branches``.  Nothing enforces the
-symmetry: H[n, m] uses the harmonic -d and the other k, and
+which ``observables.moment_vectors`` and ``observables.currents`` take
+with the coefficients.  Arrays are the only batch path; the one-branch
+API wraps them in objects: ``build_hamiltonian`` is one matrix of the
+stack as a ``HermitianMatrix`` and ``solve_states`` one pair of
+``branch_spectra`` as a list of ``EigenState`` objects.  Nothing enforces
+the symmetry: H[n, m] uses the harmonic -d and the other k, and
 H[m, n] - H[n, m] = (k_n + k_m) * ((k_n - k_m) Re B_d - Im C_d)
 vanishes only to quadrature accuracy (integration by parts makes the
 bracket zero exactly), so the symmetry check on construction of each
@@ -288,28 +290,24 @@ def _hamiltonians(grid, shape, branches, n_max):
 
 
 def _hamiltonian_stack(shape, branches, n_max, quad):
-    """The (len(branches), d, d) array of matrices ``build_hamiltonians`` returns."""
-    return _hamiltonians(winding_grid(shape, quad, n_max, branches), shape, branches, n_max)
-
-
-def build_hamiltonians(shape, branches, n_max, quad=None):
-    """One real symmetric HermitianMatrix per (p, include_vc) pair, all from one grid.
+    """The (len(branches), d, d) real symmetric matrices of the pairs, from one grid.
 
     Every matrix gathers the harmonics d = n - m of the shared samples,
     taken over one winding, into Re A_d + k^2 Re B_d - k Im C_d with its
     own k = p + omega*n (see the module docstring for why that is all of
-    A_d + k^2 B_d + i k C_d).
-    Both triangles are gathered (no symmetry shortcut), so the
-    symmetry check on construction of each matrix is a real
-    consistency test of the quadrature.  The grid is refined until the
-    whole stack settles to ``tolerance * max(1, max |H|)``.
+    A_d + k^2 B_d + i k C_d).  Both triangles are gathered (no symmetry
+    shortcut), so the symmetry check of ``eigh_stack`` or
+    ``HermitianMatrix`` is a real consistency test of the quadrature.
+    The grid is refined until the whole stack settles to
+    ``tolerance * max(1, max |H|)``.
     """
-    return [HermitianMatrix(h) for h in _hamiltonian_stack(shape, branches, n_max, quad)]
+    return _hamiltonians(winding_grid(shape, quad, n_max, branches), shape, branches, n_max)
 
 
 def build_hamiltonian(shape, basis, config):
-    """The matrix of one branch over the basis (``build_hamiltonians`` of one pair)."""
-    return build_hamiltonians(shape, [(basis.p, config.include_vc)], basis.n_max, config.quad)[0]
+    """The HermitianMatrix of one branch over the basis (``_hamiltonian_stack`` of one pair)."""
+    pair = [(basis.p, config.include_vc)]
+    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max, config.quad)[0])
 
 
 def make_basis(shape, p, config):
@@ -320,7 +318,7 @@ def make_basis(shape, p, config):
 def branch_spectra(shape, branches, n_max, quad=None):
     """Spectra of every (p, include_vc) pair as arrays, from one pass and one solve.
 
-    The matrices of ``build_hamiltonians`` go through ``eigh_stack`` as
+    The matrices of ``_hamiltonian_stack`` go through ``eigh_stack`` as
     one (B, d, d) array, B = len(branches), d = 2*n_max + 1: the same
     checks (``HermiticityViolation`` for a too-coarse grid), one LAPACK
     call and one sign rule.  Returns an ``EigenDecomposition`` with
@@ -331,24 +329,14 @@ def branch_spectra(shape, branches, n_max, quad=None):
     return eigh_stack(_hamiltonian_stack(shape, branches, n_max, quad))
 
 
-def solve_branches(shape, branches, n_max, quad=None):
-    """States of every (p, include_vc) pair from one ``branch_spectra`` solve.
-
-    Returns one list per pair, each with its 2*n_max + 1 states sorted by
-    ascending energy.
-    """
-    dec = branch_spectra(shape, branches, n_max, quad)
-    return [
-        [
-            EigenState(energy=energy, coefficients=vecs[:, alpha], p=p, alpha=alpha,
-                       include_vc=include_vc)
-            for alpha, energy in enumerate(energies)
-        ]
-        for (p, include_vc), energies, vecs in zip(
-            branches, dec.eigenvalues.tolist(), dec.eigenvectors)
-    ]
-
-
 def solve_states(shape, basis, config):
-    """All 2*n_max + 1 states of a branch, sorted by ascending energy."""
-    return solve_branches(shape, [(basis.p, config.include_vc)], basis.n_max, config.quad)[0]
+    """All 2*n_max + 1 states of a branch, sorted by ascending energy.
+
+    The one-pair case of ``branch_spectra``, wrapped in ``EigenState`` objects.
+    """
+    dec = branch_spectra(shape, [(basis.p, config.include_vc)], basis.n_max, config.quad)
+    return [
+        EigenState(energy=energy, coefficients=dec.eigenvectors[0][:, alpha], p=basis.p,
+                   alpha=alpha, include_vc=config.include_vc)
+        for alpha, energy in enumerate(dec.eigenvalues[0].tolist())
+    ]

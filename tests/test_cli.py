@@ -11,7 +11,10 @@ import pytest
 
 from helixtm import cli, geometry, observables, spectrum
 from helixtm.cli import GEOMETRY_HEADER, main
+from helixtm.geometry import HelixShape
+from helixtm.observables import current
 from helixtm.quadrature import NestedGrid, QuadratureNotConverged
+from helixtm.spectrum import SpectrumConfig, make_basis, solve_states
 
 FLAT6_ARGS = ["--R", "1", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1"]
 
@@ -286,6 +289,31 @@ class TestCurrent:
         assert len(header) == 11
         assert len(rows) == 8
 
+    def test_multi_branch_columns_equal_one_state_current(self, capsys):
+        # every column of a stack of branches, with and without V_c, is the
+        # current of the state its header names, to the last bit
+        code, out, _ = run_cli(
+            capsys, "current", "--omega", "6", "--a", "0.75", "--b", "0.25", "--p", "0-5",
+            "--both", "--n-max", "3", "--grid", "64", "--digits", "17",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        table = np.array(rows, dtype=float)
+        shape = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
+        phi = 2.0 * np.pi * np.arange(64) / 64
+        assert np.array_equal(table[:, 0], phi)
+        assert len(header) == 1 + 6 * 2 * 7
+        states = {}
+        for column, name in enumerate(header[1:], 1):
+            p, alpha, vc = (part.split("=")[1] for part in name[2:-1].split(";"))
+            key = (int(p), vc == "on")
+            if key not in states:
+                cfg = SpectrumConfig(include_vc=key[1], n_max=3)
+                states[key] = solve_states(shape, make_basis(shape, key[0], cfg), cfg)
+            want = current(states[key][int(alpha)], shape, phi) + 0.0
+            assert np.array_equal(table[:, column], want), name
+        assert list(states) == [(p, vc) for p in range(6) for vc in (False, True)]
+
     def test_grid_below_two_points_per_winding_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "current", "--omega", "4", "--grid", "7")
         assert code == 2
@@ -392,6 +420,33 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--out", str(target))
         assert code == status
         assert err.count("\n") == 1
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "potential", "current", "thermal"])
+    def test_radius_whose_square_overflows_is_exit_three(self, capsys, tmp_path, command):
+        # energies and currents are reported in units of 1/R^2
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, command, "--R", "1e200", "--temperature", "0.1",
+                                 "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err == "helixtm: numerical failure: R^2 overflows for R = 1e+200\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 298. GiB for an array"),
+         "Unable to allocate 298. GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_out_of_memory_is_exit_three(self, capsys, monkeypatch, tmp_path, exc, message):
+        # a basis so large that its index table does not fit: the solve
+        # raises before any output, and never really allocates here
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "branch_moments", exhausted)
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, "moments", "--n-max", "100000", "--out", str(target))
+        assert (code, out, err) == (3, "", f"helixtm: numerical failure: {message}\n")
         assert not target.exists()
 
     def test_branch_out_of_range(self, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helixtm import _gformat
-from helixtm.cli import _BLOCK_VALUES, _fmt, _grid_table, main
+from helixtm.cli import _BLOCK_VALUES, _fmt, _grid_blocks, main
 
 # Values a column can hold that a formatter could get wrong.
 SPECIAL = np.array([
@@ -45,7 +45,7 @@ def test_matches_per_value_reference(rows, ncols):
     header = ",".join(f"c{i}" for i in range(ncols))
     for digits in (1, 6, 12, 17):
         want = grid_table_per_value(header, columns, digits)
-        assert _grid_table(header, columns, digits) == want
+        assert "".join(_grid_blocks(header, columns, digits)) == want
 
 
 def test_row_counts_straddle_a_block_edge():
@@ -64,7 +64,7 @@ def test_peak_memory_is_a_few_times_the_output(rows, ncols):
     header = ",".join(f"c{i}" for i in range(ncols))
     tracemalloc.start()
     try:
-        text = _grid_table(header, columns, 6)
+        text = "".join(_grid_blocks(header, columns, 6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -107,7 +107,8 @@ def test_adversarial_values_match_per_value_reference(seed, digits):
     values = np.resize(values, (-(-values.size // ncols), ncols))
     columns = list(values.T)
     header = ",".join(f"c{i}" for i in range(ncols))
-    assert _grid_table(header, columns, digits) == grid_table_per_value(header, columns, digits)
+    want = grid_table_per_value(header, columns, digits)
+    assert "".join(_grid_blocks(header, columns, digits)) == want
 
 
 def test_geometry_table_takes_the_array_path(monkeypatch, capsys):
@@ -145,5 +146,5 @@ def test_mostly_exponent_notation_block_is_one_row_format(monkeypatch):
     table[:, 0] = np.linspace(0.0, 6.2, 2000)
     columns = list(table.T)
     header = ",".join(f"c{i}" for i in range(11))
-    assert _grid_table(header, columns, 6) == grid_table_per_value(header, columns, 6)
+    assert "".join(_grid_blocks(header, columns, 6)) == grid_table_per_value(header, columns, 6)
     assert blocks and all(shape[1] == 11 for shape in blocks)

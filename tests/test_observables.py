@@ -14,21 +14,26 @@ from numpy.testing import assert_allclose
 
 from helixtm.geometry import HelixShape, arc_length, speed, speed_derivatives
 from helixtm.observables import (
-    CurrentProfile,
     MomentResult,
     ThermalSpec,
     classical_moment_closed,
     classical_moment_numeric,
     current,
+    currents,
     free_particle_current,
-    sample_current_profile,
-    sample_current_profiles,
+    moment_vectors,
     thermal_average,
     toroidal_moment,
-    toroidal_moments,
 )
 from helixtm.quadrature import QuadratureSpec
-from helixtm.spectrum import EigenState, SpectrumConfig, make_basis, solve_states
+from helixtm.spectrum import (
+    EigenState,
+    SpectrumConfig,
+    branch_momenta,
+    branch_spectra,
+    make_basis,
+    solve_states,
+)
 from oracles import moment_from_current
 
 CIRC4 = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
@@ -127,43 +132,27 @@ class TestCurrent:
         spread = (j.max() - j.min()) / abs(j.mean())
         assert spread > 0.01
 
-    def test_profile_matches_pointwise_current(self):
+    def test_stack_of_one_state_matches_pointwise_current(self):
         state = states_for(UP4, 1.0, True)[2]
-        prof = sample_current_profile(state, UP4, 64)
-        assert isinstance(prof, CurrentProfile)
-        assert prof.phi.shape == (64,)
-        assert_allclose(prof.values, current(state, UP4, prof.phi), atol=1e-14)
-        assert prof.state_ref == (1.0, 2, True)
-
-    def test_profile_grid_floor(self):
-        state = states_for(UP4, 1.0, True)[0]
-        with pytest.raises(ValueError):
-            sample_current_profile(state, UP4, 7)
+        phi = 2.0 * math.pi * np.arange(64) / 64
+        k = (state.p + UP4.omega * state.n_indices)[None]
+        j = currents(UP4, state.coefficients[None, :, None], k, phi)
+        assert j.shape == (1, 1, 64)
+        assert_allclose(j[0, 0], current(state, UP4, phi), atol=1e-14)
 
 
 class TestBatchedCurrents:
     def test_mixed_states_match_pointwise_current_exactly(self):
         # one phase table and one speed for several branches and both V_c
         # settings; every column equals the one-state evaluation bit for bit
-        states = [
-            s for p in (0.0, 1.0, 3.0) for include_vc in (True, False)
-            for s in states_for(FLAT4, p, include_vc)
-        ]
-        profiles = sample_current_profiles(states, FLAT4, 97)
-        assert len(profiles) == len(states)
-        for state, prof in zip(states, profiles):
-            assert np.array_equal(prof.values, current(state, FLAT4, prof.phi))
-            assert prof.state_ref == (state.p, state.alpha, state.include_vc)
-            assert prof.phi.shape == (97,)
-
-    def test_rejects_empty_mixed_basis_sizes_and_coarse_grid(self):
-        with pytest.raises(ValueError):
-            sample_current_profiles([], UP4, 64)
-        mixed = states_for(UP4, 1.0, True)[:1] + states_for(UP4, 1.0, True, n_max=3)[:1]
-        with pytest.raises(ValueError):
-            sample_current_profiles(mixed, UP4, 64)
-        with pytest.raises(ValueError):
-            sample_current_profiles(states_for(UP4, 1.0, True), UP4, 7)
+        pairs = [(p, include_vc) for p in (0, 1, 3) for include_vc in (True, False)]
+        dec = branch_spectra(FLAT4, pairs, 2)
+        phi = 2.0 * math.pi * np.arange(97) / 97
+        j = currents(FLAT4, dec.eigenvectors, branch_momenta(FLAT4, [p for p, _ in pairs], 2), phi)
+        assert j.shape == (len(pairs), 5, 97)
+        for (p, include_vc), column in zip(pairs, j):
+            for state, values in zip(states_for(FLAT4, p, include_vc), column):
+                assert np.array_equal(values, current(state, FLAT4, phi))
 
 
 class TestQuantumMoment:
@@ -224,23 +213,17 @@ class TestBatchedMoments:
     def test_mixed_states_match_current_quadrature(self, shape, branches):
         # one call over several branches and both V_c settings; each
         # moment against integrating its own j(phi) * g(phi)
-        states = [
-            s for p in branches for include_vc in (True, False)
-            for s in states_for(shape, p, include_vc)
-        ]
-        results = toroidal_moments(states, shape)
-        assert len(results) == len(states)
-        for state, res in zip(states, results):
-            want = moment_from_current(shape, lambda phi: current(state, shape, phi), None)
-            assert np.max(np.abs(res.vector - want)) <= 1e-12
-            assert res.state_ref == (state.p, state.alpha, state.include_vc)
-
-    def test_rejects_empty_and_mixed_basis_sizes(self):
-        with pytest.raises(ValueError):
-            toroidal_moments([], UP4)
-        mixed = states_for(UP4, 1, True)[:1] + states_for(UP4, 1, True, n_max=3)[:1]
-        with pytest.raises(ValueError):
-            toroidal_moments(mixed, UP4)
+        pairs = [(p, include_vc) for p in branches for include_vc in (True, False)]
+        dec = branch_spectra(shape, pairs, 2)
+        k = branch_momenta(shape, [p for p, _ in pairs], 2)
+        vectors = moment_vectors(shape, dec.eigenvectors, k)
+        assert vectors.shape == (len(pairs), 5, 3)
+        for b in range(len(pairs)):
+            for alpha in range(5):
+                stack = dec.eigenvectors[b:b + 1, :, alpha:alpha + 1]
+                want = moment_from_current(
+                    shape, lambda phi: currents(shape, stack, k[b:b + 1], phi)[0, 0], None)
+                assert np.max(np.abs(vectors[b, alpha] - want)) <= 1e-12
 
 
 class TestClassicalMoment:

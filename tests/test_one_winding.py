@@ -16,13 +16,14 @@ import pytest
 from helixtm import geometry
 from helixtm.cli import main
 from helixtm.geometry import HelixShape, arc_length, speed
-from helixtm.observables import current, toroidal_moments
+from helixtm.observables import currents, moment_vectors
 from helixtm.quadrature import QuadratureSpec
 from helixtm.spectrum import (
     SpectrumConfig,
-    build_hamiltonians,
+    _hamiltonian_stack,
+    branch_momenta,
+    branch_spectra,
     make_basis,
-    solve_branches,
 )
 from oracles import hamiltonian_element, moment_from_current
 
@@ -43,8 +44,8 @@ def test_matrices_match_full_turn_elements(a, b, omega):
     # tolerance the assembly works to.
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     branches = [(omega - 1, False), (omega - 1, True)]
-    for (p, include_vc), h in zip(branches, build_hamiltonians(shape, branches, N_MAX)):
-        scale = max(1.0, float(np.max(np.abs(h.entries))))
+    for (p, include_vc), h in zip(branches, _hamiltonian_stack(shape, branches, N_MAX, None)):
+        scale = max(1.0, float(np.max(np.abs(h))))
         cfg = SpectrumConfig(include_vc=include_vc, n_max=N_MAX,
                              quad=QuadratureSpec(tolerance=1e-10 * scale))
         basis = make_basis(shape, p, cfg)
@@ -52,7 +53,7 @@ def test_matrices_match_full_turn_elements(a, b, omega):
             [hamiltonian_element(shape, basis, m, n, cfg) for n in basis.indices]
             for m in basis.indices
         ])
-        assert np.max(np.abs(h.entries - want)) <= 1e-10 * scale
+        assert np.max(np.abs(h - want)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("a, b, omega", CASES)
@@ -65,12 +66,17 @@ def test_moments_match_full_turn_current_integral(a, b, omega):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     branches = [(p, vc) for p in sorted({0, omega // 2, omega - 1}) for vc in (False, True)]
     quad = QuadratureSpec(tolerance=1e-13)
-    states = [s for branch in solve_branches(shape, branches, N_MAX) for s in branch]
-    for state, res in zip(states, toroidal_moments(states, shape, quad)):
-        want = moment_from_current(shape, lambda phi: current(state, shape, phi), quad)
-        assert np.max(np.abs(res.vector - want)) <= 1e-12
-        if omega > 1:
-            assert res.vector[0] == 0.0 and res.vector[1] == 0.0
+    dec = branch_spectra(shape, branches, N_MAX)
+    k = branch_momenta(shape, [p for p, _ in branches], N_MAX)
+    vectors = moment_vectors(shape, dec.eigenvectors, k, quad)
+    for b in range(len(branches)):
+        for alpha in range(2 * N_MAX + 1):
+            stack = dec.eigenvectors[b:b + 1, :, alpha:alpha + 1]
+            want = moment_from_current(
+                shape, lambda phi: currents(shape, stack, k[b:b + 1], phi)[0, 0], quad)
+            assert np.max(np.abs(vectors[b, alpha] - want)) <= 1e-12
+            if omega > 1:
+                assert vectors[b, alpha, 0] == 0.0 and vectors[b, alpha, 1] == 0.0
 
 
 @pytest.mark.parametrize("a, b, omega", CASES)

@@ -1,6 +1,6 @@
 """Periodic trapezoid rule: exactness on low harmonics, spectral
 convergence on smooth integrands, failure reporting, and the FFT path
-for many harmonics of a few real functions."""
+for many harmonics of a few real functions on a ``NestedGrid``."""
 
 import math
 
@@ -12,7 +12,6 @@ from helixtm.quadrature import (
     QuadratureNotConverged,
     QuadratureResult,
     QuadratureSpec,
-    integrate_harmonics,
     integrate_periodic,
     settle,
 )
@@ -146,10 +145,21 @@ def _two_functions(phi):
     return np.stack([np.exp(np.cos(phi)), 1.0 / (2.0 + np.sin(3 * phi))])
 
 
+def settle_harmonics(sample, rows, harmonics, gather, spec=None):
+    """Settle ``gather`` of the harmonic integrals of a grid of one part.
+
+    The part holds the ``rows`` real functions that ``sample`` returns,
+    read through the trapezoid integrals of ``harmonics``, with the
+    relative stopping test of the spectral passes.
+    """
+    grid = NestedGrid(lambda nodes, names: sample(nodes), {"g": rows}, spec, harmonics, ["g"])
+    return settle(grid, "g", gather, relative=True)
+
+
 class TestHarmonics:
     def test_trig_polynomial_exact(self):
         sample = lambda phi: np.stack([3.0 + np.cos(2 * phi), np.sin(5 * phi)])
-        res = integrate_harmonics(sample, [-5, -2, 0, 2, 5], lambda integrals: integrals)
+        res = settle_harmonics(sample, 2, [-5, -2, 0, 2, 5], lambda integrals: integrals)
         pi = math.pi
         want = [[0, pi, 6 * pi, pi, 0], [-1j * pi, 0, 0, 0, 1j * pi]]
         assert isinstance(res.value, np.ndarray)
@@ -161,7 +171,7 @@ class TestHarmonics:
         # the same (aliased) sum integrate_periodic forms for it
         spec = QuadratureSpec(initial_points=8, tolerance=1e6, max_doublings=1)
         harmonics = np.arange(-20, 21)
-        res = integrate_harmonics(_two_functions, harmonics, lambda integrals: integrals, spec)
+        res = settle_harmonics(_two_functions, 2, harmonics, lambda integrals: integrals, spec)
         assert res.points_used == 16
         for i in range(2):
             for j, h in enumerate(harmonics):
@@ -172,8 +182,8 @@ class TestHarmonics:
 
     def test_gather_sees_converged_integrals(self):
         spec = QuadratureSpec(tolerance=1e-13)
-        res = integrate_harmonics(
-            _two_functions, [0, 2], lambda integrals: integrals[0, 1] / integrals[0, 0], spec
+        res = settle_harmonics(
+            _two_functions, 2, [0, 2], lambda integrals: integrals[0, 1] / integrals[0, 0], spec
         )
         # ratio of modified Bessel functions I_2(1) / I_0(1)
         assert res.value.real == pytest.approx(0.13574766976703828 / 1.2660658777520082, rel=1e-12)
@@ -185,8 +195,8 @@ class TestHarmonics:
         spec = QuadratureSpec(initial_points=8)
         identity = lambda integrals: integrals
         runs = [
-            integrate_harmonics(
-                lambda phi, s=s: s * np.exp(np.cos(phi))[None], [0, 1], identity, spec
+            settle_harmonics(
+                lambda phi, s=s: s * np.exp(np.cos(phi))[None], 1, [0, 1], identity, spec
             )
             for s in (1.0, 1e8)
         ]
@@ -198,7 +208,7 @@ class TestHarmonics:
     def test_not_converged_carries_array_result(self):
         spec = QuadratureSpec(initial_points=8, tolerance=1e-300, max_doublings=1)
         with pytest.raises(QuadratureNotConverged) as exc:
-            integrate_harmonics(_two_functions, [0, 1, 2], lambda integrals: integrals, spec)
+            settle_harmonics(_two_functions, 2, [0, 1, 2], lambda integrals: integrals, spec)
         partial = exc.value.result
         assert partial.points_used == 16
         assert partial.value.shape == (2, 3)
@@ -214,7 +224,7 @@ def _sharp(phi):
 
 
 class TestNestedGrid:
-    """Quantities of one grid, each at its own level, against one integrator each."""
+    """Quantities of one grid, each at its own level, against a grid of each alone."""
 
     def grid(self, calls, spec):
         rows = {"smooth": _smooth, "sharp": _sharp, "plain": lambda phi: np.exp(np.sin(phi))[None]}
@@ -239,8 +249,8 @@ class TestNestedGrid:
         got = {name: settle(grid, name, identity, relative=True) for name in (first, second)}
         got["plain"] = settle(grid, "plain", lambda vals: _trapezoid_of(vals[0]))
         want = {
-            "smooth": integrate_harmonics(_smooth, np.arange(-4, 5), identity, spec),
-            "sharp": integrate_harmonics(_sharp, np.arange(-4, 5), identity, spec),
+            "smooth": settle_harmonics(_smooth, 2, np.arange(-4, 5), identity, spec),
+            "sharp": settle_harmonics(_sharp, 1, np.arange(-4, 5), identity, spec),
             "plain": integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec),
         }
         assert got["sharp"].points_used > got["smooth"].points_used
@@ -273,7 +283,7 @@ class TestNestedGrid:
         with pytest.raises(QuadratureNotConverged) as exc:
             settle(grid, "sharp", lambda integrals: integrals, relative=True)
         with pytest.raises(QuadratureNotConverged) as alone:
-            integrate_harmonics(_sharp, np.arange(-4, 5), lambda integrals: integrals, spec)
+            settle_harmonics(_sharp, 1, np.arange(-4, 5), lambda integrals: integrals, spec)
         assert str(exc.value) == str(alone.value)
         assert np.array_equal(exc.value.result.value, alone.value.result.value)
 

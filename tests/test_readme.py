@@ -18,3 +18,15 @@ def test_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_namespace_holds_the_session_names():
+    import types
+
+    import helixtm
+
+    names = {name for name, value in vars(helixtm).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == {"HelixShape", "SpectrumConfig", "make_basis", "solve_states",
+                     "toroidal_moment"}
+    assert helixtm.__version__

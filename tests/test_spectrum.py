@@ -15,11 +15,11 @@ from helixtm.spectrum import (
     BlochBasis,
     EigenState,
     SpectrumConfig,
+    _hamiltonian_stack,
     basis_wavefunction,
+    branch_spectra,
     build_hamiltonian,
-    build_hamiltonians,
     make_basis,
-    solve_branches,
     solve_states,
 )
 from oracles import hamiltonian_element
@@ -256,27 +256,28 @@ class TestSpectralAssembly:
         ],
     )
     def test_batched_matrices_match_hamiltonian_element(self, shape, branches, n_max):
-        mats = build_hamiltonians(shape, branches, n_max)
-        assert len(mats) == len(branches)
+        mats = _hamiltonian_stack(shape, branches, n_max, None)
+        assert mats.shape == (len(branches), 2 * n_max + 1, 2 * n_max + 1)
         for (p, include_vc), h in zip(branches, mats):
             cfg = SpectrumConfig(include_vc=include_vc, n_max=n_max)
             want = self.elementwise(shape, make_basis(shape, p, cfg), cfg)
             scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(h.entries - want)) <= 1e-10 * scale
+            assert np.max(np.abs(h - want)) <= 1e-10 * scale
 
     def test_production_path_is_real(self):
         branches = [(0, False), (1, True), (3, True)]
-        for h in build_hamiltonians(FLAT6, branches, 3):
-            assert h.entries.dtype == np.float64
-        for states in solve_branches(FLAT6, branches, 3):
-            for state in states:
-                assert state.coefficients.dtype == np.float64
+        assert _hamiltonian_stack(FLAT6, branches, 3, None).dtype == np.float64
+        assert branch_spectra(FLAT6, branches, 3).eigenvectors.dtype == np.float64
+        cfg = SpectrumConfig(n_max=3)
+        assert build_hamiltonian(FLAT6, make_basis(FLAT6, 1, cfg), cfg).entries.dtype == np.float64
+        for state in solve_states(FLAT6, make_basis(FLAT6, 1, cfg), cfg):
+            assert state.coefficients.dtype == np.float64
 
     def test_batch_validates_branches(self):
         with pytest.raises(ValueError):
-            build_hamiltonians(FLAT6, [], 2)
+            branch_spectra(FLAT6, [], 2)
         with pytest.raises(ValueError):
-            build_hamiltonians(FLAT6, [(1, True), (6, True)], 2)
+            branch_spectra(FLAT6, [(1, True), (6, True)], 2)
 
     def test_under_resolved_grid_fails_hermiticity(self):
         # 32 -> 64 points per winding cannot resolve harmonics up to

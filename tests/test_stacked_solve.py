@@ -4,8 +4,8 @@
 whole (p, V_c) stack with one ``linalg.eigh_stack`` call.  Each matrix
 must come out exactly as from one ``HermitianMatrix``, one
 ``eigen_decompose`` and one ``fix_phase`` per matrix, and the moments of
-the grouped states exactly as from ``toroidal_moments`` of the state
-list.  ``observables.branch_moments`` samples the Hamiltonian, the
+the grouped states exactly as from ``moment_vectors`` with one state per
+group.  ``observables.branch_moments`` samples the Hamiltonian, the
 moments and the arc length in one pass; each must come out exactly as
 from its standalone call.
 """
@@ -15,15 +15,9 @@ import pytest
 
 from helixtm.geometry import HelixShape, arc_length
 from helixtm.linalg import HermiticityViolation, HermitianMatrix, eigen_decompose, fix_phase
-from helixtm.observables import branch_moments, moment_vectors, toroidal_moments
+from helixtm.observables import branch_moments, moment_vectors
 from helixtm.quadrature import QuadratureSpec
-from helixtm.spectrum import (
-    BlochBasis,
-    branch_momenta,
-    branch_spectra,
-    build_hamiltonians,
-    solve_branches,
-)
+from helixtm.spectrum import BlochBasis, _hamiltonian_stack, branch_momenta, branch_spectra
 
 SHAPES = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
 FLAT6 = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
@@ -40,16 +34,11 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     pairs = all_pairs(omega)
     dec = branch_spectra(shape, pairs, n_max)
-    branches = solve_branches(shape, pairs, n_max)
-    mats = build_hamiltonians(shape, pairs, n_max)
-    for h, values, vectors, states in zip(mats, dec.eigenvalues, dec.eigenvectors, branches):
-        one = eigen_decompose(HermitianMatrix(h.entries))
-        want = fix_phase(one.eigenvectors)
+    mats = _hamiltonian_stack(shape, pairs, n_max, None)
+    for h, values, vectors in zip(mats, dec.eigenvalues, dec.eigenvectors):
+        one = eigen_decompose(HermitianMatrix(h))
         assert np.array_equal(values, one.eigenvalues)
-        assert np.array_equal(vectors, want)
-        assert [s.energy for s in states] == one.eigenvalues.tolist()
-        for alpha, state in enumerate(states):
-            assert np.array_equal(state.coefficients, want[:, alpha])
+        assert np.array_equal(vectors, fix_phase(one.eigenvectors))
 
 
 @pytest.mark.parametrize("n_max", [2, 8, 16])
@@ -75,12 +64,15 @@ def test_one_pass_equals_standalone_calls(a, b, omega, n_max):
 def test_grouped_moments_equal_state_list(shape, n_max):
     # mixed branches and V_c settings, in an order that is not sorted
     pairs = [(p, vc) for p in sorted(range(shape.omega), reverse=True)[:3] for vc in (True, False)]
+    d = 2 * n_max + 1
     dec = branch_spectra(shape, pairs, n_max)
-    got = moment_vectors(shape, dec.eigenvectors, branch_momenta(shape, [p for p, _ in pairs], n_max))
-    states = [s for branch in solve_branches(shape, pairs, n_max) for s in branch]
-    want = np.array([m.vector for m in toroidal_moments(states, shape)])
-    assert got.shape == (len(pairs), 2 * n_max + 1, 3)
-    assert np.array_equal(got.reshape(-1, 3), want)
+    k = branch_momenta(shape, [p for p, _ in pairs], n_max)
+    got = moment_vectors(shape, dec.eigenvectors, k)
+    # one state per group, in the order of the stack's columns
+    single = np.swapaxes(dec.eigenvectors, 1, 2).reshape(-1, d)[:, :, None]
+    want = moment_vectors(shape, single, np.repeat(k, d, axis=0))
+    assert got.shape == (len(pairs), d, 3)
+    assert np.array_equal(got.reshape(-1, 3), want.reshape(-1, 3))
 
 
 def test_momenta_table_matches_basis():
@@ -100,4 +92,4 @@ def test_under_resolved_grid_fails_hermiticity():
     # the stacked path checks every matrix, as HermitianMatrix does
     quad = QuadratureSpec(initial_points=32, tolerance=1e6, max_doublings=1)
     with pytest.raises(HermiticityViolation, match="exceeds tolerance 1.0e-09"):
-        solve_branches(FLAT6, [(0, False), (1, True)], 16, quad)
+        branch_spectra(FLAT6, [(0, False), (1, True)], 16, quad)
