@@ -337,7 +337,7 @@ def _cmd_current(settings):
     pairs = _branch_pairs(settings)
     dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
     if settings.grid < 2 * shape.omega:
-        raise UsageError(f"grid_size must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
+        raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
     phi = _grid_angles(settings)
     k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
     j = currents(shape, dec.eigenvectors, k, phi)
@@ -351,6 +351,7 @@ def _cmd_current(settings):
 
 def _cmd_moments(settings):
     shape = _single_shape(settings)
+    _r_squared(settings)  # the solve squares R too: fail before it, as the other solvers do
     d = settings.digits
     scale = 1.0 / settings.R
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]

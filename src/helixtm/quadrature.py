@@ -12,9 +12,13 @@ of which only the finest are kept, since level l is every
 2**(finest - l)-th of them.  Several quantities settle on one grid one
 after another, each with its own estimate and stopping rule and at its
 own level; a later quantity reads the levels already stored and samples
-only its own rows past them.  A part can be read through the trapezoid
-integrals of a set of its Fourier harmonics, taken by one real FFT per
-level for all such rows of the grid and kept for later quantities.
+only its own rows past them.  The first sampling of a grid takes every
+level up to 512 nodes in one call, since below that a call costs mostly
+its fixed overhead and most grids settle there; its nodes are the ones
+the doubling walk builds, so each level holds the same floats as when
+sampled alone.  A part can be read through the trapezoid integrals of a
+set of its Fourier harmonics, taken by one real FFT per level for all
+such rows of the grid and kept for later quantities.
 The trapezoid sum is linear, so on a given level each of those entries is
 the same sum ``integrate_periodic`` would form for it, taken in another
 order.
@@ -110,6 +114,12 @@ class QuadratureNotConverged(RuntimeError):
         self.result = result
 
 
+# The first sampling of a grid takes every level up to this many nodes in
+# one call: up to here a call's cost is mostly its fixed overhead (cost
+# table in CHANGES.md), and most grids settle by then.
+_PREFETCH_POINTS = 512
+
+
 def _eval(fn, nodes):
     vals = np.asarray(fn(nodes), dtype=complex)
     if vals.shape != nodes.shape:
@@ -146,9 +156,12 @@ class NestedGrid:
     ``spec.initial_points * 2**l`` nodes, and only the finest samples of
     a part are kept: its level l is every 2**(finest - l)-th of them,
     the same floats, because doubling interleaves the new midpoints with
-    the old nodes.  Until the first quantity has settled, each level
-    samples every part in one ``sample`` call; after that a quantity that
-    needs a level past the stored ones samples only its own rows.  The
+    the old nodes.  The first ``sample`` call takes every part on every
+    level up to 512 nodes at once (level 0 at least, level
+    ``spec.max_doublings`` at most), on the nodes that interleaving
+    builds.  Past those, until the first quantity has settled, each level
+    samples every part in one call; after that a quantity that needs a
+    level past the stored ones samples only its own rows.  The
     harmonics of a level are taken by one real FFT over the transformed
     rows of one stored array and kept for the quantities that settle
     later.
@@ -189,10 +202,17 @@ class NestedGrid:
         top, vals = self._own.get(name, (self._shared_level, self._shared))
         if level > top:
             names = self._names if self._together else (name,)
-            new = self._sample(self._nodes if level == 0 else self._mids(level), names)
+            if level == 0:  # the first sampling takes every level up to _PREFETCH_POINTS
+                spec = self.spec
+                while (self._top < spec.max_doublings
+                       and spec.initial_points << (self._top + 1) <= _PREFETCH_POINTS):
+                    self._mids(self._top + 1)
+                new = self._sample(self._nodes, names)
+            else:
+                new = self._sample(self._mids(level), names)
             if self._together:
                 self._shared = new if level == 0 else _interleave(self._shared, new)
-                self._shared_level = top = level
+                self._shared_level = top = self._top
                 vals = self._shared
             else:
                 old = vals if name in self._own else vals[self._rows[name]]
@@ -241,8 +261,9 @@ def settle(grid, part, gather=_trapezoid, relative=False):
     trapezoid integrals ``I[i, j] = Integral_0^{2pi} g_i(phi) exp(i h_j
     phi) dphi`` of a transformed part, the samples of any other part.
     The default integrates a part of one row.  Levels already stored
-    cost no sampling; the walk samples a level only when it first needs
-    it (see ``NestedGrid``).  It stops once the largest change of the
+    cost no sampling: the grid's first sampling stores every level up to
+    512 nodes, and the walk samples a later level only when it first
+    needs it (see ``NestedGrid``).  It stops once the largest change of the
     quantity between two levels is at most ``spec.tolerance``, scaled by
     ``max(1, max |quantity|)`` when ``relative`` is set, and returns the
     quantity on the finer level.  Once this returns or raises, later

@@ -70,8 +70,10 @@ test).
 The sampler takes f, f', f'' and V_c from one evaluation of the winding
 angle's sine and cosine (``geometry.winding_terms``).
 
-That grid is ``winding_grid``, the one pass over a shape.  Besides the
-rows of H it can hold the moment weights g / (2 pi f^2) and f itself, so
+That grid is ``winding_grid``, the one pass over a shape.  Its first
+``geometry.winding_terms`` call samples every level up to 512 points per
+winding, where most shapes settle.  Besides the rows of H it can hold
+the moment weights g / (2 pi f^2) and f itself, so
 ``observables.branch_moments`` samples the Hamiltonian, the toroidal
 moments and the arc length of a command together: H settles first, the
 moments then settle with its eigenvectors on the stored levels, and the
@@ -217,8 +219,9 @@ def _vc_variants(branches):
 def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=False):
     """The ``quadrature.NestedGrid`` of one shape's pass over one winding.
 
-    Its parts, sampled together by one ``geometry.winding_terms`` call
-    per level until the first of them settles, are
+    Its parts are sampled together until the first of them settles: one
+    ``geometry.winding_terms`` call for every level up to 512 points, then
+    one call per level (see ``quadrature.NestedGrid``).  They are
 
     - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
       setting the (p, include_vc) pairs use, then B and C;

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helixtm import quadrature
 from helixtm.quadrature import (
     NestedGrid,
     QuadratureNotConverged,
@@ -237,35 +238,44 @@ class TestNestedGrid:
                           np.arange(-4, 5), ["smooth", "sharp"])
 
     @pytest.mark.parametrize("first", ["smooth", "sharp"])
-    def test_each_quantity_equals_its_own_integrator(self, first):
+    def test_each_quantity_equals_its_own_integrator(self, first, monkeypatch):
         # the sharp row needs a finer grid than the smooth ones: settled
         # second it refines alone past the stored levels, settled first it
-        # leaves stored levels for the others to read
+        # leaves stored levels for the others to read.  With the package's
+        # prefetch bound the first call covers every level all three need;
+        # with a bound of 16 points the walk goes on together past it.
         spec = QuadratureSpec(initial_points=8)
         identity = lambda integrals: integrals
-        calls = []
-        grid = self.grid(calls, spec)
-        second = "sharp" if first == "smooth" else "smooth"
-        got = {name: settle(grid, name, identity, relative=True) for name in (first, second)}
-        got["plain"] = settle(grid, "plain", lambda vals: _trapezoid_of(vals[0]))
         want = {
             "smooth": settle_harmonics(_smooth, 2, np.arange(-4, 5), identity, spec),
             "sharp": settle_harmonics(_sharp, 1, np.arange(-4, 5), identity, spec),
             "plain": integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec),
         }
-        assert got["sharp"].points_used > got["smooth"].points_used
-        for name, result in got.items():
-            assert np.array_equal(result.value, want[name].value)
-            assert result.points_used == want[name].points_used
-            assert result.error_estimate == want[name].error_estimate
-        # every part is sampled with the first quantity, up to its level;
-        # past it a part is sampled alone, and no angle of a part twice
-        levels = int(math.log2(got[first].points_used // 8)) + 1
-        assert [names for names, _ in calls[:levels]] == [("smooth", "sharp", "plain")] * levels
-        assert all(len(names) == 1 for names, _ in calls[levels:])
-        for name, result in got.items():
-            sampled = sum(size for names, size in calls if name in names)
-            assert sampled == max(got[first].points_used, result.points_used)
+        second = "sharp" if first == "smooth" else "smooth"
+        for bound in (quadrature._PREFETCH_POINTS, 16):
+            monkeypatch.setattr(quadrature, "_PREFETCH_POINTS", bound)
+            calls = []
+            grid = self.grid(calls, spec)
+            got = {name: settle(grid, name, identity, relative=True) for name in (first, second)}
+            got["plain"] = settle(grid, "plain", lambda vals: _trapezoid_of(vals[0]))
+            assert got["sharp"].points_used > got["smooth"].points_used
+            for name, result in got.items():
+                assert np.array_equal(result.value, want[name].value)
+                assert result.points_used == want[name].points_used
+                assert result.error_estimate == want[name].error_estimate
+            # the first call samples every part on every level up to the
+            # bound, the next ones every part on one level each up to the
+            # first quantity's level; past that a part is sampled alone,
+            # and no angle of a part twice
+            shared = max(bound, got[first].points_used)
+            together = [size for names, size in calls if names == ("smooth", "sharp", "plain")]
+            assert calls[0] == (("smooth", "sharp", "plain"), bound)
+            assert together == [bound] + [bound << i for i in range(len(together) - 1)]
+            assert bound << len(together) - 1 == shared
+            assert all(len(names) == 1 for names, _ in calls[len(together):])
+            for name, result in got.items():
+                sampled = sum(size for names, size in calls if name in names)
+                assert sampled == max(shared, result.points_used)
 
     def test_default_gather_is_the_trapezoid_sum(self):
         spec = QuadratureSpec(initial_points=8)

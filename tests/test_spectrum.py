@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from helixtm.geometry import HelixShape, curvature_potential, speed
 from helixtm.linalg import HermitianMatrix, HermiticityViolation
-from helixtm.quadrature import QuadratureSpec, integrate_periodic
+from helixtm.quadrature import QuadratureSpec, integrate_periodic, settle
 from helixtm.spectrum import (
     BlochBasis,
     EigenState,
@@ -21,6 +21,7 @@ from helixtm.spectrum import (
     build_hamiltonian,
     make_basis,
     solve_states,
+    winding_grid,
 )
 from oracles import hamiltonian_element
 
@@ -287,6 +288,42 @@ class TestSpectralAssembly:
         cfg = SpectrumConfig(n_max=16, quad=quad)
         with pytest.raises(HermiticityViolation):
             build_hamiltonian(FLAT6, make_basis(FLAT6, 1, cfg), cfg)
+
+
+class TestFirstSampling:
+    """The first call of a ``winding_grid`` samples every level up to 512
+    points at once; each level's floats must be those a call on that
+    level's nodes alone gives, or the settled values would move."""
+
+    @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
+    @pytest.mark.parametrize("variants", [(False,), (True,), (False, True)])
+    @pytest.mark.parametrize("moments", ["weights", "integrand"])
+    def test_one_call_equals_the_per_level_calls(self, a, b, omega, variants, moments):
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        grid = winding_grid(shape, None, 2, [(0, vc) for vc in variants], moments, length=True)
+        calls = []
+        sample = grid._sample
+
+        def recording(nodes, names):
+            out = sample(nodes, names)
+            calls.append((nodes.copy(), names, out))
+            return out
+
+        grid._sample = recording
+        settle(grid, "length")
+        nodes, names, out = calls[0]
+        assert names == ("hamiltonian", "moments", "length")
+        assert nodes.size == 512
+        # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
+        walk = 2.0 * math.pi * np.arange(64) / 64
+        assert np.array_equal(nodes[::8], walk)
+        for level in (1, 2, 3):
+            step = 8 >> level
+            mids = walk + math.pi / (64 << (level - 1))
+            assert np.array_equal(nodes[step::2 * step], mids)
+            assert np.array_equal(out[:, step::2 * step], sample(mids, names))
+            walk = np.sort(np.concatenate([walk, mids]))
+        assert np.array_equal(out[:, ::8], sample(2.0 * math.pi * np.arange(64) / 64, names))
 
 
 class TestReferenceConfiguration:
