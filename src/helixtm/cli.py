@@ -335,9 +335,9 @@ def _cmd_current(settings):
     shape = _single_shape(settings)
     scale = _r_squared(settings)
     pairs = _branch_pairs(settings)
-    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
+    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
     phi = _grid_angles(settings)
     k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
     j = currents(shape, dec.eigenvectors, k, phi)

@@ -191,9 +191,10 @@ def branch_moments(shape, branches, n_max, quad=None, length=False):
     Hamiltonians settle first and are solved as ``branch_spectra`` solves
     them; the moments of all their states then settle on the stored
     levels, as ``moment_vectors`` of the eigenvectors, and the arc length
-    last, as ``geometry.arc_length``.  Each quantity stops at its own
-    level, so every result equals the one of the standalone call bit for
-    bit.  Returns ``(decomposition, vectors, length)``: the
+    last, as ``geometry.arc_length``.  A level past the stored ones
+    samples every row, the Hamiltonian's too.  Each quantity stops at its
+    own level, so every result equals the one of the standalone call bit
+    for bit.  Returns ``(decomposition, vectors, length)``: the
     ``EigenDecomposition`` of ``branch_spectra``, the (B, d, 3) moment
     vectors and the length (None unless ``length`` is set).
     """

@@ -7,18 +7,18 @@ doubling reuses every previously evaluated point: the refined grid is the
 old grid interleaved with its midpoints.
 
 One loop, ``settle``, does all the doubling.  It walks the levels of a
-``NestedGrid``: the samples of a few groups of rows (parts) on one grid,
-of which only the finest are kept, since level l is every
+``NestedGrid``: one array of the samples of a few groups of rows
+(parts) on the finest level sampled so far, since level l is every
 2**(finest - l)-th of them.  Several quantities settle on one grid one
 after another, each with its own estimate and stopping rule and at its
-own level; a later quantity reads the levels already stored and samples
-only its own rows past them.  The first sampling of a grid takes every
-level up to 512 nodes in one call, since below that a call costs mostly
-its fixed overhead and most grids settle there; its nodes are the ones
-the doubling walk builds, so each level holds the same floats as when
-sampled alone.  A part can be read through the trapezoid integrals of a
-set of its Fourier harmonics, taken by one real FFT per level for all
-such rows of the grid and kept for later quantities.
+own level; a later quantity reads the levels already stored, and a
+level past them samples every part.  The first sampling of a grid takes
+every level up to 512 nodes in one call, since below that a call costs
+mostly its fixed overhead and most grids settle there; its nodes are the
+ones the doubling walk builds, so each level holds the same floats as
+when sampled alone.  A part can be read through the trapezoid integrals
+of a set of its Fourier harmonics, taken by one real FFT per level for
+all such rows of the grid and kept for later quantities.
 The trapezoid sum is linear, so on a given level each of those entries is
 the same sum ``integrate_periodic`` would form for it, taken in another
 order.
@@ -145,32 +145,28 @@ def _trapezoid(vals):
 class NestedGrid:
     """Samples of a few groups of rows, the *parts*, on one node-doubling grid.
 
-    ``sample(nodes, names)`` returns the rows of the named parts at the
-    given nodes, stacked in the order of ``parts``, node axis last.
-    ``parts`` maps each name to its number of rows, in that order.
-    The rows of the parts named in ``transformed``, which come first,
-    are read through the trapezoid integrals of their ``harmonics``.
+    ``sample(nodes)`` returns the rows of every part at the given nodes,
+    stacked in the order of ``parts``, node axis last.  ``parts`` maps
+    each name to its number of rows, in that order.  The rows of the
+    parts named in ``transformed``, which come first, are read through
+    the trapezoid integrals of their ``harmonics``.
 
     Quantities computed from the parts settle one after another with
     ``settle``, each at its own level.  Level l has
-    ``spec.initial_points * 2**l`` nodes, and only the finest samples of
-    a part are kept: its level l is every 2**(finest - l)-th of them,
-    the same floats, because doubling interleaves the new midpoints with
-    the old nodes.  The first ``sample`` call takes every part on every
-    level up to 512 nodes at once (level 0 at least, level
-    ``spec.max_doublings`` at most), on the nodes that interleaving
-    builds.  Past those, until the first quantity has settled, each level
-    samples every part in one call; after that a quantity that needs a
-    level past the stored ones samples only its own rows.  The
-    harmonics of a level are taken by one real FFT over the transformed
-    rows of one stored array and kept for the quantities that settle
-    later.
+    ``spec.initial_points * 2**l`` nodes, and the grid keeps one array:
+    every part's samples on the finest level so far.  Level l is every
+    2**(finest - l)-th of them, the same floats, because doubling
+    interleaves the new midpoints with the old nodes.  The first
+    ``sample`` call takes every level up to 512 nodes at once (level 0
+    at least, level ``spec.max_doublings`` at most), on the nodes that
+    interleaving builds; each level past those is one call on its
+    midpoints.  The harmonics of a level are taken by one real FFT over
+    the transformed rows and kept for the quantities that settle later.
     """
 
     def __init__(self, sample, parts, spec=None, harmonics=(), transformed=()):
         self._sample = sample
         self.spec = spec if spec is not None else QuadratureSpec()
-        self._names = tuple(parts)
         self._rows, start = {}, 0
         for name, count in parts.items():
             self._rows[name] = slice(start, start + count)
@@ -182,75 +178,50 @@ class NestedGrid:
         n = self.spec.initial_points
         self._nodes = 2.0 * math.pi * np.arange(n) / n  # the finest nodes so far
         self._top = 0  # their level
-        self._shared, self._shared_level = None, -1  # every part, sampled together
-        self._own = {}  # name -> (level, samples) of a part refined on its own
-        self._picked = {}  # (name, level) -> harmonic integrals
-        self._together = True
+        self._vals = None  # every part's samples on them
+        self._picked = {}  # level -> harmonic integrals of the transformed rows
 
-    def _mids(self, level):
-        """The nodes that level ``level`` adds to level - 1."""
-        if level > self._top:
-            mids = self._nodes + math.pi / (self.spec.initial_points << self._top)
-            self._nodes = _interleave(self._nodes, mids)
-            self._top = level
-            return mids
-        step = 1 << (self._top - level)
-        return self._nodes[step::2 * step]
+    def _refine(self):
+        """Double the grid; returns the new midpoints."""
+        mids = self._nodes + math.pi / (self.spec.initial_points << self._top)
+        self._nodes = _interleave(self._nodes, mids)
+        self._top += 1
+        return mids
 
-    def _samples(self, name, level):
-        """The part's samples on level ``level``, at most one level past the stored ones."""
-        top, vals = self._own.get(name, (self._shared_level, self._shared))
-        if level > top:
-            names = self._names if self._together else (name,)
-            if level == 0:  # the first sampling takes every level up to _PREFETCH_POINTS
-                spec = self.spec
-                while (self._top < spec.max_doublings
-                       and spec.initial_points << (self._top + 1) <= _PREFETCH_POINTS):
-                    self._mids(self._top + 1)
-                new = self._sample(self._nodes, names)
-            else:
-                new = self._sample(self._mids(level), names)
-            if self._together:
-                self._shared = new if level == 0 else _interleave(self._shared, new)
-                self._shared_level = top = self._top
-                vals = self._shared
-            else:
-                old = vals if name in self._own else vals[self._rows[name]]
-                vals = _interleave(old, new)
-                self._own[name] = (level, vals)
-                return vals
-        if name not in self._own:
-            vals = vals[self._rows[name]]
-        return vals[..., :: 1 << (top - level)]
+    def _samples(self, level):
+        """Every part's samples on level ``level``, at most one level past the stored ones."""
+        if self._vals is None:  # the first sampling takes every level up to _PREFETCH_POINTS
+            spec = self.spec
+            while (self._top < spec.max_doublings
+                   and spec.initial_points << (self._top + 1) <= _PREFETCH_POINTS):
+                self._refine()
+            self._vals = self._sample(self._nodes)
+        elif level > self._top:
+            self._vals = _interleave(self._vals, self._sample(self._refine()))
+        return self._vals[..., :: 1 << (self._top - level)]
 
-    def _integrals(self, name, level):
-        """Trapezoid integrals of the part's harmonics on level ``level``, cached."""
-        picked = self._picked.get((name, level))
-        if picked is not None:
-            return picked
-        vals = self._samples(name, level)
-        if level > self._shared_level:  # the part's own rows
-            names, rows = (name,), {name: slice(None)}
-        else:  # every transformed part of the shared samples
-            vals = self._shared[self._joint, :: 1 << (self._shared_level - level)]
-            names, rows = self._transformed, self._rows
-        n = vals.shape[-1]
-        spectra = np.fft.rfft(vals, axis=-1)
-        # sum_j g(phi_j) e^{i h phi_j} is DFT index (-h) mod n; indices past
-        # n/2 are the conjugates of their mirror images for real g.
-        idx = (-self._harmonics) % n
-        upper = idx > n // 2
-        picked = spectra[:, np.where(upper, n - idx, idx)]
-        picked[:, upper] = picked[:, upper].conj()
-        picked *= 2.0 * math.pi / n
-        for other in names:
-            self._picked[(other, level)] = picked[rows[other]]
-        return self._picked[(name, level)]
+    def _integrals(self, level):
+        """Trapezoid integrals of the transformed rows' harmonics on level ``level``, cached."""
+        picked = self._picked.get(level)
+        if picked is None:
+            vals = self._samples(level)[self._joint]
+            n = vals.shape[-1]
+            spectra = np.fft.rfft(vals, axis=-1)
+            # sum_j g(phi_j) e^{i h phi_j} is DFT index (-h) mod n; indices past
+            # n/2 are the conjugates of their mirror images for real g.
+            idx = (-self._harmonics) % n
+            upper = idx > n // 2
+            picked = spectra[:, np.where(upper, n - idx, idx)]
+            picked[:, upper] = picked[:, upper].conj()
+            picked *= 2.0 * math.pi / n
+            self._picked[level] = picked
+        return picked
 
     def _estimate(self, name, level, gather):
+        rows = self._rows[name]
         if name in self._transformed:
-            return gather(self._integrals(name, level))
-        return gather(self._samples(name, level))
+            return gather(self._integrals(level)[rows])
+        return gather(self._samples(level)[rows])
 
 
 def settle(grid, part, gather=_trapezoid, relative=False):
@@ -262,12 +233,11 @@ def settle(grid, part, gather=_trapezoid, relative=False):
     phi) dphi`` of a transformed part, the samples of any other part.
     The default integrates a part of one row.  Levels already stored
     cost no sampling: the grid's first sampling stores every level up to
-    512 nodes, and the walk samples a later level only when it first
-    needs it (see ``NestedGrid``).  It stops once the largest change of the
-    quantity between two levels is at most ``spec.tolerance``, scaled by
-    ``max(1, max |quantity|)`` when ``relative`` is set, and returns the
-    quantity on the finer level.  Once this returns or raises, later
-    quantities of the grid refine only their own rows.
+    512 nodes, and the walk samples a later level, every part of it,
+    only when it first needs it (see ``NestedGrid``).  It stops once the
+    largest change of the quantity between two levels is at most
+    ``spec.tolerance``, scaled by ``max(1, max |quantity|)`` when
+    ``relative`` is set, and returns the quantity on the finer level.
 
     Raises
     ------
@@ -276,25 +246,22 @@ def settle(grid, part, gather=_trapezoid, relative=False):
         exception's ``result`` attribute holds the best estimate.
     """
     spec = grid.spec
-    try:
-        current = grid._estimate(part, 0, gather)
-        for level in range(1, spec.max_doublings + 1):
-            refined = grid._estimate(part, level, gather)
-            change = float(np.max(np.abs(refined - current)))
-            current = refined
-            limit = spec.tolerance
-            if relative:
-                limit *= max(1.0, float(np.max(np.abs(current))))
-            if change <= limit:
-                return QuadratureResult(
-                    value=current, error_estimate=change, points_used=spec.initial_points << level
-                )
-        raise QuadratureNotConverged(QuadratureResult(
-            value=current, error_estimate=change,
-            points_used=spec.initial_points << spec.max_doublings,
-        ))
-    finally:
-        grid._together = False
+    current = grid._estimate(part, 0, gather)
+    for level in range(1, spec.max_doublings + 1):
+        refined = grid._estimate(part, level, gather)
+        change = float(np.max(np.abs(refined - current)))
+        current = refined
+        limit = spec.tolerance
+        if relative:
+            limit *= max(1.0, float(np.max(np.abs(current))))
+        if change <= limit:
+            return QuadratureResult(
+                value=current, error_estimate=change, points_used=spec.initial_points << level
+            )
+    raise QuadratureNotConverged(QuadratureResult(
+        value=current, error_estimate=change,
+        points_used=spec.initial_points << spec.max_doublings,
+    ))
 
 
 def integrate_periodic(fn, spec=None):
@@ -320,5 +287,5 @@ def integrate_periodic(fn, spec=None):
         If max_doublings refinements do not reach the tolerance.  The
         exception's ``result`` attribute holds the best estimate.
     """
-    grid = NestedGrid(lambda nodes, names: _eval(fn, nodes)[None], {"fn": 1}, spec)
+    grid = NestedGrid(lambda nodes: _eval(fn, nodes)[None], {"fn": 1}, spec)
     return settle(grid, "fn")

@@ -77,8 +77,10 @@ the moment weights g / (2 pi f^2) and f itself, so
 ``observables.branch_moments`` samples the Hamiltonian, the toroidal
 moments and the arc length of a command together: H settles first, the
 moments then settle with its eigenvectors on the stored levels, and the
-arc length last, each at its own level and refining only its own rows
-past the stored ones.  ``branch_spectra``, ``observables.moment_vectors``,
+arc length last, each at its own level.  A level past the stored ones
+samples every row, so a later quantity that needs it samples the
+Hamiltonian's rows too; at the default tolerance H settles at or above
+the others.  ``branch_spectra``, ``observables.moment_vectors``,
 ``observables.classical_moment_numeric`` and ``geometry.arc_length`` are
 the grids of one quantity.
 
@@ -219,9 +221,9 @@ def _vc_variants(branches):
 def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=False):
     """The ``quadrature.NestedGrid`` of one shape's pass over one winding.
 
-    Its parts are sampled together until the first of them settles: one
-    ``geometry.winding_terms`` call for every level up to 512 points, then
-    one call per level (see ``quadrature.NestedGrid``).  They are
+    Its parts are always sampled together: one ``geometry.winding_terms``
+    call for every level up to 512 points, then one call per level (see
+    ``quadrature.NestedGrid``).  They are
 
     - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
       setting the (p, include_vc) pairs use, then B and C;
@@ -247,16 +249,15 @@ def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=Fa
         parts["length"] = 1
     weighted = moments == "weights"
 
-    def sample(theta, names):
+    def sample(theta):
         phi = theta / shape.omega
-        hamiltonian = "hamiltonian" in names
         f, f1, f2, vc, g = geometry.winding_terms(
-            shape, phi, derivatives=hamiltonian, potential=hamiltonian and variants[-1],
-            moment_axes=axes if "moments" in names else (),
+            shape, phi, derivatives=bool(variants), potential=True in variants,
+            moment_axes=axes,
         )
-        out = np.empty((sum(parts[name] for name in names), phi.size))
+        out = np.empty((sum(parts.values()), phi.size))
         row = 0
-        if hamiltonian:
+        if variants:
             out[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
             if variants[-1]:
                 out[len(variants) - 1] += vc
@@ -266,7 +267,7 @@ def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=Fa
         if g is not None:
             out[row: row + len(axes)] = g / (2.0 * math.pi * f * f) if weighted else g
             row += len(axes)
-        if "length" in names:
+        if length:
             out[row] = f
         return out
 

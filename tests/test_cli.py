@@ -414,6 +414,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, status", [
         (["current", "--omega", "4", "--grid", "7"], 2),
         (["current", *FLAT6_ARGS, "--n-max", "16", "--quad-points", "32", "--quad-tol", "1e6"], 3),
+        # a bad --grid is a usage error even where the solve would fail
+        (["current", "--grid", "7", "--omega", "6", "--a", "0.75", "--b", "0.25", "--n-max", "16",
+          "--quad-points", "32", "--quad-tol", "1e6"], 2),
         (["geometry", "--grid", "1"], 2),
     ])
     def test_failed_grid_table_leaves_no_file(self, capsys, tmp_path, argv, status):

@@ -153,7 +153,7 @@ def settle_harmonics(sample, rows, harmonics, gather, spec=None):
     read through the trapezoid integrals of ``harmonics``, with the
     relative stopping test of the spectral passes.
     """
-    grid = NestedGrid(lambda nodes, names: sample(nodes), {"g": rows}, spec, harmonics, ["g"])
+    grid = NestedGrid(sample, {"g": rows}, spec, harmonics, ["g"])
     return settle(grid, "g", gather, relative=True)
 
 
@@ -228,11 +228,12 @@ class TestNestedGrid:
     """Quantities of one grid, each at its own level, against a grid of each alone."""
 
     def grid(self, calls, spec):
-        rows = {"smooth": _smooth, "sharp": _sharp, "plain": lambda phi: np.exp(np.sin(phi))[None]}
+        rows = [_smooth, _sharp, lambda phi: np.exp(np.sin(phi))[None]]
 
-        def sample(nodes, names):
-            calls.append((names, nodes.size))
-            return np.concatenate([rows[name](nodes) for name in names])
+        def sample(nodes):
+            out = np.concatenate([row(nodes) for row in rows])
+            calls.append((nodes.copy(), out.shape[0]))
+            return out
 
         return NestedGrid(sample, {"smooth": 2, "sharp": 1, "plain": 1}, spec,
                           np.arange(-4, 5), ["smooth", "sharp"])
@@ -240,10 +241,10 @@ class TestNestedGrid:
     @pytest.mark.parametrize("first", ["smooth", "sharp"])
     def test_each_quantity_equals_its_own_integrator(self, first, monkeypatch):
         # the sharp row needs a finer grid than the smooth ones: settled
-        # second it refines alone past the stored levels, settled first it
-        # leaves stored levels for the others to read.  With the package's
-        # prefetch bound the first call covers every level all three need;
-        # with a bound of 16 points the walk goes on together past it.
+        # second it refines the grid past the stored levels, settled first
+        # it leaves stored levels for the others to read.  With the
+        # package's prefetch bound the first call covers every level all
+        # three need; with a bound of 16 points the walk goes on past it.
         spec = QuadratureSpec(initial_points=8)
         identity = lambda integrals: integrals
         want = {
@@ -263,29 +264,26 @@ class TestNestedGrid:
                 assert np.array_equal(result.value, want[name].value)
                 assert result.points_used == want[name].points_used
                 assert result.error_estimate == want[name].error_estimate
-            # the first call samples every part on every level up to the
-            # bound, the next ones every part on one level each up to the
-            # first quantity's level; past that a part is sampled alone,
-            # and no angle of a part twice
-            shared = max(bound, got[first].points_used)
-            together = [size for names, size in calls if names == ("smooth", "sharp", "plain")]
-            assert calls[0] == (("smooth", "sharp", "plain"), bound)
-            assert together == [bound] + [bound << i for i in range(len(together) - 1)]
-            assert bound << len(together) - 1 == shared
-            assert all(len(names) == 1 for names, _ in calls[len(together):])
-            for name, result in got.items():
-                sampled = sum(size for names, size in calls if name in names)
-                assert sampled == max(shared, result.points_used)
+            # every call samples every part: the first on every level up
+            # to the bound, each later one on the next level's midpoints,
+            # up to the finest level a quantity settled on; no angle twice
+            sizes = [nodes.size for nodes, _ in calls]
+            finest = max(bound, max(result.points_used for result in got.values()))
+            assert all(count == 4 for _, count in calls)
+            assert sizes == [bound] + [bound << i for i in range(len(calls) - 1)]
+            assert bound << len(calls) - 1 == finest
+            sampled = np.concatenate([nodes for nodes, _ in calls])
+            assert np.unique(sampled).size == sampled.size == finest
 
     def test_default_gather_is_the_trapezoid_sum(self):
         spec = QuadratureSpec(initial_points=8)
-        grid = NestedGrid(lambda nodes, names: np.exp(np.sin(nodes))[None], {"f": 1}, spec)
+        grid = NestedGrid(lambda nodes: np.exp(np.sin(nodes))[None], {"f": 1}, spec)
         want = integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec)
         got = settle(grid, "f")
         assert got.value == want.value
         assert (got.points_used, got.error_estimate) == (want.points_used, want.error_estimate)
 
-    def test_second_quantity_hits_the_cap_alone(self):
+    def test_second_quantity_hits_the_cap(self):
         spec = QuadratureSpec(initial_points=8, max_doublings=4)
         calls = []
         grid = self.grid(calls, spec)

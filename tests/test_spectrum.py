@@ -304,15 +304,16 @@ class TestFirstSampling:
         calls = []
         sample = grid._sample
 
-        def recording(nodes, names):
-            out = sample(nodes, names)
-            calls.append((nodes.copy(), names, out))
+        def recording(nodes):
+            out = sample(nodes)
+            calls.append((nodes.copy(), out))
             return out
 
         grid._sample = recording
         settle(grid, "length")
-        nodes, names, out = calls[0]
-        assert names == ("hamiltonian", "moments", "length")
+        nodes, out = calls[0]
+        # the rows of A per V_c setting, B, C, the moment rows and f
+        assert out.shape[0] == len(variants) + 2 + (3 if omega == 1 else 1) + 1
         assert nodes.size == 512
         # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
         walk = 2.0 * math.pi * np.arange(64) / 64
@@ -321,9 +322,9 @@ class TestFirstSampling:
             step = 8 >> level
             mids = walk + math.pi / (64 << (level - 1))
             assert np.array_equal(nodes[step::2 * step], mids)
-            assert np.array_equal(out[:, step::2 * step], sample(mids, names))
+            assert np.array_equal(out[:, step::2 * step], sample(mids))
             walk = np.sort(np.concatenate([walk, mids]))
-        assert np.array_equal(out[:, ::8], sample(2.0 * math.pi * np.arange(64) / 64, names))
+        assert np.array_equal(out[:, ::8], sample(2.0 * math.pi * np.arange(64) / 64))
 
 
 class TestReferenceConfiguration:

@@ -13,10 +13,11 @@ from its standalone call.
 import numpy as np
 import pytest
 
+from helixtm import observables, spectrum
 from helixtm.geometry import HelixShape, arc_length
 from helixtm.linalg import HermiticityViolation, HermitianMatrix, eigen_decompose, fix_phase
 from helixtm.observables import branch_moments, moment_vectors
-from helixtm.quadrature import QuadratureSpec
+from helixtm.quadrature import QuadratureSpec, settle
 from helixtm.spectrum import BlochBasis, _hamiltonian_stack, branch_momenta, branch_spectra
 
 SHAPES = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
@@ -41,20 +42,40 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
         assert np.array_equal(vectors, fix_phase(one.eigenvectors))
 
 
-@pytest.mark.parametrize("n_max", [2, 8, 16])
-@pytest.mark.parametrize("omega", [1, 4, 6, 40])
-@pytest.mark.parametrize("a, b", SHAPES)
-def test_one_pass_equals_standalone_calls(a, b, omega, n_max):
+ONE_PASS_CASES = [
+    pytest.param(a, b, omega, n_max, None, None, id=f"{a}-{b}-{omega}-{n_max}")
+    for a, b in SHAPES for omega in (1, 4, 6, 40) for n_max in (2, 8, 16)
+] + [
+    # the p = 0 moments settle at 8192 points per winding, past the
+    # Hamiltonian's 1024: the later quantity refines the shared grid
+    pytest.param(0.9, 0.1, 40, 8, QuadratureSpec(tolerance=1e-14), [(0, False), (0, True)],
+                 id="0.9-0.1-40-8-tol1e-14"),
+]
+
+
+@pytest.mark.parametrize("a, b, omega, n_max, quad, pairs", ONE_PASS_CASES)
+def test_one_pass_equals_standalone_calls(a, b, omega, n_max, quad, pairs, monkeypatch):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-    pairs = all_pairs(omega)
-    dec, vectors, length = branch_moments(shape, pairs, n_max, length=True)
-    alone = branch_spectra(shape, pairs, n_max)
+    pairs = pairs or all_pairs(omega)
+    levels = {}
+
+    def recording(grid, part, *args, **kwargs):
+        result = settle(grid, part, *args, **kwargs)
+        levels[part] = result.points_used
+        return result
+
+    monkeypatch.setattr(observables, "settle", recording)
+    monkeypatch.setattr(spectrum, "settle", recording)
+    dec, vectors, length = branch_moments(shape, pairs, n_max, quad, length=True)
+    if quad is not None:
+        assert levels == {"hamiltonian": 1024, "moments": 8192, "length": 1024}
+    alone = branch_spectra(shape, pairs, n_max, quad)
     k = branch_momenta(shape, [p for p, _ in pairs], n_max)
     assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
     assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
-    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))
-    assert length == arc_length(shape)
-    assert branch_moments(shape, pairs, n_max)[2] is None
+    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k, quad))
+    assert length == arc_length(shape, quad)
+    assert branch_moments(shape, pairs, n_max, quad)[2] is None
 
 
 @pytest.mark.parametrize(
