@@ -417,15 +417,18 @@ def main(argv=None):
             if not 0 <= p < settings.omega:
                 raise UsageError(f"branch index must satisfy 0 <= p < omega, got p={p}")
         # every command computes its numbers before returning; the chunks
-        # only format them, so a failure leaves no --out file behind
-        chunks = _COMMANDS[args.command](settings)
+        # only format them, so a failure leaves no --out file behind.  A
+        # division by zero, overflow or invalid value in a shape's
+        # functions is a numerical failure, not a row of inf or nan
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            chunks = _COMMANDS[args.command](settings)
         if settings.out == "-":
             sys.stdout.writelines(chunks)
         else:
             with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
     except (QuadratureNotConverged, NoConvergence, HermiticityViolation, OverflowError,
-            MemoryError) as exc:
+            FloatingPointError, MemoryError) as exc:
         print(f"helixtm: numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (UsageError, ValueError, OSError) as exc:

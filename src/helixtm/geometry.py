@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import integrate_periodic
+
 # Below this curvature the principal normal direction is numerically undefined.
 KAPPA_MIN = 1e-12
 
@@ -271,7 +273,7 @@ def _moment_integrand_from(shape, phi, s, c, W, axes):
     return g
 
 
-def winding_terms(shape, phi, derivatives=True, potential=True, moment_axes=()):
+def winding_terms(shape, phi, potential=True, moment_axes=()):
     """(f, f', f'', V_c, g): every sampled function of a pass over the winding.
 
     One evaluation of the winding angle's sine and cosine (and, for g, of
@@ -284,14 +286,13 @@ def winding_terms(shape, phi, derivatives=True, potential=True, moment_axes=()):
     (len(moment_axes),) + phi.shape, written elementwise from the
     components of ``position`` and ``velocity`` without stacking them:
     g_axis = dot * r_axis - 2 r^2 * v_axis with
-    dot = v_x r_x + v_y r_y + v_z r_z.  f' and f'' are None unless
-    ``derivatives`` is set, V_c is None unless ``potential`` is, and g is
-    None without moment axes.
+    dot = v_x r_x + v_y r_y + v_z r_z.  V_c is None unless ``potential``
+    is set, and g is None without moment axes.
     """
     s, c, W = _sc(shape, phi)
     phi = np.asarray(phi, dtype=float)
     f = _speed_from(shape, s, c, W)
-    f1, f2 = _speed_derivatives_from(shape, phi, s, c, W, f) if derivatives else (None, None)
+    f1, f2 = _speed_derivatives_from(shape, phi, s, c, W, f)
     vc = _curvature_potential_from(shape, s, c, W) if potential else None
     g = _moment_integrand_from(shape, phi, s, c, W, moment_axes) if moment_axes else None
     return f, f1, f2, vc, g
@@ -422,12 +423,7 @@ def arc_length(shape, spec=None):
     Always exceeds 2*pi*R (the planar circle is the degenerate limit).
     f depends on phi only through theta = omega*phi, so the length is the
     integral of f(theta/omega) over one winding of theta, with no extra
-    factor; the grid counts points per winding, like every other
-    integral over the curve.  This is the one-quantity case of the
-    spectrum's pass over the winding: the same sampler, a grid of the f
-    row alone, and the trapezoid sum of ``quadrature.integrate_periodic``.
+    factor; ``quadrature.integrate_periodic`` settles it on a grid that
+    counts points per winding, like every other integral over the curve.
     """
-    from .quadrature import settle
-    from .spectrum import winding_grid
-
-    return settle(winding_grid(shape, spec, length=True), "length").value.real
+    return integrate_periodic(lambda theta: speed(shape, theta / shape.omega), spec).value.real

@@ -62,7 +62,8 @@ sampling pass, each at its own level; every result equals the one of the
 standalone call bit for bit.  The command line's ``moments`` and
 ``thermal`` use it.  ``toroidal_moment`` is the one-state case of
 ``moment_vectors``, wrapped in a ``MomentResult``.
-``classical_moment_numeric`` takes harmonic 0 of the same rows of g.
+``classical_moment_numeric`` integrates the same rows of g, one
+``quadrature.integrate_periodic`` per row over one winding.
 The rows of g are written elementwise by ``geometry.winding_terms``.
 The tests check the quantum moments against integrating j * g_axis
 over the full turn on all three axes, with g formed from the stacked
@@ -78,7 +79,7 @@ import numpy as np
 
 from . import geometry
 from .linalg import eigh_stack
-from .quadrature import settle
+from .quadrature import integrate_periodic, settle
 from .spectrum import _hamiltonians, _moment_axes, branch_momenta, winding_grid
 
 
@@ -180,7 +181,7 @@ def moment_vectors(shape, coefficients, k, quad=None):
     all moments together settle to ``tolerance * max(1, max |T|)``.
     """
     n_max = (coefficients.shape[1] - 1) // 2
-    return _moments(winding_grid(shape, quad, n_max, moments="weights"), shape, coefficients, k)
+    return _moments(winding_grid(shape, quad, n_max, moments=True), shape, coefficients, k)
 
 
 def branch_moments(shape, branches, n_max, quad=None, length=False):
@@ -198,7 +199,7 @@ def branch_moments(shape, branches, n_max, quad=None, length=False):
     ``EigenDecomposition`` of ``branch_spectra``, the (B, d, 3) moment
     vectors and the length (None unless ``length`` is set).
     """
-    grid = winding_grid(shape, quad, n_max, branches, moments="weights", length=length)
+    grid = winding_grid(shape, quad, n_max, branches, moments=True, length=length)
     dec = eigh_stack(_hamiltonians(grid, shape, branches, n_max))
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
     vectors = _moments(grid, shape, dec.eigenvectors, k)
@@ -214,12 +215,17 @@ def toroidal_moment(state, shape, quad=None):
 
 
 def classical_moment_numeric(shape, loop_current, quad=None):
-    """Toroidal moment vector of a constant loop current by quadrature."""
-    grid = winding_grid(shape, quad, moments="integrand")
+    """Toroidal moment vector of a constant loop current by quadrature.
+
+    Each axis that does not vanish identically (see the module docstring)
+    is one ``integrate_periodic`` of its row of g over one winding,
+    sampled at phi = theta/omega.
+    """
     vector = np.zeros(3)
-    vector[list(_moment_axes(shape))] = settle(
-        grid, "moments", lambda integrals: loop_current * integrals[:, 0].real, relative=True
-    ).value
+    for axis in _moment_axes(shape):
+        integral = integrate_periodic(lambda theta: geometry.winding_terms(
+            shape, theta / shape.omega, potential=False, moment_axes=(axis,))[4][0], quad)
+        vector[axis] = loop_current * integral.value.real
     return vector / 10.0
 
 

@@ -24,10 +24,13 @@ the same sum ``integrate_periodic`` would form for it, taken in another
 order.
 
 ``integrate_periodic`` (one scalar integrand, absolute stopping test) is
-the grid of one part of one row.  The spectrum's pass over a shape
-(``spectrum.winding_grid``) holds the Hamiltonian's rows, the moment
-weights and the speed on one grid; its Hamiltonian and moments are read
-through their harmonics, with a relative stopping test.
+the grid of one part of one row.  It integrates the standalone arc
+length (``geometry.arc_length``) and the numeric classical moment
+(``observables.classical_moment_numeric``, one row of g per call).  The
+spectrum's pass over a shape (``spectrum.winding_grid``) holds the
+Hamiltonian's rows, the moment weights and the speed on one grid; its
+Hamiltonian and moments are read through their harmonics, with a
+relative stopping test.
 
 On a helix every function the spectral passes integrate depends on the
 turn angle phi only through the winding angle theta = omega*phi, and

@@ -80,9 +80,11 @@ moments then settle with its eigenvectors on the stored levels, and the
 arc length last, each at its own level.  A level past the stored ones
 samples every row, so a later quantity that needs it samples the
 Hamiltonian's rows too; at the default tolerance H settles at or above
-the others.  ``branch_spectra``, ``observables.moment_vectors``,
-``observables.classical_moment_numeric`` and ``geometry.arc_length`` are
-the grids of one quantity.
+the others.  ``branch_spectra`` and ``observables.moment_vectors`` are
+the grids of one quantity.  The standalone arc length
+(``geometry.arc_length``) and the numeric classical moment
+(``observables.classical_moment_numeric``) are one-row integrals and go
+through ``quadrature.integrate_periodic``.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
@@ -218,7 +220,7 @@ def _vc_variants(branches):
     return sorted({bool(vc) for _, vc in branches})
 
 
-def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=False):
+def winding_grid(shape, quad, n_max, branches=(), moments=False, length=False):
     """The ``quadrature.NestedGrid`` of one shape's pass over one winding.
 
     Its parts are always sampled together: one ``geometry.winding_terms``
@@ -227,16 +229,15 @@ def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=Fa
 
     - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
       setting the (p, include_vc) pairs use, then B and C;
-    - ``"moments"``: the nonzero rows of the toroidal-moment weight
-      g / (2 pi f^2) (``moments="weights"``) or of g itself
-      (``moments="integrand"``), the z row for omega >= 2 and all three
-      rows at omega = 1 (see ``observables``);
+    - ``"moments"`` (when ``moments`` is set): the nonzero rows of the
+      toroidal-moment weight g / (2 pi f^2), the z row for omega >= 2 and
+      all three rows at omega = 1 (see ``observables``);
     - ``"length"`` (when ``length`` is set): f.
 
-    The first two are read through their harmonics -2*n_max..2*n_max
-    (harmonic 0 alone at n_max = 0).  Every part is sampled at
-    phi = theta/omega, so the grid counts points per winding.  Nothing is
-    sampled until a quantity settles on the grid (``quadrature.settle``).
+    The first two are read through their harmonics -2*n_max..2*n_max.
+    Every part is sampled at phi = theta/omega, so the grid counts points
+    per winding.  Nothing is sampled until a quantity settles on the grid
+    (``quadrature.settle``).
     """
     variants = _vc_variants(branches)
     axes = _moment_axes(shape) if moments else ()
@@ -247,14 +248,11 @@ def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=Fa
         parts["moments"] = len(axes)
     if length:
         parts["length"] = 1
-    weighted = moments == "weights"
 
     def sample(theta):
         phi = theta / shape.omega
-        f, f1, f2, vc, g = geometry.winding_terms(
-            shape, phi, derivatives=bool(variants), potential=True in variants,
-            moment_axes=axes,
-        )
+        f, f1, f2, vc, g = geometry.winding_terms(shape, phi, potential=True in variants,
+                                                  moment_axes=axes)
         out = np.empty((sum(parts.values()), phi.size))
         row = 0
         if variants:
@@ -264,8 +262,8 @@ def winding_grid(shape, quad=None, n_max=0, branches=(), moments=None, length=Fa
             out[len(variants)] = 0.5 / (f * f)
             out[len(variants) + 1] = f1 / f**3
             row = len(variants) + 2
-        if g is not None:
-            out[row: row + len(axes)] = g / (2.0 * math.pi * f * f) if weighted else g
+        if moments:
+            out[row: row + len(axes)] = g / (2.0 * math.pi * f * f)
             row += len(axes)
         if length:
             out[row] = f

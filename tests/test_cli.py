@@ -436,6 +436,25 @@ class TestExitCodes:
         assert err == "helixtm: numerical failure: R^2 overflows for R = 1e+200\n"
         assert not target.exists()
 
+    # shapes HelixShape accepts whose functions divide by zero (P underflows
+    # to 0 at phi = 0) or overflow (R^2 at the edge of the float range)
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--b", "1e-300"],
+        ["potential", "--b", "1e-300"],
+        ["spectrum", "--R", "1e154"],
+        ["moments", "--R", "1e154"],
+        ["current", "--R", "1e154"],
+        ["thermal", "--R", "1e154", "--temperature", "0.1"],
+        ["geometry", "--R", "1e200"],
+    ])
+    def test_floating_point_failure_is_exit_three(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("helixtm: numerical failure: ")
+        assert not target.exists()
+
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 298. GiB for an array"),
          "Unable to allocate 298. GiB for an array"),

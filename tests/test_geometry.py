@@ -250,9 +250,8 @@ class TestWindingTerms:
         assert vc is None and g is None
         assert np.array_equal(f, speed(SIXTURN, phi))
         assert np.array_equal(f2, speed_derivatives(SIXTURN, phi)[1])
-        f, f1, f2, vc, g = winding_terms(SIXTURN, phi, derivatives=False, potential=False,
-                                         moment_axes=(2,))
-        assert f1 is None and f2 is None and vc is None
+        f, f1, f2, vc, g = winding_terms(SIXTURN, phi, potential=False, moment_axes=(2,))
+        assert vc is None
         assert np.array_equal(g, moment_integrand(SIXTURN, phi)[:, 2:].T)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helixtm import observables, spectrum
 from helixtm.geometry import HelixShape, arc_length, speed, speed_derivatives
 from helixtm.observables import (
     MomentResult,
@@ -247,6 +248,19 @@ class TestClassicalMoment:
         assert classical_moment_numeric(UP4, -1.0)[2] == pytest.approx(
             -classical_moment_numeric(UP4, 1.0)[2], rel=1e-12
         )
+
+    def test_one_row_integrals_need_no_winding_grid(self, monkeypatch):
+        # the arc length and the classical moment are one-row integrals of
+        # integrate_periodic, not grids of the spectrum's pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("winding_grid called")
+
+        monkeypatch.setattr(spectrum, "winding_grid", refuse)
+        monkeypatch.setattr(observables, "winding_grid", refuse)
+        for shape in (UP4, HelixShape(R=1.0, a=0.9, b=0.1, omega=1)):
+            assert arc_length(shape) > 2 * math.pi * shape.R
+            numeric = classical_moment_numeric(shape, 0.7)
+            assert numeric[2] == pytest.approx(classical_moment_closed(shape, 0.7)[2], abs=1e-8)
 
     def test_free_particle_current_values(self):
         assert free_particle_current(UP4, 0.0) == 0.0

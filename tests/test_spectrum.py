@@ -297,10 +297,9 @@ class TestFirstSampling:
 
     @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
     @pytest.mark.parametrize("variants", [(False,), (True,), (False, True)])
-    @pytest.mark.parametrize("moments", ["weights", "integrand"])
-    def test_one_call_equals_the_per_level_calls(self, a, b, omega, variants, moments):
+    def test_one_call_equals_the_per_level_calls(self, a, b, omega, variants):
         shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-        grid = winding_grid(shape, None, 2, [(0, vc) for vc in variants], moments, length=True)
+        grid = winding_grid(shape, None, 2, [(0, vc) for vc in variants], True, length=True)
         calls = []
         sample = grid._sample
 
