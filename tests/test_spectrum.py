@@ -297,9 +297,13 @@ class TestFirstSampling:
 
     @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
     @pytest.mark.parametrize("variants", [(False,), (True,), (False, True)])
-    def test_one_call_equals_the_per_level_calls(self, a, b, omega, variants):
+    # the grids the spectrum's pass builds: the Hamiltonian alone, with the
+    # moments, and with the moments and the length row
+    @pytest.mark.parametrize("moments, length", [(False, False), (True, False), (True, True)],
+                             ids=["hamiltonian", "moments", "length"])
+    def test_one_call_equals_the_per_level_calls(self, a, b, omega, variants, moments, length):
         shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-        grid = winding_grid(shape, None, 2, [(0, vc) for vc in variants], True, length=True)
+        grid = winding_grid(shape, None, 2, [(0, vc) for vc in variants], moments, length)
         calls = []
         sample = grid._sample
 
@@ -309,10 +313,14 @@ class TestFirstSampling:
             return out
 
         grid._sample = recording
-        settle(grid, "length")
+        if length:
+            settle(grid, "length")
+        else:
+            grid._samples(0)  # the first sampling, as any settle starts
         nodes, out = calls[0]
         # the rows of A per V_c setting, B, C, the moment rows and f
-        assert out.shape[0] == len(variants) + 2 + (3 if omega == 1 else 1) + 1
+        moment_rows = (3 if omega == 1 else 1) if moments else 0
+        assert out.shape[0] == len(variants) + 2 + moment_rows + length
         assert nodes.size == 512
         # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
         walk = 2.0 * math.pi * np.arange(64) / 64
