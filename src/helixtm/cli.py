@@ -5,10 +5,10 @@ tabulate curve data, ``spectrum`` prints eigenvalue/coefficient tables,
 ``current``, ``moments`` and ``thermal`` cover the observables.  Output
 is CSV (``thermal`` uses aligned text) on stdout or ``--out``.
 
-The solver works in natural units with lengths as given; reported
-energies and currents carry a factor R^2 and toroidal moments a factor
-1/R so that everything is expressed in units built from the major
-radius.  With the default R = 1 this is the identity.
+``geometry`` tabulates the curve with R as given.  The other commands
+solve the shape at unit major radius, (1, a/R, b/R, omega), and print
+its numbers as they come: energies, V_c and currents in units of 1/R^2
+and moments in units of R, the same whatever length unit R is given in.
 
 Options may come from a ``key = value`` config file (``--config``);
 explicit flags win over file values.  Exit codes: 0 success, 2 bad
@@ -227,6 +227,17 @@ def _single_shape(settings):
     )
 
 
+def _unit_shape(shape):
+    """(1, a/R, b/R, omega), the shape the physics commands solve.
+
+    numpy divides, so an overflow raises under the command's error state; a
+    ratio that underflows keeps the smallest float, whose terms underflow alike.
+    """
+    a, b = np.maximum(np.divide([shape.a, shape.b], shape.R),
+                      np.finfo(float).smallest_subnormal).tolist()
+    return HelixShape(R=1.0, a=a, b=b, omega=shape.omega)
+
+
 def _branch_pairs(settings):
     """The (p, include_vc) pairs the --p and V_c flags ask for, in print order."""
     variants = {"with": [True], "without": [False], "both": [False, True]}[settings.vc]
@@ -235,14 +246,6 @@ def _branch_pairs(settings):
 
 def _grid_angles(settings):
     return 2.0 * np.pi * np.arange(settings.grid) / settings.grid
-
-
-def _r_squared(settings):
-    """R^2, the unit of reported energies and currents."""
-    try:
-        return settings.R**2
-    except OverflowError:
-        raise OverflowError(f"R^2 overflows for R = {settings.R:g}") from None
 
 
 def _fmt(value, digits):
@@ -307,17 +310,15 @@ def _cmd_potential(settings):
         HelixShape(R=settings.R, a=a, b=b, omega=settings.omega)
         for a, b in zip(settings.a_list, settings.b_list)
     ]
-    scale = _r_squared(settings)
     header = "phi," + ",".join(f"Vc[a={s.a:g};b={s.b:g}]" for s in shapes)
     phi = _grid_angles(settings)
-    columns = [phi] + [scale * curvature_potential(s, phi) for s in shapes]
+    columns = [phi] + [curvature_potential(_unit_shape(s), phi) for s in shapes]
     return _grid_blocks(header, columns, settings.digits)
 
 
 def _cmd_spectrum(settings):
-    shape = _single_shape(settings)
+    shape = _unit_shape(_single_shape(settings))
     d = settings.digits
-    scale = _r_squared(settings)
     dim = 2 * settings.n_max + 1
     lines = ["p,vc,row," + ",".join(f"alpha{i}" for i in range(dim))]
     pairs = _branch_pairs(settings)
@@ -325,15 +326,14 @@ def _cmd_spectrum(settings):
     for (p, include_vc), energies, rows in zip(
             pairs, dec.eigenvalues.tolist(), dec.eigenvectors.tolist()):
         tag = "on" if include_vc else "off"
-        lines.append(f"{p},{tag},E," + ",".join(_fmt(scale * e, d) for e in energies))
+        lines.append(f"{p},{tag},E," + ",".join(_fmt(e, d) for e in energies))
         for n, row in zip(range(-settings.n_max, settings.n_max + 1), rows):
             lines.append(f"{p},{tag},m={n}," + ",".join(_fmt(x, d) for x in row))
     return ["\n".join(lines) + "\n"]
 
 
 def _cmd_current(settings):
-    shape = _single_shape(settings)
-    scale = _r_squared(settings)
+    shape = _unit_shape(_single_shape(settings))
     pairs = _branch_pairs(settings)
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
@@ -345,15 +345,13 @@ def _cmd_current(settings):
         f"j[p={p};alpha={alpha};vc={'on' if include_vc else 'off'}]"
         for p, include_vc in pairs for alpha in range(j.shape[1])
     ]
-    return _grid_blocks(",".join(header), [phi, *(scale * j).reshape(-1, settings.grid)],
+    return _grid_blocks(",".join(header), [phi, *j.reshape(-1, settings.grid)],
                         settings.digits)
 
 
 def _cmd_moments(settings):
-    shape = _single_shape(settings)
-    _r_squared(settings)  # the solve squares R too: fail before it, as the other solvers do
+    shape = _unit_shape(_single_shape(settings))
     d = settings.digits
-    scale = 1.0 / settings.R
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
     pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
     # spectra, moments and the arc length from one sampling pass
@@ -361,9 +359,8 @@ def _cmd_moments(settings):
     z = vectors[..., 2].tolist()
     loops = loop_current(np.array(settings.p_list, dtype=float), length)
     for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
-        classical = scale * classical_moment_closed(shape, loop)[2]
+        classical = classical_moment_closed(shape, loop)[2]
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
-            t_off, t_on = scale * t_off, scale * t_on
             ratio = "" if abs(t_on) < 1e-6 else _fmt(t_off / t_on, d)
             lines.append(
                 f"{p},{alpha},{_fmt(t_off, d)},{_fmt(t_on, d)},{ratio},{_fmt(classical, d)}"
@@ -372,12 +369,10 @@ def _cmd_moments(settings):
 
 
 def _cmd_thermal(settings):
-    shape = _single_shape(settings)
+    shape = _unit_shape(_single_shape(settings))
     if settings.temperature is None:
         raise UsageError("'thermal' needs --temperature (or temperature= in the config)")
     d = settings.digits
-    t_scale = 1.0 / settings.R
-    e_scale = _r_squared(settings)
     spec_norm = ThermalSpec(temperature=settings.temperature, normalize=True)
     spec_raw = ThermalSpec(temperature=settings.temperature, normalize=False)
     lines = [
@@ -388,7 +383,7 @@ def _cmd_thermal(settings):
     dec, vectors, _ = branch_moments(shape, pairs, settings.n_max, settings.quad)
     for (p, include_vc), energies, z in zip(
             pairs, dec.eigenvalues.tolist(), vectors[..., 2].tolist()):
-        levels = [(e_scale * e, t_scale * t) for e, t in zip(energies, z)]
+        levels = list(zip(energies, z))
         avg = thermal_average(levels, spec_norm)
         try:
             raw = _fmt(thermal_average(levels, spec_raw), d)

@@ -24,7 +24,9 @@ The unit tangent is T = (P*omega*theta_hat + W*phi_hat)/f, and the second
 transverse direction e2 = (W*theta_hat - P*omega*phi_hat)/f completes an
 orthonormal triple (T, e2, n_hat).  The curvature vector has components
 (k_n along n_hat, k_e along e2); the principal normal and binormal follow
-by normalising it and crossing with T.
+by normalising it and crossing with T.  The frame divides by P, which
+vanishes with b; the speed's derivatives, V_c and every row of the pass
+over a shape (``winding_rows``) are rational in D = f^2 and divide by D.
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
 results carry the Cartesian component on the last axis.
@@ -196,57 +198,46 @@ def curve_derivatives(shape, phi):
     return r1, r2, r3
 
 
-def _speed_from(shape, s, c, W):
-    """f from the winding-angle sin/cos and W (see ``speed``)."""
+def _d_forms(shape, s, c, W):
+    """W', D = f^2, D' and D'' from the winding angle's sin/cos and W (see ``winding_rows``)."""
     a, b, w = shape.a, shape.b, shape.omega
-    psq = (a * s) ** 2 + (b * c) ** 2
-    return np.sqrt(psq * w * w + W * W)
-
-
-def _speed_derivatives_from(shape, phi, s, c, W, f):
-    """(f', f'') from the winding-angle sin/cos, W and f (see ``speed_derivatives``)."""
-    a, b, w = shape.a, shape.b, shape.omega
+    w1 = -a * w * s
     dsq = a * a - b * b
-    d1 = w**3 * dsq * np.sin(2 * w * phi) - 2 * a * w * s * W
-    d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
-    f1 = d1 / (2 * f)
-    f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
-    return f1, f2
+    d0 = ((a * s) ** 2 + (b * c) ** 2) * w * w + W * W
+    d1 = 2 * w**3 * dsq * s * c + 2 * W * w1
+    d2 = 2 * w**4 * dsq * (c * c - s * s) + 2 * w1 * w1 - 2 * a * w * w * c * W
+    return w1, d0, d1, d2
 
 
-def _curvature_components_from(shape, s, c, W):
-    """(k_n, k_e) from the winding-angle sin/cos and W (see ``curvature_components``)."""
-    a, b, w = shape.a, shape.b, shape.omega
-    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
-    fsq = P * P * w * w + W * W
-    k_n = -(b / P) * (a * w * w + W * c) / fsq
-    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * (a * a - b * b) * c + P * P * a * w * w) / (fsq * P))
-    return k_n, k_e
-
-
-def _curvature_potential_from(shape, s, c, W):
-    """-kappa^2/8 from the winding-angle sin/cos and W (see ``curvature_potential``)."""
-    return -np.hypot(*_curvature_components_from(shape, s, c, W)) ** 2 / 8.0
+def _potential_from(shape, s, c, W, w1, d0, q):
+    """-kappa^2/8 = -(|r''|^2/D - q^2/4)/(8 D) with q = D'/D (see ``winding_rows``)."""
+    w = shape.omega
+    r2sq = (shape.a * w * w * c + W) ** 2 + 4 * w1 * w1 + (shape.b * w * w * s) ** 2
+    return -(r2sq / d0 - 0.25 * q * q) / (8.0 * d0)
 
 
 def speed(shape, phi):
     """Parametrisation speed f(phi) = |dr/dphi|."""
-    return _speed_from(shape, *_sc(shape, phi))
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c, W = _sc(shape, phi)
+    return np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
 
 
 def speed_derivatives(shape, phi):
     """First and second derivatives of the speed, (f', f'').
 
-    Differentiates f = sqrt(D) with D = P^2*omega^2 + W^2:
+    Differentiates f = sqrt(D) with D = (a^2 s^2 + b^2 c^2) omega^2 + W^2:
 
-        D'  = omega^3*(a^2 - b^2)*sin(2*omega*phi) - 2*a*omega*s*W
-        D'' = 2*omega^4*(a^2 - b^2)*cos(2*omega*phi)
+        D'  = 2*omega^3*(a^2 - b^2)*s*c - 2*a*omega*s*W
+        D'' = 2*omega^4*(a^2 - b^2)*(c^2 - s^2)
               - 2*a*omega^2*c*W + 2*a^2*omega^2*s^2
-        f'  = D'/(2 f),   f'' = D''/(2 f) - D'^2/(4 f^3)
+        f'  = f*q/2,   f'' = f*(D''/D - q^2/2)/2,   with q = D'/D
     """
     s, c, W = _sc(shape, phi)
-    phi = np.asarray(phi, dtype=float)
-    return _speed_derivatives_from(shape, phi, s, c, W, _speed_from(shape, s, c, W))
+    _, d0, d1, d2 = _d_forms(shape, s, c, W)
+    f = np.sqrt(d0)
+    q = d1 / d0
+    return 0.5 * f * q, 0.5 * f * (d2 / d0 - 0.5 * q * q)
 
 
 def curvature_components(shape, phi):
@@ -255,47 +246,56 @@ def curvature_components(shape, phi):
     k_n is the projection on the cross-section normal n_hat, k_e the
     projection on the transverse direction e2 (see module docstring).
     """
-    return _curvature_components_from(shape, *_sc(shape, phi))
-
-
-def _moment_integrand_from(shape, phi, s, c, W, axes):
-    """Rows ``axes`` of g = (r' . r) r - 2 r^2 r' (see ``winding_terms``)."""
     a, b, w = shape.a, shape.b, shape.omega
-    cp, sp = np.cos(phi), np.sin(phi)
-    w1 = -a * w * s
-    r = (W * cp, W * sp, b * s)
-    v = (w1 * cp - W * sp, w1 * sp + W * cp, b * w * c)
-    dot = v[0] * r[0] + v[1] * r[1] + v[2] * r[2]
-    twice_rsq = 2.0 * (r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-    g = np.empty((len(axes),) + np.shape(phi))
-    for row, axis in enumerate(axes):
-        g[row] = dot * r[axis] - twice_rsq * v[axis]
-    return g
-
-
-def winding_terms(shape, phi, potential=True, moment_axes=()):
-    """(f, f', f'', V_c, g): every sampled function of a pass over the winding.
-
-    One evaluation of the winding angle's sine and cosine (and, for g, of
-    cos phi and sin phi) serves them all.  f, f' and f'' equal ``speed``
-    and ``speed_derivatives``, and V_c ``curvature_potential``, bit for
-    bit: the same private formulas on the same sin, cos and W (f' and f''
-    also take sin and cos of the doubled angle, as ``speed_derivatives``
-    does).  g holds the rows ``moment_axes`` (0, 1, 2 for x, y, z) of the
-    toroidal-moment integrand g = (r' . r) r - 2 r^2 r', shape
-    (len(moment_axes),) + phi.shape, written elementwise from the
-    components of ``position`` and ``velocity`` without stacking them:
-    g_axis = dot * r_axis - 2 r^2 * v_axis with
-    dot = v_x r_x + v_y r_y + v_z r_z.  V_c is None unless ``potential``
-    is set, and g is None without moment axes.
-    """
     s, c, W = _sc(shape, phi)
-    phi = np.asarray(phi, dtype=float)
-    f = _speed_from(shape, s, c, W)
-    f1, f2 = _speed_derivatives_from(shape, phi, s, c, W, f)
-    vc = _curvature_potential_from(shape, s, c, W) if potential else None
-    g = _moment_integrand_from(shape, phi, s, c, W, moment_axes) if moment_axes else None
-    return f, f1, f2, vc, g
+    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
+    fsq = P * P * w * w + W * W
+    k_n = -(b / P) * (a * w * w + W * c) / fsq
+    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * (a * a - b * b) * c + P * P * a * w * w) / (fsq * P))
+    return k_n, k_e
+
+
+def winding_rows(shape, theta, potential=False, moment_axes=()):
+    """(f, A0, B, C, V_c, g): every sampled row of a pass over the winding.
+
+    ``theta`` is the winding angle omega*phi.  One evaluation of its sine
+    and cosine gives D = f^2 and its phi-derivatives D' and D'' (as in
+    ``speed_derivatives``) and |r''|^2, and every row is a rational
+    function of them, written with q = D'/D so that nothing squares D':
+
+        A0  = D''/(8 D^2) - (7/32) D'^2/D^3 = (D''/D - (7/4) q^2)/(8 D)
+        B   = 1/(2 D),   C = D'/(2 D^2) = q B
+        V_c = -(D |r''|^2 - D'^2/4)/(8 D^3) = -(|r''|^2/D - q^2/4)/(8 D)
+
+    These are the Hamiltonian's functions of the bracket in ``spectrum``
+    (A0 is its A without V_c) and V_c is ``curvature_potential``, up to
+    rounding; f = sqrt(D) is ``speed`` bit for bit.  g holds the rows
+    ``moment_axes`` (0, 1, 2 for x, y, z) of the toroidal-moment integrand
+    g = (r' . r) r - 2 r^2 r', shape (len(moment_axes),) + theta.shape,
+    from r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2.  The x
+    and y rows are functions of theta only at omega = 1, where
+    cos phi = c and sin phi = s.  V_c is None unless ``potential`` is
+    set, and g is None without moment axes.
+    """
+    a, b, w = shape.a, shape.b, shape.omega
+    if w != 1 and set(moment_axes) - {2}:
+        raise ValueError(f"the x and y rows need omega = 1, got omega={w}")
+    s, c = np.sin(theta), np.cos(theta)
+    W = shape.R + a * c
+    w1, d0, d1, d2 = _d_forms(shape, s, c, W)
+    q = d1 / d0
+    half_inv = 0.5 / d0
+    a0 = (d2 / d0 - 1.75 * q * q) / (8.0 * d0)
+    vc = _potential_from(shape, s, c, W, w1, d0, q) if potential else None
+    g = None
+    if moment_axes:
+        z, z1 = b * s, b * w * c
+        dot, twice_rsq = W * w1 + z * z1, 2.0 * (W * W + z * z)
+        pairs = {2: (z, z1)}  # (r_axis, r'_axis)
+        if w == 1:
+            pairs.update({0: (W * c, w1 * c - W * s), 1: (W * s, w1 * s + W * c)})
+        g = np.stack([dot * pairs[axis][0] - twice_rsq * pairs[axis][1] for axis in moment_axes])
+    return np.sqrt(d0), a0, half_inv, q * half_inv, vc, g
 
 
 def curvature(shape, phi):
@@ -322,8 +322,13 @@ def torsion(shape, phi):
 
 
 def curvature_potential(shape, phi):
-    """Binding potential -kappa^2/8 from confinement to the curve (<= 0)."""
-    return _curvature_potential_from(shape, *_sc(shape, phi))
+    """Binding potential -kappa^2/8 from confinement to the curve (<= 0).
+
+    The V_c row of ``winding_rows``, at the winding angle omega*phi.
+    """
+    s, c, W = _sc(shape, phi)
+    w1, d0, d1, _ = _d_forms(shape, s, c, W)
+    return _potential_from(shape, s, c, W, w1, d0, d1 / d0)
 
 
 def frenet_frame(shape, phi):
@@ -422,8 +427,9 @@ def arc_length(shape, spec=None):
 
     Always exceeds 2*pi*R (the planar circle is the degenerate limit).
     f depends on phi only through theta = omega*phi, so the length is the
-    integral of f(theta/omega) over one winding of theta, with no extra
-    factor; ``quadrature.integrate_periodic`` settles it on a grid that
-    counts points per winding, like every other integral over the curve.
+    integral of f(theta) over one winding of theta, with no extra factor;
+    ``quadrature.integrate_periodic`` settles the f row of
+    ``winding_rows`` on a grid that counts points per winding, like every
+    other integral over the curve.
     """
-    return integrate_periodic(lambda theta: speed(shape, theta / shape.omega), spec).value.real
+    return integrate_periodic(lambda theta: winding_rows(shape, theta)[0], spec).value.real

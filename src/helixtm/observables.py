@@ -1,7 +1,7 @@
 """Probability currents, toroidal moments, and thermal averages.
 
-Natural units (hbar = mass = charge = 1, lengths in units of the major
-radius) throughout; the command line layer rescales on output.
+Natural units (hbar = mass = charge = 1, lengths as given) throughout;
+the command line solves the shape at unit major radius.
 
 For a state with basis coefficients C_n the scalar current along the
 curve (the flux through the cross-section at angle phi) is
@@ -42,7 +42,7 @@ The z weight depends on phi only through the winding angle
 theta = omega*phi, so, as for the Hamiltonian (see ``quadrature``), its
 coefficient at harmonic omega*d is the one-winding coefficient
 (1/(2*pi)) Integral_0^{2pi} w_z(theta) e^{i d theta} dtheta, sampled at
-phi = theta/omega.  The x and y weights are e^{+-i phi} times functions
+the winding angle.  The x and y weights are e^{+-i phi} times functions
 of theta, so their harmonics are +-1 + omega*j, which never equal
 omega*(n - m) once omega >= 2: the in-plane moments vanish identically
 and only the z row is integrated, while ``vector`` still carries the
@@ -54,7 +54,7 @@ states of one shape and one n_max as arrays: coefficients (B, d, S), S
 states per group in columns (the eigenvectors of
 ``spectrum.branch_spectra``), and the (B, d) table of k = p + omega*n
 (``spectrum.branch_momenta``), from the harmonics of the nonzero rows of
-g / (2*pi*f^2) on one grid of one winding (``spectrum.winding_grid``),
+g / (2*pi*D), D = f^2, on one grid of one winding (``spectrum.winding_grid``),
 refined until every moment of the stack settles.  ``branch_moments``
 puts those rows on the grid of the Hamiltonian (and f, for the arc
 length) and settles the spectra, their moments and the length in one
@@ -63,8 +63,10 @@ standalone call bit for bit.  The command line's ``moments`` and
 ``thermal`` use it.  ``toroidal_moment`` is the one-state case of
 ``moment_vectors``, wrapped in a ``MomentResult``.
 ``classical_moment_numeric`` integrates the same rows of g, one
-``quadrature.integrate_periodic`` per row over one winding.
-The rows of g are written elementwise by ``geometry.winding_terms``.
+``quadrature.integrate_periodic`` per row over one winding.  The rows
+of g come from ``geometry.winding_rows``, in the winding angle's sine
+and cosine alone: r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2,
+and at omega = 1 cos phi = c and sin phi = s.
 The tests check the quantum moments against integrating j * g_axis
 over the full turn on all three axes, with g formed from the stacked
 position and velocity, and the classical one against its closed form.
@@ -78,9 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .linalg import eigh_stack
 from .quadrature import integrate_periodic, settle
-from .spectrum import _hamiltonians, _moment_axes, branch_momenta, winding_grid
+from .spectrum import _hamiltonians, _moment_axes, _solve, branch_momenta, winding_grid
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def branch_moments(shape, branches, n_max, quad=None, length=False):
     vectors and the length (None unless ``length`` is set).
     """
     grid = winding_grid(shape, quad, n_max, branches, moments=True, length=length)
-    dec = eigh_stack(_hamiltonians(grid, shape, branches, n_max))
+    dec = _solve(_hamiltonians(grid, shape, branches, n_max))
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
     vectors = _moments(grid, shape, dec.eigenvectors, k)
     return dec, vectors, settle(grid, "length").value.real if length else None
@@ -218,13 +219,13 @@ def classical_moment_numeric(shape, loop_current, quad=None):
     """Toroidal moment vector of a constant loop current by quadrature.
 
     Each axis that does not vanish identically (see the module docstring)
-    is one ``integrate_periodic`` of its row of g over one winding,
-    sampled at phi = theta/omega.
+    is one ``integrate_periodic`` of its row of g (``geometry.winding_rows``)
+    over one winding.
     """
     vector = np.zeros(3)
     for axis in _moment_axes(shape):
-        integral = integrate_periodic(lambda theta: geometry.winding_terms(
-            shape, theta / shape.omega, potential=False, moment_axes=(axis,))[4][0], quad)
+        integral = integrate_periodic(
+            lambda theta: geometry.winding_rows(shape, theta, moment_axes=(axis,))[5][0], quad)
         vector[axis] = loop_current * integral.value.real
     return vector / 10.0
 

@@ -43,8 +43,8 @@ no extra factor,
 
 and the trapezoid estimate from N*omega nodes over the turn equals the
 one from N nodes over the winding.  So the callers hand these integrators the
-winding angle theta as their [0, 2*pi) variable (sampling at
-phi = theta/omega) and ask for harmonic d in place of omega*d, at a cost
+winding angle theta as their [0, 2*pi) variable (``geometry.winding_rows``
+samples at it) and ask for harmonic d in place of omega*d, at a cost
 that does not depend on omega.  ``QuadratureSpec.initial_points``
 therefore counts points per winding; an integrand over the full turn
 (the test references in ``tests/oracles.py``) scales it by omega to

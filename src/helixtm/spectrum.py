@@ -1,8 +1,7 @@
 """Low-lying quantum states of a particle confined to the helix.
 
-Units: hbar = particle mass = 1, lengths in units of the major radius
-(set R = 1; the command line layer rescales reported quantities when a
-different R is requested).
+Units: hbar = particle mass = 1, lengths as given (the command line
+solves the shape at unit major radius, (1, a/R, b/R, omega)).
 
 Wavefunctions on the curve separate into Bloch branches labelled by an
 integer p in [0, omega).  Within a branch the basis functions are
@@ -27,11 +26,15 @@ The f-derivative terms come from moving the flat Laplacian through the
 Hermitian.  In the circular-ring limit (a = b -> 0) the matrix is
 diagonal with entries k^2/(2R^2) - 1/(8R^2).
 
-The bracket is A + k^2 B + i k C with three real functions of the shape,
+The bracket is A + k^2 B + i k C with three real functions of the shape.
+With D = f^2 = |r'|^2 they are rational in D, D', D'' and |r''|^2:
 
-    A = V_c [if included] - (5/8) f'^2/f^4 + f''/(4 f^3),
-    B = 1/(2 f^2),    C = f'/f^3.
+    A = V_c [if included] - (5/8) f'^2/f^4 + f''/(4 f^3)
+      = V_c [if included] + D''/(8 D^2) - (7/32) D'^2/D^3,
+    B = 1/(2 f^2) = 1/(2 D),    C = f'/f^3 = D'/(2 D^2),
+    V_c = -kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3),
 
+the forms ``geometry.winding_rows`` samples, with no square root.
 A, B and C depend on phi only through the winding angle
 theta = omega*phi, and the phase has harmonic omega*(n - m), so the
 substitution theta = omega*phi turns every element into a Fourier
@@ -41,12 +44,12 @@ coefficient over one winding at harmonic d = n - m:
     X_d = (1/(2*pi)) Integral_0^{2pi} X(theta) e^{i d theta} dtheta,
 
 with no factor left over (see ``quadrature``).  The functions are
-sampled at phi = theta/omega, so the grid, and the cost, do not grow
-with omega.
+sampled at the winding angle theta, so the grid, and the cost, do not
+grow with omega.
 
 H is real symmetric.  For every shape of the family
 
-    f^2 = (R + a cos theta)^2 + omega^2 (a^2 sin^2 theta + b^2 cos^2 theta)
+    D = (R + a cos theta)^2 + omega^2 (a^2 sin^2 theta + b^2 cos^2 theta)
 
 is even in theta, and so are f'', V_c, A and B, while f' and C are
 odd.  So A_d and B_d are real, C_d is imaginary, and
@@ -67,13 +70,11 @@ if a pair needs it), B and C once per grid of one winding, takes all
 their harmonics from one real FFT, gathers every matrix and refines the
 grid until the whole stack settles (``quadrature.settle``, relative
 test).
-The sampler takes f, f', f'' and V_c from one evaluation of the winding
-angle's sine and cosine (``geometry.winding_terms``).
 
 That grid is ``winding_grid``, the one pass over a shape.  Its first
-``geometry.winding_terms`` call samples every level up to 512 points per
+``geometry.winding_rows`` call samples every level up to 512 points per
 winding, where most shapes settle.  Besides the rows of H it can hold
-the moment weights g / (2 pi f^2) and f itself, so
+the moment weights g / (2 pi D) and f itself, so
 ``observables.branch_moments`` samples the Hamiltonian, the toroidal
 moments and the arc length of a command together: H settles first, the
 moments then settle with its eigenvectors on the stored levels, and the
@@ -110,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .linalg import HermitianMatrix, eigh_stack
+from .linalg import DEFAULT_HERMITICITY_TOL, HermitianMatrix, eigh_stack
 from .quadrature import NestedGrid, QuadratureSpec, settle
 
 
@@ -223,21 +224,21 @@ def _vc_variants(branches):
 def winding_grid(shape, quad, n_max, branches=(), moments=False, length=False):
     """The ``quadrature.NestedGrid`` of one shape's pass over one winding.
 
-    Its parts are always sampled together: one ``geometry.winding_terms``
+    Its parts are always sampled together: one ``geometry.winding_rows``
     call for every level up to 512 points, then one call per level (see
     ``quadrature.NestedGrid``).  They are
 
     - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
       setting the (p, include_vc) pairs use, then B and C;
     - ``"moments"`` (when ``moments`` is set): the nonzero rows of the
-      toroidal-moment weight g / (2 pi f^2), the z row for omega >= 2 and
+      toroidal-moment weight g / (2 pi D), the z row for omega >= 2 and
       all three rows at omega = 1 (see ``observables``);
     - ``"length"`` (when ``length`` is set): f.
 
     The first two are read through their harmonics -2*n_max..2*n_max.
-    Every part is sampled at phi = theta/omega, so the grid counts points
-    per winding.  Nothing is sampled until a quantity settles on the grid
-    (``quadrature.settle``).
+    Every part is sampled at the winding angle theta, so the grid counts
+    points per winding.  Nothing is sampled until a quantity settles on
+    the grid (``quadrature.settle``).
     """
     variants = _vc_variants(branches)
     axes = _moment_axes(shape) if moments else ()
@@ -250,24 +251,15 @@ def winding_grid(shape, quad, n_max, branches=(), moments=False, length=False):
         parts["length"] = 1
 
     def sample(theta):
-        phi = theta / shape.omega
-        f, f1, f2, vc, g = geometry.winding_terms(shape, phi, potential=True in variants,
-                                                  moment_axes=axes)
-        out = np.empty((sum(parts.values()), phi.size))
-        row = 0
+        f, a0, b, c, vc, g = geometry.winding_rows(shape, theta, True in variants, axes)
+        rows = [a0 + vc if with_vc else a0 for with_vc in variants]
         if variants:
-            out[: len(variants)] = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
-            if variants[-1]:
-                out[len(variants) - 1] += vc
-            out[len(variants)] = 0.5 / (f * f)
-            out[len(variants) + 1] = f1 / f**3
-            row = len(variants) + 2
+            rows += [b, c]
         if moments:
-            out[row: row + len(axes)] = g / (2.0 * math.pi * f * f)
-            row += len(axes)
+            rows += list(g * (b / math.pi))
         if length:
-            out[row] = f
-        return out
+            rows.append(f)
+        return np.stack(rows)
 
     transformed = [name for name in ("hamiltonian", "moments") if name in parts]
     return NestedGrid(sample, parts, quad, np.arange(-2 * n_max, 2 * n_max + 1), transformed)
@@ -289,6 +281,12 @@ def _hamiltonians(grid, shape, branches, n_max):
         return blocks[a_rows].real + (k * k) * blocks[-2].real - k * blocks[-1].imag
 
     return settle(grid, "hamiltonian", gather, relative=True).value / (2.0 * math.pi)
+
+
+def _solve(stack):
+    """``linalg.eigh_stack`` of the matrices, their symmetry checked to
+    ``DEFAULT_HERMITICITY_TOL * max(1, max |H|)``, as the stopping test scales its tolerance."""
+    return eigh_stack(stack, DEFAULT_HERMITICITY_TOL * max(1.0, float(np.max(np.abs(stack)))))
 
 
 def _hamiltonian_stack(shape, branches, n_max, quad):
@@ -328,7 +326,7 @@ def branch_spectra(shape, branches, n_max, quad=None):
     (B, d, d), the coefficients of state alpha of pair b in column
     ``eigenvectors[b, :, alpha]`` (row i multiplies chi_n, n = i - n_max).
     """
-    return eigh_stack(_hamiltonian_stack(shape, branches, n_max, quad))
+    return _solve(_hamiltonian_stack(shape, branches, n_max, quad))
 
 
 def solve_states(shape, basis, config):

@@ -1,10 +1,19 @@
-"""Full-turn complex references for the one-winding real passes.
+"""References for the one-winding real passes: the old formulas and full-turn integrals.
+
+``separate_speed_terms`` writes f, f', f'' and -kappa^2/8 in their first
+form: f' and f'' from the sine and cosine of the doubled winding angle,
+and the curvature from its components on the cross-section frame, which
+divide by P = sqrt(a^2 s^2 + b^2 c^2) and meet in a hypot.  Production
+writes every row of the pass as a rational function of D = f^2 and its
+derivatives (``geometry.winding_rows``); ``winding_rows_reference`` forms
+the same rows from the old terms.
 
 Production assembles H from one-winding harmonics and keeps only the
 parts that survive the theta -> -theta symmetry of the shape; it takes
 toroidal moments as quadratic forms in the coefficients.  The references
 here do neither.  ``hamiltonian_element`` integrates one complex element
-H[m, n] over the whole turn, imaginary part included, and
+H[m, n] over the whole turn, imaginary part included, from the old
+terms, and
 ``moment_from_current`` integrates j(phi) * g_axis(phi) over the whole
 turn on all three axes, with g = (r' . r) r - 2 r^2 r' formed from the
 stacked ``position`` and ``velocity`` (``moment_integrand``) rather than
@@ -19,6 +28,38 @@ import numpy as np
 
 from helixtm import geometry
 from helixtm.quadrature import QuadratureSpec, integrate_periodic
+
+
+def separate_speed_terms(shape, phi):
+    """f, f', f'' and -kappa^2/8 written out term by term, each from its own
+    sin/cos evaluation: the formulas before the rational form."""
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c = np.sin(w * phi), np.cos(w * phi)
+    W = shape.R + a * c
+    f = np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
+    dsq = a * a - b * b
+    d1 = w**3 * dsq * np.sin(2 * w * phi) - 2 * a * w * s * W
+    d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
+    f1 = d1 / (2 * f)
+    f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
+    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
+    fsq = P * P * w * w + W * W
+    k_n = -(b / P) * (a * w * w + W * c) / fsq
+    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * dsq * c + P * P * a * w * w) / (fsq * P))
+    return f, f1, f2, -np.hypot(k_n, k_e) ** 2 / 8.0
+
+
+def winding_rows_reference(shape, phi, moment_axes=(2,)):
+    """(f, A0, B, C, V_c, g) of ``geometry.winding_rows`` at theta = omega*phi, from the old terms.
+
+    A0 = f''/(4 f^3) - (5/8) f'^2/f^4, B = 1/(2 f^2), C = f'/f^3, and g
+    from the stacked ``position`` and ``velocity``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    f, f1, f2, vc = separate_speed_terms(shape, phi)
+    a0 = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
+    g = moment_integrand(shape, phi)[..., list(moment_axes)].T
+    return f, a0, 0.5 / (f * f), f1 / f**3, vc, g
 
 
 def moment_integrand(shape, phi):
@@ -39,8 +80,7 @@ def hamiltonian_element(shape, basis, m, n, config):
     hop = shape.omega * (n - m)
 
     def integrand(phi):
-        f = geometry.speed(shape, phi)
-        f1, f2 = geometry.speed_derivatives(shape, phi)
+        f, f1, f2, vc = separate_speed_terms(shape, phi)
         bracket = (
             k * k / (2.0 * f * f)
             + 1j * k * f1 / f**3
@@ -48,7 +88,7 @@ def hamiltonian_element(shape, basis, m, n, config):
             + f2 / (4.0 * f**3)
         )
         if config.include_vc:
-            bracket = bracket + geometry.curvature_potential(shape, phi)
+            bracket = bracket + vc
         return np.exp(1j * hop * phi) * bracket
 
     quad = config.quad if config.quad is not None else QuadratureSpec()

@@ -25,11 +25,11 @@ from helixtm.geometry import (
     speed_derivatives,
     torsion,
     velocity,
-    winding_terms,
+    winding_rows,
 )
 from helixtm.quadrature import QuadratureSpec
 
-from oracles import moment_integrand
+from oracles import separate_speed_terms, winding_rows_reference
 
 CIRCULAR = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UPRIGHT = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -199,60 +199,78 @@ class TestSpeed:
                 assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-def separate_speed_terms(shape, phi):
-    """f, f', f'' and -kappa^2/8 written out term by term, each from its own
-    sin/cos evaluation: the formulas as they stood before the shared core."""
-    a, b, w = shape.a, shape.b, shape.omega
-    s, c = np.sin(w * phi), np.cos(w * phi)
-    W = shape.R + a * c
-    f = np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
-    dsq = a * a - b * b
-    d1 = w**3 * dsq * np.sin(2 * w * phi) - 2 * a * w * s * W
-    d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
-    f1 = d1 / (2 * f)
-    f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
-    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
-    fsq = P * P * w * w + W * W
-    k_n = -(b / P) * (a * w * w + W * c) / fsq
-    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * dsq * c + P * P * a * w * w) / (fsq * P))
-    return f, f1, f2, -np.hypot(k_n, k_e) ** 2 / 8.0
+# the shapes the rational rows were first checked at: (a, b, omega) at R = 1
+ROW_SHAPES = [(0.75, 0.25, 6), (0.5, 0.5, 4), (0.99, 0.01, 40), (0.999, 0.001, 6), (0.1, 0.9, 1)]
 
 
-class TestWindingTerms:
-    """The fused sampler of the pass over the winding against the separate functions."""
+def assert_rows_close(got, want, label="", tol=1e-13):
+    """Every row within ``tol`` of its largest magnitude."""
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    assert got.shape == want.shape, label
+    for g_row, w_row in zip(got, want):
+        assert np.max(np.abs(g_row - w_row)) <= tol * np.max(np.abs(w_row)), label
 
-    @pytest.mark.parametrize("omega", [1, 2, 4, 6, 40])
-    def test_bit_identical_to_separate_functions(self, omega):
-        rng = np.random.default_rng(omega)
-        shapes = [HelixShape(R=1.0, a=a, b=b, omega=omega)
-                  for a, b in [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]]
-        shapes += [HelixShape(R=s.R, a=s.a, b=s.b, omega=omega) for s in random_shapes(rng, 4)]
-        # the one-winding grids the passes sample, and random angles
-        theta = 2 * math.pi * np.arange(256) / 256
-        for phi in (theta / omega, rng.uniform(-10.0, 10.0, 301)):
-            for shape in shapes:
-                f, f1, f2, vc, g = winding_terms(shape, phi, moment_axes=(0, 1, 2))
-                want_f1, want_f2 = speed_derivatives(shape, phi)
-                assert np.array_equal(f, speed(shape, phi))
-                assert np.array_equal(f1, want_f1)
-                assert np.array_equal(f2, want_f2)
-                assert np.array_equal(vc, curvature_potential(shape, phi))
-                for got, want in zip((f, f1, f2, vc), separate_speed_terms(shape, phi)):
-                    assert np.array_equal(got, want)
-                # the elementwise rows of g equal the ones formed from the
-                # stacked position and velocity
-                assert g.shape == (3, phi.size)
-                assert np.array_equal(g, moment_integrand(shape, phi).T)
 
-    def test_terms_only_on_request(self):
-        phi = np.linspace(0.0, 1.0, 9)
-        f, f1, f2, vc, g = winding_terms(SIXTURN, phi, potential=False)
+class TestWindingRows:
+    """The rational rows of the pass over the winding against the old formulas."""
+
+    def shapes(self):
+        rng = np.random.default_rng(16)
+        shapes = [HelixShape(R=1.0, a=a, b=b, omega=w) for a, b, w in ROW_SHAPES]
+        return shapes + random_shapes(rng, 12)
+
+    def test_rows_match_the_old_formulas(self):
+        rng = np.random.default_rng(7)
+        for shape in self.shapes():
+            axes = (0, 1, 2) if shape.omega == 1 else (2,)
+            # the one-winding grid the passes sample, and random angles; the
+            # rows at theta = omega*phi, where the old formulas take sin and cos
+            theta = 2 * math.pi * np.arange(512) / 512
+            for phi in (theta / shape.omega, rng.uniform(-10.0, 10.0, 301)):
+                got = winding_rows(shape, shape.omega * phi, potential=True, moment_axes=axes)
+                want = winding_rows_reference(shape, phi, axes)
+                for row, (g, w) in enumerate(zip(got, want)):
+                    assert_rows_close(g, w, f"{shape}, row {row}")
+
+    def test_speed_derivatives_and_potential_match_the_old_formulas(self):
+        rng = np.random.default_rng(8)
+        for shape in self.shapes():
+            phi = rng.uniform(-10.0, 10.0, 301)
+            _, want_f1, want_f2, want_vc = separate_speed_terms(shape, phi)
+            f1, f2 = speed_derivatives(shape, phi)
+            assert_rows_close(f1, want_f1)
+            assert_rows_close(f2, want_f2)
+            assert_rows_close(curvature_potential(shape, phi), want_vc)
+
+    def test_speed_row_is_speed(self):
+        # bit for bit at the same winding angle omega*phi
+        phi = np.random.default_rng(9).uniform(-10.0, 10.0, 301)
+        for shape in self.shapes():
+            assert np.array_equal(winding_rows(shape, shape.omega * phi)[0], speed(shape, phi))
+
+    def test_rows_only_on_request(self):
+        theta = np.linspace(0.0, 1.0, 9)
+        f, a0, b, c, vc, g = winding_rows(SIXTURN, theta)
         assert vc is None and g is None
-        assert np.array_equal(f, speed(SIXTURN, phi))
-        assert np.array_equal(f2, speed_derivatives(SIXTURN, phi)[1])
-        f, f1, f2, vc, g = winding_terms(SIXTURN, phi, potential=False, moment_axes=(2,))
-        assert vc is None
-        assert np.array_equal(g, moment_integrand(SIXTURN, phi)[:, 2:].T)
+        g = winding_rows(SIXTURN, theta, moment_axes=(2,))[5]
+        assert g.shape == (1, 9)
+        with pytest.raises(ValueError, match="omega = 1"):
+            winding_rows(SIXTURN, theta, moment_axes=(0, 2))
+
+    def test_flat_limit_is_the_planar_polar_curve(self):
+        # b = 1e-300 squares to 0: the rows are those of the planar curve
+        # W(theta) in the plane, with no division by the vertical half-axis.
+        # At theta = 0, W = 1.5, W' = 0 and W'' = -a omega^2 = -8, so
+        # kappa = (W^2 + 2 W'^2 - W W'')/(W^2 + W'^2)^(3/2) = 14.25/3.375
+        shape = HelixShape(R=1.0, a=0.5, b=1e-300, omega=4)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            f, a0, b, c, vc, g = winding_rows(shape, np.array([0.0]), potential=True,
+                                              moment_axes=(2,))
+            assert curvature_potential(shape, 0.0) == pytest.approx(-(14.25 / 3.375) ** 2 / 8,
+                                                                     rel=1e-15)
+        assert vc[0] == pytest.approx(-(14.25 / 3.375) ** 2 / 8, rel=1e-15)
+        # g_z = -2 r^2 z' with z' = b omega
+        assert f[0] == 1.5 and c[0] == 0.0 and g[0, 0] == pytest.approx(-2 * 1.5**2 * 4e-300)
 
 
 class TestCurvature:

@@ -90,13 +90,13 @@ def test_arc_length_matches_dense_full_turn_sum(a, b, omega):
 def test_moments_command_grid_does_not_grow_with_omega(monkeypatch, capsys):
     # a full-turn grid would start at 64 * omega = 2560 angles
     sizes = []
-    original = geometry.winding_terms
+    original = geometry.winding_rows
 
-    def recording(shape, phi, *args, **kwargs):
-        sizes.append(np.size(phi))
-        return original(shape, phi, *args, **kwargs)
+    def recording(shape, theta, *args, **kwargs):
+        sizes.append(np.size(theta))
+        return original(shape, theta, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "winding_terms", recording)
+    monkeypatch.setattr(geometry, "winding_rows", recording)
     code = main(["moments", "--a", "0.9", "--b", "0.1", "--omega", "40", "--p", "1"])
     capsys.readouterr()
     assert code == 0
