@@ -406,8 +406,8 @@ class TestExitCodes:
 
     # One stage of the shared pass fails in each case: the Hamiltonian, the
     # moments or the arc length reaches the doubling cap while the stages
-    # before it settle.  The messages are those the three separate passes
-    # printed before they shared one grid.  The flattest coil's Hamiltonian
+    # before it settle.  Each message is the one the stage's standalone
+    # pass prints on the same levels.  The flattest coil's Hamiltonian
     # is still under-resolved at the cap; the other stages fail at
     # tolerances near rounding.
     @pytest.mark.parametrize("argv, stage, message", [
@@ -462,7 +462,7 @@ class TestExitCodes:
     def test_huge_radius_solves_the_ring_limit(self, capsys, R):
         # the solvers see the unit-radius shape (1, a/R, b/R, omega), whose
         # half-axes of 5e-155 and 5e-201 leave the ring: k^2/2 - 1/8 with V_c,
-        # k^2/2 without, and moments of the size of the half-axes
+        # k^2/2 without, and moments that vanish with the half-axes
         code, out, err = run_cli(capsys, "spectrum", "--R", R, "--p", "1")
         assert (code, err) == (0, "")
         lines = out.splitlines()
