@@ -25,8 +25,8 @@ transverse direction e2 = (W*theta_hat - P*omega*phi_hat)/f completes an
 orthonormal triple (T, e2, n_hat).  The curvature vector has components
 (k_n along n_hat, k_e along e2); the principal normal and binormal follow
 by normalising it and crossing with T.  The frame divides by P, which
-vanishes with b; the speed's derivatives, V_c and every row of the pass
-over a shape (``winding_rows``) are rational in D = f^2 and divide by D.
+vanishes with b; V_c and every row of the pass over a shape
+(``winding_rows``) are rational in D = f^2 and divide by D.
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
 results carry the Cartesian component on the last axis.
@@ -199,7 +199,14 @@ def curve_derivatives(shape, phi):
 
 
 def _d_forms(shape, s, c, W):
-    """W', D = f^2, D' and D'' from the winding angle's sin/cos and W (see ``winding_rows``)."""
+    """W', D = f^2, D' and D'' from the winding angle's sin/cos and W (see ``winding_rows``).
+
+    With D = (a^2 s^2 + b^2 c^2) omega^2 + W^2:
+
+        D'  = 2*omega^3*(a^2 - b^2)*s*c - 2*a*omega*s*W
+        D'' = 2*omega^4*(a^2 - b^2)*(c^2 - s^2)
+              - 2*a*omega^2*c*W + 2*a^2*omega^2*s^2
+    """
     a, b, w = shape.a, shape.b, shape.omega
     w1 = -a * w * s
     dsq = a * a - b * b
@@ -223,23 +230,6 @@ def speed(shape, phi):
     return np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
 
 
-def speed_derivatives(shape, phi):
-    """First and second derivatives of the speed, (f', f'').
-
-    Differentiates f = sqrt(D) with D = (a^2 s^2 + b^2 c^2) omega^2 + W^2:
-
-        D'  = 2*omega^3*(a^2 - b^2)*s*c - 2*a*omega*s*W
-        D'' = 2*omega^4*(a^2 - b^2)*(c^2 - s^2)
-              - 2*a*omega^2*c*W + 2*a^2*omega^2*s^2
-        f'  = f*q/2,   f'' = f*(D''/D - q^2/2)/2,   with q = D'/D
-    """
-    s, c, W = _sc(shape, phi)
-    _, d0, d1, d2 = _d_forms(shape, s, c, W)
-    f = np.sqrt(d0)
-    q = d1 / d0
-    return 0.5 * f * q, 0.5 * f * (d2 / d0 - 0.5 * q * q)
-
-
 def curvature_components(shape, phi):
     """Curvature-vector components (k_n, k_e) on (n_hat, e2).
 
@@ -256,19 +246,20 @@ def curvature_components(shape, phi):
 
 
 def winding_rows(shape, theta, potential=False, moment_axes=()):
-    """(f, A0, B, C, V_c, g): every sampled row of a pass over the winding.
+    """(f, A0, B, V_c, g): every sampled row of a pass over the winding.
 
     ``theta`` is the winding angle omega*phi.  One evaluation of its sine
-    and cosine gives D = f^2 and its phi-derivatives D' and D'' (as in
-    ``speed_derivatives``) and |r''|^2, and every row is a rational
-    function of them, written with q = D'/D so that nothing squares D':
+    and cosine gives D = f^2 and its phi-derivatives D' and D''
+    (``_d_forms``) and |r''|^2, and every row is a rational function of
+    them, written with q = D'/D so that nothing squares D':
 
         A0  = D''/(8 D^2) - (7/32) D'^2/D^3 = (D''/D - (7/4) q^2)/(8 D)
-        B   = 1/(2 D),   C = D'/(2 D^2) = q B
+        B   = 1/(2 D)
         V_c = -(D |r''|^2 - D'^2/4)/(8 D^3) = -(|r''|^2/D - q^2/4)/(8 D)
 
     These are the Hamiltonian's functions of the bracket in ``spectrum``
-    (A0 is its A without V_c) and V_c is ``curvature_potential``, up to
+    (A0 is its A without V_c; its odd function C = f'/f^3 = -omega dB/dtheta
+    enters through B's harmonics) and V_c is ``curvature_potential``, up to
     rounding; f = sqrt(D) is ``speed`` bit for bit.  g holds the rows
     ``moment_axes`` (0, 1, 2 for x, y, z) of the toroidal-moment integrand
     g = (r' . r) r - 2 r^2 r', shape (len(moment_axes),) + theta.shape,
@@ -284,7 +275,6 @@ def winding_rows(shape, theta, potential=False, moment_axes=()):
     W = shape.R + a * c
     w1, d0, d1, d2 = _d_forms(shape, s, c, W)
     q = d1 / d0
-    half_inv = 0.5 / d0
     a0 = (d2 / d0 - 1.75 * q * q) / (8.0 * d0)
     vc = _potential_from(shape, s, c, W, w1, d0, q) if potential else None
     g = None
@@ -295,7 +285,7 @@ def winding_rows(shape, theta, potential=False, moment_axes=()):
         if w == 1:
             pairs.update({0: (W * c, w1 * c - W * s), 1: (W * s, w1 * s + W * c)})
         g = np.stack([dot * pairs[axis][0] - twice_rsq * pairs[axis][1] for axis in moment_axes])
-    return np.sqrt(d0), a0, half_inv, q * half_inv, vc, g
+    return np.sqrt(d0), a0, 0.5 / d0, vc, g
 
 
 def curvature(shape, phi):

@@ -8,8 +8,8 @@ downstream output.  The solver is checked against an inertia-count
 bisection oracle in the tests.
 
 ``eigh_stack`` does all three for a whole stack of matrices of one size
-at once: one validation pass over the (B, d, d) array (the same
-tolerance, exceptions and messages as ``HermitianMatrix``, reporting the
+at once: one validation pass over the (B, d, d) array (the default
+tolerance, exceptions and messages of ``HermitianMatrix``, reporting the
 first matrix that fails), one ``eigh`` call and one ``fix_phase`` call.
 ``numpy.linalg.eigh`` solves a stack matrix by matrix with the same
 LAPACK routine, so every result equals the one-matrix solve bit for bit;
@@ -19,8 +19,9 @@ its validation and its solve.
 Real input stays real throughout: a real matrix is stored as float64,
 LAPACK's real symmetric solver returns real eigenvectors, and
 ``fix_phase`` fixes their sign.  Complex input stays complex.  The helix
-Hamiltonians are real symmetric (see ``spectrum``), so production never
-takes the complex path.
+Hamiltonians are real and symmetric bit for bit (see ``spectrum``), so
+production never takes the complex path, and their validation reads a
+drift of exactly 0.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _eigh(arr):
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def eigh_stack(entries, hermiticity_tol=DEFAULT_HERMITICITY_TOL):
+def eigh_stack(entries):
     """Validate, solve and phase-fix a (B, d, d) stack of Hermitian matrices.
 
     Equivalent to ``fix_phase(eigen_decompose(HermitianMatrix(h)).eigenvectors)``
@@ -161,14 +162,14 @@ def eigh_stack(entries, hermiticity_tol=DEFAULT_HERMITICITY_TOL):
         If the input is not a (B, d, d) stack or a matrix is not finite.
     HermiticityViolation
         If a matrix drifts from its conjugate transpose by more than
-        ``hermiticity_tol``.
+        ``DEFAULT_HERMITICITY_TOL``.
     NoConvergence
         If LAPACK reports that the decomposition did not converge.
     """
     arr = _real_or_complex(entries)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
-    _check_stack(arr, hermiticity_tol)
+    _check_stack(arr, DEFAULT_HERMITICITY_TOL)
     dec = _eigh(arr)
     return EigenDecomposition(eigenvalues=dec.eigenvalues, eigenvectors=fix_phase(dec.eigenvectors))
 

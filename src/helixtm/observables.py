@@ -81,7 +81,8 @@ import numpy as np
 
 from . import geometry
 from .quadrature import integrate_periodic, settle
-from .spectrum import _hamiltonians, _moment_axes, _solve, branch_momenta, winding_grid
+from .linalg import eigh_stack
+from .spectrum import _hamiltonians, _moment_axes, branch_momenta, winding_grid
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def branch_moments(shape, branches, n_max, quad=None, length=False):
     vectors and the length (None unless ``length`` is set).
     """
     grid = winding_grid(shape, quad, n_max, branches, moments=True, length=length)
-    dec = _solve(_hamiltonians(grid, shape, branches, n_max))
+    dec = eigh_stack(_hamiltonians(grid, shape, branches, n_max))
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
     vectors = _moments(grid, shape, dec.eigenvectors, k)
     return dec, vectors, settle(grid, "length").value.real if length else None
@@ -225,7 +226,7 @@ def classical_moment_numeric(shape, loop_current, quad=None):
     vector = np.zeros(3)
     for axis in _moment_axes(shape):
         integral = integrate_periodic(
-            lambda theta: geometry.winding_rows(shape, theta, moment_axes=(axis,))[5][0], quad)
+            lambda theta: geometry.winding_rows(shape, theta, moment_axes=(axis,))[4][0], quad)
         vector[axis] = loop_current * integral.value.real
     return vector / 10.0
 

@@ -64,31 +64,32 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Each quantity may double its grid this many times, to
+# initial_points * 2**MAX_DOUBLINGS points.
+MAX_DOUBLINGS = 8
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid-refinement policy: start size, target accuracy, refinement cap.
+    """Grid-refinement policy: start size and target accuracy.
 
     ``initial_points`` is the first grid's size on [0, 2*pi).  The
     Hamiltonian, the moments and the arc length are integrated over one
     winding, so there it counts points per winding; the default of 64
     resolves the low winding harmonics from the first grid for every
-    omega.  ``tolerance`` and ``max_doublings`` apply to each quantity of
-    a ``NestedGrid`` separately: each may double the grid up to
-    ``max_doublings`` times, to ``initial_points * 2**max_doublings``
-    points.
+    omega.  ``tolerance`` applies to each quantity of a ``NestedGrid``
+    separately: each may double the grid up to ``MAX_DOUBLINGS`` times,
+    to ``initial_points * 2**MAX_DOUBLINGS`` points.
     """
 
     initial_points: int = 64
     tolerance: float = 1e-10
-    max_doublings: int = 8
 
     def __post_init__(self):
         if self.initial_points < 8:
             raise ValueError(f"initial_points must be >= 8, got {self.initial_points}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_doublings < 1:
-            raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ class NestedGrid:
     2**(finest - l)-th of them, the same floats, because doubling
     interleaves the new midpoints with the old nodes.  The first
     ``sample`` call takes every level up to 512 nodes at once (level 0
-    at least, level ``spec.max_doublings`` at most), on the nodes that
-    interleaving builds; each level past those is one call on its
+    at least; the cap lies past 512 nodes for every spec), on the nodes
+    that interleaving builds; each level past those is one call on its
     midpoints.  The harmonics of a level are taken by one real FFT over
     the transformed rows and kept for the quantities that settle later.
     """
@@ -194,9 +195,7 @@ class NestedGrid:
     def _samples(self, level):
         """Every part's samples on level ``level``, at most one level past the stored ones."""
         if self._vals is None:  # the first sampling takes every level up to _PREFETCH_POINTS
-            spec = self.spec
-            while (self._top < spec.max_doublings
-                   and spec.initial_points << (self._top + 1) <= _PREFETCH_POINTS):
+            while self.spec.initial_points << (self._top + 1) <= _PREFETCH_POINTS:
                 self._refine()
             self._vals = self._sample(self._nodes)
         elif level > self._top:
@@ -245,12 +244,12 @@ def settle(grid, part, gather=_trapezoid, relative=False):
     Raises
     ------
     QuadratureNotConverged
-        If ``spec.max_doublings`` levels do not reach the tolerance.  The
+        If ``MAX_DOUBLINGS`` levels do not reach the tolerance.  The
         exception's ``result`` attribute holds the best estimate.
     """
     spec = grid.spec
     current = grid._estimate(part, 0, gather)
-    for level in range(1, spec.max_doublings + 1):
+    for level in range(1, MAX_DOUBLINGS + 1):
         refined = grid._estimate(part, level, gather)
         change = float(np.max(np.abs(refined - current)))
         current = refined
@@ -263,7 +262,7 @@ def settle(grid, part, gather=_trapezoid, relative=False):
             )
     raise QuadratureNotConverged(QuadratureResult(
         value=current, error_estimate=change,
-        points_used=spec.initial_points << spec.max_doublings,
+        points_used=spec.initial_points << MAX_DOUBLINGS,
     ))
 
 
@@ -287,7 +286,7 @@ def integrate_periodic(fn, spec=None):
     Raises
     ------
     QuadratureNotConverged
-        If max_doublings refinements do not reach the tolerance.  The
+        If ``MAX_DOUBLINGS`` refinements do not reach the tolerance.  The
         exception's ``result`` attribute holds the best estimate.
     """
     grid = NestedGrid(lambda nodes: _eval(fn, nodes)[None], {"fn": 1}, spec)

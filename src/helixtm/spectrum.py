@@ -31,7 +31,7 @@ With D = f^2 = |r'|^2 they are rational in D, D', D'' and |r''|^2:
 
     A = V_c [if included] - (5/8) f'^2/f^4 + f''/(4 f^3)
       = V_c [if included] + D''/(8 D^2) - (7/32) D'^2/D^3,
-    B = 1/(2 f^2) = 1/(2 D),    C = f'/f^3 = D'/(2 D^2),
+    B = 1/(2 f^2) = 1/(2 D),    C = f'/f^3 = D'/(2 D^2) = -dB/dphi,
     V_c = -kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3),
 
 the forms ``geometry.winding_rows`` samples, with no square root.
@@ -47,26 +47,35 @@ with no factor left over (see ``quadrature``).  The functions are
 sampled at the winding angle theta, so the grid, and the cost, do not
 grow with omega.
 
-H is real symmetric.  For every shape of the family
+C is fixed by B: C = -omega dB/dtheta, so integrating by parts gives
+C_d = i omega d B_d, and with omega d = k_n - k_m
+
+    H[m, n] = A_d + k_n^2 B_d - k_n (k_n - k_m) B_d = A_d + k_m k_n B_d,
+
+that is H = T_A + K T_B K with T_X[m, n] = X_{n-m} and K = diag(k).
+C is never sampled.  H is real symmetric.  For every shape of the family
 
     D = (R + a cos theta)^2 + omega^2 (a^2 sin^2 theta + b^2 cos^2 theta)
 
-is even in theta, and so are f'', V_c, A and B, while f' and C are
-odd.  So A_d and B_d are real, C_d is imaginary, and
+is even in theta, and so are f'', V_c, A and B.  So A_d and B_d are
+real and even in d, and
 
-    H[m, n] = Re A_d + k_n^2 Re B_d - k_n Im C_d.
+    H[m, n] = Re A_{n-m} + k_m k_n Re B_{n-m}.
 
-The assembly gathers exactly that.  The parts it drops vanish
+The assembly gathers exactly that.  The imaginary parts it drops vanish
 on the trapezoid grid, which is symmetric under theta -> -theta, up to
 rounding; the tests check the real matrices against a complex
-full-turn reference element, imaginary part included.  Everything downstream
-(eigenvectors, coefficients, the printed tables) is real, with a sign
-in place of a phase.
+full-turn reference element that integrates C, imaginary part included.
+The gathered matrix is symmetric bit for bit: the real parts of the
+harmonics d and -d come from the same FFT entry (the second as its
+conjugate), and k_m k_n is the same float as k_n k_m.  Everything
+downstream (eigenvectors, coefficients, the printed tables) is real,
+with a sign in place of a phase.
 
 Only A depends on whether V_c is included and only k on the branch p,
 so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a
 shape from one pass: it samples A without V_c and A with V_c (each only
-if a pair needs it), B and C once per grid of one winding, takes all
+if a pair needs it) and B once per grid of one winding, takes all
 their harmonics from one real FFT, gathers every matrix and refines the
 grid until the whole stack settles (``quadrature.settle``, relative
 test).
@@ -95,12 +104,7 @@ which ``observables.moment_vectors`` and ``observables.currents`` take
 with the coefficients.  Arrays are the only batch path; the one-branch
 API wraps them in objects: ``build_hamiltonian`` is one matrix of the
 stack as a ``HermitianMatrix`` and ``solve_states`` one pair of
-``branch_spectra`` as a list of ``EigenState`` objects.  Nothing enforces
-the symmetry: H[n, m] uses the harmonic -d and the other k, and
-H[m, n] - H[n, m] = (k_n + k_m) * ((k_n - k_m) Re B_d - Im C_d)
-vanishes only to quadrature accuracy (integration by parts makes the
-bracket zero exactly), so the symmetry check on construction of each
-matrix still flags a too-coarse grid.
+``branch_spectra`` as a list of ``EigenState`` objects.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .linalg import DEFAULT_HERMITICITY_TOL, HermitianMatrix, eigh_stack
+from .linalg import HermitianMatrix, eigh_stack
 from .quadrature import NestedGrid, QuadratureSpec, settle
 
 
@@ -229,7 +233,7 @@ def winding_grid(shape, quad, n_max, branches=(), moments=False, length=False):
     ``quadrature.NestedGrid``).  They are
 
     - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
-      setting the (p, include_vc) pairs use, then B and C;
+      setting the (p, include_vc) pairs use, then B;
     - ``"moments"`` (when ``moments`` is set): the nonzero rows of the
       toroidal-moment weight g / (2 pi D), the z row for omega >= 2 and
       all three rows at omega = 1 (see ``observables``);
@@ -244,17 +248,17 @@ def winding_grid(shape, quad, n_max, branches=(), moments=False, length=False):
     axes = _moment_axes(shape) if moments else ()
     parts = {}
     if variants:
-        parts["hamiltonian"] = len(variants) + 2
+        parts["hamiltonian"] = len(variants) + 1
     if moments:
         parts["moments"] = len(axes)
     if length:
         parts["length"] = 1
 
     def sample(theta):
-        f, a0, b, c, vc, g = geometry.winding_rows(shape, theta, True in variants, axes)
+        f, a0, b, vc, g = geometry.winding_rows(shape, theta, True in variants, axes)
         rows = [a0 + vc if with_vc else a0 for with_vc in variants]
         if variants:
-            rows += [b, c]
+            rows.append(b)
         if moments:
             rows += list(g * (b / math.pi))
         if length:
@@ -271,34 +275,27 @@ def _hamiltonians(grid, shape, branches, n_max):
     if not branches:
         raise ValueError("need at least one branch")
     idx = np.arange(-n_max, n_max + 1)
-    k = branch_momenta(shape, [p for p, _ in branches], n_max)[:, None, :]
+    k = branch_momenta(shape, [p for p, _ in branches], n_max)
+    kk = k[:, :, None] * k[:, None, :]  # k_m k_n
     offsets = idx[None, :] - idx[:, None] + 2 * n_max
     variants = _vc_variants(branches)
     a_rows = [variants.index(bool(vc)) for _, vc in branches]
 
     def gather(integrals):
-        blocks = integrals[:, offsets]
-        return blocks[a_rows].real + (k * k) * blocks[-2].real - k * blocks[-1].imag
+        blocks = integrals[:, offsets].real
+        return blocks[a_rows] + kk * blocks[-1]
 
     return settle(grid, "hamiltonian", gather, relative=True).value / (2.0 * math.pi)
-
-
-def _solve(stack):
-    """``linalg.eigh_stack`` of the matrices, their symmetry checked to
-    ``DEFAULT_HERMITICITY_TOL * max(1, max |H|)``, as the stopping test scales its tolerance."""
-    return eigh_stack(stack, DEFAULT_HERMITICITY_TOL * max(1.0, float(np.max(np.abs(stack)))))
 
 
 def _hamiltonian_stack(shape, branches, n_max, quad):
     """The (len(branches), d, d) real symmetric matrices of the pairs, from one grid.
 
     Every matrix gathers the harmonics d = n - m of the shared samples,
-    taken over one winding, into Re A_d + k^2 Re B_d - k Im C_d with its
-    own k = p + omega*n (see the module docstring for why that is all of
-    A_d + k^2 B_d + i k C_d).  Both triangles are gathered (no symmetry
-    shortcut), so the symmetry check of ``eigh_stack`` or
-    ``HermitianMatrix`` is a real consistency test of the quadrature.
-    The grid is refined until the whole stack settles to
+    taken over one winding, into Re A_d + k_m k_n Re B_d with its own
+    k = p + omega*n (see the module docstring for why that is all of
+    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  The grid is
+    refined until the whole stack settles to
     ``tolerance * max(1, max |H|)``.
     """
     return _hamiltonians(winding_grid(shape, quad, n_max, branches), shape, branches, n_max)
@@ -319,14 +316,13 @@ def branch_spectra(shape, branches, n_max, quad=None):
     """Spectra of every (p, include_vc) pair as arrays, from one pass and one solve.
 
     The matrices of ``_hamiltonian_stack`` go through ``eigh_stack`` as
-    one (B, d, d) array, B = len(branches), d = 2*n_max + 1: the same
-    checks (``HermiticityViolation`` for a too-coarse grid), one LAPACK
-    call and one sign rule.  Returns an ``EigenDecomposition`` with
+    one (B, d, d) array, B = len(branches), d = 2*n_max + 1: one
+    validation pass, one LAPACK call and one sign rule.  Returns an ``EigenDecomposition`` with
     ``eigenvalues`` (B, d), ascending per pair, and ``eigenvectors``
     (B, d, d), the coefficients of state alpha of pair b in column
     ``eigenvectors[b, :, alpha]`` (row i multiplies chi_n, n = i - n_max).
     """
-    return _solve(_hamiltonian_stack(shape, branches, n_max, quad))
+    return eigh_stack(_hamiltonian_stack(shape, branches, n_max, quad))
 
 
 def solve_states(shape, basis, config):

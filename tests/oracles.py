@@ -8,13 +8,13 @@ writes every row of the pass as a rational function of D = f^2 and its
 derivatives (``geometry.winding_rows``); ``winding_rows_reference`` forms
 the same rows from the old terms.
 
-Production assembles H from one-winding harmonics and keeps only the
-parts that survive the theta -> -theta symmetry of the shape; it takes
+Production assembles H as Re A_d + k_m k_n Re B_d from one-winding
+harmonics of A and B alone, which holds because f'/f^3 is a derivative
+of 1/(2 f^2) and the theta -> -theta symmetry of the shape; it takes
 toroidal moments as quadratic forms in the coefficients.  The references
 here do neither.  ``hamiltonian_element`` integrates one complex element
-H[m, n] over the whole turn, imaginary part included, from the old
-terms, and
-``moment_from_current`` integrates j(phi) * g_axis(phi) over the whole
+H[m, n] over the whole turn from the old terms, the i k f'/f^3 term and
+the imaginary part included, and ``moment_from_current`` integrates j(phi) * g_axis(phi) over the whole
 turn on all three axes, with g = (r' . r) r - 2 r^2 r' formed from the
 stacked ``position`` and ``velocity`` (``moment_integrand``) rather than
 from production's elementwise rows.  Both integrals start from omega
@@ -50,16 +50,16 @@ def separate_speed_terms(shape, phi):
 
 
 def winding_rows_reference(shape, phi, moment_axes=(2,)):
-    """(f, A0, B, C, V_c, g) of ``geometry.winding_rows`` at theta = omega*phi, from the old terms.
+    """(f, A0, B, V_c, g) of ``geometry.winding_rows`` at theta = omega*phi, from the old terms.
 
-    A0 = f''/(4 f^3) - (5/8) f'^2/f^4, B = 1/(2 f^2), C = f'/f^3, and g
-    from the stacked ``position`` and ``velocity``.
+    A0 = f''/(4 f^3) - (5/8) f'^2/f^4, B = 1/(2 f^2), and g from the
+    stacked ``position`` and ``velocity``.
     """
     phi = np.asarray(phi, dtype=float)
     f, f1, f2, vc = separate_speed_terms(shape, phi)
     a0 = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
     g = moment_integrand(shape, phi)[..., list(moment_axes)].T
-    return f, a0, 0.5 / (f * f), f1 / f**3, vc, g
+    return f, a0, 0.5 / (f * f), vc, g
 
 
 def moment_integrand(shape, phi):

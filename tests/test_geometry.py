@@ -22,7 +22,6 @@ from helixtm.geometry import (
     metric_at,
     position,
     speed,
-    speed_derivatives,
     torsion,
     velocity,
     winding_rows,
@@ -174,7 +173,7 @@ class TestSpeed:
         h = 1e-5
         for shape in random_shapes(rng, 8):
             phi = rng.uniform(0, 2 * math.pi, 25)
-            f1, f2 = speed_derivatives(shape, phi)
+            _, f1, f2, _ = separate_speed_terms(shape, phi)
             fd1 = (speed(shape, phi + h) - speed(shape, phi - h)) / (2 * h)
             fd2 = (speed(shape, phi + h) - 2 * speed(shape, phi) + speed(shape, phi - h)) / h**2
             assert_allclose(f1, fd1, rtol=1e-6, atol=1e-8)
@@ -186,8 +185,8 @@ class TestSpeed:
         W = CIRCULAR.R + a * np.cos(w * phi)
         f = speed(CIRCULAR, phi)
         want = -a * w * W * np.sin(w * phi) / f
-        assert_allclose(speed_derivatives(CIRCULAR, phi)[0], want, atol=1e-13)
-        assert speed_derivatives(CIRCULAR, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert_allclose(separate_speed_terms(CIRCULAR, phi)[1], want, atol=1e-13)
+        assert separate_speed_terms(CIRCULAR, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_winding_periodicity(self):
         rng = np.random.default_rng(22)
@@ -195,7 +194,8 @@ class TestSpeed:
             phi = rng.uniform(0, 2 * math.pi, 20)
             step = 2 * math.pi / shape.omega
             assert_allclose(speed(shape, phi + step), speed(shape, phi), rtol=1e-12)
-            for got, want in zip(speed_derivatives(shape, phi + step), speed_derivatives(shape, phi)):
+            for got, want in zip(separate_speed_terms(shape, phi + step)[1:3],
+                                 separate_speed_terms(shape, phi)[1:3]):
                 assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -232,14 +232,11 @@ class TestWindingRows:
                 for row, (g, w) in enumerate(zip(got, want)):
                     assert_rows_close(g, w, f"{shape}, row {row}")
 
-    def test_speed_derivatives_and_potential_match_the_old_formulas(self):
+    def test_potential_matches_the_old_formula(self):
         rng = np.random.default_rng(8)
         for shape in self.shapes():
             phi = rng.uniform(-10.0, 10.0, 301)
-            _, want_f1, want_f2, want_vc = separate_speed_terms(shape, phi)
-            f1, f2 = speed_derivatives(shape, phi)
-            assert_rows_close(f1, want_f1)
-            assert_rows_close(f2, want_f2)
+            want_vc = separate_speed_terms(shape, phi)[3]
             assert_rows_close(curvature_potential(shape, phi), want_vc)
 
     def test_speed_row_is_speed(self):
@@ -250,9 +247,9 @@ class TestWindingRows:
 
     def test_rows_only_on_request(self):
         theta = np.linspace(0.0, 1.0, 9)
-        f, a0, b, c, vc, g = winding_rows(SIXTURN, theta)
+        f, a0, b, vc, g = winding_rows(SIXTURN, theta)
         assert vc is None and g is None
-        g = winding_rows(SIXTURN, theta, moment_axes=(2,))[5]
+        g = winding_rows(SIXTURN, theta, moment_axes=(2,))[4]
         assert g.shape == (1, 9)
         with pytest.raises(ValueError, match="omega = 1"):
             winding_rows(SIXTURN, theta, moment_axes=(0, 2))
@@ -264,13 +261,13 @@ class TestWindingRows:
         # kappa = (W^2 + 2 W'^2 - W W'')/(W^2 + W'^2)^(3/2) = 14.25/3.375
         shape = HelixShape(R=1.0, a=0.5, b=1e-300, omega=4)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            f, a0, b, c, vc, g = winding_rows(shape, np.array([0.0]), potential=True,
-                                              moment_axes=(2,))
+            f, a0, b, vc, g = winding_rows(shape, np.array([0.0]), potential=True,
+                                           moment_axes=(2,))
             assert curvature_potential(shape, 0.0) == pytest.approx(-(14.25 / 3.375) ** 2 / 8,
                                                                      rel=1e-15)
         assert vc[0] == pytest.approx(-(14.25 / 3.375) ** 2 / 8, rel=1e-15)
         # g_z = -2 r^2 z' with z' = b omega
-        assert f[0] == 1.5 and c[0] == 0.0 and g[0, 0] == pytest.approx(-2 * 1.5**2 * 4e-300)
+        assert f[0] == 1.5 and g[0, 0] == pytest.approx(-2 * 1.5**2 * 4e-300)
 
 
 class TestCurvature:

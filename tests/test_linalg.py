@@ -340,11 +340,11 @@ class TestEighStack:
             assert type(got.value) is type(want.value)
             assert str(got.value) == str(want.value)
 
-    def test_tolerance_semantics(self):
-        a = np.array([[[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]]])
-        eigh_stack(a, hermiticity_tol=1e-9)
-        with pytest.raises(HermiticityViolation, match="exceeds tolerance 1.0e-11"):
-            eigh_stack(a, hermiticity_tol=1e-11)
+    def test_checks_to_the_default_tolerance(self):
+        # the absolute DEFAULT_HERMITICITY_TOL of HermitianMatrix, 1e-9
+        eigh_stack(np.array([[[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]]]))
+        with pytest.raises(HermiticityViolation, match="exceeds tolerance 1.0e-09"):
+            eigh_stack(np.array([[[1.0, 0.5 + 1e-9j], [0.5 - 3e-9j, 2.0]]]))
 
     def test_shape_rejected(self):
         for bad in (np.eye(3), np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2))):

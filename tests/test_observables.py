@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helixtm import observables, spectrum
-from helixtm.geometry import HelixShape, arc_length, speed, speed_derivatives
+from helixtm.geometry import HelixShape, arc_length, speed
 from helixtm.observables import (
     MomentResult,
     ThermalSpec,
@@ -35,7 +35,7 @@ from helixtm.spectrum import (
     make_basis,
     solve_states,
 )
-from oracles import moment_from_current
+from oracles import moment_from_current, separate_speed_terms
 
 CIRC4 = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UP4 = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -58,8 +58,7 @@ def current_mode_sum(state, shape, phi):
     is exercised.
     """
     phi = np.asarray(phi, dtype=float)
-    f = speed(shape, phi)
-    f1, _ = speed_derivatives(shape, phi)
+    f, f1, _, _ = separate_speed_terms(shape, phi)
     c = state.coefficients
     idx = state.n_indices
     w = shape.omega

@@ -29,10 +29,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(tolerance=-1e-8)
 
-    def test_rejects_no_doublings(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_doublings=0)
-
 
 class TestExactness:
     def test_constant(self):
@@ -115,16 +111,19 @@ class TestConvergence:
 
 class TestFailure:
     def test_not_converged_carries_partial_result(self):
-        # one doubling of an 8-point grid leaves a ~1e-6 inter-grid change,
-        # far above the impossible tolerance, so the cap must trip
-        spec = QuadratureSpec(initial_points=8, tolerance=1e-300, max_doublings=1)
+        # 1/(1 + 1e-6 + cos) has a pole 1.4e-3 from the real axis: its
+        # trapezoid error falls like (1 - 1.4e-3)^N, so 8 doublings of an
+        # 8-point grid (2048 points) leave a large inter-grid change
+        spec = QuadratureSpec(initial_points=8)
         with pytest.raises(QuadratureNotConverged) as exc:
-            integrate_periodic(lambda phi: np.exp(np.cos(phi)), spec)
+            integrate_periodic(_near_pole, spec)
         partial = exc.value.result
         assert isinstance(partial, QuadratureResult)
-        assert partial.points_used == 16
-        assert partial.error_estimate > 1e-300
-        assert partial.value.real == pytest.approx(7.95492652101284, rel=1e-6)
+        assert partial.points_used == 8 << quadrature.MAX_DOUBLINGS == 2048
+        assert partial.error_estimate > 1.0
+        nodes = 2 * math.pi * np.arange(2048) / 2048
+        assert partial.value.real == pytest.approx(2 * math.pi * np.mean(_near_pole(nodes)),
+                                                   rel=1e-12)
 
     def test_bad_integrand_shape(self):
         with pytest.raises(ValueError):
@@ -140,6 +139,10 @@ class TestDeterminism:
         b = integrate_periodic(fn)
         assert a.value == b.value
         assert a.points_used == b.points_used
+
+
+def _near_pole(phi):
+    return 1.0 / (1.0 + 1e-6 + np.cos(phi))
 
 
 def _two_functions(phi):
@@ -170,7 +173,7 @@ class TestHarmonics:
     def test_each_harmonic_is_the_trapezoid_sum(self):
         # one grid, with harmonics past its Nyquist index: every entry is
         # the same (aliased) sum integrate_periodic forms for it
-        spec = QuadratureSpec(initial_points=8, tolerance=1e6, max_doublings=1)
+        spec = QuadratureSpec(initial_points=8, tolerance=1e6)
         harmonics = np.arange(-20, 21)
         res = settle_harmonics(_two_functions, 2, harmonics, lambda integrals: integrals, spec)
         assert res.points_used == 16
@@ -207,13 +210,14 @@ class TestHarmonics:
         assert absolute.points_used > runs[1].points_used
 
     def test_not_converged_carries_array_result(self):
-        spec = QuadratureSpec(initial_points=8, tolerance=1e-300, max_doublings=1)
+        spec = QuadratureSpec(initial_points=8)
+        sample = lambda phi: np.stack([np.exp(np.cos(phi)), _near_pole(phi)])
         with pytest.raises(QuadratureNotConverged) as exc:
-            settle_harmonics(_two_functions, 2, [0, 1, 2], lambda integrals: integrals, spec)
+            settle_harmonics(sample, 2, [0, 1, 2], lambda integrals: integrals, spec)
         partial = exc.value.result
-        assert partial.points_used == 16
+        assert partial.points_used == 2048
         assert partial.value.shape == (2, 3)
-        assert partial.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-6)
+        assert partial.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-14)
 
 
 def _smooth(phi):
@@ -284,14 +288,15 @@ class TestNestedGrid:
         assert (got.points_used, got.error_estimate) == (want.points_used, want.error_estimate)
 
     def test_second_quantity_hits_the_cap(self):
-        spec = QuadratureSpec(initial_points=8, max_doublings=4)
-        calls = []
-        grid = self.grid(calls, spec)
+        spec = QuadratureSpec(initial_points=8)
+        grid = NestedGrid(lambda nodes: np.concatenate([_smooth(nodes), _near_pole(nodes)[None]]),
+                          {"smooth": 2, "pole": 1}, spec, np.arange(-4, 5), ["smooth", "pole"])
         settle(grid, "smooth", lambda integrals: integrals, relative=True)
         with pytest.raises(QuadratureNotConverged) as exc:
-            settle(grid, "sharp", lambda integrals: integrals, relative=True)
+            settle(grid, "pole", lambda integrals: integrals, relative=True)
         with pytest.raises(QuadratureNotConverged) as alone:
-            settle_harmonics(_sharp, 1, np.arange(-4, 5), lambda integrals: integrals, spec)
+            settle_harmonics(lambda nodes: _near_pole(nodes)[None], 1, np.arange(-4, 5),
+                             lambda integrals: integrals, spec)
         assert str(exc.value) == str(alone.value)
         assert np.array_equal(exc.value.result.value, alone.value.result.value)
 

@@ -7,7 +7,8 @@ must come out exactly as from one ``HermitianMatrix``, one
 the grouped states exactly as from ``moment_vectors`` with one state per
 group.  ``observables.branch_moments`` samples the Hamiltonian, the
 moments and the arc length in one pass; each must come out exactly as
-from its standalone call.
+from its standalone call.  Every matrix the passes build equals its
+transpose bit for bit.
 """
 
 import numpy as np
@@ -15,10 +16,17 @@ import pytest
 
 from helixtm import observables, spectrum
 from helixtm.geometry import HelixShape, arc_length
-from helixtm.linalg import HermiticityViolation, HermitianMatrix, eigen_decompose, fix_phase
+from helixtm.linalg import HermitianMatrix, eigen_decompose, eigh_stack, fix_phase
 from helixtm.observables import branch_moments, moment_vectors
 from helixtm.quadrature import QuadratureSpec, settle
-from helixtm.spectrum import BlochBasis, _hamiltonian_stack, branch_momenta, branch_spectra
+from helixtm.spectrum import (
+    BlochBasis,
+    SpectrumConfig,
+    _hamiltonian_stack,
+    branch_momenta,
+    branch_spectra,
+    build_hamiltonian,
+)
 
 SHAPES = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
 FLAT6 = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
@@ -109,17 +117,46 @@ def test_momenta_table_matches_basis():
         branch_momenta(FLAT6, [1], 1)
 
 
-def test_under_resolved_grid_fails_hermiticity():
-    # the stacked path checks every matrix, as HermitianMatrix does, to
-    # 1e-9 * max(1, max |H|)
-    quad = QuadratureSpec(initial_points=32, tolerance=1e6, max_doublings=1)
-    with pytest.raises(HermiticityViolation, match="exceeds tolerance 5.6e-07"):
-        branch_spectra(FLAT6, [(0, False), (1, True)], 16, quad)
+def _symmetry_cases():
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        a = rng.uniform(0.05, 0.95)
+        omega = int(rng.integers(1, 41))
+        ps = sorted({int(p) for p in rng.integers(0, omega, 3)})
+        pairs = [(p, include_vc) for p in ps for include_vc in (False, True)]
+        shape = HelixShape(R=1.0, a=a, b=rng.uniform(0.05, 1.5), omega=omega)
+        yield shape, pairs, int(rng.integers(2, 17)), None
+    # a grid too coarse for harmonics up to 2*n_max = 32: the quadrature
+    # error is large, but both triangles carry the same one
+    yield FLAT6, [(0, False), (1, True)], 16, QuadratureSpec(initial_points=32, tolerance=1e6)
+    # max |H| grows like (omega * n_max)^2, here to about 1e9
+    yield HelixShape(R=1.0, a=0.99, b=0.01, omega=6), [(1, False), (1, True)], 192, None
 
 
-def test_symmetry_check_scales_with_the_matrix():
-    # max |H| grows like (omega * n_max)^2: at n_max 192 the drift of this
-    # flat coil's matrices passes 1e-9 while staying near 1e-16 of max |H|
+@pytest.mark.parametrize("shape, pairs, n_max, quad", _symmetry_cases())
+def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, quad, monkeypatch):
+    # H = Re A_{n-m} + k_m k_n Re B_{n-m}: the harmonics d and -d share
+    # their real part and k_m k_n == k_n k_m, so H equals its transpose
+    solved = []
+
+    def recording(stack):
+        solved.append(stack)
+        return eigh_stack(stack)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", recording)
+    monkeypatch.setattr(observables, "eigh_stack", recording)
+    branch_spectra(shape, pairs, n_max, quad)
+    branch_moments(shape, pairs, n_max, quad)
+    p, include_vc = pairs[-1]
+    config = SpectrumConfig(include_vc=include_vc, n_max=n_max, quad=quad)
+    one = build_hamiltonian(shape, BlochBasis(p, n_max, shape.omega), config).entries
+    assert [len(stack) for stack in solved] == [len(pairs)] * 2
+    for h in [*solved[0], *solved[1], one]:
+        assert h.shape == (2 * n_max + 1, 2 * n_max + 1)
+        assert np.array_equal(h, h.swapaxes(-1, -2))
+
+
+def test_flat_coil_solves_at_n_max_192():
     shape = HelixShape(R=1.0, a=0.99, b=0.01, omega=6)
     dec = branch_spectra(shape, [(1, False), (1, True)], 192)
     assert dec.eigenvalues.shape == (2, 385)
