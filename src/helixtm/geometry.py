@@ -8,25 +8,21 @@ circling the symmetry (z) axis once.  With ``s = sin(omega*phi)`` and
     r(phi) = (W*cos(phi), W*sin(phi), b*s)
 
 ``a`` is the radial and ``b`` the vertical half-axis of the winding
-cross-section; ``a == b`` gives a circular cross-section.  Derived local
-quantities used throughout:
+cross-section; ``a == b`` gives a circular cross-section.  The speed is
 
-    P(phi) = sqrt(a^2*s^2 + b^2*c^2)       cross-section ellipse speed
-    f(phi) = |dr/dphi| = sqrt(P^2*omega^2 + W^2)
+    f(phi) = |dr/dphi| = sqrt((a^2*s^2 + b^2*c^2)*omega^2 + W^2)
 
-The Frenet frame is assembled from two unit fields tied to the winding
-cross-section, written in the cylindrical basis (rho_hat, phi_hat, z_hat):
+The Frenet frame, curvature and torsion come from one evaluation of the
+jet r', r'', r''' (``curve_derivatives``):
 
-    theta_hat = (-a*s*rho_hat + b*c*z_hat) / P     along the winding
-    n_hat     = ( b*c*rho_hat + a*s*z_hat) / P     cross-section normal
+    T = r'/f,   c = T x r'' = f^2*kappa*B,   N = B x T,
+    kappa = |c|/f^2,   tau = (c . r''')/(|c|^2*f)
 
-The unit tangent is T = (P*omega*theta_hat + W*phi_hat)/f, and the second
-transverse direction e2 = (W*theta_hat - P*omega*phi_hat)/f completes an
-orthonormal triple (T, e2, n_hat).  The curvature vector has components
-(k_n along n_hat, k_e along e2); the principal normal and binormal follow
-by normalising it and crossing with T.  The frame divides by P, which
-vanishes with b; V_c and every row of the pass over a shape
-(``winding_rows``) are rational in D = f^2 and divide by D.
+Dividing r' by f before the cross product keeps every intermediate at
+the size of R^2.  The frame is undefined where the dimensionless
+curvature kappa*R is at most ``KAPPA_MIN``.  V_c and every row of the
+pass over a shape (``winding_rows``) are rational in D = f^2 and divide
+by D; nothing divides by a quantity that vanishes with b.
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
 results carry the Cartesian component on the last axis.
@@ -41,12 +37,13 @@ import numpy as np
 
 from .quadrature import integrate_periodic
 
-# Below this curvature the principal normal direction is numerically undefined.
+# Below this dimensionless curvature kappa*R the principal normal direction
+# is numerically undefined.
 KAPPA_MIN = 1e-12
 
 
 class DegenerateFrame(ValueError):
-    """Curvature too small to orient the principal normal."""
+    """Curvature kappa*R too small to orient the principal normal."""
 
 
 class InvalidTubePoint(ValueError):
@@ -230,21 +227,6 @@ def speed(shape, phi):
     return np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
 
 
-def curvature_components(shape, phi):
-    """Curvature-vector components (k_n, k_e) on (n_hat, e2).
-
-    k_n is the projection on the cross-section normal n_hat, k_e the
-    projection on the transverse direction e2 (see module docstring).
-    """
-    a, b, w = shape.a, shape.b, shape.omega
-    s, c, W = _sc(shape, phi)
-    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
-    fsq = P * P * w * w + W * W
-    k_n = -(b / P) * (a * w * w + W * c) / fsq
-    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * (a * a - b * b) * c + P * P * a * w * w) / (fsq * P))
-    return k_n, k_e
-
-
 def winding_rows(shape, theta, potential=False, moment_axes=()):
     """(f, A0, B, V_c, g): every sampled row of a pass over the winding.
 
@@ -288,10 +270,23 @@ def winding_rows(shape, theta, potential=False, moment_axes=()):
     return np.sqrt(d0), a0, 0.5 / d0, vc, g
 
 
+def _jet(shape, phi):
+    """f, T = r'/f, c = T x r'', |c|^2 and r''' from one ``curve_derivatives``.
+
+    |c| = f^2 kappa.  r' is divided by f before the cross product, so no
+    intermediate exceeds the size of R^2 (r' x r'' would reach R^4).
+    """
+    r1, r2, r3 = curve_derivatives(shape, phi)
+    f = speed(shape, phi)
+    tangent = r1 / f[..., None]
+    c = np.cross(tangent, r2)
+    return f, tangent, c, np.sum(c * c, axis=-1), r3
+
+
 def curvature(shape, phi):
-    """Curvature kappa(phi) >= 0 of the curve."""
-    k_n, k_e = curvature_components(shape, phi)
-    return np.hypot(k_n, k_e)
+    """Curvature kappa(phi) = |r' x r''| / f^3 >= 0 of the curve."""
+    f, _, _, csq, _ = _jet(shape, phi)
+    return np.sqrt(csq) / (f * f)
 
 
 def torsion(shape, phi):
@@ -300,15 +295,13 @@ def torsion(shape, phi):
     Raises
     ------
     DegenerateFrame
-        If the curvature is below ``KAPPA_MIN`` anywhere, so the
-        osculating plane (and the sign of tau) is undefined.
+        If kappa*R is at most ``KAPPA_MIN`` anywhere, so the osculating
+        plane (and the sign of tau) is undefined.
     """
-    r1, r2, r3 = curve_derivatives(shape, phi)
-    cr = np.cross(r1, r2)
-    crsq = np.sum(cr * cr, axis=-1)
-    if np.any(curvature(shape, phi) <= KAPPA_MIN):
+    f, _, c, csq, r3 = _jet(shape, phi)
+    if np.any(np.sqrt(csq) / (f * f) * shape.R <= KAPPA_MIN):
         raise DegenerateFrame("curvature below KAPPA_MIN: torsion undefined")
-    return np.sum(cr * r3, axis=-1) / crsq
+    return np.sum(c * r3, axis=-1) / csq / f
 
 
 def curvature_potential(shape, phi):
@@ -322,47 +315,28 @@ def curvature_potential(shape, phi):
 
 
 def frenet_frame(shape, phi):
-    """Frenet frame (T, N, B) with curvature, torsion and speed.
+    """Frenet frame (T, N, B) with curvature, torsion and speed, from one jet.
 
-    Built from the closed-form transverse fields rather than by
-    differencing: T = (P*omega*theta_hat + W*phi_hat)/f, and N, B follow
-    from the curvature components on (n_hat, e2).
+    B = c/|c| with c = T x r'', and N = B x T (see module docstring).
 
     Raises
     ------
     DegenerateFrame
-        If kappa <= KAPPA_MIN anywhere in ``phi``.
+        If kappa*R <= KAPPA_MIN anywhere in ``phi``.
     """
-    k_n, k_e = curvature_components(shape, phi)
-    kappa = np.hypot(k_n, k_e)
-    if np.any(kappa <= KAPPA_MIN):
-        raise DegenerateFrame(f"curvature {np.min(kappa):g} <= KAPPA_MIN, frame undefined")
-    # torsion first: its (..., 3) derivatives are freed before the frame's
-    # nine (..., 3) arrays exist
-    tau = torsion(shape, phi)
-
-    a, b, w = shape.a, shape.b, shape.omega
-    s, c, W = _sc(shape, phi)
-    phi = np.asarray(phi, dtype=float)
-    P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
-    f = np.sqrt(P * P * w * w + W * W)
-
-    rho, az = _cyl(phi)
-    zhat = np.zeros(rho.shape)
-    zhat[..., 2] = 1.0
-    theta = ((-a * s / P)[..., None] * rho + (b * c / P)[..., None] * zhat)
-    n_hat = ((b * c / P)[..., None] * rho + (a * s / P)[..., None] * zhat)
-    tangent = ((P * w / f)[..., None] * theta + (W / f)[..., None] * az)
-    e2 = ((W / f)[..., None] * theta - (P * w / f)[..., None] * az)
-    normal = ((k_e / kappa)[..., None] * e2 + (k_n / kappa)[..., None] * n_hat)
-    binormal = ((-k_n / kappa)[..., None] * e2 + (k_e / kappa)[..., None] * n_hat)
-
+    f, tangent, c, csq, r3 = _jet(shape, phi)
+    c_norm = np.sqrt(csq)
+    kappa = c_norm / (f * f)
+    if np.any(kappa * shape.R <= KAPPA_MIN):
+        raise DegenerateFrame(
+            f"curvature kappa*R = {np.min(kappa * shape.R):g} <= KAPPA_MIN, frame undefined")
+    binormal = c / c_norm[..., None]
     return FrenetData(
         tangent=tangent,
-        normal=normal,
+        normal=np.cross(binormal, tangent),
         binormal=binormal,
         kappa=kappa,
-        tau=tau,
+        tau=np.sum(c * r3, axis=-1) / csq / f,
         speed=f,
     )
 
@@ -381,13 +355,13 @@ def metric_at(shape, point):
 
     Raises
     ------
+    DegenerateFrame
+        If kappa*R <= KAPPA_MIN at the angle (see ``frenet_frame``).
     InvalidTubePoint
         If |q_n|*kappa >= 1, where the tube coordinates fold over.
     """
-    phi = float(point.phi)
-    f = float(speed(shape, phi))
-    kap = float(curvature(shape, phi))
-    tau = float(torsion(shape, phi))
+    frame = frenet_frame(shape, float(point.phi))
+    f, kap, tau = float(frame.speed), float(frame.kappa), float(frame.tau)
     qn, qb = point.q_n, point.q_b
     if abs(qn) * kap >= 1.0:
         raise InvalidTubePoint(

@@ -2,11 +2,14 @@
 
 ``separate_speed_terms`` writes f, f', f'' and -kappa^2/8 in their first
 form: f' and f'' from the sine and cosine of the doubled winding angle,
-and the curvature from its components on the cross-section frame, which
-divide by P = sqrt(a^2 s^2 + b^2 c^2) and meet in a hypot.  Production
-writes every row of the pass as a rational function of D = f^2 and its
-derivatives (``geometry.winding_rows``); ``winding_rows_reference`` forms
-the same rows from the old terms.
+and the curvature from its components on the cross-section frame
+(``curvature_components``), which divide by P = sqrt(a^2 s^2 + b^2 c^2)
+and meet in a hypot.  ``frenet_frame_reference`` builds the Frenet frame
+from the same fields; production takes it from one jet of the curve
+(``geometry.frenet_frame``).  Production writes every row of the pass as
+a rational function of D = f^2 and its derivatives
+(``geometry.winding_rows``); ``winding_rows_reference`` forms the same
+rows from the old terms.
 
 Production assembles H as Re A_d + k_m k_n Re B_d from one-winding
 harmonics of A and B alone, which holds because f'/f^3 is a derivative
@@ -42,11 +45,65 @@ def separate_speed_terms(shape, phi):
     d2 = 2 * w**4 * dsq * np.cos(2 * w * phi) - 2 * a * w * w * c * W + 2 * (a * w * s) ** 2
     f1 = d1 / (2 * f)
     f2 = d2 / (2 * f) - d1 * d1 / (4 * f**3)
+    return f, f1, f2, -np.hypot(*curvature_components(shape, phi)) ** 2 / 8.0
+
+
+def _cross_section(shape, phi):
+    """s, c, W, the cross-section ellipse speed P = sqrt(a^2 s^2 + b^2 c^2) and f^2."""
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c = np.sin(w * phi), np.cos(w * phi)
+    W = shape.R + a * c
     P = np.sqrt((a * s) ** 2 + (b * c) ** 2)
-    fsq = P * P * w * w + W * W
+    return s, c, W, P, P * P * w * w + W * W
+
+
+def curvature_components(shape, phi):
+    """Curvature-vector components (k_n, k_e) on n_hat and e2 (see ``frenet_frame_reference``)."""
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c, W, P, fsq = _cross_section(shape, phi)
     k_n = -(b / P) * (a * w * w + W * c) / fsq
-    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * dsq * c + P * P * a * w * w) / (fsq * P))
-    return f, f1, f2, -np.hypot(k_n, k_e) ** 2 / 8.0
+    k_e = (s / np.sqrt(fsq)) * (a / P + (w * w * W * (a * a - b * b) * c + P * P * a * w * w) / (fsq * P))
+    return k_n, k_e
+
+
+def frenet_frame_reference(shape, phi):
+    """(T, N, B, kappa, tau) from the unit fields of the winding cross-section.
+
+    In the cylindrical basis (rho_hat, phi_hat, z_hat):
+
+        theta_hat = (-a*s*rho_hat + b*c*z_hat) / P     along the winding
+        n_hat     = ( b*c*rho_hat + a*s*z_hat) / P     cross-section normal
+        T         = (P*omega*theta_hat + W*phi_hat) / f
+        e2        = (W*theta_hat - P*omega*phi_hat) / f
+
+    (T, e2, n_hat) is orthonormal, the curvature vector is
+    k_n n_hat + k_e e2, and N and B follow by normalising it and crossing
+    with T.  tau is the triple product of the unnormalised r' x r''.
+    """
+    a, b, w = shape.a, shape.b, shape.omega
+    phi = np.asarray(phi, dtype=float)
+    s, c, W, P, fsq = _cross_section(shape, phi)
+    f = np.sqrt(fsq)
+    k_n, k_e = curvature_components(shape, phi)
+    kappa = np.hypot(k_n, k_e)
+    zero = np.zeros_like(phi)
+    rho = np.stack([np.cos(phi), np.sin(phi), zero], axis=-1)
+    az = np.stack([-np.sin(phi), np.cos(phi), zero], axis=-1)
+    zhat = np.stack([zero, zero, zero + 1.0], axis=-1)
+
+    def combine(*terms):
+        return sum(coef[..., None] * vec for coef, vec in terms)
+
+    theta_hat = combine((-a * s / P, rho), (b * c / P, zhat))
+    n_hat = combine((b * c / P, rho), (a * s / P, zhat))
+    tangent = combine((P * w / f, theta_hat), (W / f, az))
+    e2 = combine((W / f, theta_hat), (-P * w / f, az))
+    normal = combine((k_e / kappa, e2), (k_n / kappa, n_hat))
+    binormal = combine((-k_n / kappa, e2), (k_e / kappa, n_hat))
+    r1, r2, r3 = geometry.curve_derivatives(shape, phi)
+    cross = np.cross(r1, r2)
+    tau = np.sum(cross * r3, axis=-1) / np.sum(cross * cross, axis=-1)
+    return tangent, normal, binormal, kappa, tau
 
 
 def winding_rows_reference(shape, phi, moment_axes=(2,)):

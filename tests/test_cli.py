@@ -461,10 +461,10 @@ class TestExitCodes:
         _, rows = parse_csv(run_cli(capsys, "moments", "--R", R, "--p", "1")[1])
         assert all(abs(float(v)) < 1e-150 for row in rows for v in row[2:] if v)
 
-    # shapes HelixShape accepts whose functions divide by zero (P underflows
-    # to 0 at phi = 0 in the frame) or overflow (R^2 in the frame, b^2 in D)
+    # shapes HelixShape accepts whose functions overflow (R^2 in the
+    # frame, b^2 in D)
     @pytest.mark.parametrize("argv", [
-        ["geometry", "--b", "1e-300"],
+        ["geometry", "--b", "1e300"],
         ["geometry", "--R", "1e200"],
         ["potential", "--b", "1e300"],
         ["spectrum", "--b", "1e300"],
@@ -583,6 +583,37 @@ class TestExitCodes:
         assert not target.exists()
 
 
+    @pytest.mark.parametrize("k, status", [(0, 0), (13, 0), (77, 0), (100, 0), (154, 0),
+                                           (155, 3), (200, 3)])
+    def test_geometry_radius_scan(self, capsys, k, status):
+        # the frame's intermediates reach R^2, which overflows from R = 1e155
+        code, out, err = run_cli(capsys, "geometry", "--R", f"1e{k}", "--grid", "8")
+        assert code == status
+        if status:
+            assert out == "" and err.count("\n") == 1
+        else:
+            assert err == "" and len(out.splitlines()) == 9
+
+    def test_flat_limit_geometry(self, capsys):
+        # b = 1e-300 squares to 0: the frame is the planar polar curve's,
+        # with B = (0, 0, +-1), no torsion, and
+        # kappa = |W^2 + 2 W'^2 - W W''| / (W^2 + W'^2)^(3/2)
+        code, out, err = run_cli(capsys, "geometry", "--b", "1e-300", "--digits", "17")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        table = np.array(rows, dtype=float)
+        column = {name: table[:, i] for i, name in enumerate(header)}
+        phi = column["phi"]
+        W = 1.0 + 0.5 * np.cos(4 * phi)
+        W1 = -2.0 * np.sin(4 * phi)
+        W2 = -8.0 * np.cos(4 * phi)
+        planar = np.abs(W * W + 2 * W1 * W1 - W * W2) / (W * W + W1 * W1) ** 1.5
+        assert np.max(np.abs(column["kappa"] / planar - 1.0)) <= 1e-13
+        assert np.max(np.abs(column["tau"])) < 1e-290
+        assert np.max(np.abs(table[:, header.index("Bx"):header.index("Bz")])) < 1e-290
+        assert set(np.abs(column["Bz"])) == {1.0}
+
+
 class TestDegenerateFrame:
     def test_round_coil_at_one_winding_is_usage_error(self, capsys, tmp_path):
         # a (omega^2 + 1) = R: the curvature vanishes at phi = pi, a grid
@@ -599,6 +630,19 @@ class TestDegenerateFrame:
         code, out, _ = run_cli(capsys, "geometry", "--omega", "1", "--grid", "255")
         assert code == 0
         assert len(out.strip().split("\n")) == 256
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e6, 1e13, 1e100])
+    def test_degenerate_test_is_scale_free(self, capsys, lam):
+        # the default coil in another length unit: kappa*R, not kappa,
+        # decides, so the round coil at one winding is still refused and
+        # the default coil still prints
+        shape = ["--R", f"{lam:g}", "--a", f"{0.5 * lam:g}", "--b", f"{0.5 * lam:g}"]
+        code, out, err = run_cli(capsys, "geometry", *shape, "--omega", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith("<= KAPPA_MIN, frame undefined\n") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, "geometry", *shape)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 257
 
 
 class TestSharedParser:

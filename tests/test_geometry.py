@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helixtm import geometry
 from helixtm.geometry import (
     KAPPA_MIN,
     DegenerateFrame,
@@ -15,7 +16,6 @@ from helixtm.geometry import (
     TubePoint,
     arc_length,
     curvature,
-    curvature_components,
     curvature_potential,
     curve_derivatives,
     frenet_frame,
@@ -28,7 +28,12 @@ from helixtm.geometry import (
 )
 from helixtm.quadrature import QuadratureSpec
 
-from oracles import separate_speed_terms, winding_rows_reference
+from oracles import (
+    curvature_components,
+    frenet_frame_reference,
+    separate_speed_terms,
+    winding_rows_reference,
+)
 
 CIRCULAR = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UPRIGHT = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -321,8 +326,7 @@ class TestTorsion:
         assert np.isfinite(torsion(degenerate, 0.3))
 
     def test_degenerate_frame_reports_the_frame(self):
-        # the frame checks its curvature before it evaluates the torsion,
-        # so it raises its own message, not the torsion's
+        # the frame raises its own message, not the torsion's
         degenerate = HelixShape(R=1.0, a=0.1, b=0.1, omega=3)
         with pytest.raises(DegenerateFrame, match=r"<= KAPPA_MIN, frame undefined$"):
             frenet_frame(degenerate, np.array([0.1, math.pi / 3]))
@@ -391,6 +395,77 @@ class TestFrenetFrame:
                 assert_allclose(dT, f * k * fr.normal, atol=1e-6)
                 assert_allclose(dN, f * (-k * fr.tangent + t * fr.binormal), atol=1e-6)
                 assert_allclose(dB, -f * t * fr.normal, atol=1e-6)
+
+
+# the cross-sections of the golden grid tables, and the flattest coil
+FRAME_SECTIONS = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
+
+
+class TestFrameAgainstReference:
+    """The frame from one jet against the cross-section construction."""
+
+    def test_matches_the_cross_section_frame(self):
+        shapes = [HelixShape(R=1.0, a=a, b=b, omega=w)
+                  for w in (1, 4, 6, 40) for a, b in FRAME_SECTIONS]
+        shapes += random_shapes(np.random.default_rng(45), 12)
+        phi = 2 * math.pi * np.arange(257) / 257
+        for shape in shapes:
+            fr = frenet_frame(shape, phi)
+            tangent, normal, binormal, kappa, tau = frenet_frame_reference(shape, phi)
+            for got, want in ((fr.tangent, tangent), (fr.normal, normal), (fr.binormal, binormal)):
+                assert np.max(np.abs(got - want)) <= 1e-13, shape
+            assert np.max(np.abs(fr.kappa - kappa) / kappa) <= 1e-13, shape
+            assert np.max(np.abs(fr.tau - tau)) <= 1e-13 * np.max(np.abs(tau)), shape
+            assert np.array_equal(fr.speed, speed(shape, phi))
+
+    def test_one_jet_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(shape, phi):
+            calls.append(phi)
+            return curve_derivatives(shape, phi)
+
+        monkeypatch.setattr(geometry, "curve_derivatives", counted)
+        for fn in (curvature, torsion, frenet_frame):
+            calls.clear()
+            fn(SIXTURN, np.linspace(0.0, 1.0, 5))
+            assert len(calls) == 1, fn.__name__
+        calls.clear()
+        metric_at(SIXTURN, TubePoint(phi=0.3, q_n=0.1, q_b=0.2))
+        assert len(calls) == 1
+
+
+class TestLengthScale:
+    """A shape in another length unit: lengths scale, directions do not."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e6, 1e13, 1e100])
+    def test_frame_scales_with_the_length_unit(self, lam):
+        phi = 2 * math.pi * np.arange(257) / 257
+        unit = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
+        scaled = HelixShape(R=lam, a=0.5 * lam, b=0.5 * lam, omega=4)
+        want, got = frenet_frame(unit, phi), frenet_frame(scaled, phi)
+        assert_rows_close((position(scaled, phi) / lam).T, position(unit, phi).T)
+        assert_allclose(got.speed / lam, want.speed, rtol=1e-14)
+        assert_allclose(got.kappa * lam, want.kappa, rtol=1e-14)
+        assert np.max(np.abs(got.tau * lam - want.tau)) <= 1e-14 * np.max(np.abs(want.tau))
+        for g, w in ((got.tangent, want.tangent), (got.normal, want.normal),
+                     (got.binormal, want.binormal)):
+            assert_rows_close(g.T, w.T)
+        assert np.array_equal(torsion(scaled, phi), got.tau)
+        m = metric_at(scaled, TubePoint(phi=0.3, q_n=0.1 * lam, q_b=0.2 * lam))
+        assert m.sqrt_det / lam == pytest.approx(
+            metric_at(unit, TubePoint(phi=0.3, q_n=0.1, q_b=0.2)).sqrt_det, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e6, 1e13, 1e100])
+    def test_degenerate_frame_at_every_length_unit(self, lam):
+        # a (omega^2 + 1) = R at omega 1: kappa*R vanishes at phi = pi
+        degenerate = HelixShape(R=lam, a=0.5 * lam, b=0.5 * lam, omega=1)
+        with pytest.raises(DegenerateFrame, match=r"<= KAPPA_MIN, frame undefined$"):
+            frenet_frame(degenerate, np.array([0.1, math.pi]))
+        with pytest.raises(DegenerateFrame, match="torsion undefined"):
+            torsion(degenerate, math.pi)
+        with pytest.raises(DegenerateFrame):
+            metric_at(degenerate, TubePoint(phi=math.pi, q_n=0.0, q_b=0.0))
 
 
 class TestCurvaturePotential:

@@ -8,11 +8,13 @@ omega in 1, 4 and 40 and each of 3, 6 and 12 digits: ``geometry`` and
 ``current --both`` for the cross-sections (a, b) = (0.75, 0.25),
 (0.5, 0.5) and (0.1, 0.9), and one ``potential`` table with all three as
 sections.  ``current`` prints branch 1, or branch 0 at omega 1, where it
-is the only branch.
+is the only branch.  The two 12-digit ``geometry`` tables of (0.5, 0.5)
+at omega 4 and 40 were printed again when the frame came to be built
+from one jet of the curve; four of their fields moved in the last digit.
 
 Fields compare as in ``test_golden_cli``: byte equality, except that two
 fields that both read below 1e-12 in magnitude count as equal.  At 12
-digits four geometry fields lie within one ulp of a rounding boundary,
+digits two geometry fields lie within one ulp of a rounding boundary,
 so a ``sin``/``cos`` whose last bit differs from this numpy's would
 change them; the array path formats nothing at 12 digits.
 """
