@@ -5,10 +5,14 @@ tabulate curve data, ``spectrum`` prints eigenvalue/coefficient tables,
 ``current``, ``moments`` and ``thermal`` cover the observables.  Output
 is CSV (``thermal`` uses aligned text) on stdout or ``--out``.
 
-``geometry`` tabulates the curve with R as given.  The other commands
-solve the shape at unit major radius, (1, a/R, b/R, omega), and print
-its numbers as they come: energies, V_c and currents in units of 1/R^2
+Every command evaluates the shape at unit major radius,
+(1, a/R, b/R, omega).  ``geometry`` scales its table back to R as given
+(position and f times R, kappa and tau over R); the other commands print
+their numbers as they come: energies, V_c and currents in units of 1/R^2
 and moments in units of R, the same whatever length unit R is given in.
+The spectra take their matrix elements in closed form; ``--quad-points``
+and ``--quad-tol`` steer only the sampled integrals of ``moments`` and
+``thermal`` (the toroidal moments and the arc length).
 
 Options may come from a ``key = value`` config file (``--config``);
 explicit flags win over file values.  Exit codes: 0 success, 2 bad
@@ -90,8 +94,12 @@ def _build_parser():
                     help="run with and without the curvature potential")
     o = common.add_argument_group("sampling and output")
     o.add_argument("--grid", type=int, default=None, help="angle samples per turn (default 256)")
-    o.add_argument("--quad-points", type=int, default=None, help="initial quadrature points")
-    o.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
+    o.add_argument("--quad-points", type=int, default=None,
+                   help="initial quadrature points per winding of the moments and the arc "
+                        "length ('moments', 'thermal'; default 64)")
+    o.add_argument("--quad-tol", type=float, default=None,
+                   help="quadrature tolerance of the moments and the arc length "
+                        "('moments', 'thermal'; default 1e-10)")
     o.add_argument("--temperature", type=float, default=None,
                    help="temperature for 'thermal', in reported energy units")
     o.add_argument("--digits", type=int, default=None, help="significant digits (default 6)")
@@ -296,10 +304,12 @@ def _grid_blocks(header, columns, digits):
 
 def _cmd_geometry(settings):
     shape = _single_shape(settings)
+    unit = _unit_shape(shape)
+    R = shape.R
     phi = _grid_angles(settings)
-    frame = frenet_frame(shape, phi)
-    columns = [phi, *position(shape, phi).T, frame.speed, frame.kappa, frame.tau,
-               *frame.tangent.T, *frame.normal.T, *frame.binormal.T]
+    frame = frenet_frame(unit, phi)
+    columns = [phi, *(position(unit, phi) * R).T, frame.speed * R, frame.kappa / R,
+               frame.tau / R, *frame.tangent.T, *frame.normal.T, *frame.binormal.T]
     return _grid_blocks(GEOMETRY_HEADER, columns, settings.digits)
 
 
@@ -322,7 +332,7 @@ def _cmd_spectrum(settings):
     dim = 2 * settings.n_max + 1
     lines = ["p,vc,row," + ",".join(f"alpha{i}" for i in range(dim))]
     pairs = _branch_pairs(settings)
-    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
+    dec = branch_spectra(shape, pairs, settings.n_max)
     for (p, include_vc), energies, rows in zip(
             pairs, dec.eigenvalues.tolist(), dec.eigenvectors.tolist()):
         tag = "on" if include_vc else "off"
@@ -337,7 +347,7 @@ def _cmd_current(settings):
     pairs = _branch_pairs(settings)
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
-    dec = branch_spectra(shape, pairs, settings.n_max, settings.quad)
+    dec = branch_spectra(shape, pairs, settings.n_max)
     phi = _grid_angles(settings)
     k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
     j = currents(shape, dec.eigenvectors, k, phi)

@@ -22,7 +22,9 @@ Dividing r' by f before the cross product keeps every intermediate at
 the size of R^2.  The frame is undefined where the dimensionless
 curvature kappa*R is at most ``KAPPA_MIN``.  V_c and every row of the
 pass over a shape (``winding_rows``) are rational in D = f^2 and divide
-by D; nothing divides by a quantity that vanishes with b.
+by D; nothing divides by a quantity that vanishes with b.  The Fourier
+harmonics of the Hamiltonian's rows come in closed form from the roots
+of D (``winding_harmonics``), with no sampling.
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
 results carry the Cartesian component on the last axis.
@@ -268,6 +270,109 @@ def winding_rows(shape, theta, potential=False, moment_axes=()):
             pairs.update({0: (W * c, w1 * c - W * s), 1: (W * s, w1 * s + W * c)})
         g = np.stack([dot * pairs[axis][0] - twice_rsq * pairs[axis][1] for axis in moment_axes])
     return np.sqrt(d0), a0, 0.5 / d0, vc, g
+
+
+def winding_harmonics(shape, count, potential=False):
+    """(A0_d, B_d, V_c_d), d = 0..count-1: the Hamiltonian rows' harmonics in closed form.
+
+    X_d = (1/(2 pi)) Integral_0^{2pi} X(theta) e^{i d theta} dtheta for
+    the rows A0, B and V_c of ``winding_rows``; each is real and even in
+    d, so the arrays hold d >= 0.  No angle is sampled.
+
+    In u = 1 + cos(theta), D = f^2 = alpha u^2 + beta u + gamma with
+
+        alpha = a^2 + omega^2 (b^2 - a^2),
+        beta  = 2 a (R - a) + 2 omega^2 (a^2 - b^2),
+        gamma = (R - a)^2 + omega^2 b^2 = D(pi),
+
+    and D(0) = (R + a)^2 + omega^2 b^2.  On the unit circle z = e^{i theta}
+    D = K |1 - s z + p z^2|^2, where s and p are the sum and product of
+    the roots of D inside the circle, so the harmonics F_d of 1/D follow
+
+        F_d = s F_{d-1} - p F_{d-2}   (d >= 2),
+        F_0 = (1 + p) / ((1 - p) sqrt(D(0) D(pi))),   F_1 = s F_0 / (1 + p).
+
+    With r = sqrt(D(pi)), q = sqrt(D(0)), m = (r + q)/2, v = sqrt(m^2 - alpha)
+    and t = (m + v)/2 these are 1 + p = m/t, 1 - p = v/t, p = alpha/(4 t^2),
+    s = -a R/(m t) and F_0 = m/(v r q): no root of D and no difference of
+    roots is formed, so alpha = 0 (p = 0) and a double root (s^2 = 4 p) are
+    not special.  B = 1/(2 D).  Since (1/D)'' = 2 D'^2/D^3 - D''/D^2
+    (theta derivatives), the rows of ``winding_rows`` are
+
+        A0  = omega^2 (D''/D^2 - 7 (1/D)'') / 64,
+        V_c = -|r''|^2 / (8 D^2) + omega^2 (D''/D^2 + (1/D)'') / 64,
+
+    with |r''|^2 the phi-derivative's square.  The harmonic of (1/D)'' is
+    -d^2 F_d.  D'' = -4 alpha u^2 + (6 alpha - beta) u + beta and |r''|^2
+    are quadratics P in u, and the harmonic of P/D^2 is minus the
+    derivative of F_d along D -> D + eps P, so F is carried through the
+    recurrence with its derivatives along those two directions.  The
+    recurrence runs in Python floats after the shape's constants are
+    formed in numpy, where an overflow or invalid value follows numpy's
+    error state.  A longer ``count`` extends the arrays and leaves the
+    first entries unchanged bit for bit.  V_c_d is None unless
+    ``potential`` is set.
+    """
+    w2 = np.float64(shape.omega) ** 2
+    a, b, R = np.float64(shape.a), np.float64(shape.b), np.float64(shape.R)
+    alpha = a * a + w2 * (b * b - a * a)
+    beta = 2 * a * (R - a) + 2 * w2 * (a * a - b * b)
+    # (u^0, u^1, u^2) coefficients of D'' and, with V_c, of |r''|^2
+    directions = [(beta, 6 * alpha - beta, -4 * alpha)]
+    if potential:
+        k = a * (w2 + 1)
+        c0 = R - k
+        e = (4 * a * a + b * b * w2) * w2
+        directions.append((c0 * c0, 2 * (k * c0 + e), k * k - e))
+    gamma = (R - a) ** 2 + w2 * b * b
+    r, q = np.sqrt(gamma), np.sqrt((R + a) ** 2 + w2 * b * b)
+    m = 0.5 * (r + q)
+    # v^2 = m^2 - alpha = (g + r q)/2 with g = gamma + beta.  Where g < 0
+    # (tall coils, roots near the unit circle) that sum cancels, and
+    # (4 alpha gamma - beta^2) / (2 (r q - g)), with the numerator expanded
+    # as 4 omega^2 (R^2 (b^2 - a^2) + a^2 alpha), adds positive terms only
+    g = (R - a) * (R + a) + w2 * (2 * a * a - b * b)
+    rq = r * q
+    if g >= 0:
+        v2 = 0.5 * (g + rq)
+    else:
+        v2 = 2 * w2 * (R * R * (b * b - a * a) + a * a * alpha) / (rq - g)
+    v = np.sqrt(v2)
+    t = 0.5 * (m + v)
+    s = -a * R / (m * t)
+    p = 0.25 * alpha / (t * t)
+    f0 = m / (v * r * q)
+    f1 = s * f0 / (1 + p)
+    rows, forcing = [[f0, f1]], [(0.0, 0.0)]
+    for p0, p1, p2 in directions:
+        # derivatives along D -> D + eps (p0 + p1 u + p2 u^2)
+        dr = 0.5 * p0 / r
+        dq = 0.5 * (p0 + 2 * p1 + 4 * p2) / q
+        dm = 0.5 * (dr + dq)
+        drq, dg = r * dq + q * dr, p0 + p1
+        if g >= 0:
+            dv2 = 0.5 * (dg + drq)
+        else:
+            dv2 = (2 * (p2 * gamma + alpha * p0) - beta * p1 - v2 * (drq - dg)) / (rq - g)
+        dv = 0.5 * dv2 / v
+        dt = 0.5 * (dm + dv)
+        ds = -0.5 * (2 * p2 + p1) / (m * t) - s * (dm / m + dt / t)
+        dp = 0.25 * p2 / (t * t) - 2 * p * dt / t
+        df0 = f0 * (dm / m - dv / v - dr / r - dq / q)
+        rows.append([df0, (ds * f0 + s * df0 - f1 * dp) / (1 + p)])
+        forcing.append((ds, dp))
+    rows = [[float(x) for x in row] for row in rows]
+    s, p = float(s), float(p)
+    forcing = [(float(ds), float(dp)) for ds, dp in forcing]
+    for _ in range(2, count):
+        v1, v2 = rows[0][-1], rows[0][-2]
+        for row, (ds, dp) in zip(rows, forcing):
+            row.append(s * row[-1] - p * row[-2] + ds * v1 - dp * v2)
+    f, *slopes = (np.array(row[:count]) for row in rows)
+    d2f = np.arange(count, dtype=float) ** 2 * f
+    a0 = w2 / 64 * (7 * d2f - slopes[0])
+    vc = slopes[1] / 8 - w2 / 64 * (slopes[0] + d2f) if potential else None
+    return a0, 0.5 * f, vc
 
 
 def _jet(shape, phi):

@@ -54,13 +54,13 @@ states of one shape and one n_max as arrays: coefficients (B, d, S), S
 states per group in columns (the eigenvectors of
 ``spectrum.branch_spectra``), and the (B, d) table of k = p + omega*n
 (``spectrum.branch_momenta``), from the harmonics of the nonzero rows of
-g / (2*pi*D), D = f^2, on one grid of one winding (``spectrum.winding_grid``),
+g / (2*pi*D), D = f^2, on one grid of one winding (``winding_grid``),
 refined until every moment of the stack settles.  ``branch_moments``
-puts those rows on the grid of the Hamiltonian (and f, for the arc
-length) and settles the spectra, their moments and the length in one
-sampling pass, each at its own level; every result equals the one of the
-standalone call bit for bit.  The command line's ``moments`` and
-``thermal`` use it.  ``toroidal_moment`` is the one-state case of
+solves the spectra (``spectrum.branch_spectra``, closed-form harmonics,
+no grid) and puts the moment rows and f, for the arc length, on one grid
+where the moments and then the length settle, each at its own level;
+every result equals the one of the standalone call bit for bit.  The
+command line's ``moments`` and ``thermal`` use it.  ``toroidal_moment`` is the one-state case of
 ``moment_vectors``, wrapped in a ``MomentResult``.
 ``classical_moment_numeric`` integrates the same rows of g, one
 ``quadrature.integrate_periodic`` per row over one winding.  The rows
@@ -80,9 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .quadrature import integrate_periodic, settle
-from .linalg import eigh_stack
-from .spectrum import _hamiltonians, _moment_axes, branch_momenta, winding_grid
+from .quadrature import NestedGrid, integrate_periodic, settle
+from .spectrum import branch_momenta, branch_spectra
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,44 @@ def current(state, shape, phi):
     return currents(shape, state.coefficients[None, :, None], k[None], phi)[0, 0]
 
 
+def _moment_axes(shape):
+    """The rows of g a moment pass samples: z for omega >= 2, all three at omega = 1."""
+    return (0, 1, 2) if shape.omega == 1 else (2,)
+
+
+def winding_grid(shape, quad, n_max, length=False):
+    """The ``quadrature.NestedGrid`` of one shape's moment pass over one winding.
+
+    Its parts are always sampled together: one ``geometry.winding_rows``
+    call for every level up to 512 points, then one call per level (see
+    ``quadrature.NestedGrid``).  They are
+
+    - ``"moments"``: the nonzero rows of the toroidal-moment weight
+      g / (2 pi D), the z row for omega >= 2 and all three rows at
+      omega = 1, read through their harmonics -2*n_max..2*n_max;
+    - ``"length"`` (when ``length`` is set): f.
+
+    Every part is sampled at the winding angle theta, so the grid counts
+    points per winding.  Nothing is sampled until a quantity settles on
+    the grid (``quadrature.settle``).
+    """
+    axes = _moment_axes(shape)
+    parts = {"moments": len(axes)}
+    if length:
+        parts["length"] = 1
+
+    def sample(theta):
+        f, _, b, _, g = geometry.winding_rows(shape, theta, moment_axes=axes)
+        rows = list(g * (b / math.pi))
+        if length:
+            rows.append(f)
+        return np.stack(rows)
+
+    return NestedGrid(sample, parts, quad, np.arange(-2 * n_max, 2 * n_max + 1), ["moments"])
+
+
 def _moments(grid, shape, coefficients, k):
-    """``moment_vectors`` settled on a ``spectrum.winding_grid`` with moment weights."""
+    """``moment_vectors`` settled on a ``winding_grid``."""
     groups, d, per_group = coefficients.shape
     n_max = (d - 1) // 2
     n = np.arange(-n_max, n_max + 1)
@@ -183,27 +218,27 @@ def moment_vectors(shape, coefficients, k, quad=None):
     all moments together settle to ``tolerance * max(1, max |T|)``.
     """
     n_max = (coefficients.shape[1] - 1) // 2
-    return _moments(winding_grid(shape, quad, n_max, moments=True), shape, coefficients, k)
+    return _moments(winding_grid(shape, quad, n_max), shape, coefficients, k)
 
 
 def branch_moments(shape, branches, n_max, quad=None, length=False):
     """Spectra and moments of every (p, include_vc) pair, and the arc length, from one pass.
 
-    One ``spectrum.winding_grid`` samples the Hamiltonian's rows, the
-    moment weights and (when ``length`` is set) f together.  The
-    Hamiltonians settle first and are solved as ``branch_spectra`` solves
-    them; the moments of all their states then settle on the stored
-    levels, as ``moment_vectors`` of the eigenvectors, and the arc length
-    last, as ``geometry.arc_length``.  A level past the stored ones
-    samples every row, the Hamiltonian's too.  Each quantity stops at its
-    own level, so every result equals the one of the standalone call bit
-    for bit.  Returns ``(decomposition, vectors, length)``: the
-    ``EigenDecomposition`` of ``branch_spectra``, the (B, d, 3) moment
-    vectors and the length (None unless ``length`` is set).
+    The spectra are ``branch_spectra``'s, from closed-form harmonics.  One
+    ``winding_grid`` samples the moment weights and (when ``length`` is
+    set) f together: the moments of all the states settle first, as
+    ``moment_vectors`` of the eigenvectors, and the arc length then on
+    the stored levels, as ``geometry.arc_length``.  A level past the
+    stored ones samples every row.  Each quantity stops at its own level,
+    so every result equals the one of the standalone call bit for bit.
+    ``quad`` steers the grid only.  Returns ``(decomposition, vectors,
+    length)``: the ``EigenDecomposition`` of ``branch_spectra``, the
+    (B, d, 3) moment vectors and the length (None unless ``length`` is
+    set).
     """
-    grid = winding_grid(shape, quad, n_max, branches, moments=True, length=length)
-    dec = eigh_stack(_hamiltonians(grid, shape, branches, n_max))
+    dec = branch_spectra(shape, branches, n_max)
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
+    grid = winding_grid(shape, quad, n_max, length)
     vectors = _moments(grid, shape, dec.eigenvectors, k)
     return dec, vectors, settle(grid, "length").value.real if length else None
 

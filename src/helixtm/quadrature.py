@@ -27,12 +27,14 @@ order.
 the grid of one part of one row.  It integrates the standalone arc
 length (``geometry.arc_length``) and the numeric classical moment
 (``observables.classical_moment_numeric``, one row of g per call).  The
-spectrum's pass over a shape (``spectrum.winding_grid``) holds the
-Hamiltonian's rows, the moment weights and the speed on one grid; its
-Hamiltonian and moments are read through their harmonics, with a
-relative stopping test.
+moment pass over a shape (``observables.winding_grid``) holds the moment
+weights and the speed on one grid; its moments are read through their
+harmonics, with a relative stopping test.  The spectrum samples nothing:
+its matrix elements are harmonics in closed form
+(``geometry.winding_harmonics``), so ``QuadratureSpec`` steers only the
+moments and the arc length.
 
-On a helix every function the spectral passes integrate depends on the
+On a helix every function these passes integrate depends on the
 turn angle phi only through the winding angle theta = omega*phi, and
 every harmonic they need is a multiple of omega.  Substituting
 theta = omega*phi turns a full-turn integral into a one-winding one with
@@ -74,8 +76,8 @@ class QuadratureSpec:
     """Grid-refinement policy: start size and target accuracy.
 
     ``initial_points`` is the first grid's size on [0, 2*pi).  The
-    Hamiltonian, the moments and the arc length are integrated over one
-    winding, so there it counts points per winding; the default of 64
+    moments and the arc length are integrated over one winding, so there
+    it counts points per winding; the default of 64
     resolves the low winding harmonics from the first grid for every
     omega.  ``tolerance`` applies to each quantity of a ``NestedGrid``
     separately: each may double the grid up to ``MAX_DOUBLINGS`` times,

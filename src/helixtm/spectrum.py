@@ -34,7 +34,7 @@ With D = f^2 = |r'|^2 they are rational in D, D', D'' and |r''|^2:
     B = 1/(2 f^2) = 1/(2 D),    C = f'/f^3 = D'/(2 D^2) = -dB/dphi,
     V_c = -kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3),
 
-the forms ``geometry.winding_rows`` samples, with no square root.
+the rows of ``geometry.winding_rows``, with no square root.
 A, B and C depend on phi only through the winding angle
 theta = omega*phi, and the phase has harmonic omega*(n - m), so the
 substitution theta = omega*phi turns every element into a Fourier
@@ -43,9 +43,8 @@ coefficient over one winding at harmonic d = n - m:
     H[m, n] = A_d + k_n^2 B_d + i k_n C_d,
     X_d = (1/(2*pi)) Integral_0^{2pi} X(theta) e^{i d theta} dtheta,
 
-with no factor left over (see ``quadrature``).  The functions are
-sampled at the winding angle theta, so the grid, and the cost, do not
-grow with omega.
+with no factor left over (see ``quadrature``), at a cost that does
+not grow with omega.
 
 C is fixed by B: C = -omega dB/dtheta, so integrating by parts gives
 C_d = i omega d B_d, and with omega d = k_n - k_m
@@ -53,7 +52,7 @@ C_d = i omega d B_d, and with omega d = k_n - k_m
     H[m, n] = A_d + k_n^2 B_d - k_n (k_n - k_m) B_d = A_d + k_m k_n B_d,
 
 that is H = T_A + K T_B K with T_X[m, n] = X_{n-m} and K = diag(k).
-C is never sampled.  H is real symmetric.  For every shape of the family
+C is never formed.  H is real symmetric.  For every shape of the family
 
     D = (R + a cos theta)^2 + omega^2 (a^2 sin^2 theta + b^2 cos^2 theta)
 
@@ -62,39 +61,25 @@ real and even in d, and
 
     H[m, n] = Re A_{n-m} + k_m k_n Re B_{n-m}.
 
-The assembly gathers exactly that.  The imaginary parts it drops vanish
-on the trapezoid grid, which is symmetric under theta -> -theta, up to
-rounding; the tests check the real matrices against a complex
-full-turn reference element that integrates C, imaginary part included.
-The gathered matrix is symmetric bit for bit: the real parts of the
-harmonics d and -d come from the same FFT entry (the second as its
-conjugate), and k_m k_n is the same float as k_n k_m.  Everything
-downstream (eigenvectors, coefficients, the printed tables) is real,
-with a sign in place of a phase.
+The harmonics come in closed form from ``geometry.winding_harmonics``:
+1/D has harmonics that follow a two-term recurrence in the roots of D,
+and A and V_c come from its derivatives, so no angle is sampled and
+nothing is refined.  The assembly gathers Re A_{|n-m|} + k_m k_n B_{|n-m|} from
+those real arrays.  The gathered matrix is symmetric bit for bit, since
+the harmonics d and -d are one float and k_m k_n is the same float as
+k_n k_m, and the n_max matrix is the central principal block of the
+n_max + 1 one bit for bit, since a longer recurrence leaves its first
+terms unchanged.  Everything downstream (eigenvectors, coefficients,
+the printed tables) is real, with a sign in place of a phase.  The tests
+check the matrices against a complex full-turn reference element that
+integrates C, imaginary part included, and against a fine trapezoid of
+the rows of ``geometry.winding_rows`` (``tests/oracles.py``).
 
 Only A depends on whether V_c is included and only k on the branch p,
 so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a
-shape from one pass: it samples A without V_c and A with V_c (each only
-if a pair needs it) and B once per grid of one winding, takes all
-their harmonics from one real FFT, gathers every matrix and refines the
-grid until the whole stack settles (``quadrature.settle``, relative
-test).
-
-That grid is ``winding_grid``, the one pass over a shape.  Its first
-``geometry.winding_rows`` call samples every level up to 512 points per
-winding, where most shapes settle.  Besides the rows of H it can hold
-the moment weights g / (2 pi D) and f itself, so
-``observables.branch_moments`` samples the Hamiltonian, the toroidal
-moments and the arc length of a command together: H settles first, the
-moments then settle with its eigenvectors on the stored levels, and the
-arc length last, each at its own level.  A level past the stored ones
-samples every row, so a later quantity that needs it samples the
-Hamiltonian's rows too; at the default tolerance H settles at or above
-the others.  ``branch_spectra`` and ``observables.moment_vectors`` are
-the grids of one quantity.  The standalone arc length
-(``geometry.arc_length``) and the numeric classical moment
-(``observables.classical_moment_numeric``) are one-row integrals and go
-through ``quadrature.integrate_periodic``.
+shape from one set of harmonics: A without V_c and A with V_c (each only
+if a pair needs it) and B.  The moments and the arc length are
+integrated on a sampled grid (``observables``).
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
@@ -116,7 +101,6 @@ import numpy as np
 
 from . import geometry
 from .linalg import HermitianMatrix, eigh_stack
-from .quadrature import NestedGrid, QuadratureSpec, settle
 
 
 def _check_n_max(n_max):
@@ -158,11 +142,10 @@ class BlochBasis:
 
 @dataclass(frozen=True)
 class SpectrumConfig:
-    """Solver settings: curvature term on/off, basis size, quadrature."""
+    """Solver settings: curvature term on/off and basis size."""
 
     include_vc: bool = True
     n_max: int = 2
-    quad: QuadratureSpec | None = None
 
     def __post_init__(self):
         _check_n_max(self.n_max)
@@ -215,96 +198,30 @@ def branch_momenta(shape, ps, n_max):
     return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
 
 
-def _moment_axes(shape):
-    """The rows of g a moment pass samples: z for omega >= 2, all three at omega = 1."""
-    return (0, 1, 2) if shape.omega == 1 else (2,)
+def _hamiltonian_stack(shape, branches, n_max):
+    """The (len(branches), d, d) real symmetric matrices of the pairs, from one set of harmonics.
 
-
-def _vc_variants(branches):
-    """The V_c settings in use, sorted: one sampled row of A each, the one with V_c last."""
-    return sorted({bool(vc) for _, vc in branches})
-
-
-def winding_grid(shape, quad, n_max, branches=(), moments=False, length=False):
-    """The ``quadrature.NestedGrid`` of one shape's pass over one winding.
-
-    Its parts are always sampled together: one ``geometry.winding_rows``
-    call for every level up to 512 points, then one call per level (see
-    ``quadrature.NestedGrid``).  They are
-
-    - ``"hamiltonian"`` (when ``branches`` is given): A once per V_c
-      setting the (p, include_vc) pairs use, then B;
-    - ``"moments"`` (when ``moments`` is set): the nonzero rows of the
-      toroidal-moment weight g / (2 pi D), the z row for omega >= 2 and
-      all three rows at omega = 1 (see ``observables``);
-    - ``"length"`` (when ``length`` is set): f.
-
-    The first two are read through their harmonics -2*n_max..2*n_max.
-    Every part is sampled at the winding angle theta, so the grid counts
-    points per winding.  Nothing is sampled until a quantity settles on
-    the grid (``quadrature.settle``).
+    Every matrix gathers the closed-form harmonics d = |n - m| of
+    ``geometry.winding_harmonics`` into Re A_d + k_m k_n Re B_d with its
+    own k = p + omega*n (see the module docstring for why that is all of
+    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.
     """
-    variants = _vc_variants(branches)
-    axes = _moment_axes(shape) if moments else ()
-    parts = {}
-    if variants:
-        parts["hamiltonian"] = len(variants) + 1
-    if moments:
-        parts["moments"] = len(axes)
-    if length:
-        parts["length"] = 1
-
-    def sample(theta):
-        f, a0, b, vc, g = geometry.winding_rows(shape, theta, True in variants, axes)
-        rows = [a0 + vc if with_vc else a0 for with_vc in variants]
-        if variants:
-            rows.append(b)
-        if moments:
-            rows += list(g * (b / math.pi))
-        if length:
-            rows.append(f)
-        return np.stack(rows)
-
-    transformed = [name for name in ("hamiltonian", "moments") if name in parts]
-    return NestedGrid(sample, parts, quad, np.arange(-2 * n_max, 2 * n_max + 1), transformed)
-
-
-def _hamiltonians(grid, shape, branches, n_max):
-    """The (len(branches), d, d) matrices of the pairs, settled on a ``winding_grid``
-    of the same branches and n_max."""
     if not branches:
         raise ValueError("need at least one branch")
-    idx = np.arange(-n_max, n_max + 1)
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
-    kk = k[:, :, None] * k[:, None, :]  # k_m k_n
-    offsets = idx[None, :] - idx[:, None] + 2 * n_max
-    variants = _vc_variants(branches)
+    variants = sorted({bool(vc) for _, vc in branches})  # one row of A each, V_c last
+    a0, b, v_c = geometry.winding_harmonics(shape, 2 * n_max + 1, True in variants)
+    harmonics = np.stack([a0 + v_c if with_vc else a0 for with_vc in variants] + [b])
+    idx = np.arange(-n_max, n_max + 1)
+    blocks = harmonics[:, np.abs(idx[None, :] - idx[:, None])]
     a_rows = [variants.index(bool(vc)) for _, vc in branches]
-
-    def gather(integrals):
-        blocks = integrals[:, offsets].real
-        return blocks[a_rows] + kk * blocks[-1]
-
-    return settle(grid, "hamiltonian", gather, relative=True).value / (2.0 * math.pi)
-
-
-def _hamiltonian_stack(shape, branches, n_max, quad):
-    """The (len(branches), d, d) real symmetric matrices of the pairs, from one grid.
-
-    Every matrix gathers the harmonics d = n - m of the shared samples,
-    taken over one winding, into Re A_d + k_m k_n Re B_d with its own
-    k = p + omega*n (see the module docstring for why that is all of
-    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  The grid is
-    refined until the whole stack settles to
-    ``tolerance * max(1, max |H|)``.
-    """
-    return _hamiltonians(winding_grid(shape, quad, n_max, branches), shape, branches, n_max)
+    return blocks[a_rows] + k[:, :, None] * k[:, None, :] * blocks[-1]
 
 
 def build_hamiltonian(shape, basis, config):
     """The HermitianMatrix of one branch over the basis (``_hamiltonian_stack`` of one pair)."""
     pair = [(basis.p, config.include_vc)]
-    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max, config.quad)[0])
+    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max)[0])
 
 
 def make_basis(shape, p, config):
@@ -312,8 +229,8 @@ def make_basis(shape, p, config):
     return BlochBasis(p=p, n_max=config.n_max, omega=shape.omega)
 
 
-def branch_spectra(shape, branches, n_max, quad=None):
-    """Spectra of every (p, include_vc) pair as arrays, from one pass and one solve.
+def branch_spectra(shape, branches, n_max):
+    """Spectra of every (p, include_vc) pair as arrays, from one set of harmonics and one solve.
 
     The matrices of ``_hamiltonian_stack`` go through ``eigh_stack`` as
     one (B, d, d) array, B = len(branches), d = 2*n_max + 1: one
@@ -322,7 +239,7 @@ def branch_spectra(shape, branches, n_max, quad=None):
     (B, d, d), the coefficients of state alpha of pair b in column
     ``eigenvectors[b, :, alpha]`` (row i multiplies chi_n, n = i - n_max).
     """
-    return eigh_stack(_hamiltonian_stack(shape, branches, n_max, quad))
+    return eigh_stack(_hamiltonian_stack(shape, branches, n_max))
 
 
 def solve_states(shape, basis, config):
@@ -330,7 +247,7 @@ def solve_states(shape, basis, config):
 
     The one-pair case of ``branch_spectra``, wrapped in ``EigenState`` objects.
     """
-    dec = branch_spectra(shape, [(basis.p, config.include_vc)], basis.n_max, config.quad)
+    dec = branch_spectra(shape, [(basis.p, config.include_vc)], basis.n_max)
     return [
         EigenState(energy=energy, coefficients=dec.eigenvectors[0][:, alpha], p=basis.p,
                    alpha=alpha, include_vc=config.include_vc)

@@ -13,9 +13,12 @@ rows from the old terms.
 
 Production assembles H as Re A_d + k_m k_n Re B_d from one-winding
 harmonics of A and B alone, which holds because f'/f^3 is a derivative
-of 1/(2 f^2) and the theta -> -theta symmetry of the shape; it takes
-toroidal moments as quadratic forms in the coefficients.  The references
-here do neither.  ``hamiltonian_element`` integrates one complex element
+of 1/(2 f^2) and the theta -> -theta symmetry of the shape, and takes
+those harmonics in closed form (``geometry.winding_harmonics``).
+``sampled_hamiltonians`` is the pass that sampled them before: a
+trapezoid of the rational rows over one winding, at a fixed grid.
+Production takes toroidal moments as quadratic forms in the
+coefficients.  The full-turn references here do neither.  ``hamiltonian_element`` integrates one complex element
 H[m, n] over the whole turn from the old terms, the i k f'/f^3 term and
 the imaginary part included, and ``moment_from_current`` integrates j(phi) * g_axis(phi) over the whole
 turn on all three axes, with g = (r' . r) r - 2 r^2 r' formed from the
@@ -128,8 +131,12 @@ def moment_integrand(shape, phi):
     return dot[..., None] * r - 2.0 * rsq[..., None] * v
 
 
-def hamiltonian_element(shape, basis, m, n, config):
-    """Matrix element H[m, n] between basis functions m and n, as a complex number."""
+def hamiltonian_element(shape, basis, m, n, config, quad=None):
+    """Matrix element H[m, n] between basis functions m and n, as a complex number.
+
+    ``config`` says whether V_c is included; ``quad`` (default
+    ``QuadratureSpec()``) sets the points per winding and the tolerance.
+    """
     for idx in (m, n):
         if not -basis.n_max <= idx <= basis.n_max:
             raise ValueError(f"basis index {idx} outside [-{basis.n_max}, {basis.n_max}]")
@@ -148,9 +155,30 @@ def hamiltonian_element(shape, basis, m, n, config):
             bracket = bracket + vc
         return np.exp(1j * hop * phi) * bracket
 
-    quad = config.quad if config.quad is not None else QuadratureSpec()
+    quad = quad if quad is not None else QuadratureSpec()
     quad = replace(quad, initial_points=quad.initial_points * shape.omega)
     return integrate_periodic(integrand, quad).value / (2.0 * math.pi)
+
+
+def sampled_hamiltonians(shape, branches, n_max, points):
+    """The (len(branches), d, d) matrices of ``spectrum._hamiltonian_stack``
+    from a ``points``-node trapezoid of the sampled rows.
+
+    The pass that built H before the closed form: A0, A0 + V_c and B of
+    ``geometry.winding_rows`` at ``points`` winding angles, their harmonics
+    -2*n_max..2*n_max from one real FFT, gathered as
+    Re A_{n-m} + k_m k_n Re B_{n-m}.
+    """
+    theta = 2.0 * math.pi * np.arange(points) / points
+    _, a0, b, vc, _ = geometry.winding_rows(shape, theta, potential=True)
+    spectra = np.fft.rfft(np.stack([a0, a0 + vc, b]), axis=-1).real / points
+    idx = np.arange(-n_max, n_max + 1)
+    harmonics = spectra[:, np.abs(idx[None, :] - idx[:, None])]
+    out = []
+    for p, include_vc in branches:
+        k = p + shape.omega * idx.astype(float)
+        out.append(harmonics[int(include_vc)] + np.multiply.outer(k, k) * harmonics[2])
+    return np.array(out)
 
 
 def moment_from_current(shape, current_fn, quad):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helixtm import cli, geometry, observables, spectrum
+from helixtm import cli, geometry, observables
 from helixtm.cli import GEOMETRY_HEADER, main
 from helixtm.geometry import HelixShape
 from helixtm.observables import current
@@ -235,8 +235,8 @@ class TestSharedPasses:
         ],
     )
     def test_one_sampling_pass_per_command(self, capsys, monkeypatch, argv):
-        # every branch and V_c setting, every state's moment and the arc
-        # length share one nested grid of the shape
+        # every state's moment and the arc length share one nested grid of
+        # the shape; the spectra take closed-form harmonics and sample none
         grids = []
 
         class Counting(NestedGrid):
@@ -244,10 +244,10 @@ class TestSharedPasses:
                 grids.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "NestedGrid", Counting)
+        monkeypatch.setattr(observables, "NestedGrid", Counting)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(grids) == 1
+        assert len(grids) == (1 if argv[0] in ("moments", "thermal") else 0)
 
     def test_moments_samples_no_angle_twice(self, capsys, monkeypatch):
         angles = []
@@ -260,9 +260,8 @@ class TestSharedPasses:
         monkeypatch.setattr(geometry, "winding_rows", recording)
         code, _, _ = run_cli(capsys, "moments", "--omega", "6", "--p", "0-5")
         assert code == 0
-        # the Hamiltonian, the moments and the arc length of this round coil
-        # all settle by 256 points per winding, inside the first call's
-        # levels 64 to 512
+        # the moments and the arc length of this round coil both settle by
+        # 256 points per winding, inside the first call's levels 64 to 512
         assert len(angles) == 1
         sampled = angles[0]
         assert sampled.size == 512
@@ -387,21 +386,21 @@ class TestConfigFile:
 
 
 class TestExitCodes:
-    # One stage of the shared pass fails in each case: the Hamiltonian, the
-    # moments or the arc length reaches the doubling cap while the stages
-    # before it settle.  Each message is the one the stage's standalone
-    # pass prints on the same levels.  The flattest coil's Hamiltonian
-    # is still under-resolved at the cap; the other stages fail at
-    # tolerances near rounding.
+    # One stage of the shared pass fails in each case: the moments or the
+    # arc length reaches the doubling cap while the stage before it
+    # settles.  Each message is the one the stage's standalone pass prints
+    # on the same levels.  The flattest coil's arc length is still
+    # under-resolved at the cap at the default tolerance; the other cases
+    # fail at tolerances near rounding.
     @pytest.mark.parametrize("argv, stage, message", [
         (["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "0"],
-         "hamiltonian", "no convergence after 16384 points (last change 1.138e+07)"),
+         "length", "no convergence after 16384 points (last change 3.304e-10)"),
         (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0", "--n-max", "8",
           "--quad-tol", "3e-15"],
-         "moments", "no convergence after 16384 points (last change 3.997e-15)"),
+         "moments", "no convergence after 16384 points (last change 1.166e-14)"),
         (["thermal", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0", "--n-max", "8",
           "--quad-tol", "3e-15", "--temperature", "1"],
-         "moments", "no convergence after 16384 points (last change 3.997e-15)"),
+         "moments", "no convergence after 16384 points (last change 1.166e-14)"),
         (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0",
           "--quad-tol", "1e-14"],
          "length", "no convergence after 16384 points (last change 2.842e-14)"),
@@ -419,7 +418,6 @@ class TestExitCodes:
                 raise
 
         monkeypatch.setattr(observables, "settle", recording)
-        monkeypatch.setattr(spectrum, "settle", recording)
         target = tmp_path / "out.txt"
         code, out, err = run_cli(capsys, *argv, "--out", str(target))
         assert (code, out, err) == (3, "", f"helixtm: numerical failure: {message}\n")
@@ -428,10 +426,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, status", [
         (["current", "--omega", "4", "--grid", "7"], 2),
-        # the flattest coil's Hamiltonian reaches the doubling cap
-        (["current", "--a", "0.999", "--b", "0.001", "--omega", "6"], 3),
+        # b^2 overflows in the shape's functions
+        (["current", "--b", "1e300"], 3),
         # a bad --grid is a usage error even where the solve would fail
-        (["current", "--grid", "7", "--a", "0.999", "--b", "0.001", "--omega", "6"], 2),
+        (["current", "--grid", "7", "--b", "1e300"], 2),
         (["geometry", "--grid", "1"], 2),
     ])
     def test_failed_grid_table_leaves_no_file(self, capsys, tmp_path, argv, status):
@@ -461,11 +459,10 @@ class TestExitCodes:
         _, rows = parse_csv(run_cli(capsys, "moments", "--R", R, "--p", "1")[1])
         assert all(abs(float(v)) < 1e-150 for row in rows for v in row[2:] if v)
 
-    # shapes HelixShape accepts whose functions overflow (R^2 in the
-    # frame, b^2 in D)
+    # shapes HelixShape accepts whose functions overflow (b^2 in D and in
+    # the frame)
     @pytest.mark.parametrize("argv", [
         ["geometry", "--b", "1e300"],
-        ["geometry", "--R", "1e200"],
         ["potential", "--b", "1e300"],
         ["spectrum", "--b", "1e300"],
         ["moments", "--b", "1e300"],
@@ -533,23 +530,26 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure_is_exit_three(self, capsys):
+        # the moments cannot settle to 1e-300 from 8 points per winding
         code, _, err = run_cli(
-            capsys, "spectrum", *FLAT6_ARGS, "--without-vc", "--quad-tol", "1e-300"
+            capsys, "moments", *FLAT6_ARGS, "--quad-points", "8", "--quad-tol", "1e-300"
         )
         assert code == 3
         assert "numerical failure" in err
 
-    def test_flattest_coil_solves_from_a_fine_first_grid(self, capsys):
-        # at the default 64 points per winding this coil's Hamiltonian
-        # reaches the doubling cap (max |H| is 1.5e7); from 4096 it settles
+    def test_flattest_coil_solves_at_default_settings(self, capsys):
+        # max |H| is 1.5e7 for this coil; its harmonics come in closed form,
+        # and the ground level is the 2^20-point trapezoid's 0.43853343
         code, out, err = run_cli(capsys, "spectrum", "--a", "0.999", "--b", "0.001",
-                                 "--omega", "6", "--p", "1", "--quad-points", "4096")
+                                 "--omega", "6", "--p", "1", "--digits", "12")
         assert (code, err) == (0, "")
-        assert out.splitlines()[1].startswith("1,off,E,0.438533,")
+        fields = out.splitlines()[1].split(",")
+        assert fields[:3] == ["1", "off", "E"]
+        assert float(fields[3]) == pytest.approx(0.43853343, rel=1e-6)
 
     def test_large_matrix_elements_converge(self, capsys):
-        # |H| reaches about 1.5e4 for this nearly flat coil; the stopping
-        # test scales with the matrix, so it converges instead of exiting 3
+        # |H| reaches about 1.5e4 for this nearly flat coil; its harmonics
+        # come in closed form, with no stopping test to scale, so it answers
         code, out, err = run_cli(capsys, "spectrum", "--a", "0.99", "--b", "0.01", "--omega", "6")
         assert code == 0
         assert err == ""
@@ -583,16 +583,30 @@ class TestExitCodes:
         assert not target.exists()
 
 
-    @pytest.mark.parametrize("k, status", [(0, 0), (13, 0), (77, 0), (100, 0), (154, 0),
-                                           (155, 3), (200, 3)])
-    def test_geometry_radius_scan(self, capsys, k, status):
-        # the frame's intermediates reach R^2, which overflows from R = 1e155
+    @pytest.mark.parametrize("k", [0, 13, 77, 100, 154, 155, 200, 308])
+    def test_geometry_radius_scan(self, capsys, k):
+        # the frame is evaluated at unit radius and only scaled by R, so no
+        # intermediate reaches R^2
         code, out, err = run_cli(capsys, "geometry", "--R", f"1e{k}", "--grid", "8")
-        assert code == status
-        if status:
-            assert out == "" and err.count("\n") == 1
-        else:
-            assert err == "" and len(out.splitlines()) == 9
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 9
+
+    def test_geometry_scales_with_the_radius(self, capsys):
+        # the same coil in half the length unit: position and f double,
+        # kappa and tau halve, and the frame is unchanged, exactly
+        tables = []
+        for R, half_axis in (("1", "0.5"), ("2", "1")):
+            code, out, _ = run_cli(capsys, "geometry", "--R", R, "--a", half_axis,
+                                   "--b", half_axis, "--digits", "17", "--grid", "64")
+            assert code == 0
+            header, rows = parse_csv(out)
+            tables.append(np.array(rows, dtype=float))
+        unit, doubled = tables
+        lengths, curvatures = slice(1, 5), slice(5, 7)
+        assert np.array_equal(doubled[:, lengths], 2 * unit[:, lengths])
+        assert np.array_equal(doubled[:, curvatures], unit[:, curvatures] / 2)
+        assert np.array_equal(doubled[:, 7:], unit[:, 7:])
+        assert header[lengths] == ["x", "y", "z", "f"] and header[curvatures] == ["kappa", "tau"]
 
     def test_flat_limit_geometry(self, capsys):
         # b = 1e-300 squares to 0: the frame is the planar polar curve's,

@@ -1,0 +1,110 @@
+"""The closed-form harmonics against the sampled pass they replaced.
+
+``geometry.winding_harmonics`` gives A0_d, B_d and V_c_d from a two-term
+recurrence in the roots of D = f^2 and its derivatives along D'' and
+|r''|^2, with no sampling.  ``oracles.sampled_hamiltonians`` builds the
+same matrices from a fixed fine trapezoid of ``geometry.winding_rows``,
+the pass production used before.  The shapes cover seeded draws and the
+cases the recurrence could trip on: a double root of D, alpha = 0 (D
+linear in cos theta), one winding, and the flat and the tall coils, whose
+roots approach the unit circle (at theta = pi and at theta = +-pi/2).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from helixtm.geometry import HelixShape, winding_harmonics
+from helixtm.spectrum import _hamiltonian_stack, branch_spectra
+from oracles import sampled_hamiltonians
+
+# points per winding of the reference trapezoid: the flattest shape here,
+# (0.999, 0.001, 6), is 2.8e-11 of max |H| off its limit at 2^15 points
+# and within rounding (2e-13) at 2^16
+REFERENCE_POINTS = 1 << 16
+
+SPECIAL_SHAPES = [
+    pytest.param(0.50645, 0.49355, 4, 8, id="double-root"),
+    pytest.param(0.5, math.sqrt(3) / 4, 2, 8, id="alpha-zero"),
+    pytest.param(0.99, 0.01, 6, 8, id="flat-6"),
+    pytest.param(0.999, 0.001, 6, 4, id="flattest-6"),
+    pytest.param(0.9, 0.1, 1, 16, id="one-winding"),
+    pytest.param(0.5, 300.0, 4, 8, id="tall-300"),
+]
+
+
+def _draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = float(rng.uniform(0.05, 0.99))
+        b = float(rng.uniform(0.01, 1.0))
+        omega = int(rng.integers(1, 41))
+        n_max = int(rng.integers(2, 17))
+        yield pytest.param(a, b, omega, n_max, id=f"{a:.3f}-{b:.3f}-{omega}-{n_max}")
+
+
+def _stack(shape):
+    ps = sorted({0, shape.omega // 2, shape.omega - 1})
+    return [(p, include_vc) for p in ps for include_vc in (False, True)]
+
+
+@pytest.mark.parametrize("a, b, omega, n_max", [*_draws(19, 12), *SPECIAL_SHAPES])
+def test_matrices_match_a_fine_trapezoid(a, b, omega, n_max):
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    pairs = _stack(shape)
+    got = _hamiltonian_stack(shape, pairs, n_max)
+    want = sampled_hamiltonians(shape, pairs, n_max, REFERENCE_POINTS)
+    for h, ref in zip(got, want):
+        assert np.max(np.abs(h - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_reference_trapezoid_has_converged():
+    # doubling the reference grid moves the flattest matrices by far less
+    # than the tolerance above
+    shape = HelixShape(R=1.0, a=0.999, b=0.001, omega=6)
+    pairs = [(1, False), (1, True)]
+    ref = sampled_hamiltonians(shape, pairs, 4, REFERENCE_POINTS)
+    finer = sampled_hamiltonians(shape, pairs, 4, 2 * REFERENCE_POINTS)
+    assert np.max(np.abs(finer - ref)) <= 1e-12 * np.max(np.abs(finer))
+
+
+@pytest.mark.parametrize("a, b, omega", [(0.75, 0.25, 6), (0.999, 0.001, 6), (0.3, 0.9, 40)])
+def test_longer_recurrence_keeps_the_first_harmonics(a, b, omega):
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    short = winding_harmonics(shape, 5, potential=True)
+    long = winding_harmonics(shape, 65, potential=True)
+    for x, y in zip(short, long):
+        assert np.array_equal(x, y[:5])
+    # V_c changes A only: B and A0 do not depend on whether it is formed
+    without = winding_harmonics(shape, 65)
+    assert without[2] is None
+    assert np.array_equal(without[0], long[0]) and np.array_equal(without[1], long[1])
+
+
+def _interlacing_draws():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        a = float(rng.uniform(0.05, 0.99))
+        omega = int(rng.integers(1, 41))
+        shape = HelixShape(R=1.0, a=a, b=float(rng.uniform(0.01, 1.0)), omega=omega)
+        p = int(rng.integers(0, omega))
+        yield pytest.param(shape, p, int(rng.integers(2, 16)),
+                           id=f"{shape.a:.3f}-{shape.b:.3f}-{omega}-p{p}")
+    yield pytest.param(HelixShape(R=1.0, a=0.99, b=0.01, omega=6), 1, 8, id="flat-6")
+
+
+@pytest.mark.parametrize("shape, p, n_max", _interlacing_draws())
+def test_levels_interlace_as_the_basis_grows(shape, p, n_max):
+    # the n_max matrix is the central principal block of the n_max + 1 one,
+    # bit for bit, so Cauchy interlacing bounds every level:
+    # E_k(n_max + 1) <= E_k(n_max) <= E_{k+2}(n_max + 1)
+    pairs = [(p, False), (p, True)]
+    small = _hamiltonian_stack(shape, pairs, n_max)
+    big = _hamiltonian_stack(shape, pairs, n_max + 1)
+    assert np.array_equal(big[:, 1:-1, 1:-1], small)
+    e_small = branch_spectra(shape, pairs, n_max).eigenvalues
+    e_big = branch_spectra(shape, pairs, n_max + 1).eigenvalues
+    slack = 1e-12 * np.max(np.abs(big), axis=(1, 2))[:, None]
+    assert np.all(e_big[:, :-2] <= e_small + slack)
+    assert np.all(e_small <= e_big[:, 2:] + slack)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helixtm import observables, spectrum
+from helixtm import observables
 from helixtm.geometry import HelixShape, arc_length, speed
 from helixtm.observables import (
     MomentResult,
@@ -25,8 +25,9 @@ from helixtm.observables import (
     moment_vectors,
     thermal_average,
     toroidal_moment,
+    winding_grid,
 )
-from helixtm.quadrature import QuadratureSpec
+from helixtm.quadrature import QuadratureSpec, settle
 from helixtm.spectrum import (
     EigenState,
     SpectrumConfig,
@@ -250,11 +251,10 @@ class TestClassicalMoment:
 
     def test_one_row_integrals_need_no_winding_grid(self, monkeypatch):
         # the arc length and the classical moment are one-row integrals of
-        # integrate_periodic, not grids of the spectrum's pass
+        # integrate_periodic, not grids of the moment pass
         def refuse(*args, **kwargs):
             raise AssertionError("winding_grid called")
 
-        monkeypatch.setattr(spectrum, "winding_grid", refuse)
         monkeypatch.setattr(observables, "winding_grid", refuse)
         for shape in (UP4, HelixShape(R=1.0, a=0.9, b=0.1, omega=1)):
             assert arc_length(shape) > 2 * math.pi * shape.R
@@ -342,3 +342,43 @@ class TestThermalAverage:
             ThermalSpec(temperature=-1.0)
         with pytest.raises(ValueError):
             thermal_average([], ThermalSpec(temperature=1.0))
+
+
+class TestFirstSampling:
+    """The first call of a ``winding_grid`` samples every level up to 512
+    points at once; each level's floats must be those a call on that
+    level's nodes alone gives, or the settled values would move."""
+
+    @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
+    # the grids of the moment pass: the moment rows, and with them f
+    @pytest.mark.parametrize("length", [False, True], ids=["moments", "length"])
+    def test_one_call_equals_the_per_level_calls(self, a, b, omega, length):
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        grid = winding_grid(shape, None, 2, length)
+        calls = []
+        sample = grid._sample
+
+        def recording(nodes):
+            out = sample(nodes)
+            calls.append((nodes.copy(), out))
+            return out
+
+        grid._sample = recording
+        if length:
+            settle(grid, "length")
+        else:
+            grid._samples(0)  # the first sampling, as any settle starts
+        nodes, out = calls[0]
+        # the moment rows and f
+        assert out.shape[0] == (3 if omega == 1 else 1) + length
+        assert nodes.size == 512
+        # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
+        walk = 2.0 * math.pi * np.arange(64) / 64
+        assert np.array_equal(nodes[::8], walk)
+        for level in (1, 2, 3):
+            step = 8 >> level
+            mids = walk + math.pi / (64 << (level - 1))
+            assert np.array_equal(nodes[step::2 * step], mids)
+            assert np.array_equal(out[:, step::2 * step], sample(mids))
+            walk = np.sort(np.concatenate([walk, mids]))
+        assert np.array_equal(out[:, ::8], sample(2.0 * math.pi * np.arange(64) / 64))

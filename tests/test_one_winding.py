@@ -1,8 +1,8 @@
 """The one-winding passes against full-turn references.
 
-Hamiltonian assembly, toroidal moments and arc length sample the winding
-angle theta = omega*phi over [0, 2*pi) and take harmonic n - m in place
-of omega*(n - m).  Each is checked here against an integral over the
+Hamiltonian assembly, toroidal moments and arc length work over one
+winding, theta = omega*phi in [0, 2*pi), and take harmonic n - m in
+place of omega*(n - m).  Each is checked here against an integral over the
 whole turn that knows nothing of that reduction: element-by-element
 quadrature, the moment integral of j(phi) * g(phi) on all three axes,
 and a dense trapezoid sum of the speed.
@@ -44,13 +44,13 @@ def test_matrices_match_full_turn_elements(a, b, omega):
     # tolerance the assembly works to.
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     branches = [(omega - 1, False), (omega - 1, True)]
-    for (p, include_vc), h in zip(branches, _hamiltonian_stack(shape, branches, N_MAX, None)):
+    for (p, include_vc), h in zip(branches, _hamiltonian_stack(shape, branches, N_MAX)):
         scale = max(1.0, float(np.max(np.abs(h))))
-        cfg = SpectrumConfig(include_vc=include_vc, n_max=N_MAX,
-                             quad=QuadratureSpec(tolerance=1e-10 * scale))
+        cfg = SpectrumConfig(include_vc=include_vc, n_max=N_MAX)
+        quad = QuadratureSpec(tolerance=1e-10 * scale)
         basis = make_basis(shape, p, cfg)
         want = np.array([
-            [hamiltonian_element(shape, basis, m, n, cfg) for n in basis.indices]
+            [hamiltonian_element(shape, basis, m, n, cfg, quad) for n in basis.indices]
             for m in basis.indices
         ])
         assert np.max(np.abs(h - want)) <= 1e-10 * scale

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from helixtm.geometry import HelixShape, curvature_potential, speed
 from helixtm.linalg import HermitianMatrix
-from helixtm.quadrature import QuadratureSpec, integrate_periodic, settle
+from helixtm.quadrature import QuadratureSpec, integrate_periodic
 from helixtm.spectrum import (
     BlochBasis,
     EigenState,
@@ -21,7 +21,6 @@ from helixtm.spectrum import (
     build_hamiltonian,
     make_basis,
     solve_states,
-    winding_grid,
 )
 from oracles import hamiltonian_element
 
@@ -210,14 +209,6 @@ class TestHamiltonianStructure:
                 ).value / (2 * math.pi)
                 assert abs((h_on[i, j] - h_off[i, j]) - conv) < 1e-10
 
-    def test_quadrature_refinement_independence(self):
-        coarse = SpectrumConfig(quad=QuadratureSpec(initial_points=64, tolerance=1e-11))
-        fine = SpectrumConfig(quad=QuadratureSpec(initial_points=128, tolerance=1e-13))
-        basis = make_basis(FLAT6, 1.0, coarse)
-        h1 = build_hamiltonian(FLAT6, basis, coarse).entries
-        h2 = build_hamiltonian(FLAT6, basis, fine).entries
-        assert np.max(np.abs(h1 - h2)) < 1e-8
-
 
 class TestSpectralAssembly:
     """The gathered matrix against element-by-element quadrature."""
@@ -257,7 +248,7 @@ class TestSpectralAssembly:
         ],
     )
     def test_batched_matrices_match_hamiltonian_element(self, shape, branches, n_max):
-        mats = _hamiltonian_stack(shape, branches, n_max, None)
+        mats = _hamiltonian_stack(shape, branches, n_max)
         assert mats.shape == (len(branches), 2 * n_max + 1, 2 * n_max + 1)
         for (p, include_vc), h in zip(branches, mats):
             cfg = SpectrumConfig(include_vc=include_vc, n_max=n_max)
@@ -267,7 +258,7 @@ class TestSpectralAssembly:
 
     def test_production_path_is_real(self):
         branches = [(0, False), (1, True), (3, True)]
-        assert _hamiltonian_stack(FLAT6, branches, 3, None).dtype == np.float64
+        assert _hamiltonian_stack(FLAT6, branches, 3).dtype == np.float64
         assert branch_spectra(FLAT6, branches, 3).eigenvectors.dtype == np.float64
         cfg = SpectrumConfig(n_max=3)
         assert build_hamiltonian(FLAT6, make_basis(FLAT6, 1, cfg), cfg).entries.dtype == np.float64
@@ -279,50 +270,6 @@ class TestSpectralAssembly:
             branch_spectra(FLAT6, [], 2)
         with pytest.raises(ValueError):
             branch_spectra(FLAT6, [(1, True), (6, True)], 2)
-
-
-class TestFirstSampling:
-    """The first call of a ``winding_grid`` samples every level up to 512
-    points at once; each level's floats must be those a call on that
-    level's nodes alone gives, or the settled values would move."""
-
-    @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
-    @pytest.mark.parametrize("variants", [(False,), (True,), (False, True)])
-    # the grids the spectrum's pass builds: the Hamiltonian alone, with the
-    # moments, and with the moments and the length row
-    @pytest.mark.parametrize("moments, length", [(False, False), (True, False), (True, True)],
-                             ids=["hamiltonian", "moments", "length"])
-    def test_one_call_equals_the_per_level_calls(self, a, b, omega, variants, moments, length):
-        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-        grid = winding_grid(shape, None, 2, [(0, vc) for vc in variants], moments, length)
-        calls = []
-        sample = grid._sample
-
-        def recording(nodes):
-            out = sample(nodes)
-            calls.append((nodes.copy(), out))
-            return out
-
-        grid._sample = recording
-        if length:
-            settle(grid, "length")
-        else:
-            grid._samples(0)  # the first sampling, as any settle starts
-        nodes, out = calls[0]
-        # the rows of A per V_c setting, B, the moment rows and f
-        moment_rows = (3 if omega == 1 else 1) if moments else 0
-        assert out.shape[0] == len(variants) + 1 + moment_rows + length
-        assert nodes.size == 512
-        # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
-        walk = 2.0 * math.pi * np.arange(64) / 64
-        assert np.array_equal(nodes[::8], walk)
-        for level in (1, 2, 3):
-            step = 8 >> level
-            mids = walk + math.pi / (64 << (level - 1))
-            assert np.array_equal(nodes[step::2 * step], mids)
-            assert np.array_equal(out[:, step::2 * step], sample(mids))
-            walk = np.sort(np.concatenate([walk, mids]))
-        assert np.array_equal(out[:, ::8], sample(2.0 * math.pi * np.arange(64) / 64))
 
 
 class TestReferenceConfiguration:

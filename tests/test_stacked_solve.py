@@ -5,10 +5,10 @@ whole (p, V_c) stack with one ``linalg.eigh_stack`` call.  Each matrix
 must come out exactly as from one ``HermitianMatrix``, one
 ``eigen_decompose`` and one ``fix_phase`` per matrix, and the moments of
 the grouped states exactly as from ``moment_vectors`` with one state per
-group.  ``observables.branch_moments`` samples the Hamiltonian, the
-moments and the arc length in one pass; each must come out exactly as
-from its standalone call.  Every matrix the passes build equals its
-transpose bit for bit.
+group.  ``observables.branch_moments`` solves the spectra as
+``branch_spectra`` does and samples the moments and the arc length in
+one pass; each must come out exactly as from its standalone call.  Every
+matrix either path builds equals its transpose bit for bit.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     pairs = all_pairs(omega)
     dec = branch_spectra(shape, pairs, n_max)
-    mats = _hamiltonian_stack(shape, pairs, n_max, None)
+    mats = _hamiltonian_stack(shape, pairs, n_max)
     for h, values, vectors in zip(mats, dec.eigenvalues, dec.eigenvectors):
         one = eigen_decompose(HermitianMatrix(h))
         assert np.array_equal(values, one.eigenvalues)
@@ -54,10 +54,11 @@ ONE_PASS_CASES = [
     pytest.param(a, b, omega, n_max, None, None, id=f"{a}-{b}-{omega}-{n_max}")
     for a, b in SHAPES for omega in (1, 4, 6, 40) for n_max in (2, 8, 16)
 ] + [
-    # the p = 0 moments settle at 8192 points per winding, past the
-    # Hamiltonian's 2048: the later quantity refines the shared grid
-    pytest.param(0.95, 0.05, 12, 16, QuadratureSpec(tolerance=1e-14), [(0, False), (0, True)],
-                 id="0.95-0.05-12-16-tol1e-14"),
+    # the p = 0 moments settle at 128 points per winding and the length at
+    # 1024, past the first sampling's 512: the later quantity refines the
+    # shared grid
+    pytest.param(0.95, 0.05, 12, 16, QuadratureSpec(tolerance=1e-12), [(0, False), (0, True)],
+                 id="0.95-0.05-12-16-tol1e-12"),
 ]
 
 
@@ -73,11 +74,10 @@ def test_one_pass_equals_standalone_calls(a, b, omega, n_max, quad, pairs, monke
         return result
 
     monkeypatch.setattr(observables, "settle", recording)
-    monkeypatch.setattr(spectrum, "settle", recording)
     dec, vectors, length = branch_moments(shape, pairs, n_max, quad, length=True)
     if quad is not None:
-        assert levels == {"hamiltonian": 2048, "moments": 8192, "length": 2048}
-    alone = branch_spectra(shape, pairs, n_max, quad)
+        assert levels == {"moments": 128, "length": 1024}
+    alone = branch_spectra(shape, pairs, n_max)
     k = branch_momenta(shape, [p for p, _ in pairs], n_max)
     assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
     assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
@@ -125,16 +125,13 @@ def _symmetry_cases():
         ps = sorted({int(p) for p in rng.integers(0, omega, 3)})
         pairs = [(p, include_vc) for p in ps for include_vc in (False, True)]
         shape = HelixShape(R=1.0, a=a, b=rng.uniform(0.05, 1.5), omega=omega)
-        yield shape, pairs, int(rng.integers(2, 17)), None
-    # a grid too coarse for harmonics up to 2*n_max = 32: the quadrature
-    # error is large, but both triangles carry the same one
-    yield FLAT6, [(0, False), (1, True)], 16, QuadratureSpec(initial_points=32, tolerance=1e6)
+        yield shape, pairs, int(rng.integers(2, 17))
     # max |H| grows like (omega * n_max)^2, here to about 1e9
-    yield HelixShape(R=1.0, a=0.99, b=0.01, omega=6), [(1, False), (1, True)], 192, None
+    yield HelixShape(R=1.0, a=0.99, b=0.01, omega=6), [(1, False), (1, True)], 192
 
 
-@pytest.mark.parametrize("shape, pairs, n_max, quad", _symmetry_cases())
-def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, quad, monkeypatch):
+@pytest.mark.parametrize("shape, pairs, n_max", _symmetry_cases())
+def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, monkeypatch):
     # H = Re A_{n-m} + k_m k_n Re B_{n-m}: the harmonics d and -d share
     # their real part and k_m k_n == k_n k_m, so H equals its transpose
     solved = []
@@ -144,11 +141,10 @@ def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, quad, m
         return eigh_stack(stack)
 
     monkeypatch.setattr(spectrum, "eigh_stack", recording)
-    monkeypatch.setattr(observables, "eigh_stack", recording)
-    branch_spectra(shape, pairs, n_max, quad)
-    branch_moments(shape, pairs, n_max, quad)
+    branch_spectra(shape, pairs, n_max)
+    branch_moments(shape, pairs, n_max)
     p, include_vc = pairs[-1]
-    config = SpectrumConfig(include_vc=include_vc, n_max=n_max, quad=quad)
+    config = SpectrumConfig(include_vc=include_vc, n_max=n_max)
     one = build_hamiltonian(shape, BlochBasis(p, n_max, shape.omega), config).entries
     assert [len(stack) for stack in solved] == [len(pairs)] * 2
     for h in [*solved[0], *solved[1], one]:
