@@ -10,9 +10,10 @@ Every command evaluates the shape at unit major radius,
 (position and f times R, kappa and tau over R); the other commands print
 their numbers as they come: energies, V_c and currents in units of 1/R^2
 and moments in units of R, the same whatever length unit R is given in.
-The spectra take their matrix elements in closed form; ``--quad-points``
-and ``--quad-tol`` steer only the sampled integrals of ``moments`` and
-``thermal`` (the toroidal moments and the arc length).
+The spectra take their matrix elements in closed form; only ``moments``
+and ``thermal`` sample integrals (the toroidal moments and the arc
+length), and only they take ``--quad-points`` and ``--quad-tol`` (or
+their config keys); the other commands reject them as bad usage.
 
 Options may come from a ``key = value`` config file (``--config``);
 explicit flags win over file values.  Exit codes: 0 success, 2 bad
@@ -49,6 +50,10 @@ _CONFIG_KEYS = {
     "R", "a", "b", "omega", "p", "n_max", "vc", "grid",
     "quad_points", "quad_tol", "temperature", "digits", "out",
 }
+
+# The commands that sample integrals, the only ones that read the
+# quadrature settings.
+_QUADRATURE_COMMANDS = ("moments", "thermal")
 
 
 class UsageError(ValueError):
@@ -94,18 +99,20 @@ def _build_parser():
                     help="run with and without the curvature potential")
     o = common.add_argument_group("sampling and output")
     o.add_argument("--grid", type=int, default=None, help="angle samples per turn (default 256)")
-    o.add_argument("--quad-points", type=int, default=None,
-                   help="initial quadrature points per winding of the moments and the arc "
-                        "length ('moments', 'thermal'; default 64)")
-    o.add_argument("--quad-tol", type=float, default=None,
-                   help="quadrature tolerance of the moments and the arc length "
-                        "('moments', 'thermal'; default 1e-10)")
     o.add_argument("--temperature", type=float, default=None,
                    help="temperature for 'thermal', in reported energy units")
     o.add_argument("--digits", type=int, default=None, help="significant digits (default 6)")
     o.add_argument("--out", default=None, help="output file, '-' for stdout (default)")
     o.add_argument("--config", default=None, help="key = value config file; flags override")
     common.set_defaults(vc=None)
+    quadrature = argparse.ArgumentParser(add_help=False)
+    q = quadrature.add_argument_group("integration")
+    q.add_argument("--quad-points", type=int, default=None,
+                   help="initial quadrature points per winding of the moments and the arc "
+                        "length (default 64)")
+    q.add_argument("--quad-tol", type=float, default=None,
+                   help="quadrature tolerance of the moments and the arc length "
+                        "(default 1e-10)")
 
     parser = argparse.ArgumentParser(
         prog="helixtm",
@@ -120,7 +127,8 @@ def _build_parser():
         ("moments", "toroidal moments with/without curvature plus classical reference"),
         ("thermal", "Boltzmann-averaged toroidal moments at a temperature"),
     ]:
-        sub.add_parser(name, parents=[common], help=doc)
+        parents = [common, quadrature] if name in _QUADRATURE_COMMANDS else [common]
+        sub.add_parser(name, parents=parents, help=doc)
     return parser
 
 
@@ -195,6 +203,11 @@ def _vc_from_text(text):
 def _resolve(args):
     config = _parse_config_file(args.config) if args.config else {}
     path = args.config
+    if args.command not in _QUADRATURE_COMMANDS:
+        for key in ("quad_points", "quad_tol"):
+            if key in config:
+                raise UsageError(f"{path}:{config[key][1]}: {key!r} applies only to "
+                                 f"{' and '.join(map(repr, _QUADRATURE_COMMANDS))}")
     omega = _pick(args.omega, config, "omega", 4, int, path)
     default_p = list(range(1, min(3, max(omega - 1, 0)) + 1)) or [0]
     p_raw = _pick(args.p, config, "p", None, str, path)
@@ -212,8 +225,8 @@ def _resolve(args):
         digits=_pick(args.digits, config, "digits", 6, int, path),
         out=_pick(args.out, config, "out", "-", str, path),
     )
-    qp = _pick(args.quad_points, config, "quad_points", None, int, path)
-    qt = _pick(args.quad_tol, config, "quad_tol", None, float, path)
+    qp = _pick(getattr(args, "quad_points", None), config, "quad_points", None, int, path)
+    qt = _pick(getattr(args, "quad_tol", None), config, "quad_tol", None, float, path)
     if qp is not None or qt is not None:
         default = QuadratureSpec()
         settings.quad = QuadratureSpec(

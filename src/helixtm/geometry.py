@@ -197,28 +197,21 @@ def curve_derivatives(shape, phi):
     return r1, r2, r3
 
 
-def _d_forms(shape, s, c, W):
-    """W', D = f^2, D' and D'' from the winding angle's sin/cos and W (see ``winding_rows``).
+def _d_form(shape, s, c, W):
+    """W' = -a*omega*s and D = f^2 = (a^2 s^2 + b^2 c^2) omega^2 + W^2 from the
+    winding angle's sin/cos and W."""
+    a, b, w = shape.a, shape.b, shape.omega
+    return -a * w * s, ((a * s) ** 2 + (b * c) ** 2) * w * w + W * W
 
-    With D = (a^2 s^2 + b^2 c^2) omega^2 + W^2:
 
-        D'  = 2*omega^3*(a^2 - b^2)*s*c - 2*a*omega*s*W
-        D'' = 2*omega^4*(a^2 - b^2)*(c^2 - s^2)
-              - 2*a*omega^2*c*W + 2*a^2*omega^2*s^2
+def _potential_from(shape, s, c, W, w1, d0):
+    """-kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3) = -(|r''|^2/D - q^2/4)/(8 D).
+
+    q = D'/D, so nothing squares D'; D' = 2 omega^3 (a^2 - b^2) s c + 2 W W'.
     """
     a, b, w = shape.a, shape.b, shape.omega
-    w1 = -a * w * s
-    dsq = a * a - b * b
-    d0 = ((a * s) ** 2 + (b * c) ** 2) * w * w + W * W
-    d1 = 2 * w**3 * dsq * s * c + 2 * W * w1
-    d2 = 2 * w**4 * dsq * (c * c - s * s) + 2 * w1 * w1 - 2 * a * w * w * c * W
-    return w1, d0, d1, d2
-
-
-def _potential_from(shape, s, c, W, w1, d0, q):
-    """-kappa^2/8 = -(|r''|^2/D - q^2/4)/(8 D) with q = D'/D (see ``winding_rows``)."""
-    w = shape.omega
-    r2sq = (shape.a * w * w * c + W) ** 2 + 4 * w1 * w1 + (shape.b * w * w * s) ** 2
+    q = (2 * w**3 * (a * a - b * b) * s * c + 2 * W * w1) / d0
+    r2sq = (a * w * w * c + W) ** 2 + 4 * w1 * w1 + (b * w * w * s) ** 2
     return -(r2sq / d0 - 0.25 * q * q) / (8.0 * d0)
 
 
@@ -229,38 +222,26 @@ def speed(shape, phi):
     return np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
 
 
-def winding_rows(shape, theta, potential=False, moment_axes=()):
-    """(f, A0, B, V_c, g): every sampled row of a pass over the winding.
+def winding_rows(shape, theta, moment_axes=()):
+    """(f, B, g): every sampled row of a pass over the winding.
 
     ``theta`` is the winding angle omega*phi.  One evaluation of its sine
-    and cosine gives D = f^2 and its phi-derivatives D' and D''
-    (``_d_forms``) and |r''|^2, and every row is a rational function of
-    them, written with q = D'/D so that nothing squares D':
-
-        A0  = D''/(8 D^2) - (7/32) D'^2/D^3 = (D''/D - (7/4) q^2)/(8 D)
-        B   = 1/(2 D)
-        V_c = -(D |r''|^2 - D'^2/4)/(8 D^3) = -(|r''|^2/D - q^2/4)/(8 D)
-
-    These are the Hamiltonian's functions of the bracket in ``spectrum``
-    (A0 is its A without V_c; its odd function C = f'/f^3 = -omega dB/dtheta
-    enters through B's harmonics) and V_c is ``curvature_potential``, up to
-    rounding; f = sqrt(D) is ``speed`` bit for bit.  g holds the rows
-    ``moment_axes`` (0, 1, 2 for x, y, z) of the toroidal-moment integrand
-    g = (r' . r) r - 2 r^2 r', shape (len(moment_axes),) + theta.shape,
-    from r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2.  The x
-    and y rows are functions of theta only at omega = 1, where
-    cos phi = c and sin phi = s.  V_c is None unless ``potential`` is
-    set, and g is None without moment axes.
+    and cosine gives D = f^2 (``_d_form``); f = sqrt(D) is ``speed`` bit
+    for bit and B = 1/(2 D) scales the moment weight g / (2 pi D).  g
+    holds the rows ``moment_axes`` (0, 1, 2 for x, y, z) of the
+    toroidal-moment integrand g = (r' . r) r - 2 r^2 r', shape
+    (len(moment_axes),) + theta.shape, from r . r' = W W' + b^2 omega s c
+    and r^2 = W^2 + b^2 s^2.  The x and y rows are functions of theta
+    only at omega = 1, where cos phi = c and sin phi = s.  g is None
+    without moment axes.  The Hamiltonian's rows are not sampled: their
+    harmonics come in closed form (``winding_harmonics``).
     """
     a, b, w = shape.a, shape.b, shape.omega
     if w != 1 and set(moment_axes) - {2}:
         raise ValueError(f"the x and y rows need omega = 1, got omega={w}")
     s, c = np.sin(theta), np.cos(theta)
     W = shape.R + a * c
-    w1, d0, d1, d2 = _d_forms(shape, s, c, W)
-    q = d1 / d0
-    a0 = (d2 / d0 - 1.75 * q * q) / (8.0 * d0)
-    vc = _potential_from(shape, s, c, W, w1, d0, q) if potential else None
+    w1, d0 = _d_form(shape, s, c, W)
     g = None
     if moment_axes:
         z, z1 = b * s, b * w * c
@@ -269,15 +250,22 @@ def winding_rows(shape, theta, potential=False, moment_axes=()):
         if w == 1:
             pairs.update({0: (W * c, w1 * c - W * s), 1: (W * s, w1 * s + W * c)})
         g = np.stack([dot * pairs[axis][0] - twice_rsq * pairs[axis][1] for axis in moment_axes])
-    return np.sqrt(d0), a0, 0.5 / d0, vc, g
+    return np.sqrt(d0), 0.5 / d0, g
 
 
 def winding_harmonics(shape, count, potential=False):
     """(A0_d, B_d, V_c_d), d = 0..count-1: the Hamiltonian rows' harmonics in closed form.
 
     X_d = (1/(2 pi)) Integral_0^{2pi} X(theta) e^{i d theta} dtheta for
-    the rows A0, B and V_c of ``winding_rows``; each is real and even in
-    d, so the arrays hold d >= 0.  No angle is sampled.
+    the Hamiltonian's rows, with D = f^2 and its phi-derivatives D', D''
+
+        A0  = D''/(8 D^2) - (7/32) D'^2/D^3,
+        B   = 1/(2 D),
+        V_c = -(D |r''|^2 - D'^2/4)/(8 D^3) = ``curvature_potential``:
+
+    A0 is the bracket's A of ``spectrum`` without V_c; its odd function
+    C = f'/f^3 = -omega dB/dtheta enters through B's harmonics.  Each is
+    real and even in d, so the arrays hold d >= 0.  No angle is sampled.
 
     In u = 1 + cos(theta), D = f^2 = alpha u^2 + beta u + gamma with
 
@@ -296,8 +284,8 @@ def winding_harmonics(shape, count, potential=False):
     and t = (m + v)/2 these are 1 + p = m/t, 1 - p = v/t, p = alpha/(4 t^2),
     s = -a R/(m t) and F_0 = m/(v r q): no root of D and no difference of
     roots is formed, so alpha = 0 (p = 0) and a double root (s^2 = 4 p) are
-    not special.  B = 1/(2 D).  Since (1/D)'' = 2 D'^2/D^3 - D''/D^2
-    (theta derivatives), the rows of ``winding_rows`` are
+    not special.  Since (1/D)'' = 2 D'^2/D^3 - D''/D^2 (theta
+    derivatives), the rows are
 
         A0  = omega^2 (D''/D^2 - 7 (1/D)'') / 64,
         V_c = -|r''|^2 / (8 D^2) + omega^2 (D''/D^2 + (1/D)'') / 64,
@@ -412,11 +400,13 @@ def torsion(shape, phi):
 def curvature_potential(shape, phi):
     """Binding potential -kappa^2/8 from confinement to the curve (<= 0).
 
-    The V_c row of ``winding_rows``, at the winding angle omega*phi.
+    A rational function of D = f^2, its derivative D' and |r''|^2
+    (``_potential_from``), with no division by a quantity that vanishes
+    with b.
     """
     s, c, W = _sc(shape, phi)
-    w1, d0, d1, _ = _d_forms(shape, s, c, W)
-    return _potential_from(shape, s, c, W, w1, d0, d1 / d0)
+    w1, d0 = _d_form(shape, s, c, W)
+    return _potential_from(shape, s, c, W, w1, d0)
 
 
 def frenet_frame(shape, phi):

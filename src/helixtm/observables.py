@@ -55,7 +55,11 @@ states per group in columns (the eigenvectors of
 ``spectrum.branch_spectra``), and the (B, d) table of k = p + omega*n
 (``spectrum.branch_momenta``), from the harmonics of the nonzero rows of
 g / (2*pi*D), D = f^2, on one grid of one winding (``winding_grid``),
-refined until every moment of the stack settles.  ``branch_moments``
+refined until every moment of the stack settles: to the tolerance, or
+to the rounding of its quadratic form, d eps times the absolute sum of
+its d^2 terms (d = 2*n_max + 1), where that is larger.  The p = 0
+moments, which vanish up to rounding, and large k = p + omega*n meet
+that floor first at tolerances near 1e-14.  ``branch_moments``
 solves the spectra (``spectrum.branch_spectra``, closed-form harmonics,
 no grid) and puts the moment rows and f, for the arc length, on one grid
 where the moments and then the length settle, each at its own level;
@@ -178,7 +182,7 @@ def winding_grid(shape, quad, n_max, length=False):
         parts["length"] = 1
 
     def sample(theta):
-        f, _, b, _, g = geometry.winding_rows(shape, theta, moment_axes=axes)
+        f, b, g = geometry.winding_rows(shape, theta, moment_axes=axes)
         rows = list(g * (b / math.pi))
         if length:
             rows.append(f)
@@ -202,8 +206,14 @@ def _moments(grid, shape, coefficients, k):
         # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and sampled axis
         return np.real(np.einsum("sm,amn,sn->sa", c_conj, integrals[:, offsets], kc))
 
+    def rounding(integrals):
+        # a sum of d^2 terms rounds by about sqrt(d^2) eps times their absolute sum
+        terms = np.einsum("sm,amn,sn->sa", np.abs(c), np.abs(integrals[:, offsets]), np.abs(kc))
+        return d * np.finfo(float).eps * terms
+
     vectors = np.zeros((groups * per_group, 3))
-    vectors[:, _moment_axes(shape)] = settle(grid, "moments", gather, relative=True).value
+    vectors[:, _moment_axes(shape)] = settle(
+        grid, "moments", gather, relative=True, floor=rounding).value
     return (vectors / 10.0).reshape(groups, per_group, 3)
 
 
@@ -215,7 +225,9 @@ def moment_vectors(shape, coefficients, k, quad=None):
     ``spectrum.branch_spectra``), and ``k`` shape (B, d): the wavenumbers
     p + omega*n of group b (``spectrum.branch_momenta``).  Returns the
     (B, S, 3) moment vectors.  The grid of one winding is refined until
-    all moments together settle to ``tolerance * max(1, max |T|)``.
+    all moments together settle to ``tolerance * max(1, max |T|)``, or
+    each to the rounding of its quadratic form where that is larger (see
+    the module docstring).
     """
     n_max = (coefficients.shape[1] - 1) // 2
     return _moments(winding_grid(shape, quad, n_max), shape, coefficients, k)
@@ -261,7 +273,7 @@ def classical_moment_numeric(shape, loop_current, quad=None):
     vector = np.zeros(3)
     for axis in _moment_axes(shape):
         integral = integrate_periodic(
-            lambda theta: geometry.winding_rows(shape, theta, moment_axes=(axis,))[4][0], quad)
+            lambda theta: geometry.winding_rows(shape, theta, moment_axes=(axis,))[2][0], quad)
         vector[axis] = loop_current * integral.value.real
     return vector / 10.0
 

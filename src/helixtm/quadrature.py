@@ -29,7 +29,8 @@ length (``geometry.arc_length``) and the numeric classical moment
 (``observables.classical_moment_numeric``, one row of g per call).  The
 moment pass over a shape (``observables.winding_grid``) holds the moment
 weights and the speed on one grid; its moments are read through their
-harmonics, with a relative stopping test.  The spectrum samples nothing:
+harmonics, with a relative stopping test and a floor at the rounding of
+each moment's quadratic form.  The spectrum samples nothing:
 its matrix elements are harmonics in closed form
 (``geometry.winding_harmonics``), so ``QuadratureSpec`` steers only the
 moments and the arc length.
@@ -228,7 +229,7 @@ class NestedGrid:
         return gather(self._samples(level)[rows])
 
 
-def settle(grid, part, gather=_trapezoid, relative=False):
+def settle(grid, part, gather=_trapezoid, relative=False, floor=None):
     """Walk the levels of one part of a grid until its quantity settles.
 
     This is the package's one node-doubling loop.  ``gather`` maps the
@@ -242,6 +243,11 @@ def settle(grid, part, gather=_trapezoid, relative=False):
     largest change of the quantity between two levels is at most
     ``spec.tolerance``, scaled by ``max(1, max |quantity|)`` when
     ``relative`` is set, and returns the quantity on the finer level.
+    ``floor``, when given, maps the part's level as ``gather`` does to
+    the rounding level of each entry of the quantity: the walk also
+    stops once every entry changes by at most the larger of that limit
+    and its own rounding level, below which no level can tell two
+    estimates apart.
 
     Raises
     ------
@@ -253,12 +259,14 @@ def settle(grid, part, gather=_trapezoid, relative=False):
     current = grid._estimate(part, 0, gather)
     for level in range(1, MAX_DOUBLINGS + 1):
         refined = grid._estimate(part, level, gather)
-        change = float(np.max(np.abs(refined - current)))
+        changes = np.abs(refined - current)
+        change = float(np.max(changes))
         current = refined
         limit = spec.tolerance
         if relative:
             limit *= max(1.0, float(np.max(np.abs(current))))
-        if change <= limit:
+        if change <= limit or floor is not None and np.all(
+                changes <= np.maximum(limit, grid._estimate(part, level, floor))):
             return QuadratureResult(
                 value=current, error_estimate=change, points_used=spec.initial_points << level
             )

@@ -34,7 +34,7 @@ With D = f^2 = |r'|^2 they are rational in D, D', D'' and |r''|^2:
     B = 1/(2 f^2) = 1/(2 D),    C = f'/f^3 = D'/(2 D^2) = -dB/dphi,
     V_c = -kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3),
 
-the rows of ``geometry.winding_rows``, with no square root.
+with no square root.
 A, B and C depend on phi only through the winding angle
 theta = omega*phi, and the phase has harmonic omega*(n - m), so the
 substitution theta = omega*phi turns every element into a Fourier
@@ -73,7 +73,7 @@ terms unchanged.  Everything downstream (eigenvectors, coefficients,
 the printed tables) is real, with a sign in place of a phase.  The tests
 check the matrices against a complex full-turn reference element that
 integrates C, imaginary part included, and against a fine trapezoid of
-the rows of ``geometry.winding_rows`` (``tests/oracles.py``).
+the sampled rows A and B (``tests/oracles.py``).
 
 Only A depends on whether V_c is included and only k on the branch p,
 so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a

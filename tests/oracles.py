@@ -7,16 +7,17 @@ and the curvature from its components on the cross-section frame
 and meet in a hypot.  ``frenet_frame_reference`` builds the Frenet frame
 from the same fields; production takes it from one jet of the curve
 (``geometry.frenet_frame``).  Production writes every row of the pass as
-a rational function of D = f^2 and its derivatives
-(``geometry.winding_rows``); ``winding_rows_reference`` forms the same
-rows from the old terms.
+a rational function of D = f^2 (``geometry.winding_rows``);
+``winding_rows_reference`` forms the same rows from the old terms.
 
 Production assembles H as Re A_d + k_m k_n Re B_d from one-winding
 harmonics of A and B alone, which holds because f'/f^3 is a derivative
 of 1/(2 f^2) and the theta -> -theta symmetry of the shape, and takes
 those harmonics in closed form (``geometry.winding_harmonics``).
-``sampled_hamiltonians`` is the pass that sampled them before: a
-trapezoid of the rational rows over one winding, at a fixed grid.
+``hamiltonian_rows`` samples the rows A0, B and V_c as rational
+functions of D, D' and D'', and ``sampled_hamiltonians`` is the pass
+that took their harmonics before: a trapezoid over one winding, at a
+fixed grid.
 Production takes toroidal moments as quadratic forms in the
 coefficients.  The full-turn references here do neither.  ``hamiltonian_element`` integrates one complex element
 H[m, n] over the whole turn from the old terms, the i k f'/f^3 term and
@@ -110,16 +111,47 @@ def frenet_frame_reference(shape, phi):
 
 
 def winding_rows_reference(shape, phi, moment_axes=(2,)):
-    """(f, A0, B, V_c, g) of ``geometry.winding_rows`` at theta = omega*phi, from the old terms.
+    """(f, B, g) of ``geometry.winding_rows`` at theta = omega*phi, from the old terms.
 
-    A0 = f''/(4 f^3) - (5/8) f'^2/f^4, B = 1/(2 f^2), and g from the
-    stacked ``position`` and ``velocity``.
+    B = 1/(2 f^2), and g from the stacked ``position`` and ``velocity``.
     """
     phi = np.asarray(phi, dtype=float)
-    f, f1, f2, vc = separate_speed_terms(shape, phi)
-    a0 = f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4
+    f = separate_speed_terms(shape, phi)[0]
     g = moment_integrand(shape, phi)[..., list(moment_axes)].T
-    return f, a0, 0.5 / (f * f), vc, g
+    return f, 0.5 / (f * f), g
+
+
+def hamiltonian_rows(shape, theta):
+    """(A0, B, V_c) at the winding angle ``theta``, rational in D = f^2.
+
+    One evaluation of theta's sine and cosine gives D and its
+    phi-derivatives D' and D'', and each row is written with q = D'/D so
+    that nothing squares D':
+
+        A0  = D''/(8 D^2) - (7/32) D'^2/D^3 = (D''/D - (7/4) q^2)/(8 D),
+        B   = 1/(2 D),
+        V_c = -(|r''|^2/D - q^2/4)/(8 D)   (``geometry.curvature_potential``),
+
+    with D'' = 2 omega^4 (a^2 - b^2)(c^2 - s^2) + 2 W'^2 - 2 a omega^2 c W.
+    """
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c = np.sin(theta), np.cos(theta)
+    W = shape.R + a * c
+    w1, d0 = geometry._d_form(shape, s, c, W)
+    d1 = 2 * w**3 * (a * a - b * b) * s * c + 2 * W * w1
+    d2 = 2 * w**4 * (a * a - b * b) * (c * c - s * s) + 2 * w1 * w1 - 2 * a * w * w * c * W
+    q = d1 / d0
+    a0 = (d2 / d0 - 1.75 * q * q) / (8.0 * d0)
+    return a0, 0.5 / d0, geometry._potential_from(shape, s, c, W, w1, d0)
+
+
+def hamiltonian_rows_reference(shape, phi):
+    """(A0, B, V_c) of ``hamiltonian_rows`` at theta = omega*phi, from the old terms.
+
+    A0 = f''/(4 f^3) - (5/8) f'^2/f^4 and B = 1/(2 f^2).
+    """
+    f, f1, f2, vc = separate_speed_terms(shape, np.asarray(phi, dtype=float))
+    return f2 / (4.0 * f**3) - 0.625 * f1 * f1 / f**4, 0.5 / (f * f), vc
 
 
 def moment_integrand(shape, phi):
@@ -165,12 +197,12 @@ def sampled_hamiltonians(shape, branches, n_max, points):
     from a ``points``-node trapezoid of the sampled rows.
 
     The pass that built H before the closed form: A0, A0 + V_c and B of
-    ``geometry.winding_rows`` at ``points`` winding angles, their harmonics
+    ``hamiltonian_rows`` at ``points`` winding angles, their harmonics
     -2*n_max..2*n_max from one real FFT, gathered as
     Re A_{n-m} + k_m k_n Re B_{n-m}.
     """
     theta = 2.0 * math.pi * np.arange(points) / points
-    _, a0, b, vc, _ = geometry.winding_rows(shape, theta, potential=True)
+    a0, b, vc = hamiltonian_rows(shape, theta)
     spectra = np.fft.rfft(np.stack([a0, a0 + vc, b]), axis=-1).real / points
     idx = np.arange(-n_max, n_max + 1)
     harmonics = spectra[:, np.abs(idx[None, :] - idx[:, None])]

@@ -384,23 +384,58 @@ class TestConfigFile:
         assert code == 2
         assert "not_a_number" in err
 
+    @pytest.mark.parametrize("key", ["quad_points = 128", "quad_tol = 1e-300"])
+    def test_quadrature_keys_only_where_read(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"omega=6\n{key}\n")
+        for command in ("geometry", "potential", "spectrum", "current"):
+            code, out, err = run_cli(capsys, command, "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err == (f"helixtm: error: {cfg}:2: {key.split()[0]!r} applies only to "
+                           "'moments' and 'thermal'\n")
+        code, _, err = run_cli(capsys, "moments", "--config", str(cfg), "--p", "1")
+        assert (code, err) == (0, "")
+
+
+class TestQuadratureFlags:
+    # only moments and thermal sample integrals; the other commands would
+    # ignore an accuracy setting, so they reject it
+    @pytest.mark.parametrize("command", ["geometry", "potential", "spectrum", "current"])
+    @pytest.mark.parametrize("flag", [["--quad-points", "128"], ["--quad-tol", "1e-300"]])
+    def test_rejected_where_not_read(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    def test_read_by_moments_and_thermal(self, capsys):
+        # a first grid of 8 points per winding caps at 2048 points, where the
+        # flat coil's moments have not settled
+        shape = ["--a", "0.99", "--b", "0.01", "--omega", "6", "--p", "1"]
+        for argv in (["moments"], ["thermal", "--temperature", "1"]):
+            assert run_cli(capsys, *argv, *shape)[0] == 0
+            code, _, err = run_cli(capsys, *argv, *shape, "--quad-points", "8")
+            assert code == 3 and "after 2048 points" in err
+
 
 class TestExitCodes:
     # One stage of the shared pass fails in each case: the moments or the
     # arc length reaches the doubling cap while the stage before it
     # settles.  Each message is the one the stage's standalone pass prints
-    # on the same levels.  The flattest coil's arc length is still
-    # under-resolved at the cap at the default tolerance; the other cases
-    # fail at tolerances near rounding.
+    # on the same levels.  The flattest coil's moments (p = 1) and arc
+    # length are still under-resolved at the cap at the default tolerance;
+    # the last case fails at a tolerance near rounding, which the arc
+    # length's absolute test cannot meet.
     @pytest.mark.parametrize("argv, stage, message", [
         (["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "0"],
          "length", "no convergence after 16384 points (last change 3.304e-10)"),
-        (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0", "--n-max", "8",
-          "--quad-tol", "3e-15"],
-         "moments", "no convergence after 16384 points (last change 1.166e-14)"),
-        (["thermal", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0", "--n-max", "8",
-          "--quad-tol", "3e-15", "--temperature", "1"],
-         "moments", "no convergence after 16384 points (last change 1.166e-14)"),
+        (["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1"],
+         "moments", "no convergence after 16384 points (last change 4.034e-10)"),
+        (["thermal", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1",
+          "--temperature", "1"],
+         "moments", "no convergence after 16384 points (last change 4.034e-10)"),
         (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0",
           "--quad-tol", "1e-14"],
          "length", "no convergence after 16384 points (last change 2.842e-14)"),
@@ -530,12 +565,14 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure_is_exit_three(self, capsys):
-        # the moments cannot settle to 1e-300 from 8 points per winding
-        code, _, err = run_cli(
-            capsys, "moments", *FLAT6_ARGS, "--quad-points", "8", "--quad-tol", "1e-300"
-        )
+        # this flat coil's moments need more than the 2048 points per
+        # winding that 8 doubles to (a tolerance near rounding settles on the
+        # rounding of the moments' quadratic forms instead)
+        code, _, err = run_cli(capsys, "moments", "--a", "0.99", "--b", "0.01", "--omega", "6",
+                               "--p", "1", "--quad-points", "8")
         assert code == 3
-        assert "numerical failure" in err
+        assert err == ("helixtm: numerical failure: no convergence after 2048 points "
+                       "(last change 4.649e-09)\n")
 
     def test_flattest_coil_solves_at_default_settings(self, capsys):
         # max |H| is 1.5e7 for this coil; its harmonics come in closed form,

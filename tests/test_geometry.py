@@ -31,6 +31,8 @@ from helixtm.quadrature import QuadratureSpec
 from oracles import (
     curvature_components,
     frenet_frame_reference,
+    hamiltonian_rows,
+    hamiltonian_rows_reference,
     separate_speed_terms,
     winding_rows_reference,
 )
@@ -232,10 +234,24 @@ class TestWindingRows:
             # rows at theta = omega*phi, where the old formulas take sin and cos
             theta = 2 * math.pi * np.arange(512) / 512
             for phi in (theta / shape.omega, rng.uniform(-10.0, 10.0, 301)):
-                got = winding_rows(shape, shape.omega * phi, potential=True, moment_axes=axes)
+                got = winding_rows(shape, shape.omega * phi, moment_axes=axes)
                 want = winding_rows_reference(shape, phi, axes)
                 for row, (g, w) in enumerate(zip(got, want)):
                     assert_rows_close(g, w, f"{shape}, row {row}")
+
+    def test_hamiltonian_reference_rows_match_the_old_formulas(self):
+        # the rational A0, B and V_c that the closed-form harmonics are checked against
+        rng = np.random.default_rng(7)
+        for shape in self.shapes():
+            theta = 2 * math.pi * np.arange(512) / 512
+            for phi in (theta / shape.omega, rng.uniform(-10.0, 10.0, 301)):
+                got = hamiltonian_rows(shape, shape.omega * phi)
+                want = hamiltonian_rows_reference(shape, phi)
+                for row, (g, w) in enumerate(zip(got, want)):
+                    assert_rows_close(g, w, f"{shape}, row {row}")
+            # V_c is the production potential, bit for bit at the same winding angle
+            assert np.array_equal(hamiltonian_rows(shape, shape.omega * phi)[2],
+                                  curvature_potential(shape, phi))
 
     def test_potential_matches_the_old_formula(self):
         rng = np.random.default_rng(8)
@@ -252,9 +268,9 @@ class TestWindingRows:
 
     def test_rows_only_on_request(self):
         theta = np.linspace(0.0, 1.0, 9)
-        f, a0, b, vc, g = winding_rows(SIXTURN, theta)
-        assert vc is None and g is None
-        g = winding_rows(SIXTURN, theta, moment_axes=(2,))[4]
+        f, b, g = winding_rows(SIXTURN, theta)
+        assert g is None and f.shape == b.shape == (9,)
+        g = winding_rows(SIXTURN, theta, moment_axes=(2,))[2]
         assert g.shape == (1, 9)
         with pytest.raises(ValueError, match="omega = 1"):
             winding_rows(SIXTURN, theta, moment_axes=(0, 2))
@@ -266,11 +282,9 @@ class TestWindingRows:
         # kappa = (W^2 + 2 W'^2 - W W'')/(W^2 + W'^2)^(3/2) = 14.25/3.375
         shape = HelixShape(R=1.0, a=0.5, b=1e-300, omega=4)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            f, a0, b, vc, g = winding_rows(shape, np.array([0.0]), potential=True,
-                                           moment_axes=(2,))
+            f, b, g = winding_rows(shape, np.array([0.0]), moment_axes=(2,))
             assert curvature_potential(shape, 0.0) == pytest.approx(-(14.25 / 3.375) ** 2 / 8,
                                                                      rel=1e-15)
-        assert vc[0] == pytest.approx(-(14.25 / 3.375) ** 2 / 8, rel=1e-15)
         # g_z = -2 r^2 z' with z' = b omega
         assert f[0] == 1.5 and g[0, 0] == pytest.approx(-2 * 1.5**2 * 4e-300)
 

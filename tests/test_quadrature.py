@@ -209,6 +209,33 @@ class TestHarmonics:
         absolute = integrate_periodic(lambda phi: 1e8 * np.exp(np.cos(phi)), spec)
         assert absolute.points_used > runs[1].points_used
 
+    def test_floor_stops_each_entry_at_its_rounding_level(self):
+        # a tolerance no level meets: the walk stops once every entry changes
+        # by at most its own floor, and a zero floor for one entry holds it
+        spec = QuadratureSpec(initial_points=8, tolerance=1e-300)
+        sample = lambda phi: np.exp(np.cos(phi))[None]
+        identity = lambda integrals: integrals
+        grid = NestedGrid(sample, {"g": 1}, spec, [0, 1], ["g"])
+        res = settle(grid, "g", identity, relative=True,
+                     floor=lambda integrals: np.full(integrals.shape, 1e-12))
+        assert 0.0 < res.error_estimate <= 1e-12
+        assert res.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-14)
+        with pytest.raises(QuadratureNotConverged):
+            settle(grid, "g", identity, relative=True,
+                   floor=lambda integrals: np.array([[1e-12, 0.0]]))
+        with pytest.raises(QuadratureNotConverged):
+            settle(grid, "g", identity, relative=True)
+
+    def test_floor_below_the_tolerance_changes_nothing(self):
+        spec = QuadratureSpec(initial_points=8)
+        identity = lambda integrals: integrals
+        plain = settle_harmonics(_two_functions, 2, [0, 2], identity, spec)
+        grid = NestedGrid(_two_functions, {"g": 2}, spec, [0, 2], ["g"])
+        floored = settle(grid, "g", identity, relative=True,
+                         floor=lambda integrals: np.full(integrals.shape, 1e-300))
+        assert floored.points_used == plain.points_used
+        assert np.array_equal(floored.value, plain.value)
+
     def test_not_converged_carries_array_result(self):
         spec = QuadratureSpec(initial_points=8)
         sample = lambda phi: np.stack([np.exp(np.cos(phi)), _near_pole(phi)])

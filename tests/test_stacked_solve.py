@@ -54,11 +54,12 @@ ONE_PASS_CASES = [
     pytest.param(a, b, omega, n_max, None, None, id=f"{a}-{b}-{omega}-{n_max}")
     for a, b in SHAPES for omega in (1, 4, 6, 40) for n_max in (2, 8, 16)
 ] + [
-    # the p = 0 moments settle at 128 points per winding and the length at
-    # 1024, past the first sampling's 512: the later quantity refines the
+    # the p = 0 moments, rounding noise at 1e-14, settle on the rounding of
+    # their quadratic forms at 128 points per winding, and the length at
+    # 2048, past the first sampling's 512: the later quantity refines the
     # shared grid
-    pytest.param(0.95, 0.05, 12, 16, QuadratureSpec(tolerance=1e-12), [(0, False), (0, True)],
-                 id="0.95-0.05-12-16-tol1e-12"),
+    pytest.param(0.95, 0.05, 12, 16, QuadratureSpec(tolerance=1e-14), [(0, False), (0, True)],
+                 id="0.95-0.05-12-16-tol1e-14"),
 ]
 
 
@@ -76,7 +77,7 @@ def test_one_pass_equals_standalone_calls(a, b, omega, n_max, quad, pairs, monke
     monkeypatch.setattr(observables, "settle", recording)
     dec, vectors, length = branch_moments(shape, pairs, n_max, quad, length=True)
     if quad is not None:
-        assert levels == {"moments": 128, "length": 1024}
+        assert levels == {"moments": 128, "length": 2048}
     alone = branch_spectra(shape, pairs, n_max)
     k = branch_momenta(shape, [p for p, _ in pairs], n_max)
     assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
