@@ -10,10 +10,11 @@ Every command evaluates the shape at unit major radius,
 (position and f times R, kappa and tau over R); the other commands print
 their numbers as they come: energies, V_c and currents in units of 1/R^2
 and moments in units of R, the same whatever length unit R is given in.
-The spectra take their matrix elements in closed form; only ``moments``
-and ``thermal`` sample integrals (the toroidal moments and the arc
-length), and only they take ``--quad-points`` and ``--quad-tol`` (or
-their config keys); the other commands reject them as bad usage.
+The spectra and the toroidal moments take their harmonics in closed
+form; only ``moments`` samples an integral (the arc length behind its
+classical column), and only it takes ``--quad-points`` and
+``--quad-tol`` (or their config keys); the other commands reject them as
+bad usage.
 
 Options may come from a ``key = value`` config file (``--config``);
 explicit flags win over file values.  Exit codes: 0 success, 2 bad
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _gformat
-from .geometry import HelixShape, curvature_potential, frenet_frame, position, speed
+from .geometry import HelixShape, arc_length, curvature_potential, frenet_frame, position, speed
 from .linalg import HermiticityViolation, NoConvergence
 from .observables import (
     ThermalSpec,
@@ -51,9 +52,9 @@ _CONFIG_KEYS = {
     "quad_points", "quad_tol", "temperature", "digits", "out",
 }
 
-# The commands that sample integrals, the only ones that read the
-# quadrature settings.
-_QUADRATURE_COMMANDS = ("moments", "thermal")
+# The one command that samples an integral (the arc length), the only one
+# that reads the quadrature settings.
+_QUADRATURE_COMMAND = "moments"
 
 
 class UsageError(ValueError):
@@ -108,11 +109,9 @@ def _build_parser():
     quadrature = argparse.ArgumentParser(add_help=False)
     q = quadrature.add_argument_group("integration")
     q.add_argument("--quad-points", type=int, default=None,
-                   help="initial quadrature points per winding of the moments and the arc "
-                        "length (default 64)")
+                   help="initial quadrature points per winding of the arc length (default 64)")
     q.add_argument("--quad-tol", type=float, default=None,
-                   help="quadrature tolerance of the moments and the arc length "
-                        "(default 1e-10)")
+                   help="quadrature tolerance of the arc length (default 1e-10)")
 
     parser = argparse.ArgumentParser(
         prog="helixtm",
@@ -127,7 +126,7 @@ def _build_parser():
         ("moments", "toroidal moments with/without curvature plus classical reference"),
         ("thermal", "Boltzmann-averaged toroidal moments at a temperature"),
     ]:
-        parents = [common, quadrature] if name in _QUADRATURE_COMMANDS else [common]
+        parents = [common, quadrature] if name == _QUADRATURE_COMMAND else [common]
         sub.add_parser(name, parents=parents, help=doc)
     return parser
 
@@ -203,11 +202,11 @@ def _vc_from_text(text):
 def _resolve(args):
     config = _parse_config_file(args.config) if args.config else {}
     path = args.config
-    if args.command not in _QUADRATURE_COMMANDS:
+    if args.command != _QUADRATURE_COMMAND:
         for key in ("quad_points", "quad_tol"):
             if key in config:
                 raise UsageError(f"{path}:{config[key][1]}: {key!r} applies only to "
-                                 f"{' and '.join(map(repr, _QUADRATURE_COMMANDS))}")
+                                 f"{_QUADRATURE_COMMAND!r}")
     omega = _pick(args.omega, config, "omega", 4, int, path)
     default_p = list(range(1, min(3, max(omega - 1, 0)) + 1)) or [0]
     p_raw = _pick(args.p, config, "p", None, str, path)
@@ -377,10 +376,9 @@ def _cmd_moments(settings):
     d = settings.digits
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
     pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
-    # spectra, moments and the arc length from one sampling pass
-    _, vectors, length = branch_moments(shape, pairs, settings.n_max, settings.quad, length=True)
+    _, vectors = branch_moments(shape, pairs, settings.n_max)
     z = vectors[..., 2].tolist()
-    loops = loop_current(np.array(settings.p_list, dtype=float), length)
+    loops = loop_current(np.array(settings.p_list, dtype=float), arc_length(shape, settings.quad))
     for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
         classical = classical_moment_closed(shape, loop)[2]
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
@@ -403,7 +401,7 @@ def _cmd_thermal(settings):
         "p  vc   normalized  unnormalized",
     ]
     pairs = _branch_pairs(settings)
-    dec, vectors, _ = branch_moments(shape, pairs, settings.n_max, settings.quad)
+    dec, vectors = branch_moments(shape, pairs, settings.n_max)
     for (p, include_vc), energies, z in zip(
             pairs, dec.eigenvalues.tolist(), vectors[..., 2].tolist()):
         levels = list(zip(energies, z))

@@ -24,7 +24,9 @@ curvature kappa*R is at most ``KAPPA_MIN``.  V_c and every row of the
 pass over a shape (``winding_rows``) are rational in D = f^2 and divide
 by D; nothing divides by a quantity that vanishes with b.  The Fourier
 harmonics of the Hamiltonian's rows come in closed form from the roots
-of D (``winding_harmonics``), with no sampling.
+of D (``winding_harmonics``), and those of the toroidal-moment weights
+from the same harmonics of 1/D (``moment_harmonics``), with no sampling.
+Only the arc length samples f (``arc_length``).
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
 results carry the Cartesian component on the last axis.
@@ -37,11 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_periodic
+from .quadrature import MAX_DOUBLINGS, QuadratureSpec, integrate_periodic
 
 # Below this dimensionless curvature kappa*R the principal normal direction
 # is numerically undefined.
 KAPPA_MIN = 1e-12
+
+# The arc length's grid never grows past this many points per winding.
+MAX_LENGTH_POINTS = 1 << 20
 
 
 class DegenerateFrame(ValueError):
@@ -253,6 +258,42 @@ def winding_rows(shape, theta, moment_axes=()):
     return np.sqrt(d0), 0.5 / d0, g
 
 
+def _d_factor(shape):
+    """The constants of D = K |1 - s z + p z^2|^2 that ``winding_harmonics`` reads.
+
+    (omega^2, a, b, R, alpha, beta, gamma, r, q, m, g, v^2, v, t, s, p) as
+    numpy floats, named as in ``winding_harmonics``, whose docstring
+    derives them.
+    """
+    w2 = np.float64(shape.omega) ** 2
+    a, b, R = np.float64(shape.a), np.float64(shape.b), np.float64(shape.R)
+    alpha = a * a + w2 * (b * b - a * a)
+    beta = 2 * a * (R - a) + 2 * w2 * (a * a - b * b)
+    gamma = (R - a) ** 2 + w2 * b * b
+    r, q = np.sqrt(gamma), np.sqrt((R + a) ** 2 + w2 * b * b)
+    m = 0.5 * (r + q)
+    # v^2 = m^2 - alpha = (g + r q)/2 with g = gamma + beta.  Where g < 0
+    # (tall coils, roots near the unit circle) that sum cancels, and
+    # (4 alpha gamma - beta^2) / (2 (r q - g)), with the numerator expanded
+    # as 4 omega^2 (R^2 (b^2 - a^2) + a^2 alpha), adds positive terms only
+    g = (R - a) * (R + a) + w2 * (2 * a * a - b * b)
+    if g >= 0:
+        v2 = 0.5 * (g + r * q)
+    else:
+        v2 = 2 * w2 * (R * R * (b * b - a * a) + a * a * alpha) / (r * q - g)
+    v = np.sqrt(v2)
+    t = 0.5 * (m + v)
+    s, p = -a * R / (m * t), 0.25 * alpha / (t * t)
+    return w2, a, b, R, alpha, beta, gamma, r, q, m, g, v2, v, t, s, p
+
+
+def _root_modulus(shape):
+    """rho, the largest modulus of the roots of z^2 - s z + p, D's roots inside the unit circle."""
+    s, p = (float(x) for x in _d_factor(shape)[-2:])
+    disc = s * s - 4 * p
+    return 0.5 * (abs(s) + math.sqrt(disc)) if disc >= 0 else math.sqrt(p)
+
+
 def winding_harmonics(shape, count, potential=False):
     """(A0_d, B_d, V_c_d), d = 0..count-1: the Hamiltonian rows' harmonics in closed form.
 
@@ -301,10 +342,7 @@ def winding_harmonics(shape, count, potential=False):
     first entries unchanged bit for bit.  V_c_d is None unless
     ``potential`` is set.
     """
-    w2 = np.float64(shape.omega) ** 2
-    a, b, R = np.float64(shape.a), np.float64(shape.b), np.float64(shape.R)
-    alpha = a * a + w2 * (b * b - a * a)
-    beta = 2 * a * (R - a) + 2 * w2 * (a * a - b * b)
+    w2, a, b, R, alpha, beta, gamma, r, q, m, g, v2, v, t, s, p = _d_factor(shape)
     # (u^0, u^1, u^2) coefficients of D'' and, with V_c, of |r''|^2
     directions = [(beta, 6 * alpha - beta, -4 * alpha)]
     if potential:
@@ -312,23 +350,7 @@ def winding_harmonics(shape, count, potential=False):
         c0 = R - k
         e = (4 * a * a + b * b * w2) * w2
         directions.append((c0 * c0, 2 * (k * c0 + e), k * k - e))
-    gamma = (R - a) ** 2 + w2 * b * b
-    r, q = np.sqrt(gamma), np.sqrt((R + a) ** 2 + w2 * b * b)
-    m = 0.5 * (r + q)
-    # v^2 = m^2 - alpha = (g + r q)/2 with g = gamma + beta.  Where g < 0
-    # (tall coils, roots near the unit circle) that sum cancels, and
-    # (4 alpha gamma - beta^2) / (2 (r q - g)), with the numerator expanded
-    # as 4 omega^2 (R^2 (b^2 - a^2) + a^2 alpha), adds positive terms only
-    g = (R - a) * (R + a) + w2 * (2 * a * a - b * b)
     rq = r * q
-    if g >= 0:
-        v2 = 0.5 * (g + rq)
-    else:
-        v2 = 2 * w2 * (R * R * (b * b - a * a) + a * a * alpha) / (rq - g)
-    v = np.sqrt(v2)
-    t = 0.5 * (m + v)
-    s = -a * R / (m * t)
-    p = 0.25 * alpha / (t * t)
     f0 = m / (v * r * q)
     f1 = s * f0 / (1 + p)
     rows, forcing = [[f0, f1]], [(0.0, 0.0)]
@@ -361,6 +383,63 @@ def winding_harmonics(shape, count, potential=False):
     a0 = w2 / 64 * (7 * d2f - slopes[0])
     vc = slopes[1] / 8 - w2 / 64 * (slopes[0] + d2f) if potential else None
     return a0, 0.5 * f, vc
+
+
+def _moment_numerators(shape, axes):
+    """(odd, P) per axis: the moment integrand g_axis = sin(theta)^odd P(cos theta).
+
+    P's coefficients ascend in c = cos theta.  With
+    r . r' = omega s ((b^2 - a^2) c - a R) and r^2 = (R + a c)^2 + b^2 s^2
+    (``winding_rows``), g_z = b omega ((1 - c^2)((b^2 - a^2) c - a R) - 2 c r^2);
+    at omega = 1, where cos phi = c and sin phi = s, g_x is s times a cubic
+    and g_y a quartic in c.
+    """
+    a, b, R, w = shape.a, shape.b, shape.R, shape.omega
+    if w != 1 and set(axes) - {2}:
+        raise ValueError(f"the x and y rows need omega = 1, got omega={w}")
+    bw = b * w
+    rows = {2: (False, [-bw * a * R, -bw * (a * a + b * b + 2 * R * R), -3 * bw * a * R,
+                        bw * (b * b - a * a)])}
+    if w == 1:
+        rows[0] = (True, [2 * R * (R * R + b * b), a * (7 * R * R + 4 * b * b),
+                          R * (8 * a * a - b * b), 3 * a * (a * a - b * b)])
+        rows[1] = (False, [a * (R * R + 2 * b * b), R * (2 * a * a - b * b - 2 * R * R),
+                           a * (a * a - 5 * b * b - 7 * R * R), R * (b * b - 8 * a * a),
+                           3 * a * (b * b - a * a)])
+    return [rows[axis] for axis in axes]
+
+
+def moment_harmonics(shape, b, width, axes):
+    """Harmonics d = -width..width of the toroidal-moment weights g_axis / (2 pi D), in closed form.
+
+    Entry [i, width + d] is Integral_0^{2pi} g_i(theta) / (2 pi D) e^{i d theta} dtheta,
+    the harmonic of g_i / D, for the rows ``axes`` (0, 1, 2 for x, y, z;
+    x and y at omega = 1 only) of g = (r' . r) r - 2 r^2 r'.  ``b`` holds
+    the B_d = F_d / 2, d >= 0, of ``winding_harmonics``, where F_d are
+    the harmonics of 1/D, even in d.  Each g_axis is sin(theta)^odd times
+    a polynomial P in c = cos theta (``_moment_numerators``), of degree 3
+    for z and 4 for x and y as trig polynomials.  Multiplying by c maps
+    harmonics X_d to (X_{d-1} + X_{d+1})/2, so P(c)/D follows from F by
+    Horner's rule, and the factor sin(theta) maps X_d to
+    (X_{d+1} - X_{d-1})/(2i): the x row is odd, its harmonics imaginary.
+    ``b`` needs width + 5 entries with the x or y row, width + 4 without.
+    No angle is sampled.
+    """
+    f = 2.0 * np.asarray(b)
+    rows = _moment_numerators(shape, axes)
+    if f.size < width + 1 + max(len(coefficients) - 1 + odd for odd, coefficients in rows):
+        raise ValueError(f"{f.size} harmonics of 1/D do not reach harmonic {width} of the moments")
+    full = np.concatenate([f[:0:-1], f])  # F_d for d = 1 - size..size - 1
+    out = []
+    for odd, coefficients in rows:
+        x = coefficients[-1] * full
+        for trim, coefficient in enumerate(reversed(coefficients[:-1]), 1):
+            x = 0.5 * (x[:-2] + x[2:]) + coefficient * full[trim:-trim]
+        if odd:
+            x = 0.5j * (x[:-2] - x[2:])
+        mid = x.size // 2
+        out.append(x[mid - width:mid + width + 1])
+    return np.array(out)
 
 
 def _jet(shape, phi):
@@ -489,6 +568,16 @@ def arc_length(shape, spec=None):
     integral of f(theta) over one winding of theta, with no extra factor;
     ``quadrature.integrate_periodic`` settles the f row of
     ``winding_rows`` on a grid that counts points per winding, like every
-    other integral over the curve.
+    other integral over the curve.  f = sqrt(D) has its branch points at
+    the roots of D, the inner ones at modulus rho (``_root_modulus``), so
+    the trapezoid error falls like rho^N.  Flat coils, with rho near 1, may
+    double the grid past ``MAX_DOUBLINGS`` until rho^N has reached rounding
+    one level before the last, up to ``MAX_LENGTH_POINTS`` points.
     """
-    return integrate_periodic(lambda theta: winding_rows(shape, theta)[0], spec).value.real
+    spec = spec if spec is not None else QuadratureSpec()
+    rho, eps = _root_modulus(shape), np.finfo(float).eps
+    cap = MAX_DOUBLINGS
+    while (rho ** (spec.initial_points << (cap - 1)) > eps
+           and spec.initial_points << (cap + 1) <= MAX_LENGTH_POINTS):
+        cap += 1
+    return integrate_periodic(lambda theta: winding_rows(shape, theta)[0], spec, cap).value.real

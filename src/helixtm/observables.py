@@ -39,33 +39,32 @@ The coefficients depend only on the shape; the state enters through C
 and k_n = p + omega*n.
 
 The z weight depends on phi only through the winding angle
-theta = omega*phi, so, as for the Hamiltonian (see ``quadrature``), its
+theta = omega*phi, so, as for the Hamiltonian (see ``spectrum``), its
 coefficient at harmonic omega*d is the one-winding coefficient
-(1/(2*pi)) Integral_0^{2pi} w_z(theta) e^{i d theta} dtheta, sampled at
-the winding angle.  The x and y weights are e^{+-i phi} times functions
-of theta, so their harmonics are +-1 + omega*j, which never equal
-omega*(n - m) once omega >= 2: the in-plane moments vanish identically
-and only the z row is integrated, while ``vector`` still carries the
-exact zeros.  At omega = 1 one winding is the whole turn and all three
-rows are integrated.
+(1/(2*pi)) Integral_0^{2pi} w_z(theta) e^{i d theta} dtheta.  The x and
+y weights are e^{+-i phi} times functions of theta, so their harmonics
+are +-1 + omega*j, which never equal omega*(n - m) once omega >= 2: the
+in-plane moments vanish identically and only the z row is formed, while
+``vector`` still carries the exact zeros.  At omega = 1 one winding is
+the whole turn and all three rows are formed.
 
-``moment_vectors`` therefore takes the moments of a whole stack of
-states of one shape and one n_max as arrays: coefficients (B, d, S), S
-states per group in columns (the eigenvectors of
-``spectrum.branch_spectra``), and the (B, d) table of k = p + omega*n
-(``spectrum.branch_momenta``), from the harmonics of the nonzero rows of
-g / (2*pi*D), D = f^2, on one grid of one winding (``winding_grid``),
-refined until every moment of the stack settles: to the tolerance, or
-to the rounding of its quadratic form, d eps times the absolute sum of
-its d^2 terms (d = 2*n_max + 1), where that is larger.  The p = 0
-moments, which vanish up to rounding, and large k = p + omega*n meet
-that floor first at tolerances near 1e-14.  ``branch_moments``
-solves the spectra (``spectrum.branch_spectra``, closed-form harmonics,
-no grid) and puts the moment rows and f, for the arc length, on one grid
-where the moments and then the length settle, each at its own level;
-every result equals the one of the standalone call bit for bit.  The
-command line's ``moments`` and ``thermal`` use it.  ``toroidal_moment`` is the one-state case of
-``moment_vectors``, wrapped in a ``MomentResult``.
+Each weight g / (2*pi*D), D = f^2, is a trig polynomial of degree 3 (z)
+or 4 (x and y) over D, so its harmonics come in closed form from those
+of 1/D (``geometry.moment_harmonics`` on ``geometry.winding_harmonics``),
+with no sampling and no stopping test.  ``moment_vectors`` therefore
+takes the moments of a whole stack of states of one shape and one n_max
+as arrays: coefficients (B, d, S), S states per group in columns (the
+eigenvectors of ``spectrum.branch_spectra``), and the (B, d) table of
+k = p + omega*n (``spectrum.branch_momenta``), gathered from the
+harmonics -2*n_max..2*n_max.  ``branch_moments`` makes one
+``winding_harmonics`` call, long enough for the moments, and builds both
+the spectra and the moments from it; the spectra equal those of
+``spectrum.branch_spectra`` bit for bit, since a longer recurrence leaves
+its first terms unchanged.  The command line's ``moments`` and
+``thermal`` use it, and ``moments`` integrates the arc length of the
+classical column apart (``geometry.arc_length``).  ``toroidal_moment``
+is the one-state case of ``moment_vectors``, wrapped in a
+``MomentResult``.
 ``classical_moment_numeric`` integrates the same rows of g, one
 ``quadrature.integrate_periodic`` per row over one winding.  The rows
 of g come from ``geometry.winding_rows``, in the winding angle's sine
@@ -73,7 +72,9 @@ and cosine alone: r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2,
 and at omega = 1 cos phi = c and sin phi = s.
 The tests check the quantum moments against integrating j * g_axis
 over the full turn on all three axes, with g formed from the stacked
-position and velocity, and the classical one against its closed form.
+position and velocity, their harmonics against a fine trapezoid of the
+sampled rows (``tests/oracles.py``), and the classical moment against
+its closed form.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .quadrature import NestedGrid, integrate_periodic, settle
+from .quadrature import integrate_periodic
 from .spectrum import branch_momenta, branch_spectra
 
 
@@ -156,109 +157,68 @@ def current(state, shape, phi):
 
 
 def _moment_axes(shape):
-    """The rows of g a moment pass samples: z for omega >= 2, all three at omega = 1."""
+    """The rows of g that do not vanish: z for omega >= 2, all three at omega = 1."""
     return (0, 1, 2) if shape.omega == 1 else (2,)
 
 
-def winding_grid(shape, quad, n_max, length=False):
-    """The ``quadrature.NestedGrid`` of one shape's moment pass over one winding.
-
-    Its parts are always sampled together: one ``geometry.winding_rows``
-    call for every level up to 512 points, then one call per level (see
-    ``quadrature.NestedGrid``).  They are
-
-    - ``"moments"``: the nonzero rows of the toroidal-moment weight
-      g / (2 pi D), the z row for omega >= 2 and all three rows at
-      omega = 1, read through their harmonics -2*n_max..2*n_max;
-    - ``"length"`` (when ``length`` is set): f.
-
-    Every part is sampled at the winding angle theta, so the grid counts
-    points per winding.  Nothing is sampled until a quantity settles on
-    the grid (``quadrature.settle``).
-    """
-    axes = _moment_axes(shape)
-    parts = {"moments": len(axes)}
-    if length:
-        parts["length"] = 1
-
-    def sample(theta):
-        f, b, g = geometry.winding_rows(shape, theta, moment_axes=axes)
-        rows = list(g * (b / math.pi))
-        if length:
-            rows.append(f)
-        return np.stack(rows)
-
-    return NestedGrid(sample, parts, quad, np.arange(-2 * n_max, 2 * n_max + 1), ["moments"])
+def _harmonic_count(shape, n_max):
+    """Harmonics of 1/D the moments of one n_max read: d up to 2*n_max plus the
+    degree of the weights' numerators (4 with the x and y rows, 3 for z alone)."""
+    return 2 * n_max + 1 + (4 if shape.omega == 1 else 3)
 
 
-def _moments(grid, shape, coefficients, k):
-    """``moment_vectors`` settled on a ``winding_grid``."""
+def _moments(shape, b, coefficients, k):
+    """``moment_vectors`` from the harmonics B_d of ``geometry.winding_harmonics``."""
     groups, d, per_group = coefficients.shape
     n_max = (d - 1) // 2
+    axes = _moment_axes(shape)
+    weights = geometry.moment_harmonics(shape, b, 2 * n_max, axes)
     n = np.arange(-n_max, n_max + 1)
     # one row per state, group-major, as C-contiguous (states, d) arrays
     c = np.ascontiguousarray(np.swapaxes(coefficients, 1, 2)).reshape(-1, d)
-    c_conj = c.conj()
     kc = np.repeat(k, per_group, axis=0) * c
     offsets = n[None, :] - n[:, None] + 2 * n_max
-
-    def gather(integrals):
-        # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and sampled axis
-        return np.real(np.einsum("sm,amn,sn->sa", c_conj, integrals[:, offsets], kc))
-
-    def rounding(integrals):
-        # a sum of d^2 terms rounds by about sqrt(d^2) eps times their absolute sum
-        terms = np.einsum("sm,amn,sn->sa", np.abs(c), np.abs(integrals[:, offsets]), np.abs(kc))
-        return d * np.finfo(float).eps * terms
-
     vectors = np.zeros((groups * per_group, 3))
-    vectors[:, _moment_axes(shape)] = settle(
-        grid, "moments", gather, relative=True, floor=rounding).value
+    # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and axis
+    vectors[:, axes] = np.real(np.einsum("sm,amn,sn->sa", c.conj(), weights[:, offsets], kc))
     return (vectors / 10.0).reshape(groups, per_group, 3)
 
 
-def moment_vectors(shape, coefficients, k, quad=None):
-    """Toroidal moment vectors of stacks of states of one shape, from one grid.
+def moment_vectors(shape, coefficients, k):
+    """Toroidal moment vectors of stacks of states of one shape, from closed-form harmonics.
 
     ``coefficients`` has shape (B, d, S): S states per group in columns,
     d = 2*n_max + 1 coefficients each (the ``eigenvectors`` of
     ``spectrum.branch_spectra``), and ``k`` shape (B, d): the wavenumbers
     p + omega*n of group b (``spectrum.branch_momenta``).  Returns the
-    (B, S, 3) moment vectors.  The grid of one winding is refined until
-    all moments together settle to ``tolerance * max(1, max |T|)``, or
-    each to the rounding of its quadratic form where that is larger (see
-    the module docstring).
+    (B, S, 3) moment vectors.
     """
     n_max = (coefficients.shape[1] - 1) // 2
-    return _moments(winding_grid(shape, quad, n_max), shape, coefficients, k)
+    b = geometry.winding_harmonics(shape, _harmonic_count(shape, n_max))[1]
+    return _moments(shape, b, coefficients, k)
 
 
-def branch_moments(shape, branches, n_max, quad=None, length=False):
-    """Spectra and moments of every (p, include_vc) pair, and the arc length, from one pass.
+def branch_moments(shape, branches, n_max):
+    """Spectra and moments of every (p, include_vc) pair, from one set of harmonics.
 
-    The spectra are ``branch_spectra``'s, from closed-form harmonics.  One
-    ``winding_grid`` samples the moment weights and (when ``length`` is
-    set) f together: the moments of all the states settle first, as
-    ``moment_vectors`` of the eigenvectors, and the arc length then on
-    the stored levels, as ``geometry.arc_length``.  A level past the
-    stored ones samples every row.  Each quantity stops at its own level,
-    so every result equals the one of the standalone call bit for bit.
-    ``quad`` steers the grid only.  Returns ``(decomposition, vectors,
-    length)``: the ``EigenDecomposition`` of ``branch_spectra``, the
-    (B, d, 3) moment vectors and the length (None unless ``length`` is
-    set).
+    One ``geometry.winding_harmonics`` call, long enough for the moments,
+    gives the Hamiltonians and the moment weights.  The spectra equal
+    those of ``spectrum.branch_spectra`` bit for bit, and the moments
+    those of ``moment_vectors`` of its eigenvectors.  Returns
+    ``(decomposition, vectors)``: the ``EigenDecomposition`` of the stack
+    and the (B, d, 3) moment vectors.
     """
-    dec = branch_spectra(shape, branches, n_max)
+    harmonics = geometry.winding_harmonics(
+        shape, _harmonic_count(shape, n_max), any(include_vc for _, include_vc in branches))
+    dec = branch_spectra(shape, branches, n_max, harmonics)
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
-    grid = winding_grid(shape, quad, n_max, length)
-    vectors = _moments(grid, shape, dec.eigenvectors, k)
-    return dec, vectors, settle(grid, "length").value.real if length else None
+    return dec, _moments(shape, harmonics[1], dec.eigenvectors, k)
 
 
-def toroidal_moment(state, shape, quad=None):
+def toroidal_moment(state, shape):
     """Toroidal moment of an eigenstate's current distribution (``moment_vectors`` of one state)."""
     k = state.p + shape.omega * state.n_indices
-    vector = moment_vectors(shape, state.coefficients[None, :, None], k[None], quad)[0, 0]
+    vector = moment_vectors(shape, state.coefficients[None, :, None], k[None])[0, 0]
     return MomentResult(vector=vector, z=float(vector[2]),
                         state_ref=(state.p, state.alpha, state.include_vc))
 

@@ -78,8 +78,9 @@ the sampled rows A and B (``tests/oracles.py``).
 Only A depends on whether V_c is included and only k on the branch p,
 so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a
 shape from one set of harmonics: A without V_c and A with V_c (each only
-if a pair needs it) and B.  The moments and the arc length are
-integrated on a sampled grid (``observables``).
+if a pair needs it) and B.  The moments take their harmonics from the
+same recurrence (``observables.branch_moments``); only the arc length is
+integrated on a sampled grid (``geometry.arc_length``).
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
@@ -198,22 +199,27 @@ def branch_momenta(shape, ps, n_max):
     return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
 
 
-def _hamiltonian_stack(shape, branches, n_max):
+def _hamiltonian_stack(shape, branches, n_max, harmonics=None):
     """The (len(branches), d, d) real symmetric matrices of the pairs, from one set of harmonics.
 
     Every matrix gathers the closed-form harmonics d = |n - m| of
     ``geometry.winding_harmonics`` into Re A_d + k_m k_n Re B_d with its
     own k = p + omega*n (see the module docstring for why that is all of
-    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.
+    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  ``harmonics``,
+    when given, is a ``winding_harmonics`` result of at least d entries,
+    with V_c if a pair needs it; a longer one gives the same matrices bit
+    for bit.
     """
     if not branches:
         raise ValueError("need at least one branch")
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
     variants = sorted({bool(vc) for _, vc in branches})  # one row of A each, V_c last
-    a0, b, v_c = geometry.winding_harmonics(shape, 2 * n_max + 1, True in variants)
-    harmonics = np.stack([a0 + v_c if with_vc else a0 for with_vc in variants] + [b])
+    if harmonics is None:
+        harmonics = geometry.winding_harmonics(shape, 2 * n_max + 1, True in variants)
+    a0, b, v_c = harmonics
+    rows = np.stack([a0 + v_c if with_vc else a0 for with_vc in variants] + [b])
     idx = np.arange(-n_max, n_max + 1)
-    blocks = harmonics[:, np.abs(idx[None, :] - idx[:, None])]
+    blocks = rows[:, np.abs(idx[None, :] - idx[:, None])]
     a_rows = [variants.index(bool(vc)) for _, vc in branches]
     return blocks[a_rows] + k[:, :, None] * k[:, None, :] * blocks[-1]
 
@@ -229,7 +235,7 @@ def make_basis(shape, p, config):
     return BlochBasis(p=p, n_max=config.n_max, omega=shape.omega)
 
 
-def branch_spectra(shape, branches, n_max):
+def branch_spectra(shape, branches, n_max, harmonics=None):
     """Spectra of every (p, include_vc) pair as arrays, from one set of harmonics and one solve.
 
     The matrices of ``_hamiltonian_stack`` go through ``eigh_stack`` as
@@ -238,8 +244,10 @@ def branch_spectra(shape, branches, n_max):
     ``eigenvalues`` (B, d), ascending per pair, and ``eigenvectors``
     (B, d, d), the coefficients of state alpha of pair b in column
     ``eigenvectors[b, :, alpha]`` (row i multiplies chi_n, n = i - n_max).
+    ``harmonics``, a longer ``geometry.winding_harmonics`` result that a
+    caller also reads, gives the same arrays bit for bit.
     """
-    return eigh_stack(_hamiltonian_stack(shape, branches, n_max))
+    return eigh_stack(_hamiltonian_stack(shape, branches, n_max, harmonics))
 
 
 def solve_states(shape, basis, config):

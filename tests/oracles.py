@@ -18,6 +18,10 @@ those harmonics in closed form (``geometry.winding_harmonics``).
 functions of D, D' and D'', and ``sampled_hamiltonians`` is the pass
 that took their harmonics before: a trapezoid over one winding, at a
 fixed grid.
+``sampled_moment_harmonics`` is the moment pass that sampled the
+weights g / (2 pi D) of ``geometry.winding_rows`` before production took
+their harmonics in closed form (``geometry.moment_harmonics``), at a
+fixed grid.
 Production takes toroidal moments as quadratic forms in the
 coefficients.  The full-turn references here do neither.  ``hamiltonian_element`` integrates one complex element
 H[m, n] over the whole turn from the old terms, the i k f'/f^3 term and
@@ -211,6 +215,21 @@ def sampled_hamiltonians(shape, branches, n_max, points):
         k = p + shape.omega * idx.astype(float)
         out.append(harmonics[int(include_vc)] + np.multiply.outer(k, k) * harmonics[2])
     return np.array(out)
+
+
+def sampled_moment_harmonics(shape, width, points):
+    """Harmonics d = -width..width of the moment weights from a ``points``-node trapezoid.
+
+    The rows of ``geometry.moment_harmonics`` (z, and x, y, z at
+    omega = 1): g / (2 pi D) of ``geometry.winding_rows`` at ``points``
+    winding angles, integrated against e^{i d theta} by one FFT.
+    """
+    axes = (0, 1, 2) if shape.omega == 1 else (2,)
+    theta = 2.0 * math.pi * np.arange(points) / points
+    _, b, g = geometry.winding_rows(shape, theta, moment_axes=axes)
+    spectra = np.fft.fft(g * (b / math.pi), axis=-1) * (2.0 * math.pi / points)
+    # sum_j w(theta_j) e^{i d theta_j} is DFT index (-d) mod points
+    return spectra[:, -np.arange(-width, width + 1) % points]
 
 
 def moment_from_current(shape, current_fn, quad):

@@ -9,11 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from helixtm import cli, geometry, observables
+from helixtm import cli, geometry, observables, quadrature
 from helixtm.cli import GEOMETRY_HEADER, main
-from helixtm.geometry import HelixShape
+from helixtm.geometry import HelixShape, winding_rows
 from helixtm.observables import current
-from helixtm.quadrature import NestedGrid, QuadratureNotConverged
+from helixtm.quadrature import QuadratureNotConverged
 from helixtm.spectrum import SpectrumConfig, make_basis, solve_states
 
 FLAT6_ARGS = ["--R", "1", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1"]
@@ -234,20 +234,21 @@ class TestSharedPasses:
             ["current", "--omega", "6", "--p", "0-5", "--grid", "16"],
         ],
     )
-    def test_one_sampling_pass_per_command(self, capsys, monkeypatch, argv):
-        # every state's moment and the arc length share one nested grid of
-        # the shape; the spectra take closed-form harmonics and sample none
-        grids = []
+    def test_only_the_arc_length_is_integrated(self, capsys, monkeypatch, argv):
+        # the spectra and the moments take closed-form harmonics; the arc
+        # length of the moments' classical column is the one sampled integral
+        integrals = []
+        original = quadrature.integrate_periodic
 
-        class Counting(NestedGrid):
-            def __init__(self, *args, **kwargs):
-                grids.append(args)
-                super().__init__(*args, **kwargs)
+        def recording(*args, **kwargs):
+            integrals.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(observables, "NestedGrid", Counting)
+        for module in (quadrature, geometry, observables):
+            monkeypatch.setattr(module, "integrate_periodic", recording)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(grids) == (1 if argv[0] in ("moments", "thermal") else 0)
+        assert len(integrals) == (1 if argv[0] == "moments" else 0)
 
     def test_moments_samples_no_angle_twice(self, capsys, monkeypatch):
         angles = []
@@ -260,8 +261,8 @@ class TestSharedPasses:
         monkeypatch.setattr(geometry, "winding_rows", recording)
         code, _, _ = run_cli(capsys, "moments", "--omega", "6", "--p", "0-5")
         assert code == 0
-        # the moments and the arc length of this round coil both settle by
-        # 256 points per winding, inside the first call's levels 64 to 512
+        # the arc length of this round coil settles by 256 points per
+        # winding, inside the first call's levels 64 to 512
         assert len(angles) == 1
         sampled = angles[0]
         assert sampled.size == 512
@@ -387,20 +388,21 @@ class TestConfigFile:
     @pytest.mark.parametrize("key", ["quad_points = 128", "quad_tol = 1e-300"])
     def test_quadrature_keys_only_where_read(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"omega=6\n{key}\n")
-        for command in ("geometry", "potential", "spectrum", "current"):
+        cfg.write_text(f"omega=6\ntemperature=0.1\n{key}\n")
+        for command in ("geometry", "potential", "spectrum", "current", "thermal"):
             code, out, err = run_cli(capsys, command, "--config", str(cfg))
             assert (code, out) == (2, "")
-            assert err == (f"helixtm: error: {cfg}:2: {key.split()[0]!r} applies only to "
-                           "'moments' and 'thermal'\n")
+            assert err == (f"helixtm: error: {cfg}:3: {key.split()[0]!r} applies only to "
+                           "'moments'\n")
         code, _, err = run_cli(capsys, "moments", "--config", str(cfg), "--p", "1")
         assert (code, err) == (0, "")
 
 
 class TestQuadratureFlags:
-    # only moments and thermal sample integrals; the other commands would
-    # ignore an accuracy setting, so they reject it
-    @pytest.mark.parametrize("command", ["geometry", "potential", "spectrum", "current"])
+    # only moments samples an integral, the arc length; the other commands
+    # would ignore an accuracy setting, so they reject it
+    @pytest.mark.parametrize("command", ["geometry", "potential", "spectrum", "current",
+                                         "thermal"])
     @pytest.mark.parametrize("flag", [["--quad-points", "128"], ["--quad-tol", "1e-300"]])
     def test_rejected_where_not_read(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -410,54 +412,65 @@ class TestQuadratureFlags:
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
-    def test_read_by_moments_and_thermal(self, capsys):
-        # a first grid of 8 points per winding caps at 2048 points, where the
-        # flat coil's moments have not settled
-        shape = ["--a", "0.99", "--b", "0.01", "--omega", "6", "--p", "1"]
-        for argv in (["moments"], ["thermal", "--temperature", "1"]):
-            assert run_cli(capsys, *argv, *shape)[0] == 0
-            code, _, err = run_cli(capsys, *argv, *shape, "--quad-points", "8")
-            assert code == 3 and "after 2048 points" in err
+    def test_read_by_moments(self, capsys):
+        # a 16-point trapezoid of this flat coil's arc length moves the
+        # classical column; the quantum moments take no quadrature setting
+        shape = ["moments", "--a", "0.99", "--b", "0.01", "--omega", "6", "--p", "1"]
+        code, default, err = run_cli(capsys, *shape)
+        assert (code, err) == (0, "")
+        code, coarse, err = run_cli(capsys, *shape, "--quad-points", "8", "--quad-tol", "1e-2")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(default)
+        _, coarse_rows = parse_csv(coarse)
+        assert [row[:5] for row in coarse_rows] == [row[:5] for row in rows]
+        assert rows[0][5] == "-0.000905858" and coarse_rows[0][5] == "-0.000905913"
 
 
 class TestExitCodes:
-    # One stage of the shared pass fails in each case: the moments or the
-    # arc length reaches the doubling cap while the stage before it
-    # settles.  Each message is the one the stage's standalone pass prints
-    # on the same levels.  The flattest coil's moments (p = 1) and arc
-    # length are still under-resolved at the cap at the default tolerance;
-    # the last case fails at a tolerance near rounding, which the arc
-    # length's absolute test cannot meet.
-    @pytest.mark.parametrize("argv, stage, message", [
-        (["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "0"],
-         "length", "no convergence after 16384 points (last change 3.304e-10)"),
-        (["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1"],
-         "moments", "no convergence after 16384 points (last change 4.034e-10)"),
-        (["thermal", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1",
-          "--temperature", "1"],
-         "moments", "no convergence after 16384 points (last change 4.034e-10)"),
-        (["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0",
-          "--quad-tol", "1e-14"],
-         "length", "no convergence after 16384 points (last change 2.842e-14)"),
-    ])
-    def test_each_stage_of_the_pass_fails_as_before(self, capsys, monkeypatch, tmp_path, argv,
-                                                    stage, message):
-        failed = []
-        original = observables.settle
-
-        def recording(grid, part, *args, **kwargs):
-            try:
-                return original(grid, part, *args, **kwargs)
-            except QuadratureNotConverged:
-                failed.append(part)
-                raise
-
-        monkeypatch.setattr(observables, "settle", recording)
+    # The arc length is the one sampled integral left, and the only stage
+    # that can reach a doubling cap.  Flat coils raise its cap from the
+    # shape's rho, up to 2^20 points per winding; the flattest coils past
+    # that still exit 3.
+    def test_length_past_the_largest_grid_fails(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
-        code, out, err = run_cli(capsys, *argv, "--out", str(target))
-        assert (code, out, err) == (3, "", f"helixtm: numerical failure: {message}\n")
-        assert failed == [stage]
+        code, out, err = run_cli(capsys, "moments", "--a", "0.999999", "--b", "0.000001",
+                                 "--omega", "40", "--p", "1", "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("helixtm: numerical failure: no convergence after 1048576 points")
+        assert err.count("\n") == 1
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the flattest paper coil: the moments reached the cap at the default
+        # tolerance, and so did the arc length at p = 0
+        ["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "0"],
+        ["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1"],
+        ["thermal", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1",
+         "--temperature", "1"],
+        # the length's last change was one ulp, which no absolute test near
+        # rounding could meet
+        ["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0",
+         "--quad-tol", "1e-14"],
+    ])
+    def test_former_cap_failures_answer(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > 2
+
+    def test_flattest_classical_column_matches_a_fine_trapezoid(self, capsys):
+        # the length settles past the fixed cap of 16384 points per winding
+        # (rho = 0.99899); the classical column is -pi omega I a b R / 2
+        # with I = 2 pi p / L^2 and L from a 2^20-point trapezoid of f
+        code, out, err = run_cli(capsys, "moments", "--a", "0.999", "--b", "0.001",
+                                 "--omega", "6", "--p", "1-5", "--digits", "12")
+        assert (code, err) == (0, "")
+        shape = HelixShape(R=1.0, a=0.999, b=0.001, omega=6)
+        n = 1 << 20
+        length = 2 * math.pi * np.mean(winding_rows(shape, 2 * math.pi * np.arange(n) / n)[0])
+        for row in parse_csv(out)[1]:
+            p = int(row[0])
+            want = -math.pi * 6 * (2 * math.pi * p / length**2) * 0.999 * 0.001 / 2
+            assert float(row[5]) == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("argv, status", [
         (["current", "--omega", "4", "--grid", "7"], 2),
@@ -563,16 +576,6 @@ class TestExitCodes:
     def test_invalid_shape(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--R", "-1")
         assert code == 2
-
-    def test_numerical_failure_is_exit_three(self, capsys):
-        # this flat coil's moments need more than the 2048 points per
-        # winding that 8 doubles to (a tolerance near rounding settles on the
-        # rounding of the moments' quadratic forms instead)
-        code, _, err = run_cli(capsys, "moments", "--a", "0.99", "--b", "0.01", "--omega", "6",
-                               "--p", "1", "--quad-points", "8")
-        assert code == 3
-        assert err == ("helixtm: numerical failure: no convergence after 2048 points "
-                       "(last change 4.649e-09)\n")
 
     def test_flattest_coil_solves_at_default_settings(self, capsys):
         # max |H| is 1.5e7 for this coil; its harmonics come in closed form,

@@ -1,13 +1,16 @@
-"""The closed-form harmonics against the sampled pass they replaced.
+"""The closed-form harmonics against the sampled passes they replaced.
 
 ``geometry.winding_harmonics`` gives A0_d, B_d and V_c_d from a two-term
 recurrence in the roots of D = f^2 and its derivatives along D'' and
 |r''|^2, with no sampling.  ``oracles.sampled_hamiltonians`` builds the
 same matrices from a fixed fine trapezoid of ``geometry.winding_rows``,
-the pass production used before.  The shapes cover seeded draws and the
-cases the recurrence could trip on: a double root of D, alpha = 0 (D
-linear in cos theta), one winding, and the flat and the tall coils, whose
-roots approach the unit circle (at theta = pi and at theta = +-pi/2).
+the pass production used before.  ``geometry.moment_harmonics`` takes
+the toroidal-moment weights' harmonics from the same harmonics of 1/D,
+and ``oracles.sampled_moment_harmonics`` from a fixed fine trapezoid of
+the sampled weights.  The shapes cover seeded draws and the cases the
+recurrence could trip on: a double root of D, alpha = 0 (D linear in
+cos theta), one winding, and the flat and the tall coils, whose roots
+approach the unit circle (at theta = pi and at theta = +-pi/2).
 """
 
 import math
@@ -15,9 +18,10 @@ import math
 import numpy as np
 import pytest
 
-from helixtm.geometry import HelixShape, winding_harmonics
-from helixtm.spectrum import _hamiltonian_stack, branch_spectra
-from oracles import sampled_hamiltonians
+from helixtm.geometry import HelixShape, moment_harmonics, winding_harmonics
+from helixtm.observables import branch_moments, moment_vectors
+from helixtm.spectrum import _hamiltonian_stack, branch_momenta, branch_spectra
+from oracles import sampled_hamiltonians, sampled_moment_harmonics
 
 # points per winding of the reference trapezoid: the flattest shape here,
 # (0.999, 0.001, 6), is 2.8e-11 of max |H| off its limit at 2^15 points
@@ -108,3 +112,82 @@ def test_levels_interlace_as_the_basis_grows(shape, p, n_max):
     slack = 1e-12 * np.max(np.abs(big), axis=(1, 2))[:, None]
     assert np.all(e_big[:, :-2] <= e_small + slack)
     assert np.all(e_small <= e_big[:, 2:] + slack)
+
+
+MOMENT_SHAPES = [
+    pytest.param(0.50645, 0.49355, 4, 8, id="double-root"),
+    pytest.param(0.5, 0.4330127018922193, 2, 8, id="alpha-zero"),
+    pytest.param(0.9, 0.1, 1, 16, id="one-winding-flat"),
+    pytest.param(0.5, 0.5, 1, 8, id="one-winding-round"),
+    pytest.param(0.1, 0.9, 1, 8, id="one-winding-tall"),
+    pytest.param(0.5, 300.0, 4, 4, id="tall-300"),
+    pytest.param(0.99, 0.01, 6, 8, id="flat-6"),
+    pytest.param(0.999, 0.001, 6, 6, id="flattest-6"),
+]
+
+
+def _moment_harmonics(shape, n_max):
+    axes = (0, 1, 2) if shape.omega == 1 else (2,)
+    count = 2 * n_max + 1 + (4 if shape.omega == 1 else 3)
+    return moment_harmonics(shape, winding_harmonics(shape, count)[1], 2 * n_max, axes)
+
+
+@pytest.mark.parametrize("a, b, omega, n_max", [*_draws(20, 12), *MOMENT_SHAPES])
+def test_moment_harmonics_match_a_fine_trapezoid(a, b, omega, n_max):
+    # every row of the weights, each against its own largest harmonic: at
+    # omega = 1 the x and y rows too
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    got = _moment_harmonics(shape, n_max)
+    want = sampled_moment_harmonics(shape, 2 * n_max, REFERENCE_POINTS)
+    assert got.shape == want.shape == (3 if omega == 1 else 1, 4 * n_max + 1)
+    for row, ref in zip(got, want):
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if omega == 1:
+        # g_x is odd in theta and g_y even: imaginary and real harmonics,
+        # odd and even in d
+        assert np.all(got[0].real == 0) and np.all(got[1:].imag == 0)
+        assert np.array_equal(got[0], -got[0, ::-1])
+    assert np.array_equal(got[-1], got[-1, ::-1])
+
+
+def test_moment_reference_trapezoid_has_converged():
+    shape = HelixShape(R=1.0, a=0.999, b=0.001, omega=6)
+    ref = sampled_moment_harmonics(shape, 12, REFERENCE_POINTS)
+    finer = sampled_moment_harmonics(shape, 12, 2 * REFERENCE_POINTS)
+    assert np.max(np.abs(finer - ref)) <= 1e-13 * np.max(np.abs(finer))
+
+
+def test_moment_harmonics_need_the_numerator_degree():
+    # harmonic d of g / D reads F up to d + 3 (z) or d + 4 (x, y)
+    shape = HelixShape(R=1.0, a=0.9, b=0.1, omega=1)
+    b = winding_harmonics(shape, 12)[1]
+    assert moment_harmonics(shape, b, 7, (2,)).shape == (1, 15)
+    assert moment_harmonics(shape, b, 7, (0, 1, 2)).shape == (3, 15)
+    with pytest.raises(ValueError, match="do not reach harmonic 8"):
+        moment_harmonics(shape, b, 8, (0, 1, 2))
+    with pytest.raises(ValueError, match="need omega = 1"):
+        moment_harmonics(HelixShape(R=1.0, a=0.9, b=0.1, omega=2), b, 4, (0, 2))
+
+
+def _moment_stacks():
+    for param in _draws(21, 6):
+        a, b, omega, n_max = param.values
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        yield pytest.param(shape, _stack(shape), n_max, id=param.id)
+    flattest = HelixShape(R=1.0, a=0.999, b=0.001, omega=6)
+    yield pytest.param(flattest, [(1, False), (1, True)], 8, id="flattest-6")
+    one = HelixShape(R=1.0, a=0.9, b=0.1, omega=1)
+    yield pytest.param(one, [(0, True), (0, False)], 16, id="one-winding")
+    yield pytest.param(flattest, [(5, False), (0, False)], 2, id="without-vc")
+
+
+@pytest.mark.parametrize("shape, pairs, n_max", _moment_stacks())
+def test_branch_moments_equal_the_separate_calls(shape, pairs, n_max):
+    # one winding_harmonics call, longer than the spectra need, serves H and
+    # the moments: its first entries are those of the spectra's own call
+    dec, vectors = branch_moments(shape, pairs, n_max)
+    alone = branch_spectra(shape, pairs, n_max)
+    assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
+    k = branch_momenta(shape, [p for p, _ in pairs], n_max)
+    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))

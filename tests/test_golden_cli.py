@@ -11,7 +11,9 @@ Those rows print exact zeros up to rounding (the p = 0 moments, and the
 m = 0 coefficients of odd p = 0 states), whose digits depend on the FFT
 and LAPACK builds numpy ships with.  Two fields that both read below
 ``ROUNDING_ZERO`` in magnitude therefore count as equal; every other
-byte must match.  The shapes were chosen without near-degenerate levels
+byte must match.  The n_max 8 ``moments`` table of (0.25, 0.75, 4), whose
+p = 0 rounding noise reaches 1e-11, was printed again when the moments
+came to take closed-form harmonics; nine of those noise fields moved.  The shapes were chosen without near-degenerate levels
 (neighbour gaps of at least 1e-5), where another build could mix a pair
 differently.
 """

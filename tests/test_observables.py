@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helixtm import observables
+from helixtm import geometry, observables, quadrature
 from helixtm.geometry import HelixShape, arc_length, speed
 from helixtm.observables import (
     MomentResult,
@@ -25,9 +25,7 @@ from helixtm.observables import (
     moment_vectors,
     thermal_average,
     toroidal_moment,
-    winding_grid,
 )
-from helixtm.quadrature import QuadratureSpec, settle
 from helixtm.spectrum import (
     EigenState,
     SpectrumConfig,
@@ -178,12 +176,19 @@ class TestQuantumMoment:
             got = [toroidal_moment(s, UP4).z for s in states_for(UP4, p, include_vc)]
             assert_allclose(got, want, atol=1e-6)
 
-    def test_quadrature_spec_is_honoured(self):
-        state = states_for(UP4, 1.0, True)[0]
-        default = toroidal_moment(state, UP4).z
-        fine = toroidal_moment(state, UP4, QuadratureSpec(initial_points=512, tolerance=1e-12)).z
-        assert default == pytest.approx(fine, abs=1e-9)
+    @pytest.mark.parametrize("shape", [UP4, HelixShape(R=1.0, a=0.9, b=0.1, omega=1)])
+    def test_moments_sample_nothing(self, shape, monkeypatch):
+        # the weights' harmonics come in closed form: no quadrature, no sampled row
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
 
+        for module, name in [(quadrature, "integrate_periodic"), (geometry, "integrate_periodic"),
+                             (observables, "integrate_periodic"), (geometry, "winding_rows")]:
+            monkeypatch.setattr(module, name, refuse)
+        pairs = [(0, True), (0, False)]
+        dec, vectors = observables.branch_moments(shape, pairs, 2)
+        assert vectors.shape == (2, 5, 3)
+        assert toroidal_moment(states_for(shape, 0, True)[0], shape).vector.shape == (3,)
 
     @pytest.mark.parametrize(
         "shape, p, n_max",
@@ -249,17 +254,24 @@ class TestClassicalMoment:
             -classical_moment_numeric(UP4, 1.0)[2], rel=1e-12
         )
 
-    def test_one_row_integrals_need_no_winding_grid(self, monkeypatch):
-        # the arc length and the classical moment are one-row integrals of
-        # integrate_periodic, not grids of the moment pass
-        def refuse(*args, **kwargs):
-            raise AssertionError("winding_grid called")
+    def test_one_row_integrals_are_one_integration_each(self, monkeypatch):
+        # the arc length is one integrate_periodic of f, the classical moment
+        # one per row of g that does not vanish
+        calls = []
+        original = quadrature.integrate_periodic
 
-        monkeypatch.setattr(observables, "winding_grid", refuse)
-        for shape in (UP4, HelixShape(R=1.0, a=0.9, b=0.1, omega=1)):
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "integrate_periodic", recording)
+        monkeypatch.setattr(observables, "integrate_periodic", recording)
+        for shape, rows in ((UP4, 1), (HelixShape(R=1.0, a=0.9, b=0.1, omega=1), 3)):
+            calls.clear()
             assert arc_length(shape) > 2 * math.pi * shape.R
             numeric = classical_moment_numeric(shape, 0.7)
             assert numeric[2] == pytest.approx(classical_moment_closed(shape, 0.7)[2], abs=1e-8)
+            assert len(calls) == 1 + rows
 
     def test_free_particle_current_values(self):
         assert free_particle_current(UP4, 0.0) == 0.0
@@ -342,43 +354,3 @@ class TestThermalAverage:
             ThermalSpec(temperature=-1.0)
         with pytest.raises(ValueError):
             thermal_average([], ThermalSpec(temperature=1.0))
-
-
-class TestFirstSampling:
-    """The first call of a ``winding_grid`` samples every level up to 512
-    points at once; each level's floats must be those a call on that
-    level's nodes alone gives, or the settled values would move."""
-
-    @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
-    # the grids of the moment pass: the moment rows, and with them f
-    @pytest.mark.parametrize("length", [False, True], ids=["moments", "length"])
-    def test_one_call_equals_the_per_level_calls(self, a, b, omega, length):
-        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-        grid = winding_grid(shape, None, 2, length)
-        calls = []
-        sample = grid._sample
-
-        def recording(nodes):
-            out = sample(nodes)
-            calls.append((nodes.copy(), out))
-            return out
-
-        grid._sample = recording
-        if length:
-            settle(grid, "length")
-        else:
-            grid._samples(0)  # the first sampling, as any settle starts
-        nodes, out = calls[0]
-        # the moment rows and f
-        assert out.shape[0] == (3 if omega == 1 else 1) + length
-        assert nodes.size == 512
-        # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
-        walk = 2.0 * math.pi * np.arange(64) / 64
-        assert np.array_equal(nodes[::8], walk)
-        for level in (1, 2, 3):
-            step = 8 >> level
-            mids = walk + math.pi / (64 << (level - 1))
-            assert np.array_equal(nodes[step::2 * step], mids)
-            assert np.array_equal(out[:, step::2 * step], sample(mids))
-            walk = np.sort(np.concatenate([walk, mids]))
-        assert np.array_equal(out[:, ::8], sample(2.0 * math.pi * np.arange(64) / 64))

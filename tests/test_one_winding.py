@@ -59,16 +59,16 @@ def test_matrices_match_full_turn_elements(a, b, omega):
 @pytest.mark.parametrize("a, b, omega", CASES)
 def test_moments_match_full_turn_current_integral(a, b, omega):
     # The lowest, middle and highest branch, both V_c settings, and all
-    # three components: at omega = 1 the in-plane ones are integrated,
-    # above it they are exact zeros and the reference must agree.  Both
-    # sides converge to 1e-13, so the 1e-12 bound measures the reduction
-    # rather than where the default 1e-10 stopping rule happens to stop.
+    # three components: at omega = 1 the in-plane ones are formed, above it
+    # they are exact zeros and the reference must agree.  The reference
+    # converges to 1e-13 and the moments take closed-form harmonics, so the
+    # 1e-12 bound measures the reduction.
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     branches = [(p, vc) for p in sorted({0, omega // 2, omega - 1}) for vc in (False, True)]
     quad = QuadratureSpec(tolerance=1e-13)
     dec = branch_spectra(shape, branches, N_MAX)
     k = branch_momenta(shape, [p for p, _ in branches], N_MAX)
-    vectors = moment_vectors(shape, dec.eigenvectors, k, quad)
+    vectors = moment_vectors(shape, dec.eigenvectors, k)
     for b in range(len(branches)):
         for alpha in range(2 * N_MAX + 1):
             stack = dec.eigenvectors[b:b + 1, :, alpha:alpha + 1]
@@ -88,7 +88,8 @@ def test_arc_length_matches_dense_full_turn_sum(a, b, omega):
 
 
 def test_moments_command_grid_does_not_grow_with_omega(monkeypatch, capsys):
-    # a full-turn grid would start at 64 * omega = 2560 angles
+    # the arc length is the command's one sampled integral; a full-turn
+    # grid would start at 64 * omega = 2560 angles
     sizes = []
     original = geometry.winding_rows
 

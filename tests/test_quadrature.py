@@ -1,6 +1,6 @@
 """Periodic trapezoid rule: exactness on low harmonics, spectral
-convergence on smooth integrands, failure reporting, and the FFT path
-for many harmonics of a few real functions on a ``NestedGrid``."""
+convergence on smooth integrands, the rounding floor and the doubling
+cap, failure reporting, and the one-call first sampling."""
 
 import math
 
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from helixtm import quadrature
+from helixtm.geometry import HelixShape, winding_rows
 from helixtm.quadrature import (
-    NestedGrid,
     QuadratureNotConverged,
     QuadratureResult,
     QuadratureSpec,
     integrate_periodic,
-    settle,
 )
 
 
@@ -145,188 +144,110 @@ def _near_pole(phi):
     return 1.0 / (1.0 + 1e-6 + np.cos(phi))
 
 
-def _two_functions(phi):
-    return np.stack([np.exp(np.cos(phi)), 1.0 / (2.0 + np.sin(3 * phi))])
-
-
-def settle_harmonics(sample, rows, harmonics, gather, spec=None):
-    """Settle ``gather`` of the harmonic integrals of a grid of one part.
-
-    The part holds the ``rows`` real functions that ``sample`` returns,
-    read through the trapezoid integrals of ``harmonics``, with the
-    relative stopping test of the spectral passes.
-    """
-    grid = NestedGrid(sample, {"g": rows}, spec, harmonics, ["g"])
-    return settle(grid, "g", gather, relative=True)
-
-
-class TestHarmonics:
-    def test_trig_polynomial_exact(self):
-        sample = lambda phi: np.stack([3.0 + np.cos(2 * phi), np.sin(5 * phi)])
-        res = settle_harmonics(sample, 2, [-5, -2, 0, 2, 5], lambda integrals: integrals)
-        pi = math.pi
-        want = [[0, pi, 6 * pi, pi, 0], [-1j * pi, 0, 0, 0, 1j * pi]]
-        assert isinstance(res.value, np.ndarray)
-        assert res.value.shape == (2, 5)
-        assert np.max(np.abs(res.value - np.array(want))) < 1e-13
-
-    def test_each_harmonic_is_the_trapezoid_sum(self):
-        # one grid, with harmonics past its Nyquist index: every entry is
-        # the same (aliased) sum integrate_periodic forms for it
-        spec = QuadratureSpec(initial_points=8, tolerance=1e6)
-        harmonics = np.arange(-20, 21)
-        res = settle_harmonics(_two_functions, 2, harmonics, lambda integrals: integrals, spec)
-        assert res.points_used == 16
-        for i in range(2):
-            for j, h in enumerate(harmonics):
-                want = integrate_periodic(
-                    lambda phi: _two_functions(phi)[i] * np.exp(1j * h * phi), spec
-                ).value
-                assert abs(res.value[i, j] - want) < 1e-13
-
-    def test_gather_sees_converged_integrals(self):
-        spec = QuadratureSpec(tolerance=1e-13)
-        res = settle_harmonics(
-            _two_functions, 2, [0, 2], lambda integrals: integrals[0, 1] / integrals[0, 0], spec
-        )
-        # ratio of modified Bessel functions I_2(1) / I_0(1)
-        assert res.value.real == pytest.approx(0.13574766976703828 / 1.2660658777520082, rel=1e-12)
-
-    def test_stopping_test_scales_with_the_result(self):
-        # e^{cos phi} scaled by 1e8 stops on the same grid as unscaled, with
-        # its error estimate inside the scaled tolerance; the absolute test
-        # of integrate_periodic needs a finer grid for the scaled integrand
-        spec = QuadratureSpec(initial_points=8)
-        identity = lambda integrals: integrals
-        runs = [
-            settle_harmonics(
-                lambda phi, s=s: s * np.exp(np.cos(phi))[None], 1, [0, 1], identity, spec
-            )
-            for s in (1.0, 1e8)
-        ]
-        assert runs[1].points_used == runs[0].points_used
-        assert runs[1].error_estimate <= spec.tolerance * np.max(np.abs(runs[1].value))
-        absolute = integrate_periodic(lambda phi: 1e8 * np.exp(np.cos(phi)), spec)
-        assert absolute.points_used > runs[1].points_used
-
-    def test_floor_stops_each_entry_at_its_rounding_level(self):
-        # a tolerance no level meets: the walk stops once every entry changes
-        # by at most its own floor, and a zero floor for one entry holds it
-        spec = QuadratureSpec(initial_points=8, tolerance=1e-300)
-        sample = lambda phi: np.exp(np.cos(phi))[None]
-        identity = lambda integrals: integrals
-        grid = NestedGrid(sample, {"g": 1}, spec, [0, 1], ["g"])
-        res = settle(grid, "g", identity, relative=True,
-                     floor=lambda integrals: np.full(integrals.shape, 1e-12))
-        assert 0.0 < res.error_estimate <= 1e-12
-        assert res.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-14)
-        with pytest.raises(QuadratureNotConverged):
-            settle(grid, "g", identity, relative=True,
-                   floor=lambda integrals: np.array([[1e-12, 0.0]]))
-        with pytest.raises(QuadratureNotConverged):
-            settle(grid, "g", identity, relative=True)
-
-    def test_floor_below_the_tolerance_changes_nothing(self):
-        spec = QuadratureSpec(initial_points=8)
-        identity = lambda integrals: integrals
-        plain = settle_harmonics(_two_functions, 2, [0, 2], identity, spec)
-        grid = NestedGrid(_two_functions, {"g": 2}, spec, [0, 2], ["g"])
-        floored = settle(grid, "g", identity, relative=True,
-                         floor=lambda integrals: np.full(integrals.shape, 1e-300))
-        assert floored.points_used == plain.points_used
-        assert np.array_equal(floored.value, plain.value)
-
-    def test_not_converged_carries_array_result(self):
-        spec = QuadratureSpec(initial_points=8)
-        sample = lambda phi: np.stack([np.exp(np.cos(phi)), _near_pole(phi)])
-        with pytest.raises(QuadratureNotConverged) as exc:
-            settle_harmonics(sample, 2, [0, 1, 2], lambda integrals: integrals, spec)
-        partial = exc.value.result
-        assert partial.points_used == 2048
-        assert partial.value.shape == (2, 3)
-        assert partial.value[0, 0].real == pytest.approx(7.95492652101284, rel=1e-14)
-
-
-def _smooth(phi):
-    return np.stack([np.exp(np.cos(phi)), 1.0 / (2.0 + np.sin(3 * phi))])
-
-
 def _sharp(phi):
-    return (1.0 / (1.02 + np.cos(phi)))[None]
+    return 1.0 / (1.02 + np.cos(phi))
 
 
-class TestNestedGrid:
-    """Quantities of one grid, each at its own level, against a grid of each alone."""
+def _trapezoid_levels(fn, start, levels):
+    """Trapezoid sums on start * 2**l equally spaced nodes, l = 0..levels."""
+    sums = []
+    for level in range(levels + 1):
+        n = start << level
+        sums.append(2 * math.pi * np.mean(fn(2 * math.pi * np.arange(n) / n)))
+    return sums
 
-    def grid(self, calls, spec):
-        rows = [_smooth, _sharp, lambda phi: np.exp(np.sin(phi))[None]]
+
+class TestRoundingFloor:
+    def test_stops_within_a_few_ulp_of_the_value(self):
+        # a tolerance no level meets: the walk stops once the change is
+        # within ROUNDING_ULPS ulp of the value, here 2 ulp of 31.26
+        spec = QuadratureSpec(initial_points=8, tolerance=1e-300)
+        res = integrate_periodic(_sharp, spec)
+        floor = quadrature.ROUNDING_ULPS * np.finfo(float).eps * abs(res.value)
+        assert 0.0 < res.error_estimate <= floor
+        assert res.points_used == 512
+        assert res.value.real == pytest.approx(2 * math.pi / math.sqrt(1.02**2 - 1), rel=1e-14)
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-10, 1e-13])
+    def test_floor_below_the_tolerance_changes_nothing(self, tolerance):
+        # the floor is read only where the tolerance test fails, and lies
+        # below these tolerances: the walk stops on the first level whose
+        # change meets the tolerance, as without it
+        spec = QuadratureSpec(initial_points=8, tolerance=tolerance)
+        res = integrate_periodic(_sharp, spec)
+        sums = _trapezoid_levels(_sharp, 8, quadrature.MAX_DOUBLINGS)
+        level = next(l for l in range(1, len(sums)) if abs(sums[l] - sums[l - 1]) <= tolerance)
+        assert res.points_used == 8 << level
+        assert res.value.real == pytest.approx(sums[level], rel=1e-15)
+
+
+class TestDoublingCap:
+    def test_a_caller_may_allow_more_doublings(self):
+        # a pole 1.4e-2 from the real axis needs 8192 points, past the
+        # default cap of 2048
+        near_pole = lambda phi: 1.0 / (1.0 + 1e-4 + np.cos(phi))
+        spec = QuadratureSpec(initial_points=8)
+        with pytest.raises(QuadratureNotConverged) as exc:
+            integrate_periodic(near_pole, spec)
+        assert exc.value.result.points_used == 2048
+        with pytest.raises(QuadratureNotConverged) as exc:
+            integrate_periodic(near_pole, spec, max_doublings=9)
+        assert exc.value.result.points_used == 4096
+        res = integrate_periodic(near_pole, spec, max_doublings=12)
+        assert res.points_used == 8192
+        assert res.value.real == pytest.approx(2 * math.pi / math.sqrt(1.0001**2 - 1), rel=1e-12)
+
+
+class TestFirstSampling:
+    """The first call samples every level up to 512 points at once; each
+    level's floats must be those a call on that level's nodes alone gives,
+    or the settled values would move."""
+
+    @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
+    def test_one_call_equals_the_per_level_calls(self, a, b, omega):
+        # the arc length's integrand, f over one winding
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        calls = []
 
         def sample(nodes):
-            out = np.concatenate([row(nodes) for row in rows])
-            calls.append((nodes.copy(), out.shape[0]))
+            out = winding_rows(shape, nodes)[0]
+            calls.append((nodes.copy(), out))
             return out
 
-        return NestedGrid(sample, {"smooth": 2, "sharp": 1, "plain": 1}, spec,
-                          np.arange(-4, 5), ["smooth", "sharp"])
+        integrate_periodic(sample)
+        nodes, out = calls[0]
+        assert nodes.size == 512
+        # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
+        walk = 2.0 * math.pi * np.arange(64) / 64
+        assert np.array_equal(nodes[::8], walk)
+        for level in (1, 2, 3):
+            step = 8 >> level
+            mids = walk + math.pi / (64 << (level - 1))
+            assert np.array_equal(nodes[step::2 * step], mids)
+            assert np.array_equal(out[step::2 * step], winding_rows(shape, mids)[0])
+            walk = np.sort(np.concatenate([walk, mids]))
+        assert np.array_equal(out[::8], winding_rows(shape, 2.0 * math.pi * np.arange(64) / 64)[0])
 
-    @pytest.mark.parametrize("first", ["smooth", "sharp"])
-    def test_each_quantity_equals_its_own_integrator(self, first, monkeypatch):
-        # the sharp row needs a finer grid than the smooth ones: settled
-        # second it refines the grid past the stored levels, settled first
-        # it leaves stored levels for the others to read.  With the
-        # package's prefetch bound the first call covers every level all
-        # three need; with a bound of 16 points the walk goes on past it.
+    def test_later_levels_sample_only_their_midpoints(self, monkeypatch):
+        # with the package's prefetch bound the first call covers every
+        # level; with a bound of 16 points the walk samples each later
+        # level's midpoints, no angle twice, and settles on the same floats
         spec = QuadratureSpec(initial_points=8)
-        identity = lambda integrals: integrals
-        want = {
-            "smooth": settle_harmonics(_smooth, 2, np.arange(-4, 5), identity, spec),
-            "sharp": settle_harmonics(_sharp, 1, np.arange(-4, 5), identity, spec),
-            "plain": integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec),
-        }
-        second = "sharp" if first == "smooth" else "smooth"
+        results = []
         for bound in (quadrature._PREFETCH_POINTS, 16):
             monkeypatch.setattr(quadrature, "_PREFETCH_POINTS", bound)
             calls = []
-            grid = self.grid(calls, spec)
-            got = {name: settle(grid, name, identity, relative=True) for name in (first, second)}
-            got["plain"] = settle(grid, "plain", lambda vals: _trapezoid_of(vals[0]))
-            assert got["sharp"].points_used > got["smooth"].points_used
-            for name, result in got.items():
-                assert np.array_equal(result.value, want[name].value)
-                assert result.points_used == want[name].points_used
-                assert result.error_estimate == want[name].error_estimate
-            # every call samples every part: the first on every level up
-            # to the bound, each later one on the next level's midpoints,
-            # up to the finest level a quantity settled on; no angle twice
-            sizes = [nodes.size for nodes, _ in calls]
-            finest = max(bound, max(result.points_used for result in got.values()))
-            assert all(count == 4 for _, count in calls)
+
+            def sample(nodes):
+                calls.append(nodes.copy())
+                return _sharp(nodes)
+
+            results.append(integrate_periodic(sample, spec))
+            finest = max(bound, results[-1].points_used)
+            sizes = [nodes.size for nodes in calls]
             assert sizes == [bound] + [bound << i for i in range(len(calls) - 1)]
             assert bound << len(calls) - 1 == finest
-            sampled = np.concatenate([nodes for nodes, _ in calls])
+            sampled = np.concatenate(calls)
             assert np.unique(sampled).size == sampled.size == finest
-
-    def test_default_gather_is_the_trapezoid_sum(self):
-        spec = QuadratureSpec(initial_points=8)
-        grid = NestedGrid(lambda nodes: np.exp(np.sin(nodes))[None], {"f": 1}, spec)
-        want = integrate_periodic(lambda phi: np.exp(np.sin(phi)), spec)
-        got = settle(grid, "f")
-        assert got.value == want.value
-        assert (got.points_used, got.error_estimate) == (want.points_used, want.error_estimate)
-
-    def test_second_quantity_hits_the_cap(self):
-        spec = QuadratureSpec(initial_points=8)
-        grid = NestedGrid(lambda nodes: np.concatenate([_smooth(nodes), _near_pole(nodes)[None]]),
-                          {"smooth": 2, "pole": 1}, spec, np.arange(-4, 5), ["smooth", "pole"])
-        settle(grid, "smooth", lambda integrals: integrals, relative=True)
-        with pytest.raises(QuadratureNotConverged) as exc:
-            settle(grid, "pole", lambda integrals: integrals, relative=True)
-        with pytest.raises(QuadratureNotConverged) as alone:
-            settle_harmonics(lambda nodes: _near_pole(nodes)[None], 1, np.arange(-4, 5),
-                             lambda integrals: integrals, spec)
-        assert str(exc.value) == str(alone.value)
-        assert np.array_equal(exc.value.result.value, alone.value.result.value)
-
-
-def _trapezoid_of(row):
-    return complex(2.0 * math.pi * np.sum(row.astype(complex)) / row.size)
+        assert results[0] == results[1]
+        assert results[0].points_used > 16

@@ -6,19 +6,18 @@ must come out exactly as from one ``HermitianMatrix``, one
 ``eigen_decompose`` and one ``fix_phase`` per matrix, and the moments of
 the grouped states exactly as from ``moment_vectors`` with one state per
 group.  ``observables.branch_moments`` solves the spectra as
-``branch_spectra`` does and samples the moments and the arc length in
-one pass; each must come out exactly as from its standalone call.  Every
-matrix either path builds equals its transpose bit for bit.
+``branch_spectra`` does, from one set of harmonics that also serves the
+moments; both must come out exactly as from their standalone calls.
+Every matrix either path builds equals its transpose bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from helixtm import observables, spectrum
-from helixtm.geometry import HelixShape, arc_length
+from helixtm import spectrum
+from helixtm.geometry import HelixShape
 from helixtm.linalg import HermitianMatrix, eigen_decompose, eigh_stack, fix_phase
 from helixtm.observables import branch_moments, moment_vectors
-from helixtm.quadrature import QuadratureSpec, settle
 from helixtm.spectrum import (
     BlochBasis,
     SpectrumConfig,
@@ -51,40 +50,21 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
 
 
 ONE_PASS_CASES = [
-    pytest.param(a, b, omega, n_max, None, None, id=f"{a}-{b}-{omega}-{n_max}")
+    pytest.param(a, b, omega, n_max, id=f"{a}-{b}-{omega}-{n_max}")
     for a, b in SHAPES for omega in (1, 4, 6, 40) for n_max in (2, 8, 16)
-] + [
-    # the p = 0 moments, rounding noise at 1e-14, settle on the rounding of
-    # their quadratic forms at 128 points per winding, and the length at
-    # 2048, past the first sampling's 512: the later quantity refines the
-    # shared grid
-    pytest.param(0.95, 0.05, 12, 16, QuadratureSpec(tolerance=1e-14), [(0, False), (0, True)],
-                 id="0.95-0.05-12-16-tol1e-14"),
 ]
 
 
-@pytest.mark.parametrize("a, b, omega, n_max, quad, pairs", ONE_PASS_CASES)
-def test_one_pass_equals_standalone_calls(a, b, omega, n_max, quad, pairs, monkeypatch):
+@pytest.mark.parametrize("a, b, omega, n_max", ONE_PASS_CASES)
+def test_one_pass_equals_standalone_calls(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-    pairs = pairs or all_pairs(omega)
-    levels = {}
-
-    def recording(grid, part, *args, **kwargs):
-        result = settle(grid, part, *args, **kwargs)
-        levels[part] = result.points_used
-        return result
-
-    monkeypatch.setattr(observables, "settle", recording)
-    dec, vectors, length = branch_moments(shape, pairs, n_max, quad, length=True)
-    if quad is not None:
-        assert levels == {"moments": 128, "length": 2048}
+    pairs = all_pairs(omega)
+    dec, vectors = branch_moments(shape, pairs, n_max)
     alone = branch_spectra(shape, pairs, n_max)
     k = branch_momenta(shape, [p for p, _ in pairs], n_max)
     assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
     assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
-    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k, quad))
-    assert length == arc_length(shape, quad)
-    assert branch_moments(shape, pairs, n_max, quad)[2] is None
+    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))
 
 
 @pytest.mark.parametrize(
