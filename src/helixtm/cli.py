@@ -11,10 +11,9 @@ Every command evaluates the shape at unit major radius,
 their numbers as they come: energies, V_c and currents in units of 1/R^2
 and moments in units of R, the same whatever length unit R is given in.
 The spectra and the toroidal moments take their harmonics in closed
-form; only ``moments`` samples an integral (the arc length behind its
-classical column), and only it takes ``--quad-points`` and
-``--quad-tol`` (or their config keys); the other commands reject them as
-bad usage.
+form, and the arc length behind the classical column of ``moments`` is a
+complete elliptic integral, so no command samples an integral or takes a
+quadrature setting.
 
 Options may come from a ``key = value`` config file (``--config``);
 explicit flags win over file values.  Exit codes: 0 success, 2 bad
@@ -42,19 +41,13 @@ from .observables import (
     loop_current,
     thermal_average,
 )
-from .quadrature import QuadratureNotConverged, QuadratureSpec
 from .spectrum import branch_momenta, branch_spectra
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
 _CONFIG_KEYS = {
-    "R", "a", "b", "omega", "p", "n_max", "vc", "grid",
-    "quad_points", "quad_tol", "temperature", "digits", "out",
+    "R", "a", "b", "omega", "p", "n_max", "vc", "grid", "temperature", "digits", "out",
 }
-
-# The one command that samples an integral (the arc length), the only one
-# that reads the quadrature settings.
-_QUADRATURE_COMMAND = "moments"
 
 
 class UsageError(ValueError):
@@ -71,7 +64,6 @@ class Settings:
     n_max: int
     vc: str  # "with" | "without" | "both"
     grid: int
-    quad: QuadratureSpec | None
     temperature: float | None
     digits: int
     out: str
@@ -106,12 +98,6 @@ def _build_parser():
     o.add_argument("--out", default=None, help="output file, '-' for stdout (default)")
     o.add_argument("--config", default=None, help="key = value config file; flags override")
     common.set_defaults(vc=None)
-    quadrature = argparse.ArgumentParser(add_help=False)
-    q = quadrature.add_argument_group("integration")
-    q.add_argument("--quad-points", type=int, default=None,
-                   help="initial quadrature points per winding of the arc length (default 64)")
-    q.add_argument("--quad-tol", type=float, default=None,
-                   help="quadrature tolerance of the arc length (default 1e-10)")
 
     parser = argparse.ArgumentParser(
         prog="helixtm",
@@ -126,8 +112,7 @@ def _build_parser():
         ("moments", "toroidal moments with/without curvature plus classical reference"),
         ("thermal", "Boltzmann-averaged toroidal moments at a temperature"),
     ]:
-        parents = [common, quadrature] if name == _QUADRATURE_COMMAND else [common]
-        sub.add_parser(name, parents=parents, help=doc)
+        sub.add_parser(name, parents=[common], help=doc)
     return parser
 
 
@@ -202,11 +187,6 @@ def _vc_from_text(text):
 def _resolve(args):
     config = _parse_config_file(args.config) if args.config else {}
     path = args.config
-    if args.command != _QUADRATURE_COMMAND:
-        for key in ("quad_points", "quad_tol"):
-            if key in config:
-                raise UsageError(f"{path}:{config[key][1]}: {key!r} applies only to "
-                                 f"{_QUADRATURE_COMMAND!r}")
     omega = _pick(args.omega, config, "omega", 4, int, path)
     default_p = list(range(1, min(3, max(omega - 1, 0)) + 1)) or [0]
     p_raw = _pick(args.p, config, "p", None, str, path)
@@ -219,19 +199,10 @@ def _resolve(args):
         n_max=_pick(args.n_max, config, "n_max", 2, int, path),
         vc=_pick(args.vc, config, "vc", "both", _vc_from_text, path),
         grid=_pick(args.grid, config, "grid", 256, int, path),
-        quad=None,
         temperature=_pick(args.temperature, config, "temperature", None, float, path),
         digits=_pick(args.digits, config, "digits", 6, int, path),
         out=_pick(args.out, config, "out", "-", str, path),
     )
-    qp = _pick(getattr(args, "quad_points", None), config, "quad_points", None, int, path)
-    qt = _pick(getattr(args, "quad_tol", None), config, "quad_tol", None, float, path)
-    if qp is not None or qt is not None:
-        default = QuadratureSpec()
-        settings.quad = QuadratureSpec(
-            initial_points=qp if qp is not None else default.initial_points,
-            tolerance=qt if qt is not None else default.tolerance,
-        )
     if settings.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {settings.grid}")
     if settings.digits < 1:
@@ -378,7 +349,7 @@ def _cmd_moments(settings):
     pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
     _, vectors = branch_moments(shape, pairs, settings.n_max)
     z = vectors[..., 2].tolist()
-    loops = loop_current(np.array(settings.p_list, dtype=float), arc_length(shape, settings.quad))
+    loops = loop_current(np.array(settings.p_list, dtype=float), arc_length(shape))
     for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
         classical = classical_moment_closed(shape, loop)[2]
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
@@ -443,8 +414,8 @@ def main(argv=None):
         else:
             with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
-    except (QuadratureNotConverged, NoConvergence, HermiticityViolation, OverflowError,
-            FloatingPointError, MemoryError) as exc:
+    except (NoConvergence, HermiticityViolation, OverflowError, FloatingPointError,
+            MemoryError) as exc:
         print(f"helixtm: numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (UsageError, ValueError, OSError) as exc:

@@ -25,8 +25,9 @@ pass over a shape (``winding_rows``) are rational in D = f^2 and divide
 by D; nothing divides by a quantity that vanishes with b.  The Fourier
 harmonics of the Hamiltonian's rows come in closed form from the roots
 of D (``winding_harmonics``), and those of the toroidal-moment weights
-from the same harmonics of 1/D (``moment_harmonics``), with no sampling.
-Only the arc length samples f (``arc_length``).
+from the same harmonics of 1/D (``moment_harmonics``), and the arc length
+is a complete elliptic integral in the same constants (``arc_length``):
+nothing in the shape's physics samples an angle.
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
 results carry the Cartesian component on the last axis.
@@ -39,14 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import MAX_DOUBLINGS, QuadratureSpec, integrate_periodic
-
 # Below this dimensionless curvature kappa*R the principal normal direction
 # is numerically undefined.
 KAPPA_MIN = 1e-12
 
-# The arc length's grid never grows past this many points per winding.
-MAX_LENGTH_POINTS = 1 << 20
+# Bulirsch's cel stops once its two means agree to this relative
+# difference; the loop converges quadratically, so the error left is of
+# the order of its square, far below rounding.
+CEL_TOLERANCE = 1e-10
 
 
 class DegenerateFrame(ValueError):
@@ -285,13 +286,6 @@ def _d_factor(shape):
     t = 0.5 * (m + v)
     s, p = -a * R / (m * t), 0.25 * alpha / (t * t)
     return w2, a, b, R, alpha, beta, gamma, r, q, m, g, v2, v, t, s, p
-
-
-def _root_modulus(shape):
-    """rho, the largest modulus of the roots of z^2 - s z + p, D's roots inside the unit circle."""
-    s, p = (float(x) for x in _d_factor(shape)[-2:])
-    disc = s * s - 4 * p
-    return 0.5 * (abs(s) + math.sqrt(disc)) if disc >= 0 else math.sqrt(p)
 
 
 def winding_harmonics(shape, count, potential=False):
@@ -560,24 +554,66 @@ def metric_at(shape, point):
     return MetricTensors(covariant=cov, contravariant=contra, sqrt_det=f * G)
 
 
-def arc_length(shape, spec=None):
-    """Total curve length, integral of f over one full turn.
+def _cel(kc, p, a, b):
+    """Bulirsch's general complete elliptic integral, for kc > 0 and p > 0:
+
+        cel(kc, p, a, b) = Integral_0^{pi/2} (a cos^2 + b sin^2)
+                           / ((cos^2 + p sin^2) sqrt(cos^2 + kc^2 sin^2)) dphi
+
+    (R. Bulirsch, Numer. Math. 13 (1969) 305-315), from one AGM-like loop
+    in Python floats.  With a, b >= 0 every term it forms is positive, so
+    nothing cancels, and kc > 1 (a negative squared modulus) is not special.
+    The loop ends once its two means agree to ``CEL_TOLERANCE`` or either
+    stops being finite, so it always ends; no step divides by zero.
+    """
+    p = math.sqrt(p)
+    b /= p
+    e, em = kc, 1.0
+    while True:
+        f = a
+        a += b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p += g
+        g = em
+        em += kc
+        if not abs(g - kc) > CEL_TOLERANCE * g:
+            return 0.5 * math.pi * (b + a * em) / (em * (em + p))
+        kc = 2.0 * math.sqrt(e)
+        e = kc * em
+
+
+def arc_length(shape):
+    """Total curve length, integral of f over one full turn, in closed form.
 
     Always exceeds 2*pi*R (the planar circle is the degenerate limit).
     f depends on phi only through theta = omega*phi, so the length is the
-    integral of f(theta) over one winding of theta, with no extra factor;
-    ``quadrature.integrate_periodic`` settles the f row of
-    ``winding_rows`` on a grid that counts points per winding, like every
-    other integral over the curve.  f = sqrt(D) has its branch points at
-    the roots of D, the inner ones at modulus rho (``_root_modulus``), so
-    the trapezoid error falls like rho^N.  Flat coils, with rho near 1, may
-    double the grid past ``MAX_DOUBLINGS`` until rho^N has reached rounding
-    one level before the last, up to ``MAX_LENGTH_POINTS`` points.
+    integral of f(theta) = sqrt(D) over one winding.  With the constants
+    of ``winding_harmonics`` (r = sqrt(D(pi)), q = sqrt(D(0)),
+    m = (r + q)/2 and v^2 = m^2 - alpha),
+
+        kc^2 = v^2 / (r q),   n = (q - r)^2 / (4 r q) = (a R / m)^2 / (r q),
+        L = 4 sqrt(r q) (cel(kc, 1, 1, kc^2) + n cel(kc, 1 + n, 1, 0)).
+
+    t = tan(theta/2) turns D (1 + t^2)^2 into r^2 t^4 + 2 g t^2 + q^2,
+    and t = sqrt(q/r) u with u = tan(phi/2) turns that into
+    q^2 (1 + u^2)^2 (1 - k^2 sin^2 phi) with k^2 = 1 - kc^2; one partial
+    fraction and one integration by parts leave the two ``_cel`` terms.
+    The first is E(k), and k^2 is negative on flat coils; both terms are
+    positive, so nothing cancels and no angle is sampled.  The constants
+    are formed in numpy, where an overflow follows numpy's error state, and
+    ``_cel`` runs in Python floats.
+
+    Raises
+    ------
+    FloatingPointError
+        If kc^2 underflows to 0, where the loop would not converge.
     """
-    spec = spec if spec is not None else QuadratureSpec()
-    rho, eps = _root_modulus(shape), np.finfo(float).eps
-    cap = MAX_DOUBLINGS
-    while (rho ** (spec.initial_points << (cap - 1)) > eps
-           and spec.initial_points << (cap + 1) <= MAX_LENGTH_POINTS):
-        cap += 1
-    return integrate_periodic(lambda theta: winding_rows(shape, theta)[0], spec, cap).value.real
+    _, a, _, R, _, _, _, r, q, m, _, v2, _, _, _, _ = _d_factor(shape)
+    rq = r * q
+    kc2, n = v2 / rq, (a * R / m) ** 2 / rq
+    kc, scale = np.sqrt(kc2), 4.0 * np.sqrt(rq)
+    kc, kc2, n, scale = float(kc), float(kc2), float(n), float(scale)
+    if kc == 0.0:
+        raise FloatingPointError("arc length: kc^2 underflows to 0")
+    return scale * (_cel(kc, 1.0, 1.0, kc2) + n * _cel(kc, 1.0 + n, 1.0, 0.0))

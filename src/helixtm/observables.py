@@ -26,7 +26,8 @@ loop current I gives the classical moment, whose closed form is
 
     T_classical = -(pi * omega * I * a * b * R / 2) z_hat
 
-for the elliptic cross-section (a = b recovers the circular case).
+for the elliptic cross-section (a = b recovers the circular case), plus,
+at omega = 1 only, an in-plane part -(pi * I * a / 2) (R^2 - (b^2 - a^2)/4) y_hat.
 
 For an eigenstate, conj(S0) * S1 is a double sum over harmonics, so each
 component of the quantum moment is a quadratic form in the coefficients:
@@ -61,10 +62,10 @@ harmonics -2*n_max..2*n_max.  ``branch_moments`` makes one
 the spectra and the moments from it; the spectra equal those of
 ``spectrum.branch_spectra`` bit for bit, since a longer recurrence leaves
 its first terms unchanged.  The command line's ``moments`` and
-``thermal`` use it, and ``moments`` integrates the arc length of the
-classical column apart (``geometry.arc_length``).  ``toroidal_moment``
-is the one-state case of ``moment_vectors``, wrapped in a
-``MomentResult``.
+``thermal`` use it, and ``moments`` takes the arc length of the
+classical column apart, also in closed form (``geometry.arc_length``).
+``toroidal_moment`` is the one-state case of ``moment_vectors``, wrapped
+in a ``MomentResult``.
 ``classical_moment_numeric`` integrates the same rows of g, one
 ``quadrature.integrate_periodic`` per row over one winding.  The rows
 of g come from ``geometry.winding_rows``, in the winding angle's sine
@@ -239,9 +240,18 @@ def classical_moment_numeric(shape, loop_current, quad=None):
 
 
 def classical_moment_closed(shape, loop_current):
-    """Closed-form classical moment, purely along -z."""
-    z = -math.pi * shape.omega * loop_current * shape.a * shape.b * shape.R / 2.0
-    return np.array([0.0, 0.0, z])
+    """Closed-form classical moment: along -z, with a y component at omega = 1.
+
+    The means of the rows of g (``geometry._moment_numerators``) give
+    T_z = -pi omega I a b R / 2 and, at omega = 1, where one winding is
+    the whole turn, T_y = -(pi I a / 2) (R^2 - (b^2 - a^2)/4); T_x is 0.
+    """
+    a, b, R = shape.a, shape.b, shape.R
+    z = -math.pi * shape.omega * loop_current * a * b * R / 2.0
+    y = 0.0
+    if shape.omega == 1:
+        y = -math.pi * loop_current * a * (R * R - (b * b - a * a) / 4.0) / 2.0
+    return np.array([0.0, y, z])
 
 
 def loop_current(p, length):
@@ -249,9 +259,9 @@ def loop_current(p, length):
     return 2.0 * math.pi * p / (length * length)
 
 
-def free_particle_current(shape, p, quad=None):
+def free_particle_current(shape, p):
     """Loop current 2*pi*p/L^2 of a curvature-free particle in branch p."""
-    return loop_current(p, geometry.arc_length(shape, quad))
+    return loop_current(p, geometry.arc_length(shape))
 
 
 def thermal_average(moments, spec):

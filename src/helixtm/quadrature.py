@@ -11,13 +11,12 @@ ones the doubling walk builds, so each level holds the same floats as
 when sampled alone.
 
 ``integrate_periodic`` (one scalar integrand, absolute stopping test with
-a floor at a few ulp of the value) integrates the arc length
-(``geometry.arc_length``) and the numeric classical moment
-(``observables.classical_moment_numeric``, one row of g per call).  The
-spectrum and the quantum moments sample nothing: their harmonics come in
-closed form (``geometry.winding_harmonics`` and
-``geometry.moment_harmonics``), so ``QuadratureSpec`` steers only these
-one-row integrals.
+a floor at a few ulp of the value) integrates the numeric classical
+moment (``observables.classical_moment_numeric``, one row of g per call),
+the cross-check of its closed form.  No command samples: the spectrum and
+the quantum moments take closed-form harmonics
+(``geometry.winding_harmonics`` and ``geometry.moment_harmonics``) and
+the arc length is a complete elliptic integral (``geometry.arc_length``).
 
 On a helix every function these integrals take depends on the turn
 angle phi only through the winding angle theta = omega*phi.
@@ -50,7 +49,7 @@ import numpy as np
 
 
 # Each integral may double its grid this many times, to
-# initial_points * 2**MAX_DOUBLINGS points, unless its caller allows more.
+# initial_points * 2**MAX_DOUBLINGS points.
 MAX_DOUBLINGS = 8
 
 # An estimate whose change is at most this many ulp of its magnitude has
@@ -62,10 +61,10 @@ ROUNDING_ULPS = 4
 class QuadratureSpec:
     """Grid-refinement policy: start size and target accuracy.
 
-    ``initial_points`` is the first grid's size on [0, 2*pi).  The arc
-    length and the classical moment are integrated over one winding, so
-    there it counts points per winding; the default of 64 resolves the
-    low winding harmonics from the first grid for every omega.
+    ``initial_points`` is the first grid's size on [0, 2*pi).  The
+    classical moment is integrated over one winding, so there it counts
+    points per winding; the default of 64 resolves the low winding
+    harmonics from the first grid for every omega.
     ``tolerance`` is the absolute stopping test of each integral.
     """
 
@@ -126,7 +125,7 @@ def _interleave(old, new):
     return merged
 
 
-def integrate_periodic(fn, spec=None, max_doublings=MAX_DOUBLINGS):
+def integrate_periodic(fn, spec=None):
     """Integrate fn over [0, 2*pi) to the spec's tolerance.
 
     Parameters
@@ -135,14 +134,12 @@ def integrate_periodic(fn, spec=None, max_doublings=MAX_DOUBLINGS):
         Maps an ndarray of angles to complex (or real) values elementwise.
     spec : QuadratureSpec, optional
         Defaults to QuadratureSpec().
-    max_doublings : int, optional
-        How often the grid may double, to ``initial_points *
-        2**max_doublings`` points (default ``MAX_DOUBLINGS``).
 
-    The grid doubles until two estimates differ by at most
-    ``spec.tolerance``, or by at most ``ROUNDING_ULPS`` ulp of the finer
-    one's magnitude.  That floor is read only where the tolerance test
-    fails, so it changes nothing where it lies below the tolerance.
+    The grid doubles, at most ``MAX_DOUBLINGS`` times, until two
+    estimates differ by at most ``spec.tolerance``, or by at most
+    ``ROUNDING_ULPS`` ulp of the finer one's magnitude.  That floor is
+    read only where the tolerance test fails, so it changes nothing where
+    it lies below the tolerance.
 
     Returns
     -------
@@ -153,7 +150,7 @@ def integrate_periodic(fn, spec=None, max_doublings=MAX_DOUBLINGS):
     Raises
     ------
     QuadratureNotConverged
-        If ``max_doublings`` refinements do not settle.  The exception's
+        If ``MAX_DOUBLINGS`` refinements do not settle.  The exception's
         ``result`` attribute holds the best estimate.
     """
     spec = spec if spec is not None else QuadratureSpec()
@@ -177,7 +174,7 @@ def integrate_periodic(fn, spec=None, max_doublings=MAX_DOUBLINGS):
         return complex(2.0 * math.pi * np.sum(level_vals) / level_vals.size)
 
     current = estimate(0)
-    for level in range(1, max_doublings + 1):
+    for level in range(1, MAX_DOUBLINGS + 1):
         if level > top:
             vals = _interleave(vals, _eval(fn, refine()))
         refined = estimate(level)
@@ -187,5 +184,5 @@ def integrate_periodic(fn, spec=None, max_doublings=MAX_DOUBLINGS):
             return QuadratureResult(value=current, error_estimate=change,
                                     points_used=start << level)
     raise QuadratureNotConverged(QuadratureResult(
-        value=current, error_estimate=change, points_used=start << max_doublings,
+        value=current, error_estimate=change, points_used=start << MAX_DOUBLINGS,
     ))

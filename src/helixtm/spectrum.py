@@ -79,8 +79,9 @@ Only A depends on whether V_c is included and only k on the branch p,
 so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a
 shape from one set of harmonics: A without V_c and A with V_c (each only
 if a pair needs it) and B.  The moments take their harmonics from the
-same recurrence (``observables.branch_moments``); only the arc length is
-integrated on a sampled grid (``geometry.arc_length``).
+same recurrence (``observables.branch_moments``), and the arc length is
+a complete elliptic integral in the same constants
+(``geometry.arc_length``): nothing samples an angle.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one

@@ -13,10 +13,10 @@ from helixtm import cli, geometry, observables, quadrature
 from helixtm.cli import GEOMETRY_HEADER, main
 from helixtm.geometry import HelixShape, winding_rows
 from helixtm.observables import current
-from helixtm.quadrature import QuadratureNotConverged
 from helixtm.spectrum import SpectrumConfig, make_basis, solve_states
 
 FLAT6_ARGS = ["--R", "1", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1"]
+COMMANDS = ["geometry", "potential", "spectrum", "current", "moments", "thermal"]
 
 
 def run_cli(capsys, *argv):
@@ -228,45 +228,27 @@ class TestSharedPasses:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["geometry", "--grid", "16"],
+            ["potential", "--grid", "16"],
             ["moments", "--omega", "6", "--p", "0-5"],
+            ["moments", "--a", "0.9", "--b", "0.1", "--omega", "1", "--p", "0"],
             ["thermal", "--omega", "6", "--p", "0-5", "--temperature", "0.1"],
             ["spectrum", "--omega", "6", "--p", "0-5"],
             ["current", "--omega", "6", "--p", "0-5", "--grid", "16"],
         ],
     )
-    def test_only_the_arc_length_is_integrated(self, capsys, monkeypatch, argv):
-        # the spectra and the moments take closed-form harmonics; the arc
-        # length of the moments' classical column is the one sampled integral
-        integrals = []
-        original = quadrature.integrate_periodic
+    def test_no_command_samples_an_integral(self, capsys, monkeypatch, argv):
+        # the spectra and the moments take closed-form harmonics and the
+        # arc length of the classical column is a complete elliptic
+        # integral: no command integrates or samples a row of the pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
 
-        def recording(*args, **kwargs):
-            integrals.append(args)
-            return original(*args, **kwargs)
-
-        for module in (quadrature, geometry, observables):
-            monkeypatch.setattr(module, "integrate_periodic", recording)
-        code, _, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert len(integrals) == (1 if argv[0] == "moments" else 0)
-
-    def test_moments_samples_no_angle_twice(self, capsys, monkeypatch):
-        angles = []
-        original = geometry.winding_rows
-
-        def recording(shape, theta, *args, **kwargs):
-            angles.append(np.array(theta))
-            return original(shape, theta, *args, **kwargs)
-
-        monkeypatch.setattr(geometry, "winding_rows", recording)
-        code, _, _ = run_cli(capsys, "moments", "--omega", "6", "--p", "0-5")
-        assert code == 0
-        # the arc length of this round coil settles by 256 points per
-        # winding, inside the first call's levels 64 to 512
-        assert len(angles) == 1
-        sampled = angles[0]
-        assert sampled.size == 512
-        assert np.unique(sampled).size == sampled.size
+        for module in (quadrature, observables):
+            monkeypatch.setattr(module, "integrate_periodic", refuse)
+        monkeypatch.setattr(geometry, "winding_rows", refuse)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
 
 
 class TestPotential:
@@ -386,25 +368,22 @@ class TestConfigFile:
         assert "not_a_number" in err
 
     @pytest.mark.parametrize("key", ["quad_points = 128", "quad_tol = 1e-300"])
-    def test_quadrature_keys_only_where_read(self, capsys, tmp_path, key):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_quadrature_keys_are_unknown(self, capsys, tmp_path, command, key):
+        # no command samples an integral, so no command reads a quadrature key
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"omega=6\ntemperature=0.1\n{key}\n")
-        for command in ("geometry", "potential", "spectrum", "current", "thermal"):
-            code, out, err = run_cli(capsys, command, "--config", str(cfg))
-            assert (code, out) == (2, "")
-            assert err == (f"helixtm: error: {cfg}:3: {key.split()[0]!r} applies only to "
-                           "'moments'\n")
-        code, _, err = run_cli(capsys, "moments", "--config", str(cfg), "--p", "1")
-        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"helixtm: error: {cfg}:3: unknown key {key.split()[0]!r}\n"
 
 
 class TestQuadratureFlags:
-    # only moments samples an integral, the arc length; the other commands
-    # would ignore an accuracy setting, so they reject it
-    @pytest.mark.parametrize("command", ["geometry", "potential", "spectrum", "current",
-                                         "thermal"])
+    # no command samples an integral, so every command rejects an accuracy
+    # setting as an unknown flag
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("flag", [["--quad-points", "128"], ["--quad-tol", "1e-300"]])
-    def test_rejected_where_not_read(self, capsys, command, flag):
+    def test_rejected_by_every_command(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             main([command, *flag])
         assert exc.value.code == 2
@@ -412,33 +391,23 @@ class TestQuadratureFlags:
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
-    def test_read_by_moments(self, capsys):
-        # a 16-point trapezoid of this flat coil's arc length moves the
-        # classical column; the quantum moments take no quadrature setting
-        shape = ["moments", "--a", "0.99", "--b", "0.01", "--omega", "6", "--p", "1"]
-        code, default, err = run_cli(capsys, *shape)
-        assert (code, err) == (0, "")
-        code, coarse, err = run_cli(capsys, *shape, "--quad-points", "8", "--quad-tol", "1e-2")
-        assert (code, err) == (0, "")
-        _, rows = parse_csv(default)
-        _, coarse_rows = parse_csv(coarse)
-        assert [row[:5] for row in coarse_rows] == [row[:5] for row in rows]
-        assert rows[0][5] == "-0.000905858" and coarse_rows[0][5] == "-0.000905913"
-
 
 class TestExitCodes:
-    # The arc length is the one sampled integral left, and the only stage
-    # that can reach a doubling cap.  Flat coils raise its cap from the
-    # shape's rho, up to 2^20 points per winding; the flattest coils past
-    # that still exit 3.
-    def test_length_past_the_largest_grid_fails(self, capsys, tmp_path):
+    def test_flattest_coil_answers(self, capsys, tmp_path):
+        # rho = 1 - 1.0e-6: a trapezoid of the length would need about 3.6e7
+        # points per winding; the closed form's cost does not grow as the
+        # coil flattens.  The classical column is -pi omega I a b R / 2 with
+        # I = 2 pi p / L^2 and L the 50-digit reference
         target = tmp_path / "out.txt"
         code, out, err = run_cli(capsys, "moments", "--a", "0.999999", "--b", "0.000001",
-                                 "--omega", "40", "--p", "1", "--out", str(target))
-        assert (code, out) == (3, "")
-        assert err.startswith("helixtm: numerical failure: no convergence after 1048576 points")
-        assert err.count("\n") == 1
-        assert not target.exists()
+                                 "--omega", "40", "--p", "1", "--digits", "12",
+                                 "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        rows = parse_csv(target.read_text())[1]
+        assert len(rows) == 5
+        length = 160.43816403319736937
+        want = -math.pi * 40 * (2 * math.pi / length**2) * 0.999999 * 0.000001 / 2
+        assert all(float(row[5]) == pytest.approx(want, rel=1e-11) for row in rows)
 
     @pytest.mark.parametrize("argv", [
         # the flattest paper coil: the moments reached the cap at the default
@@ -447,15 +416,31 @@ class TestExitCodes:
         ["moments", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1"],
         ["thermal", "--a", "0.999", "--b", "0.001", "--omega", "6", "--p", "1",
          "--temperature", "1"],
-        # the length's last change was one ulp, which no absolute test near
-        # rounding could meet
-        ["moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "0",
-         "--quad-tol", "1e-14"],
     ])
     def test_former_cap_failures_answer(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(out.splitlines()) > 2
+
+    def test_extreme_shapes_answer_or_fail_in_one_line(self, capsys):
+        # b from 1e-300 to 1e150 and a within 1e-16 to 1e-1 of R: the arc
+        # length answers wherever the shape's constants do not overflow, and
+        # an overflow is one stderr line, never a traceback
+        rng = np.random.default_rng(90)
+        codes = []
+        for _ in range(40):
+            b = 10 ** rng.uniform(-300, 150)
+            a = 1 - 10 ** rng.uniform(-16, -1)
+            omega = int(rng.integers(1, 200))
+            code, out, err = run_cli(capsys, "moments", "--a", repr(a), "--b", repr(b),
+                                     "--omega", str(omega), "--p", str(rng.integers(omega)))
+            codes.append(code)
+            if code == 0:
+                assert err == "" and len(out.splitlines()) == 6
+            else:
+                assert code == 3 and out == ""
+                assert err.startswith("helixtm: numerical failure: ") and err.count("\n") == 1
+        assert codes.count(0) > 20
 
     def test_flattest_classical_column_matches_a_fine_trapezoid(self, capsys):
         # the length settles past the fixed cap of 16384 points per winding
@@ -597,8 +582,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n_max", ["2", "8"])
     def test_flat_high_winding_moments_converge(self, capsys, n_max):
-        # the classical column's arc length needs 64 points per winding
-        # from the start at omega = 40
+        # a flat coil at omega = 40: closed-form harmonics and arc length
         code, out, err = run_cli(
             capsys, "moments", "--a", "0.99", "--b", "0.01", "--omega", "40", "--p", "1",
             "--n-max", n_max,

@@ -2,6 +2,7 @@
 identities, and an independently coded circular-cross-section path."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from helixtm.geometry import (
     velocity,
     winding_rows,
 )
-from helixtm.quadrature import QuadratureSpec
 
 from oracles import (
     curvature_components,
@@ -41,6 +41,48 @@ CIRCULAR = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UPRIGHT = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
 FLAT = HelixShape(R=1.0, a=0.75, b=0.25, omega=4)
 SIXTURN = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
+
+# (R, a, b, omega, L): the arc length to 50 digits, from the closed form of
+# ``arc_length`` in mpmath's E, K and Pi at 70 digits, which a tanh-sinh
+# quadrature of f split at theta = pi matched to 1e-50.  The special shapes
+# (a flat coil near rho = 1, the double root of D, alpha = 0, a tall coil
+# and omega = 1) come first, then 12 draws (seed 4721) with R in (0.5, 3),
+# a/R in (0.01, 0.999), b/R = 10^(-6..2) and omega in 1..60.
+ARC_LENGTH_REFERENCE = [
+    (1.0, 0.75, 0.25, 6, "21.409923362294252459852990559423666445624414037380"),
+    (1.0, 0.99, 0.01, 6, "25.439755397138087589381834731001346156658339813506"),
+    (1.0, 0.999, 0.001, 6, "25.651416432091443879461945458165721866815439452984"),
+    (1.0, 0.999999, 1e-06, 40, "160.43816403319736937253941965277086961706641573257"),
+    (1.0, 0.50645, 0.49355, 4, "14.194692744302730871651606389087662387161682681091"),
+    (1.0, 0.5, 0.4330127018922193, 2, "8.7377525709848046370403765981872020204722202044167"),
+    (1.0, 0.5, 300.0, 4, "4800.0618471487887639454718355078379958799665130857"),
+    (1.0, 0.9, 0.1, 1, "7.6701397597671038908834766500489644694584250074208"),
+    (1.0, 0.5, 0.5, 1, "7.1036982471962684922036020612387259184748110302844"),
+    (1.6354894230417714, 0.6567152183778838, 0.7612472506767749, 29,
+     "129.80083577971645028916336465729863796729282137232"),
+    (1.9868979597047227, 0.23251259403792318, 1.6522145654554397, 3,
+     "24.523418316251314398522764035530242268132071756542"),
+    (2.2086822043618404, 0.6888690641846921, 0.40108993905822904, 35,
+     "122.80390050262031767661050258222609376874321245779"),
+    (1.6249466391950214, 0.9821645825134216, 0.0009907946936677792, 7,
+     "30.317866559831807723425894250432098252903827509082"),
+    (1.5248765295962254, 0.1001788160980532, 5.2059940465358026e-05, 32,
+     "16.586819287433463890153787853140270914868170525432"),
+    (2.802396824376663, 1.3529385539656091, 0.03171467678206138, 2,
+     "21.338430895621156285845353755032218608167560269358"),
+    (2.222618184057019, 0.757496432589325, 0.3423449856050718, 57,
+     "204.57820804972118028907626903625317052273713064790"),
+    (2.381962048581035, 1.6054983586969636, 1.6053546286164447e-05, 15,
+     "98.685638661882707335329320413911221135265476665618"),
+    (1.259098732873312, 0.891768211783968, 0.1044158538934712, 32,
+     "117.04888805082525172720488504258881046436109379252"),
+    (1.8879193456170076, 1.5894919882574075, 12.717562238084376, 37,
+     "1926.0704587078191835890083627664946630195862548789"),
+    (0.9216476233579014, 0.8852244926384973, 1.027580176232593, 55,
+     "331.04007433634570912097585273276343194305641209081"),
+    (1.2963562089609626, 0.8231302362939654, 1.6106782031696267, 26,
+     "204.23607687032181663347299116571653088614995816577"),
+]
 
 
 def random_shapes(rng, count):
@@ -592,16 +634,36 @@ class TestArcLength:
         for shape in random_shapes(rng, 6):
             assert arc_length(shape) > 2 * math.pi * shape.R
 
-    def test_flat_high_winding_coil_converges(self):
-        # the default grid samples one winding of theta = omega*phi from 64
-        # points, as every other curve integral, so omega = 40 is resolved
-        # from the first grid
+    def test_flat_high_winding_coil_matches_a_dense_sum(self):
         coil = HelixShape(R=1.0, a=0.99, b=0.01, omega=40)
         n = 1 << 20
         dense = 2 * math.pi * np.mean(speed(coil, 2 * math.pi * np.arange(n) / n))
         assert arc_length(coil) == pytest.approx(dense, rel=1e-12)
 
-    def test_quadrature_spec_is_honoured(self):
-        loose = arc_length(UPRIGHT, QuadratureSpec(initial_points=32, tolerance=1e-6))
-        tight = arc_length(UPRIGHT, QuadratureSpec(initial_points=256, tolerance=1e-12))
-        assert loose == pytest.approx(tight, abs=1e-6)
+    @pytest.mark.parametrize("R, a, b, omega, want", ARC_LENGTH_REFERENCE)
+    def test_within_eight_ulp_of_the_reference(self, R, a, b, omega, want):
+        got = arc_length(HelixShape(R=R, a=a, b=b, omega=omega))
+        assert abs(Decimal(got) - Decimal(want)) <= 8 * Decimal(np.spacing(float(want)))
+
+    def test_underflowing_modulus_raises(self):
+        # at R = 1e-160 the constants of D underflow and kc^2 reads 0, where
+        # Bulirsch's loop would never end; unit-radius shapes never get there
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            arc_length(HelixShape(R=1e-160, a=5e-161, b=1e-150, omega=4))
+
+    @pytest.mark.parametrize("kc", [math.nan, math.inf])
+    def test_cel_ends_on_values_that_are_not_finite(self, kc):
+        # an overflowed constant, outside a command's error state, gives nan
+        # rather than a loop that never ends
+        assert math.isnan(geometry._cel(kc, 1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("kc, p, a, b, want", [
+        # cel(1, 1, 1, 1) = pi/2; cel(kc, 1, 1, kc^2) = E(1 - kc^2) and
+        # cel(kc, 1, 1, 1) = K(1 - kc^2) (mpmath's ellipe and ellipk)
+        (1.0, 1.0, 1.0, 1.0, math.pi / 2),
+        (0.6, 1.0, 1.0, 0.36, 1.2763499431699064),
+        (3.0, 1.0, 1.0, 9.0, 3.3412233051388145),
+        (0.6, 1.0, 1.0, 1.0, 1.9953027776647294),
+    ])
+    def test_cel_special_values(self, kc, p, a, b, want):
+        assert geometry._cel(kc, p, a, b) == pytest.approx(want, rel=1e-15)

@@ -182,7 +182,7 @@ class TestQuantumMoment:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled")
 
-        for module, name in [(quadrature, "integrate_periodic"), (geometry, "integrate_periodic"),
+        for module, name in [(quadrature, "integrate_periodic"),
                              (observables, "integrate_periodic"), (geometry, "winding_rows")]:
             monkeypatch.setattr(module, name, refuse)
         pairs = [(0, True), (0, False)]
@@ -255,8 +255,8 @@ class TestClassicalMoment:
         )
 
     def test_one_row_integrals_are_one_integration_each(self, monkeypatch):
-        # the arc length is one integrate_periodic of f, the classical moment
-        # one per row of g that does not vanish
+        # the classical moment is one integrate_periodic per row of g that
+        # does not vanish; the arc length is a closed form and makes none
         calls = []
         original = quadrature.integrate_periodic
 
@@ -264,14 +264,30 @@ class TestClassicalMoment:
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "integrate_periodic", recording)
+        monkeypatch.setattr(quadrature, "integrate_periodic", recording)
         monkeypatch.setattr(observables, "integrate_periodic", recording)
         for shape, rows in ((UP4, 1), (HelixShape(R=1.0, a=0.9, b=0.1, omega=1), 3)):
             calls.clear()
             assert arc_length(shape) > 2 * math.pi * shape.R
+            assert calls == []
             numeric = classical_moment_numeric(shape, 0.7)
-            assert numeric[2] == pytest.approx(classical_moment_closed(shape, 0.7)[2], abs=1e-8)
-            assert len(calls) == 1 + rows
+            assert_allclose(numeric, classical_moment_closed(shape, 0.7), rtol=0, atol=1e-8)
+            assert len(calls) == rows
+
+    @pytest.mark.parametrize("R, a, b, y", [
+        (1.0, 0.5, 0.5, -0.628319),
+        (1.0, 0.3, 0.9, -0.309133),
+        (2.0, 0.7, 1.3, None),
+    ])
+    def test_one_winding_closed_form_has_a_y_component(self, R, a, b, y):
+        # at omega = 1 one winding is the whole turn, and the classical
+        # moment has T_y = -(pi I a / 2)(R^2 - (b^2 - a^2)/4) besides T_z
+        shape = HelixShape(R=R, a=a, b=b, omega=1)
+        closed = classical_moment_closed(shape, 0.8)
+        assert closed[0] == 0.0
+        if y is not None:
+            assert closed[1] == pytest.approx(y, abs=5e-7)
+        assert_allclose(closed, classical_moment_numeric(shape, 0.8), rtol=1e-13, atol=1e-15)
 
     def test_free_particle_current_values(self):
         assert free_particle_current(UP4, 0.0) == 0.0
@@ -282,6 +298,32 @@ class TestClassicalMoment:
         L = arc_length(UP4)
         assert L == pytest.approx(14.937429, abs=1e-5)
         assert free_particle_current(UP4, 2.0) == pytest.approx(4 * math.pi / L**2, rel=1e-10)
+
+
+class TestFreeLoop:
+    """Without V_c the Hamiltonian is -1/2 d^2/ds^2 on a loop of length L,
+    solved exactly by e^{2 pi i m s/L}: level alpha of branch p has
+    E = 2 pi^2 m^2 / L^2, with m the alpha-th value of p + omega Z in order
+    of |m|, and carries the constant current 2 pi m / L^2, so its moment is
+    the classical one of that current.  One comparison covers the
+    harmonics, H, the eigensolve, the moment gather and the arc length."""
+
+    @pytest.mark.parametrize("a, b, omega, p", [
+        (0.75, 0.25, 6, 1),
+        (0.5, 0.5, 4, 1),
+        (0.3, 0.7, 5, 2),
+    ])
+    def test_lowest_levels_match_the_exact_loop(self, a, b, omega, p):
+        # the phi basis settles these shapes by n_max 64; flatter coils such
+        # as (0.9, 0.1, 40) settle only to 4e-5 in E there
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        dec, vectors = observables.branch_moments(shape, [(p, False)], 64)
+        length = arc_length(shape)
+        m = np.array(sorted((p + omega * j for j in range(-3, 4)), key=abs)[:5], dtype=float)
+        currents_m = 2 * math.pi * m / length**2
+        assert_allclose(dec.eigenvalues[0, :5], math.pi * m * currents_m, rtol=1e-11)
+        want = [classical_moment_closed(shape, i)[2] for i in currents_m]
+        assert_allclose(vectors[0, :5, 2], want, rtol=5e-12)
 
 
 class TestQuantumClassicalAgreement:

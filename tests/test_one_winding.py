@@ -5,7 +5,7 @@ winding, theta = omega*phi in [0, 2*pi), and take harmonic n - m in
 place of omega*(n - m).  Each is checked here against an integral over the
 whole turn that knows nothing of that reduction: element-by-element
 quadrature, the moment integral of j(phi) * g(phi) on all three axes,
-and a dense trapezoid sum of the speed.
+and a dense trapezoid sum of the speed for the closed-form arc length.
 """
 
 import math
@@ -87,18 +87,15 @@ def test_arc_length_matches_dense_full_turn_sum(a, b, omega):
     assert arc_length(shape) == pytest.approx(dense, rel=1e-12)
 
 
-def test_moments_command_grid_does_not_grow_with_omega(monkeypatch, capsys):
-    # the arc length is the command's one sampled integral; a full-turn
-    # grid would start at 64 * omega = 2560 angles
-    sizes = []
-    original = geometry.winding_rows
+@pytest.mark.parametrize("omega", [1, 4, 40])
+def test_moments_command_samples_nothing_at_any_omega(monkeypatch, capsys, omega):
+    # closed-form harmonics and arc length: no row of the pass is sampled,
+    # so nothing grows with omega (a full-turn grid would start at 64 * omega)
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
 
-    def recording(shape, theta, *args, **kwargs):
-        sizes.append(np.size(theta))
-        return original(shape, theta, *args, **kwargs)
-
-    monkeypatch.setattr(geometry, "winding_rows", recording)
-    code = main(["moments", "--a", "0.9", "--b", "0.1", "--omega", "40", "--p", "1"])
+    monkeypatch.setattr(geometry, "winding_rows", refuse)
+    monkeypatch.setattr(geometry, "speed", refuse)
+    code = main(["moments", "--a", "0.9", "--b", "0.1", "--omega", str(omega), "--p", "0"])
     capsys.readouterr()
     assert code == 0
-    assert 0 < max(sizes) < 64 * 40

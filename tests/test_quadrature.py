@@ -182,18 +182,14 @@ class TestRoundingFloor:
 
 
 class TestDoublingCap:
-    def test_a_caller_may_allow_more_doublings(self):
-        # a pole 1.4e-2 from the real axis needs 8192 points, past the
-        # default cap of 2048
+    def test_the_cap_counts_doublings_of_the_first_grid(self):
+        # a pole 1.4e-2 from the real axis needs 8192 points: past the cap of
+        # 8 doublings from 8 points (2048), within it from 64 (16384)
         near_pole = lambda phi: 1.0 / (1.0 + 1e-4 + np.cos(phi))
-        spec = QuadratureSpec(initial_points=8)
         with pytest.raises(QuadratureNotConverged) as exc:
-            integrate_periodic(near_pole, spec)
-        assert exc.value.result.points_used == 2048
-        with pytest.raises(QuadratureNotConverged) as exc:
-            integrate_periodic(near_pole, spec, max_doublings=9)
-        assert exc.value.result.points_used == 4096
-        res = integrate_periodic(near_pole, spec, max_doublings=12)
+            integrate_periodic(near_pole, QuadratureSpec(initial_points=8))
+        assert exc.value.result.points_used == 8 << quadrature.MAX_DOUBLINGS == 2048
+        res = integrate_periodic(near_pole, QuadratureSpec(initial_points=64))
         assert res.points_used == 8192
         assert res.value.real == pytest.approx(2 * math.pi / math.sqrt(1.0001**2 - 1), rel=1e-12)
 
@@ -205,7 +201,7 @@ class TestFirstSampling:
 
     @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
     def test_one_call_equals_the_per_level_calls(self, a, b, omega):
-        # the arc length's integrand, f over one winding
+        # f over one winding, a row of the pass over a shape
         shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
         calls = []
 
