@@ -15,10 +15,15 @@ form, and the arc length behind the classical column of ``moments`` is a
 complete elliptic integral, so no command samples an integral or takes a
 quadrature setting.
 
-Options may come from a ``key = value`` config file (``--config``);
-explicit flags win over file values.  Exit codes: 0 success, 2 bad
-usage/configuration or an unwritable output file, 3 numerical
-non-convergence.
+Every command takes the shape flags, ``--digits``, ``--out`` and
+``--config``, and only the other flags it reads: ``--p`` and ``--n-max``
+the four physics commands, the V_c flags ``spectrum``, ``current`` and
+``thermal``, ``--grid`` ``geometry``, ``potential`` and ``current``, and
+``--temperature`` ``thermal``.  Any other flag is bad usage.  Options may
+also come from a ``key = value`` config file (``--config``), whose keys
+are shared by all commands; explicit flags win over file values.  Exit
+codes: 0 success, 2 bad usage/configuration or an unwritable output
+file, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -69,35 +74,54 @@ class Settings:
     out: str
 
 
+# The option groups beyond the shape and output flags, and the commands
+# that read each; a command accepts no other flag.
+_READ_BY = {
+    "branch": ("spectrum", "current", "moments", "thermal"),
+    "vc": ("spectrum", "current", "thermal"),
+    "grid": ("geometry", "potential", "current"),
+    "temperature": ("thermal",),
+}
+
+
 @functools.cache
 def _build_parser():
-    """The argument parser, built on first use and shared by later calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("shape and solver")
+    """The argument parser, built on first use and shared by later calls.
+
+    Every command takes the shape flags, ``--digits``, ``--out`` and
+    ``--config``, and only the other flags it reads (``_READ_BY``).
+    """
+    shape = argparse.ArgumentParser(add_help=False)
+    g = shape.add_argument_group("shape")
     g.add_argument("--R", type=float, default=None, help="major radius (default 1)")
     g.add_argument("--a", default=None,
                    help="radial half-axis; comma list allowed for 'potential' (default 0.5)")
     g.add_argument("--b", default=None,
                    help="vertical half-axis; comma list allowed for 'potential' (default 0.5)")
     g.add_argument("--omega", type=int, default=None, help="windings per turn (default 4)")
+
+    groups = {name: argparse.ArgumentParser(add_help=False) for name in _READ_BY}
+    g = groups["branch"].add_argument_group("solver")
     g.add_argument("--p", default=None,
                    help="branch index, single/list/range e.g. 2 or 1,3 or 1-3")
     g.add_argument("--n-max", type=int, default=None, help="basis half-width (default 2)")
-    vc = common.add_mutually_exclusive_group()
+    vc = groups["vc"].add_argument_group("curvature potential").add_mutually_exclusive_group()
     vc.add_argument("--with-vc", dest="vc", action="store_const", const="with",
                     help="include the curvature potential")
     vc.add_argument("--without-vc", dest="vc", action="store_const", const="without",
                     help="drop the curvature potential")
     vc.add_argument("--both", dest="vc", action="store_const", const="both",
-                    help="run with and without the curvature potential")
-    o = common.add_argument_group("sampling and output")
-    o.add_argument("--grid", type=int, default=None, help="angle samples per turn (default 256)")
-    o.add_argument("--temperature", type=float, default=None,
-                   help="temperature for 'thermal', in reported energy units")
+                    help="run with and without the curvature potential (default)")
+    groups["grid"].add_argument_group("sampling").add_argument(
+        "--grid", type=int, default=None, help="angle samples per turn (default 256)")
+    groups["temperature"].add_argument_group("thermal").add_argument(
+        "--temperature", type=float, default=None, help="temperature, in reported energy units")
+
+    output = argparse.ArgumentParser(add_help=False)
+    o = output.add_argument_group("output")
     o.add_argument("--digits", type=int, default=None, help="significant digits (default 6)")
     o.add_argument("--out", default=None, help="output file, '-' for stdout (default)")
     o.add_argument("--config", default=None, help="key = value config file; flags override")
-    common.set_defaults(vc=None)
 
     parser = argparse.ArgumentParser(
         prog="helixtm",
@@ -112,7 +136,10 @@ def _build_parser():
         ("moments", "toroidal moments with/without curvature plus classical reference"),
         ("thermal", "Boltzmann-averaged toroidal moments at a temperature"),
     ]:
-        sub.add_parser(name, parents=[common], help=doc)
+        read = [groups[group] for group, commands in _READ_BY.items() if name in commands]
+        command = sub.add_parser(name, parents=[shape, *read, output], help=doc)
+        # a flag the command does not take reads as unset: config file or default
+        command.set_defaults(p=None, n_max=None, vc=None, grid=None, temperature=None)
     return parser
 
 

@@ -337,13 +337,20 @@ def winding_harmonics(shape, count, potential=False):
     ``potential`` is set.
     """
     w2, a, b, R, alpha, beta, gamma, r, q, m, g, v2, v, t, s, p = _d_factor(shape)
-    # (u^0, u^1, u^2) coefficients of D'' and, with V_c, of |r''|^2
+    # (u^0, u^1, u^2) coefficients of D'' and, with V_c, of |r''|^2, over
+    # 2^k, the power of two of D(pi) = gamma (k >= 0).  A direction is of
+    # the size of D, so on tall coils a direction times gamma overflows
+    # long before D does; scaled, the products stay of the size of D.  The
+    # slopes are linear in the direction and 2^k is a power of two, so the
+    # scaled slopes times 2^k are the unscaled ones bit for bit.
+    scale = 2.0 ** -max(math.frexp(gamma)[1], 0)
     directions = [(beta, 6 * alpha - beta, -4 * alpha)]
     if potential:
         k = a * (w2 + 1)
         c0 = R - k
         e = (4 * a * a + b * b * w2) * w2
         directions.append((c0 * c0, 2 * (k * c0 + e), k * k - e))
+    directions = [(scale * p0, scale * p1, scale * p2) for p0, p1, p2 in directions]
     rq = r * q
     f0 = m / (v * r * q)
     f1 = s * f0 / (1 + p)
@@ -372,7 +379,8 @@ def winding_harmonics(shape, count, potential=False):
         v1, v2 = rows[0][-1], rows[0][-2]
         for row, (ds, dp) in zip(rows, forcing):
             row.append(s * row[-1] - p * row[-2] + ds * v1 - dp * v2)
-    f, *slopes = (np.array(row[:count]) for row in rows)
+    f = np.array(rows[0][:count])
+    slopes = np.array([row[:count] for row in rows[1:]]) / scale
     d2f = np.arange(count, dtype=float) ** 2 * f
     a0 = w2 / 64 * (7 * d2f - slopes[0])
     vc = slopes[1] / 8 - w2 / 64 * (slopes[0] + d2f) if potential else None

@@ -7,21 +7,29 @@ which otherwise float freely and would spoil bitwise reproducibility of
 downstream output.  The solver is checked against an inertia-count
 bisection oracle in the tests.
 
-``eigh_stack`` does all three for a whole stack of matrices of one size
-at once: one validation pass over the (B, d, d) array (the default
-tolerance, exceptions and messages of ``HermitianMatrix``, reporting the
-first matrix that fails), one ``eigh`` call and one ``fix_phase`` call.
-``numpy.linalg.eigh`` solves a stack matrix by matrix with the same
-LAPACK routine, so every result equals the one-matrix solve bit for bit;
-``HermitianMatrix`` and ``eigen_decompose`` are the one-matrix cases of
-its validation and its solve.
+One core solves a whole stack of matrices of one size: one ``eigh``
+call and one ``fix_phase`` call.  ``numpy.linalg.eigh`` solves a stack
+matrix by matrix with the same LAPACK routine, so every result equals
+the one-matrix solve bit for bit.  Two entries lead to it:
+
+- ``eigh_stack`` takes any stack.  It validates it in one pass (the
+  default tolerance, exceptions and messages of ``HermitianMatrix``,
+  reporting the first matrix that fails) and solves the Hermitian
+  averages ``(A + A*) / 2``, as ``eigen_decompose`` does for one matrix.
+- ``eigh_exact`` takes a stack that equals its conjugate transpose bit
+  for bit, as the helix Hamiltonians do (see ``spectrum``), and checks
+  only that it is finite.  For such a stack the drift that ``eigh_stack``
+  measures is exactly 0, so its tolerance test cannot fail, and
+  ``0.5 * (A + A*)`` is A bit for bit (the sum of two equal floats and
+  the halving are exact unless the sum overflows, past 8.9e307), so the
+  average cannot change what LAPACK sees.  ``eigh_exact`` skips both
+  passes and the copy and gives the same arrays bit for bit.
 
 Real input stays real throughout: a real matrix is stored as float64,
 LAPACK's real symmetric solver returns real eigenvectors, and
-``fix_phase`` fixes their sign.  Complex input stays complex.  The helix
-Hamiltonians are real and symmetric bit for bit (see ``spectrum``), so
-production never takes the complex path, and their validation reads a
-drift of exactly 0.
+``fix_phase`` fixes their sign by indexing each pivot, with no complex
+arithmetic.  Complex input stays complex.  The helix Hamiltonians are
+real, so production never takes the complex path.
 """
 
 from __future__ import annotations
@@ -35,15 +43,21 @@ DEFAULT_HERMITICITY_TOL = 1e-9
 _TIE_RTOL = 1e-9
 
 
-def _real_or_complex(values):
-    """A float64 copy of real input, a complex128 copy of complex input."""
+def _real_or_complex(values, copy=True):
+    """Real input as float64, complex input as complex128: a copy, or with
+    ``copy=False`` the input itself where it already has that type."""
     arr = np.asarray(values)
-    return arr.astype(complex if np.iscomplexobj(arr) else float)
+    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=copy)
 
 
 def _adjoint(arr):
     """Conjugate transpose of every matrix of a (..., d, d) stack."""
     return np.swapaxes(arr, -1, -2).conj()
+
+
+def _hermitian_part(arr):
+    """(A + A*) / 2 of every matrix of a (..., d, d) stack."""
+    return 0.5 * (arr + _adjoint(arr))
 
 
 class HermiticityViolation(ValueError):
@@ -129,17 +143,22 @@ def eigen_decompose(matrix):
     NoConvergence
         If LAPACK reports that the decomposition did not converge.
     """
-    dec = _eigh(matrix.entries[None])
-    return EigenDecomposition(eigenvalues=dec.eigenvalues[0], eigenvectors=dec.eigenvectors[0])
+    eigenvalues, eigenvectors = _eigh(_hermitian_part(matrix.entries[None]))
+    return EigenDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
 
 
 def _eigh(arr):
-    """LAPACK on the Hermitian averages of a (B, d, d) stack, phases as returned."""
+    """(eigenvalues, eigenvectors) of a (B, d, d) stack as given, by LAPACK, phases as returned."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + _adjoint(arr)))
+        return np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _solve(arr):
+    """The one solve core: LAPACK on a (B, d, d) stack as given, then the phase rule."""
+    eigenvalues, eigenvectors = _eigh(arr)
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=fix_phase(eigenvectors))
 
 
 def eigh_stack(entries):
@@ -147,7 +166,8 @@ def eigh_stack(entries):
 
     Equivalent to ``fix_phase(eigen_decompose(HermitianMatrix(h)).eigenvectors)``
     for every matrix h of the stack, bit for bit, from one validation
-    pass, one ``numpy.linalg.eigh`` call and one ``fix_phase`` call.
+    pass, one ``numpy.linalg.eigh`` call on the Hermitian averages and one
+    ``fix_phase`` call.
 
     Returns
     -------
@@ -170,8 +190,31 @@ def eigh_stack(entries):
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
     _check_stack(arr, DEFAULT_HERMITICITY_TOL)
-    dec = _eigh(arr)
-    return EigenDecomposition(eigenvalues=dec.eigenvalues, eigenvectors=fix_phase(dec.eigenvectors))
+    return _solve(_hermitian_part(arr))
+
+
+def eigh_exact(stack):
+    """Solve and phase-fix a (B, d, d) stack that is Hermitian bit for bit.
+
+    The production solve: a finite check, then the core of ``eigh_stack``
+    on the stack as given, with no copy, no drift pass and no averaging.
+    For a stack that equals its conjugate transpose bit for bit those
+    passes cannot change the result (see the module docstring), so this
+    returns ``eigh_stack(stack)`` bit for bit.  A stack that is not
+    exactly Hermitian is the caller's error: LAPACK then reads one
+    triangle only.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not finite (``eigh_stack``'s message).
+    NoConvergence
+        If LAPACK reports that the decomposition did not converge.
+    """
+    arr = np.asarray(stack)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return _solve(arr)
 
 
 def fix_phase(vectors):
@@ -183,21 +226,26 @@ def fix_phase(vectors):
     up to round-off (the mirror-symmetric +-k pairs of a Bloch branch)
     picks the same entry whatever rounding the solver left.
 
-    Real vectors stay real: the rotation is then a sign, +-1, which makes
-    that entry positive and leaves the norm exactly as it was.
+    Real vectors stay real: the rotation is then a sign, +-1, taken from
+    the pivot by ``copysign`` (bit for bit ``conj(pivot)/|pivot|``),
+    which makes that entry positive and leaves the norm exactly as it was.
 
     Accepts a single vector, a matrix of column vectors or a stack of
     such matrices, shape (..., n, k), each column fixed on its own;
     returns the same shape.  Raises ValueError on a zero vector.
     """
-    arr = _real_or_complex(vectors)
+    arr = _real_or_complex(vectors, copy=False)  # the rotation below makes the new array
     single = arr.ndim == 1
     cols = arr[:, None] if single else arr
     mags = np.abs(cols)
     top = mags.max(axis=-2, keepdims=True)
-    if np.any(top == 0.0):
+    if not top.all():
         raise ValueError("cannot fix the phase of a zero vector")
     first = np.argmax(mags >= (1.0 - _TIE_RTOL) * top, axis=-2)
-    pivot = np.take_along_axis(cols, first[..., None, :], axis=-2)
-    cols = cols * (np.conj(pivot) / np.abs(pivot))
+    if np.iscomplexobj(cols):
+        pivot = np.take_along_axis(cols, first[..., None, :], axis=-2)
+        cols = cols * (np.conj(pivot) / np.abs(pivot))
+    else:
+        *lead, column = np.indices(first.shape, sparse=True)
+        cols = cols * np.copysign(1.0, cols[(*lead, first, column)])[..., None, :]
     return cols[:, 0] if single else cols

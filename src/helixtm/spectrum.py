@@ -84,11 +84,15 @@ a complete elliptic integral in the same constants
 (``geometry.arc_length``): nothing samples an angle.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
-with ``linalg.eigh_stack``: one validation pass, one LAPACK call and one
-sign rule for all B matrices, giving energies (B, d) and coefficients
-(B, d, d).  ``branch_momenta`` is the matching k = p + omega*n table,
-which ``observables.moment_vectors`` and ``observables.currents`` take
-with the coefficients.  Arrays are the only batch path; the one-branch
+with ``linalg.eigh_exact``, the solve core that ``linalg.eigh_stack``
+also runs: a finite check, one LAPACK call and one sign rule for all B
+matrices, giving energies (B, d) and coefficients (B, d, d).  It skips
+``eigh_stack``'s copy, drift pass and Hermitian averaging, which cannot
+change a result here: the stack equals its transpose bit for bit, so its
+drift is exactly 0 and its average (H + H^T)/2 is H bit for bit.
+``branch_momenta`` is the matching k = p + omega*n table, which
+``observables.moment_vectors`` and ``observables.currents`` take with
+the coefficients.  Arrays are the only batch path; the one-branch
 API wraps them in objects: ``build_hamiltonian`` is one matrix of the
 stack as a ``HermitianMatrix`` and ``solve_states`` one pair of
 ``branch_spectra`` as a list of ``EigenState`` objects.
@@ -102,7 +106,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .linalg import HermitianMatrix, eigh_stack
+from .linalg import HermitianMatrix, eigh_exact
 
 
 def _check_n_max(n_max):
@@ -239,16 +243,18 @@ def make_basis(shape, p, config):
 def branch_spectra(shape, branches, n_max, harmonics=None):
     """Spectra of every (p, include_vc) pair as arrays, from one set of harmonics and one solve.
 
-    The matrices of ``_hamiltonian_stack`` go through ``eigh_stack`` as
-    one (B, d, d) array, B = len(branches), d = 2*n_max + 1: one
-    validation pass, one LAPACK call and one sign rule.  Returns an ``EigenDecomposition`` with
-    ``eigenvalues`` (B, d), ascending per pair, and ``eigenvectors``
-    (B, d, d), the coefficients of state alpha of pair b in column
-    ``eigenvectors[b, :, alpha]`` (row i multiplies chi_n, n = i - n_max).
+    The matrices of ``_hamiltonian_stack`` go through ``eigh_exact`` as
+    one (B, d, d) array, B = len(branches), d = 2*n_max + 1: a finite
+    check, one LAPACK call and one sign rule, bit for bit as
+    ``eigh_stack``, since the stack is symmetric bit for bit.  Returns an
+    ``EigenDecomposition`` with ``eigenvalues`` (B, d), ascending per
+    pair, and ``eigenvectors`` (B, d, d), the coefficients of state alpha
+    of pair b in column ``eigenvectors[b, :, alpha]`` (row i multiplies
+    chi_n, n = i - n_max).
     ``harmonics``, a longer ``geometry.winding_harmonics`` result that a
     caller also reads, gives the same arrays bit for bit.
     """
-    return eigh_stack(_hamiltonian_stack(shape, branches, n_max, harmonics))
+    return eigh_exact(_hamiltonian_stack(shape, branches, n_max, harmonics))
 
 
 def solve_states(shape, basis, config):
@@ -257,8 +263,9 @@ def solve_states(shape, basis, config):
     The one-pair case of ``branch_spectra``, wrapped in ``EigenState`` objects.
     """
     dec = branch_spectra(shape, [(basis.p, config.include_vc)], basis.n_max)
+    p, include_vc = basis.p, config.include_vc
     return [
-        EigenState(energy=energy, coefficients=dec.eigenvectors[0][:, alpha], p=basis.p,
-                   alpha=alpha, include_vc=config.include_vc)
-        for alpha, energy in enumerate(dec.eigenvalues[0].tolist())
+        EigenState(energy, coefficients, p, alpha, include_vc)
+        for alpha, (energy, coefficients) in enumerate(
+            zip(dec.eigenvalues[0].tolist(), dec.eigenvectors[0].T))
     ]

@@ -392,6 +392,64 @@ class TestQuadratureFlags:
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
+FLAGS = {"--p": ["--p", "1"], "--n-max": ["--n-max", "3"], "--with-vc": ["--with-vc"],
+         "--without-vc": ["--without-vc"], "--both": ["--both"], "--grid": ["--grid", "16"],
+         "--temperature": ["--temperature", "0.1"]}
+# the flags beyond the shape and output flags that each command reads
+READ_FLAGS = {
+    "geometry": {"--grid"},
+    "potential": {"--grid"},
+    "spectrum": {"--p", "--n-max", "--with-vc", "--without-vc", "--both"},
+    "current": {"--p", "--n-max", "--with-vc", "--without-vc", "--both", "--grid"},
+    "moments": {"--p", "--n-max"},
+    "thermal": {"--p", "--n-max", "--with-vc", "--without-vc", "--both", "--temperature"},
+}
+
+
+class TestFlagsOnlyWhereRead:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in COMMANDS for flag in FLAGS if flag not in READ_FLAGS[command]
+    ])
+    def test_unread_flag_is_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *FLAGS[flag]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(FLAGS[flag])}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--temperature", "3", "--n-max", "5", "--p", "1"],
+        ["spectrum", "--grid", "7", "--temperature", "3"],
+        ["potential", "--p", "1", "--n-max", "3"],
+        ["moments", "--with-vc"],
+    ])
+    def test_flags_that_were_ignored_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_read_flag_is_accepted(self, capsys, command):
+        vc = [flag for flag in ("--with-vc", "--without-vc", "--both") if flag in READ_FLAGS[command]]
+        for choice in vc or [None]:
+            argv = [command, "--omega", "6"]
+            for flag in sorted(READ_FLAGS[command]):
+                if flag not in vc or flag == choice:
+                    argv += FLAGS[flag]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_keys_stay_shared(self, capsys, tmp_path, command):
+        # a config file may name every key; a command reads the ones it uses
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = 6\np = 1\nn_max = 3\nvc = with\ngrid = 16\ntemperature = 0.1\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, err) == (0, "") and out
+
+
 class TestExitCodes:
     def test_flattest_coil_answers(self, capsys, tmp_path):
         # rho = 1 - 1.0e-6: a trapezoid of the length would need about 3.6e7
@@ -486,8 +544,8 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == ["0,-0.125", "1.5708,-0.125", "3.14159,-0.125",
                                         "4.71239,-0.125"]
-        for command in ("moments", "current", "thermal"):
-            code, out, err = run_cli(capsys, command, "--R", R, "--temperature", "0.1")
+        for argv in (["moments"], ["current"], ["thermal", "--temperature", "0.1"]):
+            code, out, err = run_cli(capsys, *argv, "--R", R)
             assert (code, err) == (0, "")
         _, rows = parse_csv(run_cli(capsys, "moments", "--R", R, "--p", "1")[1])
         assert all(abs(float(v)) < 1e-150 for row in rows for v in row[2:] if v)
@@ -509,6 +567,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("helixtm: numerical failure: ")
         assert not target.exists()
+
+    # tall coils: the Hamiltonian's harmonics answer while D = f^2 is
+    # finite; the moment weights overflow first
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--b", "1e150"],
+        ["current", "--b", "1e150"],
+        ["moments", "--b", "1e100"],
+        ["thermal", "--b", "1e100", "--temperature", "1"],
+    ])
+    def test_tall_coils_answer(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--omega", "17", "--p", "1")
+        assert (code, err) == (0, "") and out
+
+    def test_taller_coil_moments_fail_in_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--b", "1e120", "--omega", "17", "--p", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("helixtm: numerical failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 298. GiB for an array"),
@@ -688,7 +763,7 @@ class TestSharedParser:
         # the parser is built once per process; each call after the first
         # must still print what a fresh process prints for its arguments
         argvs = [
-            ["moments", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1", "--with-vc"],
+            ["spectrum", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1", "--with-vc"],
             ["spectrum", "--omega", "4", "--p", "2", "--n-max", "3"],
             ["current", "--omega", "4", "--p", "9"],
         ]

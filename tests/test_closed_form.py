@@ -191,3 +191,19 @@ def test_branch_moments_equal_the_separate_calls(shape, pairs, n_max):
     assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
     k = branch_momenta(shape, [p for p, _ in pairs], n_max)
     assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))
+
+
+@pytest.mark.parametrize("b", [1e78, 1e100, 1e150])
+def test_tall_coil_harmonics_do_not_overflow(b):
+    # a direction of D'' or |r''|^2 times D(pi) is of the size of
+    # (omega b)^4, which overflows from b near 1e77 at omega 17; the
+    # directions are scaled by the power of two of D(pi), so the harmonics
+    # answer wherever D is finite.  Far up the tall-coil limit the even
+    # harmonics of A0 and V_c grow like b and those of B fall like 1/b.
+    ref = winding_harmonics(HelixShape(R=1.0, a=0.5, b=1e60, omega=17), 8, potential=True)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = winding_harmonics(HelixShape(R=1.0, a=0.5, b=b, omega=17), 8, potential=True)
+    ratio = b / 1e60
+    for x, want, scale in zip(got, ref, (ratio, 1 / ratio, ratio)):
+        assert np.all(np.isfinite(x))
+        assert np.allclose(x[::2] / scale, want[::2], rtol=4e-15, atol=0)

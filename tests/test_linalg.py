@@ -24,10 +24,11 @@ from helixtm.linalg import (
     HermitianMatrix,
     NoConvergence,
     eigen_decompose,
+    eigh_exact,
     eigh_stack,
     fix_phase,
 )
-from helixtm.spectrum import BlochBasis, SpectrumConfig, build_hamiltonian
+from helixtm.spectrum import BlochBasis, SpectrumConfig, branch_spectra, build_hamiltonian
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -261,8 +262,8 @@ class TestFixPhase:
         dec = eigen_decompose(HermitianMatrix(np.eye(2)))
         assert isinstance(dec, EigenDecomposition)
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_stack_equals_matrix_by_matrix(self, dtype):
+    @staticmethod
+    def tie_stack(dtype):
         rng = np.random.default_rng(18)
         stack = rng.standard_normal((7, 5, 6)).astype(dtype)
         if dtype is complex:
@@ -274,6 +275,11 @@ class TestFixPhase:
         stack[2, :, 2] = [-0.4 * (1 - 5e-10), 0.1, 0.4, 0.0, 0.2]
         stack[3, :, 3] = [0.3, 0.0, -0.3 * (1 + 1e-15), 0.3 * (1 - 9e-10), 0.1]
         stack[4, :, 4] = [0.6, 0.0, -0.6 * (1 + 2e-9), 0.1, 0.2]
+        return stack
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_matrix_by_matrix(self, dtype):
+        stack = self.tie_stack(dtype)
         got = fix_phase(stack)
         want = np.array([fix_phase(matrix) for matrix in stack])
         assert got.shape == stack.shape and got.dtype == want.dtype
@@ -282,6 +288,21 @@ class TestFixPhase:
         for b, k in [(0, 0), (1, 1), (3, 3), (4, 4)]:
             assert np.array_equal(fix_phase(stack[b, :, k]), want[b, :, k])
         assert got[4, 2, 4] > 0  # 2e-9 outside the tolerance: the larger entry wins
+
+    def test_real_sign_equals_the_complex_formula(self):
+        # the real path multiplies by copysign(1, pivot); the rotation
+        # conj(pivot)/|pivot| of the complex path is that sign bit for bit
+        stack = self.tie_stack(float)
+        stack[5, 2, :] = 0.0  # zero entries, whose sign the rotation flips
+        mags = np.abs(stack)
+        first = np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=-2, keepdims=True), axis=-2)
+        pivot = np.take_along_axis(stack, first[:, None, :], axis=-2)
+        want = stack * (np.conj(pivot) / np.abs(pivot))
+        for got in (fix_phase(stack), np.array([fix_phase(m) for m in stack]),
+                    np.stack([fix_phase(stack[:, :, k].T).T for k in range(6)], axis=-1)):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(fix_phase(stack[6, :, 5]), want[6, :, 5])
 
     def test_zero_column_in_stack_rejected(self):
         stack = np.ones((3, 4, 2))
@@ -308,6 +329,12 @@ class TestEighStack:
             one = eigen_decompose(HermitianMatrix(h))
             assert np.array_equal(values, one.eigenvalues)
             assert np.array_equal(vectors, fix_phase(one.eigenvectors))
+        # these stacks equal their adjoints bit for bit, so the production
+        # solve, which neither checks the drift nor averages, agrees bit for bit
+        assert np.array_equal(stack, np.swapaxes(stack, 1, 2).conj())
+        lean = eigh_exact(stack)
+        assert lean.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+        assert lean.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
 
     def test_non_finite_stack_rejected(self):
         good = np.eye(3)
@@ -358,3 +385,30 @@ class TestEighStack:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(NoConvergence):
             eigh_stack(np.array([np.eye(2)]))
+
+
+class TestEighExact:
+    """The production solve: eigh_stack's core after a finite check only."""
+
+    def test_non_finite_stack_rejected_as_by_eigh_stack(self):
+        good = np.eye(3)
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = np.array([good, good, good])
+            stack[1, 0, 2] = stack[1, 2, 0] = bad
+            with pytest.raises(ValueError) as want:
+                eigh_stack(stack)
+            with pytest.raises(ValueError) as got:
+                eigh_exact(stack)
+            assert type(got.value) is type(want.value) is ValueError
+            assert str(got.value) == str(want.value) == "matrix entries must be finite"
+
+    def test_no_convergence_is_reported(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            eigh_exact(np.array([np.eye(2)]))
+        shape = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
+        with pytest.raises(NoConvergence):
+            branch_spectra(shape, [(1, True)], 2)

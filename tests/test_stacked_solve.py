@@ -1,9 +1,10 @@
 """The stacked spectrum against the per-matrix path it replaced.
 
-``spectrum.branch_spectra`` validates, solves and sign-fixes a shape's
-whole (p, V_c) stack with one ``linalg.eigh_stack`` call.  Each matrix
-must come out exactly as from one ``HermitianMatrix``, one
-``eigen_decompose`` and one ``fix_phase`` per matrix, and the moments of
+``spectrum.branch_spectra`` solves and sign-fixes a shape's whole
+(p, V_c) stack with one ``linalg.eigh_exact`` call, which checks only
+that the stack is finite.  Each matrix must come out exactly as from
+one ``HermitianMatrix``, one ``eigen_decompose`` and one ``fix_phase``
+per matrix, and exactly as from ``eigh_stack``, and the moments of
 the grouped states exactly as from ``moment_vectors`` with one state per
 group.  ``observables.branch_moments`` solves the spectra as
 ``branch_spectra`` does, from one set of harmonics that also serves the
@@ -16,7 +17,7 @@ import pytest
 
 from helixtm import spectrum
 from helixtm.geometry import HelixShape
-from helixtm.linalg import HermitianMatrix, eigen_decompose, eigh_stack, fix_phase
+from helixtm.linalg import HermitianMatrix, eigen_decompose, eigh_exact, eigh_stack, fix_phase
 from helixtm.observables import branch_moments, moment_vectors
 from helixtm.spectrum import (
     BlochBasis,
@@ -115,13 +116,15 @@ def _symmetry_cases():
 def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, monkeypatch):
     # H = Re A_{n-m} + k_m k_n Re B_{n-m}: the harmonics d and -d share
     # their real part and k_m k_n == k_n k_m, so H equals its transpose
+    # the production solve skips eigh_stack's drift pass and averaging;
+    # these stacks are the evidence that neither could change a result
     solved = []
 
     def recording(stack):
         solved.append(stack)
-        return eigh_stack(stack)
+        return eigh_exact(stack)
 
-    monkeypatch.setattr(spectrum, "eigh_stack", recording)
+    monkeypatch.setattr(spectrum, "eigh_exact", recording)
     branch_spectra(shape, pairs, n_max)
     branch_moments(shape, pairs, n_max)
     p, include_vc = pairs[-1]
@@ -138,3 +141,45 @@ def test_flat_coil_solves_at_n_max_192():
     dec = branch_spectra(shape, [(1, False), (1, True)], 192)
     assert dec.eigenvalues.shape == (2, 385)
     assert dec.eigenvalues[0, 0] == pytest.approx(0.243439, abs=1e-6)
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _lean_solve_cases():
+    rng = np.random.default_rng(2203)
+    for _ in range(10):
+        omega = int(rng.integers(1, 41))
+        ps = sorted({int(p) for p in rng.integers(0, omega, 3)})
+        shape = HelixShape(R=1.0, a=rng.uniform(0.05, 0.95), b=rng.uniform(0.05, 1.5), omega=omega)
+        yield pytest.param(shape, ps, int(rng.integers(2, 17)), id=f"draw-{omega}")
+    # at a = b, p = 0 and p = omega/2 hold the +-m pairs of the free loop,
+    # degenerate up to the basis truncation
+    for omega, n_max in [(1, 2), (2, 2), (4, 8), (6, 16), (40, 16)]:
+        shape = HelixShape(R=1.0, a=0.5, b=0.5, omega=omega)
+        ps = sorted({0, omega // 2})
+        yield pytest.param(shape, ps, n_max, id=f"round-{omega}-{n_max}")
+
+
+@pytest.mark.parametrize("shape, ps, n_max", _lean_solve_cases())
+def test_production_solve_equals_eigh_stack(shape, ps, n_max, monkeypatch):
+    # branch_spectra skips eigh_stack's copy, drift pass and averaging;
+    # on these symmetric stacks that changes no bit of either array
+    pairs = [(p, include_vc) for p in ps for include_vc in (False, True)]
+    stack = _hamiltonian_stack(shape, pairs, n_max)
+    lean = branch_spectra(shape, pairs, n_max)
+    lean_moments = branch_moments(shape, pairs, n_max)
+    full = eigh_stack(stack)
+    assert _same_bits(lean.eigenvalues, full.eigenvalues)
+    assert _same_bits(lean.eigenvectors, full.eigenvectors)
+    # the moments of the solve they replace, through eigh_stack
+    monkeypatch.setattr(spectrum, "eigh_exact", eigh_stack)
+    full_moments = branch_moments(shape, pairs, n_max)
+    assert _same_bits(lean_moments[0].eigenvectors, full_moments[0].eigenvectors)
+    assert _same_bits(lean_moments[1], full_moments[1])
+    states = spectrum.solve_states(shape, BlochBasis(ps[-1], n_max, shape.omega),
+                                   SpectrumConfig(include_vc=True, n_max=n_max))
+    for alpha, state in enumerate(states):
+        assert state.energy == full.eigenvalues[-1, alpha] and state.alpha == alpha
+        assert _same_bits(state.coefficients, full.eigenvectors[-1, :, alpha])
