@@ -357,9 +357,9 @@ def _cmd_current(settings):
     pairs = _branch_pairs(settings)
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
-    dec = branch_spectra(shape, pairs, settings.n_max)
-    phi = _grid_angles(settings)
     k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
+    dec = branch_spectra(shape, pairs, settings.n_max, k=k)
+    phi = _grid_angles(settings)
     j = currents(shape, dec.eigenvectors, k, phi)
     header = ["phi"] + [
         f"j[p={p};alpha={alpha};vc={'on' if include_vc else 'off'}]"

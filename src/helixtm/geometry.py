@@ -259,6 +259,16 @@ def winding_rows(shape, theta, moment_axes=()):
     return np.sqrt(d0), 0.5 / d0, g
 
 
+def _tall(d_pi):
+    """2^-k, 2^k the power of two of D(pi) / 2^500, or 1 below D(pi) = 2^500.
+
+    Products of two sizes of D, which overflow on tall coils long before D
+    does, are taken over it.  Below 2^500 nothing is scaled, so no small
+    term drops to a subnormal; above, every factor it scales is large.
+    """
+    return 2.0 ** -max(math.frexp(d_pi)[1] - 500, 0)
+
+
 def _d_factor(shape):
     """The constants of D = K |1 - s z + p z^2|^2 that ``winding_harmonics`` reads.
 
@@ -276,12 +286,15 @@ def _d_factor(shape):
     # v^2 = m^2 - alpha = (g + r q)/2 with g = gamma + beta.  Where g < 0
     # (tall coils, roots near the unit circle) that sum cancels, and
     # (4 alpha gamma - beta^2) / (2 (r q - g)), with the numerator expanded
-    # as 4 omega^2 (R^2 (b^2 - a^2) + a^2 alpha), adds positive terms only
+    # as 4 omega^2 (R^2 (b^2 - a^2) + a^2 alpha), adds positive terms only.
+    # 2 omega^2 times that bracket reaches omega^4 b^2: both sides are
+    # taken over ``_tall``
     g = (R - a) * (R + a) + w2 * (2 * a * a - b * b)
     if g >= 0:
         v2 = 0.5 * (g + r * q)
     else:
-        v2 = 2 * w2 * (R * R * (b * b - a * a) + a * a * alpha) / (r * q - g)
+        tall = _tall(gamma)
+        v2 = 2 * w2 * (tall * (R * R * (b * b - a * a) + a * a * alpha)) / (tall * (r * q - g))
     v = np.sqrt(v2)
     t = 0.5 * (m + v)
     s, p = -a * R / (m * t), 0.25 * alpha / (t * t)
@@ -342,19 +355,24 @@ def winding_harmonics(shape, count, potential=False):
     # the size of D, so on tall coils a direction times gamma overflows
     # long before D does; scaled, the products stay of the size of D.  The
     # slopes are linear in the direction and 2^k is a power of two, so the
-    # scaled slopes times 2^k are the unscaled ones bit for bit.
-    scale = 2.0 ** -max(math.frexp(gamma)[1], 0)
-    directions = [(beta, 6 * alpha - beta, -4 * alpha)]
+    # scaled slopes times 2^k are the unscaled ones bit for bit.  The
+    # products below of two sizes of D (6 alpha - beta, omega^4 b^2,
+    # p2 gamma and v r q) are taken over ``_tall`` and the rest of 2^k
+    # after it.
+    scale, tall = 2.0 ** -max(math.frexp(gamma)[1], 0), _tall(gamma)
+    rest = scale / tall
+    ta, tb = tall * alpha, tall * beta
+    directions = [(scale * beta, rest * (6 * ta - tb), scale * (-4 * alpha))]
     if potential:
         k = a * (w2 + 1)
         c0 = R - k
-        e = (4 * a * a + b * b * w2) * w2
-        directions.append((c0 * c0, 2 * (k * c0 + e), k * k - e))
-    directions = [(scale * p0, scale * p1, scale * p2) for p0, p1, p2 in directions]
+        e = (4 * a * a + b * b * w2) * (tall * w2)
+        directions.append((scale * (c0 * c0), rest * (2 * (tall * (k * c0) + e)),
+                           rest * (tall * (k * k) - e)))
     rq = r * q
-    f0 = m / (v * r * q)
+    f0 = (tall * m) / (v * r * (tall * q))
     f1 = s * f0 / (1 + p)
-    rows, forcing = [[f0, f1]], [(0.0, 0.0)]
+    starts = []  # d = 0 and 1 and the forcing (ds, dp) of each slope row
     for p0, p1, p2 in directions:
         # derivatives along D -> D + eps (p0 + p1 u + p2 u^2)
         dr = 0.5 * p0 / r
@@ -364,33 +382,40 @@ def winding_harmonics(shape, count, potential=False):
         if g >= 0:
             dv2 = 0.5 * (dg + drq)
         else:
-            dv2 = (2 * (p2 * gamma + alpha * p0) - beta * p1 - v2 * (drq - dg)) / (rq - g)
+            dv2 = (2 * (p2 * (tall * gamma) + ta * p0) - tb * p1
+                   - v2 * (tall * (drq - dg))) / (tall * (rq - g))
         dv = 0.5 * dv2 / v
         dt = 0.5 * (dm + dv)
         ds = -0.5 * (2 * p2 + p1) / (m * t) - s * (dm / m + dt / t)
         dp = 0.25 * p2 / (t * t) - 2 * p * dt / t
         df0 = f0 * (dm / m - dv / v - dr / r - dq / q)
-        rows.append([df0, (ds * f0 + s * df0 - f1 * dp) / (1 + p)])
-        forcing.append((ds, dp))
-    rows = [[float(x) for x in row] for row in rows]
-    s, p = float(s), float(p)
-    forcing = [(float(ds), float(dp)) for ds, dp in forcing]
+        starts.append([float(z) for z in (df0, (ds * f0 + s * df0 - f1 * dp) / (1 + p), ds, dp)])
+    # F, with its zero forcing 0.0 x - 0.0 y that signs an underflowed F_d, then the slope rows
+    s, p, y, x = float(s), float(p), float(f0), float(f1)
+    f = [y, x]
     for _ in range(2, count):
-        v1, v2 = rows[0][-1], rows[0][-2]
-        for row, (ds, dp) in zip(rows, forcing):
-            row.append(s * row[-1] - p * row[-2] + ds * v1 - dp * v2)
-    f = np.array(rows[0][:count])
-    slopes = np.array([row[:count] for row in rows[1:]]) / scale
+        x, y = s * x - p * y + 0.0 * x - 0.0 * y, x
+        f.append(x)
+    rows = f[:count]  # every row's entries in turn
+    for y, x, ds, dp in starts:
+        rows += (y, x)[:count]
+        for v2, v1 in zip(f, f[1:count - 1]):
+            x, y = s * x - p * y + ds * v1 - dp * v2, x
+            rows.append(x)
+    rows = np.fromiter(rows, float, len(rows)).reshape(len(starts) + 1, count)
+    f, slopes = rows[0], rows[1:] / scale
     d2f = np.arange(count, dtype=float) ** 2 * f
     a0 = w2 / 64 * (7 * d2f - slopes[0])
     vc = slopes[1] / 8 - w2 / 64 * (slopes[0] + d2f) if potential else None
     return a0, 0.5 * f, vc
 
 
-def _moment_numerators(shape, axes):
-    """(odd, P) per axis: the moment integrand g_axis = sin(theta)^odd P(cos theta).
+def _moment_numerators(shape, axes, scale):
+    """(odd, P) per axis: g_axis = sin(theta)^odd P(cos theta), P times ``scale``.
 
-    P's coefficients ascend in c = cos theta.  With
+    P's coefficients ascend in c = cos theta and carry the factor
+    ``scale``, a power of two, which keeps them finite on tall coils
+    (``moment_harmonics``).  With
     r . r' = omega s ((b^2 - a^2) c - a R) and r^2 = (R + a c)^2 + b^2 s^2
     (``winding_rows``), g_z = b omega ((1 - c^2)((b^2 - a^2) c - a R) - 2 c r^2);
     at omega = 1, where cos phi = c and sin phi = s, g_x is s times a cubic
@@ -399,15 +424,16 @@ def _moment_numerators(shape, axes):
     a, b, R, w = shape.a, shape.b, shape.R, shape.omega
     if w != 1 and set(axes) - {2}:
         raise ValueError(f"the x and y rows need omega = 1, got omega={w}")
-    bw = b * w
+    bw = b * w * scale
     rows = {2: (False, [-bw * a * R, -bw * (a * a + b * b + 2 * R * R), -3 * bw * a * R,
                         bw * (b * b - a * a)])}
-    if w == 1:
-        rows[0] = (True, [2 * R * (R * R + b * b), a * (7 * R * R + 4 * b * b),
-                          R * (8 * a * a - b * b), 3 * a * (a * a - b * b)])
-        rows[1] = (False, [a * (R * R + 2 * b * b), R * (2 * a * a - b * b - 2 * R * R),
-                           a * (a * a - 5 * b * b - 7 * R * R), R * (b * b - 8 * a * a),
-                           3 * a * (b * b - a * a)])
+    if w == 1:  # of the size of D: scaled last, so a small a R term stays normal
+        rows[0] = (True, [scale * x for x in (
+            2 * R * (R * R + b * b), a * (7 * R * R + 4 * b * b), R * (8 * a * a - b * b),
+            3 * a * (a * a - b * b))])
+        rows[1] = (False, [scale * x for x in (
+            a * (R * R + 2 * b * b), R * (2 * a * a - b * b - 2 * R * R),
+            a * (a * a - 5 * b * b - 7 * R * R), R * (b * b - 8 * a * a), 3 * a * (b * b - a * a))])
     return [rows[axis] for axis in axes]
 
 
@@ -425,10 +451,14 @@ def moment_harmonics(shape, b, width, axes):
     Horner's rule, and the factor sin(theta) maps X_d to
     (X_{d+1} - X_{d-1})/(2i): the x row is odd, its harmonics imaginary.
     ``b`` needs width + 5 entries with the x or y row, width + 4 without.
-    No angle is sampled.
+    No angle is sampled.  The coefficients of P reach the size of
+    D^(3/2), so they are taken over ``_tall`` and F times it: the products
+    are the unscaled ones bit for bit.
     """
-    f = 2.0 * np.asarray(b)
-    rows = _moment_numerators(shape, axes)
+    d_pi = (shape.R - shape.a) * (shape.R - shape.a) + shape.omega * shape.b * shape.omega * shape.b
+    scale = _tall(d_pi)
+    f = 2.0 / scale * np.asarray(b)
+    rows = _moment_numerators(shape, axes, scale)
     if f.size < width + 1 + max(len(coefficients) - 1 + odd for odd, coefficients in rows):
         raise ValueError(f"{f.size} harmonics of 1/D do not reach harmonic {width} of the moments")
     full = np.concatenate([f[:0:-1], f])  # F_d for d = 1 - size..size - 1

@@ -235,17 +235,16 @@ def fix_phase(vectors):
     returns the same shape.  Raises ValueError on a zero vector.
     """
     arr = _real_or_complex(vectors, copy=False)  # the rotation below makes the new array
-    single = arr.ndim == 1
-    cols = arr[:, None] if single else arr
+    # (M, n, k): the pivot of column j of matrix i is cols[i, first[i, j], j]
+    cols = arr.reshape((-1,) + (arr.shape[-2:] if arr.ndim > 1 else arr.shape + (1,)))
     mags = np.abs(cols)
     top = mags.max(axis=-2, keepdims=True)
     if not top.all():
         raise ValueError("cannot fix the phase of a zero vector")
     first = np.argmax(mags >= (1.0 - _TIE_RTOL) * top, axis=-2)
+    pivot = cols[np.arange(len(cols))[:, None], first, np.arange(cols.shape[-1])]
     if np.iscomplexobj(cols):
-        pivot = np.take_along_axis(cols, first[..., None, :], axis=-2)
-        cols = cols * (np.conj(pivot) / np.abs(pivot))
+        rotation = np.conj(pivot) / np.abs(pivot)
     else:
-        *lead, column = np.indices(first.shape, sparse=True)
-        cols = cols * np.copysign(1.0, cols[(*lead, first, column)])[..., None, :]
-    return cols[:, 0] if single else cols
+        rotation = np.copysign(1.0, pivot)
+    return (cols * rotation[:, None, :]).reshape(arr.shape)

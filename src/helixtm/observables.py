@@ -211,8 +211,8 @@ def branch_moments(shape, branches, n_max):
     """
     harmonics = geometry.winding_harmonics(
         shape, _harmonic_count(shape, n_max), any(include_vc for _, include_vc in branches))
-    dec = branch_spectra(shape, branches, n_max, harmonics)
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
+    dec = branch_spectra(shape, branches, n_max, harmonics, k)
     return dec, _moments(shape, harmonics[1], dec.eigenvectors, k)
 
 

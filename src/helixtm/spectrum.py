@@ -102,6 +102,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
@@ -157,7 +158,7 @@ class SpectrumConfig:
         _check_n_max(self.n_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EigenState:
     """One bound state: energy and basis coefficients.
 
@@ -172,6 +173,11 @@ class EigenState:
     p: int
     alpha: int
     include_vc: bool
+
+    def __init__(self, energy, coefficients, p, alpha, include_vc):
+        # frozen: one dict update sets the fields, not an object.__setattr__ each
+        vars(self).update(energy=energy, coefficients=coefficients, p=p, alpha=alpha,
+                          include_vc=include_vc)
 
     @property
     def n_max(self):
@@ -204,7 +210,7 @@ def branch_momenta(shape, ps, n_max):
     return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
 
 
-def _hamiltonian_stack(shape, branches, n_max, harmonics=None):
+def _hamiltonian_stack(shape, branches, n_max, harmonics=None, k=None):
     """The (len(branches), d, d) real symmetric matrices of the pairs, from one set of harmonics.
 
     Every matrix gathers the closed-form harmonics d = |n - m| of
@@ -213,20 +219,22 @@ def _hamiltonian_stack(shape, branches, n_max, harmonics=None):
     A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  ``harmonics``,
     when given, is a ``winding_harmonics`` result of at least d entries,
     with V_c if a pair needs it; a longer one gives the same matrices bit
-    for bit.
+    for bit.  ``k``, when given, is the pairs' ``branch_momenta`` table.
     """
     if not branches:
         raise ValueError("need at least one branch")
-    k = branch_momenta(shape, [p for p, _ in branches], n_max)
-    variants = sorted({bool(vc) for _, vc in branches})  # one row of A each, V_c last
+    if k is None:
+        k = branch_momenta(shape, [p for p, _ in branches], n_max)
+    with_vc = [bool(vc) for _, vc in branches]
     if harmonics is None:
-        harmonics = geometry.winding_harmonics(shape, 2 * n_max + 1, True in variants)
+        harmonics = geometry.winding_harmonics(shape, 2 * n_max + 1, any(with_vc))
     a0, b, v_c = harmonics
-    rows = np.stack([a0 + v_c if with_vc else a0 for with_vc in variants] + [b])
-    idx = np.arange(-n_max, n_max + 1)
-    blocks = rows[:, np.abs(idx[None, :] - idx[:, None])]
-    a_rows = [variants.index(bool(vc)) for _, vc in branches]
-    return blocks[a_rows] + k[:, :, None] * k[:, None, :] * blocks[-1]
+    idx = np.arange(2 * n_max + 1)
+    table = np.abs(idx - idx[:, None])  # |n - m|
+    by_vc = {vc: (a0 + v_c if vc else a0)[table] for vc in set(with_vc)}  # T_A per variant
+    t_a = (by_vc.popitem()[1] if len(by_vc) == 1
+           else np.where(np.array(with_vc)[:, None, None], by_vc[True], by_vc[False]))
+    return t_a + k[:, :, None] * k[:, None, :] * b[table]
 
 
 def build_hamiltonian(shape, basis, config):
@@ -240,7 +248,7 @@ def make_basis(shape, p, config):
     return BlochBasis(p=p, n_max=config.n_max, omega=shape.omega)
 
 
-def branch_spectra(shape, branches, n_max, harmonics=None):
+def branch_spectra(shape, branches, n_max, harmonics=None, k=None):
     """Spectra of every (p, include_vc) pair as arrays, from one set of harmonics and one solve.
 
     The matrices of ``_hamiltonian_stack`` go through ``eigh_exact`` as
@@ -251,10 +259,10 @@ def branch_spectra(shape, branches, n_max, harmonics=None):
     pair, and ``eigenvectors`` (B, d, d), the coefficients of state alpha
     of pair b in column ``eigenvectors[b, :, alpha]`` (row i multiplies
     chi_n, n = i - n_max).
-    ``harmonics``, a longer ``geometry.winding_harmonics`` result that a
-    caller also reads, gives the same arrays bit for bit.
+    ``harmonics``, a longer ``geometry.winding_harmonics`` result, and ``k``, the
+    pairs' ``branch_momenta``, which a caller also reads, give the same arrays bit for bit.
     """
-    return eigh_exact(_hamiltonian_stack(shape, branches, n_max, harmonics))
+    return eigh_exact(_hamiltonian_stack(shape, branches, n_max, harmonics, k))
 
 
 def solve_states(shape, basis, config):
@@ -263,9 +271,5 @@ def solve_states(shape, basis, config):
     The one-pair case of ``branch_spectra``, wrapped in ``EigenState`` objects.
     """
     dec = branch_spectra(shape, [(basis.p, config.include_vc)], basis.n_max)
-    p, include_vc = basis.p, config.include_vc
-    return [
-        EigenState(energy, coefficients, p, alpha, include_vc)
-        for alpha, (energy, coefficients) in enumerate(
-            zip(dec.eigenvalues[0].tolist(), dec.eigenvectors[0].T))
-    ]
+    return list(map(EigenState, dec.eigenvalues[0].tolist(), dec.eigenvectors[0].T,
+                    repeat(basis.p), count(), repeat(config.include_vc)))

@@ -22,6 +22,10 @@ fixed grid.
 weights g / (2 pi D) of ``geometry.winding_rows`` before production took
 their harmonics in closed form (``geometry.moment_harmonics``), at a
 fixed grid.
+``list_of_rows_harmonics`` is ``geometry.winding_harmonics`` as first
+written, and ``unscaled_moment_harmonics`` is ``geometry.moment_harmonics``
+without the power of two that keeps tall coils' coefficients finite:
+production must equal both bit for bit wherever they are finite.
 Production takes toroidal moments as quadratic forms in the
 coefficients.  The full-turn references here do neither.  ``hamiltonian_element`` integrates one complex element
 H[m, n] over the whole turn from the old terms, the i k f'/f^3 term and
@@ -230,6 +234,97 @@ def sampled_moment_harmonics(shape, width, points):
     spectra = np.fft.fft(g * (b / math.pi), axis=-1) * (2.0 * math.pi / points)
     # sum_j w(theta_j) e^{i d theta_j} is DFT index (-d) mod points
     return spectra[:, -np.arange(-width, width + 1) % points]
+
+
+def list_of_rows_harmonics(shape, count, potential=False):
+    """``geometry.winding_harmonics`` as first written: nothing scaled but the
+    directions, and the recurrence over a list of rows.
+
+    The constants of D = K |1 - s z + p z^2|^2 in numpy floats with v^2
+    unscaled, the derivative directions of D'' and |r''|^2 over the power
+    of two of D(pi), then one step per harmonic that appends to F and to
+    each slope row in turn, F with zero forcing.  Production forms the same
+    floats over fewer, larger steps, and takes its products of two sizes of
+    D over a further power of two on tall coils; where these are finite the
+    two agree bit for bit.
+    """
+    w2 = np.float64(shape.omega) ** 2
+    a, b, R = np.float64(shape.a), np.float64(shape.b), np.float64(shape.R)
+    alpha = a * a + w2 * (b * b - a * a)
+    beta = 2 * a * (R - a) + 2 * w2 * (a * a - b * b)
+    gamma = (R - a) ** 2 + w2 * b * b
+    r, q = np.sqrt(gamma), np.sqrt((R + a) ** 2 + w2 * b * b)
+    m = 0.5 * (r + q)
+    g = (R - a) * (R + a) + w2 * (2 * a * a - b * b)
+    if g >= 0:
+        v2 = 0.5 * (g + r * q)
+    else:
+        v2 = 2 * w2 * (R * R * (b * b - a * a) + a * a * alpha) / (r * q - g)
+    v = np.sqrt(v2)
+    t = 0.5 * (m + v)
+    s, p = -a * R / (m * t), 0.25 * alpha / (t * t)
+    scale = 2.0 ** -max(math.frexp(gamma)[1], 0)
+    directions = [(beta, 6 * alpha - beta, -4 * alpha)]
+    if potential:
+        k = a * (w2 + 1)
+        c0 = R - k
+        e = (4 * a * a + b * b * w2) * w2
+        directions.append((c0 * c0, 2 * (k * c0 + e), k * k - e))
+    directions = [(scale * p0, scale * p1, scale * p2) for p0, p1, p2 in directions]
+    rq = r * q
+    f0 = m / (v * r * q)
+    f1 = s * f0 / (1 + p)
+    rows, forcing = [[f0, f1]], [(0.0, 0.0)]
+    for p0, p1, p2 in directions:
+        dr = 0.5 * p0 / r
+        dq = 0.5 * (p0 + 2 * p1 + 4 * p2) / q
+        dm = 0.5 * (dr + dq)
+        drq, dg = r * dq + q * dr, p0 + p1
+        if g >= 0:
+            dv2 = 0.5 * (dg + drq)
+        else:
+            dv2 = (2 * (p2 * gamma + alpha * p0) - beta * p1 - v2 * (drq - dg)) / (rq - g)
+        dv = 0.5 * dv2 / v
+        dt = 0.5 * (dm + dv)
+        ds = -0.5 * (2 * p2 + p1) / (m * t) - s * (dm / m + dt / t)
+        dp = 0.25 * p2 / (t * t) - 2 * p * dt / t
+        df0 = f0 * (dm / m - dv / v - dr / r - dq / q)
+        rows.append([df0, (ds * f0 + s * df0 - f1 * dp) / (1 + p)])
+        forcing.append((ds, dp))
+    rows = [[float(x) for x in row] for row in rows]
+    s, p = float(s), float(p)
+    forcing = [(float(ds), float(dp)) for ds, dp in forcing]
+    for _ in range(2, count):
+        v1, v2 = rows[0][-1], rows[0][-2]
+        for row, (ds, dp) in zip(rows, forcing):
+            row.append(s * row[-1] - p * row[-2] + ds * v1 - dp * v2)
+    f = np.array(rows[0][:count])
+    slopes = np.array([row[:count] for row in rows[1:]]) / scale
+    d2f = np.arange(count, dtype=float) ** 2 * f
+    a0 = w2 / 64 * (7 * d2f - slopes[0])
+    vc = slopes[1] / 8 - w2 / 64 * (slopes[0] + d2f) if potential else None
+    return a0, 0.5 * f, vc
+
+
+def unscaled_moment_harmonics(shape, b, width, axes):
+    """``geometry.moment_harmonics`` with its numerators' coefficients unscaled.
+
+    Horner's rule on F = 2 B with the coefficients of
+    ``geometry._moment_numerators`` as they are, the form that overflows
+    on tall coils; where it is finite production agrees bit for bit.
+    """
+    f = 2.0 * np.asarray(b)
+    full = np.concatenate([f[:0:-1], f])
+    out = []
+    for odd, coefficients in geometry._moment_numerators(shape, axes, 1.0):
+        x = coefficients[-1] * full
+        for trim, coefficient in enumerate(reversed(coefficients[:-1]), 1):
+            x = 0.5 * (x[:-2] + x[2:]) + coefficient * full[trim:-trim]
+        if odd:
+            x = 0.5j * (x[:-2] - x[2:])
+        mid = x.size // 2
+        out.append(x[mid - width:mid + width + 1])
+    return np.array(out)
 
 
 def moment_from_current(shape, current_fn, quad):

@@ -568,20 +568,27 @@ class TestExitCodes:
         assert err.startswith("helixtm: numerical failure: ")
         assert not target.exists()
 
-    # tall coils: the Hamiltonian's harmonics answer while D = f^2 is
-    # finite; the moment weights overflow first
+    # tall coils: the harmonics, v^2 and the moment weights take their
+    # products of two sizes of D over a power of two, so every command
+    # answers while 4 D = 4 f^2 is finite (b up to 3.9e152 at omega 17)
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--b", "1e150"],
         ["current", "--b", "1e150"],
         ["moments", "--b", "1e100"],
         ["thermal", "--b", "1e100", "--temperature", "1"],
+        ["spectrum", "--b", "1e152"],
+        ["current", "--b", "1e152"],
+        ["moments", "--b", "1e120"],
+        ["moments", "--b", "1e152"],
+        ["thermal", "--b", "1e152", "--temperature", "1"],
     ])
     def test_tall_coils_answer(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--omega", "17", "--p", "1")
         assert (code, err) == (0, "") and out
 
     def test_taller_coil_moments_fail_in_one_line(self, capsys):
-        code, out, err = run_cli(capsys, "moments", "--b", "1e120", "--omega", "17", "--p", "1")
+        # from b = 1e153 on, D = f^2 itself overflows
+        code, out, err = run_cli(capsys, "moments", "--b", "1e153", "--omega", "17", "--p", "1")
         assert (code, out) == (3, "")
         assert err.startswith("helixtm: numerical failure: ") and err.count("\n") == 1
 

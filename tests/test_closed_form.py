@@ -18,10 +18,15 @@ import math
 import numpy as np
 import pytest
 
-from helixtm.geometry import HelixShape, moment_harmonics, winding_harmonics
+from helixtm.geometry import HelixShape, _d_factor, moment_harmonics, winding_harmonics
 from helixtm.observables import branch_moments, moment_vectors
 from helixtm.spectrum import _hamiltonian_stack, branch_momenta, branch_spectra
-from oracles import sampled_hamiltonians, sampled_moment_harmonics
+from oracles import (
+    list_of_rows_harmonics,
+    sampled_hamiltonians,
+    sampled_moment_harmonics,
+    unscaled_moment_harmonics,
+)
 
 # points per winding of the reference trapezoid: the flattest shape here,
 # (0.999, 0.001, 6), is 2.8e-11 of max |H| off its limit at 2^15 points
@@ -207,3 +212,67 @@ def test_tall_coil_harmonics_do_not_overflow(b):
     for x, want, scale in zip(got, ref, (ratio, 1 / ratio, ratio)):
         assert np.all(np.isfinite(x))
         assert np.allclose(x[::2] / scale, want[::2], rtol=4e-15, atol=0)
+
+
+def _wide_draws(seed, count, max_log_b):
+    # b/R from 1e-3 to 10^max_log_b, log-uniform, so the tall coils whose
+    # products of two sizes of D are scaled (D(pi) > 2^500) are drawn too
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = float(rng.uniform(0.01, 0.99))
+        b = 10.0 ** float(rng.uniform(-3.0, max_log_b))
+        omega = int(rng.integers(1, 41))
+        size = int(rng.integers(1, 34))
+        yield pytest.param(a, b, omega, size, id=f"{a:.3f}-{b:.3g}-{omega}-{size}")
+
+
+@pytest.mark.parametrize("a, b, omega, count", [
+    *_wide_draws(23, 24, 76),
+    # F underflows to signed zeros: F's own zero forcing fixes their signs
+    pytest.param(1e-200, 1e-200, 1, 33, id="underflow-1"),
+    pytest.param(1e-200, 2e-200, 39, 33, id="underflow-39"),
+    pytest.param(0.5, 1e76, 40, 33, id="tall-1e76-40"),
+])
+@pytest.mark.parametrize("potential", [False, True], ids=["A0-B", "with-Vc"])
+def test_harmonics_equal_the_list_of_rows_recurrence(a, b, omega, count, potential):
+    # production runs F first and each slope row after it over local
+    # floats, and scales the products of two sizes of D on tall coils; the
+    # floats are those of one step per harmonic over a list of rows
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    got = winding_harmonics(shape, count, potential)
+    want = list_of_rows_harmonics(shape, count, potential)
+    for x, y in zip(got, want):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("a, b, omega, count", [
+    *_wide_draws(29, 24, 100),
+    pytest.param(1e-300, 4e18, 4, 10, id="tiny-a"),
+    pytest.param(1e-300, 1e10, 1, 10, id="tiny-a-one-winding"),
+    pytest.param(7.6e-285, 1.8e99, 1, 6, id="tiny-a-tall-one-winding"),
+])
+def test_moment_weights_equal_the_unscaled_horner(a, b, omega, count):
+    # up to b near 1e100 the unscaled numerators are finite; taken over a
+    # power of two, with F times it, every product is the same float.  Below
+    # D(pi) = 2^500 nothing is scaled, so the a R terms of a thin coil keep
+    # their bits
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    axes = (0, 1, 2) if omega == 1 else (2,)
+    harmonics = winding_harmonics(shape, count + 5)[1]
+    got = moment_harmonics(shape, harmonics, count, axes)
+    assert got.tobytes() == unscaled_moment_harmonics(shape, harmonics, count, axes).tobytes()
+
+
+@pytest.mark.parametrize("b", [1e120, 1e152])
+def test_tall_coil_spectra_and_moments_do_not_overflow(b):
+    # v^2, 6 alpha - beta, omega^4 b^2, p2 gamma, v r q and the moment
+    # weights' numerators are products of two sizes of D, or reach
+    # D^(3/2): over a power of two they stay finite while D does
+    shape = HelixShape(R=1.0, a=0.5, b=b, omega=17)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        constants = _d_factor(shape)
+        dec, vectors = branch_moments(shape, [(1, False), (1, True)], 4)
+    assert np.all(np.isfinite(constants))
+    assert np.all(np.isfinite(dec.eigenvalues)) and np.all(np.isfinite(vectors))

@@ -300,6 +300,24 @@ class TestClassicalMoment:
         assert free_particle_current(UP4, 2.0) == pytest.approx(4 * math.pi / L**2, rel=1e-10)
 
 
+def _round_draws(seed, count):
+    # round to moderate cross-sections: a in [0.1, 0.8] and b/a in
+    # [1/2, 2], so f = ds/dphi stays within a factor 2.1 of constant.
+    # The basis is uniform in phi and the exact states in arc length,
+    # so that factor sets the convergence: here the levels settle to
+    # rounding by n_max 64 (5e-16 of the top level of the 129), while
+    # at b/a up to 8 truncation shows (6e-13), and on flat coils far
+    # more.  p in [1, omega/2) keeps the +-m levels apart, so every
+    # level has one moment
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = float(rng.uniform(0.1, 0.8))
+        b = a * float(2.0 ** rng.uniform(-1.0, 1.0))
+        omega = int(rng.integers(3, 41))
+        p = int(rng.integers(1, (omega + 1) // 2))
+        yield pytest.param(a, b, omega, p, id=f"{a:.3f}-{b:.3f}-{omega}-{p}")
+
+
 class TestFreeLoop:
     """Without V_c the Hamiltonian is -1/2 d^2/ds^2 on a loop of length L,
     solved exactly by e^{2 pi i m s/L}: level alpha of branch p has
@@ -324,6 +342,21 @@ class TestFreeLoop:
         assert_allclose(dec.eigenvalues[0, :5], math.pi * m * currents_m, rtol=1e-11)
         want = [classical_moment_closed(shape, i)[2] for i in currents_m]
         assert_allclose(vectors[0, :5, 2], want, rtol=5e-12)
+
+    @pytest.mark.parametrize("a, b, omega, p", _round_draws(64, 16))
+    def test_seeded_shapes_match_the_exact_loop(self, a, b, omega, p):
+        # the error left is rounding, of the size of eps times the largest
+        # level, which dwarfs the ground level at large omega: the
+        # tolerances are relative to the top level and to the largest moment
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        dec, vectors = observables.branch_moments(shape, [(p, False)], 64)
+        length = arc_length(shape)
+        m = np.array(sorted((p + omega * j for j in range(-3, 4)), key=abs)[:5], dtype=float)
+        currents_m = 2 * math.pi * m / length**2
+        levels = dec.eigenvalues[0]
+        assert_allclose(levels[:5], math.pi * m * currents_m, rtol=0, atol=1e-14 * levels[-1])
+        want = np.array([classical_moment_closed(shape, i)[2] for i in currents_m])
+        assert_allclose(vectors[0, :5, 2], want, rtol=0, atol=2e-11 * np.abs(want).max())
 
 
 class TestQuantumClassicalAgreement:
