@@ -427,9 +427,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         settings = _resolve(args)
-        for p in settings.p_list:
-            if not 0 <= p < settings.omega:
-                raise UsageError(f"branch index must satisfy 0 <= p < omega, got p={p}")
         # every command computes its numbers before returning; the chunks
         # only format them, so a failure leaves no --out file behind.  A
         # division by zero, overflow or invalid value in a shape's

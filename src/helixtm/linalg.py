@@ -7,23 +7,17 @@ which otherwise float freely and would spoil bitwise reproducibility of
 downstream output.  The solver is checked against an inertia-count
 bisection oracle in the tests.
 
-One core solves a whole stack of matrices of one size: one ``eigh``
-call and one ``fix_phase`` call.  ``numpy.linalg.eigh`` solves a stack
-matrix by matrix with the same LAPACK routine, so every result equals
-the one-matrix solve bit for bit.  Two entries lead to it:
-
-- ``eigh_stack`` takes any stack.  It validates it in one pass (the
-  default tolerance, exceptions and messages of ``HermitianMatrix``,
-  reporting the first matrix that fails) and solves the Hermitian
-  averages ``(A + A*) / 2``, as ``eigen_decompose`` does for one matrix.
-- ``eigh_exact`` takes a stack that equals its conjugate transpose bit
-  for bit, as the helix Hamiltonians do (see ``spectrum``), and checks
-  only that it is finite.  For such a stack the drift that ``eigh_stack``
-  measures is exactly 0, so its tolerance test cannot fail, and
-  ``0.5 * (A + A*)`` is A bit for bit (the sum of two equal floats and
-  the halving are exact unless the sum overflows, past 8.9e307), so the
-  average cannot change what LAPACK sees.  ``eigh_exact`` skips both
-  passes and the copy and gives the same arrays bit for bit.
+``eigh_exact``, the production solve, takes a (B, d, d) stack that
+equals its conjugate transpose bit for bit, as the helix Hamiltonians do
+(see ``spectrum``), and checks only that it is finite.  It makes one
+``eigh`` call and one ``fix_phase`` call for the whole stack.
+``numpy.linalg.eigh`` solves a stack matrix by matrix with the same
+LAPACK routine, so every result equals
+``fix_phase(eigen_decompose(HermitianMatrix(h)).eigenvectors)`` of its
+matrix h bit for bit: for such a matrix the drift that ``HermitianMatrix``
+measures is exactly 0, and ``0.5 * (A + A*)`` is A bit for bit (the sum
+of two equal floats and the halving are exact unless the sum overflows,
+past 8.9e307), so the average cannot change what LAPACK sees.
 
 Real input stays real throughout: a real matrix is stored as float64,
 LAPACK's real symmetric solver returns real eigenvectors, and
@@ -60,30 +54,17 @@ def _hermitian_part(arr):
     return 0.5 * (arr + _adjoint(arr))
 
 
+def _check_finite(arr):
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+
+
 class HermiticityViolation(ValueError):
     """Matrix differs from its conjugate transpose beyond tolerance."""
 
 
 class NoConvergence(RuntimeError):
     """The eigensolver failed to converge."""
-
-
-def _check_stack(arr, tol):
-    """Raise for the first matrix of a (B, d, d) stack that is not finite
-    or not Hermitian to ``tol``, as a ``HermitianMatrix`` of each in turn would."""
-    if arr.size == 0:
-        return
-    finite = np.isfinite(arr).all(axis=(-2, -1))
-    with np.errstate(invalid="ignore"):  # inf - inf in a matrix reported as non-finite
-        drift = np.abs(arr - _adjoint(arr)).max(axis=(-2, -1))
-    bad = np.flatnonzero(~finite | (drift > tol))
-    if bad.size == 0:
-        return
-    if not finite[bad[0]]:
-        raise ValueError("matrix entries must be finite")
-    raise HermiticityViolation(
-        f"max |A - A*| = {float(drift[bad[0]]):.3e} exceeds tolerance {tol:.1e}"
-    )
 
 
 @dataclass(frozen=True)
@@ -102,7 +83,12 @@ class HermitianMatrix:
         arr = _real_or_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        _check_stack(arr[None], self.hermiticity_tol)
+        _check_finite(arr)
+        drift = float(np.abs(arr - _adjoint(arr)).max(initial=0.0))
+        if drift > self.hermiticity_tol:
+            raise HermiticityViolation(
+                f"max |A - A*| = {drift:.3e} exceeds tolerance {self.hermiticity_tol:.1e}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -155,19 +141,17 @@ def _eigh(arr):
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
 
 
-def _solve(arr):
-    """The one solve core: LAPACK on a (B, d, d) stack as given, then the phase rule."""
-    eigenvalues, eigenvectors = _eigh(arr)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=fix_phase(eigenvectors))
+def eigh_exact(stack):
+    """Solve and phase-fix a (B, d, d) stack that is Hermitian bit for bit.
 
-
-def eigh_stack(entries):
-    """Validate, solve and phase-fix a (B, d, d) stack of Hermitian matrices.
-
-    Equivalent to ``fix_phase(eigen_decompose(HermitianMatrix(h)).eigenvectors)``
-    for every matrix h of the stack, bit for bit, from one validation
-    pass, one ``numpy.linalg.eigh`` call on the Hermitian averages and one
-    ``fix_phase`` call.
+    The production solve: a finite check, one ``numpy.linalg.eigh`` call
+    on the stack as given, with no copy, no drift pass and no averaging,
+    and one ``fix_phase`` call.  For a stack that equals its conjugate
+    transpose bit for bit those passes cannot change the result (see the
+    module docstring), so matrix b of the result is
+    ``fix_phase(eigen_decompose(HermitianMatrix(stack[b])).eigenvectors)``
+    bit for bit.  A stack that is not exactly Hermitian is the caller's
+    error: LAPACK then reads one triangle only.
 
     Returns
     -------
@@ -179,42 +163,13 @@ def eigh_stack(entries):
     Raises
     ------
     ValueError
-        If the input is not a (B, d, d) stack or a matrix is not finite.
-    HermiticityViolation
-        If a matrix drifts from its conjugate transpose by more than
-        ``DEFAULT_HERMITICITY_TOL``.
+        If an entry is not finite (``HermitianMatrix``'s message).
     NoConvergence
         If LAPACK reports that the decomposition did not converge.
     """
-    arr = _real_or_complex(entries)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
-    _check_stack(arr, DEFAULT_HERMITICITY_TOL)
-    return _solve(_hermitian_part(arr))
-
-
-def eigh_exact(stack):
-    """Solve and phase-fix a (B, d, d) stack that is Hermitian bit for bit.
-
-    The production solve: a finite check, then the core of ``eigh_stack``
-    on the stack as given, with no copy, no drift pass and no averaging.
-    For a stack that equals its conjugate transpose bit for bit those
-    passes cannot change the result (see the module docstring), so this
-    returns ``eigh_stack(stack)`` bit for bit.  A stack that is not
-    exactly Hermitian is the caller's error: LAPACK then reads one
-    triangle only.
-
-    Raises
-    ------
-    ValueError
-        If an entry is not finite (``eigh_stack``'s message).
-    NoConvergence
-        If LAPACK reports that the decomposition did not converge.
-    """
-    arr = np.asarray(stack)
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return _solve(arr)
+    _check_finite(stack)
+    eigenvalues, eigenvectors = _eigh(stack)
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=fix_phase(eigenvectors))
 
 
 def fix_phase(vectors):

@@ -66,11 +66,13 @@ its first terms unchanged.  The command line's ``moments`` and
 classical column apart, also in closed form (``geometry.arc_length``).
 ``toroidal_moment`` is the one-state case of ``moment_vectors``, wrapped
 in a ``MomentResult``.
-``classical_moment_numeric`` integrates the same rows of g, one
-``quadrature.integrate_periodic`` per row over one winding.  The rows
-of g come from ``geometry.winding_rows``, in the winding angle's sine
-and cosine alone: r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2,
-and at omega = 1 cos phi = c and sin phi = s.
+``classical_moment_numeric`` takes the same rows of g as the mean of a
+fixed trapezoid over one winding.  The rows of g come from
+``geometry.winding_rows``, in the winding angle's sine and cosine alone:
+r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2, and at omega = 1
+cos phi = c and sin phi = s.  Each row is a trig polynomial of degree at
+most 4 in theta, which the trapezoid on more than 4 nodes integrates
+exactly.
 The tests check the quantum moments against integrating j * g_axis
 over the full turn on all three axes, with g formed from the stacked
 position and velocity, their harmonics against a fine trapezoid of the
@@ -86,7 +88,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .quadrature import integrate_periodic
 from .spectrum import branch_momenta, branch_spectra
 
 
@@ -224,18 +225,24 @@ def toroidal_moment(state, shape):
                         state_ref=(state.p, state.alpha, state.include_vc))
 
 
-def classical_moment_numeric(shape, loop_current, quad=None):
-    """Toroidal moment vector of a constant loop current by quadrature.
+# Nodes of the classical moment's trapezoid: more than the rows' degree 4,
+# so the trapezoid is exact for them.
+_CLASSICAL_NODES = 16
+
+
+def classical_moment_numeric(shape, loop_current):
+    """Toroidal moment vector of a constant loop current by a fixed trapezoid.
 
     Each axis that does not vanish identically (see the module docstring)
-    is one ``integrate_periodic`` of its row of g (``geometry.winding_rows``)
-    over one winding.
+    is 2 pi times the mean of its row of g (``geometry.winding_rows``) over
+    ``_CLASSICAL_NODES`` equally spaced angles of one winding, exact for
+    these degree-4 trig polynomials.
     """
+    theta = 2.0 * math.pi * np.arange(_CLASSICAL_NODES) / _CLASSICAL_NODES
+    axes = _moment_axes(shape)
     vector = np.zeros(3)
-    for axis in _moment_axes(shape):
-        integral = integrate_periodic(
-            lambda theta: geometry.winding_rows(shape, theta, moment_axes=(axis,))[2][0], quad)
-        vector[axis] = loop_current * integral.value.real
+    vector[list(axes)] = loop_current * 2.0 * math.pi * np.mean(
+        geometry.winding_rows(shape, theta, moment_axes=axes)[2], axis=1)
     return vector / 10.0
 
 

@@ -43,8 +43,9 @@ coefficient over one winding at harmonic d = n - m:
     H[m, n] = A_d + k_n^2 B_d + i k_n C_d,
     X_d = (1/(2*pi)) Integral_0^{2pi} X(theta) e^{i d theta} dtheta,
 
-with no factor left over (see ``quadrature``), at a cost that does
-not grow with omega.
+with no factor left over (the turn covers omega windings, each giving
+the same integral, and dphi = dtheta / omega divides their sum by
+omega), at a cost that does not grow with omega.
 
 C is fixed by B: C = -omega dB/dtheta, so integrating by parts gives
 C_d = i omega d B_d, and with omega d = k_n - k_m
@@ -84,12 +85,12 @@ a complete elliptic integral in the same constants
 (``geometry.arc_length``): nothing samples an angle.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
-with ``linalg.eigh_exact``, the solve core that ``linalg.eigh_stack``
-also runs: a finite check, one LAPACK call and one sign rule for all B
-matrices, giving energies (B, d) and coefficients (B, d, d).  It skips
-``eigh_stack``'s copy, drift pass and Hermitian averaging, which cannot
-change a result here: the stack equals its transpose bit for bit, so its
-drift is exactly 0 and its average (H + H^T)/2 is H bit for bit.
+with ``linalg.eigh_exact``: a finite check, one LAPACK call and one sign
+rule for all B matrices, giving energies (B, d) and coefficients
+(B, d, d).  It skips the drift check and Hermitian averaging of
+``HermitianMatrix`` and ``eigen_decompose``, which cannot change a
+result here: the stack equals its transpose bit for bit, so its drift is
+exactly 0 and its average (H + H^T)/2 is H bit for bit.
 ``branch_momenta`` is the matching k = p + omega*n table, which
 ``observables.moment_vectors`` and ``observables.currents`` take with
 the coefficients.  Arrays are the only batch path; the one-branch
@@ -253,8 +254,8 @@ def branch_spectra(shape, branches, n_max, harmonics=None, k=None):
 
     The matrices of ``_hamiltonian_stack`` go through ``eigh_exact`` as
     one (B, d, d) array, B = len(branches), d = 2*n_max + 1: a finite
-    check, one LAPACK call and one sign rule, bit for bit as
-    ``eigh_stack``, since the stack is symmetric bit for bit.  Returns an
+    check, one LAPACK call and one sign rule, bit for bit as the
+    per-matrix solve, since the stack is symmetric bit for bit.  Returns an
     ``EigenDecomposition`` with ``eigenvalues`` (B, d), ascending per
     pair, and ``eigenvectors`` (B, d, d), the coefficients of state alpha
     of pair b in column ``eigenvectors[b, :, alpha]`` (row i multiplies

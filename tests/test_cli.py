@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helixtm import cli, geometry, observables, quadrature
+from helixtm import cli, geometry, quadrature
 from helixtm.cli import GEOMETRY_HEADER, main
 from helixtm.geometry import HelixShape, winding_rows
 from helixtm.observables import current
@@ -244,8 +244,7 @@ class TestSharedPasses:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled")
 
-        for module in (quadrature, observables):
-            monkeypatch.setattr(module, "integrate_periodic", refuse)
+        monkeypatch.setattr(quadrature, "integrate_periodic", refuse)
         monkeypatch.setattr(geometry, "winding_rows", refuse)
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
@@ -351,6 +350,19 @@ class TestConfigFile:
         first = out.split("\n")[1]
         assert first.startswith("1,off,E,")
         assert "0.0723531" not in first
+
+    @pytest.mark.parametrize("command", ["geometry", "potential"])
+    def test_branch_key_is_not_read_by_the_curve_tables(self, capsys, tmp_path, command):
+        # the keys are shared: a p out of range for this omega is the
+        # physics commands' business, not the curve tables'
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = 2\np = 3\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--grid", "4")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 5
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "got p=3" in err
 
     def test_unknown_key_reports_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -609,10 +621,31 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", f"helixtm: numerical failure: {message}\n")
         assert not target.exists()
 
-    def test_branch_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--p", "7", "--omega", "4")
-        assert code == 2
-        assert "0 <= p < omega" in err
+    @pytest.mark.parametrize("argv, p", [
+        (["spectrum", "--p", "7", "--omega", "4"], 7),
+        (["moments", "--p", "4"], 4),
+        (["thermal", "--p", "9", "--temperature", "1"], 9),
+        (["current", "--p", "5"], 5),
+        (["moments", "--p", "0,1,6", "--omega", "6"], 6),
+    ])
+    def test_branch_out_of_range(self, capsys, argv, p):
+        # every command that reads --p checks its range
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"helixtm: error: branch index must satisfy 0 <= p < omega, got p={p}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--omega", "0"],
+        ["potential", "--omega", "-2"],
+        ["spectrum", "--omega", "0"],
+        ["moments", "--omega", "0", "--p", "0"],
+    ])
+    def test_winding_count_below_one(self, capsys, argv):
+        # no branch can lie in [0, omega) here; the shape's own check reports
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        omega = argv[argv.index("--omega") + 1]
+        assert err == f"helixtm: error: winding count must be >= 1, got omega={omega}\n"
 
     def test_unknown_flag_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

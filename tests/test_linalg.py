@@ -25,7 +25,6 @@ from helixtm.linalg import (
     NoConvergence,
     eigen_decompose,
     eigh_exact,
-    eigh_stack,
     fix_phase,
 )
 from helixtm.spectrum import BlochBasis, SpectrumConfig, branch_spectra, build_hamiltonian
@@ -193,16 +192,25 @@ class TestValidation:
             HermitianMatrix(np.zeros(4))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            HermitianMatrix(np.array([[0.0, np.inf], [np.inf, 1.0]]))
+        # a non-finite entry is reported as such, not as a drift (inf - inf)
+        for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.inf], [np.inf, 1.0]],
+                    [[1.0, np.inf], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$") as info:
+                HermitianMatrix(np.array(bad))
+            assert not isinstance(info.value, HermiticityViolation)
 
     def test_tolerance_semantics(self):
         a = np.array([[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]])
         HermitianMatrix(a, hermiticity_tol=1e-9)  # drift below tol: accepted
         with pytest.raises(HermiticityViolation):
             HermitianMatrix(a, hermiticity_tol=1e-11)
+
+    def test_checks_to_the_default_tolerance(self):
+        # the absolute DEFAULT_HERMITICITY_TOL, 1e-9, and the drift's message
+        HermitianMatrix(np.array([[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]]))
+        with pytest.raises(HermiticityViolation) as info:
+            HermitianMatrix(np.array([[1.0, 0.5 + 1e-9j], [0.5 - 3e-9j, 2.0]]))
+        assert str(info.value) == "max |A - A*| = 2.000e-09 exceeds tolerance 1.0e-09"
 
     def test_entries_are_insulated(self):
         src = np.eye(2)
@@ -311,9 +319,9 @@ class TestFixPhase:
             fix_phase(stack)
 
 
-class TestEighStack:
-    """The stacked solve against one HermitianMatrix, eigen_decompose and
-    fix_phase per matrix."""
+class TestEighExact:
+    """The production solve: one eigh and one fix_phase call for a stack,
+    after a finite check only."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_equals_matrix_by_matrix(self, dtype):
@@ -322,81 +330,26 @@ class TestEighStack:
             random_hermitian(rng, 9).real if dtype is float else random_hermitian(rng, 9)
             for _ in range(6)
         ])
-        dec = eigh_stack(stack)
+        # these stacks equal their adjoints bit for bit, so the solve, which
+        # neither checks the drift nor averages, agrees with the validated
+        # per-matrix solve bit for bit
+        assert np.array_equal(stack, np.swapaxes(stack, 1, 2).conj())
+        dec = eigh_exact(stack)
         assert isinstance(dec, EigenDecomposition)
         assert dec.eigenvalues.shape == (6, 9) and dec.eigenvectors.shape == (6, 9, 9)
+        assert dec.eigenvectors.dtype == stack.dtype
         for h, values, vectors in zip(stack, dec.eigenvalues, dec.eigenvectors):
             one = eigen_decompose(HermitianMatrix(h))
-            assert np.array_equal(values, one.eigenvalues)
-            assert np.array_equal(vectors, fix_phase(one.eigenvectors))
-        # these stacks equal their adjoints bit for bit, so the production
-        # solve, which neither checks the drift nor averages, agrees bit for bit
-        assert np.array_equal(stack, np.swapaxes(stack, 1, 2).conj())
-        lean = eigh_exact(stack)
-        assert lean.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
-        assert lean.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
+            assert values.tobytes() == one.eigenvalues.tobytes()
+            assert vectors.tobytes() == fix_phase(one.eigenvectors).tobytes()
 
-    def test_non_finite_stack_rejected(self):
-        good = np.eye(3)
-        for bad in (np.nan, np.inf):
-            stack = np.array([good, good, good])
-            stack[1, 0, 2] = stack[1, 2, 0] = bad
-            with pytest.raises(ValueError, match="finite") as info:
-                eigh_stack(stack)
-            assert not isinstance(info.value, HermiticityViolation)
-
-    def test_reports_first_failing_matrix_as_one_matrix_would(self):
-        good = np.eye(3)
-        drift_small = good.copy()
-        drift_small[0, 1] = 3e-8
-        drift_large = good.copy()
-        drift_large[0, 1] = 5e-6
-        non_finite = good.copy()
-        non_finite[2, 2] = np.nan
-        for stack in (
-            [good, drift_small, drift_large],
-            [good, drift_large, drift_small],
-            [drift_small, non_finite],
-            [non_finite, drift_small],
-        ):
-            with pytest.raises(ValueError) as want:
-                for h in stack:
-                    HermitianMatrix(h)
-            with pytest.raises(ValueError) as got:
-                eigh_stack(np.array(stack))
-            assert type(got.value) is type(want.value)
-            assert str(got.value) == str(want.value)
-
-    def test_checks_to_the_default_tolerance(self):
-        # the absolute DEFAULT_HERMITICITY_TOL of HermitianMatrix, 1e-9
-        eigh_stack(np.array([[[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]]]))
-        with pytest.raises(HermiticityViolation, match="exceeds tolerance 1.0e-09"):
-            eigh_stack(np.array([[[1.0, 0.5 + 1e-9j], [0.5 - 3e-9j, 2.0]]]))
-
-    def test_shape_rejected(self):
-        for bad in (np.eye(3), np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2))):
-            with pytest.raises(ValueError, match="stack of square matrices"):
-                eigh_stack(bad)
-
-    def test_no_convergence_is_reported(self, monkeypatch):
-        def failing_eigh(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-        with pytest.raises(NoConvergence):
-            eigh_stack(np.array([np.eye(2)]))
-
-
-class TestEighExact:
-    """The production solve: eigh_stack's core after a finite check only."""
-
-    def test_non_finite_stack_rejected_as_by_eigh_stack(self):
+    def test_non_finite_stack_rejected_as_by_hermitian_matrix(self):
         good = np.eye(3)
         for bad in (np.nan, np.inf, -np.inf):
             stack = np.array([good, good, good])
             stack[1, 0, 2] = stack[1, 2, 0] = bad
             with pytest.raises(ValueError) as want:
-                eigh_stack(stack)
+                HermitianMatrix(stack[1])
             with pytest.raises(ValueError) as got:
                 eigh_exact(stack)
             assert type(got.value) is type(want.value) is ValueError

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helixtm import geometry, observables, quadrature
-from helixtm.geometry import HelixShape, arc_length, speed
+from helixtm.geometry import HelixShape, arc_length, speed, winding_rows
 from helixtm.observables import (
     MomentResult,
     ThermalSpec,
@@ -40,6 +40,13 @@ CIRC4 = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UP4 = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
 FLAT4 = HelixShape(R=1.0, a=0.75, b=0.25, omega=4)
 UP8 = HelixShape(R=1.0, a=0.25, b=0.75, omega=8)
+
+
+def _classical_shapes(count, seed):
+    """Unit-radius shapes, omega 1 to 40, b/R 0.1 to 3.2, drawn from a seed."""
+    rng = np.random.default_rng(seed)
+    return [HelixShape(R=1.0, a=float(rng.uniform(0.05, 0.95)), b=float(10 ** rng.uniform(-1, 0.5)),
+                       omega=int(rng.integers(1, 41))) for _ in range(count)]
 FLAT8 = HelixShape(R=1.0, a=0.75, b=0.25, omega=8)
 
 
@@ -182,8 +189,7 @@ class TestQuantumMoment:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled")
 
-        for module, name in [(quadrature, "integrate_periodic"),
-                             (observables, "integrate_periodic"), (geometry, "winding_rows")]:
+        for module, name in [(quadrature, "integrate_periodic"), (geometry, "winding_rows")]:
             monkeypatch.setattr(module, name, refuse)
         pairs = [(0, True), (0, False)]
         dec, vectors = observables.branch_moments(shape, pairs, 2)
@@ -240,12 +246,29 @@ class TestClassicalMoment:
         assert res[2] == pytest.approx(-math.pi / 2, rel=1e-14)
         assert_allclose(res[:2], [0.0, 0.0], atol=1e-15)
 
-    def test_numeric_matches_closed_form(self):
-        for shape in (CIRC4, UP4, FLAT4, UP8, HelixShape(R=2.0, a=0.3, b=0.9, omega=5)):
-            closed = classical_moment_closed(shape, 0.7)
-            numeric = classical_moment_numeric(shape, 0.7)
-            assert numeric[2] == pytest.approx(closed[2], abs=1e-8)
-            assert_allclose(numeric[:2], [0.0, 0.0], atol=1e-8)
+    @pytest.mark.parametrize("shape", [
+        CIRC4, UP4, FLAT4, UP8, HelixShape(R=2.0, a=0.3, b=0.9, omega=5),
+        HelixShape(R=1.0, a=0.9, b=0.1, omega=1),
+        HelixShape(R=1.0, a=0.3, b=0.3, omega=1),
+        HelixShape(R=1.0, a=0.999, b=0.001, omega=6),  # flat
+        HelixShape(R=1.0, a=0.2, b=3.0, omega=4),  # tall
+        HelixShape(R=1.0, a=0.5, b=0.5, omega=40),
+        *_classical_shapes(12, 4711),
+    ], ids=repr)
+    def test_numeric_matches_closed_form(self, shape):
+        # the rows of g are trig polynomials of degree <= 4, so the fixed
+        # trapezoid is exact: it meets the closed form to rounding, and a
+        # 64-sample trapezoid of the same rows within a few ulp of the
+        # rows' largest sample
+        closed = classical_moment_closed(shape, 0.7)
+        numeric = classical_moment_numeric(shape, 0.7)
+        assert_allclose(numeric, closed, rtol=1e-13, atol=1e-15)
+        axes = (0, 1, 2) if shape.omega == 1 else (2,)
+        rows = winding_rows(shape, 2 * math.pi * np.arange(64) / 64, moment_axes=axes)[2]
+        fine = np.zeros(3)
+        fine[list(axes)] = 0.7 * 2 * math.pi * rows.mean(axis=1) / 10
+        ulp = np.finfo(float).eps * 0.7 * 2 * math.pi * np.abs(rows).max() / 10
+        assert np.max(np.abs(numeric - fine)) <= 4 * ulp
 
     def test_linear_in_loop_current(self):
         base = classical_moment_closed(UP4, 1.0)[2]
@@ -254,25 +277,29 @@ class TestClassicalMoment:
             -classical_moment_numeric(UP4, 1.0)[2], rel=1e-12
         )
 
-    def test_one_row_integrals_are_one_integration_each(self, monkeypatch):
-        # the classical moment is one integrate_periodic per row of g that
-        # does not vanish; the arc length is a closed form and makes none
+    def test_one_pass_over_the_rows_that_do_not_vanish(self, monkeypatch):
+        # the classical moment samples the rows of g that do not vanish in
+        # one pass of a fixed grid, with no quadrature; the arc length is a
+        # closed form and samples nothing
         calls = []
-        original = quadrature.integrate_periodic
+        original = geometry.winding_rows
 
-        def recording(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def recording(shape, theta, moment_axes=()):
+            calls.append((theta.size, moment_axes))
+            return original(shape, theta, moment_axes)
 
-        monkeypatch.setattr(quadrature, "integrate_periodic", recording)
-        monkeypatch.setattr(observables, "integrate_periodic", recording)
-        for shape, rows in ((UP4, 1), (HelixShape(R=1.0, a=0.9, b=0.1, omega=1), 3)):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(geometry, "winding_rows", recording)
+        monkeypatch.setattr(quadrature, "integrate_periodic", refuse)
+        for shape, axes in ((UP4, (2,)), (HelixShape(R=1.0, a=0.9, b=0.1, omega=1), (0, 1, 2))):
             calls.clear()
             assert arc_length(shape) > 2 * math.pi * shape.R
             assert calls == []
             numeric = classical_moment_numeric(shape, 0.7)
             assert_allclose(numeric, classical_moment_closed(shape, 0.7), rtol=0, atol=1e-8)
-            assert len(calls) == rows
+            assert calls == [(16, axes)]
 
     @pytest.mark.parametrize("R, a, b, y", [
         (1.0, 0.5, 0.5, -0.628319),

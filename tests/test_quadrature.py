@@ -1,6 +1,6 @@
 """Periodic trapezoid rule: exactness on low harmonics, spectral
 convergence on smooth integrands, the rounding floor and the doubling
-cap, failure reporting, and the one-call first sampling."""
+cap, failure reporting, and the nodes each level samples."""
 
 import math
 
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from helixtm import quadrature
-from helixtm.geometry import HelixShape, winding_rows
 from helixtm.quadrature import (
     QuadratureNotConverged,
     QuadratureResult,
@@ -21,6 +20,17 @@ class TestSpecValidation:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             QuadratureSpec(initial_points=4)
+
+    @pytest.mark.parametrize("points", [64.0, 64.5, True, "64", None])
+    def test_rejects_a_non_integer_grid(self, points):
+        with pytest.raises(ValueError, match="initial_points must be an integer"):
+            QuadratureSpec(initial_points=points)
+
+    def test_numpy_integer_grid(self):
+        spec = QuadratureSpec(initial_points=np.int64(16))
+        res = integrate_periodic(lambda phi: np.cos(phi) ** 2, spec)
+        assert res.value.real == pytest.approx(math.pi, rel=1e-15)
+        assert res.points_used == 32
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
@@ -194,56 +204,21 @@ class TestDoublingCap:
         assert res.value.real == pytest.approx(2 * math.pi / math.sqrt(1.0001**2 - 1), rel=1e-12)
 
 
-class TestFirstSampling:
-    """The first call samples every level up to 512 points at once; each
-    level's floats must be those a call on that level's nodes alone gives,
-    or the settled values would move."""
-
-    @pytest.mark.parametrize("a, b, omega", [(0.99, 0.01, 40), (0.9, 0.1, 1), (0.75, 0.25, 6)])
-    def test_one_call_equals_the_per_level_calls(self, a, b, omega):
-        # f over one winding, a row of the pass over a shape
-        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+class TestDoublingWalk:
+    def test_later_levels_sample_only_their_odd_nodes(self):
+        # level l is the trapezoid on 8 * 2**l nodes at 2 pi j / n; each
+        # level keeps the nodes before it, so no angle is sampled twice
         calls = []
 
         def sample(nodes):
-            out = winding_rows(shape, nodes)[0]
-            calls.append((nodes.copy(), out))
-            return out
+            calls.append(nodes.copy())
+            return _sharp(nodes)
 
-        integrate_periodic(sample)
-        nodes, out = calls[0]
-        assert nodes.size == 512
-        # the walk's nodes: 64 at 2*pi*j/64, then each level's midpoints
-        walk = 2.0 * math.pi * np.arange(64) / 64
-        assert np.array_equal(nodes[::8], walk)
-        for level in (1, 2, 3):
-            step = 8 >> level
-            mids = walk + math.pi / (64 << (level - 1))
-            assert np.array_equal(nodes[step::2 * step], mids)
-            assert np.array_equal(out[step::2 * step], winding_rows(shape, mids)[0])
-            walk = np.sort(np.concatenate([walk, mids]))
-        assert np.array_equal(out[::8], winding_rows(shape, 2.0 * math.pi * np.arange(64) / 64)[0])
-
-    def test_later_levels_sample_only_their_midpoints(self, monkeypatch):
-        # with the package's prefetch bound the first call covers every
-        # level; with a bound of 16 points the walk samples each later
-        # level's midpoints, no angle twice, and settles on the same floats
-        spec = QuadratureSpec(initial_points=8)
-        results = []
-        for bound in (quadrature._PREFETCH_POINTS, 16):
-            monkeypatch.setattr(quadrature, "_PREFETCH_POINTS", bound)
-            calls = []
-
-            def sample(nodes):
-                calls.append(nodes.copy())
-                return _sharp(nodes)
-
-            results.append(integrate_periodic(sample, spec))
-            finest = max(bound, results[-1].points_used)
-            sizes = [nodes.size for nodes in calls]
-            assert sizes == [bound] + [bound << i for i in range(len(calls) - 1)]
-            assert bound << len(calls) - 1 == finest
-            sampled = np.concatenate(calls)
-            assert np.unique(sampled).size == sampled.size == finest
-        assert results[0] == results[1]
-        assert results[0].points_used > 16
+        res = integrate_periodic(sample, QuadratureSpec(initial_points=8))
+        assert [nodes.size for nodes in calls] == [8] + [8 << i for i in range(len(calls) - 1)]
+        sampled = np.sort(np.concatenate(calls))
+        n = res.points_used
+        assert n == 8 << len(calls) - 1 and n > 16
+        assert np.array_equal(sampled, 2 * math.pi * np.arange(n) / n)
+        assert res.value.real == pytest.approx(_trapezoid_levels(_sharp, 8, len(calls) - 1)[-1],
+                                               rel=1e-15)

@@ -4,9 +4,8 @@
 (p, V_c) stack with one ``linalg.eigh_exact`` call, which checks only
 that the stack is finite.  Each matrix must come out exactly as from
 one ``HermitianMatrix``, one ``eigen_decompose`` and one ``fix_phase``
-per matrix, and exactly as from ``eigh_stack``, and the moments of
-the grouped states exactly as from ``moment_vectors`` with one state per
-group.  ``observables.branch_moments`` solves the spectra as
+per matrix, and the moments of the grouped states exactly as from
+``moment_vectors`` with one state per group.  ``observables.branch_moments`` solves the spectra as
 ``branch_spectra`` does, from one set of harmonics that also serves the
 moments; both must come out exactly as from their standalone calls.
 Every matrix either path builds equals its transpose bit for bit.
@@ -17,7 +16,13 @@ import pytest
 
 from helixtm import spectrum
 from helixtm.geometry import HelixShape
-from helixtm.linalg import HermitianMatrix, eigen_decompose, eigh_exact, eigh_stack, fix_phase
+from helixtm.linalg import (
+    EigenDecomposition,
+    HermitianMatrix,
+    eigen_decompose,
+    eigh_exact,
+    fix_phase,
+)
 from helixtm.observables import branch_moments, moment_vectors
 from helixtm.spectrum import (
     BlochBasis,
@@ -116,8 +121,9 @@ def _symmetry_cases():
 def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, monkeypatch):
     # H = Re A_{n-m} + k_m k_n Re B_{n-m}: the harmonics d and -d share
     # their real part and k_m k_n == k_n k_m, so H equals its transpose
-    # the production solve skips eigh_stack's drift pass and averaging;
-    # these stacks are the evidence that neither could change a result
+    # the production solve skips HermitianMatrix's drift check and
+    # eigen_decompose's averaging; these stacks are the evidence that
+    # neither could change a result
     solved = []
 
     def recording(stack):
@@ -162,22 +168,32 @@ def _lean_solve_cases():
         yield pytest.param(shape, ps, n_max, id=f"round-{omega}-{n_max}")
 
 
+def _per_matrix_solve(stack):
+    """The reference solve: one HermitianMatrix, eigen_decompose and fix_phase per matrix."""
+    decs = [eigen_decompose(HermitianMatrix(h)) for h in stack]
+    return EigenDecomposition(eigenvalues=np.array([dec.eigenvalues for dec in decs]),
+                              eigenvectors=np.array([fix_phase(dec.eigenvectors) for dec in decs]))
+
+
 @pytest.mark.parametrize("shape, ps, n_max", _lean_solve_cases())
-def test_production_solve_equals_eigh_stack(shape, ps, n_max, monkeypatch):
-    # branch_spectra skips eigh_stack's copy, drift pass and averaging;
-    # on these symmetric stacks that changes no bit of either array
+def test_production_solve_equals_the_per_matrix_solve(shape, ps, n_max, monkeypatch):
+    # branch_spectra skips the copy, the drift check and the averaging of
+    # the per-matrix solve; on these symmetric stacks that changes no bit
+    # of either array
     pairs = [(p, include_vc) for p in ps for include_vc in (False, True)]
     stack = _hamiltonian_stack(shape, pairs, n_max)
     lean = branch_spectra(shape, pairs, n_max)
     lean_moments = branch_moments(shape, pairs, n_max)
-    full = eigh_stack(stack)
+    full = _per_matrix_solve(stack)
     assert _same_bits(lean.eigenvalues, full.eigenvalues)
     assert _same_bits(lean.eigenvectors, full.eigenvectors)
-    # the moments of the solve they replace, through eigh_stack
-    monkeypatch.setattr(spectrum, "eigh_exact", eigh_stack)
+    # the moments of the solve they replace, through the per-matrix solve
+    monkeypatch.setattr(spectrum, "eigh_exact", _per_matrix_solve)
     full_moments = branch_moments(shape, pairs, n_max)
+    assert _same_bits(lean_moments[0].eigenvalues, full_moments[0].eigenvalues)
     assert _same_bits(lean_moments[0].eigenvectors, full_moments[0].eigenvectors)
     assert _same_bits(lean_moments[1], full_moments[1])
+    monkeypatch.undo()
     states = spectrum.solve_states(shape, BlochBasis(ps[-1], n_max, shape.omega),
                                    SpectrumConfig(include_vc=True, n_max=n_max))
     for alpha, state in enumerate(states):
