@@ -20,13 +20,13 @@ jet r', r'', r''' (``curve_derivatives``):
 
 Dividing r' by f before the cross product keeps every intermediate at
 the size of R^2.  The frame is undefined where the dimensionless
-curvature kappa*R is at most ``KAPPA_MIN``.  V_c and every row of the
-pass over a shape (``winding_rows``) are rational in D = f^2 and divide
-by D; nothing divides by a quantity that vanishes with b.  The Fourier
-harmonics of the Hamiltonian's rows come in closed form from the roots
-of D (``winding_harmonics``), and those of the toroidal-moment weights
-from the same harmonics of 1/D (``moment_harmonics``), and the arc length
-is a complete elliptic integral in the same constants (``arc_length``):
+curvature kappa*R is at most ``KAPPA_MIN``.  ``speed`` and V_c read one
+sampled D = f^2 (``_d_form``); V_c is rational in D, and nothing divides
+by a quantity that vanishes with b.  The Fourier harmonics of the
+Hamiltonian's rows come in closed form from the roots of D
+(``winding_harmonics``), those of the toroidal-moment weights g / D from
+the same harmonics of 1/D (``moment_harmonics``), and the arc length is
+a complete elliptic integral in the same constants (``arc_length``):
 nothing in the shape's physics samples an angle.
 
 All functions accept a scalar angle or an ndarray of angles; vector-valued
@@ -160,16 +160,8 @@ def position(shape, phi):
 
 
 def velocity(shape, phi):
-    """First derivative dr/dphi, shape (..., 3).
-
-    The first of ``curve_derivatives`` in Cartesian components, without
-    building the second and third derivatives.
-    """
-    s, c, W = _sc(shape, phi)
-    phi = np.asarray(phi, dtype=float)
-    w1 = -shape.a * shape.omega * s
-    cp, sp = np.cos(phi), np.sin(phi)
-    return np.stack([w1 * cp - W * sp, w1 * sp + W * cp, shape.b * shape.omega * c], axis=-1)
+    """First derivative dr/dphi, shape (..., 3): the first of ``curve_derivatives``."""
+    return curve_derivatives(shape, phi)[0]
 
 
 def curve_derivatives(shape, phi):
@@ -204,59 +196,26 @@ def curve_derivatives(shape, phi):
 
 
 def _d_form(shape, s, c, W):
-    """W' = -a*omega*s and D = f^2 = (a^2 s^2 + b^2 c^2) omega^2 + W^2 from the
-    winding angle's sin/cos and W."""
+    """D = f^2 = (a^2 s^2 + b^2 c^2) omega^2 + W^2 from the winding angle's sin/cos and W."""
     a, b, w = shape.a, shape.b, shape.omega
-    return -a * w * s, ((a * s) ** 2 + (b * c) ** 2) * w * w + W * W
+    return ((a * s) ** 2 + (b * c) ** 2) * w * w + W * W
 
 
-def _potential_from(shape, s, c, W, w1, d0):
+def _potential_from(shape, s, c, W, d0):
     """-kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3) = -(|r''|^2/D - q^2/4)/(8 D).
 
     q = D'/D, so nothing squares D'; D' = 2 omega^3 (a^2 - b^2) s c + 2 W W'.
     """
     a, b, w = shape.a, shape.b, shape.omega
+    w1 = -a * w * s
     q = (2 * w**3 * (a * a - b * b) * s * c + 2 * W * w1) / d0
     r2sq = (a * w * w * c + W) ** 2 + 4 * w1 * w1 + (b * w * w * s) ** 2
     return -(r2sq / d0 - 0.25 * q * q) / (8.0 * d0)
 
 
 def speed(shape, phi):
-    """Parametrisation speed f(phi) = |dr/dphi|."""
-    a, b, w = shape.a, shape.b, shape.omega
-    s, c, W = _sc(shape, phi)
-    return np.sqrt(((a * s) ** 2 + (b * c) ** 2) * w * w + W * W)
-
-
-def winding_rows(shape, theta, moment_axes=()):
-    """(f, B, g): every sampled row of a pass over the winding.
-
-    ``theta`` is the winding angle omega*phi.  One evaluation of its sine
-    and cosine gives D = f^2 (``_d_form``); f = sqrt(D) is ``speed`` bit
-    for bit and B = 1/(2 D) scales the moment weight g / (2 pi D).  g
-    holds the rows ``moment_axes`` (0, 1, 2 for x, y, z) of the
-    toroidal-moment integrand g = (r' . r) r - 2 r^2 r', shape
-    (len(moment_axes),) + theta.shape, from r . r' = W W' + b^2 omega s c
-    and r^2 = W^2 + b^2 s^2.  The x and y rows are functions of theta
-    only at omega = 1, where cos phi = c and sin phi = s.  g is None
-    without moment axes.  The Hamiltonian's rows are not sampled: their
-    harmonics come in closed form (``winding_harmonics``).
-    """
-    a, b, w = shape.a, shape.b, shape.omega
-    if w != 1 and set(moment_axes) - {2}:
-        raise ValueError(f"the x and y rows need omega = 1, got omega={w}")
-    s, c = np.sin(theta), np.cos(theta)
-    W = shape.R + a * c
-    w1, d0 = _d_form(shape, s, c, W)
-    g = None
-    if moment_axes:
-        z, z1 = b * s, b * w * c
-        dot, twice_rsq = W * w1 + z * z1, 2.0 * (W * W + z * z)
-        pairs = {2: (z, z1)}  # (r_axis, r'_axis)
-        if w == 1:
-            pairs.update({0: (W * c, w1 * c - W * s), 1: (W * s, w1 * s + W * c)})
-        g = np.stack([dot * pairs[axis][0] - twice_rsq * pairs[axis][1] for axis in moment_axes])
-    return np.sqrt(d0), 0.5 / d0, g
+    """Parametrisation speed f(phi) = |dr/dphi| = sqrt(D)."""
+    return np.sqrt(_d_form(shape, *_sc(shape, phi)))
 
 
 def _tall(d_pi):
@@ -415,9 +374,10 @@ def _moment_numerators(shape, axes, scale):
 
     P's coefficients ascend in c = cos theta and carry the factor
     ``scale``, a power of two, which keeps them finite on tall coils
-    (``moment_harmonics``).  With
-    r . r' = omega s ((b^2 - a^2) c - a R) and r^2 = (R + a c)^2 + b^2 s^2
-    (``winding_rows``), g_z = b omega ((1 - c^2)((b^2 - a^2) c - a R) - 2 c r^2);
+    (``moment_harmonics``).  This is the package's one form of the
+    toroidal-moment integrand g = (r' . r) r - 2 r^2 r'.  With
+    r . r' = omega s ((b^2 - a^2) c - a R) and r^2 = (R + a c)^2 + b^2 s^2,
+    g_z = b omega ((1 - c^2)((b^2 - a^2) c - a R) - 2 c r^2);
     at omega = 1, where cos phi = c and sin phi = s, g_x is s times a cubic
     and g_y a quartic in c.
     """
@@ -493,21 +453,6 @@ def curvature(shape, phi):
     return np.sqrt(csq) / (f * f)
 
 
-def torsion(shape, phi):
-    """Torsion tau(phi) = (r' x r'') . r''' / |r' x r''|^2.
-
-    Raises
-    ------
-    DegenerateFrame
-        If kappa*R is at most ``KAPPA_MIN`` anywhere, so the osculating
-        plane (and the sign of tau) is undefined.
-    """
-    f, _, c, csq, r3 = _jet(shape, phi)
-    if np.any(np.sqrt(csq) / (f * f) * shape.R <= KAPPA_MIN):
-        raise DegenerateFrame("curvature below KAPPA_MIN: torsion undefined")
-    return np.sum(c * r3, axis=-1) / csq / f
-
-
 def curvature_potential(shape, phi):
     """Binding potential -kappa^2/8 from confinement to the curve (<= 0).
 
@@ -516,8 +461,7 @@ def curvature_potential(shape, phi):
     with b.
     """
     s, c, W = _sc(shape, phi)
-    w1, d0 = _d_form(shape, s, c, W)
-    return _potential_from(shape, s, c, W, w1, d0)
+    return _potential_from(shape, s, c, W, _d_form(shape, s, c, W))
 
 
 def frenet_frame(shape, phi):

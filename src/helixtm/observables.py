@@ -67,17 +67,16 @@ classical column apart, also in closed form (``geometry.arc_length``).
 ``toroidal_moment`` is the one-state case of ``moment_vectors``, wrapped
 in a ``MomentResult``.
 ``classical_moment_numeric`` takes the same rows of g as the mean of a
-fixed trapezoid over one winding.  The rows of g come from
-``geometry.winding_rows``, in the winding angle's sine and cosine alone:
-r . r' = W W' + b^2 omega s c and r^2 = W^2 + b^2 s^2, and at omega = 1
-cos phi = c and sin phi = s.  Each row is a trig polynomial of degree at
+fixed trapezoid over one winding: the numerators sin(theta)^odd P(cos theta)
+of ``geometry._moment_numerators``, the one form of g in the package,
+evaluated by Horner's rule.  Each row is a trig polynomial of degree at
 most 4 in theta, which the trapezoid on more than 4 nodes integrates
 exactly.
 The tests check the quantum moments against integrating j * g_axis
 over the full turn on all three axes, with g formed from the stacked
 position and velocity, their harmonics against a fine trapezoid of the
 sampled rows (``tests/oracles.py``), and the classical moment against
-its closed form.
+its closed form and against the same stacked g over the whole turn.
 """
 
 from __future__ import annotations
@@ -234,16 +233,21 @@ def classical_moment_numeric(shape, loop_current):
     """Toroidal moment vector of a constant loop current by a fixed trapezoid.
 
     Each axis that does not vanish identically (see the module docstring)
-    is 2 pi times the mean of its row of g (``geometry.winding_rows``) over
+    is 2 pi times the mean of its row of g, sin(theta)^odd P(cos theta)
+    with P of ``geometry._moment_numerators`` by Horner's rule, over
     ``_CLASSICAL_NODES`` equally spaced angles of one winding, exact for
     these degree-4 trig polynomials.
     """
     theta = 2.0 * math.pi * np.arange(_CLASSICAL_NODES) / _CLASSICAL_NODES
+    s, c = np.sin(theta), np.cos(theta)
     axes = _moment_axes(shape)
     vector = np.zeros(3)
-    vector[list(axes)] = loop_current * 2.0 * math.pi * np.mean(
-        geometry.winding_rows(shape, theta, moment_axes=axes)[2], axis=1)
-    return vector / 10.0
+    for axis, (odd, coefficients) in zip(axes, geometry._moment_numerators(shape, axes, 1.0)):
+        g = 0.0
+        for coefficient in reversed(coefficients):
+            g = g * c + coefficient
+        vector[axis] = np.mean(s * g if odd else g)
+    return loop_current * 2.0 * math.pi * vector / 10.0
 
 
 def classical_moment_closed(shape, loop_current):

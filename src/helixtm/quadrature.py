@@ -10,9 +10,9 @@ No command samples an integral: the spectrum and the quantum moments
 take closed-form harmonics (``geometry.winding_harmonics`` and
 ``geometry.moment_harmonics``), the arc length is a complete elliptic
 integral (``geometry.arc_length``) and the classical moment's numeric
-form is a fixed trapezoid that is exact for its integrand
-(``observables.classical_moment_numeric``).  ``integrate_periodic`` takes
-the reference integrals of the tests.
+form is a fixed 16-node trapezoid of the polynomial rows of g
+(``observables.classical_moment_numeric``), exact for them.
+``integrate_periodic`` takes the reference integrals of the tests.
 
 Integrands are called once per level with an ndarray of angles and must
 return the values elementwise, so evaluation is a single vectorised pass.
@@ -43,7 +43,8 @@ class QuadratureSpec:
 
     ``initial_points``, an integer >= 8, is the first grid's size on
     [0, 2*pi).
-    ``tolerance`` is the absolute stopping test of each integral.
+    ``tolerance``, a positive real number, is the absolute stopping test
+    of each integral.
     """
 
     initial_points: int = 64
@@ -55,8 +56,11 @@ class QuadratureSpec:
             raise ValueError(f"initial_points must be an integer, got {points!r}")
         if points < 8:
             raise ValueError(f"initial_points must be >= 8, got {points}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tolerance must be a real number, got {tol!r}")
+        if not tol > 0:
+            raise ValueError(f"tolerance must be positive, got {tol}")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ and the curvature from its components on the cross-section frame
 (``curvature_components``), which divide by P = sqrt(a^2 s^2 + b^2 c^2)
 and meet in a hypot.  ``frenet_frame_reference`` builds the Frenet frame
 from the same fields; production takes it from one jet of the curve
-(``geometry.frenet_frame``).  Production writes every row of the pass as
-a rational function of D = f^2 (``geometry.winding_rows``);
-``winding_rows_reference`` forms the same rows from the old terms.
+(``geometry.frenet_frame``).  ``winding_rows_reference`` forms the
+sampled rows of a pass over the winding from the old terms: f, B = 1/(2 D)
+with D = f^2, and the toroidal-moment integrand g from the stacked
+``position`` and ``velocity``.  Production samples none of them: it
+takes f from ``geometry.speed`` and writes g only as the polynomial
+numerators of ``geometry._moment_numerators``.
 
 Production assembles H as Re A_d + k_m k_n Re B_d from one-winding
 harmonics of A and B alone, which holds because f'/f^3 is a derivative
@@ -19,9 +22,9 @@ functions of D, D' and D'', and ``sampled_hamiltonians`` is the pass
 that took their harmonics before: a trapezoid over one winding, at a
 fixed grid.
 ``sampled_moment_harmonics`` is the moment pass that sampled the
-weights g / (2 pi D) of ``geometry.winding_rows`` before production took
-their harmonics in closed form (``geometry.moment_harmonics``), at a
-fixed grid.
+weights g / (2 pi D) before production took their harmonics in closed
+form (``geometry.moment_harmonics``), at a fixed grid, with g and B of
+``winding_rows_reference``.
 ``list_of_rows_harmonics`` is ``geometry.winding_harmonics`` as first
 written, and ``unscaled_moment_harmonics`` is ``geometry.moment_harmonics``
 without the power of two that keeps tall coils' coefficients finite:
@@ -119,9 +122,11 @@ def frenet_frame_reference(shape, phi):
 
 
 def winding_rows_reference(shape, phi, moment_axes=(2,)):
-    """(f, B, g) of ``geometry.winding_rows`` at theta = omega*phi, from the old terms.
+    """(f, B, g) at theta = omega*phi from the old terms: every sampled row of a pass.
 
-    B = 1/(2 f^2), and g from the stacked ``position`` and ``velocity``.
+    f from ``separate_speed_terms``, B = 1/(2 f^2), and the rows
+    ``moment_axes`` of g from the stacked ``position`` and ``velocity``
+    (``moment_integrand``), shape (len(moment_axes),) + phi.shape.
     """
     phi = np.asarray(phi, dtype=float)
     f = separate_speed_terms(shape, phi)[0]
@@ -145,12 +150,12 @@ def hamiltonian_rows(shape, theta):
     a, b, w = shape.a, shape.b, shape.omega
     s, c = np.sin(theta), np.cos(theta)
     W = shape.R + a * c
-    w1, d0 = geometry._d_form(shape, s, c, W)
+    w1, d0 = -a * w * s, geometry._d_form(shape, s, c, W)
     d1 = 2 * w**3 * (a * a - b * b) * s * c + 2 * W * w1
     d2 = 2 * w**4 * (a * a - b * b) * (c * c - s * s) + 2 * w1 * w1 - 2 * a * w * w * c * W
     q = d1 / d0
     a0 = (d2 / d0 - 1.75 * q * q) / (8.0 * d0)
-    return a0, 0.5 / d0, geometry._potential_from(shape, s, c, W, w1, d0)
+    return a0, 0.5 / d0, geometry._potential_from(shape, s, c, W, d0)
 
 
 def hamiltonian_rows_reference(shape, phi):
@@ -225,12 +230,12 @@ def sampled_moment_harmonics(shape, width, points):
     """Harmonics d = -width..width of the moment weights from a ``points``-node trapezoid.
 
     The rows of ``geometry.moment_harmonics`` (z, and x, y, z at
-    omega = 1): g / (2 pi D) of ``geometry.winding_rows`` at ``points``
+    omega = 1): g / (2 pi D) of ``winding_rows_reference`` at ``points``
     winding angles, integrated against e^{i d theta} by one FFT.
     """
     axes = (0, 1, 2) if shape.omega == 1 else (2,)
     theta = 2.0 * math.pi * np.arange(points) / points
-    _, b, g = geometry.winding_rows(shape, theta, moment_axes=axes)
+    _, b, g = winding_rows_reference(shape, theta / shape.omega, axes)
     spectra = np.fft.fft(g * (b / math.pi), axis=-1) * (2.0 * math.pi / points)
     # sum_j w(theta_j) e^{i d theta_j} is DFT index (-d) mod points
     return spectra[:, -np.arange(-width, width + 1) % points]

@@ -11,7 +11,7 @@ import pytest
 
 from helixtm import cli, geometry, quadrature
 from helixtm.cli import GEOMETRY_HEADER, main
-from helixtm.geometry import HelixShape, winding_rows
+from helixtm.geometry import HelixShape, speed
 from helixtm.observables import current
 from helixtm.spectrum import SpectrumConfig, make_basis, solve_states
 
@@ -240,12 +240,14 @@ class TestSharedPasses:
     def test_no_command_samples_an_integral(self, capsys, monkeypatch, argv):
         # the spectra and the moments take closed-form harmonics and the
         # arc length of the classical column is a complete elliptic
-        # integral: no command integrates or samples a row of the pass
+        # integral: no command integrates, and the commands that print no
+        # grid never sample D = f^2
         def refuse(*args, **kwargs):
             raise AssertionError("sampled")
 
         monkeypatch.setattr(quadrature, "integrate_periodic", refuse)
-        monkeypatch.setattr(geometry, "winding_rows", refuse)
+        if argv[0] in ("spectrum", "moments", "thermal"):
+            monkeypatch.setattr(geometry, "_d_form", refuse)
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
 
@@ -521,7 +523,7 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         shape = HelixShape(R=1.0, a=0.999, b=0.001, omega=6)
         n = 1 << 20
-        length = 2 * math.pi * np.mean(winding_rows(shape, 2 * math.pi * np.arange(n) / n)[0])
+        length = 2 * math.pi * np.mean(speed(shape, 2 * math.pi * np.arange(n) / n))
         for row in parse_csv(out)[1]:
             p = int(row[0])
             want = -math.pi * 6 * (2 * math.pi * p / length**2) * 0.999 * 0.001 / 2

@@ -3,8 +3,8 @@
 ``geometry.winding_harmonics`` gives A0_d, B_d and V_c_d from a two-term
 recurrence in the roots of D = f^2 and its derivatives along D'' and
 |r''|^2, with no sampling.  ``oracles.sampled_hamiltonians`` builds the
-same matrices from a fixed fine trapezoid of ``geometry.winding_rows``,
-the pass production used before.  ``geometry.moment_harmonics`` takes
+same matrices from a fixed fine trapezoid of the sampled rows
+(``oracles.hamiltonian_rows``), the pass production used before.  ``geometry.moment_harmonics`` takes
 the toroidal-moment weights' harmonics from the same harmonics of 1/D,
 and ``oracles.sampled_moment_harmonics`` from a fixed fine trapezoid of
 the sampled weights.  The shapes cover seeded draws and the cases the

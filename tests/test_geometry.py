@@ -23,9 +23,7 @@ from helixtm.geometry import (
     metric_at,
     position,
     speed,
-    torsion,
     velocity,
-    winding_rows,
 )
 
 from oracles import (
@@ -34,7 +32,6 @@ from oracles import (
     hamiltonian_rows,
     hamiltonian_rows_reference,
     separate_speed_terms,
-    winding_rows_reference,
 )
 
 CIRCULAR = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
@@ -261,25 +258,12 @@ def assert_rows_close(got, want, label="", tol=1e-13):
 
 
 class TestWindingRows:
-    """The rational rows of the pass over the winding against the old formulas."""
+    """The rational rows of a pass over the winding against the old formulas."""
 
     def shapes(self):
         rng = np.random.default_rng(16)
         shapes = [HelixShape(R=1.0, a=a, b=b, omega=w) for a, b, w in ROW_SHAPES]
         return shapes + random_shapes(rng, 12)
-
-    def test_rows_match_the_old_formulas(self):
-        rng = np.random.default_rng(7)
-        for shape in self.shapes():
-            axes = (0, 1, 2) if shape.omega == 1 else (2,)
-            # the one-winding grid the passes sample, and random angles; the
-            # rows at theta = omega*phi, where the old formulas take sin and cos
-            theta = 2 * math.pi * np.arange(512) / 512
-            for phi in (theta / shape.omega, rng.uniform(-10.0, 10.0, 301)):
-                got = winding_rows(shape, shape.omega * phi, moment_axes=axes)
-                want = winding_rows_reference(shape, phi, axes)
-                for row, (g, w) in enumerate(zip(got, want)):
-                    assert_rows_close(g, w, f"{shape}, row {row}")
 
     def test_hamiltonian_reference_rows_match_the_old_formulas(self):
         # the rational A0, B and V_c that the closed-form harmonics are checked against
@@ -302,33 +286,19 @@ class TestWindingRows:
             want_vc = separate_speed_terms(shape, phi)[3]
             assert_rows_close(curvature_potential(shape, phi), want_vc)
 
-    def test_speed_row_is_speed(self):
-        # bit for bit at the same winding angle omega*phi
-        phi = np.random.default_rng(9).uniform(-10.0, 10.0, 301)
-        for shape in self.shapes():
-            assert np.array_equal(winding_rows(shape, shape.omega * phi)[0], speed(shape, phi))
-
-    def test_rows_only_on_request(self):
-        theta = np.linspace(0.0, 1.0, 9)
-        f, b, g = winding_rows(SIXTURN, theta)
-        assert g is None and f.shape == b.shape == (9,)
-        g = winding_rows(SIXTURN, theta, moment_axes=(2,))[2]
-        assert g.shape == (1, 9)
-        with pytest.raises(ValueError, match="omega = 1"):
-            winding_rows(SIXTURN, theta, moment_axes=(0, 2))
-
     def test_flat_limit_is_the_planar_polar_curve(self):
-        # b = 1e-300 squares to 0: the rows are those of the planar curve
+        # b = 1e-300 squares to 0: f and V_c are those of the planar curve
         # W(theta) in the plane, with no division by the vertical half-axis.
         # At theta = 0, W = 1.5, W' = 0 and W'' = -a omega^2 = -8, so
         # kappa = (W^2 + 2 W'^2 - W W'')/(W^2 + W'^2)^(3/2) = 14.25/3.375
         shape = HelixShape(R=1.0, a=0.5, b=1e-300, omega=4)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            f, b, g = winding_rows(shape, np.array([0.0]), moment_axes=(2,))
+            f = speed(shape, 0.0)
             assert curvature_potential(shape, 0.0) == pytest.approx(-(14.25 / 3.375) ** 2 / 8,
                                                                      rel=1e-15)
-        # g_z = -2 r^2 z' with z' = b omega
-        assert f[0] == 1.5 and g[0, 0] == pytest.approx(-2 * 1.5**2 * 4e-300)
+        # g_z = -2 r^2 z' with z' = b omega: the numerator's coefficients at c = 1
+        ((odd, coefficients),) = geometry._moment_numerators(shape, (2,), 1.0)
+        assert f == 1.5 and not odd and sum(coefficients) == pytest.approx(-2 * 1.5**2 * 4e-300)
 
 
 class TestCurvature:
@@ -367,7 +337,7 @@ class TestTorsion:
     def test_near_circle_is_planar(self):
         tiny = HelixShape(R=1.0, a=1e-8, b=1e-8, omega=4)
         phi = np.linspace(0, 2 * math.pi, 17)
-        assert np.max(np.abs(torsion(tiny, phi))) < 1e-6
+        assert np.max(np.abs(frenet_frame(tiny, phi).tau)) < 1e-6
 
     def test_degenerate_frame_raises(self):
         # a(omega^2 + 1) = R makes the winding curvature cancel the ring
@@ -375,19 +345,17 @@ class TestTorsion:
         degenerate = HelixShape(R=1.0, a=0.1, b=0.1, omega=3)
         assert curvature(degenerate, math.pi / 3) <= KAPPA_MIN
         with pytest.raises(DegenerateFrame):
-            torsion(degenerate, math.pi / 3)
+            frenet_frame(degenerate, math.pi / 3)
         with pytest.raises(DegenerateFrame):
             frenet_frame(degenerate, np.array([0.1, math.pi / 3]))
         # away from the degenerate angle the same shape is fine
-        assert np.isfinite(torsion(degenerate, 0.3))
+        assert np.isfinite(frenet_frame(degenerate, 0.3).tau)
 
     def test_degenerate_frame_reports_the_frame(self):
-        # the frame raises its own message, not the torsion's
+        # the message names the curvature and the frame
         degenerate = HelixShape(R=1.0, a=0.1, b=0.1, omega=3)
         with pytest.raises(DegenerateFrame, match=r"<= KAPPA_MIN, frame undefined$"):
             frenet_frame(degenerate, np.array([0.1, math.pi / 3]))
-        with pytest.raises(DegenerateFrame, match="torsion undefined"):
-            torsion(degenerate, np.array([0.1, math.pi / 3]))
 
 
 class TestFrenetFrame:
@@ -482,7 +450,7 @@ class TestFrameAgainstReference:
             return curve_derivatives(shape, phi)
 
         monkeypatch.setattr(geometry, "curve_derivatives", counted)
-        for fn in (curvature, torsion, frenet_frame):
+        for fn in (curvature, frenet_frame):
             calls.clear()
             fn(SIXTURN, np.linspace(0.0, 1.0, 5))
             assert len(calls) == 1, fn.__name__
@@ -507,7 +475,6 @@ class TestLengthScale:
         for g, w in ((got.tangent, want.tangent), (got.normal, want.normal),
                      (got.binormal, want.binormal)):
             assert_rows_close(g.T, w.T)
-        assert np.array_equal(torsion(scaled, phi), got.tau)
         m = metric_at(scaled, TubePoint(phi=0.3, q_n=0.1 * lam, q_b=0.2 * lam))
         assert m.sqrt_det / lam == pytest.approx(
             metric_at(unit, TubePoint(phi=0.3, q_n=0.1, q_b=0.2)).sqrt_det, rel=1e-13)
@@ -518,8 +485,6 @@ class TestLengthScale:
         degenerate = HelixShape(R=lam, a=0.5 * lam, b=0.5 * lam, omega=1)
         with pytest.raises(DegenerateFrame, match=r"<= KAPPA_MIN, frame undefined$"):
             frenet_frame(degenerate, np.array([0.1, math.pi]))
-        with pytest.raises(DegenerateFrame, match="torsion undefined"):
-            torsion(degenerate, math.pi)
         with pytest.raises(DegenerateFrame):
             metric_at(degenerate, TubePoint(phi=math.pi, q_n=0.0, q_b=0.0))
 

@@ -205,6 +205,20 @@ class TestValidation:
         with pytest.raises(HermiticityViolation):
             HermitianMatrix(a, hermiticity_tol=1e-11)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+    def test_rejects_a_nan_or_negative_tolerance(self, tol):
+        # nan would accept any matrix and a negative tolerance refuse every
+        # one, the identity included: both are bad input, not a drift
+        for a in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)):
+            with pytest.raises(ValueError, match="hermiticity_tol must be >= 0") as info:
+                HermitianMatrix(a, hermiticity_tol=tol)
+            assert not isinstance(info.value, HermiticityViolation)
+
+    def test_zero_tolerance_accepts_an_exactly_hermitian_matrix(self):
+        assert HermitianMatrix(np.eye(2), hermiticity_tol=0.0).dim == 2
+        with pytest.raises(HermiticityViolation):
+            HermitianMatrix(np.array([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]]), hermiticity_tol=0.0)
+
     def test_checks_to_the_default_tolerance(self):
         # the absolute DEFAULT_HERMITICITY_TOL, 1e-9, and the drift's message
         HermitianMatrix(np.array([[1.0, 0.5 + 1e-10j], [0.5 - 3e-10j, 2.0]]))

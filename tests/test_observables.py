@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helixtm import geometry, observables, quadrature
-from helixtm.geometry import HelixShape, arc_length, speed, winding_rows
+from helixtm.geometry import HelixShape, arc_length, speed
 from helixtm.observables import (
     MomentResult,
     ThermalSpec,
@@ -34,7 +34,7 @@ from helixtm.spectrum import (
     make_basis,
     solve_states,
 )
-from oracles import moment_from_current, separate_speed_terms
+from oracles import moment_from_current, moment_integrand, separate_speed_terms
 
 CIRC4 = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UP4 = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -185,11 +185,11 @@ class TestQuantumMoment:
 
     @pytest.mark.parametrize("shape", [UP4, HelixShape(R=1.0, a=0.9, b=0.1, omega=1)])
     def test_moments_sample_nothing(self, shape, monkeypatch):
-        # the weights' harmonics come in closed form: no quadrature, no sampled row
+        # the weights' harmonics come in closed form: no quadrature, no sampled D = f^2
         def refuse(*args, **kwargs):
             raise AssertionError("sampled")
 
-        for module, name in [(quadrature, "integrate_periodic"), (geometry, "winding_rows")]:
+        for module, name in [(quadrature, "integrate_periodic"), (geometry, "_d_form")]:
             monkeypatch.setattr(module, name, refuse)
         pairs = [(0, True), (0, False)]
         dec, vectors = observables.branch_moments(shape, pairs, 2)
@@ -257,18 +257,26 @@ class TestClassicalMoment:
     ], ids=repr)
     def test_numeric_matches_closed_form(self, shape):
         # the rows of g are trig polynomials of degree <= 4, so the fixed
-        # trapezoid is exact: it meets the closed form to rounding, and a
-        # 64-sample trapezoid of the same rows within a few ulp of the
-        # rows' largest sample
+        # trapezoid is exact: it meets the closed form to rounding, a
+        # 64-sample trapezoid of the same numerator rows within a few ulp
+        # of the rows' largest sample, and the whole turn of g formed from
+        # the stacked position and velocity, at 16 omega nodes, to rounding
+        # (on the rows that do not vanish: at omega >= 2 the turn's x and y
+        # sums cancel only to rounding, where the numeric form has exact 0)
         closed = classical_moment_closed(shape, 0.7)
         numeric = classical_moment_numeric(shape, 0.7)
         assert_allclose(numeric, closed, rtol=1e-13, atol=1e-15)
         axes = (0, 1, 2) if shape.omega == 1 else (2,)
-        rows = winding_rows(shape, 2 * math.pi * np.arange(64) / 64, moment_axes=axes)[2]
+        theta = 2 * math.pi * np.arange(64) / 64
+        rows = np.array([np.sin(theta) ** odd * np.polyval(coefficients[::-1], np.cos(theta))
+                         for odd, coefficients in geometry._moment_numerators(shape, axes, 1.0)])
         fine = np.zeros(3)
         fine[list(axes)] = 0.7 * 2 * math.pi * rows.mean(axis=1) / 10
         ulp = np.finfo(float).eps * 0.7 * 2 * math.pi * np.abs(rows).max() / 10
         assert np.max(np.abs(numeric - fine)) <= 4 * ulp
+        n = 16 * shape.omega
+        turn = 0.7 * 2 * math.pi * moment_integrand(shape, 2 * math.pi * np.arange(n) / n).mean(axis=0) / 10
+        assert_allclose(numeric[list(axes)], turn[list(axes)], rtol=1e-13, atol=1e-15)
 
     def test_linear_in_loop_current(self):
         base = classical_moment_closed(UP4, 1.0)[2]
@@ -276,30 +284,6 @@ class TestClassicalMoment:
         assert classical_moment_numeric(UP4, -1.0)[2] == pytest.approx(
             -classical_moment_numeric(UP4, 1.0)[2], rel=1e-12
         )
-
-    def test_one_pass_over_the_rows_that_do_not_vanish(self, monkeypatch):
-        # the classical moment samples the rows of g that do not vanish in
-        # one pass of a fixed grid, with no quadrature; the arc length is a
-        # closed form and samples nothing
-        calls = []
-        original = geometry.winding_rows
-
-        def recording(shape, theta, moment_axes=()):
-            calls.append((theta.size, moment_axes))
-            return original(shape, theta, moment_axes)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("integrated")
-
-        monkeypatch.setattr(geometry, "winding_rows", recording)
-        monkeypatch.setattr(quadrature, "integrate_periodic", refuse)
-        for shape, axes in ((UP4, (2,)), (HelixShape(R=1.0, a=0.9, b=0.1, omega=1), (0, 1, 2))):
-            calls.clear()
-            assert arc_length(shape) > 2 * math.pi * shape.R
-            assert calls == []
-            numeric = classical_moment_numeric(shape, 0.7)
-            assert_allclose(numeric, classical_moment_closed(shape, 0.7), rtol=0, atol=1e-8)
-            assert calls == [(16, axes)]
 
     @pytest.mark.parametrize("R, a, b, y", [
         (1.0, 0.5, 0.5, -0.628319),

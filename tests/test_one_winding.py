@@ -89,12 +89,12 @@ def test_arc_length_matches_dense_full_turn_sum(a, b, omega):
 
 @pytest.mark.parametrize("omega", [1, 4, 40])
 def test_moments_command_samples_nothing_at_any_omega(monkeypatch, capsys, omega):
-    # closed-form harmonics and arc length: no row of the pass is sampled,
-    # so nothing grows with omega (a full-turn grid would start at 64 * omega)
+    # closed-form harmonics and arc length: D = f^2 is never sampled, so
+    # nothing grows with omega (a full-turn grid would start at 64 * omega)
     def refuse(*args, **kwargs):
         raise AssertionError("sampled")
 
-    monkeypatch.setattr(geometry, "winding_rows", refuse)
+    monkeypatch.setattr(geometry, "_d_form", refuse)
     monkeypatch.setattr(geometry, "speed", refuse)
     code = main(["moments", "--a", "0.9", "--b", "0.1", "--omega", str(omega), "--p", "0"])
     capsys.readouterr()

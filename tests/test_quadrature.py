@@ -38,6 +38,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(tolerance=-1e-8)
 
+    @pytest.mark.parametrize("tolerance", ["1e-10", None, True, 1e-10j, [1e-10]])
+    def test_rejects_a_non_real_tolerance(self, tolerance):
+        # a ValueError like the grid's, not a TypeError from the comparison
+        with pytest.raises(ValueError, match="tolerance must be a real number"):
+            QuadratureSpec(tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1, np.float32(1e-6), np.int64(1)])
+    def test_numpy_and_integer_tolerance(self, tolerance):
+        assert QuadratureSpec(tolerance=tolerance).tolerance == tolerance
+
 
 class TestExactness:
     def test_constant(self):
