@@ -8,13 +8,15 @@ the work:
   ``digits <= MAX_DIGITS`` are formatted as arrays.  The value is scaled
   by an exact power of ten to a mantissa y in [10**(digits-1), 10**digits)
   with one rounding, and ``rint(y)`` is the mantissa m.  ``N = m *
-  10**(e + 4)`` is the printed value with its decimal point moved
-  ``digits + 3`` places to the right: an integer below 10**15, exact in
-  float64.  Its integer and fraction digits are read from lookup tables of
-  4-byte words into a fixed-width row per value; a mask keeps the sign, the
-  integer digits from the first significant one (or a single 0), the point,
-  the fraction digits up to the last nonzero one and the separator, and one
-  compaction drops the rest.
+  10**(e + 10 - digits)`` is the printed value times 10**9: an integer
+  below 10**15, exact in float64.  Its digits are five 4-byte words, the
+  integer part in two and the nine fraction digits in three, read with
+  one ``take`` from tables whose variants hold NUL in place of the bytes
+  ``%`` does not print: the sign of a positive value, the leading zeros of
+  the integer part, the trailing zeros of the fraction and the point of a
+  zero fraction.  An index offset picks each word's variant, and one
+  ``bytes.translate`` drops every NUL (and the spaces that pad a value
+  printed by ``%``).  Every block of a table reuses one ``workspace``.
 * Every other value goes through ``_per_value``, the ``%`` itself: values
   printed in exponent notation, values that are not finite, and values
   whose scaled mantissa lies within ``GUARD`` of a rounding tie (k + 0.5)
@@ -26,10 +28,12 @@ the work:
 Why the array path is exact: the ties and edges are floats, and rounding
 is monotonic, so a y that is not on one of them lies on the same side of
 each as the exact product.  A y inside (10**(digits-1), 10**digits) thus
-means that e is the decade of the value (where ``log10`` is a decade off,
-y falls outside and the value goes to ``%``), and ``rint(y)`` rounds to
-the mantissa ``%`` prints wherever y is not on a tie.  ``GUARD`` keeps 16
-ulp of margin around every tie and edge on top.
+means that e, ``floor(log10(|x|))`` clipped to [-4, digits), is the
+decade of the value (where it is not, y falls outside and the value goes
+to ``%``), and ``rint(y)`` rounds to the mantissa ``%`` prints wherever y
+is not on a tie; an m rounded up to 10**digits is the next decade's, and
+exponent notation if e = digits - 1.  ``GUARD`` keeps 16 ulp of margin
+around every tie and edge on top.
 """
 
 from __future__ import annotations
@@ -37,49 +41,51 @@ from __future__ import annotations
 import numpy as np
 
 # Fixed-notation values are formatted as arrays up to this many digits: N
-# has at most 2*digits + 3 decimal digits and must stay below 2**53, a row
-# has 8 columns for the sign and up to ``digits`` integer digits and 9 for
-# up to digits + 3 fraction digits, and a value printed by ``%`` has at
-# most digits + 7 characters, which fit in the row before its separator.
+# has at most digits + 9 decimal digits and must stay below 2**53, and a
+# value printed by ``%`` (at most digits + 7 characters) fits in a slot.
 MAX_DIGITS = 6
 # Relative distance to a rounding tie or a decade edge below which a
 # value's digits are left to ``%``: 16 ulp.
 GUARD = 16 * np.finfo(float).eps
 
 _POW10 = (10 ** np.arange(16, dtype=np.int64)).astype(float)  # exact
-# The four decimal digits of 0..9999, most significant first.
-_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
-# Lookup table of 4-byte words, in memory order: the four digits of
-# 0..9999; "." and the three digits of 0..999; the two digits of 0..99
-# followed by "," and by "\n" (and a zero byte).
-_WORDS = np.zeros((11200, 4), np.uint8)
-_WORDS[:10000] = ord("0") + _DIGITS
-_WORDS[10000:11000, 0] = ord(".")
-_WORDS[10000:11000, 1:] = _WORDS[:1000, 1:]
-_WORDS[11000:, :2] = np.repeat(_WORDS[:100, 2:], 2, axis=0)
-_WORDS[11000:, 2] = np.tile(np.frombuffer(b",\n", np.uint8), 100)
-_WORDS = _WORDS.view(np.uint32).ravel()
-_POINT_WORDS = 10000
-_END_WORDS = 11000
-# Trailing decimal zeros of 0..9999 (4 for 0).
-_TRAILING_ZEROS = np.logical_and.accumulate(_DIGITS[:, ::-1] == 0, axis=1).sum(
-    axis=1, dtype=np.int32)
 
-# A value's row: eight integer digits, the point, nine fraction digits, the
-# separator and a zero byte.  The sign takes the place of the zero before
-# the first integer digit.
+
+def _word_table():
+    """The uint32 words of a slot, NUL where a byte is not printed: w0, w0 for
+    x < 0, w1 for w0 == 0, four digits (w1, w3), w3 for w4 == 0, w2, w2 for
+    a fraction that ends there, and 2 * w4 + [row end]."""
+    digits = np.stack(np.indices((10,) * 4, np.uint8), axis=-1).reshape(-1, 4)  # of 0..9999
+    text, lead, trail = ord("0") + digits, digits == 0, digits == 0
+    for j in (1, 2, 3):
+        lead[:, j] &= lead[:, j - 1]  # leading zeros
+        trail[:, 3 - j] &= trail[:, 4 - j]  # trailing zeros
+    high, units = text[:100] * ~lead[:100], text * ~lead
+    minus, point = high.copy(), text[:1000].copy()
+    minus[:, 0], point[:, 0], units[0, 3] = ord("-"), ord("."), ord("0")  # integer part 0: "0"
+    end = np.zeros((200, 4), np.uint8)
+    end[:, :2] = np.repeat(text[:100, 2:] * ~trail[:100, 2:], 2, axis=0)
+    end[:, 2] = np.tile(np.frombuffer(b",\n", np.uint8), 100)
+    words = [high, minus, units, text, text * ~trail, point,
+             point * ~trail[:1000, [1, 1, 2, 3]], end]
+    return np.concatenate(words).view(np.uint32).ravel()
+
+
+_WORDS = _word_table()
+# Where the tables of w1, w2, w3 and w4 start in _WORDS (w0's at 0).
+_W1, _W2, _W3, _W4 = 200, 30200, 10200, 32200
+# A value's slot: five words, 20 bytes, of which the first _SEPARATOR are
+# overwritten for a value printed by ``%``.
 _ROW = 20
-_UNITS = 7  # column of the units digit
-_FRACTION = 9
 _SEPARATOR = 18
-# _KEEP[start * (_FRACTION + 1) + f]: the columns kept of a row that starts
-# at column ``start`` and prints f fraction digits (with the point if f > 0),
-# and its separator, as one _ROW-byte item.
-_STOP = _UNITS + 1 + np.arange(_FRACTION + 1) + (np.arange(_FRACTION + 1) > 0)
-_COLS = np.arange(_ROW)
-_KEEP = (_COLS >= np.arange(_UNITS + 1)[:, None, None]) & (_COLS < _STOP[:, None])
-_KEEP[..., _SEPARATOR] = True
-_KEEP = _KEEP.reshape(-1, _ROW).view(np.dtype((np.void, _ROW))).ravel()
+
+
+def workspace(size):
+    """The arrays ``block_text`` works in, for blocks of up to ``size``
+    values, reused by every block of a table; the last holds two float rows
+    until it holds the text."""
+    return (np.empty((2, size)), np.empty((2, size), np.bool_),
+            np.empty((size, _ROW // 4), np.intp), np.empty((_ROW * size + 7) // 8))
 
 
 def _per_block(block, digits):
@@ -96,75 +102,69 @@ def _per_value(values, digits):
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(values.size, _SEPARATOR)
 
 
-def block_text(block, digits):
+def block_text(block, digits, work):
     """CSV rows of a 2-d float block without -0.0 values, one
-    ``%.<digits>g`` field per value."""
+    ``%.<digits>g`` field per value, formatted in ``work``, a ``workspace``
+    of at least the block's size."""
     if digits > MAX_DIGITS:
         return _per_block(block, digits)
     ncols = block.shape[1]
     x = block.ravel()
     n = x.size
     lo, hi = _POW10[digits - 1], _POW10[digits]
+    floats, flags, words, text = work
+    big, w = floats[:, :n]
+    fast, flag = flags[:, :n]
+    y, t = text[:2 * n].reshape(2, n)  # free until the text is written
+    words, text = words[:n], text.view(np.uint32)[:_ROW // 4 * n].reshape(n, _ROW // 4)
+    k = words.reshape(-1)[:n]  # free until the words are written
 
-    # mantissa m and exponent e of the fixed-notation values
-    y = np.abs(x)
-    zero = y == 0.0
-    fast = np.isfinite(y) & ~zero
-    y[~fast] = 1.0  # log10 sees neither 0 nor a value that is not finite
-    e = np.floor(np.log10(y)).astype(np.int32)
-    fast &= (e >= -4) & (e < digits)
-    e.clip(-4, digits - 1, out=e)
-    y *= _POW10.take(digits - 1 - e)
-    m = np.rint(y)
-    fast &= (y > lo * (1 + GUARD)) & (y < hi * (1 - GUARD))
-    y -= np.floor(y)
-    y -= 0.5
-    fast &= np.abs(y, out=y) > GUARD * hi  # not near a rounding tie
-    carry = m == hi
-    m[carry] = lo
-    e[carry] += 1
-    fast &= e < digits
-    m[~fast] = 0.0  # zeros print as 0; the rest is overwritten below
-    e[~fast] = 0
-    slow = np.flatnonzero(~fast & ~zero)
+    # mantissa m = rint(y) and decade e of the fixed-notation values; both
+    # takes clip k = e + 4 to [0, digits + 3]
+    np.abs(x, out=y)
+    np.fmin(np.fmax(y, 1e-300, out=y), 1e100, out=y)  # log10 sees no 0, inf or nan
+    np.floor(np.log10(y, out=t), out=t)
+    np.add(t, 4, out=k, casting="unsafe")
+    y *= np.take(_POW10[digits + 3::-1], k, out=t, mode="clip")  # 10**(digits-1-e)
+    m = np.rint(y, out=big)
+    np.greater(y, lo * (1 + GUARD), out=fast)
+    fast &= np.less(y, hi * (1 - GUARD), out=flag)
+    y -= m
+    fast &= np.less(np.abs(y, out=y), 0.5 - GUARD * hi, out=flag)  # not near a tie
+    # N = m * 10**(e + 10 - digits): the printed value times 10**9
+    big *= np.take(_POW10[6 - digits:10], k, out=t, mode="clip")
+    fast &= np.less(big, _POW10[digits + 9], out=flag)  # no carry to exponent notation
+    big *= fast  # zeros print as 0; the rest is overwritten below
+    fast |= np.equal(x, 0.0, out=flag)
+    slow = np.flatnonzero(np.logical_not(fast, out=flag))
     if 2 * slow.size > n:
         # mostly values for %, such as a current that vanishes up to
         # rounding: one % over the block costs less than arrays and splice
         return _per_block(block, digits)
 
-    # integer part and fraction of N, the fraction left-aligned to 9 digits
-    big = m * _POW10.take(e + 4)
-    whole = np.floor(big / _POW10[digits + 3])  # exact: big < 2**53
-    big -= whole * _POW10[digits + 3]
-    big *= _POW10[6 - digits]
-    words = np.empty((n, _ROW // 4), np.intp)
-    words[:, 0] = np.floor(whole / 1e4)
-    words[:, 1] = whole - words[:, 0] * 1e4
-    words[:, 2] = np.floor(big / 1e6)
-    big -= words[:, 2] * 1e6
-    words[:, 2] += _POINT_WORDS
-    words[:, 3] = np.floor(big / 100)
-    words[:, 4] = big - words[:, 3] * 100
-    words[:, 4] *= 2
-    words[ncols - 1::ncols, 4] += 1  # "\n" ends a row
-    words[:, 4] += _END_WORDS
-    text = _WORDS.take(words).view(np.uint8)
-
-    # fraction digits up to the last nonzero one, integer digits from the
-    # first significant one
-    low = m - np.floor(m / 1e4) * 1e4
-    zeros = _TRAILING_ZEROS.take(low.astype(np.intp))
-    if digits > 4:
-        zeros[low == 0] += _TRAILING_ZEROS.take((m[low == 0] / 1e4).astype(np.intp))
-    frac = np.maximum(digits - 1 - e - zeros, 0)
-    start = _UNITS - np.maximum(e, 0)
-    neg = np.flatnonzero(x < 0.0)
-    start[neg] -= 1
-    text.ravel()[neg * _ROW + start[neg]] = ord("-")
-    keep = _KEEP.take(start * (_FRACTION + 1) + frac).view(np.bool_).reshape(n, _ROW)
-
+    # the words of N (integer in w0, w1; fraction in w2, w3, w4), each
+    # written to ``words`` once final with its variant: NUL for a positive
+    # sign, the integer's leading zeros and the fraction's trailing zeros
+    np.floor(np.divide(big, 1e9, out=t), out=t)  # integer part
+    big -= np.multiply(t, 1e9, out=y)  # fraction, as 9 digits
+    np.floor(np.divide(t, 1e4, out=w), out=w)  # w0
+    t -= np.multiply(w, 1e4, out=y)  # w1
+    t += np.multiply(np.not_equal(w, 0.0, out=flag), 1e4, out=y)
+    np.add(t, _W1, out=words[:, 1], casting="unsafe")
+    w += np.multiply(np.less(x, 0.0, out=flag), 100.0, out=y)
+    np.copyto(words[:, 0], w, casting="unsafe")
+    np.floor(np.divide(big, 1e6, out=w), out=w)  # w2
+    big -= np.multiply(w, 1e6, out=y)
+    w += np.multiply(np.equal(big, 0.0, out=flag), 1e3, out=y)
+    np.add(w, _W2, out=words[:, 2], casting="unsafe")
+    np.floor(np.divide(big, 100.0, out=w), out=w)  # w3
+    big -= np.multiply(w, 100.0, out=y)  # w4
+    w += np.multiply(np.equal(big, 0.0, out=flag), 1e4, out=y)
+    np.add(w, _W3, out=words[:, 3], casting="unsafe")
+    big *= 2
+    big[ncols - 1::ncols] += 1  # "\n" ends a row
+    np.add(big, _W4, out=words[:, 4], casting="unsafe")
+    np.take(_WORDS, words, out=text, mode="wrap")
     if slow.size:
-        by_value = _per_value(x[slow], digits)
-        text[slow, :_SEPARATOR] = by_value
-        keep[slow, :_SEPARATOR] = by_value != ord(" ")
-    return str(text[keep], "ascii")
+        text.view(np.uint8).reshape(n, _ROW)[slow, :_SEPARATOR] = _per_value(x[slow], digits)
+    return text.tobytes().translate(None, b"\0 ").decode("ascii")  # drop NUL and padding

@@ -285,29 +285,33 @@ def _grid_blocks(header, columns, digits):
     ``_fmt``.  The columns are stacked into one table here, before the
     first chunk is asked for.  A block holds about ``_BLOCK_VALUES`` values
     (at least one row) whatever the table's width, so a writer that takes
-    the chunks one at a time holds the temporaries and the text of one
+    the chunks one at a time holds the working arrays and the text of one
     block, not of the whole table.
 
     ``_gformat.block_text`` formats each block, by one of two paths that
-    it picks from the values and ``digits`` alone.  Up to
-    ``_gformat.MAX_DIGITS`` digits, the fixed-notation values are formatted
-    as arrays and the rest go to ``%`` one value at a time: values printed
-    in exponent notation, values that are not finite, and values whose
-    mantissa, scaled by a power of ten in float64, lies within 16 ulp of a
-    rounding tie or a decade edge.  Only there could the scaled float and
-    the exact binary value, which ``%`` rounds, print differently, so both
-    paths give ``_fmt``'s bytes.  At more digits, or when more than half
-    of a block's values would go to ``%``, the whole block is one row
-    format filled by one ``%``.
+    it picks from the values and ``digits`` alone, in one
+    ``_gformat.workspace`` that the table's blocks share, so a block
+    allocates little beyond its text.  Up to ``_gformat.MAX_DIGITS``
+    digits, the fixed-notation values are formatted as arrays of
+    NUL-padded digit words and the rest go to ``%`` one value at a time:
+    values printed in exponent notation, values that are not finite, and
+    values whose mantissa, scaled by a power of ten in float64, lies within
+    16 ulp of a rounding tie or a decade edge.  Only there could the scaled
+    float and the exact binary value, which ``%`` rounds, print
+    differently, so both paths give ``_fmt``'s bytes.  At more digits, or
+    when more than half of a block's values would go to ``%``, the whole
+    block is one row format filled by one ``%``.
     """
-    table = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
+    table = np.column_stack(columns)
+    table += 0.0  # turns -0.0 into 0.0
     rows, ncols = table.shape
     step = max(1, _BLOCK_VALUES // ncols)
 
     def chunks():
         yield header + "\n"
+        work = _gformat.workspace(min(rows, step) * ncols)
         for start in range(0, rows, step):
-            yield _gformat.block_text(table[start:start + step], digits)
+            yield _gformat.block_text(table[start:start + step], digits, work)
 
     return chunks()
 

@@ -74,15 +74,19 @@ class HermitianMatrix:
     Construction copies the input, as float64 if it is real and as
     complex128 if it is complex, and rejects non-square, non-finite or
     non-Hermitian data, so downstream code can rely on all three, and a
-    nan or negative ``hermiticity_tol``, which would pass or fail them all.
+    ``hermiticity_tol`` that is not a real number, or is nan or negative,
+    which would pass or fail them all.
     """
 
     entries: np.ndarray
     hermiticity_tol: float = DEFAULT_HERMITICITY_TOL
 
     def __post_init__(self):
-        if not self.hermiticity_tol >= 0:
-            raise ValueError(f"hermiticity_tol must be >= 0, got {self.hermiticity_tol}")
+        tol = self.hermiticity_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise ValueError(f"hermiticity_tol must be a real number, got {tol!r}")
+        if not tol >= 0:
+            raise ValueError(f"hermiticity_tol must be >= 0, got {tol}")
         arr = _real_or_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")

@@ -182,10 +182,17 @@ class TestPosition:
             assert_allclose(velocity(shape, phi), fd, rtol=1e-7, atol=1e-7)
 
     def test_velocity_is_first_curve_derivative(self):
+        # the Cartesian closed form, with W = R + a cos(omega phi) and
+        # W' = -a omega sin(omega phi)
         rng = np.random.default_rng(14)
         for shape in random_shapes(rng, 5) + [HelixShape(R=1.0, a=0.12, b=0.88, omega=40)]:
             phi = rng.uniform(-2 * math.pi, 4 * math.pi, 200)
-            want = curve_derivatives(shape, phi)[0]
+            R, a, b, w = shape.R, shape.a, shape.b, shape.omega
+            W = R + a * np.cos(w * phi)
+            dW = -a * w * np.sin(w * phi)
+            want = np.stack([dW * np.cos(phi) - W * np.sin(phi),
+                             dW * np.sin(phi) + W * np.cos(phi),
+                             b * w * np.cos(w * phi)], axis=-1)
             assert np.max(np.abs(velocity(shape, phi) - want)) <= 1e-15 * np.max(np.abs(want))
         assert velocity(SIXTURN, 0.3).shape == (3,)
 

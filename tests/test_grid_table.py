@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helixtm import _gformat
+from helixtm import _gformat, cli
 from helixtm.cli import _BLOCK_VALUES, _fmt, _grid_blocks, main
 
 # Values a column can hold that a formatter could get wrong.
@@ -148,3 +148,71 @@ def test_mostly_exponent_notation_block_is_one_row_format(monkeypatch):
     header = ",".join(f"c{i}" for i in range(11))
     assert "".join(_grid_blocks(header, columns, 6)) == grid_table_per_value(header, columns, 6)
     assert blocks and all(shape[1] == 11 for shape in blocks)
+
+
+PAPER_SECTIONS = ["--a", "0.75,0.5,0.25", "--b", "0.25,0.5,0.75"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--a", "0.75", "--b", "0.25"],
+    *(["current", "--a", "0.5", "--b", "0.5", "--p", str(p), "--n-max", "2", "--both"]
+      for p in (1, 2, 3)),
+    ["potential", *PAPER_SECTIONS],
+], ids=["geometry", "current-p1", "current-p2", "current-p3", "potential"])
+def test_benchmark_tables_match_per_value_reference(monkeypatch, tmp_path, argv):
+    # the grid tables of a benchmark round, each block formatted in one
+    # workspace per table, against one ``_fmt`` call per value
+    tables = []
+
+    def recording(header, columns, digits):
+        tables.append((header, columns, digits))
+        return _grid_blocks(header, columns, digits)
+
+    monkeypatch.setattr(cli, "_grid_blocks", recording)
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--omega", "4", "--grid", "16384", "--out", str(out)]) == 0
+    (header, columns, digits), = tables
+    assert out.read_text() == grid_table_per_value(header, columns, digits)
+
+
+def test_reused_workspace_carries_nothing_between_blocks(monkeypatch):
+    # blocks of 1024 rows: mostly exponent notation (one row format), plain
+    # fixed notation, fixed notation with values spliced in by ``%`` (at rows
+    # the short last block reuses), then a short block of fixed notation
+    rng = np.random.default_rng(26)
+    ncols = 16
+    step = _BLOCK_VALUES // ncols
+
+    def fixed(rows):
+        # |x| in [1e-3, 1e5), random signs: every value on the array path
+        sign = rng.choice([-1.0, 1.0], (rows, ncols))
+        return sign * 10.0 ** rng.uniform(-3.0, 5.0, (rows, ncols))
+
+    spliced = fixed(step)
+    picks = rng.random(spliced.shape) < 0.05
+    spliced[picks] = rng.choice([1e-9, -3e17, np.nan, np.inf], picks.sum())
+    spliced[:, ncols - 1] = -2.5e-7  # the separator column, "\n" after it
+    table = np.vstack([rng.standard_normal((step, ncols)) * 1e-17, fixed(step), spliced,
+                       fixed(step // 3)])
+    calls = []
+
+    def counting(name, helper):
+        def count(values, digits):
+            calls.append((name, values.shape))
+            return helper(values, digits)
+        return count
+
+    for name in ("_per_block", "_per_value"):
+        monkeypatch.setattr(_gformat, name, counting(name, getattr(_gformat, name)))
+    columns = list(table.T)
+    header = ",".join(f"c{i}" for i in range(ncols))
+    blocks = list(_grid_blocks(header, columns, 6))
+    assert [name for name, _ in calls] == ["_per_block", "_per_value"]
+    assert calls[0][1] == (step, ncols)
+    assert calls[1][1] == ((~np.isfinite(spliced) | (np.abs(spliced) < 1e-4)
+                            | (np.abs(spliced) >= 1e6)).sum(),)
+    assert "".join(blocks) == grid_table_per_value(header, columns, 6)
+    # each block as a fresh workspace formats it
+    for start, text in zip(range(0, len(table), step), blocks[1:]):
+        block = table[start:start + step]
+        assert text == _gformat.block_text(block, 6, _gformat.workspace(block.size))

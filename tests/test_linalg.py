@@ -214,6 +214,16 @@ class TestValidation:
                 HermitianMatrix(a, hermiticity_tol=tol)
             assert not isinstance(info.value, HermiticityViolation)
 
+    @pytest.mark.parametrize("tol", ["1e-9", None, True, 1e-9j])
+    def test_rejects_a_tolerance_that_is_not_a_real_number(self, tol):
+        # a ValueError like the other bad input, not a TypeError from ">="
+        with pytest.raises(ValueError, match="hermiticity_tol must be a real number"):
+            HermitianMatrix(np.eye(2), hermiticity_tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, np.float32(1e-6), np.int64(1)])
+    def test_numpy_and_integer_tolerance(self, tol):
+        assert HermitianMatrix(np.eye(2), hermiticity_tol=tol).hermiticity_tol == tol
+
     def test_zero_tolerance_accepts_an_exactly_hermitian_matrix(self):
         assert HermitianMatrix(np.eye(2), hermiticity_tol=0.0).dim == 2
         with pytest.raises(HermiticityViolation):
