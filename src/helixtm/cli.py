@@ -21,9 +21,11 @@ the four physics commands, the V_c flags ``spectrum``, ``current`` and
 ``thermal``, ``--grid`` ``geometry``, ``potential`` and ``current``, and
 ``--temperature`` ``thermal``.  Any other flag is bad usage.  Options may
 also come from a ``key = value`` config file (``--config``), whose keys
-are shared by all commands; explicit flags win over file values.  Exit
-codes: 0 success, 2 bad usage/configuration or an unwritable output
-file, 3 numerical non-convergence.
+are shared by all commands; explicit flags win over file values.  One
+table, ``_SETTINGS``, names the config keys (the flags' names), their
+defaults and how a file value is read.  Exit codes: 0 success, 2 bad
+usage/configuration or an unwritable output file, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _gformat
 from .geometry import HelixShape, arc_length, curvature_potential, frenet_frame, position, speed
-from .linalg import HermiticityViolation, NoConvergence
+from .linalg import NoConvergence
 from .observables import (
     ThermalSpec,
     branch_moments,
@@ -50,28 +51,34 @@ from .spectrum import branch_momenta, branch_spectra
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
-_CONFIG_KEYS = {
-    "R", "a", "b", "omega", "p", "n_max", "vc", "grid", "temperature", "digits", "out",
-}
-
 
 class UsageError(ValueError):
     """Bad flag/config input; maps to exit code 2."""
 
 
-@dataclass
-class Settings:
-    R: float
-    a_list: list
-    b_list: list
-    omega: int
-    p_list: list
-    n_max: int
-    vc: str  # "with" | "without" | "both"
-    grid: int
-    temperature: float | None
-    digits: int
-    out: str
+def _vc_from_text(text):
+    if text not in ("with", "without", "both"):
+        raise ValueError("must be one of: with, without, both")
+    return text
+
+
+# Every setting's default and the converter of its config-file value.  The
+# keys are the config keys and the parsed flags' names.  ``a``, ``b`` and
+# ``p`` stay text here and are parsed as lists once resolved; ``p`` has no
+# fixed default, since it follows omega.
+_SETTINGS = {
+    "R": (1.0, float),
+    "a": ("0.5", str),
+    "b": ("0.5", str),
+    "omega": (4, int),
+    "p": (None, str),
+    "n_max": (2, int),
+    "vc": ("both", _vc_from_text),
+    "grid": (256, int),
+    "temperature": (None, float),
+    "digits": (6, int),
+    "out": ("-", str),
+}
 
 
 # The option groups beyond the shape and output flags, and the commands
@@ -93,18 +100,17 @@ def _build_parser():
     """
     shape = argparse.ArgumentParser(add_help=False)
     g = shape.add_argument_group("shape")
-    g.add_argument("--R", type=float, default=None, help="major radius (default 1)")
-    g.add_argument("--a", default=None,
+    g.add_argument("--R", type=float, help="major radius (default 1)")
+    g.add_argument("--a",
                    help="radial half-axis; comma list allowed for 'potential' (default 0.5)")
-    g.add_argument("--b", default=None,
+    g.add_argument("--b",
                    help="vertical half-axis; comma list allowed for 'potential' (default 0.5)")
-    g.add_argument("--omega", type=int, default=None, help="windings per turn (default 4)")
+    g.add_argument("--omega", type=int, help="windings per turn (default 4)")
 
     groups = {name: argparse.ArgumentParser(add_help=False) for name in _READ_BY}
     g = groups["branch"].add_argument_group("solver")
-    g.add_argument("--p", default=None,
-                   help="branch index, single/list/range e.g. 2 or 1,3 or 1-3")
-    g.add_argument("--n-max", type=int, default=None, help="basis half-width (default 2)")
+    g.add_argument("--p", help="branch index, single/list/range e.g. 2 or 1,3 or 1-3")
+    g.add_argument("--n-max", type=int, help="basis half-width (default 2)")
     vc = groups["vc"].add_argument_group("curvature potential").add_mutually_exclusive_group()
     vc.add_argument("--with-vc", dest="vc", action="store_const", const="with",
                     help="include the curvature potential")
@@ -113,15 +119,15 @@ def _build_parser():
     vc.add_argument("--both", dest="vc", action="store_const", const="both",
                     help="run with and without the curvature potential (default)")
     groups["grid"].add_argument_group("sampling").add_argument(
-        "--grid", type=int, default=None, help="angle samples per turn (default 256)")
+        "--grid", type=int, help="angle samples per turn (default 256)")
     groups["temperature"].add_argument_group("thermal").add_argument(
-        "--temperature", type=float, default=None, help="temperature, in reported energy units")
+        "--temperature", type=float, help="temperature, in reported energy units")
 
     output = argparse.ArgumentParser(add_help=False)
     o = output.add_argument_group("output")
-    o.add_argument("--digits", type=int, default=None, help="significant digits (default 6)")
-    o.add_argument("--out", default=None, help="output file, '-' for stdout (default)")
-    o.add_argument("--config", default=None, help="key = value config file; flags override")
+    o.add_argument("--digits", type=int, help="significant digits (default 6)")
+    o.add_argument("--out", help="output file, '-' for stdout (default)")
+    o.add_argument("--config", help="key = value config file; flags override")
 
     parser = argparse.ArgumentParser(
         prog="helixtm",
@@ -139,7 +145,7 @@ def _build_parser():
         read = [groups[group] for group, commands in _READ_BY.items() if name in commands]
         command = sub.add_parser(name, parents=[shape, *read, output], help=doc)
         # a flag the command does not take reads as unset: config file or default
-        command.set_defaults(p=None, n_max=None, vc=None, grid=None, temperature=None)
+        command.set_defaults(**dict.fromkeys(_SETTINGS))
     return parser
 
 
@@ -158,35 +164,22 @@ def _parse_config_file(path):
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = (value, lineno)
     return values
 
 
-def _pick(args_value, config, key, default, convert, path):
-    """Flag value if given, else config file value, else default."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        raw, lineno = config[key]
-        try:
-            return convert(raw)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return default
-
-
 def _parse_float_list(text):
     try:
-        return [float(part) for part in str(text).split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"expected number or comma list, got {text!r}") from exc
 
 
 def _parse_p_list(text):
     out = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if "-" in part:  # branch indices are non-negative, so '-' means a range
             lo, _, hi = part.partition("-")
@@ -205,44 +198,37 @@ def _parse_p_list(text):
     return out
 
 
-def _vc_from_text(text):
-    if text not in ("with", "without", "both"):
-        raise ValueError("must be one of: with, without, both")
-    return text
-
-
 def _resolve(args):
+    """The parsed flags with every setting of ``_SETTINGS`` filled in.
+
+    Each setting is the flag if given, else the config file's value, else
+    its default; ``a`` and ``b`` then become lists of numbers and ``p`` a
+    list of branches (by default 1 up to min(3, omega - 1), or 0).
+    """
     config = _parse_config_file(args.config) if args.config else {}
-    path = args.config
-    omega = _pick(args.omega, config, "omega", 4, int, path)
-    default_p = list(range(1, min(3, max(omega - 1, 0)) + 1)) or [0]
-    p_raw = _pick(args.p, config, "p", None, str, path)
-    settings = Settings(
-        R=_pick(args.R, config, "R", 1.0, float, path),
-        a_list=_parse_float_list(_pick(args.a, config, "a", "0.5", str, path)),
-        b_list=_parse_float_list(_pick(args.b, config, "b", "0.5", str, path)),
-        omega=omega,
-        p_list=_parse_p_list(p_raw) if p_raw is not None else default_p,
-        n_max=_pick(args.n_max, config, "n_max", 2, int, path),
-        vc=_pick(args.vc, config, "vc", "both", _vc_from_text, path),
-        grid=_pick(args.grid, config, "grid", 256, int, path),
-        temperature=_pick(args.temperature, config, "temperature", None, float, path),
-        digits=_pick(args.digits, config, "digits", 6, int, path),
-        out=_pick(args.out, config, "out", "-", str, path),
-    )
-    if settings.grid < 2:
-        raise UsageError(f"--grid must be >= 2, got {settings.grid}")
-    if settings.digits < 1:
-        raise UsageError(f"--digits must be >= 1, got {settings.digits}")
-    return settings
+    for key, (default, convert) in _SETTINGS.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            raw, lineno = config[key]
+            try:
+                value = convert(raw)
+            except (ValueError, TypeError) as exc:
+                raise UsageError(f"{args.config}:{lineno}: bad value for {key!r}: {exc}") from exc
+        setattr(args, key, default if value is None else value)
+    args.a, args.b = _parse_float_list(args.a), _parse_float_list(args.b)
+    args.p = (_parse_p_list(args.p) if args.p is not None
+              else list(range(1, min(3, max(args.omega - 1, 0)) + 1)) or [0])
+    if args.grid < 2:
+        raise UsageError(f"--grid must be >= 2, got {args.grid}")
+    if args.digits < 1:
+        raise UsageError(f"--digits must be >= 1, got {args.digits}")
+    return args
 
 
 def _single_shape(settings):
-    if len(settings.a_list) != 1 or len(settings.b_list) != 1:
+    if len(settings.a) != 1 or len(settings.b) != 1:
         raise UsageError("this command takes single --a and --b values")
-    return HelixShape(
-        R=settings.R, a=settings.a_list[0], b=settings.b_list[0], omega=settings.omega
-    )
+    return HelixShape(R=settings.R, a=settings.a[0], b=settings.b[0], omega=settings.omega)
 
 
 def _unit_shape(shape):
@@ -259,7 +245,7 @@ def _unit_shape(shape):
 def _branch_pairs(settings):
     """The (p, include_vc) pairs the --p and V_c flags ask for, in print order."""
     variants = {"with": [True], "without": [False], "both": [False, True]}[settings.vc]
-    return [(p, include_vc) for p in settings.p_list for include_vc in variants]
+    return [(p, include_vc) for p in settings.p for include_vc in variants]
 
 
 def _grid_angles(settings):
@@ -328,11 +314,11 @@ def _cmd_geometry(settings):
 
 
 def _cmd_potential(settings):
-    if len(settings.a_list) != len(settings.b_list):
+    if len(settings.a) != len(settings.b):
         raise UsageError("--a and --b lists must have the same length")
     shapes = [
         HelixShape(R=settings.R, a=a, b=b, omega=settings.omega)
-        for a, b in zip(settings.a_list, settings.b_list)
+        for a, b in zip(settings.a, settings.b)
     ]
     header = "phi," + ",".join(f"Vc[a={s.a:g};b={s.b:g}]" for s in shapes)
     phi = _grid_angles(settings)
@@ -362,7 +348,7 @@ def _cmd_current(settings):
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
     k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
-    dec = branch_spectra(shape, pairs, settings.n_max, k=k)
+    dec = branch_spectra(shape, pairs, settings.n_max)
     phi = _grid_angles(settings)
     j = currents(shape, dec.eigenvectors, k, phi)
     header = ["phi"] + [
@@ -377,11 +363,11 @@ def _cmd_moments(settings):
     shape = _unit_shape(_single_shape(settings))
     d = settings.digits
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
-    pairs = [(p, include_vc) for p in settings.p_list for include_vc in (False, True)]
+    pairs = [(p, include_vc) for p in settings.p for include_vc in (False, True)]
     _, vectors = branch_moments(shape, pairs, settings.n_max)
     z = vectors[..., 2].tolist()
-    loops = loop_current(np.array(settings.p_list, dtype=float), arc_length(shape))
-    for p, loop, z_off, z_on in zip(settings.p_list, loops, z[0::2], z[1::2]):
+    loops = loop_current(np.array(settings.p, dtype=float), arc_length(shape))
+    for p, loop, z_off, z_on in zip(settings.p, loops, z[0::2], z[1::2]):
         classical = classical_moment_closed(shape, loop)[2]
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
             ratio = "" if abs(t_on) < 1e-6 else _fmt(t_off / t_on, d)
@@ -442,8 +428,7 @@ def main(argv=None):
         else:
             with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
-    except (NoConvergence, HermiticityViolation, OverflowError, FloatingPointError,
-            MemoryError) as exc:
+    except (NoConvergence, OverflowError, FloatingPointError, MemoryError) as exc:
         print(f"helixtm: numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (UsageError, ValueError, OSError) as exc:

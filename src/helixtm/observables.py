@@ -87,7 +87,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .spectrum import branch_momenta, branch_spectra
+from .linalg import eigh_exact
+from .spectrum import _hamiltonian_stack, branch_momenta
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,12 @@ def currents(shape, coefficients, k, phi):
     n_max = (d - 1) // 2
     phases = _phase_table(shape, phi, np.arange(-n_max, n_max + 1))
     f = geometry.speed(shape, phi)
-    denominator = 2.0 * math.pi * f * f
+    # 2 pi f^2 overflows on tall coils while f^2 = D is finite: numerator
+    # and denominator are taken over the power of two ``geometry._tall`` of
+    # D(pi), which leaves the quotient's bits as they are
+    w_b = shape.omega * shape.b
+    tall = geometry._tall((shape.R - shape.a) * (shape.R - shape.a) + w_b * w_b)
+    denominator = 2.0 * math.pi * (tall * f) * f
     out = np.empty((groups, per_group) + phi.shape)
     for b in range(groups):
         for s in range(per_group):
@@ -147,7 +153,7 @@ def currents(shape, coefficients, k, phi):
             c = coefficients[b, :, s]
             s0 = phases @ c
             s1 = phases @ (k[b] * c)
-            out[b, s] = np.real(np.conj(s0) * s1) / denominator
+            out[b, s] = tall * np.real(np.conj(s0) * s1) / denominator
     return out
 
 
@@ -212,7 +218,7 @@ def branch_moments(shape, branches, n_max):
     harmonics = geometry.winding_harmonics(
         shape, _harmonic_count(shape, n_max), any(include_vc for _, include_vc in branches))
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
-    dec = branch_spectra(shape, branches, n_max, harmonics, k)
+    dec = eigh_exact(_hamiltonian_stack(shape, branches, n_max, harmonics, k))
     return dec, _moments(shape, harmonics[1], dec.eigenvectors, k)
 
 

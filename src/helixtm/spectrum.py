@@ -91,6 +91,9 @@ rule for all B matrices, giving energies (B, d) and coefficients
 ``HermitianMatrix`` and ``eigen_decompose``, which cannot change a
 result here: the stack equals its transpose bit for bit, so its drift is
 exactly 0 and its average (H + H^T)/2 is H bit for bit.
+``branch_spectra`` takes only the shape, the pairs and n_max, and works
+out its harmonics and k itself; ``observables.branch_moments`` gathers
+the same stack from the longer harmonics the moments read.
 ``branch_momenta`` is the matching k = p + omega*n table, which
 ``observables.moment_vectors`` and ``observables.currents`` take with
 the coefficients.  Arrays are the only batch path; the one-branch
@@ -249,7 +252,7 @@ def make_basis(shape, p, config):
     return BlochBasis(p=p, n_max=config.n_max, omega=shape.omega)
 
 
-def branch_spectra(shape, branches, n_max, harmonics=None, k=None):
+def branch_spectra(shape, branches, n_max):
     """Spectra of every (p, include_vc) pair as arrays, from one set of harmonics and one solve.
 
     The matrices of ``_hamiltonian_stack`` go through ``eigh_exact`` as
@@ -259,11 +262,11 @@ def branch_spectra(shape, branches, n_max, harmonics=None, k=None):
     ``EigenDecomposition`` with ``eigenvalues`` (B, d), ascending per
     pair, and ``eigenvectors`` (B, d, d), the coefficients of state alpha
     of pair b in column ``eigenvectors[b, :, alpha]`` (row i multiplies
-    chi_n, n = i - n_max).
-    ``harmonics``, a longer ``geometry.winding_harmonics`` result, and ``k``, the
-    pairs' ``branch_momenta``, which a caller also reads, give the same arrays bit for bit.
+    chi_n, n = i - n_max).  The harmonics and the k table come from the
+    inputs; ``observables.branch_moments``, which reads longer harmonics
+    and k too, solves ``_hamiltonian_stack`` of its own, bit for bit the same.
     """
-    return eigh_exact(_hamiltonian_stack(shape, branches, n_max, harmonics, k))
+    return eigh_exact(_hamiltonian_stack(shape, branches, n_max))
 
 
 def solve_states(shape, basis, config):

@@ -419,6 +419,26 @@ READ_FLAGS = {
     "thermal": {"--p", "--n-max", "--with-vc", "--without-vc", "--both", "--temperature"},
 }
 
+# a value of each config key and the flags that give the same setting; the
+# shape and output keys are read by every command, the others by the
+# commands that take their flag (``out`` is given a path in the test)
+CONFIG_FLAGS = [
+    ("R", "2", ["--R", "2"]),
+    ("a", "0.75", ["--a", "0.75"]),
+    ("b", "0.25", ["--b", "0.25"]),
+    ("omega", "6", ["--omega", "6"]),
+    ("digits", "4", ["--digits", "4"]),
+    ("out", None, None),
+    ("p", "1-2", ["--p", "1-2"]),
+    ("n_max", "3", ["--n-max", "3"]),
+    ("vc", "with", ["--with-vc"]),
+    ("vc", "without", ["--without-vc"]),
+    ("vc", "both", ["--both"]),
+    ("grid", "16", ["--grid", "16"]),
+    ("temperature", "0.1", ["--temperature", "0.1"]),
+]
+SHARED_KEYS = {"R", "a", "b", "omega", "digits", "out"}
+
 
 class TestFlagsOnlyWhereRead:
     @pytest.mark.parametrize("command, flag", [
@@ -454,6 +474,33 @@ class TestFlagsOnlyWhereRead:
                     argv += FLAGS[flag]
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("command, key, value, flags", [
+        pytest.param(command, key, value, flags, id=f"{command}-{key}-{value}")
+        for command in COMMANDS for key, value, flags in CONFIG_FLAGS
+        if key in SHARED_KEYS or flags[0] in READ_FLAGS[command]
+    ])
+    def test_config_value_prints_what_its_flag_prints(
+            self, capsys, tmp_path, command, key, value, flags):
+        # ``key = value`` in a config file gives exactly the flags' output;
+        # for ``out``, the file each writes
+        extra = ["--temperature", "1"] if command == "thermal" and key != "temperature" else []
+        if key == "out":
+            value, flags = tmp_path / "by_file.txt", ["--out", str(tmp_path / "by_flag.txt")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        by_file = run_cli(capsys, command, "--config", str(cfg), *extra)
+        by_flag = run_cli(capsys, command, *flags, *extra)
+        assert by_file == by_flag and by_flag[0] == 0
+        if key == "out":
+            assert by_flag[1] == ""
+            written = (tmp_path / "by_flag.txt").read_text()
+            assert (tmp_path / "by_file.txt").read_text() == written and written
+        else:
+            assert by_flag[1]
+
+    def test_config_cases_cover_every_key(self):
+        assert {key for key, _, _ in CONFIG_FLAGS} == set(cli._SETTINGS)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_keys_stay_shared(self, capsys, tmp_path, command):
@@ -592,6 +639,7 @@ class TestExitCodes:
         ["thermal", "--b", "1e100", "--temperature", "1"],
         ["spectrum", "--b", "1e152"],
         ["current", "--b", "1e152"],
+        ["current", "--b", "3.5e152"],
         ["moments", "--b", "1e120"],
         ["moments", "--b", "1e152"],
         ["thermal", "--b", "1e152", "--temperature", "1"],

@@ -160,6 +160,26 @@ class TestBatchedCurrents:
             for state, values in zip(states_for(FLAT4, p, include_vc), column):
                 assert np.array_equal(values, current(state, FLAT4, phi))
 
+    @pytest.mark.parametrize("b", [1e76, 1e120, 1e150])
+    @pytest.mark.parametrize("omega", [1, 17])
+    def test_tall_coils_give_the_unscaled_quotient(self, b, omega):
+        # D(pi) > 2^500, so numerator and denominator are taken over a power
+        # of two; where 2 pi f^2 is finite the quotient keeps its bits
+        shape = HelixShape(R=1.0, a=0.5, b=b, omega=omega)
+        pairs = [(p, include_vc) for p in sorted({0, omega - 1}) for include_vc in (False, True)]
+        dec = branch_spectra(shape, pairs, 2)
+        k = branch_momenta(shape, [p for p, _ in pairs], 2)
+        phi = 2.0 * math.pi * np.arange(64) / 64
+        phases = observables._phase_table(shape, phi, np.arange(-2, 3))
+        f = speed(shape, phi)
+        j = currents(shape, dec.eigenvectors, k, phi)
+        for g in range(len(pairs)):
+            for s in range(5):
+                c = dec.eigenvectors[g, :, s]
+                s0, s1 = phases @ c, phases @ (k[g] * c)
+                want = np.real(np.conj(s0) * s1) / (2.0 * math.pi * f * f)
+                assert np.array_equal(j[g, s], want)
+
 
 class TestQuantumMoment:
     def test_returns_result_type(self):

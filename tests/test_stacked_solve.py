@@ -14,7 +14,7 @@ Every matrix either path builds equals its transpose bit for bit.
 import numpy as np
 import pytest
 
-from helixtm import spectrum
+from helixtm import observables, spectrum
 from helixtm.geometry import HelixShape
 from helixtm.linalg import (
     EigenDecomposition,
@@ -130,7 +130,9 @@ def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, monkeyp
         solved.append(stack)
         return eigh_exact(stack)
 
+    # branch_spectra solves through spectrum's name, branch_moments through observables'
     monkeypatch.setattr(spectrum, "eigh_exact", recording)
+    monkeypatch.setattr(observables, "eigh_exact", recording)
     branch_spectra(shape, pairs, n_max)
     branch_moments(shape, pairs, n_max)
     p, include_vc = pairs[-1]
@@ -188,7 +190,7 @@ def test_production_solve_equals_the_per_matrix_solve(shape, ps, n_max, monkeypa
     assert _same_bits(lean.eigenvalues, full.eigenvalues)
     assert _same_bits(lean.eigenvectors, full.eigenvectors)
     # the moments of the solve they replace, through the per-matrix solve
-    monkeypatch.setattr(spectrum, "eigh_exact", _per_matrix_solve)
+    monkeypatch.setattr(observables, "eigh_exact", _per_matrix_solve)
     full_moments = branch_moments(shape, pairs, n_max)
     assert _same_bits(lean_moments[0].eigenvalues, full_moments[0].eigenvalues)
     assert _same_bits(lean_moments[0].eigenvectors, full_moments[0].eigenvectors)
