@@ -82,6 +82,8 @@ class HelixShape:
     def __post_init__(self):
         for name in ("R", "a", "b"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"shape parameters must be real numbers, got {name}={value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"shape parameters must be finite, got {name}={value}")
         if not self.R > 0:
@@ -218,13 +220,17 @@ def speed(shape, phi):
     return np.sqrt(_d_form(shape, *_sc(shape, phi)))
 
 
-def _tall(d_pi):
+def _tall(shape):
     """2^-k, 2^k the power of two of D(pi) / 2^500, or 1 below D(pi) = 2^500.
 
-    Products of two sizes of D, which overflow on tall coils long before D
-    does, are taken over it.  Below 2^500 nothing is scaled, so no small
-    term drops to a subnormal; above, every factor it scales is large.
+    D(pi) = (R - a)^2 + (omega b)^2.  Products of two sizes of D, which
+    overflow on tall coils long before D does, are taken over it.  Below
+    2^500 nothing is scaled, so no small term drops to a subnormal; above,
+    every factor it scales is large.  Every use cancels the power of two
+    exactly, so only the exponent of D(pi) matters, not its rounding.
     """
+    w_b = shape.omega * shape.b
+    d_pi = (shape.R - shape.a) * (shape.R - shape.a) + w_b * w_b
     return 2.0 ** -max(math.frexp(d_pi)[1] - 500, 0)
 
 
@@ -252,7 +258,7 @@ def _d_factor(shape):
     if g >= 0:
         v2 = 0.5 * (g + r * q)
     else:
-        tall = _tall(gamma)
+        tall = _tall(shape)
         v2 = 2 * w2 * (tall * (R * R * (b * b - a * a) + a * a * alpha)) / (tall * (r * q - g))
     v = np.sqrt(v2)
     t = 0.5 * (m + v)
@@ -318,7 +324,7 @@ def winding_harmonics(shape, count, potential=False):
     # products below of two sizes of D (6 alpha - beta, omega^4 b^2,
     # p2 gamma and v r q) are taken over ``_tall`` and the rest of 2^k
     # after it.
-    scale, tall = 2.0 ** -max(math.frexp(gamma)[1], 0), _tall(gamma)
+    scale, tall = 2.0 ** -max(math.frexp(gamma)[1], 0), _tall(shape)
     rest = scale / tall
     ta, tb = tall * alpha, tall * beta
     directions = [(scale * beta, rest * (6 * ta - tb), scale * (-4 * alpha))]
@@ -369,8 +375,14 @@ def winding_harmonics(shape, count, potential=False):
     return a0, 0.5 * f, vc
 
 
-def _moment_numerators(shape, axes, scale):
-    """(odd, P) per axis: g_axis = sin(theta)^odd P(cos theta), P times ``scale``.
+def _moment_reach(shape, width):
+    """Entries of B_d that harmonics -width..width of the moment weights read: width + 1
+    plus the numerators' degree, 4 with the x and y rows (omega = 1), 3 for z alone."""
+    return width + 1 + (4 if shape.omega == 1 else 3)
+
+
+def _moment_numerators(shape, scale):
+    """(axis, odd, P) per row of g that does not vanish: g_axis = sin(theta)^odd P(cos theta).
 
     P's coefficients ascend in c = cos theta and carry the factor
     ``scale``, a power of two, which keeps them finite on tall coils
@@ -379,11 +391,10 @@ def _moment_numerators(shape, axes, scale):
     r . r' = omega s ((b^2 - a^2) c - a R) and r^2 = (R + a c)^2 + b^2 s^2,
     g_z = b omega ((1 - c^2)((b^2 - a^2) c - a R) - 2 c r^2);
     at omega = 1, where cos phi = c and sin phi = s, g_x is s times a cubic
-    and g_y a quartic in c.
+    and g_y a quartic in c.  Only z is formed for omega >= 2, where the x
+    and y moments vanish identically; axes are 0, 1, 2 for x, y, z.
     """
     a, b, R, w = shape.a, shape.b, shape.R, shape.omega
-    if w != 1 and set(axes) - {2}:
-        raise ValueError(f"the x and y rows need omega = 1, got omega={w}")
     bw = b * w * scale
     rows = {2: (False, [-bw * a * R, -bw * (a * a + b * b + 2 * R * R), -3 * bw * a * R,
                         bw * (b * b - a * a)])}
@@ -394,36 +405,35 @@ def _moment_numerators(shape, axes, scale):
         rows[1] = (False, [scale * x for x in (
             a * (R * R + 2 * b * b), R * (2 * a * a - b * b - 2 * R * R),
             a * (a * a - 5 * b * b - 7 * R * R), R * (b * b - 8 * a * a), 3 * a * (b * b - a * a))])
-    return [rows[axis] for axis in axes]
+    return [(axis, *rows[axis]) for axis in sorted(rows)]
 
 
-def moment_harmonics(shape, b, width, axes):
-    """Harmonics d = -width..width of the toroidal-moment weights g_axis / (2 pi D), in closed form.
+def moment_harmonics(shape, b, width):
+    """(axes, harmonics d = -width..width of the toroidal-moment weights g_axis / (2 pi D)).
 
     Entry [i, width + d] is Integral_0^{2pi} g_i(theta) / (2 pi D) e^{i d theta} dtheta,
-    the harmonic of g_i / D, for the rows ``axes`` (0, 1, 2 for x, y, z;
-    x and y at omega = 1 only) of g = (r' . r) r - 2 r^2 r'.  ``b`` holds
-    the B_d = F_d / 2, d >= 0, of ``winding_harmonics``, where F_d are
-    the harmonics of 1/D, even in d.  Each g_axis is sin(theta)^odd times
+    the harmonic of g_i / D, for the rows ``axes`` of g = (r' . r) r - 2 r^2 r'
+    that ``_moment_numerators`` forms.  ``b`` holds the B_d = F_d / 2,
+    d >= 0, of ``winding_harmonics``, where F_d are the harmonics of 1/D,
+    even in d.  Each g_axis is sin(theta)^odd times
     a polynomial P in c = cos theta (``_moment_numerators``), of degree 3
     for z and 4 for x and y as trig polynomials.  Multiplying by c maps
     harmonics X_d to (X_{d-1} + X_{d+1})/2, so P(c)/D follows from F by
     Horner's rule, and the factor sin(theta) maps X_d to
     (X_{d+1} - X_{d-1})/(2i): the x row is odd, its harmonics imaginary.
-    ``b`` needs width + 5 entries with the x or y row, width + 4 without.
-    No angle is sampled.  The coefficients of P reach the size of
-    D^(3/2), so they are taken over ``_tall`` and F times it: the products
-    are the unscaled ones bit for bit.
+    ``b`` needs ``_moment_reach`` entries.  No angle is sampled.  The
+    coefficients of P reach the size of D^(3/2), so they are taken over
+    ``_tall`` and F times it: the products are the unscaled ones bit for
+    bit.
     """
-    d_pi = (shape.R - shape.a) * (shape.R - shape.a) + shape.omega * shape.b * shape.omega * shape.b
-    scale = _tall(d_pi)
+    scale = _tall(shape)
     f = 2.0 / scale * np.asarray(b)
-    rows = _moment_numerators(shape, axes, scale)
-    if f.size < width + 1 + max(len(coefficients) - 1 + odd for odd, coefficients in rows):
+    if f.size < _moment_reach(shape, width):
         raise ValueError(f"{f.size} harmonics of 1/D do not reach harmonic {width} of the moments")
     full = np.concatenate([f[:0:-1], f])  # F_d for d = 1 - size..size - 1
+    rows = _moment_numerators(shape, scale)
     out = []
-    for odd, coefficients in rows:
+    for _, odd, coefficients in rows:
         x = coefficients[-1] * full
         for trim, coefficient in enumerate(reversed(coefficients[:-1]), 1):
             x = 0.5 * (x[:-2] + x[2:]) + coefficient * full[trim:-trim]
@@ -431,7 +441,7 @@ def moment_harmonics(shape, b, width, axes):
             x = 0.5j * (x[:-2] - x[2:])
         mid = x.size // 2
         out.append(x[mid - width:mid + width + 1])
-    return np.array(out)
+    return [axis for axis, _, _ in rows], np.array(out)
 
 
 def _jet(shape, phi):

@@ -57,11 +57,10 @@ takes the moments of a whole stack of states of one shape and one n_max
 as arrays: coefficients (B, d, S), S states per group in columns (the
 eigenvectors of ``spectrum.branch_spectra``), and the (B, d) table of
 k = p + omega*n (``spectrum.branch_momenta``), gathered from the
-harmonics -2*n_max..2*n_max.  ``branch_moments`` makes one
-``winding_harmonics`` call, long enough for the moments, and builds both
-the spectra and the moments from it; the spectra equal those of
-``spectrum.branch_spectra`` bit for bit, since a longer recurrence leaves
-its first terms unchanged.  The command line's ``moments`` and
+harmonics -2*n_max..2*n_max.  ``branch_moments`` solves the stack of
+``spectrum._hamiltonian_stack`` and takes the moments from the k table
+and B_d that come with it, so its spectra are those of
+``spectrum.branch_spectra`` bit for bit.  The command line's ``moments`` and
 ``thermal`` use it, and ``moments`` takes the arc length of the
 classical column apart, also in closed form (``geometry.arc_length``).
 ``toroidal_moment`` is the one-state case of ``moment_vectors``, wrapped
@@ -88,7 +87,7 @@ import numpy as np
 
 from . import geometry
 from .linalg import eigh_exact
-from .spectrum import _hamiltonian_stack, branch_momenta
+from .spectrum import _hamiltonian_stack
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,10 @@ class ThermalSpec:
     normalize: bool = True
 
     def __post_init__(self):
-        if not self.temperature > 0:
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
+            raise ValueError(f"temperature must be a real number, got {t!r}")
+        if not t > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
@@ -140,10 +142,9 @@ def currents(shape, coefficients, k, phi):
     phases = _phase_table(shape, phi, np.arange(-n_max, n_max + 1))
     f = geometry.speed(shape, phi)
     # 2 pi f^2 overflows on tall coils while f^2 = D is finite: numerator
-    # and denominator are taken over the power of two ``geometry._tall`` of
-    # D(pi), which leaves the quotient's bits as they are
-    w_b = shape.omega * shape.b
-    tall = geometry._tall((shape.R - shape.a) * (shape.R - shape.a) + w_b * w_b)
+    # and denominator are taken over the power of two ``geometry._tall``,
+    # which leaves the quotient's bits as they are
+    tall = geometry._tall(shape)
     denominator = 2.0 * math.pi * (tall * f) * f
     out = np.empty((groups, per_group) + phi.shape)
     for b in range(groups):
@@ -163,23 +164,11 @@ def current(state, shape, phi):
     return currents(shape, state.coefficients[None, :, None], k[None], phi)[0, 0]
 
 
-def _moment_axes(shape):
-    """The rows of g that do not vanish: z for omega >= 2, all three at omega = 1."""
-    return (0, 1, 2) if shape.omega == 1 else (2,)
-
-
-def _harmonic_count(shape, n_max):
-    """Harmonics of 1/D the moments of one n_max read: d up to 2*n_max plus the
-    degree of the weights' numerators (4 with the x and y rows, 3 for z alone)."""
-    return 2 * n_max + 1 + (4 if shape.omega == 1 else 3)
-
-
 def _moments(shape, b, coefficients, k):
     """``moment_vectors`` from the harmonics B_d of ``geometry.winding_harmonics``."""
     groups, d, per_group = coefficients.shape
     n_max = (d - 1) // 2
-    axes = _moment_axes(shape)
-    weights = geometry.moment_harmonics(shape, b, 2 * n_max, axes)
+    axes, weights = geometry.moment_harmonics(shape, b, 2 * n_max)
     n = np.arange(-n_max, n_max + 1)
     # one row per state, group-major, as C-contiguous (states, d) arrays
     c = np.ascontiguousarray(np.swapaxes(coefficients, 1, 2)).reshape(-1, d)
@@ -201,25 +190,23 @@ def moment_vectors(shape, coefficients, k):
     (B, S, 3) moment vectors.
     """
     n_max = (coefficients.shape[1] - 1) // 2
-    b = geometry.winding_harmonics(shape, _harmonic_count(shape, n_max))[1]
+    b = geometry.winding_harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
     return _moments(shape, b, coefficients, k)
 
 
 def branch_moments(shape, branches, n_max):
     """Spectra and moments of every (p, include_vc) pair, from one set of harmonics.
 
-    One ``geometry.winding_harmonics`` call, long enough for the moments,
-    gives the Hamiltonians and the moment weights.  The spectra equal
-    those of ``spectrum.branch_spectra`` bit for bit, and the moments
-    those of ``moment_vectors`` of its eigenvectors.  Returns
+    Solves the stack of ``spectrum._hamiltonian_stack`` and takes the
+    moments from the k table and B_d it returns, so the spectra equal those
+    of ``spectrum.branch_spectra`` bit for bit, and the moments those of
+    ``moment_vectors`` of its eigenvectors.  Returns
     ``(decomposition, vectors)``: the ``EigenDecomposition`` of the stack
     and the (B, d, 3) moment vectors.
     """
-    harmonics = geometry.winding_harmonics(
-        shape, _harmonic_count(shape, n_max), any(include_vc for _, include_vc in branches))
-    k = branch_momenta(shape, [p for p, _ in branches], n_max)
-    dec = eigh_exact(_hamiltonian_stack(shape, branches, n_max, harmonics, k))
-    return dec, _moments(shape, harmonics[1], dec.eigenvectors, k)
+    stack, k, b = _hamiltonian_stack(shape, branches, n_max)
+    dec = eigh_exact(stack)
+    return dec, _moments(shape, b, dec.eigenvectors, k)
 
 
 def toroidal_moment(state, shape):
@@ -246,9 +233,8 @@ def classical_moment_numeric(shape, loop_current):
     """
     theta = 2.0 * math.pi * np.arange(_CLASSICAL_NODES) / _CLASSICAL_NODES
     s, c = np.sin(theta), np.cos(theta)
-    axes = _moment_axes(shape)
     vector = np.zeros(3)
-    for axis, (odd, coefficients) in zip(axes, geometry._moment_numerators(shape, axes, 1.0)):
+    for axis, odd, coefficients in geometry._moment_numerators(shape, 1.0):
         g = 0.0
         for coefficient in reversed(coefficients):
             g = g * c + coefficient
@@ -286,7 +272,8 @@ def thermal_average(moments, spec):
 
     Normalized mode shifts energies by their minimum (the shift cancels
     against the partition sum); raw mode exponentiates the energies as
-    given, so it can overflow by design.
+    given, so it can overflow by design: OverflowError whenever the sum is
+    not finite, also where -E/T is inf, whose ``math.exp`` does not raise.
     """
     pairs = [(float(e), float(v)) for e, v in moments]
     if not pairs:
@@ -295,4 +282,7 @@ def thermal_average(moments, spec):
         low = min(e for e, _ in pairs)
         weights = [math.exp(-(e - low) / spec.temperature) for e, _ in pairs]
         return sum(w * v for w, (_, v) in zip(weights, pairs)) / sum(weights)
-    return sum(v * math.exp(-e / spec.temperature) for e, v in pairs)
+    total = sum(v * math.exp(-e / spec.temperature) for e, v in pairs)
+    if not math.isfinite(total):
+        raise OverflowError(f"unnormalized Boltzmann sum is {total} at temperature {spec.temperature}")
+    return total

@@ -77,12 +77,13 @@ integrates C, imaginary part included, and against a fine trapezoid of
 the sampled rows A and B (``tests/oracles.py``).
 
 Only A depends on whether V_c is included and only k on the branch p,
-so ``branch_spectra`` assembles any list of (p, include_vc) pairs of a
-shape from one set of harmonics: A without V_c and A with V_c (each only
-if a pair needs it) and B.  The moments take their harmonics from the
-same recurrence (``observables.branch_moments``), and the arc length is
-a complete elliptic integral in the same constants
-(``geometry.arc_length``): nothing samples an angle.
+so ``_hamiltonian_stack`` assembles any list of (p, include_vc) pairs
+of a shape from one ``winding_harmonics`` call, as long as the moments
+read: A without V_c and A with V_c (each only if a pair needs it) and B.
+It returns the k table and B_d too, so ``observables.branch_moments``
+takes the moments from the same call, and the arc length is a complete
+elliptic integral in the same constants (``geometry.arc_length``):
+nothing samples an angle.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_exact``: a finite check, one LAPACK call and one sign
@@ -91,9 +92,6 @@ rule for all B matrices, giving energies (B, d) and coefficients
 ``HermitianMatrix`` and ``eigen_decompose``, which cannot change a
 result here: the stack equals its transpose bit for bit, so its drift is
 exactly 0 and its average (H + H^T)/2 is H bit for bit.
-``branch_spectra`` takes only the shape, the pairs and n_max, and works
-out its harmonics and k itself; ``observables.branch_moments`` gathers
-the same stack from the longer harmonics the moments read.
 ``branch_momenta`` is the matching k = p + omega*n table, which
 ``observables.moment_vectors`` and ``observables.currents`` take with
 the coefficients.  Arrays are the only batch path; the one-branch
@@ -214,37 +212,35 @@ def branch_momenta(shape, ps, n_max):
     return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
 
 
-def _hamiltonian_stack(shape, branches, n_max, harmonics=None, k=None):
-    """The (len(branches), d, d) real symmetric matrices of the pairs, from one set of harmonics.
+def _hamiltonian_stack(shape, branches, n_max):
+    """(H, k, B_d): the pairs' (len(branches), d, d) real symmetric matrices,
+    their ``branch_momenta`` table and the B_d they were gathered from.
 
-    Every matrix gathers the closed-form harmonics d = |n - m| of
-    ``geometry.winding_harmonics`` into Re A_d + k_m k_n Re B_d with its
+    Every matrix gathers the closed-form harmonics d = |n - m| of one
+    ``geometry.winding_harmonics`` call into Re A_d + k_m k_n Re B_d with its
     own k = p + omega*n (see the module docstring for why that is all of
-    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  ``harmonics``,
-    when given, is a ``winding_harmonics`` result of at least d entries,
-    with V_c if a pair needs it; a longer one gives the same matrices bit
-    for bit.  ``k``, when given, is the pairs' ``branch_momenta`` table.
+    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  The call is as
+    long as the moments read (``geometry._moment_reach``); a longer call
+    leaves the first d entries, all the matrices read, unchanged bit for bit.
     """
     if not branches:
         raise ValueError("need at least one branch")
-    if k is None:
-        k = branch_momenta(shape, [p for p, _ in branches], n_max)
+    k = branch_momenta(shape, [p for p, _ in branches], n_max)
     with_vc = [bool(vc) for _, vc in branches]
-    if harmonics is None:
-        harmonics = geometry.winding_harmonics(shape, 2 * n_max + 1, any(with_vc))
-    a0, b, v_c = harmonics
+    a0, b, v_c = geometry.winding_harmonics(
+        shape, geometry._moment_reach(shape, 2 * n_max), any(with_vc))
     idx = np.arange(2 * n_max + 1)
     table = np.abs(idx - idx[:, None])  # |n - m|
     by_vc = {vc: (a0 + v_c if vc else a0)[table] for vc in set(with_vc)}  # T_A per variant
     t_a = (by_vc.popitem()[1] if len(by_vc) == 1
            else np.where(np.array(with_vc)[:, None, None], by_vc[True], by_vc[False]))
-    return t_a + k[:, :, None] * k[:, None, :] * b[table]
+    return t_a + k[:, :, None] * k[:, None, :] * b[table], k, b
 
 
 def build_hamiltonian(shape, basis, config):
     """The HermitianMatrix of one branch over the basis (``_hamiltonian_stack`` of one pair)."""
     pair = [(basis.p, config.include_vc)]
-    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max)[0])
+    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max)[0][0])
 
 
 def make_basis(shape, p, config):
@@ -262,11 +258,10 @@ def branch_spectra(shape, branches, n_max):
     ``EigenDecomposition`` with ``eigenvalues`` (B, d), ascending per
     pair, and ``eigenvectors`` (B, d, d), the coefficients of state alpha
     of pair b in column ``eigenvectors[b, :, alpha]`` (row i multiplies
-    chi_n, n = i - n_max).  The harmonics and the k table come from the
-    inputs; ``observables.branch_moments``, which reads longer harmonics
-    and k too, solves ``_hamiltonian_stack`` of its own, bit for bit the same.
+    chi_n, n = i - n_max).  ``observables.branch_moments`` solves the
+    same stack and keeps its k and B_d for the moments.
     """
-    return eigh_exact(_hamiltonian_stack(shape, branches, n_max))
+    return eigh_exact(_hamiltonian_stack(shape, branches, n_max)[0])
 
 
 def solve_states(shape, basis, config):

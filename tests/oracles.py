@@ -311,7 +311,7 @@ def list_of_rows_harmonics(shape, count, potential=False):
     return a0, 0.5 * f, vc
 
 
-def unscaled_moment_harmonics(shape, b, width, axes):
+def unscaled_moment_harmonics(shape, b, width):
     """``geometry.moment_harmonics`` with its numerators' coefficients unscaled.
 
     Horner's rule on F = 2 B with the coefficients of
@@ -321,7 +321,7 @@ def unscaled_moment_harmonics(shape, b, width, axes):
     f = 2.0 * np.asarray(b)
     full = np.concatenate([f[:0:-1], f])
     out = []
-    for odd, coefficients in geometry._moment_numerators(shape, axes, 1.0):
+    for _, odd, coefficients in geometry._moment_numerators(shape, 1.0):
         x = coefficients[-1] * full
         for trim, coefficient in enumerate(reversed(coefficients[:-1]), 1):
             x = 0.5 * (x[:-2] + x[2:]) + coefficient * full[trim:-trim]

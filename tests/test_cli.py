@@ -285,6 +285,19 @@ class TestThermal:
         assert on[3] == "overflow"
         assert float(off[3]) != 0 or off[3] == "overflow"
 
+    def test_unnormalized_sum_below_the_normal_range_is_overflow(self, capsys):
+        # at T = 1e-310, -E/T of a bound level is inf, not an OverflowError
+        # from exp: those rows print overflow, as at 1e-300, never inf or
+        # nan; the levels above 0 keep their weights of 0
+        code, out, err = run_cli(capsys, "thermal", "--a", "0.9", "--b", "0.1", "--omega", "6",
+                                 "--p", "1-3", "--n-max", "4", "--temperature", "1e-310")
+        assert code == 0 and err == ""
+        rows = [line.split() for line in out.strip().split("\n")[2:]]
+        assert [row[:2] for row in rows] == [[p, vc] for p in "123" for vc in ("off", "on")]
+        assert [row[3] for row in rows if row[1] == "on"] == ["overflow"] * 3
+        assert [row[3] for row in rows if row[1] == "off"] == ["0"] * 3
+        assert "inf" not in out and "nan" not in out
+
     def test_requires_temperature(self, capsys):
         code, _, err = run_cli(capsys, "thermal", *FLAT6_ARGS)
         assert code == 2

@@ -18,7 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from helixtm.geometry import HelixShape, _d_factor, moment_harmonics, winding_harmonics
+from helixtm.geometry import (
+    HelixShape,
+    _d_factor,
+    _moment_reach,
+    moment_harmonics,
+    winding_harmonics,
+)
 from helixtm.observables import branch_moments, moment_vectors
 from helixtm.spectrum import _hamiltonian_stack, branch_momenta, branch_spectra
 from oracles import (
@@ -62,7 +68,7 @@ def _stack(shape):
 def test_matrices_match_a_fine_trapezoid(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     pairs = _stack(shape)
-    got = _hamiltonian_stack(shape, pairs, n_max)
+    got = _hamiltonian_stack(shape, pairs, n_max)[0]
     want = sampled_hamiltonians(shape, pairs, n_max, REFERENCE_POINTS)
     for h, ref in zip(got, want):
         assert np.max(np.abs(h - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -109,8 +115,8 @@ def test_levels_interlace_as_the_basis_grows(shape, p, n_max):
     # bit for bit, so Cauchy interlacing bounds every level:
     # E_k(n_max + 1) <= E_k(n_max) <= E_{k+2}(n_max + 1)
     pairs = [(p, False), (p, True)]
-    small = _hamiltonian_stack(shape, pairs, n_max)
-    big = _hamiltonian_stack(shape, pairs, n_max + 1)
+    small = _hamiltonian_stack(shape, pairs, n_max)[0]
+    big = _hamiltonian_stack(shape, pairs, n_max + 1)[0]
     assert np.array_equal(big[:, 1:-1, 1:-1], small)
     e_small = branch_spectra(shape, pairs, n_max).eigenvalues
     e_big = branch_spectra(shape, pairs, n_max + 1).eigenvalues
@@ -132,9 +138,8 @@ MOMENT_SHAPES = [
 
 
 def _moment_harmonics(shape, n_max):
-    axes = (0, 1, 2) if shape.omega == 1 else (2,)
-    count = 2 * n_max + 1 + (4 if shape.omega == 1 else 3)
-    return moment_harmonics(shape, winding_harmonics(shape, count)[1], 2 * n_max, axes)
+    b = winding_harmonics(shape, _moment_reach(shape, 2 * n_max))[1]
+    return moment_harmonics(shape, b, 2 * n_max)[1]
 
 
 @pytest.mark.parametrize("a, b, omega, n_max", [*_draws(20, 12), *MOMENT_SHAPES])
@@ -163,15 +168,18 @@ def test_moment_reference_trapezoid_has_converged():
 
 
 def test_moment_harmonics_need_the_numerator_degree():
-    # harmonic d of g / D reads F up to d + 3 (z) or d + 4 (x, y)
-    shape = HelixShape(R=1.0, a=0.9, b=0.1, omega=1)
-    b = winding_harmonics(shape, 12)[1]
-    assert moment_harmonics(shape, b, 7, (2,)).shape == (1, 15)
-    assert moment_harmonics(shape, b, 7, (0, 1, 2)).shape == (3, 15)
+    # harmonic d of g / D reads F up to d + 4 (x, y, at omega = 1) or d + 3
+    # (z alone)
+    one, two = (HelixShape(R=1.0, a=0.9, b=0.1, omega=w) for w in (1, 2))
+    assert _moment_reach(one, 7) == _moment_reach(two, 8) == 12
+    axes, weights = moment_harmonics(one, winding_harmonics(one, 12)[1], 7)
+    assert list(axes) == [0, 1, 2] and weights.shape == (3, 15)
     with pytest.raises(ValueError, match="do not reach harmonic 8"):
-        moment_harmonics(shape, b, 8, (0, 1, 2))
-    with pytest.raises(ValueError, match="need omega = 1"):
-        moment_harmonics(HelixShape(R=1.0, a=0.9, b=0.1, omega=2), b, 4, (0, 2))
+        moment_harmonics(one, winding_harmonics(one, 12)[1], 8)
+    axes, weights = moment_harmonics(two, winding_harmonics(two, 12)[1], 8)
+    assert list(axes) == [2] and weights.shape == (1, 17)
+    with pytest.raises(ValueError, match="do not reach harmonic 9"):
+        moment_harmonics(two, winding_harmonics(two, 12)[1], 9)
 
 
 def _moment_stacks():
@@ -259,10 +267,9 @@ def test_moment_weights_equal_the_unscaled_horner(a, b, omega, count):
     # D(pi) = 2^500 nothing is scaled, so the a R terms of a thin coil keep
     # their bits
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-    axes = (0, 1, 2) if omega == 1 else (2,)
-    harmonics = winding_harmonics(shape, count + 5)[1]
-    got = moment_harmonics(shape, harmonics, count, axes)
-    assert got.tobytes() == unscaled_moment_harmonics(shape, harmonics, count, axes).tobytes()
+    harmonics = winding_harmonics(shape, _moment_reach(shape, count))[1]
+    got = moment_harmonics(shape, harmonics, count)[1]
+    assert got.tobytes() == unscaled_moment_harmonics(shape, harmonics, count).tobytes()
 
 
 @pytest.mark.parametrize("b", [1e120, 1e152])

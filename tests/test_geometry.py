@@ -149,6 +149,19 @@ class TestShapeValidation:
                 with pytest.raises(ValueError, match="finite"):
                     HelixShape(**params)
 
+    @pytest.mark.parametrize("name", ["R", "a", "b"])
+    @pytest.mark.parametrize("bad", ["1", None, True, 0.5j])
+    def test_rejects_lengths_that_are_not_real_numbers(self, name, bad):
+        # a ValueError like the other bad input, not a TypeError from
+        # math.isfinite; True is not taken as 1
+        params = {"R": 2.0, "a": 0.5, "b": 0.5, "omega": 4, name: bad}
+        with pytest.raises(ValueError, match=f"real numbers, got {name}="):
+            HelixShape(**params)
+
+    @pytest.mark.parametrize("R, a, b", [(2, 1, 1), (np.float32(2.0), np.float64(0.5), np.int64(3))])
+    def test_numpy_and_integer_lengths(self, R, a, b):
+        assert HelixShape(R=R, a=a, b=b, omega=4).b == b
+
 
 class TestPosition:
     def test_circular_at_zero(self):
@@ -304,8 +317,8 @@ class TestWindingRows:
             assert curvature_potential(shape, 0.0) == pytest.approx(-(14.25 / 3.375) ** 2 / 8,
                                                                      rel=1e-15)
         # g_z = -2 r^2 z' with z' = b omega: the numerator's coefficients at c = 1
-        ((odd, coefficients),) = geometry._moment_numerators(shape, (2,), 1.0)
-        assert f == 1.5 and not odd and sum(coefficients) == pytest.approx(-2 * 1.5**2 * 4e-300)
+        ((axis, odd, coefficients),) = geometry._moment_numerators(shape, 1.0)
+        assert f == 1.5 and axis == 2 and not odd and sum(coefficients) == pytest.approx(-2 * 1.5**2 * 4e-300)
 
 
 class TestCurvature:

@@ -286,10 +286,11 @@ class TestClassicalMoment:
         closed = classical_moment_closed(shape, 0.7)
         numeric = classical_moment_numeric(shape, 0.7)
         assert_allclose(numeric, closed, rtol=1e-13, atol=1e-15)
-        axes = (0, 1, 2) if shape.omega == 1 else (2,)
+        numerators = geometry._moment_numerators(shape, 1.0)
+        axes = [axis for axis, _, _ in numerators]
         theta = 2 * math.pi * np.arange(64) / 64
         rows = np.array([np.sin(theta) ** odd * np.polyval(coefficients[::-1], np.cos(theta))
-                         for odd, coefficients in geometry._moment_numerators(shape, axes, 1.0)])
+                         for _, odd, coefficients in numerators])
         fine = np.zeros(3)
         fine[list(axes)] = 0.7 * 2 * math.pi * rows.mean(axis=1) / 10
         ulp = np.finfo(float).eps * 0.7 * 2 * math.pi * np.abs(rows).max() / 10
@@ -448,6 +449,18 @@ class TestThermalAverage:
         with pytest.raises(OverflowError):
             thermal_average([(-1.5, 1.0)], spec)
 
+    @pytest.mark.parametrize("pairs", [[(-1.0, 1.0)], [(-1.0, 0.0)]], ids=["inf", "nan"])
+    def test_unnormalized_sum_that_is_not_finite_raises(self, pairs):
+        # below the smallest normal temperature -E/T is inf, whose exp is inf
+        # without an OverflowError: the weighted sum is inf or 0 * inf = nan
+        spec = ThermalSpec(temperature=1e-320, normalize=False)
+        with pytest.raises(OverflowError):
+            thermal_average(pairs, spec)
+
+    def test_unnormalized_weight_that_underflows_stays_zero(self):
+        spec = ThermalSpec(temperature=1e-320, normalize=False)
+        assert thermal_average([(1.0, 5.0), (0.5, -2.0)], spec) == 0.0
+
     def test_normalized_shift_avoids_overflow(self):
         spec = ThermalSpec(temperature=0.001, normalize=True)
         got = thermal_average([(-1.5, 1.0), (-0.1, 99.0)], spec)
@@ -460,3 +473,13 @@ class TestThermalAverage:
             ThermalSpec(temperature=-1.0)
         with pytest.raises(ValueError):
             thermal_average([], ThermalSpec(temperature=1.0))
+
+    @pytest.mark.parametrize("temperature", ["1", None, True, 1j])
+    def test_rejects_a_temperature_that_is_not_a_real_number(self, temperature):
+        # a ValueError like the other bad input, not a TypeError from ">"
+        with pytest.raises(ValueError, match="temperature must be a real number"):
+            ThermalSpec(temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [1, np.float32(0.5), np.int64(2)])
+    def test_numpy_and_integer_temperature(self, temperature):
+        assert ThermalSpec(temperature=temperature).temperature == temperature

@@ -48,7 +48,7 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     pairs = all_pairs(omega)
     dec = branch_spectra(shape, pairs, n_max)
-    mats = _hamiltonian_stack(shape, pairs, n_max)
+    mats = _hamiltonian_stack(shape, pairs, n_max)[0]
     for h, values, vectors in zip(mats, dec.eigenvalues, dec.eigenvectors):
         one = eigen_decompose(HermitianMatrix(h))
         assert np.array_equal(values, one.eigenvalues)
@@ -183,7 +183,7 @@ def test_production_solve_equals_the_per_matrix_solve(shape, ps, n_max, monkeypa
     # the per-matrix solve; on these symmetric stacks that changes no bit
     # of either array
     pairs = [(p, include_vc) for p in ps for include_vc in (False, True)]
-    stack = _hamiltonian_stack(shape, pairs, n_max)
+    stack = _hamiltonian_stack(shape, pairs, n_max)[0]
     lean = branch_spectra(shape, pairs, n_max)
     lean_moments = branch_moments(shape, pairs, n_max)
     full = _per_matrix_solve(stack)
