@@ -47,7 +47,7 @@ from .observables import (
     loop_current,
     thermal_average,
 )
-from .spectrum import branch_momenta, branch_spectra
+from .spectrum import branch_spectra
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
@@ -347,10 +347,9 @@ def _cmd_current(settings):
     pairs = _branch_pairs(settings)
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
-    k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
     dec = branch_spectra(shape, pairs, settings.n_max)
     phi = _grid_angles(settings)
-    j = currents(shape, dec.eigenvectors, k, phi)
+    j = currents(shape, dec.eigenvectors, [p for p, _ in pairs], phi)
     header = ["phi"] + [
         f"j[p={p};alpha={alpha};vc={'on' if include_vc else 'off'}]"
         for p, include_vc in pairs for alpha in range(j.shape[1])

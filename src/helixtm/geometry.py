@@ -72,6 +72,9 @@ class HelixShape:
         Vertical half-axis of the winding cross-section, > 0.
     omega : int
         Number of windings per full turn around the z axis, >= 1.
+
+    Any real number (numpy scalars included) is accepted and stored, once
+    validated, as a Python float (R, a, b) or int (omega).
     """
 
     R: float
@@ -100,6 +103,9 @@ class HelixShape:
             raise ValueError(
                 f"winding must not reach the z axis: need R - a > 0, got {self.R - self.a}"
             )
+        # Python numbers from here on: a numpy float32 would carry its
+        # precision into the products, and a small numpy integer omega**3 wraps
+        vars(self).update(R=float(self.R), a=float(self.a), b=float(self.b), omega=int(self.omega))
 
 
 @dataclass(frozen=True)
@@ -145,20 +151,17 @@ def _sc(shape, phi):
     return s, c, shape.R + shape.a * c
 
 
-def _cyl(phi):
-    """Cylindrical unit vectors rho_hat, phi_hat at angle phi."""
-    cp, sp = np.cos(phi), np.sin(phi)
-    zero = np.zeros_like(cp)
-    rho = np.stack([cp, sp, zero], axis=-1)
-    az = np.stack([-sp, cp, zero], axis=-1)
-    return rho, az
+def _lift(cp, sp, radial, azimuthal, z):
+    """Cartesian vectors, shape (..., 3), from their components along rho_hat,
+    phi_hat and z_hat at the angle phi with cos phi = cp and sin phi = sp."""
+    return np.stack([radial * cp - azimuthal * sp, radial * sp + azimuthal * cp, z], axis=-1)
 
 
 def position(shape, phi):
-    """Cartesian point r(phi) on the curve, shape (..., 3)."""
+    """Cartesian point r(phi) = W rho_hat + b s z_hat on the curve, shape (..., 3)."""
     s, c, W = _sc(shape, phi)
     phi = np.asarray(phi, dtype=float)
-    return np.stack([W * np.cos(phi), W * np.sin(phi), shape.b * s], axis=-1)
+    return _lift(np.cos(phi), np.sin(phi), W, 0.0, shape.b * s)
 
 
 def velocity(shape, phi):
@@ -180,21 +183,19 @@ def curve_derivatives(shape, phi):
             r''' = (W''' - 3*W')*rho_hat + (3*W'' - W)*phi_hat - b*omega^3*c*z_hat
 
         (rho_hat' = phi_hat and phi_hat' = -rho_hat fold the cylindrical
-        basis derivatives into the coefficients.)
+        basis derivatives into the coefficients.)  ``_lift`` turns each
+        into Cartesian components, from one cos phi and sin phi.
     """
     a, b, w = shape.a, shape.b, shape.omega
     s, c, W = _sc(shape, phi)
     phi = np.asarray(phi, dtype=float)
+    cp, sp = np.cos(phi), np.sin(phi)
     w1 = -a * w * s
     w2 = -a * w * w * c
     w3 = a * w**3 * s
-    rho, az = _cyl(phi)
-    zhat = np.zeros(rho.shape)
-    zhat[..., 2] = 1.0
-    r1 = w1[..., None] * rho + W[..., None] * az + (b * w * c)[..., None] * zhat
-    r2 = (w2 - W)[..., None] * rho + (2 * w1)[..., None] * az - (b * w * w * s)[..., None] * zhat
-    r3 = (w3 - 3 * w1)[..., None] * rho + (3 * w2 - W)[..., None] * az - (b * w**3 * c)[..., None] * zhat
-    return r1, r2, r3
+    return (_lift(cp, sp, w1, W, b * w * c),
+            _lift(cp, sp, w2 - W, 2 * w1, -(b * w * w * s)),
+            _lift(cp, sp, w3 - 3 * w1, 3 * w2 - W, -(b * w**3 * c)))
 
 
 def _d_form(shape, s, c, W):

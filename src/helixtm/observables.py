@@ -12,7 +12,10 @@ curve (the flux through the cross-section at angle phi) is
 The branch phase e^{i p phi} cancels between the factors, so only the
 relative harmonics enter: ``currents`` tabulates j of a whole stack of
 states of one shape from one table of e^{i n omega phi} and one
-evaluation of f; ``current`` is its one-state case.
+evaluation of f; ``current`` is its one-state case.  ``currents`` and
+``moment_vectors`` take each group's branch index p and form k from it
+with ``spectrum.branch_momenta``, the one form of the k table, which
+also checks 0 <= p < omega and n_max >= 2.
 
 The toroidal (anapole) moment of a line current j(phi) flowing along the
 curve is
@@ -55,9 +58,9 @@ of 1/D (``geometry.moment_harmonics`` on ``geometry.winding_harmonics``),
 with no sampling and no stopping test.  ``moment_vectors`` therefore
 takes the moments of a whole stack of states of one shape and one n_max
 as arrays: coefficients (B, d, S), S states per group in columns (the
-eigenvectors of ``spectrum.branch_spectra``), and the (B, d) table of
-k = p + omega*n (``spectrum.branch_momenta``), gathered from the
-harmonics -2*n_max..2*n_max.  ``branch_moments`` solves the stack of
+eigenvectors of ``spectrum.branch_spectra``), and the groups' branch
+indices, gathered from the harmonics -2*n_max..2*n_max.
+``branch_moments`` solves the stack of
 ``spectrum._hamiltonian_stack`` and takes the moments from the k table
 and B_d that come with it, so its spectra are those of
 ``spectrum.branch_spectra`` bit for bit.  The command line's ``moments`` and
@@ -87,7 +90,7 @@ import numpy as np
 
 from . import geometry
 from .linalg import eigh_exact
-from .spectrum import _hamiltonian_stack
+from .spectrum import _hamiltonian_stack, branch_momenta
 
 
 @dataclass(frozen=True)
@@ -126,19 +129,19 @@ def _phase_table(shape, phi, n):
     return np.exp(1j * shape.omega * np.multiply.outer(phi, n.astype(float)))
 
 
-def currents(shape, coefficients, k, phi):
+def currents(shape, coefficients, ps, phi):
     """Scalar currents j(phi) of stacks of states of one shape, from one phase table.
 
-    ``coefficients`` (B, d, S) and ``k`` (B, d) are those of
-    ``moment_vectors``: S states per group in columns and the wavenumbers
-    p + omega*n of group b.  The phase table e^{i n omega phi} and the
-    speed are evaluated once for the whole stack.  Returns the currents
-    as a (B, S) + phi.shape array, the current of column s of group b at
-    ``[b, s]``.
+    ``coefficients`` (B, d, S) and ``ps`` (B branch indices) are those of
+    ``moment_vectors``: S states per group in columns, group b in branch
+    ps[b].  The phase table e^{i n omega phi} and the speed are evaluated
+    once for the whole stack.  Returns the currents as a (B, S) + phi.shape
+    array, the current of column s of group b at ``[b, s]``.
     """
     phi = np.asarray(phi, dtype=float)
     groups, d, per_group = coefficients.shape
     n_max = (d - 1) // 2
+    k = branch_momenta(shape, ps, n_max)
     phases = _phase_table(shape, phi, np.arange(-n_max, n_max + 1))
     f = geometry.speed(shape, phi)
     # 2 pi f^2 overflows on tall coils while f^2 = D is finite: numerator
@@ -160,8 +163,7 @@ def currents(shape, coefficients, k, phi):
 
 def current(state, shape, phi):
     """Scalar current j(phi) of a normalised eigenstate (``currents`` of one state)."""
-    k = state.p + shape.omega * state.n_indices
-    return currents(shape, state.coefficients[None, :, None], k[None], phi)[0, 0]
+    return currents(shape, state.coefficients[None, :, None], [state.p], phi)[0, 0]
 
 
 def _moments(shape, b, coefficients, k):
@@ -180,16 +182,17 @@ def _moments(shape, b, coefficients, k):
     return (vectors / 10.0).reshape(groups, per_group, 3)
 
 
-def moment_vectors(shape, coefficients, k):
+def moment_vectors(shape, coefficients, ps):
     """Toroidal moment vectors of stacks of states of one shape, from closed-form harmonics.
 
     ``coefficients`` has shape (B, d, S): S states per group in columns,
     d = 2*n_max + 1 coefficients each (the ``eigenvectors`` of
-    ``spectrum.branch_spectra``), and ``k`` shape (B, d): the wavenumbers
-    p + omega*n of group b (``spectrum.branch_momenta``).  Returns the
-    (B, S, 3) moment vectors.
+    ``spectrum.branch_spectra``), and group b belongs to branch ps[b],
+    whose wavenumbers p + omega*n come from ``spectrum.branch_momenta``.
+    Returns the (B, S, 3) moment vectors.
     """
     n_max = (coefficients.shape[1] - 1) // 2
+    k = branch_momenta(shape, ps, n_max)
     b = geometry.winding_harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
     return _moments(shape, b, coefficients, k)
 
@@ -211,8 +214,7 @@ def branch_moments(shape, branches, n_max):
 
 def toroidal_moment(state, shape):
     """Toroidal moment of an eigenstate's current distribution (``moment_vectors`` of one state)."""
-    k = state.p + shape.omega * state.n_indices
-    vector = moment_vectors(shape, state.coefficients[None, :, None], k[None])[0, 0]
+    vector = moment_vectors(shape, state.coefficients[None, :, None], [state.p])[0, 0]
     return MomentResult(vector=vector, z=float(vector[2]),
                         state_ref=(state.p, state.alpha, state.include_vc))
 

@@ -92,9 +92,10 @@ rule for all B matrices, giving energies (B, d) and coefficients
 ``HermitianMatrix`` and ``eigen_decompose``, which cannot change a
 result here: the stack equals its transpose bit for bit, so its drift is
 exactly 0 and its average (H + H^T)/2 is H bit for bit.
-``branch_momenta`` is the matching k = p + omega*n table, which
-``observables.moment_vectors`` and ``observables.currents`` take with
-the coefficients.  Arrays are the only batch path; the one-branch
+``branch_momenta`` is the matching k = p + omega*n table, the one form
+of it: ``_hamiltonian_stack`` reads it, and ``observables.moment_vectors``
+and ``observables.currents`` form it from the branch indices they take
+with the coefficients.  Arrays are the only batch path; the one-branch
 API wraps them in objects: ``build_hamiltonian`` is one matrix of the
 stack as a ``HermitianMatrix`` and ``solve_states`` one pair of
 ``branch_spectra`` as a list of ``EigenState`` objects.
@@ -219,7 +220,8 @@ def _hamiltonian_stack(shape, branches, n_max):
     Every matrix gathers the closed-form harmonics d = |n - m| of one
     ``geometry.winding_harmonics`` call into Re A_d + k_m k_n Re B_d with its
     own k = p + omega*n (see the module docstring for why that is all of
-    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  The call is as
+    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  T_A is one gather
+    of the pairs' A rows, A0 or A0 + V_c as each pair asks.  The call is as
     long as the moments read (``geometry._moment_reach``); a longer call
     leaves the first d entries, all the matrices read, unchanged bit for bit.
     """
@@ -231,9 +233,7 @@ def _hamiltonian_stack(shape, branches, n_max):
         shape, geometry._moment_reach(shape, 2 * n_max), any(with_vc))
     idx = np.arange(2 * n_max + 1)
     table = np.abs(idx - idx[:, None])  # |n - m|
-    by_vc = {vc: (a0 + v_c if vc else a0)[table] for vc in set(with_vc)}  # T_A per variant
-    t_a = (by_vc.popitem()[1] if len(by_vc) == 1
-           else np.where(np.array(with_vc)[:, None, None], by_vc[True], by_vc[False]))
+    t_a = np.array([a0 + v_c if vc else a0 for vc in with_vc])[:, table]
     return t_a + k[:, :, None] * k[:, None, :] * b[table], k, b
 
 

@@ -394,6 +394,35 @@ class TestConfigFile:
         assert code == 2
         assert "not_a_number" in err
 
+    # config text (None: no file at the path), flags, and the error after
+    # "helixtm: error: ", with {path} for the config path and {oserror} for
+    # the text of the OSError that opening it raises
+    @pytest.mark.parametrize("config, flags, message", [
+        ("vc = sideways", [],
+         "{path}:1: bad value for 'vc': must be one of: with, without, both"),
+        ("n_max = two", [],
+         "{path}:1: bad value for 'n_max': invalid literal for int() with base 10: 'two'"),
+        ("omega", [], "{path}:1: expected 'key = value', got 'omega'"),
+        (None, [], "cannot read config file {path}: {oserror}"),
+        ("", ["--p", "3-1"], "empty branch range '3-1'"),
+        ("", ["--p", "x-2"], "bad branch range 'x-2'"),
+        ("", ["--p", "one"], "bad branch index 'one'"),
+        ("", ["--digits", "0"], "--digits must be >= 1, got 0"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, tmp_path, config, flags, message):
+        cfg = tmp_path / "run.cfg"
+        oserror = None
+        if config is None:
+            try:
+                open(cfg, encoding="utf-8")
+            except OSError as exc:
+                oserror = exc
+        else:
+            cfg.write_text(config + "\n")
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg), *flags)
+        assert (code, out) == (2, "")
+        assert err == "helixtm: error: " + message.format(path=cfg, oserror=oserror) + "\n"
+
     @pytest.mark.parametrize("key", ["quad_points = 128", "quad_tol = 1e-300"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_quadrature_keys_are_unknown(self, capsys, tmp_path, command, key):

@@ -26,7 +26,7 @@ from helixtm.geometry import (
     winding_harmonics,
 )
 from helixtm.observables import branch_moments, moment_vectors
-from helixtm.spectrum import _hamiltonian_stack, branch_momenta, branch_spectra
+from helixtm.spectrum import _hamiltonian_stack, branch_spectra
 from oracles import (
     list_of_rows_harmonics,
     sampled_hamiltonians,
@@ -202,8 +202,8 @@ def test_branch_moments_equal_the_separate_calls(shape, pairs, n_max):
     alone = branch_spectra(shape, pairs, n_max)
     assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
     assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
-    k = branch_momenta(shape, [p for p, _ in pairs], n_max)
-    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))
+    ps = [p for p, _ in pairs]
+    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, ps))
 
 
 @pytest.mark.parametrize("b", [1e78, 1e100, 1e150])

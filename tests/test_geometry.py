@@ -25,6 +25,7 @@ from helixtm.geometry import (
     speed,
     velocity,
 )
+from helixtm.observables import branch_moments, classical_moment_numeric
 
 from oracles import (
     curvature_components,
@@ -161,6 +162,27 @@ class TestShapeValidation:
     @pytest.mark.parametrize("R, a, b", [(2, 1, 1), (np.float32(2.0), np.float64(0.5), np.int64(3))])
     def test_numpy_and_integer_lengths(self, R, a, b):
         assert HelixShape(R=R, a=a, b=b, omega=4).b == b
+
+    @pytest.mark.parametrize("given, python", [
+        ((np.float32(1), np.float32(0.75), np.float32(0.3), 1),
+         (1.0, float(np.float32(0.75)), float(np.float32(0.3)), 1)),
+        # omega**3 wraps in int8
+        ((1.0, 0.75, 0.3, np.int8(100)), (1.0, 0.75, 0.3, 100)),
+    ])
+    def test_numpy_numbers_are_stored_as_python_numbers(self, given, python):
+        shape, want = HelixShape(*given), HelixShape(*python)
+        assert [type(x) for x in (shape.R, shape.a, shape.b, shape.omega)] == [float] * 3 + [int]
+        pairs = [(p, vc) for p in sorted({0, want.omega // 2}) for vc in (False, True)]
+        got_dec, got = branch_moments(shape, pairs, 4)
+        want_dec, vectors = branch_moments(want, pairs, 4)
+        assert np.array_equal(got, vectors)
+        assert np.array_equal(got_dec.eigenvectors, want_dec.eigenvectors)
+        assert np.array_equal(classical_moment_numeric(shape, 0.5),
+                              classical_moment_numeric(want, 0.5))
+        phi = np.linspace(0.1, 6.0, 9)
+        for x, y in zip(vars(frenet_frame(shape, phi)).values(),
+                        vars(frenet_frame(want, phi)).values()):
+            assert np.array_equal(x, y)
 
 
 class TestPosition:

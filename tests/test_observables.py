@@ -141,8 +141,7 @@ class TestCurrent:
     def test_stack_of_one_state_matches_pointwise_current(self):
         state = states_for(UP4, 1.0, True)[2]
         phi = 2.0 * math.pi * np.arange(64) / 64
-        k = (state.p + UP4.omega * state.n_indices)[None]
-        j = currents(UP4, state.coefficients[None, :, None], k, phi)
+        j = currents(UP4, state.coefficients[None, :, None], [state.p], phi)
         assert j.shape == (1, 1, 64)
         assert_allclose(j[0, 0], current(state, UP4, phi), atol=1e-14)
 
@@ -154,7 +153,7 @@ class TestBatchedCurrents:
         pairs = [(p, include_vc) for p in (0, 1, 3) for include_vc in (True, False)]
         dec = branch_spectra(FLAT4, pairs, 2)
         phi = 2.0 * math.pi * np.arange(97) / 97
-        j = currents(FLAT4, dec.eigenvectors, branch_momenta(FLAT4, [p for p, _ in pairs], 2), phi)
+        j = currents(FLAT4, dec.eigenvectors, [p for p, _ in pairs], phi)
         assert j.shape == (len(pairs), 5, 97)
         for (p, include_vc), column in zip(pairs, j):
             for state, values in zip(states_for(FLAT4, p, include_vc), column):
@@ -172,7 +171,7 @@ class TestBatchedCurrents:
         phi = 2.0 * math.pi * np.arange(64) / 64
         phases = observables._phase_table(shape, phi, np.arange(-2, 3))
         f = speed(shape, phi)
-        j = currents(shape, dec.eigenvectors, k, phi)
+        j = currents(shape, dec.eigenvectors, [p for p, _ in pairs], phi)
         for g in range(len(pairs)):
             for s in range(5):
                 c = dec.eigenvectors[g, :, s]
@@ -247,14 +246,14 @@ class TestBatchedMoments:
         # moment against integrating its own j(phi) * g(phi)
         pairs = [(p, include_vc) for p in branches for include_vc in (True, False)]
         dec = branch_spectra(shape, pairs, 2)
-        k = branch_momenta(shape, [p for p, _ in pairs], 2)
-        vectors = moment_vectors(shape, dec.eigenvectors, k)
+        ps = [p for p, _ in pairs]
+        vectors = moment_vectors(shape, dec.eigenvectors, ps)
         assert vectors.shape == (len(pairs), 5, 3)
         for b in range(len(pairs)):
             for alpha in range(5):
                 stack = dec.eigenvectors[b:b + 1, :, alpha:alpha + 1]
                 want = moment_from_current(
-                    shape, lambda phi: currents(shape, stack, k[b:b + 1], phi)[0, 0], None)
+                    shape, lambda phi: currents(shape, stack, ps[b:b + 1], phi)[0, 0], None)
                 assert np.max(np.abs(vectors[b, alpha] - want)) <= 1e-12
 
 

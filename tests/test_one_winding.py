@@ -21,7 +21,6 @@ from helixtm.quadrature import QuadratureSpec
 from helixtm.spectrum import (
     SpectrumConfig,
     _hamiltonian_stack,
-    branch_momenta,
     branch_spectra,
     make_basis,
 )
@@ -67,13 +66,13 @@ def test_moments_match_full_turn_current_integral(a, b, omega):
     branches = [(p, vc) for p in sorted({0, omega // 2, omega - 1}) for vc in (False, True)]
     quad = QuadratureSpec(tolerance=1e-13)
     dec = branch_spectra(shape, branches, N_MAX)
-    k = branch_momenta(shape, [p for p, _ in branches], N_MAX)
-    vectors = moment_vectors(shape, dec.eigenvectors, k)
+    ps = [p for p, _ in branches]
+    vectors = moment_vectors(shape, dec.eigenvectors, ps)
     for b in range(len(branches)):
         for alpha in range(2 * N_MAX + 1):
             stack = dec.eigenvectors[b:b + 1, :, alpha:alpha + 1]
             want = moment_from_current(
-                shape, lambda phi: currents(shape, stack, k[b:b + 1], phi)[0, 0], quad)
+                shape, lambda phi: currents(shape, stack, ps[b:b + 1], phi)[0, 0], quad)
             assert np.max(np.abs(vectors[b, alpha] - want)) <= 1e-12
             if omega > 1:
                 assert vectors[b, alpha, 0] == 0.0 and vectors[b, alpha, 1] == 0.0

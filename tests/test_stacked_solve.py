@@ -14,7 +14,7 @@ Every matrix either path builds equals its transpose bit for bit.
 import numpy as np
 import pytest
 
-from helixtm import observables, spectrum
+from helixtm import geometry, observables, spectrum
 from helixtm.geometry import HelixShape
 from helixtm.linalg import (
     EigenDecomposition,
@@ -23,7 +23,7 @@ from helixtm.linalg import (
     eigh_exact,
     fix_phase,
 )
-from helixtm.observables import branch_moments, moment_vectors
+from helixtm.observables import branch_moments, currents, moment_vectors
 from helixtm.spectrum import (
     BlochBasis,
     SpectrumConfig,
@@ -67,10 +67,10 @@ def test_one_pass_equals_standalone_calls(a, b, omega, n_max):
     pairs = all_pairs(omega)
     dec, vectors = branch_moments(shape, pairs, n_max)
     alone = branch_spectra(shape, pairs, n_max)
-    k = branch_momenta(shape, [p for p, _ in pairs], n_max)
+    ps = [p for p, _ in pairs]
     assert np.array_equal(dec.eigenvalues, alone.eigenvalues)
     assert np.array_equal(dec.eigenvectors, alone.eigenvectors)
-    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, k))
+    assert np.array_equal(vectors, moment_vectors(shape, alone.eigenvectors, ps))
 
 
 @pytest.mark.parametrize(
@@ -82,11 +82,11 @@ def test_grouped_moments_equal_state_list(shape, n_max):
     pairs = [(p, vc) for p in sorted(range(shape.omega), reverse=True)[:3] for vc in (True, False)]
     d = 2 * n_max + 1
     dec = branch_spectra(shape, pairs, n_max)
-    k = branch_momenta(shape, [p for p, _ in pairs], n_max)
-    got = moment_vectors(shape, dec.eigenvectors, k)
+    ps = [p for p, _ in pairs]
+    got = moment_vectors(shape, dec.eigenvectors, ps)
     # one state per group, in the order of the stack's columns
     single = np.swapaxes(dec.eigenvectors, 1, 2).reshape(-1, d)[:, :, None]
-    want = moment_vectors(shape, single, np.repeat(k, d, axis=0))
+    want = moment_vectors(shape, single, np.repeat(ps, d))
     assert got.shape == (len(pairs), d, 3)
     assert np.array_equal(got.reshape(-1, 3), want.reshape(-1, 3))
 
@@ -102,6 +102,38 @@ def test_momenta_table_matches_basis():
         branch_momenta(FLAT6, [1, 6], 4)
     with pytest.raises(ValueError, match="n_max"):
         branch_momenta(FLAT6, [1], 1)
+
+
+@pytest.mark.parametrize("shape, n_max", [(FLAT6, 4), (HelixShape(1.0, 0.9, 0.1, 1), 2)])
+def test_branch_indices_give_the_momenta_table(shape, n_max):
+    # currents and moment_vectors form k with branch_momenta: bit for bit a
+    # reference that hands that table in
+    branches = sorted({0, shape.omega // 2, shape.omega - 1}, reverse=True)
+    pairs = [(p, vc) for p in branches for vc in (True, False)]
+    ps = [p for p, _ in pairs]
+    dec = branch_spectra(shape, pairs, n_max)
+    k = branch_momenta(shape, ps, n_max)
+    b = geometry.winding_harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
+    want = observables._moments(shape, b, dec.eigenvectors, k)
+    assert np.array_equal(moment_vectors(shape, dec.eigenvectors, ps), want)
+    phi = 2.0 * np.pi * np.arange(48) / 48
+    phases = observables._phase_table(shape, phi, np.arange(-n_max, n_max + 1))
+    f = geometry.speed(shape, phi)
+    j = currents(shape, dec.eigenvectors, ps, phi)
+    for g in range(len(pairs)):
+        for s in range(2 * n_max + 1):
+            c = dec.eigenvectors[g, :, s]
+            s0, s1 = phases @ c, phases @ (k[g] * c)
+            assert np.array_equal(j[g, s], np.real(np.conj(s0) * s1) / (2.0 * np.pi * f * f))
+
+
+@pytest.mark.parametrize("p", [-1, 6])
+def test_branch_outside_the_range_is_refused(p):
+    coefficients = branch_spectra(FLAT6, [(1, True)], 2).eigenvectors
+    with pytest.raises(ValueError, match="0 <= p < omega"):
+        moment_vectors(FLAT6, coefficients, [p])
+    with pytest.raises(ValueError, match="0 <= p < omega"):
+        currents(FLAT6, coefficients, [p], [0.0, 1.0])
 
 
 def _symmetry_cases():
