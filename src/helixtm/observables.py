@@ -7,15 +7,27 @@ For a state with basis coefficients C_n the scalar current along the
 curve (the flux through the cross-section at angle phi) is
 
     j(phi) = Re[ conj(S0) * S1 ] / (2*pi*f^2),
-    S0 = sum_n C_n e^{i n omega phi},  S1 = sum_n (p + n*omega) C_n e^{i n omega phi}.
+    S0 = sum_n C_n e^{i n theta},  S1 = sum_n k_n C_n e^{i n theta},
 
-The branch phase e^{i p phi} cancels between the factors, so only the
-relative harmonics enter: ``currents`` tabulates j of a whole stack of
-states of one shape from one table of e^{i n omega phi} and one
-evaluation of f; ``current`` is its one-state case.  ``currents`` and
-``moment_vectors`` take each group's branch index p and form k from it
-with ``spectrum.branch_momenta``, the one form of the k table, which
-also checks 0 <= p < omega and n_max >= 2.
+with theta = omega*phi and k_n = p + n*omega; the branch phase e^{i p phi}
+cancels between the factors.  conj(S0) * S1 is the double sum
+sum_{m,n} conj(C_m) k_n C_n e^{i (n - m) theta}, so j is a trig
+polynomial of degree 2*n_max in theta (Boyd, "Chebyshev and Fourier
+Spectral Methods", ch. 2):
+
+    j(phi) = sum_{h=0}^{2 n_max} (Re E_h cos h theta - Im E_h sin h theta) / (2*pi*f^2),
+    E_0 = sum_n |C_n|^2 k_n,   E_h = B_h + conj(B_{-h}),
+    B_h = sum_{n - m = h} conj(C_m) k_n C_n,
+
+real E_h, so a cosine series, for real coefficients.  ``currents``
+tabulates the currents of a whole stack of states of one shape: the E_h
+of every state, then one table of cos h theta (and of sin h theta) and
+one f^2 = D for the stack, all from cos and sin of the exact winding
+angle (``_winding_angle``); ``current`` is its one-state case.
+``currents`` and ``moment_vectors`` take each group's branch index p
+and form k from it with ``spectrum.branch_momenta``, the one form of the
+k table, which also checks that p is an integer with 0 <= p < omega and
+that n_max >= 2.
 
 The toroidal (anapole) moment of a line current j(phi) flowing along the
 curve is
@@ -124,41 +136,98 @@ class ThermalSpec:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def _phase_table(shape, phi, n):
-    """exp(i omega phi n) for every angle (rows) and harmonic (columns)."""
-    return np.exp(1j * shape.omega * np.multiply.outer(phi, n.astype(float)))
+def _current_harmonics(shape, coefficients, ps):
+    """E_h, h = 0..2*n_max, of the currents of a stack of states: one row per state,
+    group-major, real for real coefficients.
+
+    E_0 = sum_n |c_n|^2 k_n and E_h = B_h + conj(B_-h), where B_h sums
+    conj(c_m) k_n c_n over n - m = h, in order of m; every state's row is
+    formed elementwise, so it does not depend on the rest of the stack.
+    """
+    _, d, per_group = coefficients.shape
+    k = branch_momenta(shape, ps, (d - 1) // 2)
+    c = np.swapaxes(coefficients, 1, 2).reshape(-1, d)
+    kc = np.repeat(k, per_group, axis=0) * c
+    b = np.zeros((c.shape[0], 2 * d - 1), c.dtype)  # B_h at column h + d - 1
+    for m in range(d):
+        b[:, d - 1 - m:2 * d - 1 - m] += np.conj(c[:, m:m + 1]) * kc
+    e = b[:, d - 1:] + np.conj(b[:, d - 1::-1])
+    e[:, 0] = b[:, d - 1].real
+    return e
+
+
+# Veltkamp's splitting factor 2^27 + 1: x * _SPLIT - (x * _SPLIT - x) keeps
+# the upper 26 bits of x's 53-bit mantissa.
+_SPLIT = 134217729.0
+
+
+def _winding_angle(shape, phi):
+    """cos and sin of theta = omega*phi, the exact product of the float angles.
+
+    omega*phi = hi + lo exactly (Dekker's product, with phi split in two
+    halves whose products with omega < 2^26 are exact; |phi| < 2^996, so
+    that phi * 2^27 is finite), and cos(hi + lo) = cos hi - lo sin hi up to
+    lo^2 ~ ulp(theta)^2: the rounding of theta, which grows with omega, does
+    not enter.
+    """
+    upper = phi * _SPLIT
+    upper -= upper - phi
+    hi = shape.omega * phi
+    lo = (shape.omega * upper - hi) + shape.omega * (phi - upper)
+    c, s = np.cos(hi), np.sin(hi)
+    return c - lo * s, s + lo * c
+
+
+def _current_series(shape, e, phi):
+    """j(phi) of each row of E (``_current_harmonics``), shape (rows,) + phi.shape.
+
+    The cosine series sum_h (Re E_h cos h theta - Im E_h sin h theta),
+    summed from the highest harmonic down, over 2 pi D, with cos h theta,
+    sin h theta and D = f^2 (``geometry._d_form``) formed from one
+    ``_winding_angle``: cos and sin of (a + b) theta from those of a theta
+    and b theta, a = h // 2 and b = h - a.  The sine terms enter only for
+    complex E.  Every operation is elementwise, so a current does not
+    depend on the other angles or on the other rows.
+    """
+    phi = np.asarray(phi, dtype=float)
+    c, s = _winding_angle(shape, phi.ravel())
+    harmonics = [None, (c, s)]  # (cos h theta, sin h theta)
+    for h in range(2, e.shape[1]):
+        (ca, sa), (cb, sb) = harmonics[h // 2], harmonics[h - h // 2]
+        harmonics.append((ca * cb - sa * sb, sa * cb + ca * sb))
+    j = np.zeros((e.shape[0], phi.size))
+    sine_terms = np.iscomplexobj(e)
+    for h in range(e.shape[1] - 1, 0, -1):
+        j += e[:, h:h + 1].real * harmonics[h][0]
+        if sine_terms:
+            j -= e[:, h:h + 1].imag * harmonics[h][1]
+    j += e[:, :1].real
+    # 2 pi D overflows on tall coils while D is finite: numerator and
+    # denominator are taken over the power of two ``geometry._tall``, which
+    # leaves the quotient's bits as they are
+    tall = geometry._tall(shape)
+    d = geometry._d_form(shape, s, c, shape.R + shape.a * c)
+    j = tall * j / (2.0 * math.pi * (tall * d))
+    return j.reshape((e.shape[0],) + phi.shape)
 
 
 def currents(shape, coefficients, ps, phi):
-    """Scalar currents j(phi) of stacks of states of one shape, from one phase table.
+    """Scalar currents j(phi) of stacks of states of one shape, as cosine series.
 
     ``coefficients`` (B, d, S) and ``ps`` (B branch indices) are those of
     ``moment_vectors``: S states per group in columns, group b in branch
-    ps[b].  The phase table e^{i n omega phi} and the speed are evaluated
-    once for the whole stack.  Returns the currents as a (B, S) + phi.shape
-    array, the current of column s of group b at ``[b, s]``.
+    ps[b].  Each state's current is the series of degree 2*n_max in
+    theta = omega*phi of its harmonics E_h (see the module docstring),
+    Re E_h cos h theta - Im E_h sin h theta summed over 2 pi f^2: a cosine
+    series for real coefficients, whose sine terms are never formed.  One
+    table of the cos h theta and one f^2 serve the whole stack, and every
+    step is elementwise, so a state's current has the same bits alone as
+    in any stack.  Returns the currents as a (B, S) + phi.shape array, the
+    current of column s of group b at ``[b, s]``.
     """
-    phi = np.asarray(phi, dtype=float)
-    groups, d, per_group = coefficients.shape
-    n_max = (d - 1) // 2
-    k = branch_momenta(shape, ps, n_max)
-    phases = _phase_table(shape, phi, np.arange(-n_max, n_max + 1))
-    f = geometry.speed(shape, phi)
-    # 2 pi f^2 overflows on tall coils while f^2 = D is finite: numerator
-    # and denominator are taken over the power of two ``geometry._tall``,
-    # which leaves the quotient's bits as they are
-    tall = geometry._tall(shape)
-    denominator = 2.0 * math.pi * (tall * f) * f
-    out = np.empty((groups, per_group) + phi.shape)
-    for b in range(groups):
-        for s in range(per_group):
-            # one product per column: a single one over all columns rounds
-            # differently, in the last bit
-            c = coefficients[b, :, s]
-            s0 = phases @ c
-            s1 = phases @ (k[b] * c)
-            out[b, s] = tall * np.real(np.conj(s0) * s1) / denominator
-    return out
+    groups, _, per_group = coefficients.shape
+    j = _current_series(shape, _current_harmonics(shape, coefficients, ps), phi)
+    return j.reshape((groups, per_group) + j.shape[1:])
 
 
 def current(state, shape, phi):

@@ -121,6 +121,8 @@ def _check_n_max(n_max):
 def _check_branch(p, omega):
     if not 0 <= p < omega:
         raise ValueError(f"branch index must satisfy 0 <= p < omega, got p={p}")
+    if p != int(p):  # e^{i(p + omega n) phi} is periodic on the closed curve only for integer p
+        raise ValueError(f"branch index must be an integer, got p={p}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def _hamiltonian_stack(shape, branches, n_max):
     ``geometry.winding_harmonics`` call into Re A_d + k_m k_n Re B_d with its
     own k = p + omega*n (see the module docstring for why that is all of
     A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  T_A is one gather
-    of the pairs' A rows, A0 or A0 + V_c as each pair asks.  The call is as
+    from the rows A0 and, if any pair asks for it, A0 + V_c, formed once.  The call is as
     long as the moments read (``geometry._moment_reach``); a longer call
     leaves the first d entries, all the matrices read, unchanged bit for bit.
     """
@@ -233,7 +235,8 @@ def _hamiltonian_stack(shape, branches, n_max):
         shape, geometry._moment_reach(shape, 2 * n_max), any(with_vc))
     idx = np.arange(2 * n_max + 1)
     table = np.abs(idx - idx[:, None])  # |n - m|
-    t_a = np.array([a0 + v_c if vc else a0 for vc in with_vc])[:, table]
+    rows = np.array([a0, a0 + v_c]) if any(with_vc) else a0[None]
+    t_a = rows[np.array(with_vc, dtype=np.intp)[:, None, None], table]
     return t_a + k[:, :, None] * k[:, None, :] * b[table], k, b
 
 

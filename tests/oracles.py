@@ -37,6 +37,10 @@ turn on all three axes, with g = (r' . r) r - 2 r^2 r' formed from the
 stacked ``position`` and ``velocity`` (``moment_integrand``) rather than
 from production's elementwise rows.  Both integrals start from omega
 times the spec's points per winding, the density production works at.
+``phase_table_currents`` is the form ``observables.currents`` took before
+its cosine series, Re[conj(S0) S1] from one table of e^{i n omega phi},
+and ``cosine_series_currents`` the series itself, one state at a time in
+production's order of operations, without the power of two of tall coils.
 """
 
 import math
@@ -341,4 +345,77 @@ def moment_from_current(shape, current_fn, quad):
         def integrand(phi, axis=axis):
             return current_fn(phi) * moment_integrand(shape, phi)[..., axis]
         out[axis] = integrate_periodic(integrand, quad).value.real / 10.0
+    return out
+
+
+def phase_table(shape, phi, n):
+    """exp(i omega phi n) for every angle (rows) and harmonic (columns)."""
+    return np.exp(1j * shape.omega * np.multiply.outer(phi, n.astype(float)))
+
+
+def phase_table_currents(shape, coefficients, k, phi):
+    """j = Re[conj(S0) S1] / (2 pi f^2) of every state, (B, S) + phi.shape, from
+    one phase table: S0 = sum_n c_n e^{i n theta} and S1 = sum_n k_n c_n
+    e^{i n theta}, theta = omega phi rounded once, with the k table handed
+    in.  This is the form ``observables.currents`` took before its cosine
+    series."""
+    phi = np.asarray(phi, dtype=float)
+    groups, d, per_group = coefficients.shape
+    n_max = (d - 1) // 2
+    phases = phase_table(shape, phi, np.arange(-n_max, n_max + 1))
+    f = geometry.speed(shape, phi)
+    out = np.empty((groups, per_group) + phi.shape)
+    for b in range(groups):
+        for s in range(per_group):
+            c = coefficients[b, :, s]
+            s0, s1 = phases @ c, phases @ (k[b] * c)
+            out[b, s] = np.real(np.conj(s0) * s1) / (2.0 * math.pi * f * f)
+    return out
+
+
+def cosine_series_currents(shape, coefficients, k, phi):
+    """The cosine series of ``observables.currents``, one state at a time and
+    in its order of operations, with the k table handed in and without the
+    power of two that keeps 2 pi D finite on tall coils.
+
+    E_0 = sum_n |c_n|^2 k_n and E_h = B_h + conj(B_-h), B_h summing
+    conj(c_m) k_n c_n over n - m = h in order of m; cos and sin of h theta
+    from those of theta = omega phi, taken exactly as hi + lo, by the
+    angle sum with halves h // 2 and h - h // 2; the series summed from
+    the highest harmonic down, over 2 pi D.
+    """
+    phi = np.asarray(phi, dtype=float)
+    groups, d, per_group = coefficients.shape
+    w = shape.omega
+    upper = phi * 134217729.0
+    upper = upper - (upper - phi)
+    hi = w * phi
+    lo = (w * upper - hi) + w * (phi - upper)
+    cos_hi, sin_hi = np.cos(hi), np.sin(hi)
+    harmonics = [None, (cos_hi - lo * sin_hi, sin_hi + lo * cos_hi)]
+    for h in range(2, d):
+        (ca, sa), (cb, sb) = harmonics[h // 2], harmonics[h - h // 2]
+        harmonics.append((ca * cb - sa * sb, sa * cb + ca * sb))
+    c1, s1 = harmonics[1]
+    D = geometry._d_form(shape, s1, c1, shape.R + shape.a * c1)
+    out = np.empty((groups, per_group) + phi.shape)
+    for b in range(groups):
+        for s in range(per_group):
+            c = coefficients[b, :, s]
+            kc = k[b] * c
+
+            def b_h(h):
+                total = 0.0
+                for m in range(d):
+                    if 0 <= m + h < d:
+                        total += np.conj(c[m]) * kc[m + h]
+                return total
+
+            j = 0.0
+            for h in range(d - 1, 0, -1):
+                e_h = b_h(h) + np.conj(b_h(-h))
+                j = j + e_h.real * harmonics[h][0]
+                if np.iscomplexobj(c):
+                    j = j - e_h.imag * harmonics[h][1]
+            out[b, s] = (j + b_h(0).real) / (2.0 * math.pi * D)
     return out

@@ -244,7 +244,7 @@ def test_criterion_5_property_suite():
     # ring limit reproduces the free rotor to 1e-8
     ring = HelixShape(R=1.0, a=1e-10, b=1e-10, omega=4)
     ring_cfg = SpectrumConfig(include_vc=False, n_max=2)
-    ring_basis = make_basis(ring, 0.5, ring_cfg)
+    ring_basis = make_basis(ring, 1, ring_cfg)
     k = np.array([ring_basis.momentum(n) for n in ring_basis.indices])
     ring_e = [s.energy for s in solve_states(ring, ring_basis, ring_cfg)]
     ok = ok and np.max(np.abs(ring_e - np.sort(k**2 / 2.0))) <= 1e-8

@@ -11,7 +11,7 @@ import pytest
 
 from helixtm import cli, geometry, quadrature
 from helixtm.cli import GEOMETRY_HEADER, main
-from helixtm.geometry import HelixShape, speed
+from helixtm.geometry import DegenerateFrame, HelixShape, frenet_frame, speed
 from helixtm.observables import current
 from helixtm.spectrum import SpectrumConfig, make_basis, solve_states
 
@@ -875,6 +875,27 @@ class TestDegenerateFrame:
         code, out, _ = run_cli(capsys, "geometry", "--omega", "1", "--grid", "255")
         assert code == 0
         assert len(out.strip().split("\n")) == 256
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        # phi = pi, in the fifth of ten blocks
+        (0.5, 1, 10000),
+        # a (omega^2 + 1) = R at omega 2: phi = pi/2 and 3 pi/2, in two blocks
+        (0.2, 2, 16384),
+    ])
+    def test_degenerate_angle_in_a_later_block(self, capsys, tmp_path, a, omega, grid):
+        # the table is filled block by block, all before any is written: a
+        # degenerate angle anywhere refuses the whole table, leaves no file,
+        # and names the smallest curvature of the whole grid, as a whole-grid
+        # frame does
+        target = tmp_path / "g.csv"
+        code, out, err = run_cli(capsys, "geometry", "--a", str(a), "--b", str(a),
+                                 "--omega", str(omega), "--grid", str(grid), "--out", str(target))
+        assert (code, out) == (2, "")
+        assert not target.exists()
+        with pytest.raises(DegenerateFrame) as refused:
+            frenet_frame(HelixShape(R=1.0, a=a, b=a, omega=omega),
+                         2 * math.pi * np.arange(grid) / grid)
+        assert err == f"helixtm: error: {refused.value}\n"
 
     @pytest.mark.parametrize("lam", [1e-3, 1e6, 1e13, 1e100])
     def test_degenerate_test_is_scale_free(self, capsys, lam):

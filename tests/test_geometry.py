@@ -487,11 +487,13 @@ class TestFrameAgainstReference:
     def test_one_jet_per_call(self, monkeypatch):
         calls = []
 
+        jet = geometry._jet
+
         def counted(shape, phi):
             calls.append(phi)
-            return curve_derivatives(shape, phi)
+            return jet(shape, phi)
 
-        monkeypatch.setattr(geometry, "curve_derivatives", counted)
+        monkeypatch.setattr(geometry, "_jet", counted)
         for fn in (curvature, frenet_frame):
             calls.clear()
             fn(SIXTURN, np.linspace(0.0, 1.0, 5))

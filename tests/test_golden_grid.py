@@ -11,6 +11,11 @@ sections.  ``current`` prints branch 1, or branch 0 at omega 1, where it
 is the only branch.  The two 12-digit ``geometry`` tables of (0.5, 0.5)
 at omega 4 and 40 were printed again when the frame came to be built
 from one jet of the curve; four of their fields moved in the last digit.
+Six ``current`` tables were printed again when the currents became a
+cosine series at the exact winding angle: the three of branch 0 at
+(0.5, 0.5), omega 1, whose values are rounding noise, and the 12-digit
+tables of (0.75, 0.25) at omega 4 and 40 and of (0.1, 0.9) at omega 40,
+where 34 fields moved in the last digit.
 
 Fields compare as in ``test_golden_cli``: byte equality, except that two
 fields that both read below 1e-12 in magnitude count as equal.  At 12

@@ -1,7 +1,8 @@
 """The blocked CSV writer of the grid tables (``geometry``, ``potential``,
 ``current``): byte equality with a per-value reference on seeded and
 adversarial values, how many values of a real table leave the array path,
-and its memory bound."""
+its memory bound, and the block-filled columns of the commands against
+the whole-grid functions."""
 
 import tracemalloc
 
@@ -10,6 +11,9 @@ import pytest
 
 from helixtm import _gformat, cli
 from helixtm.cli import _BLOCK_VALUES, _fmt, _grid_blocks, main
+from helixtm.geometry import HelixShape, curvature_potential, frenet_frame, position
+from helixtm.observables import currents
+from helixtm.spectrum import branch_spectra
 
 # Values a column can hold that a formatter could get wrong.
 SPECIAL = np.array([
@@ -25,6 +29,16 @@ def grid_table_per_value(header, columns, digits):
     lines = [header]
     lines.extend(",".join(_fmt(x, digits) for x in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
+
+
+def blocks_of(header, columns, digits):
+    """``_grid_blocks`` of a table given as whole columns."""
+    table = np.column_stack(columns)
+
+    def fill(rows, out):
+        out[:] = table[rows]
+
+    return _grid_blocks(header, len(table), fill, digits)
 
 
 def seeded_columns(seed, rows, ncols):
@@ -45,7 +59,7 @@ def test_matches_per_value_reference(rows, ncols):
     header = ",".join(f"c{i}" for i in range(ncols))
     for digits in (1, 6, 12, 17):
         want = grid_table_per_value(header, columns, digits)
-        assert "".join(_grid_blocks(header, columns, digits)) == want
+        assert "".join(blocks_of(header, columns, digits)) == want
 
 
 def test_row_counts_straddle_a_block_edge():
@@ -60,11 +74,15 @@ def test_peak_memory_is_a_few_times_the_output(rows, ncols):
     # both V_c settings, n_max 8); only the Python floats of one block may
     # be alive at a time
     rng = np.random.default_rng(rows + ncols)
-    columns = list(rng.standard_normal((ncols, rows)))
+    table = rng.standard_normal((rows, ncols))
     header = ",".join(f"c{i}" for i in range(ncols))
+
+    def fill(rows, out):
+        out[:] = table[rows]
+
     tracemalloc.start()
     try:
-        text = "".join(_grid_blocks(header, columns, 6))
+        text = "".join(_grid_blocks(header, len(table), fill, 6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -108,7 +126,7 @@ def test_adversarial_values_match_per_value_reference(seed, digits):
     columns = list(values.T)
     header = ",".join(f"c{i}" for i in range(ncols))
     want = grid_table_per_value(header, columns, digits)
-    assert "".join(_grid_blocks(header, columns, digits)) == want
+    assert "".join(blocks_of(header, columns, digits)) == want
 
 
 def test_geometry_table_takes_the_array_path(monkeypatch, capsys):
@@ -146,8 +164,27 @@ def test_mostly_exponent_notation_block_is_one_row_format(monkeypatch):
     table[:, 0] = np.linspace(0.0, 6.2, 2000)
     columns = list(table.T)
     header = ",".join(f"c{i}" for i in range(11))
-    assert "".join(_grid_blocks(header, columns, 6)) == grid_table_per_value(header, columns, 6)
+    assert "".join(blocks_of(header, columns, 6)) == grid_table_per_value(header, columns, 6)
     assert blocks and all(shape[1] == 11 for shape in blocks)
+
+
+def record_tables(monkeypatch):
+    """Every table ``cli._grid_blocks`` fills, as (header, table, digits),
+    each block as its command wrote it."""
+    tables = []
+
+    def recording(header, rows, fill, digits):
+        table = np.empty((rows, header.count(",") + 1))
+
+        def copying(rows, out):
+            fill(rows, out)
+            table[rows] = out
+
+        tables.append((header, table, digits))
+        return _grid_blocks(header, rows, copying, digits)
+
+    monkeypatch.setattr(cli, "_grid_blocks", recording)
+    return tables
 
 
 PAPER_SECTIONS = ["--a", "0.75,0.5,0.25", "--b", "0.25,0.5,0.75"]
@@ -162,17 +199,11 @@ PAPER_SECTIONS = ["--a", "0.75,0.5,0.25", "--b", "0.25,0.5,0.75"]
 def test_benchmark_tables_match_per_value_reference(monkeypatch, tmp_path, argv):
     # the grid tables of a benchmark round, each block formatted in one
     # workspace per table, against one ``_fmt`` call per value
-    tables = []
-
-    def recording(header, columns, digits):
-        tables.append((header, columns, digits))
-        return _grid_blocks(header, columns, digits)
-
-    monkeypatch.setattr(cli, "_grid_blocks", recording)
+    tables = record_tables(monkeypatch)
     out = tmp_path / "table.csv"
     assert main(argv + ["--omega", "4", "--grid", "16384", "--out", str(out)]) == 0
-    (header, columns, digits), = tables
-    assert out.read_text() == grid_table_per_value(header, columns, digits)
+    (header, table, digits), = tables
+    assert out.read_text() == grid_table_per_value(header, list(table.T), digits)
 
 
 def test_reused_workspace_carries_nothing_between_blocks(monkeypatch):
@@ -206,7 +237,7 @@ def test_reused_workspace_carries_nothing_between_blocks(monkeypatch):
         monkeypatch.setattr(_gformat, name, counting(name, getattr(_gformat, name)))
     columns = list(table.T)
     header = ",".join(f"c{i}" for i in range(ncols))
-    blocks = list(_grid_blocks(header, columns, 6))
+    blocks = list(blocks_of(header, columns, 6))
     assert [name for name, _ in calls] == ["_per_block", "_per_value"]
     assert calls[0][1] == (step, ncols)
     assert calls[1][1] == ((~np.isfinite(spliced) | (np.abs(spliced) < 1e-4)
@@ -216,3 +247,32 @@ def test_reused_workspace_carries_nothing_between_blocks(monkeypatch):
     for start, text in zip(range(0, len(table), step), blocks[1:]):
         block = table[start:start + step]
         assert text == _gformat.block_text(block, 6, _gformat.workspace(block.size))
+
+
+@pytest.mark.parametrize("grid", [1023, 12001])
+def test_block_filled_columns_equal_the_whole_grid_functions(monkeypatch, tmp_path, grid):
+    # each command fills its table one block of rows at a time (1024 rows of
+    # geometry, 5461 of a three-column potential, 564 of 29 currents); every
+    # column equals the whole-grid function bit for bit, also in a last
+    # block that is cut short
+    tables = record_tables(monkeypatch)
+    R, out = 2.0, str(tmp_path / "table.csv")
+    shape = ["--R", "2", "--omega", "6", "--grid", str(grid), "--out", out]
+    assert main(["geometry", "--a", "1.5", "--b", "0.5", *shape]) == 0
+    assert main(["potential", "--a", "1.5,1", "--b", "0.5,1", *shape]) == 0
+    pairs = [(p, vc) for p in (1, 2) for vc in (False, True)]
+    assert main(["current", "--a", "1.5", "--b", "0.5", "--p", "1-2", "--both", "--n-max", "3",
+                 *shape]) == 0
+    phi = 2.0 * np.pi * np.arange(grid) / grid
+    unit = HelixShape(1.0, 0.75, 0.25, 6)
+    frame = frenet_frame(unit, phi)
+    geometry_columns = [phi, *(position(unit, phi) * R).T, frame.speed * R, frame.kappa / R,
+                        frame.tau / R, *frame.tangent.T, *frame.normal.T, *frame.binormal.T]
+    potential_columns = [phi, curvature_potential(unit, phi),
+                         curvature_potential(HelixShape(1.0, 0.5, 0.5, 6), phi)]
+    dec = branch_spectra(unit, pairs, 3)
+    j = currents(unit, dec.eigenvectors, [p for p, _ in pairs], phi)
+    current_columns = [phi, *j.reshape(-1, grid)]
+    for (_, table, _), columns in zip(tables, [geometry_columns, potential_columns,
+                                               current_columns]):
+        assert np.array_equal(table, np.column_stack(columns))

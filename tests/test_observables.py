@@ -7,6 +7,7 @@ configuration.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,13 @@ from helixtm.spectrum import (
     make_basis,
     solve_states,
 )
-from oracles import moment_from_current, moment_integrand, separate_speed_terms
+from oracles import (
+    cosine_series_currents,
+    moment_from_current,
+    moment_integrand,
+    phase_table_currents,
+    separate_speed_terms,
+)
 
 CIRC4 = HelixShape(R=1.0, a=0.5, b=0.5, omega=4)
 UP4 = HelixShape(R=1.0, a=0.25, b=0.75, omega=4)
@@ -146,6 +153,56 @@ class TestCurrent:
         assert_allclose(j[0, 0], current(state, UP4, phi), atol=1e-14)
 
 
+class TestCosineSeries:
+    """``currents`` as a cosine series against the phase-table form it replaced."""
+
+    @staticmethod
+    def cases():
+        # seeded shapes, every fifth a tall coil (b from 1e76 to 1e150); the
+        # eigenvectors of two branches and as many random complex states
+        rng = np.random.default_rng(30)
+        for trial in range(24):
+            b = 10 ** rng.uniform(76, 150) if trial % 5 == 4 else 10 ** rng.uniform(-1, 0.5)
+            shape = HelixShape(R=1.0, a=float(rng.uniform(0.05, 0.95)), b=float(b),
+                               omega=int(rng.integers(1, 41)))
+            n_max = int(rng.integers(2, 5))
+            ps = sorted({int(p) for p in rng.integers(0, shape.omega, 2)})
+            eigen = branch_spectra(shape, [(p, True) for p in ps], n_max).eigenvectors
+            noise = rng.standard_normal(eigen.shape) + 1j * rng.standard_normal(eigen.shape)
+            yield shape, ps, eigen
+            yield shape, ps, noise / np.linalg.norm(noise, axis=1, keepdims=True)
+
+    def test_matches_the_phase_table_form(self):
+        # within 8 eps of the terms both forms sum, (sum_n |c_n|)
+        # (sum_n |k_n c_n|) / (2 pi f^2) at each angle; a current can be far
+        # smaller than its terms.  The angles are multiples of 1/64, whose
+        # products with omega and the harmonics are exact, so the phase
+        # table's rounded omega*phi*n and the series' exact winding angle agree
+        phi = np.arange(403) / 64.0
+        for shape, ps, c in self.cases():
+            k = branch_momenta(shape, ps, (c.shape[1] - 1) // 2)
+            got, want = currents(shape, c, ps, phi), phase_table_currents(shape, c, k, phi)
+            terms = np.sum(np.abs(c), axis=1) * np.sum(np.abs(k[:, :, None] * c), axis=1)
+            bound = 8 * np.finfo(float).eps * terms[..., None] / (2 * math.pi * speed(shape, phi) ** 2)
+            assert np.all(np.abs(got - want) <= bound), shape
+
+    def test_exact_winding_angle(self):
+        # cos and sin of omega*phi are those of the exact product of the float
+        # phi, hi + lo with lo from exact fractions, where cos and sin of the
+        # rounded product are off by up to omega*phi*eps/2 (2.8e-14 at omega 40)
+        shape = HelixShape(R=1.0, a=0.1, b=0.9, omega=40)
+        phi = 2.0 * math.pi * np.arange(257) / 257
+        products = [Fraction(x) * 40 for x in phi.tolist()]
+        hi = np.array([float(x) for x in products])
+        lo = np.array([float(x - Fraction(h)) for x, h in zip(products, hi.tolist())])
+        want_c = np.cos(hi) - lo * np.sin(hi)
+        want_s = np.sin(hi) + lo * np.cos(hi)
+        c, s = observables._winding_angle(shape, phi)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(c - want_c)) <= eps and np.max(np.abs(s - want_s)) <= eps
+        assert np.max(np.abs(np.cos(40 * phi) - want_c)) > 1e-14
+
+
 class TestBatchedCurrents:
     def test_mixed_states_match_pointwise_current_exactly(self):
         # one phase table and one speed for several branches and both V_c
@@ -169,15 +226,8 @@ class TestBatchedCurrents:
         dec = branch_spectra(shape, pairs, 2)
         k = branch_momenta(shape, [p for p, _ in pairs], 2)
         phi = 2.0 * math.pi * np.arange(64) / 64
-        phases = observables._phase_table(shape, phi, np.arange(-2, 3))
-        f = speed(shape, phi)
         j = currents(shape, dec.eigenvectors, [p for p, _ in pairs], phi)
-        for g in range(len(pairs)):
-            for s in range(5):
-                c = dec.eigenvectors[g, :, s]
-                s0, s1 = phases @ c, phases @ (k[g] * c)
-                want = np.real(np.conj(s0) * s1) / (2.0 * math.pi * f * f)
-                assert np.array_equal(j[g, s], want)
+        assert np.array_equal(j, cosine_series_currents(shape, dec.eigenvectors, k, phi))
 
 
 class TestQuantumMoment:

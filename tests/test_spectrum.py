@@ -146,7 +146,7 @@ class TestBasisFunctions:
 
     def test_winding_number_content(self):
         # chi_n carries angular dependence e^{i(p + n omega) phi} only
-        basis = BlochBasis(p=0.5, n_max=2, omega=4)
+        basis = BlochBasis(p=3, n_max=2, omega=4)
         phi = np.linspace(0, 2 * math.pi, 31)
         for n in basis.indices:
             chi = basis_wavefunction(FLAT6, basis, n, phi)
@@ -177,7 +177,7 @@ class TestHamiltonianStructure:
         ring = HelixShape(R=1.0, a=1e-10, b=1e-10, omega=4)
         for include_vc in (False, True):
             cfg = SpectrumConfig(include_vc=include_vc, n_max=2)
-            basis = make_basis(ring, 0.5, cfg)
+            basis = make_basis(ring, 1, cfg)
             h = build_hamiltonian(ring, basis, cfg).entries
             k = np.array([basis.momentum(n) for n in basis.indices])
             want = np.diag(k**2 / 2.0 - (0.125 if include_vc else 0.0))
@@ -186,7 +186,7 @@ class TestHamiltonianStructure:
     def test_free_rotor_eigenvalues(self):
         ring = HelixShape(R=1.0, a=1e-10, b=1e-10, omega=4)
         cfg = SpectrumConfig(include_vc=False, n_max=2)
-        basis = make_basis(ring, 0.5, cfg)
+        basis = make_basis(ring, 1, cfg)
         states = solve_states(ring, basis, cfg)
         k = np.array([basis.momentum(n) for n in basis.indices])
         assert_allclose([s.energy for s in states], np.sort(k**2 / 2.0), atol=1e-8)

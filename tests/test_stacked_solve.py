@@ -32,6 +32,7 @@ from helixtm.spectrum import (
     branch_spectra,
     build_hamiltonian,
 )
+from oracles import cosine_series_currents
 
 SHAPES = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
 FLAT6 = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
@@ -117,14 +118,8 @@ def test_branch_indices_give_the_momenta_table(shape, n_max):
     want = observables._moments(shape, b, dec.eigenvectors, k)
     assert np.array_equal(moment_vectors(shape, dec.eigenvectors, ps), want)
     phi = 2.0 * np.pi * np.arange(48) / 48
-    phases = observables._phase_table(shape, phi, np.arange(-n_max, n_max + 1))
-    f = geometry.speed(shape, phi)
     j = currents(shape, dec.eigenvectors, ps, phi)
-    for g in range(len(pairs)):
-        for s in range(2 * n_max + 1):
-            c = dec.eigenvectors[g, :, s]
-            s0, s1 = phases @ c, phases @ (k[g] * c)
-            assert np.array_equal(j[g, s], np.real(np.conj(s0) * s1) / (2.0 * np.pi * f * f))
+    assert np.array_equal(j, cosine_series_currents(shape, dec.eigenvectors, k, phi))
 
 
 @pytest.mark.parametrize("p", [-1, 6])
@@ -134,6 +129,39 @@ def test_branch_outside_the_range_is_refused(p):
         moment_vectors(FLAT6, coefficients, [p])
     with pytest.raises(ValueError, match="0 <= p < omega"):
         currents(FLAT6, coefficients, [p], [0.0, 1.0])
+
+
+def test_every_matrix_gathers_its_own_a_row():
+    # T_A is gathered by index from A0 and A0 + V_c, each formed once for the
+    # stack: every matrix equals its own row's gather, and its one-pair
+    # stack, bit for bit
+    pairs = [(p, vc) for p in range(6) for vc in (False, True)]
+    stack, k, _ = _hamiltonian_stack(FLAT6, pairs, 3)
+    a0, b, v_c = geometry.winding_harmonics(FLAT6, geometry._moment_reach(FLAT6, 6), True)
+    idx = np.arange(7)
+    table = np.abs(idx - idx[:, None])
+    for (p, vc), matrix, row in zip(pairs, stack, k):
+        a = a0 + v_c if vc else a0
+        assert np.array_equal(matrix, a[table] + np.outer(row, row) * b[table])
+        assert np.array_equal(matrix, _hamiltonian_stack(FLAT6, [(p, vc)], 3)[0][0])
+
+
+def test_branch_that_is_not_an_integer_is_refused():
+    # e^{i(p + omega n) phi} is periodic on the closed curve only for an
+    # integer p; p = 1.0 is the integer 1
+    coefficients = branch_spectra(FLAT6, [(1, True)], 2).eigenvectors
+    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
+        spectrum.make_basis(FLAT6, 0.5, SpectrumConfig())
+    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
+        branch_spectra(FLAT6, [(0.5, True)], 2)
+    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
+        moment_vectors(FLAT6, coefficients, [0.5])
+    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
+        currents(FLAT6, coefficients, [0.5], [0.0, 1.0])
+    assert spectrum.make_basis(FLAT6, 1.0, SpectrumConfig()).p == 1
+    assert np.array_equal(branch_spectra(FLAT6, [(1.0, True)], 2).eigenvectors, coefficients)
+    assert np.array_equal(moment_vectors(FLAT6, coefficients, [1.0]),
+                          moment_vectors(FLAT6, coefficients, [1]))
 
 
 def _symmetry_cases():
