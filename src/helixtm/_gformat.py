@@ -7,85 +7,118 @@ the work:
 * Fixed-notation values (rounded decimal exponent e in [-4, digits)) at
   ``digits <= MAX_DIGITS`` are formatted as arrays.  The value is scaled
   by an exact power of ten to a mantissa y in [10**(digits-1), 10**digits)
-  with one rounding, and ``rint(y)`` is the mantissa m.  ``N = m *
-  10**(e + 10 - digits)`` is the printed value times 10**9: an integer
-  below 10**15, exact in float64.  Its digits are five 4-byte words, the
-  integer part in two and the nine fraction digits in three, read with
-  one ``take`` from tables whose variants hold NUL in place of the bytes
-  ``%`` does not print: the sign of a positive value, the leading zeros of
-  the integer part, the trailing zeros of the fraction and the point of a
-  zero fraction.  An index offset picks each word's variant, and one
-  ``bytes.translate`` drops every NUL (and the spaces that pad a value
-  printed by ``%``).  Every block of a table reuses one ``workspace``.
+  with one rounding, and ``rint(y)`` is the mantissa m.  Its six-digit
+  form ``m6 = m * 10**(6-digits)`` splits into ``G1 = floor(m6 * 0.001)``
+  and ``G2 = m6 - 1000 G1``.  A value's text is a 16-byte slot of four
+  4-byte words, read with one ``take``: its separator, sign and the "0."
+  of e < 0; the zeros after that point; G1, from a variant for each pair
+  (e, G2 == 0) that places the point and trims trailing zeros; G2, from a
+  variant for each e.  The separator is "\\n" at a row's start and NUL at
+  the block's, and one more slot ends the block.  The tables hold NUL for
+  every byte ``%`` does not print, and one ``bytes.translate`` drops the
+  NULs (and the spaces that pad a value printed by ``%``).  Every block of
+  a table reuses one ``workspace``.
 * Every other value goes through ``_per_value``, the ``%`` itself: values
   printed in exponent notation, values that are not finite, and values
   whose scaled mantissa lies within ``GUARD`` of a rounding tie (k + 0.5)
-  or a decade edge (10**(digits-1), 10**digits).  ``%`` rounds the exact
-  binary value, so that path is exact for every input.  Where that is more
-  than half of a block, and at more than ``MAX_DIGITS`` digits, the whole
-  block goes through ``_per_block``, one row format filled by one ``%``.
+  or of the decade edge 10**(digits-1), or rounds up to 10**digits.  ``%``
+  rounds the exact binary value, so that path is exact for every input.
+  Where that is more than half of a block, and at more than ``MAX_DIGITS``
+  digits, the whole block goes to ``_per_block``: one ``%`` over the rows.
 
 Why the array path is exact: the ties and edges are floats, and rounding
 is monotonic, so a y that is not on one of them lies on the same side of
 each as the exact product.  A y inside (10**(digits-1), 10**digits) thus
-means that e, ``floor(log10(|x|))`` clipped to [-4, digits), is the
-decade of the value (where it is not, y falls outside and the value goes
-to ``%``), and ``rint(y)`` rounds to the mantissa ``%`` prints wherever y
-is not on a tie; an m rounded up to 10**digits is the next decade's, and
-exponent notation if e = digits - 1.  ``GUARD`` keeps 16 ulp of margin
-around every tie and edge on top.
+means that e, ``floor(log10(|x|))`` clipped to [-4, digits), is the decade
+of the value (where it is not, y falls outside and the value goes to
+``%``), and ``rint(y)`` rounds to the mantissa ``%`` prints wherever y is
+not on a tie; ``GUARD`` keeps 16 ulp of margin around every tie and edge
+on top.  The upper edge is the tie 10**digits - 0.5: a mantissa that
+rounds up to 10**digits is the next decade's (exponent notation if e =
+digits - 1, one zero fewer after the point if e < 0) and goes to ``%``.
+A zero takes e = 0, where G1 = G2 = 0 print "0".  The float 0.001 is
+1/1000 (1 + 2.1e-17), closer than 2**-54, the smallest relative half-ulp,
+so for an integer m6 < 10**6 the product m6 * 0.001 rounds to G1 where
+G2 = 0 and lies strictly inside (G1, G1 + 1) otherwise: its floor is G1,
+its ceiling G1 + [G2 != 0].  A slot holds one separator byte and at most
+13 characters: "-0.000123456" in fixed notation, "-1.23456e-308" by ``%``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-# Fixed-notation values are formatted as arrays up to this many digits: N
-# has at most digits + 9 decimal digits and must stay below 2**53, and a
-# value printed by ``%`` (at most digits + 7 characters) fits in a slot.
+# Fixed-notation values are formatted as arrays up to this many digits: m6
+# has six, and a value printed by ``%`` (at most digits + 7 characters)
+# fits in a slot after its separator.
 MAX_DIGITS = 6
 # Relative distance to a rounding tie or a decade edge below which a
 # value's digits are left to ``%``: 16 ulp.
 GUARD = 16 * np.finfo(float).eps
 
 _POW10 = (10 ** np.arange(16, dtype=np.int64)).astype(float)  # exact
+# The decades e of the word tables' rows.
+_DECADES = np.arange(-4, MAX_DIGITS)
+# A word: four bytes of text, the first in the lowest byte.
+_WORD = np.dtype("<u4")
 
 
+def _group_words():
+    """The words of 3-digit groups g in [0, 1000), with q of the group's
+    digits before the point (q = 0 puts the point before the group, 3 after
+    it, 4 leaves it out): a (5, 1000, 2) array of [trimmed, followed by
+    nonzero digits] words, where a trimmed word has NUL for trailing zeros
+    after the point and for a point with no digit after it."""
+    g = np.arange(1000)
+    digits = np.stack([g // 100, g // 10 % 10, g % 10])
+    chars = np.zeros((5, 1000), _WORD)  # the digits, ".", NUL
+    chars[:3], chars[3] = ord("0") + digits, ord(".")
+    keep = np.zeros((5, 1000), _WORD)  # a nonzero digit from digit i on
+    keep[4] = 1
+    for i in (2, 1, 0):
+        keep[i] = (digits[i] != 0) | keep[i + 1]
+    # for each byte of the word and each q: its row of ``chars``, and the
+    # row of ``keep`` that trims it (4 for an integer digit)
+    show = [[0, 0, 0, 0, 0], [1, 3, 1, 1, 1], [2, 1, 3, 2, 2], [4, 2, 2, 3, 4]]
+    trim = [[0, 4, 4, 4, 4], [1, 1, 4, 4, 4], [2, 1, 2, 4, 4], [4, 2, 2, 3, 4]]
+    words = np.zeros((5, 1000, 2), _WORD)
+    for byte, (rows, trims) in enumerate(zip(show, trim)):
+        plane = chars[rows] << 8 * byte
+        words[..., 0] |= plane * keep[trims]
+        words[..., 1] |= plane
+    return words
+
+
+@functools.cache
 def _word_table():
-    """The uint32 words of a slot, NUL where a byte is not printed: w0, w0 for
-    x < 0, w1 for w0 == 0, four digits (w1, w3), w3 for w4 == 0, w2, w2 for
-    a fraction that ends there, and 2 * w4 + [row end]."""
-    digits = np.stack(np.indices((10,) * 4, np.uint8), axis=-1).reshape(-1, 4)  # of 0..9999
-    text, lead, trail = ord("0") + digits, digits == 0, digits == 0
-    for j in (1, 2, 3):
-        lead[:, j] &= lead[:, j - 1]  # leading zeros
-        trail[:, 3 - j] &= trail[:, 4 - j]  # trailing zeros
-    high, units = text[:100] * ~lead[:100], text * ~lead
-    minus, point = high.copy(), text[:1000].copy()
-    minus[:, 0], point[:, 0], units[0, 3] = ord("-"), ord("."), ord("0")  # integer part 0: "0"
-    end = np.zeros((200, 4), np.uint8)
-    end[:, :2] = np.repeat(text[:100, 2:] * ~trail[:100, 2:], 2, axis=0)
-    end[:, 2] = np.tile(np.frombuffer(b",\n", np.uint8), 100)
-    words = [high, minus, units, text, text * ~trail, point,
-             point * ~trail[:1000, [1, 1, 2, 3]], end]
-    return np.concatenate(words).view(np.uint32).ravel()
+    """The words of a slot, one row per decade of ``_DECADES``: G2's words,
+    G1's words at 2 G1 + [G2 != 0], then the separator words of each sign
+    and the zero words."""
+    e = _DECADES
+    groups = _group_words()
+    high, low = groups[np.clip(e + 1, 0, 4)], groups[np.clip(e - 2, 0, 3), :, 0]
+    words = np.frombuffer(",   ,-  , 0.,-0.    0   00  000 ".replace(" ", "\0").encode(), _WORD)
+    sign = words[np.arange(2)[:, None] + 2 * (e < 0)]
+    zeros = words[4 + np.clip(-1 - e, 0, 3)]
+    return np.concatenate([low.ravel(), high.ravel(), sign.ravel(), zeros], dtype=_WORD)
 
 
-_WORDS = _word_table()
-# Where the tables of w1, w2, w3 and w4 start in _WORDS (w0's at 0).
-_W1, _W2, _W3, _W4 = 200, 30200, 10200, 32200
-# A value's slot: five words, 20 bytes, of which the first _SEPARATOR are
-# overwritten for a value printed by ``%``.
-_ROW = 20
-_SEPARATOR = 18
+# Where each table's row of e = 0 starts in ``_word_table()`` (built on
+# first use): the rows of G2 (1000 words each), G1 (2000), the separators
+# (two) and the zeros (one).
+_W2, _W1, _SIGN, _ZEROS = 4000, 18000, 30004, 30024
+# A value's slot: its separator byte, then its text.
+_SLOT = 16
 
 
 def workspace(size):
     """The arrays ``block_text`` works in, for blocks of up to ``size``
     values, reused by every block of a table; the last holds two float rows
-    until it holds the text."""
+    until it holds the text, ``size + 1`` slots."""
     return (np.empty((2, size)), np.empty((2, size), np.bool_),
-            np.empty((size, _ROW // 4), np.intp), np.empty((_ROW * size + 7) // 8))
+            np.empty((size, 4), np.intp), np.empty(2 * size + 2))
 
 
 def _per_block(block, digits):
@@ -96,10 +129,10 @@ def _per_block(block, digits):
 
 def _per_value(values, digits):
     """``%.<digits>g`` of each value of a 1-d float array, left-aligned and
-    padded with spaces to ``_SEPARATOR`` columns: a (values, _SEPARATOR)
-    uint8 array."""
-    text = (f"%-{_SEPARATOR}.{digits}g" * values.size) % tuple(values.tolist())
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(values.size, _SEPARATOR)
+    padded with spaces to the text of a slot: a (values, _SLOT - 1) uint8
+    array."""
+    text = (f"%-{_SLOT - 1}.{digits}g" * values.size) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(values.size, _SLOT - 1)
 
 
 def block_text(block, digits, work):
@@ -113,58 +146,48 @@ def block_text(block, digits, work):
     n = x.size
     lo, hi = _POW10[digits - 1], _POW10[digits]
     floats, flags, words, text = work
-    big, w = floats[:, :n]
+    big, e = floats[:, :n]
     fast, flag = flags[:, :n]
     y, t = text[:2 * n].reshape(2, n)  # free until the text is written
-    words, text = words[:n], text.view(np.uint32)[:_ROW // 4 * n].reshape(n, _ROW // 4)
+    words, text = words[:n], text.view(_WORD)[:4 * (n + 1)].reshape(n + 1, 4)
     k = words.reshape(-1)[:n]  # free until the words are written
 
-    # mantissa m = rint(y) and decade e of the fixed-notation values; both
-    # takes clip k = e + 4 to [0, digits + 3]
-    np.abs(x, out=y)
-    np.fmin(np.fmax(y, 1e-300, out=y), 1e100, out=y)  # log10 sees no 0, inf or nan
-    np.floor(np.log10(y, out=t), out=t)
-    np.add(t, 4, out=k, casting="unsafe")
+    # mantissa m = rint(y) and decade e of the fixed-notation values
+    np.fmax(np.abs(x, out=y), 1e-300, out=y)  # log10 sees no 0 or nan
+    np.clip(np.floor(np.log10(y, out=e), out=e), -4, digits - 1, out=e)
+    np.add(e, 4, out=k, casting="unsafe")
     y *= np.take(_POW10[digits + 3::-1], k, out=t, mode="clip")  # 10**(digits-1-e)
-    m = np.rint(y, out=big)
+    m = np.rint(np.fmin(y, hi, out=y), out=big)  # capped, so every index stays finite
     np.greater(y, lo * (1 + GUARD), out=fast)
-    fast &= np.less(y, hi * (1 - GUARD), out=flag)
+    fast &= np.less(y, hi - 0.5, out=flag)  # m < 10**digits: no carry
     y -= m
     fast &= np.less(np.abs(y, out=y), 0.5 - GUARD * hi, out=flag)  # not near a tie
-    # N = m * 10**(e + 10 - digits): the printed value times 10**9
-    big *= np.take(_POW10[6 - digits:10], k, out=t, mode="clip")
-    fast &= np.less(big, _POW10[digits + 9], out=flag)  # no carry to exponent notation
-    big *= fast  # zeros print as 0; the rest is overwritten below
     fast |= np.equal(x, 0.0, out=flag)
+    np.copyto(e, 0.0, where=flag)  # zeros print "0" in the rows of e = 0
     slow = np.flatnonzero(np.logical_not(fast, out=flag))
     if 2 * slow.size > n:
         # mostly values for %, such as a current that vanishes up to
         # rounding: one % over the block costs less than arrays and splice
         return _per_block(block, digits)
 
-    # the words of N (integer in w0, w1; fraction in w2, w3, w4), each
-    # written to ``words`` once final with its variant: NUL for a positive
-    # sign, the integer's leading zeros and the fraction's trailing zeros
-    np.floor(np.divide(big, 1e9, out=t), out=t)  # integer part
-    big -= np.multiply(t, 1e9, out=y)  # fraction, as 9 digits
-    np.floor(np.divide(t, 1e4, out=w), out=w)  # w0
-    t -= np.multiply(w, 1e4, out=y)  # w1
-    t += np.multiply(np.not_equal(w, 0.0, out=flag), 1e4, out=y)
-    np.add(t, _W1, out=words[:, 1], casting="unsafe")
-    w += np.multiply(np.less(x, 0.0, out=flag), 100.0, out=y)
-    np.copyto(words[:, 0], w, casting="unsafe")
-    np.floor(np.divide(big, 1e6, out=w), out=w)  # w2
-    big -= np.multiply(w, 1e6, out=y)
-    w += np.multiply(np.equal(big, 0.0, out=flag), 1e3, out=y)
-    np.add(w, _W2, out=words[:, 2], casting="unsafe")
-    np.floor(np.divide(big, 100.0, out=w), out=w)  # w3
-    big -= np.multiply(w, 100.0, out=y)  # w4
-    w += np.multiply(np.equal(big, 0.0, out=flag), 1e4, out=y)
-    np.add(w, _W3, out=words[:, 3], casting="unsafe")
-    big *= 2
-    big[ncols - 1::ncols] += 1  # "\n" ends a row
-    np.add(big, _W4, out=words[:, 4], casting="unsafe")
-    np.take(_WORDS, words, out=text, mode="wrap")
+    # each word's index, as a float, then written to its column of
+    # ``words``: G1 and [G2 != 0] from u = m6 * 0.001, G2 from m6
+    big *= _POW10[6 - digits]  # m6
+    g1 = np.floor(np.multiply(big, 0.001, out=t), out=y)
+    np.ceil(t, out=t)
+    t += g1  # 2 G1 + [G2 != 0]
+    np.multiply(np.subtract(e, g1, out=y), 1000.0, out=y)
+    y += big  # G2 + 1000 e
+    t += np.multiply(e, 2000.0, out=big)
+    np.multiply(np.less(x, 0.0, out=flag), float(_DECADES.size), out=big)
+    big += e
+    for column, (index, row) in enumerate([(big, _SIGN), (e, _ZEROS), (t, _W1), (y, _W2)]):
+        np.add(index, row, out=words[:, column], casting="unsafe")
+    np.take(_word_table(), words, out=text[:n], mode="clip")
+    text[n] = 0
+    slots = text.view(np.uint8)
     if slow.size:
-        text.view(np.uint8).reshape(n, _ROW)[slow, :_SEPARATOR] = _per_value(x[slow], digits)
-    return text.tobytes().translate(None, b"\0 ").decode("ascii")  # drop NUL and padding
+        slots[slow, 1:] = _per_value(x[slow], digits)
+    slots[ncols::ncols, 0] = ord("\n")  # a row's end, the block's in the last slot
+    slots[0, 0] = 0
+    return slots.tobytes().translate(None, b"\0 ").decode("ascii")  # drop NUL and padding

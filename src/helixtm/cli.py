@@ -281,15 +281,18 @@ def _grid_blocks(header, rows, fill, digits):
     it picks from the values and ``digits`` alone, in one
     ``_gformat.workspace`` that the table's blocks share, so a block
     allocates little beyond its text.  Up to ``_gformat.MAX_DIGITS``
-    digits, the fixed-notation values are formatted as arrays of
-    NUL-padded digit words and the rest go to ``%`` one value at a time:
-    values printed in exponent notation, values that are not finite, and
-    values whose mantissa, scaled by a power of ten in float64, lies within
-    16 ulp of a rounding tie or a decade edge.  Only there could the scaled
-    float and the exact binary value, which ``%`` rounds, print
-    differently, so both paths give ``_fmt``'s bytes.  At more digits, or
-    when more than half of a block's values would go to ``%``, the whole
-    block is one row format filled by one ``%``.
+    digits, the fixed-notation values are formatted as arrays: each value
+    is a 16-byte slot of four NUL-padded words (separator, sign and "0.";
+    the zeros after the point; two 3-digit groups of the mantissa), and
+    the block's row separators and final "\\n" are slots' separator bytes.
+    The rest go to ``%`` one value at a time: values printed in exponent
+    notation, values that are not finite, and values whose mantissa,
+    scaled by a power of ten in float64, lies within 16 ulp of a rounding
+    tie or a decade edge or rounds up to the next decade.  Only there
+    could the scaled float and the exact binary value, which ``%`` rounds,
+    print differently, so both paths give ``_fmt``'s bytes.  At more
+    digits, or when more than half of a block's values would go to ``%``,
+    the whole block is one row format filled by one ``%``.
     """
     ncols = header.count(",") + 1
     table = np.empty((rows, ncols))

@@ -4,6 +4,7 @@ adversarial values, how many values of a real table leave the array path,
 its memory bound, and the block-filled columns of the commands against
 the whole-grid functions."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,44 @@ def test_adversarial_values_match_per_value_reference(seed, digits):
     header = ",".join(f"c{i}" for i in range(ncols))
     want = grid_table_per_value(header, columns, digits)
     assert "".join(blocks_of(header, columns, digits)) == want
+
+
+def word_variant_values(digits):
+    """Values +-y 10**(e + 1 - digits), with every decade e in [-4, digits)
+    and two kinds of mantissa y: integers with every pattern of zero and
+    nonzero digits (every count of trailing zeros, G2 == 0 and G1 with
+    zeros at six digits), and sixteenths in [10**digits - 1, 10**digits),
+    which round up to the next decade from 10**digits - 0.5 on.  Returns
+    the values and whether each is left to ``%``: the mantissas on the
+    decade edge 10**(digits - 1) or rounding up."""
+    rng = np.random.default_rng(digits)
+    nonzero = np.array(list(itertools.product([0, 1], repeat=5)))  # digits 2 to 6
+    six = np.column_stack([np.ones(32, int), nonzero]) * rng.integers(1, 10, (32, 6))
+    integers = (six @ 10 ** np.arange(5, -1, -1)) // 10 ** (6 - digits)
+    y = np.concatenate([[10 ** (digits - 1)], integers, 10.0 ** digits - 1 + np.arange(16) / 16])
+    values = (y[:, None] * 10.0 ** (np.arange(-4, digits) + 1 - digits)).ravel()
+    slow = np.repeat((y == 10 ** (digits - 1)) | (y >= 10.0 ** digits - 0.5), digits + 4)
+    return np.concatenate([values, -values, [0.0]]), np.concatenate([slow, slow, [False]])
+
+
+@pytest.mark.parametrize("ncols", [1, 16])
+@pytest.mark.parametrize("digits", range(1, 7))
+def test_word_variants_match_per_value_reference(monkeypatch, digits, ncols):
+    # every word variant of the array path, and the values it leaves to %
+    values, slow = word_variant_values(digits)
+    rows = -(-values.size // ncols)
+    values, slow = np.resize(values, (rows, ncols)), np.resize(slow, rows * ncols)
+    sent = []
+    per_value = _gformat._per_value
+
+    def counting(values, digits):
+        sent.extend(values)
+        return per_value(values, digits)
+
+    monkeypatch.setattr(_gformat, "_per_value", counting)
+    want = "".join(",".join("%.*g" % (digits, x) for x in row) + "\n" for row in values)
+    assert _gformat.block_text(values, digits, _gformat.workspace(values.size)) == want
+    assert np.array_equal(sent, values.ravel()[slow])
 
 
 def test_geometry_table_takes_the_array_path(monkeypatch, capsys):
