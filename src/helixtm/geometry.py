@@ -228,18 +228,6 @@ def _d_form(shape, s, c, W):
     return ((a * s) ** 2 + (b * c) ** 2) * w * w + W * W
 
 
-def _potential_from(shape, s, c, W, d0):
-    """-kappa^2/8 = -(D |r''|^2 - D'^2/4)/(8 D^3) = -(|r''|^2/D - q^2/4)/(8 D).
-
-    q = D'/D, so nothing squares D'; D' = 2 omega^3 (a^2 - b^2) s c + 2 W W'.
-    """
-    a, b, w = shape.a, shape.b, shape.omega
-    w1 = -a * w * s
-    q = (2 * w**3 * (a * a - b * b) * s * c + 2 * W * w1) / d0
-    r2sq = (a * w * w * c + W) ** 2 + 4 * w1 * w1 + (b * w * w * s) ** 2
-    return -(r2sq / d0 - 0.25 * q * q) / (8.0 * d0)
-
-
 def speed(shape, phi):
     """Parametrisation speed f(phi) = |dr/dphi| = sqrt(D)."""
     return np.sqrt(_d_form(shape, *_sc(shape, phi)))
@@ -401,7 +389,7 @@ def winding_harmonics(shape, count, potential=False):
 
 
 def _moment_reach(shape, width):
-    """Entries of B_d that harmonics -width..width of the moment weights read: width + 1
+    """Entries of B_d that harmonics 0..width of the moment weights read: width + 1
     plus the numerators' degree, 4 with the x and y rows (omega = 1), 3 for z alone."""
     return width + 1 + (4 if shape.omega == 1 else 3)
 
@@ -434,11 +422,12 @@ def _moment_numerators(shape, scale):
 
 
 def moment_harmonics(shape, b, width):
-    """(axes, harmonics d = -width..width of the toroidal-moment weights g_axis / (2 pi D)).
+    """(axes, harmonics d = 0..width of the toroidal-moment weights g_axis / (2 pi D)).
 
-    Entry [i, width + d] is Integral_0^{2pi} g_i(theta) / (2 pi D) e^{i d theta} dtheta,
+    Entry [i, d] is Integral_0^{2pi} g_i(theta) / (2 pi D) e^{i d theta} dtheta,
     the harmonic of g_i / D, for the rows ``axes`` of g = (r' . r) r - 2 r^2 r'
-    that ``_moment_numerators`` forms.  ``b`` holds the B_d = F_d / 2,
+    that ``_moment_numerators`` forms; the weights are real, so harmonic -d
+    is the conjugate of harmonic d.  ``b`` holds the B_d = F_d / 2,
     d >= 0, of ``winding_harmonics``, where F_d are the harmonics of 1/D,
     even in d.  Each g_axis is sin(theta)^odd times
     a polynomial P in c = cos theta (``_moment_numerators``), of degree 3
@@ -465,7 +454,7 @@ def moment_harmonics(shape, b, width):
         if odd:
             x = 0.5j * (x[:-2] - x[2:])
         mid = x.size // 2
-        out.append(x[mid - width:mid + width + 1])
+        out.append(x[mid:mid + width + 1])
     return [axis for axis, _, _ in rows], np.array(out)
 
 
@@ -526,7 +515,7 @@ def curvature_potential(shape, phi):
     """Binding potential -kappa^2/8 from confinement to the curve (<= 0).
 
     A rational function of D = f^2, its derivative D' and |r''|^2
-    (``_potential_from``), with no division by a quantity that vanishes
+    (``_potential_at``), with no division by a quantity that vanishes
     with b.
     """
     s, c, _ = _sc(shape, phi)
@@ -535,9 +524,16 @@ def curvature_potential(shape, phi):
 
 def _potential_at(shape, s, c):
     """``curvature_potential`` from the sin and cos of the winding angle, which
-    every shape of one omega shares."""
-    W = shape.R + shape.a * c
-    return _potential_from(shape, s, c, W, _d_form(shape, s, c, W))
+    every shape of one omega shares: -(D |r''|^2 - D'^2/4)/(8 D^3) written as
+    -(|r''|^2/D - q^2/4)/(8 D), q = D'/D, so nothing squares D';
+    D' = 2 omega^3 (a^2 - b^2) s c + 2 W W'."""
+    a, b, w = shape.a, shape.b, shape.omega
+    W = shape.R + a * c
+    d0 = _d_form(shape, s, c, W)
+    w1 = -a * w * s
+    q = (2 * w**3 * (a * a - b * b) * s * c + 2 * W * w1) / d0
+    r2sq = (a * w * w * c + W) ** 2 + 4 * w1 * w1 + (b * w * w * s) ** 2
+    return -(r2sq / d0 - 0.25 * q * q) / (8.0 * d0)
 
 
 def frenet_frame(shape, phi):

@@ -44,22 +44,22 @@ loop current I gives the classical moment, whose closed form is
 for the elliptic cross-section (a = b recovers the circular case), plus,
 at omega = 1 only, an in-plane part -(pi * I * a / 2) (R^2 - (b^2 - a^2)/4) y_hat.
 
-For an eigenstate, conj(S0) * S1 is a double sum over harmonics, so each
-component of the quantum moment is a quadratic form in the coefficients:
+For an eigenstate j is the series above, so each component of the
+quantum moment is a sum over the same current harmonics E_h:
 
-    T_axis = (2*pi/10) * Re( C^H M_axis C ),
-    M_axis[m, n] = k_n * coeff_{omega*(n - m)}[ g_axis / (2*pi*f^2) ],
+    T_axis = (1/10) * Re sum_{h=0}^{2 n_max} W_h E_h,
+    W_h = Integral_0^{2pi} g_axis / (2*pi*f^2) e^{i h theta} dtheta.
 
-where coeff_h[w] = (1/(2*pi)) Integral_0^{2pi} w(phi) e^{i h phi} dphi.
-The coefficients depend only on the shape; the state enters through C
-and k_n = p + omega*n.
+The weight is real, so W_{-h} = conj(W_h), and
+Re(W_{-h} B_{-h}) = Re(W_h conj(B_{-h})) folds the negative harmonics
+into E_h = B_h + conj(B_{-h}).  The W_h depend only on the shape; the
+state enters through E_h, the one array its current is tabulated from.
 
 The z weight depends on phi only through the winding angle
 theta = omega*phi, so, as for the Hamiltonian (see ``spectrum``), its
-coefficient at harmonic omega*d is the one-winding coefficient
-(1/(2*pi)) Integral_0^{2pi} w_z(theta) e^{i d theta} dtheta.  The x and
+integral over the turn is the one-winding integral above.  The x and
 y weights are e^{+-i phi} times functions of theta, so their harmonics
-are +-1 + omega*j, which never equal omega*(n - m) once omega >= 2: the
+in phi are +-1 + omega*j, which never equal omega*h once omega >= 2: the
 in-plane moments vanish identically and only the z row is formed, while
 ``vector`` still carries the exact zeros.  At omega = 1 one winding is
 the whole turn and all three rows are formed.
@@ -71,7 +71,7 @@ with no sampling and no stopping test.  ``moment_vectors`` therefore
 takes the moments of a whole stack of states of one shape and one n_max
 as arrays: coefficients (B, d, S), S states per group in columns (the
 eigenvectors of ``spectrum.branch_spectra``), and the groups' branch
-indices, gathered from the harmonics -2*n_max..2*n_max.
+indices, from the harmonics 0..2*n_max, elementwise as the currents are.
 ``branch_moments`` solves the stack of
 ``spectrum._hamiltonian_stack`` and takes the moments from the k table
 and B_d that come with it, so its spectra are those of
@@ -136,23 +136,25 @@ class ThermalSpec:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def _current_harmonics(shape, coefficients, ps):
-    """E_h, h = 0..2*n_max, of the currents of a stack of states: one row per state,
-    group-major, real for real coefficients.
+def _current_harmonics(coefficients, k):
+    """E_h, h = 0..2*n_max, of the currents of a (B, d, S) stack of states and
+    its (B, d) k table: row h holds E_h of every state, group-major, real for
+    real coefficients.
 
     E_0 = sum_n |c_n|^2 k_n and E_h = B_h + conj(B_-h), where B_h sums
-    conj(c_m) k_n c_n over n - m = h, in order of m; every state's row is
+    conj(c_m) k_n c_n over n - m = h, in order of m; every state's column is
     formed elementwise, so it does not depend on the rest of the stack.
     """
     _, d, per_group = coefficients.shape
-    k = branch_momenta(shape, ps, (d - 1) // 2)
-    c = np.swapaxes(coefficients, 1, 2).reshape(-1, d)
-    kc = np.repeat(k, per_group, axis=0) * c
-    b = np.zeros((c.shape[0], 2 * d - 1), c.dtype)  # B_h at column h + d - 1
-    for m in range(d):
-        b[:, d - 1 - m:2 * d - 1 - m] += np.conj(c[:, m:m + 1]) * kc
-    e = b[:, d - 1:] + np.conj(b[:, d - 1::-1])
-    e[:, 0] = b[:, d - 1].real
+    # (d, states), C-contiguous: row n holds c_n of every state
+    c = np.ascontiguousarray(np.swapaxes(coefficients, 0, 1)).reshape(d, -1)
+    kc = np.repeat(k.T, per_group, axis=1) * c
+    b = np.zeros((2 * d - 1, c.shape[1]), c.dtype)  # B_h at row h + d - 1
+    term = np.empty_like(kc)
+    for m, conj_c in enumerate(c.conj()):
+        b[d - 1 - m:2 * d - 1 - m] += np.multiply(conj_c, kc, out=term)
+    e = b[d - 1:] + b[d - 1::-1].conj()
+    e[0] = b[d - 1].real
     return e
 
 
@@ -179,7 +181,7 @@ def _winding_angle(shape, phi):
 
 
 def _current_series(shape, e, phi):
-    """j(phi) of each row of E (``_current_harmonics``), shape (rows,) + phi.shape.
+    """j(phi) of each column of E (``_current_harmonics``), shape (states,) + phi.shape.
 
     The cosine series sum_h (Re E_h cos h theta - Im E_h sin h theta),
     summed from the highest harmonic down, over 2 pi D, with cos h theta,
@@ -187,28 +189,28 @@ def _current_series(shape, e, phi):
     ``_winding_angle``: cos and sin of (a + b) theta from those of a theta
     and b theta, a = h // 2 and b = h - a.  The sine terms enter only for
     complex E.  Every operation is elementwise, so a current does not
-    depend on the other angles or on the other rows.
+    depend on the other angles or on the other states.
     """
     phi = np.asarray(phi, dtype=float)
     c, s = _winding_angle(shape, phi.ravel())
     harmonics = [None, (c, s)]  # (cos h theta, sin h theta)
-    for h in range(2, e.shape[1]):
+    for h in range(2, e.shape[0]):
         (ca, sa), (cb, sb) = harmonics[h // 2], harmonics[h - h // 2]
         harmonics.append((ca * cb - sa * sb, sa * cb + ca * sb))
-    j = np.zeros((e.shape[0], phi.size))
+    j = np.zeros((e.shape[1], phi.size))
     sine_terms = np.iscomplexobj(e)
-    for h in range(e.shape[1] - 1, 0, -1):
-        j += e[:, h:h + 1].real * harmonics[h][0]
+    for h in range(e.shape[0] - 1, 0, -1):
+        j += e[h, :, None].real * harmonics[h][0]
         if sine_terms:
-            j -= e[:, h:h + 1].imag * harmonics[h][1]
-    j += e[:, :1].real
+            j -= e[h, :, None].imag * harmonics[h][1]
+    j += e[0, :, None].real
     # 2 pi D overflows on tall coils while D is finite: numerator and
     # denominator are taken over the power of two ``geometry._tall``, which
     # leaves the quotient's bits as they are
     tall = geometry._tall(shape)
     d = geometry._d_form(shape, s, c, shape.R + shape.a * c)
     j = tall * j / (2.0 * math.pi * (tall * d))
-    return j.reshape((e.shape[0],) + phi.shape)
+    return j.reshape((e.shape[1],) + phi.shape)
 
 
 def currents(shape, coefficients, ps, phi):
@@ -225,8 +227,9 @@ def currents(shape, coefficients, ps, phi):
     in any stack.  Returns the currents as a (B, S) + phi.shape array, the
     current of column s of group b at ``[b, s]``.
     """
-    groups, _, per_group = coefficients.shape
-    j = _current_series(shape, _current_harmonics(shape, coefficients, ps), phi)
+    groups, d, per_group = coefficients.shape
+    k = branch_momenta(shape, ps, (d - 1) // 2)
+    j = _current_series(shape, _current_harmonics(coefficients, k), phi)
     return j.reshape((groups, per_group) + j.shape[1:])
 
 
@@ -236,18 +239,17 @@ def current(state, shape, phi):
 
 
 def _moments(shape, b, coefficients, k):
-    """``moment_vectors`` from the harmonics B_d of ``geometry.winding_harmonics``."""
+    """``moment_vectors`` from the B_d of ``geometry.winding_harmonics`` and the
+    k table: (1/10) Re sum_h W_h E_h, summed from the highest harmonic down."""
     groups, d, per_group = coefficients.shape
-    n_max = (d - 1) // 2
-    axes, weights = geometry.moment_harmonics(shape, b, 2 * n_max)
-    n = np.arange(-n_max, n_max + 1)
-    # one row per state, group-major, as C-contiguous (states, d) arrays
-    c = np.ascontiguousarray(np.swapaxes(coefficients, 1, 2)).reshape(-1, d)
-    kc = np.repeat(k, per_group, axis=0) * c
-    offsets = n[None, :] - n[:, None] + 2 * n_max
-    vectors = np.zeros((groups * per_group, 3))
-    # Re sum_{m,n} conj(C_m) C_n k_n I_{n-m} per state and axis
-    vectors[:, axes] = np.real(np.einsum("sm,amn,sn->sa", c.conj(), weights[:, offsets], kc))
+    axes, weights = geometry.moment_harmonics(shape, b, d - 1)
+    e = _current_harmonics(coefficients, k)
+    terms = (e[:, :, None] * weights.T[:, None]).real  # W_h E_h at [h, state, axis]
+    t = np.zeros(terms.shape[1:])
+    for term in terms[::-1]:
+        t += term
+    vectors = np.zeros((e.shape[1], 3))
+    vectors[:, axes] = t
     return (vectors / 10.0).reshape(groups, per_group, 3)
 
 

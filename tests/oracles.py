@@ -29,8 +29,13 @@ form (``geometry.moment_harmonics``), at a fixed grid, with g and B of
 written, and ``unscaled_moment_harmonics`` is ``geometry.moment_harmonics``
 without the power of two that keeps tall coils' coefficients finite:
 production must equal both bit for bit wherever they are finite.
-Production takes toroidal moments as quadratic forms in the
-coefficients.  The full-turn references here do neither.  ``hamiltonian_element`` integrates one complex element
+Production takes each toroidal moment as (1/10) Re sum_h W_h E_h over the
+current harmonics h >= 0 of a state and the weights' harmonics.
+``einsum_moments`` is the form it took before: the quadratic form
+Re sum_{m,n} conj(c_m) k_n c_n W_{n-m} in the coefficients, from one
+einsum over an (axes, d, d) gather of the weights' harmonics
+-2*n_max..2*n_max, with the negative ones computed, not folded.  The
+full-turn references here do neither.  ``hamiltonian_element`` integrates one complex element
 H[m, n] over the whole turn from the old terms, the i k f'/f^3 term and
 the imaginary part included, and ``moment_from_current`` integrates j(phi) * g_axis(phi) over the whole
 turn on all three axes, with g = (r' . r) r - 2 r^2 r' formed from the
@@ -159,7 +164,7 @@ def hamiltonian_rows(shape, theta):
     d2 = 2 * w**4 * (a * a - b * b) * (c * c - s * s) + 2 * w1 * w1 - 2 * a * w * w * c * W
     q = d1 / d0
     a0 = (d2 / d0 - 1.75 * q * q) / (8.0 * d0)
-    return a0, 0.5 / d0, geometry._potential_from(shape, s, c, W, d0)
+    return a0, 0.5 / d0, geometry._potential_at(shape, s, c)
 
 
 def hamiltonian_rows_reference(shape, phi):
@@ -334,6 +339,30 @@ def unscaled_moment_harmonics(shape, b, width):
         mid = x.size // 2
         out.append(x[mid - width:mid + width + 1])
     return np.array(out)
+
+
+def einsum_moments(shape, coefficients, k):
+    """(moment vectors, term sums), each (B, S, 3), of the states of
+    ``observables.moment_vectors``, with its k table handed in, as the
+    quadratic form in the coefficients.
+
+    The vectors are Re sum_{m,n} conj(c_m) k_n c_n W_{n-m} / 10 per state
+    and axis, from ``unscaled_moment_harmonics``, and the term sums are
+    sum_{m,n} |c_m k_n c_n W_{n-m}| / 10, the scale of their rounding.
+    """
+    groups, d, per_group = coefficients.shape
+    n_max = (d - 1) // 2
+    b = geometry.winding_harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
+    weights = unscaled_moment_harmonics(shape, b, 2 * n_max)
+    axes = [axis for axis, _, _ in geometry._moment_numerators(shape, 1.0)]
+    n = np.arange(-n_max, n_max + 1)
+    gathered = weights[:, n[None, :] - n[:, None] + 2 * n_max]
+    c = np.swapaxes(coefficients, 1, 2).reshape(-1, d)
+    kc = np.repeat(k, per_group, axis=0) * c
+    vectors, sums = np.zeros((2, groups * per_group, 3))
+    vectors[:, axes] = np.real(np.einsum("sm,amn,sn->sa", c.conj(), gathered, kc))
+    sums[:, axes] = np.einsum("sm,amn,sn->sa", np.abs(c), np.abs(gathered), np.abs(kc))
+    return tuple(x.reshape(groups, per_group, 3) / 10.0 for x in (vectors, sums))
 
 
 def moment_from_current(shape, current_fn, quad):

@@ -37,6 +37,7 @@ from helixtm.spectrum import (
 )
 from oracles import (
     cosine_series_currents,
+    einsum_moments,
     moment_from_current,
     moment_integrand,
     phase_table_currents,
@@ -305,6 +306,63 @@ class TestBatchedMoments:
                 want = moment_from_current(
                     shape, lambda phi: currents(shape, stack, ps[b:b + 1], phi)[0, 0], None)
                 assert np.max(np.abs(vectors[b, alpha] - want)) <= 1e-12
+
+
+# Ground states with V_c whose current settles by n_max 128: flat, tall,
+# round and omega = 40 sections
+SETTLED = [(0.75, 0.25, 6, 1), (0.1, 0.9, 6, 1), (0.3, 0.7, 6, 2), (0.5, 0.5, 4, 1), (0.25, 0.75, 40, 7)]
+
+
+def _moment_draws(seed, count):
+    """(a, b, omega, p) of unit-radius shapes drawn from a seed, omega 1 to 40."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        omega = int(rng.integers(1, 41))
+        yield (float(rng.uniform(0.05, 0.95)), float(10 ** rng.uniform(-1, 0.5)), omega,
+               int(rng.integers(0, omega)))
+
+
+class TestMomentsFromCurrentHarmonics:
+    @pytest.mark.parametrize("n_max", [8, 16])
+    @pytest.mark.parametrize("omega", [1, 6, 40])
+    def test_one_state_is_its_row_of_the_stack(self, omega, n_max):
+        # each moment is summed elementwise over h, so a state has the same
+        # bits alone as in a stack of several groups
+        shape = HelixShape(R=1.0, a=0.75, b=0.25, omega=omega)
+        pairs = [(p, vc) for p in sorted({0, omega // 2, omega - 1}) for vc in (False, True)]
+        dec, vectors = observables.branch_moments(shape, pairs, n_max)
+        for g, (p, include_vc) in enumerate(pairs):
+            for alpha in range(2 * n_max + 1):
+                c = dec.eigenvectors[g, :, alpha]
+                state = EigenState(dec.eigenvalues[g, alpha], c, p, alpha, include_vc)
+                want = vectors[g, alpha].tobytes()
+                assert toroidal_moment(state, shape).vector.tobytes() == want
+                assert moment_vectors(shape, c[None, :, None], [p])[0, 0].tobytes() == want
+
+    @pytest.mark.parametrize("a, b, omega, p", SETTLED)
+    def test_settled_moment_is_the_classical_moment_of_its_current(self, a, b, omega, p):
+        # continuity makes a stationary current one constant J at the basis
+        # limit, so the state's moment is the classical moment of J, its
+        # theta-mean (1/pi) sum_h E_h B_h
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        n_max = 128
+        dec, vectors = observables.branch_moments(shape, [(p, True)], n_max)
+        k = branch_momenta(shape, [p], n_max)
+        e = observables._current_harmonics(dec.eigenvectors[:, :, :1], k)[:, 0]
+        loop = np.sum(e * geometry.winding_harmonics(shape, 2 * n_max + 1)[1]) / math.pi
+        assert_allclose(vectors[0, 0, 2], classical_moment_closed(shape, loop)[2], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n_max", [2, 8, 32, 64])
+    @pytest.mark.parametrize("a, b, omega, p", [*SETTLED, (0.9, 0.1, 1, 0), *_moment_draws(32, 6)])
+    def test_match_the_quadratic_form(self, a, b, omega, p, n_max):
+        # the E_h sum and the einsum over the (axes, d, d) gather differ only
+        # in rounding: within 4 d eps of the summed magnitudes of the terms
+        shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+        pairs = [(p, False), (p, True)]
+        dec, vectors = observables.branch_moments(shape, pairs, n_max)
+        want, sums = einsum_moments(shape, dec.eigenvectors, branch_momenta(shape, [p, p], n_max))
+        d = 2 * n_max + 1
+        assert np.all(np.abs(vectors - want) <= 4 * d * np.finfo(float).eps * sums)
 
 
 class TestClassicalMoment:
