@@ -78,7 +78,10 @@ class HelixShape:
         Number of windings per full turn around the z axis, >= 1.
 
     Any real number (numpy scalars included) is accepted and stored, once
-    validated, as a Python float (R, a, b) or int (omega).
+    validated, as a Python float (R, a, b) or int (omega).  The object also
+    keeps its longest ``winding_harmonics`` call (``_harmonics``) in its
+    instance dict, outside the fields: equality, hashing, ``repr`` and
+    pickling see only the four parameters.
     """
 
     R: float
@@ -110,6 +113,10 @@ class HelixShape:
         # Python numbers from here on: a numpy float32 would carry its
         # precision into the products, and a small numpy integer omega**3 wraps
         vars(self).update(R=float(self.R), a=float(self.a), b=float(self.b), omega=int(self.omega))
+
+    def __getstate__(self):
+        # a pickle or copy carries the parameters only, not the harmonics store
+        return {name: value for name, value in vars(self).items() if name != "_harmonics"}
 
 
 @dataclass(frozen=True)
@@ -386,6 +393,35 @@ def winding_harmonics(shape, count, potential=False):
     a0 = w2 / 64 * (7 * d2f - slopes[0])
     vc = slopes[1] / 8 - w2 / 64 * (slopes[0] + d2f) if potential else None
     return a0, 0.5 * f, vc
+
+
+def _harmonics(shape, count, potential=False):
+    """``winding_harmonics(shape, count, potential)`` as read-only prefixes of
+    the shape object's store, bit for bit the fresh call's arrays.
+
+    The store, kept in the shape's instance dict, is the longest call made
+    of this object so far, with V_c once a call has asked for it.  A request
+    past its length, or for V_c that it lacks, calls ``winding_harmonics``
+    again at the larger length, with V_c if either side asks for it: a
+    longer call keeps the first entries bit for bit, and V_c leaves A0 and
+    B as they are.  A result is stored only when every entry is finite, so
+    one that overflowed is recomputed, under whatever numpy error state the
+    next call runs.  Equal shapes built apart share nothing, and the store
+    goes with its shape.
+    """
+    store = vars(shape).get("_harmonics")
+    if store is None or store[1].size < count or (potential and store[2] is None):
+        length, with_vc = count, potential
+        if store is not None:
+            length, with_vc = max(count, store[1].size), potential or store[2] is not None
+        store = winding_harmonics(shape, length, with_vc)
+        rows = [x for x in store if x is not None]
+        for x in rows:
+            x.flags.writeable = False
+        if np.isfinite(np.concatenate(rows)).all():
+            vars(shape)["_harmonics"] = store
+    a0, b, vc = store
+    return a0[:count], b[:count], vc[:count] if potential else None
 
 
 def _moment_reach(shape, width):

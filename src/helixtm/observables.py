@@ -66,8 +66,10 @@ the whole turn and all three rows are formed.
 
 Each weight g / (2*pi*D), D = f^2, is a trig polynomial of degree 3 (z)
 or 4 (x and y) over D, so its harmonics come in closed form from those
-of 1/D (``geometry.moment_harmonics`` on ``geometry.winding_harmonics``),
-with no sampling and no stopping test.  ``moment_vectors`` therefore
+of 1/D (``geometry.moment_harmonics`` on the B_d of
+``geometry.winding_harmonics``, read from the shape's store
+``geometry._harmonics``), with no sampling and no stopping test.
+``moment_vectors`` therefore
 takes the moments of a whole stack of states of one shape and one n_max
 as arrays: coefficients (B, d, S), S states per group in columns (the
 eigenvectors of ``spectrum.branch_spectra``), and the groups' branch
@@ -239,7 +241,7 @@ def current(state, shape, phi):
 
 
 def _moments(shape, b, coefficients, k):
-    """``moment_vectors`` from the B_d of ``geometry.winding_harmonics`` and the
+    """``moment_vectors`` from the B_d of ``geometry._harmonics`` and the
     k table: (1/10) Re sum_h W_h E_h, summed from the highest harmonic down."""
     groups, d, per_group = coefficients.shape
     axes, weights = geometry.moment_harmonics(shape, b, d - 1)
@@ -260,11 +262,14 @@ def moment_vectors(shape, coefficients, ps):
     d = 2*n_max + 1 coefficients each (the ``eigenvectors`` of
     ``spectrum.branch_spectra``), and group b belongs to branch ps[b],
     whose wavenumbers p + omega*n come from ``spectrum.branch_momenta``.
-    Returns the (B, S, 3) moment vectors.
+    The B_d are a read-only prefix of the shape object's store
+    (``geometry._harmonics``), so after a solve of the same shape object
+    at this n_max the moments call no recurrence.  Returns the (B, S, 3)
+    moment vectors.
     """
     n_max = (coefficients.shape[1] - 1) // 2
     k = branch_momenta(shape, ps, n_max)
-    b = geometry.winding_harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
+    b = geometry._harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
     return _moments(shape, b, coefficients, k)
 
 
@@ -272,8 +277,12 @@ def branch_moments(shape, branches, n_max):
     """Spectra and moments of every (p, include_vc) pair, from one set of harmonics.
 
     Solves the stack of ``spectrum._hamiltonian_stack`` and takes the
-    moments from the k table and B_d it returns, so the spectra equal those
-    of ``spectrum.branch_spectra`` bit for bit, and the moments those of
+    moments from the k table and B_d it returns, both read from the shape
+    object's store (``geometry._harmonics``): one ``winding_harmonics``
+    call for a new shape, such as each ``moments`` or ``thermal`` command
+    builds, and none where the store already reaches that far (with V_c
+    if a pair asks for it).  The spectra equal those of
+    ``spectrum.branch_spectra`` bit for bit, and the moments those of
     ``moment_vectors`` of its eigenvectors.  Returns
     ``(decomposition, vectors)``: the ``EigenDecomposition`` of the stack
     and the (B, d, 3) moment vectors.

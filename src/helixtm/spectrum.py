@@ -78,10 +78,17 @@ the sampled rows A and B (``tests/oracles.py``).
 
 Only A depends on whether V_c is included and only k on the branch p,
 so ``_hamiltonian_stack`` assembles any list of (p, include_vc) pairs
-of a shape from one ``winding_harmonics`` call, as long as the moments
-read: A without V_c and A with V_c (each only if a pair needs it) and B.
-It returns the k table and B_d too, so ``observables.branch_moments``
-takes the moments from the same call, and the arc length is a complete
+of a shape from one set of harmonics, as long as the moments read: A
+without V_c and A with V_c (each only if a pair needs it) and B.  It
+reads them as read-only prefixes of the shape object's store
+(``geometry._harmonics``), which keeps the longest ``winding_harmonics``
+call made of that object, with V_c once asked for.  So a ladder of n_max
+and V_c choices on one shape calls the recurrence only where it grows,
+while a command line run, which builds its own shape, still makes one
+call.  A prefix of a longer call is the shorter call bit for bit, so the
+matrices do not depend on what was asked before.  ``_hamiltonian_stack``
+returns the k table and B_d too, so ``observables.branch_moments`` takes
+the moments from the same harmonics, and the arc length is a complete
 elliptic integral in the same constants (``geometry.arc_length``):
 nothing samples an angle.
 
@@ -113,7 +120,14 @@ from . import geometry
 from .linalg import HermitianMatrix, eigh_exact
 
 
+def _check_integer(name, value):
+    """Raise ValueError unless ``value`` is an integer (numpy integers included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+
+
 def _check_n_max(n_max):
+    _check_integer("n_max", n_max)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
 
@@ -134,10 +148,13 @@ class BlochBasis:
     omega: int
 
     def __post_init__(self):
+        _check_integer("omega", self.omega)
         if self.omega < 1:
             raise ValueError(f"omega must be >= 1, got {self.omega}")
         _check_branch(self.p, self.omega)
         _check_n_max(self.n_max)
+        # Python ints, as in ``geometry.HelixShape``: -n_max of a numpy unsigned wraps
+        vars(self).update(n_max=int(self.n_max), omega=int(self.omega))
 
     @property
     def indices(self):
@@ -161,6 +178,7 @@ class SpectrumConfig:
 
     def __post_init__(self):
         _check_n_max(self.n_max)
+        vars(self).update(n_max=int(self.n_max))
 
 
 @dataclass(frozen=True, init=False)
@@ -206,11 +224,13 @@ def branch_momenta(shape, ps, n_max):
     """The k = p + omega*n table of branches ``ps``, shape (len(ps), 2*n_max + 1).
 
     Row b holds the wavenumbers of branch ps[b] for n = -n_max..n_max,
-    as floats.  Branches and n_max are validated as in ``BlochBasis``.
+    as floats.  Branches and n_max are validated as in ``BlochBasis``, and
+    n_max is taken as a Python int, so a small numpy integer cannot wrap.
     """
     for p in ps:
         _check_branch(p, shape.omega)
     _check_n_max(n_max)
+    n_max = int(n_max)
     idx = np.arange(-n_max, n_max + 1)
     return np.add.outer(np.asarray(ps, dtype=float), shape.omega * idx)
 
@@ -219,21 +239,23 @@ def _hamiltonian_stack(shape, branches, n_max):
     """(H, k, B_d): the pairs' (len(branches), d, d) real symmetric matrices,
     their ``branch_momenta`` table and the B_d they were gathered from.
 
-    Every matrix gathers the closed-form harmonics d = |n - m| of one
-    ``geometry.winding_harmonics`` call into Re A_d + k_m k_n Re B_d with its
-    own k = p + omega*n (see the module docstring for why that is all of
-    A_d + k_n^2 B_d + i k_n C_d), symmetric bit for bit.  T_A is one gather
-    from the rows A0 and, if any pair asks for it, A0 + V_c, formed once.  The call is as
-    long as the moments read (``geometry._moment_reach``); a longer call
-    leaves the first d entries, all the matrices read, unchanged bit for bit.
+    Every matrix gathers the closed-form harmonics d = |n - m| into
+    Re A_d + k_m k_n Re B_d with its own k = p + omega*n (see the module
+    docstring for why that is all of A_d + k_n^2 B_d + i k_n C_d), symmetric
+    bit for bit.  T_A is one gather from the rows A0 and, if any pair asks
+    for it, A0 + V_c, formed once.  The harmonics, as many as the moments
+    read (``geometry._moment_reach``), are read-only prefixes of the shape's
+    store (``geometry._harmonics``): ``winding_harmonics`` runs only when
+    this object has not yet been asked for that many, or for V_c, and the
+    prefix is the fresh call bit for bit.
     """
     if not branches:
         raise ValueError("need at least one branch")
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
     with_vc = [bool(vc) for _, vc in branches]
-    a0, b, v_c = geometry.winding_harmonics(
-        shape, geometry._moment_reach(shape, 2 * n_max), any(with_vc))
-    idx = np.arange(2 * n_max + 1)
+    d = k.shape[1]  # 2*n_max + 1, as a Python int
+    a0, b, v_c = geometry._harmonics(shape, geometry._moment_reach(shape, d - 1), any(with_vc))
+    idx = np.arange(d)
     table = np.abs(idx - idx[:, None])  # |n - m|
     rows = np.array([a0, a0 + v_c]) if any(with_vc) else a0[None]
     t_a = rows[np.array(with_vc, dtype=np.intp)[:, None, None], table]

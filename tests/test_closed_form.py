@@ -11,22 +11,36 @@ the sampled weights.  The shapes cover seeded draws and the cases the
 recurrence could trip on: a double root of D, alpha = 0 (D linear in
 cos theta), one winding, and the flat and the tall coils, whose roots
 approach the unit circle (at theta = pi and at theta = +-pi/2).
+
+A shape object keeps its longest ``winding_harmonics`` call
+(``geometry._harmonics``), which the assembly and the moment pass read;
+the store rests on a longer call keeping the first harmonics bit for bit
+and on V_c leaving A0 and B as they are.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from helixtm import cli, geometry
 from helixtm.geometry import (
     HelixShape,
     _d_factor,
+    _harmonics,
     _moment_reach,
     moment_harmonics,
     winding_harmonics,
 )
-from helixtm.observables import branch_moments, moment_vectors
-from helixtm.spectrum import _hamiltonian_stack, branch_spectra
+from helixtm.observables import branch_moments, moment_vectors, toroidal_moment
+from helixtm.spectrum import (
+    SpectrumConfig,
+    _hamiltonian_stack,
+    branch_spectra,
+    make_basis,
+    solve_states,
+)
 from oracles import (
     list_of_rows_harmonics,
     sampled_hamiltonians,
@@ -84,17 +98,143 @@ def test_reference_trapezoid_has_converged():
     assert np.max(np.abs(finer - ref)) <= 1e-12 * np.max(np.abs(finer))
 
 
-@pytest.mark.parametrize("a, b, omega", [(0.75, 0.25, 6), (0.999, 0.001, 6), (0.3, 0.9, 40)])
+# the shapes the command line's checks run, where the recurrence could trip:
+# the flat coil, one winding, alpha = 0, a double root of D and a tall coil
+# in the g < 0 branch of ``_d_factor``
+CI_SHAPES = [
+    pytest.param(0.999, 0.001, 6, id="flattest-6"),
+    pytest.param(0.9, 0.1, 1, id="one-winding"),
+    pytest.param(0.5, 0.4330127018922193, 2, id="alpha-zero"),
+    pytest.param(0.50645, 0.49355, 4, id="double-root"),
+    pytest.param(0.5, 1e100, 17, id="tall-1e100-17"),
+]
+
+
+def _shape_draws(seed, count):
+    # (a, b, omega): half of ``_draws``, b/R in [0.01, 1], and half of
+    # ``_wide_draws``, b/R from 1e-3 to 1e100, log-uniform
+    for param in [*_draws(seed, count // 2), *_wide_draws(seed + 1, count - count // 2, 100)]:
+        yield pytest.param(*param.values[:3], id=param.id.rsplit("-", 1)[0])
+
+
+def _wide_draws(seed, count, max_log_b):
+    # b/R from 1e-3 to 10^max_log_b, log-uniform, so the tall coils whose
+    # products of two sizes of D are scaled (D(pi) > 2^500) are drawn too
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = float(rng.uniform(0.01, 0.99))
+        b = 10.0 ** float(rng.uniform(-3.0, max_log_b))
+        omega = int(rng.integers(1, 41))
+        size = int(rng.integers(1, 34))
+        yield pytest.param(a, b, omega, size, id=f"{a:.3f}-{b:.3g}-{omega}-{size}")
+
+
+@pytest.mark.parametrize("a, b, omega", [
+    (0.75, 0.25, 6), (0.999, 0.001, 6), (0.3, 0.9, 40), *CI_SHAPES[1:], *_shape_draws(37, 8)])
 def test_longer_recurrence_keeps_the_first_harmonics(a, b, omega):
+    # the premise of the shapes' harmonics store: a prefix of a longer call
+    # is the shorter call, and V_c does not move A0 or B
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
-    short = winding_harmonics(shape, 5, potential=True)
+    if b == 1e100:
+        assert _d_factor(shape)[10] < 0  # g
     long = winding_harmonics(shape, 65, potential=True)
-    for x, y in zip(short, long):
-        assert np.array_equal(x, y[:5])
+    for count in (2, 5, 33):
+        short = winding_harmonics(shape, count, potential=True)
+        for x, y in zip(short, long):
+            assert x.tobytes() == y[:count].tobytes()
     # V_c changes A only: B and A0 do not depend on whether it is formed
     without = winding_harmonics(shape, 65)
     assert without[2] is None
-    assert np.array_equal(without[0], long[0]) and np.array_equal(without[1], long[1])
+    assert without[0].tobytes() == long[0].tobytes() and without[1].tobytes() == long[1].tobytes()
+
+
+# (count, potential) requests of one shape object, in turn
+STORE_ORDERS = {
+    "growing": [(5, False), (12, True), (33, False), (65, True)],
+    "shrinking": [(65, False), (33, False), (12, False), (5, False), (2, False)],
+    "vc-off-then-on": [(20, False), (20, True), (8, False), (36, True), (36, False)],
+    "vc-on-then-off": [(20, True), (20, False), (8, True), (36, False), (12, True)],
+}
+
+
+def _same_arrays(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order", STORE_ORDERS)
+@pytest.mark.parametrize("a, b, omega", [*CI_SHAPES, *_shape_draws(41, 16)])
+def test_the_store_gives_the_fresh_calls(a, b, omega, order):
+    shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    fresh = HelixShape(R=1.0, a=a, b=b, omega=omega)
+    empty = (hash(shape), repr(shape), pickle.dumps(shape))
+    for count, potential in STORE_ORDERS[order]:
+        got = _harmonics(shape, count, potential)
+        want = winding_harmonics(HelixShape(R=1.0, a=a, b=b, omega=omega), count, potential)
+        _same_arrays(got, want)
+        assert not any(x.flags.writeable for x in got if x is not None)
+        assert all(x.flags.writeable for x in winding_harmonics(shape, count, potential)
+                   if x is not None)
+    # the store holds the longest call, with V_c once asked for
+    requests = STORE_ORDERS[order]
+    stored = vars(shape)["_harmonics"]
+    assert stored[1].size == max(count for count, _ in requests)
+    assert (stored[2] is not None) == any(potential for _, potential in requests)
+    assert "_harmonics" not in vars(fresh)
+    # the store is not part of the shape's value
+    assert shape == fresh and (hash(shape), repr(shape), pickle.dumps(shape)) == empty
+    loaded = pickle.loads(pickle.dumps(shape))
+    assert loaded == shape and repr(loaded) == repr(shape) and "_harmonics" not in vars(loaded)
+
+
+@pytest.mark.parametrize("potential", [False, True], ids=["A0-B", "with-Vc"])
+def test_a_non_finite_result_is_not_stored(potential):
+    # (omega b)^2 is finite and the constants overflow: ignored, the call
+    # gives NaN, which the store must not keep, so that the same request
+    # under over="raise" raises as the fresh call does
+    shape = HelixShape(R=1.0, a=0.5, b=1e200, omega=17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _harmonics(shape, 8, potential)
+    assert not np.isfinite(got[1]).any()
+    assert "_harmonics" not in vars(shape)
+    for call in (winding_harmonics, _harmonics):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            call(shape, 8, potential)
+
+
+def test_one_shape_makes_one_call_per_longer_request(monkeypatch, capsys):
+    # the gain of the store rests on one shape object asked for its
+    # harmonics more than once: a ladder of n_max 8, 12, 16, V_c off then
+    # on, calls winding_harmonics on its first pass only where it grows
+    # (20 entries, 20 with V_c, 28, 36), and the moments of its states read
+    # the same store.  A command builds its own shape: one call each
+    calls = []
+    original = geometry.winding_harmonics
+
+    def counted(shape, count, potential=False):
+        calls.append((count, potential))
+        return original(shape, count, potential)
+
+    monkeypatch.setattr(geometry, "winding_harmonics", counted)
+    shape = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
+    ladder = [SpectrumConfig(include_vc=vc, n_max=n) for n in (8, 12, 16) for vc in (False, True)]
+    states = [solve_states(shape, make_basis(shape, 1, config), config) for config in ladder]
+    assert calls == [(20, False), (20, True), (28, True), (36, True)]
+    again = [solve_states(shape, make_basis(shape, 1, config), config) for config in ladder]
+    assert len(calls) == 4
+    for first, second in zip(states, again):
+        assert [s.energy for s in first] == [s.energy for s in second]
+    for state in (s for solved in states for s in solved):
+        toroidal_moment(state, shape)
+    assert len(calls) == 4
+    argv = ["moments", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "0-5", "--n-max", "8"]
+    for _ in range(2):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == [(20, True)]
+    capsys.readouterr()
 
 
 def _interlacing_draws():
@@ -222,18 +362,6 @@ def test_tall_coil_harmonics_do_not_overflow(b):
     for x, want, scale in zip(got, ref, (ratio, 1 / ratio, ratio)):
         assert np.all(np.isfinite(x))
         assert np.allclose(x[::2] / scale, want[::2], rtol=4e-15, atol=0)
-
-
-def _wide_draws(seed, count, max_log_b):
-    # b/R from 1e-3 to 10^max_log_b, log-uniform, so the tall coils whose
-    # products of two sizes of D are scaled (D(pi) > 2^500) are drawn too
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        a = float(rng.uniform(0.01, 0.99))
-        b = 10.0 ** float(rng.uniform(-3.0, max_log_b))
-        omega = int(rng.integers(1, 41))
-        size = int(rng.integers(1, 34))
-        yield pytest.param(a, b, omega, size, id=f"{a:.3f}-{b:.3g}-{omega}-{size}")
 
 
 @pytest.mark.parametrize("a, b, omega, count", [

@@ -98,6 +98,43 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpectrumConfig(n_max=1)
 
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, np.float64(4.0), True, "3", None])
+    def test_non_integer_n_max_is_rejected(self, n_max):
+        # a float n_max once constructed and then failed inside numpy with a
+        # bare TypeError; it also sizes the shape's harmonics store
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            SpectrumConfig(n_max=n_max)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            BlochBasis(p=1, n_max=n_max, omega=4)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            branch_spectra(FLAT6, [(1, True)], n_max)
+
+    @pytest.mark.parametrize("omega", [2.5, 4.0, np.float64(4.0), True])
+    def test_basis_rejects_non_integer_omega(self, omega):
+        # BlochBasis(p=0, n_max=2, omega=2.5).momentum(1) was 2.5
+        with pytest.raises(ValueError, match="omega must be an integer"):
+            BlochBasis(p=0, n_max=2, omega=omega)
+
+    @pytest.mark.parametrize("kind, n_max", [(np.int8, 100), (np.uint16, 3), (np.int64, 8)])
+    def test_numpy_integer_n_max_sizes_the_arrays(self, kind, n_max):
+        # 2 * int8(100) and -uint16(3) wrap in numpy arithmetic; the array API
+        # takes n_max as a Python int, so the harmonics and matrices are those
+        # of the int
+        pairs = [(1, False), (1, True)]
+        got = branch_spectra(HelixShape(R=1.0, a=0.75, b=0.25, omega=6), pairs, kind(n_max))
+        want = branch_spectra(HelixShape(R=1.0, a=0.75, b=0.25, omega=6), pairs, n_max)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int32, np.int64, np.uint16])
+    def test_numpy_integers_are_accepted(self, kind):
+        config = SpectrumConfig(include_vc=True, n_max=kind(3))
+        basis = BlochBasis(p=1, n_max=kind(3), omega=kind(6))
+        assert basis.momentum(1) == 7 and basis.dim == 7
+        got = solve_states(FLAT6, basis, config)
+        want = solve_states(FLAT6, BlochBasis(p=1, n_max=3, omega=6), SpectrumConfig(n_max=3))
+        assert [s.energy for s in got] == [s.energy for s in want]
+
     def test_element_rejects_out_of_range_indices(self):
         basis = BlochBasis(p=1.0, n_max=2, omega=6)
         cfg = SpectrumConfig()
