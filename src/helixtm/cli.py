@@ -47,7 +47,7 @@ from .observables import (
     loop_current,
     thermal_average,
 )
-from .spectrum import branch_momenta, branch_spectra
+from .spectrum import branch_spectra
 
 GEOMETRY_HEADER = "phi,x,y,z,f,kappa,tau,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz"
 
@@ -377,8 +377,7 @@ def _cmd_current(settings):
     if settings.grid < 2 * shape.omega:
         raise UsageError(f"--grid must be >= 2*omega = {2 * shape.omega}, got {settings.grid}")
     dec = branch_spectra(shape, pairs, settings.n_max)
-    k = branch_momenta(shape, [p for p, _ in pairs], settings.n_max)
-    harmonics = observables._current_harmonics(dec.eigenvectors, k)
+    harmonics = observables._current_harmonics(shape, dec.eigenvectors, [p for p, _ in pairs])
     phi = _grid_angles(settings)
     header = ["phi"] + [
         f"j[p={p};alpha={alpha};vc={'on' if include_vc else 'off'}]"

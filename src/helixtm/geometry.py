@@ -395,9 +395,11 @@ def winding_harmonics(shape, count, potential=False):
     return a0, 0.5 * f, vc
 
 
-def _harmonics(shape, count, potential=False):
-    """``winding_harmonics(shape, count, potential)`` as read-only prefixes of
-    the shape object's store, bit for bit the fresh call's arrays.
+def _harmonics(shape, width, potential=False):
+    """``winding_harmonics(shape, _moment_reach(shape, width), potential)``, the
+    harmonics that a basis reading harmonics 0..width (``2 n_max``) and the
+    moments of its states need, as read-only prefixes of the shape object's
+    store, bit for bit the fresh call's arrays.
 
     The store, kept in the shape's instance dict, is the longest call made
     of this object so far, with V_c once a call has asked for it.  A request
@@ -409,6 +411,7 @@ def _harmonics(shape, count, potential=False):
     next call runs.  Equal shapes built apart share nothing, and the store
     goes with its shape.
     """
+    count = _moment_reach(shape, width)
     store = vars(shape).get("_harmonics")
     if store is None or store[1].size < count or (potential and store[2] is None):
         length, with_vc = count, potential
@@ -457,29 +460,28 @@ def _moment_numerators(shape, scale):
     return [(axis, *rows[axis]) for axis in sorted(rows)]
 
 
-def moment_harmonics(shape, b, width):
+def moment_harmonics(shape, width):
     """(axes, harmonics d = 0..width of the toroidal-moment weights g_axis / (2 pi D)).
 
     Entry [i, d] is Integral_0^{2pi} g_i(theta) / (2 pi D) e^{i d theta} dtheta,
     the harmonic of g_i / D, for the rows ``axes`` of g = (r' . r) r - 2 r^2 r'
     that ``_moment_numerators`` forms; the weights are real, so harmonic -d
-    is the conjugate of harmonic d.  ``b`` holds the B_d = F_d / 2,
-    d >= 0, of ``winding_harmonics``, where F_d are the harmonics of 1/D,
-    even in d.  Each g_axis is sin(theta)^odd times
+    is the conjugate of harmonic d.  They come from the B_d = F_d / 2,
+    d >= 0, of the shape's store (``_harmonics``), where F_d are the
+    harmonics of 1/D, even in d.  Each g_axis is sin(theta)^odd times
     a polynomial P in c = cos theta (``_moment_numerators``), of degree 3
     for z and 4 for x and y as trig polynomials.  Multiplying by c maps
     harmonics X_d to (X_{d-1} + X_{d+1})/2, so P(c)/D follows from F by
     Horner's rule, and the factor sin(theta) maps X_d to
     (X_{d+1} - X_{d-1})/(2i): the x row is odd, its harmonics imaginary.
-    ``b`` needs ``_moment_reach`` entries.  No angle is sampled.  The
-    coefficients of P reach the size of D^(3/2), so they are taken over
-    ``_tall`` and F times it: the products are the unscaled ones bit for
-    bit.
+    Harmonic width reads F up to the numerators' degree past it, as many
+    as the store forms for ``width`` (``_moment_reach``).  No angle is
+    sampled.  The coefficients of P reach the size of D^(3/2), so they are
+    taken over ``_tall`` and F times it: the products are the unscaled ones
+    bit for bit.
     """
     scale = _tall(shape)
-    f = 2.0 / scale * np.asarray(b)
-    if f.size < _moment_reach(shape, width):
-        raise ValueError(f"{f.size} harmonics of 1/D do not reach harmonic {width} of the moments")
+    f = 2.0 / scale * _harmonics(shape, width)[1]
     full = np.concatenate([f[:0:-1], f])  # F_d for d = 1 - size..size - 1
     rows = _moment_numerators(shape, scale)
     out = []

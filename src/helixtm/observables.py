@@ -24,10 +24,11 @@ tabulates the currents of a whole stack of states of one shape: the E_h
 of every state, then one table of cos h theta (and of sin h theta) and
 one f^2 = D for the stack, all from cos and sin of the exact winding
 angle (``_winding_angle``); ``current`` is its one-state case.
-``currents`` and ``moment_vectors`` take each group's branch index p
-and form k from it with ``spectrum.branch_momenta``, the one form of the
-k table, which also checks that p is an integer with 0 <= p < omega and
-that n_max >= 2.
+``currents`` and ``moment_vectors`` take each group's branch index p,
+and ``_current_harmonics``, which both call, checks the stack's shape
+and forms k from the indices with ``spectrum.branch_momenta``, the one
+form of the k table, which also checks that p is an integer with
+0 <= p < omega and that n_max >= 2.
 
 The toroidal (anapole) moment of a line current j(phi) flowing along the
 curve is
@@ -66,20 +67,20 @@ the whole turn and all three rows are formed.
 
 Each weight g / (2*pi*D), D = f^2, is a trig polynomial of degree 3 (z)
 or 4 (x and y) over D, so its harmonics come in closed form from those
-of 1/D (``geometry.moment_harmonics`` on the B_d of
-``geometry.winding_harmonics``, read from the shape's store
+of 1/D (``geometry.moment_harmonics``, which reads the B_d of
+``geometry.winding_harmonics`` from the shape's store
 ``geometry._harmonics``), with no sampling and no stopping test.
 ``moment_vectors`` therefore
 takes the moments of a whole stack of states of one shape and one n_max
 as arrays: coefficients (B, d, S), S states per group in columns (the
 eigenvectors of ``spectrum.branch_spectra``), and the groups' branch
 indices, from the harmonics 0..2*n_max, elementwise as the currents are.
-``branch_moments`` solves the stack of
-``spectrum._hamiltonian_stack`` and takes the moments from the k table
-and B_d that come with it, so its spectra are those of
-``spectrum.branch_spectra`` bit for bit.  The command line's ``moments`` and
-``thermal`` use it, and ``moments`` takes the arc length of the
-classical column apart, also in closed form (``geometry.arc_length``).
+``branch_moments`` is ``spectrum.branch_spectra`` followed by
+``moment_vectors`` of its eigenvectors; the solve and the moments read
+one store, so a new shape makes one ``winding_harmonics`` call.  The
+command line's ``moments`` and ``thermal`` use it, and ``moments``
+takes the arc length of the classical column apart, also in closed
+form (``geometry.arc_length``).
 ``toroidal_moment`` is the one-state case of ``moment_vectors``, wrapped
 in a ``MomentResult``.
 ``classical_moment_numeric`` takes the same rows of g as the mean of a
@@ -103,8 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .linalg import eigh_exact
-from .spectrum import _hamiltonian_stack, branch_momenta
+from .spectrum import branch_momenta, branch_spectra
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,23 @@ class ThermalSpec:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def _current_harmonics(coefficients, k):
-    """E_h, h = 0..2*n_max, of the currents of a (B, d, S) stack of states and
-    its (B, d) k table: row h holds E_h of every state, group-major, real for
-    real coefficients.
+def _current_harmonics(shape, coefficients, ps):
+    """E_h, h = 0..2*n_max, of the currents of a (B, d, S) stack of states,
+    group b in branch ps[b]: row h holds E_h of every state, group-major,
+    real for real coefficients.
 
-    E_0 = sum_n |c_n|^2 k_n and E_h = B_h + conj(B_-h), where B_h sums
-    conj(c_m) k_n c_n over n - m = h, in order of m; every state's column is
-    formed elementwise, so it does not depend on the rest of the stack.
+    The stack must be 3-d with an odd d and one branch index per group,
+    and k comes from ``spectrum.branch_momenta``.  E_0 = sum_n |c_n|^2 k_n
+    and E_h = B_h + conj(B_-h), where B_h sums conj(c_m) k_n c_n over
+    n - m = h, in order of m; every state's column is formed elementwise,
+    so it does not depend on the rest of the stack.
     """
-    _, d, per_group = coefficients.shape
+    size = np.shape(coefficients)
+    if len(size) != 3 or size[1] % 2 == 0 or size[0] != len(ps):
+        raise ValueError(f"coefficients must be a (len(ps), 2*n_max + 1, S) stack for "
+                         f"{len(ps)} branch indices, got shape {size}")
+    _, d, per_group = size
+    k = branch_momenta(shape, ps, (d - 1) // 2)
     # (d, states), C-contiguous: row n holds c_n of every state
     c = np.ascontiguousarray(np.swapaxes(coefficients, 0, 1)).reshape(d, -1)
     kc = np.repeat(k.T, per_group, axis=1) * c
@@ -229,9 +236,8 @@ def currents(shape, coefficients, ps, phi):
     in any stack.  Returns the currents as a (B, S) + phi.shape array, the
     current of column s of group b at ``[b, s]``.
     """
-    groups, d, per_group = coefficients.shape
-    k = branch_momenta(shape, ps, (d - 1) // 2)
-    j = _current_series(shape, _current_harmonics(coefficients, k), phi)
+    j = _current_series(shape, _current_harmonics(shape, coefficients, ps), phi)
+    groups, _, per_group = np.shape(coefficients)
     return j.reshape((groups, per_group) + j.shape[1:])
 
 
@@ -240,56 +246,44 @@ def current(state, shape, phi):
     return currents(shape, state.coefficients[None, :, None], [state.p], phi)[0, 0]
 
 
-def _moments(shape, b, coefficients, k):
-    """``moment_vectors`` from the B_d of ``geometry._harmonics`` and the
-    k table: (1/10) Re sum_h W_h E_h, summed from the highest harmonic down."""
-    groups, d, per_group = coefficients.shape
-    axes, weights = geometry.moment_harmonics(shape, b, d - 1)
-    e = _current_harmonics(coefficients, k)
+def moment_vectors(shape, coefficients, ps):
+    """Toroidal moment vectors of stacks of states of one shape, from closed-form harmonics.
+
+    ``coefficients`` has shape (B, d, S): S states per group in columns,
+    d = 2*n_max + 1 coefficients each (the ``eigenvectors`` of
+    ``spectrum.branch_spectra``), and group b belongs to branch ps[b].
+    Each moment is (1/10) Re sum_h W_h E_h, summed from the highest
+    harmonic down, over the current harmonics E_h (``_current_harmonics``,
+    which forms k) and the weights' harmonics W_h
+    (``geometry.moment_harmonics``, which reads B_d from the shape's
+    store), so after a solve of the same shape object at this n_max the
+    moments call no recurrence.  Returns the (B, S, 3) moment vectors.
+    """
+    e = _current_harmonics(shape, coefficients, ps)
+    axes, weights = geometry.moment_harmonics(shape, e.shape[0] - 1)
     terms = (e[:, :, None] * weights.T[:, None]).real  # W_h E_h at [h, state, axis]
     t = np.zeros(terms.shape[1:])
     for term in terms[::-1]:
         t += term
     vectors = np.zeros((e.shape[1], 3))
     vectors[:, axes] = t
+    groups, _, per_group = np.shape(coefficients)
     return (vectors / 10.0).reshape(groups, per_group, 3)
 
 
-def moment_vectors(shape, coefficients, ps):
-    """Toroidal moment vectors of stacks of states of one shape, from closed-form harmonics.
-
-    ``coefficients`` has shape (B, d, S): S states per group in columns,
-    d = 2*n_max + 1 coefficients each (the ``eigenvectors`` of
-    ``spectrum.branch_spectra``), and group b belongs to branch ps[b],
-    whose wavenumbers p + omega*n come from ``spectrum.branch_momenta``.
-    The B_d are a read-only prefix of the shape object's store
-    (``geometry._harmonics``), so after a solve of the same shape object
-    at this n_max the moments call no recurrence.  Returns the (B, S, 3)
-    moment vectors.
-    """
-    n_max = (coefficients.shape[1] - 1) // 2
-    k = branch_momenta(shape, ps, n_max)
-    b = geometry._harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
-    return _moments(shape, b, coefficients, k)
-
-
 def branch_moments(shape, branches, n_max):
-    """Spectra and moments of every (p, include_vc) pair, from one set of harmonics.
+    """Spectra and moments of every (p, include_vc) pair: ``spectrum.branch_spectra``
+    and ``moment_vectors`` of its eigenvectors.
 
-    Solves the stack of ``spectrum._hamiltonian_stack`` and takes the
-    moments from the k table and B_d it returns, both read from the shape
-    object's store (``geometry._harmonics``): one ``winding_harmonics``
-    call for a new shape, such as each ``moments`` or ``thermal`` command
-    builds, and none where the store already reaches that far (with V_c
-    if a pair asks for it).  The spectra equal those of
-    ``spectrum.branch_spectra`` bit for bit, and the moments those of
-    ``moment_vectors`` of its eigenvectors.  Returns
+    Both read the shape object's store (``geometry._harmonics``), so a new
+    shape, such as each ``moments`` or ``thermal`` command builds, makes one
+    ``winding_harmonics`` call, and a shape whose store already reaches that
+    far (with V_c if a pair asks for it) makes none.  Returns
     ``(decomposition, vectors)``: the ``EigenDecomposition`` of the stack
     and the (B, d, 3) moment vectors.
     """
-    stack, k, b = _hamiltonian_stack(shape, branches, n_max)
-    dec = eigh_exact(stack)
-    return dec, _moments(shape, b, dec.eigenvectors, k)
+    dec = branch_spectra(shape, branches, n_max)
+    return dec, moment_vectors(shape, dec.eigenvectors, [p for p, _ in branches])
 
 
 def toroidal_moment(state, shape):

@@ -78,19 +78,18 @@ the sampled rows A and B (``tests/oracles.py``).
 
 Only A depends on whether V_c is included and only k on the branch p,
 so ``_hamiltonian_stack`` assembles any list of (p, include_vc) pairs
-of a shape from one set of harmonics, as long as the moments read: A
-without V_c and A with V_c (each only if a pair needs it) and B.  It
-reads them as read-only prefixes of the shape object's store
-(``geometry._harmonics``), which keeps the longest ``winding_harmonics``
-call made of that object, with V_c once asked for.  So a ladder of n_max
-and V_c choices on one shape calls the recurrence only where it grows,
-while a command line run, which builds its own shape, still makes one
-call.  A prefix of a longer call is the shorter call bit for bit, so the
-matrices do not depend on what was asked before.  ``_hamiltonian_stack``
-returns the k table and B_d too, so ``observables.branch_moments`` takes
-the moments from the same harmonics, and the arc length is a complete
-elliptic integral in the same constants (``geometry.arc_length``):
-nothing samples an angle.
+of a shape from one set of harmonics: A without V_c and A with V_c
+(each only if a pair needs it) and B.  It reads them as read-only
+prefixes of the shape object's store (``geometry._harmonics``), which
+keeps the longest ``winding_harmonics`` call made of that object, with
+V_c once asked for, and alone decides how many harmonics a basis of
+width 2*n_max needs.  So a ladder of n_max and V_c choices on one shape
+calls the recurrence only where it grows, while a command line run,
+which builds its own shape, still makes one call.  A prefix of a longer
+call is the shorter call bit for bit, so the matrices do not depend on
+what was asked before.  The arc length is a complete elliptic integral
+in the same constants (``geometry.arc_length``): nothing samples an
+angle.
 
 ``branch_spectra`` keeps the stack as one (B, d, d) array and solves it
 with ``linalg.eigh_exact``: a finite check, one LAPACK call and one sign
@@ -100,9 +99,9 @@ rule for all B matrices, giving energies (B, d) and coefficients
 result here: the stack equals its transpose bit for bit, so its drift is
 exactly 0 and its average (H + H^T)/2 is H bit for bit.
 ``branch_momenta`` is the matching k = p + omega*n table, the one form
-of it: ``_hamiltonian_stack`` reads it, and ``observables.moment_vectors``
-and ``observables.currents`` form it from the branch indices they take
-with the coefficients.  Arrays are the only batch path; the one-branch
+of it: ``_hamiltonian_stack`` forms it from the pairs' branch indices,
+and the observables from the branch indices they take with the
+coefficients.  Arrays are the only batch path; the one-branch
 API wraps them in objects: ``build_hamiltonian`` is one matrix of the
 stack as a ``HermitianMatrix`` and ``solve_states`` one pair of
 ``branch_spectra`` as a list of ``EigenState`` objects.
@@ -133,6 +132,9 @@ def _check_n_max(n_max):
 
 
 def _check_branch(p, omega):
+    # a real number: 1.0 is the integer 1, True is not a branch
+    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+        raise ValueError(f"branch index must be an integer, got p={p!r}")
     if not 0 <= p < omega:
         raise ValueError(f"branch index must satisfy 0 <= p < omega, got p={p}")
     if p != int(p):  # e^{i(p + omega n) phi} is periodic on the closed curve only for integer p
@@ -236,36 +238,34 @@ def branch_momenta(shape, ps, n_max):
 
 
 def _hamiltonian_stack(shape, branches, n_max):
-    """(H, k, B_d): the pairs' (len(branches), d, d) real symmetric matrices,
-    their ``branch_momenta`` table and the B_d they were gathered from.
+    """The pairs' (len(branches), d, d) real symmetric matrices.
 
     Every matrix gathers the closed-form harmonics d = |n - m| into
     Re A_d + k_m k_n Re B_d with its own k = p + omega*n (see the module
     docstring for why that is all of A_d + k_n^2 B_d + i k_n C_d), symmetric
     bit for bit.  T_A is one gather from the rows A0 and, if any pair asks
-    for it, A0 + V_c, formed once.  The harmonics, as many as the moments
-    read (``geometry._moment_reach``), are read-only prefixes of the shape's
-    store (``geometry._harmonics``): ``winding_harmonics`` runs only when
-    this object has not yet been asked for that many, or for V_c, and the
-    prefix is the fresh call bit for bit.
+    for it, A0 + V_c, formed once.  The harmonics are read-only prefixes of
+    the shape's store (``geometry._harmonics``): ``winding_harmonics`` runs
+    only when this object has not yet been asked for that many, or for V_c,
+    and the prefix is the fresh call bit for bit.
     """
     if not branches:
         raise ValueError("need at least one branch")
     k = branch_momenta(shape, [p for p, _ in branches], n_max)
     with_vc = [bool(vc) for _, vc in branches]
     d = k.shape[1]  # 2*n_max + 1, as a Python int
-    a0, b, v_c = geometry._harmonics(shape, geometry._moment_reach(shape, d - 1), any(with_vc))
+    a0, b, v_c = geometry._harmonics(shape, d - 1, any(with_vc))
     idx = np.arange(d)
     table = np.abs(idx - idx[:, None])  # |n - m|
     rows = np.array([a0, a0 + v_c]) if any(with_vc) else a0[None]
     t_a = rows[np.array(with_vc, dtype=np.intp)[:, None, None], table]
-    return t_a + k[:, :, None] * k[:, None, :] * b[table], k, b
+    return t_a + k[:, :, None] * k[:, None, :] * b[table]
 
 
 def build_hamiltonian(shape, basis, config):
     """The HermitianMatrix of one branch over the basis (``_hamiltonian_stack`` of one pair)."""
     pair = [(basis.p, config.include_vc)]
-    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max)[0][0])
+    return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max)[0])
 
 
 def make_basis(shape, p, config):
@@ -283,10 +283,10 @@ def branch_spectra(shape, branches, n_max):
     ``EigenDecomposition`` with ``eigenvalues`` (B, d), ascending per
     pair, and ``eigenvectors`` (B, d, d), the coefficients of state alpha
     of pair b in column ``eigenvectors[b, :, alpha]`` (row i multiplies
-    chi_n, n = i - n_max).  ``observables.branch_moments`` solves the
-    same stack and keeps its k and B_d for the moments.
+    chi_n, n = i - n_max).  ``observables.branch_moments`` takes the
+    moments of these eigenvectors.
     """
-    return eigh_exact(_hamiltonian_stack(shape, branches, n_max)[0])
+    return eigh_exact(_hamiltonian_stack(shape, branches, n_max))
 
 
 def solve_states(shape, basis, config):

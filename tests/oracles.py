@@ -46,6 +46,10 @@ times the spec's points per winding, the density production works at.
 its cosine series, Re[conj(S0) S1] from one table of e^{i n omega phi},
 and ``cosine_series_currents`` the series itself, one state at a time in
 production's order of operations, without the power of two of tall coils.
+``series_moments`` is ``observables.moment_vectors`` in the same way:
+each state's sum of W_h E_h in production's order of operations.  Both
+take the k table as given, where production forms it from the branch
+indices.
 """
 
 import math
@@ -215,8 +219,8 @@ def hamiltonian_element(shape, basis, m, n, config, quad=None):
 
 
 def sampled_hamiltonians(shape, branches, n_max, points):
-    """The (len(branches), d, d) matrices of ``spectrum._hamiltonian_stack``
-    from a ``points``-node trapezoid of the sampled rows.
+    """The (len(branches), d, d) stack that ``spectrum._hamiltonian_stack``
+    returns, from a ``points``-node trapezoid of the sampled rows.
 
     The pass that built H before the closed form: A0, A0 + V_c and B of
     ``hamiltonian_rows`` at ``points`` winding angles, their harmonics
@@ -431,20 +435,51 @@ def cosine_series_currents(shape, coefficients, k, phi):
     for b in range(groups):
         for s in range(per_group):
             c = coefficients[b, :, s]
-            kc = k[b] * c
-
-            def b_h(h):
-                total = 0.0
-                for m in range(d):
-                    if 0 <= m + h < d:
-                        total += np.conj(c[m]) * kc[m + h]
-                return total
-
+            e = _state_harmonics(c, k[b])
             j = 0.0
             for h in range(d - 1, 0, -1):
-                e_h = b_h(h) + np.conj(b_h(-h))
-                j = j + e_h.real * harmonics[h][0]
+                j = j + e[h].real * harmonics[h][0]
                 if np.iscomplexobj(c):
-                    j = j - e_h.imag * harmonics[h][1]
-            out[b, s] = (j + b_h(0).real) / (2.0 * math.pi * D)
+                    j = j - e[h].imag * harmonics[h][1]
+            out[b, s] = (j + e[0]) / (2.0 * math.pi * D)
     return out
+
+
+def series_moments(shape, coefficients, k):
+    """The (B, S, 3) moment vectors of ``observables.moment_vectors``, one
+    state at a time and in its order of operations, with the k table handed in.
+
+    (1/10) Re sum_h W_h E_h per state, with the current harmonics E_h of
+    ``cosine_series_currents`` and the weights W_h of
+    ``geometry.moment_harmonics``, summed from the highest harmonic down.
+    """
+    groups, d, per_group = coefficients.shape
+    axes, weights = geometry.moment_harmonics(shape, d - 1)
+    out = np.zeros((groups, per_group, 3))
+    for b in range(groups):
+        for s in range(per_group):
+            e = _state_harmonics(coefficients[b, :, s], k[b])
+            t = 0.0
+            for h in range(d - 1, -1, -1):
+                t = t + (e[h] * weights[:, h]).real
+            out[b, s, axes] = t / 10.0
+    return out
+
+
+def _state_harmonics(c, k):
+    """E_h, h = 0..d-1, of one state's coefficients c and its k row.
+
+    E_0 = sum_n |c_n|^2 k_n and E_h = B_h + conj(B_-h), B_h summing
+    conj(c_m) k_n c_n over n - m = h in order of m.
+    """
+    d = len(c)
+    kc = k * c
+
+    def b_h(h):
+        total = 0.0
+        for m in range(d):
+            if 0 <= m + h < d:
+                total += np.conj(c[m]) * kc[m + h]
+        return total
+
+    return [b_h(0).real] + [b_h(h) + np.conj(b_h(-h)) for h in range(1, d)]

@@ -82,7 +82,7 @@ def _stack(shape):
 def test_matrices_match_a_fine_trapezoid(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     pairs = _stack(shape)
-    got = _hamiltonian_stack(shape, pairs, n_max)[0]
+    got = _hamiltonian_stack(shape, pairs, n_max)
     want = sampled_hamiltonians(shape, pairs, n_max, REFERENCE_POINTS)
     for h, ref in zip(got, want):
         assert np.max(np.abs(h - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -170,8 +170,9 @@ def test_the_store_gives_the_fresh_calls(a, b, omega, order):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     fresh = HelixShape(R=1.0, a=a, b=b, omega=omega)
     empty = (hash(shape), repr(shape), pickle.dumps(shape))
-    for count, potential in STORE_ORDERS[order]:
-        got = _harmonics(shape, count, potential)
+    for width, potential in STORE_ORDERS[order]:
+        count = _moment_reach(shape, width)
+        got = _harmonics(shape, width, potential)
         want = winding_harmonics(HelixShape(R=1.0, a=a, b=b, omega=omega), count, potential)
         _same_arrays(got, want)
         assert not any(x.flags.writeable for x in got if x is not None)
@@ -180,7 +181,7 @@ def test_the_store_gives_the_fresh_calls(a, b, omega, order):
     # the store holds the longest call, with V_c once asked for
     requests = STORE_ORDERS[order]
     stored = vars(shape)["_harmonics"]
-    assert stored[1].size == max(count for count, _ in requests)
+    assert stored[1].size == max(_moment_reach(shape, width) for width, _ in requests)
     assert (stored[2] is not None) == any(potential for _, potential in requests)
     assert "_harmonics" not in vars(fresh)
     # the store is not part of the shape's value
@@ -229,11 +230,19 @@ def test_one_shape_makes_one_call_per_longer_request(monkeypatch, capsys):
     for state in (s for solved in states for s in solved):
         toroidal_moment(state, shape)
     assert len(calls) == 4
-    argv = ["moments", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "0-5", "--n-max", "8"]
-    for _ in range(2):
-        calls.clear()
-        assert cli.main(argv) == 0
-        assert calls == [(20, True)]
+    coil = ["--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "0-5", "--n-max", "8"]
+    commands = [
+        (["moments"], [(20, True)]),
+        (["spectrum", "--both"], [(20, True)]),
+        (["spectrum", "--without-vc"], [(20, False)]),
+        (["current", "--grid", "64"], [(20, True)]),
+        (["thermal", "--temperature", "0.1"], [(20, True)]),
+    ]
+    for command, want in commands:
+        for _ in range(2):
+            calls.clear()
+            assert cli.main(command + coil) == 0
+            assert calls == want, command
     capsys.readouterr()
 
 
@@ -255,8 +264,8 @@ def test_levels_interlace_as_the_basis_grows(shape, p, n_max):
     # bit for bit, so Cauchy interlacing bounds every level:
     # E_k(n_max + 1) <= E_k(n_max) <= E_{k+2}(n_max + 1)
     pairs = [(p, False), (p, True)]
-    small = _hamiltonian_stack(shape, pairs, n_max)[0]
-    big = _hamiltonian_stack(shape, pairs, n_max + 1)[0]
+    small = _hamiltonian_stack(shape, pairs, n_max)
+    big = _hamiltonian_stack(shape, pairs, n_max + 1)
     assert np.array_equal(big[:, 1:-1, 1:-1], small)
     e_small = branch_spectra(shape, pairs, n_max).eigenvalues
     e_big = branch_spectra(shape, pairs, n_max + 1).eigenvalues
@@ -278,8 +287,7 @@ MOMENT_SHAPES = [
 
 
 def _moment_harmonics(shape, n_max):
-    b = winding_harmonics(shape, _moment_reach(shape, 2 * n_max))[1]
-    return moment_harmonics(shape, b, 2 * n_max)[1]
+    return moment_harmonics(shape, 2 * n_max)[1]
 
 
 @pytest.mark.parametrize("a, b, omega, n_max", [*_draws(20, 12), *MOMENT_SHAPES])
@@ -311,17 +319,14 @@ def test_moment_reference_trapezoid_has_converged():
 
 def test_moment_harmonics_need_the_numerator_degree():
     # harmonic d of g / D reads F up to d + 4 (x, y, at omega = 1) or d + 3
-    # (z alone)
+    # (z alone): the store forms that many for the width asked
     one, two = (HelixShape(R=1.0, a=0.9, b=0.1, omega=w) for w in (1, 2))
     assert _moment_reach(one, 7) == _moment_reach(two, 8) == 12
-    axes, weights = moment_harmonics(one, winding_harmonics(one, 12)[1], 7)
+    axes, weights = moment_harmonics(one, 7)
     assert list(axes) == [0, 1, 2] and weights.shape == (3, 8)
-    with pytest.raises(ValueError, match="do not reach harmonic 8"):
-        moment_harmonics(one, winding_harmonics(one, 12)[1], 8)
-    axes, weights = moment_harmonics(two, winding_harmonics(two, 12)[1], 8)
+    axes, weights = moment_harmonics(two, 8)
     assert list(axes) == [2] and weights.shape == (1, 9)
-    with pytest.raises(ValueError, match="do not reach harmonic 9"):
-        moment_harmonics(two, winding_harmonics(two, 12)[1], 9)
+    assert vars(one)["_harmonics"][1].size == vars(two)["_harmonics"][1].size == 12
 
 
 def _moment_stacks():
@@ -398,7 +403,7 @@ def test_moment_weights_equal_the_unscaled_horner(a, b, omega, count):
     # their bits.  Production keeps the oracle's harmonics d >= 0
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     harmonics = winding_harmonics(shape, _moment_reach(shape, count))[1]
-    got = moment_harmonics(shape, harmonics, count)[1]
+    got = moment_harmonics(shape, count)[1]
     assert got.tobytes() == unscaled_moment_harmonics(shape, harmonics, count)[:, count:].tobytes()
 
 

@@ -347,8 +347,7 @@ class TestMomentsFromCurrentHarmonics:
         shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
         n_max = 128
         dec, vectors = observables.branch_moments(shape, [(p, True)], n_max)
-        k = branch_momenta(shape, [p], n_max)
-        e = observables._current_harmonics(dec.eigenvectors[:, :, :1], k)[:, 0]
+        e = observables._current_harmonics(shape, dec.eigenvectors[:, :, :1], [p])[:, 0]
         loop = np.sum(e * geometry.winding_harmonics(shape, 2 * n_max + 1)[1]) / math.pi
         assert_allclose(vectors[0, 0, 2], classical_moment_closed(shape, loop)[2], rtol=1e-10, atol=0)
 

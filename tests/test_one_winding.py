@@ -43,7 +43,7 @@ def test_matrices_match_full_turn_elements(a, b, omega):
     # tolerance the assembly works to.
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     branches = [(omega - 1, False), (omega - 1, True)]
-    for (p, include_vc), h in zip(branches, _hamiltonian_stack(shape, branches, N_MAX)[0]):
+    for (p, include_vc), h in zip(branches, _hamiltonian_stack(shape, branches, N_MAX)):
         scale = max(1.0, float(np.max(np.abs(h))))
         cfg = SpectrumConfig(include_vc=include_vc, n_max=N_MAX)
         quad = QuadratureSpec(tolerance=1e-10 * scale)

@@ -285,7 +285,7 @@ class TestSpectralAssembly:
         ],
     )
     def test_batched_matrices_match_hamiltonian_element(self, shape, branches, n_max):
-        mats = _hamiltonian_stack(shape, branches, n_max)[0]
+        mats = _hamiltonian_stack(shape, branches, n_max)
         assert mats.shape == (len(branches), 2 * n_max + 1, 2 * n_max + 1)
         for (p, include_vc), h in zip(branches, mats):
             cfg = SpectrumConfig(include_vc=include_vc, n_max=n_max)
@@ -295,7 +295,7 @@ class TestSpectralAssembly:
 
     def test_production_path_is_real(self):
         branches = [(0, False), (1, True), (3, True)]
-        assert _hamiltonian_stack(FLAT6, branches, 3)[0].dtype == np.float64
+        assert _hamiltonian_stack(FLAT6, branches, 3).dtype == np.float64
         assert branch_spectra(FLAT6, branches, 3).eigenvectors.dtype == np.float64
         cfg = SpectrumConfig(n_max=3)
         assert build_hamiltonian(FLAT6, make_basis(FLAT6, 1, cfg), cfg).entries.dtype == np.float64

@@ -5,16 +5,18 @@
 that the stack is finite.  Each matrix must come out exactly as from
 one ``HermitianMatrix``, one ``eigen_decompose`` and one ``fix_phase``
 per matrix, and the moments of the grouped states exactly as from
-``moment_vectors`` with one state per group.  ``observables.branch_moments`` solves the spectra as
-``branch_spectra`` does, from one set of harmonics that also serves the
-moments; both must come out exactly as from their standalone calls.
+``moment_vectors`` with one state per group.  ``observables.branch_moments`` is
+``branch_spectra`` followed by ``moment_vectors`` of its eigenvectors; both
+must come out exactly as from their standalone calls.
 Every matrix either path builds equals its transpose bit for bit.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from helixtm import geometry, observables, spectrum
+from helixtm import geometry, spectrum
 from helixtm.geometry import HelixShape
 from helixtm.linalg import (
     EigenDecomposition,
@@ -32,7 +34,7 @@ from helixtm.spectrum import (
     branch_spectra,
     build_hamiltonian,
 )
-from oracles import cosine_series_currents
+from oracles import cosine_series_currents, series_moments
 
 SHAPES = [(0.75, 0.25), (0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]
 FLAT6 = HelixShape(R=1.0, a=0.75, b=0.25, omega=6)
@@ -49,7 +51,7 @@ def test_stack_equals_matrix_by_matrix(a, b, omega, n_max):
     shape = HelixShape(R=1.0, a=a, b=b, omega=omega)
     pairs = all_pairs(omega)
     dec = branch_spectra(shape, pairs, n_max)
-    mats = _hamiltonian_stack(shape, pairs, n_max)[0]
+    mats = _hamiltonian_stack(shape, pairs, n_max)
     for h, values, vectors in zip(mats, dec.eigenvalues, dec.eigenvectors):
         one = eigen_decompose(HermitianMatrix(h))
         assert np.array_equal(values, one.eigenvalues)
@@ -114,8 +116,7 @@ def test_branch_indices_give_the_momenta_table(shape, n_max):
     ps = [p for p, _ in pairs]
     dec = branch_spectra(shape, pairs, n_max)
     k = branch_momenta(shape, ps, n_max)
-    b = geometry.winding_harmonics(shape, geometry._moment_reach(shape, 2 * n_max))[1]
-    want = observables._moments(shape, b, dec.eigenvectors, k)
+    want = series_moments(shape, dec.eigenvectors, k)
     assert np.array_equal(moment_vectors(shape, dec.eigenvectors, ps), want)
     phi = 2.0 * np.pi * np.arange(48) / 48
     j = currents(shape, dec.eigenvectors, ps, phi)
@@ -136,32 +137,60 @@ def test_every_matrix_gathers_its_own_a_row():
     # stack: every matrix equals its own row's gather, and its one-pair
     # stack, bit for bit
     pairs = [(p, vc) for p in range(6) for vc in (False, True)]
-    stack, k, _ = _hamiltonian_stack(FLAT6, pairs, 3)
+    stack = _hamiltonian_stack(FLAT6, pairs, 3)
+    k = branch_momenta(FLAT6, [p for p, _ in pairs], 3)
     a0, b, v_c = geometry.winding_harmonics(FLAT6, geometry._moment_reach(FLAT6, 6), True)
     idx = np.arange(7)
     table = np.abs(idx - idx[:, None])
     for (p, vc), matrix, row in zip(pairs, stack, k):
         a = a0 + v_c if vc else a0
         assert np.array_equal(matrix, a[table] + np.outer(row, row) * b[table])
-        assert np.array_equal(matrix, _hamiltonian_stack(FLAT6, [(p, vc)], 3)[0][0])
+        assert np.array_equal(matrix, _hamiltonian_stack(FLAT6, [(p, vc)], 3)[0])
 
 
-def test_branch_that_is_not_an_integer_is_refused():
+@pytest.mark.parametrize("p", [0.5, True, "1", None, 1 + 0j])
+def test_branch_that_is_not_an_integer_is_refused(p):
     # e^{i(p + omega n) phi} is periodic on the closed curve only for an
-    # integer p; p = 1.0 is the integer 1
+    # integer p; p = 1.0 is the integer 1, and a bool, a string, None or a
+    # complex number is no branch index
     coefficients = branch_spectra(FLAT6, [(1, True)], 2).eigenvectors
-    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
-        spectrum.make_basis(FLAT6, 0.5, SpectrumConfig())
-    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
-        branch_spectra(FLAT6, [(0.5, True)], 2)
-    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
-        moment_vectors(FLAT6, coefficients, [0.5])
-    with pytest.raises(ValueError, match="must be an integer, got p=0.5"):
-        currents(FLAT6, coefficients, [0.5], [0.0, 1.0])
-    assert spectrum.make_basis(FLAT6, 1.0, SpectrumConfig()).p == 1
-    assert np.array_equal(branch_spectra(FLAT6, [(1.0, True)], 2).eigenvectors, coefficients)
-    assert np.array_equal(moment_vectors(FLAT6, coefficients, [1.0]),
-                          moment_vectors(FLAT6, coefficients, [1]))
+    refused = re.escape(f"branch index must be an integer, got p={p!r}")
+    with pytest.raises(ValueError, match=refused):
+        spectrum.make_basis(FLAT6, p, SpectrumConfig())
+    with pytest.raises(ValueError, match=refused):
+        BlochBasis(p=p, n_max=2, omega=6)
+    with pytest.raises(ValueError, match=refused):
+        branch_momenta(FLAT6, [p], 2)
+    with pytest.raises(ValueError, match=refused):
+        branch_spectra(FLAT6, [(p, True)], 2)
+    with pytest.raises(ValueError, match=refused):
+        moment_vectors(FLAT6, coefficients, [p])
+    with pytest.raises(ValueError, match=refused):
+        currents(FLAT6, coefficients, [p], [0.0, 1.0])
+    for one in (1.0, np.float64(1.0), np.int64(1), np.uint8(1)):
+        assert spectrum.make_basis(FLAT6, one, SpectrumConfig()).p == 1
+        assert np.array_equal(branch_spectra(FLAT6, [(one, True)], 2).eigenvectors, coefficients)
+        assert np.array_equal(moment_vectors(FLAT6, coefficients, [one]),
+                              moment_vectors(FLAT6, coefficients, [1]))
+
+
+@pytest.mark.parametrize("size, ps", [
+    pytest.param((2, 5, 5), [1], id="fewer-branches"),
+    pytest.param((1, 5, 5), [1, 2], id="more-branches"),
+    pytest.param((1, 4, 4), [1], id="even-d"),
+    pytest.param((1, 6, 2), [1], id="even-d-6"),
+    pytest.param((5, 5), [1] * 5, id="2-d"),
+    pytest.param((1, 1, 5, 5), [1], id="4-d"),
+])
+def test_coefficient_stack_of_the_wrong_shape_is_refused(size, ps):
+    # one (len(ps), 2*n_max + 1, S) stack per call: anything else is named
+    # by its shape, for the currents and the moments alike
+    coefficients = np.full(size, 0.5)
+    refused = re.escape(f"got shape {size}")
+    with pytest.raises(ValueError, match=refused):
+        moment_vectors(FLAT6, coefficients, ps)
+    with pytest.raises(ValueError, match=refused):
+        currents(FLAT6, coefficients, ps, [0.0, 1.0])
 
 
 def _symmetry_cases():
@@ -190,9 +219,8 @@ def test_every_hamiltonian_is_symmetric_bit_for_bit(shape, pairs, n_max, monkeyp
         solved.append(stack)
         return eigh_exact(stack)
 
-    # branch_spectra solves through spectrum's name, branch_moments through observables'
+    # branch_spectra and branch_moments both solve through spectrum's name
     monkeypatch.setattr(spectrum, "eigh_exact", recording)
-    monkeypatch.setattr(observables, "eigh_exact", recording)
     branch_spectra(shape, pairs, n_max)
     branch_moments(shape, pairs, n_max)
     p, include_vc = pairs[-1]
@@ -243,14 +271,14 @@ def test_production_solve_equals_the_per_matrix_solve(shape, ps, n_max, monkeypa
     # the per-matrix solve; on these symmetric stacks that changes no bit
     # of either array
     pairs = [(p, include_vc) for p in ps for include_vc in (False, True)]
-    stack = _hamiltonian_stack(shape, pairs, n_max)[0]
+    stack = _hamiltonian_stack(shape, pairs, n_max)
     lean = branch_spectra(shape, pairs, n_max)
     lean_moments = branch_moments(shape, pairs, n_max)
     full = _per_matrix_solve(stack)
     assert _same_bits(lean.eigenvalues, full.eigenvalues)
     assert _same_bits(lean.eigenvectors, full.eigenvectors)
     # the moments of the solve they replace, through the per-matrix solve
-    monkeypatch.setattr(observables, "eigh_exact", _per_matrix_solve)
+    monkeypatch.setattr(spectrum, "eigh_exact", _per_matrix_solve)
     full_moments = branch_moments(shape, pairs, n_max)
     assert _same_bits(lean_moments[0].eigenvalues, full_moments[0].eigenvalues)
     assert _same_bits(lean_moments[0].eigenvectors, full_moments[0].eigenvectors)
