@@ -26,6 +26,15 @@ table, ``_SETTINGS``, names the config keys (the flags' names), their
 defaults and how a file value is read.  Exit codes: 0 success, 2 bad
 usage/configuration or an unwritable output file, 3 numerical
 non-convergence.
+
+A command line is parsed once: its first string names the command, whose
+parser reads the rest.  Only a command line it cannot take whole goes to
+the top-level parser (none at all, ``-h``, an unknown command, or strings
+the command's parser leaves over), which prints the help or the usage
+error, with the usage line of ``helixtm`` for strings left over.  The small
+tables (``spectrum``, ``moments``, ``thermal``) print each row with one
+``%`` format of ``%.<digits>g`` fields, after adding 0.0 to every value so
+that -0.0 prints as 0, as it does in the grid tables.
 """
 
 from __future__ import annotations
@@ -96,7 +105,8 @@ def _build_parser():
     """The argument parser, built on first use and shared by later calls.
 
     Every command takes the shape flags, ``--digits``, ``--out`` and
-    ``--config``, and only the other flags it reads (``_READ_BY``).
+    ``--config``, and only the other flags it reads (``_READ_BY``).  The
+    parser keeps its command parsers in ``commands``, by command name.
     """
     shape = argparse.ArgumentParser(add_help=False)
     g = shape.add_argument_group("shape")
@@ -134,6 +144,7 @@ def _build_parser():
         description="Quantum states, currents, and toroidal moments on toroidal helices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, doc in [
         ("geometry", "tabulate curve point, speed, curvature, torsion, and frame"),
         ("potential", "tabulate the curvature potential for one or more cross-sections"),
@@ -146,6 +157,7 @@ def _build_parser():
         command = sub.add_parser(name, parents=[shape, *read, output], help=doc)
         # a flag the command does not take reads as unset: config file or default
         command.set_defaults(**dict.fromkeys(_SETTINGS))
+        parser.commands[name] = command
     return parser
 
 
@@ -252,13 +264,6 @@ def _grid_angles(settings):
     return 2.0 * np.pi * np.arange(settings.grid) / settings.grid
 
 
-def _fmt(value, digits):
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalise -0.0
-    return "%.*g" % (digits, value)
-
-
 # Values per formatted block of a grid table.
 _BLOCK_VALUES = 1 << 14
 
@@ -275,7 +280,7 @@ def _grid_blocks(header, rows, fill, digits):
     width, so the arrays a command forms for a block stay small, and a
     writer that takes the chunks one at a time holds the working arrays
     and the text of one block, not of the whole table.  Every value is
-    printed as ``%.<digits>g``, with -0.0 as 0, like ``_fmt``.
+    printed as ``%.<digits>g``, with -0.0 as 0.
 
     ``_gformat.block_text`` formats each block, by one of two paths that
     it picks from the values and ``digits`` alone, in one
@@ -290,7 +295,7 @@ def _grid_blocks(header, rows, fill, digits):
     scaled by a power of ten in float64, lies within 16 ulp of a rounding
     tie or a decade edge or rounds up to the next decade.  Only there
     could the scaled float and the exact binary value, which ``%`` rounds,
-    print differently, so both paths give ``_fmt``'s bytes.  At more
+    print differently, so both paths give the bytes of ``%``.  At more
     digits, or when more than half of a block's values would go to ``%``,
     the whole block is one row format filled by one ``%``.
     """
@@ -357,17 +362,18 @@ def _cmd_potential(settings):
 
 def _cmd_spectrum(settings):
     shape = _unit_shape(_single_shape(settings))
-    d = settings.digits
     dim = 2 * settings.n_max + 1
     lines = ["p,vc,row," + ",".join(f"alpha{i}" for i in range(dim))]
+    fields = ",".join([f"%.{settings.digits}g"] * dim)
     pairs = _branch_pairs(settings)
     dec = branch_spectra(shape, pairs, settings.n_max)
+    # adding 0.0 turns -0.0 into 0.0
     for (p, include_vc), energies, rows in zip(
-            pairs, dec.eigenvalues.tolist(), dec.eigenvectors.tolist()):
+            pairs, (dec.eigenvalues + 0.0).tolist(), (dec.eigenvectors + 0.0).tolist()):
         tag = "on" if include_vc else "off"
-        lines.append(f"{p},{tag},E," + ",".join(_fmt(e, d) for e in energies))
+        lines.append(f"{p},{tag},E," + fields % tuple(energies))
         for n, row in zip(range(-settings.n_max, settings.n_max + 1), rows):
-            lines.append(f"{p},{tag},m={n}," + ",".join(_fmt(x, d) for x in row))
+            lines.append(f"{p},{tag},m={n}," + fields % tuple(row))
     return ["\n".join(lines) + "\n"]
 
 
@@ -393,19 +399,20 @@ def _cmd_current(settings):
 
 def _cmd_moments(settings):
     shape = _unit_shape(_single_shape(settings))
-    d = settings.digits
+    g = f"%.{settings.digits}g"
+    with_ratio, without_ratio = f"%d,%d,{g},{g},{g},{g}", f"%d,%d,{g},{g},,{g}"
     lines = ["p,alpha,Tz_without_vc,Tz_with_vc,ratio,Tz_classical"]
     pairs = [(p, include_vc) for p in settings.p for include_vc in (False, True)]
     _, vectors = branch_moments(shape, pairs, settings.n_max)
-    z = vectors[..., 2].tolist()
+    z = (vectors[..., 2] + 0.0).tolist()  # adding 0.0 turns -0.0 into 0.0
     loops = loop_current(np.array(settings.p, dtype=float), arc_length(shape))
     for p, loop, z_off, z_on in zip(settings.p, loops, z[0::2], z[1::2]):
-        classical = classical_moment_closed(shape, loop)[2]
+        classical = classical_moment_closed(shape, loop)[2] + 0.0
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):
-            ratio = "" if abs(t_on) < 1e-6 else _fmt(t_off / t_on, d)
-            lines.append(
-                f"{p},{alpha},{_fmt(t_off, d)},{_fmt(t_on, d)},{ratio},{_fmt(classical, d)}"
-            )
+            if abs(t_on) < 1e-6:
+                lines.append(without_ratio % (p, alpha, t_off, t_on, classical))
+            else:
+                lines.append(with_ratio % (p, alpha, t_off, t_on, t_off / t_on + 0.0, classical))
     return ["\n".join(lines) + "\n"]
 
 
@@ -413,11 +420,11 @@ def _cmd_thermal(settings):
     shape = _unit_shape(_single_shape(settings))
     if settings.temperature is None:
         raise UsageError("'thermal' needs --temperature (or temperature= in the config)")
-    d = settings.digits
+    g = f"%.{settings.digits}g"
     spec_norm = ThermalSpec(temperature=settings.temperature, normalize=True)
     spec_raw = ThermalSpec(temperature=settings.temperature, normalize=False)
     lines = [
-        f"thermal toroidal moment averages, temperature = {_fmt(settings.temperature, d)}",
+        f"thermal toroidal moment averages, temperature = {g}" % settings.temperature,
         "p  vc   normalized  unnormalized",
     ]
     pairs = _branch_pairs(settings)
@@ -425,13 +432,14 @@ def _cmd_thermal(settings):
     for (p, include_vc), energies, z in zip(
             pairs, dec.eigenvalues.tolist(), vectors[..., 2].tolist()):
         levels = list(zip(energies, z))
-        avg = thermal_average(levels, spec_norm)
-        try:
-            raw = _fmt(thermal_average(levels, spec_raw), d)
-        except OverflowError:
-            raw = "overflow"
+        avg = thermal_average(levels, spec_norm) + 0.0  # adding 0.0 turns -0.0 into 0.0
         tag = "on " if include_vc else "off"
-        lines.append(f"{p}  {tag}  {_fmt(avg, d)}  {raw}")
+        try:
+            raw = thermal_average(levels, spec_raw) + 0.0
+        except OverflowError:
+            lines.append(f"%d  %s  {g}  overflow" % (p, tag, avg))
+        else:
+            lines.append(f"%d  %s  {g}  {g}" % (p, tag, avg, raw))
     return ["\n".join(lines) + "\n"]
 
 
@@ -445,8 +453,27 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv):
+    """The parsed command line, ``args.command`` naming its command.
+
+    A valid command line starts with a command name, and that command's
+    parser alone reads the rest, as the top-level parser would hand it on.
+    Any other argv (none, ``-h``, an unknown command), or strings the
+    command's parser leaves over, goes to the top-level parser, which
+    prints its help or its usage error.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
         settings = _resolve(args)
         # every command computes its numbers before returning; the chunks

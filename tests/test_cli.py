@@ -5,6 +5,7 @@ import io
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from helixtm import cli, geometry, quadrature
 from helixtm.cli import GEOMETRY_HEADER, main
 from helixtm.geometry import DegenerateFrame, HelixShape, frenet_frame, speed
-from helixtm.observables import current
+from helixtm.observables import classical_moment_closed, current
 from helixtm.spectrum import SpectrumConfig, make_basis, solve_states
 
 FLAT6_ARGS = ["--R", "1", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "1"]
@@ -928,6 +929,120 @@ class TestSharedParser:
         ]
         assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
         assert [code for code, _, _ in in_process] == [0, 0, 2]
+
+
+def outcome(capsys, call):
+    """The exit code (returned or raised), stdout and stderr of ``call()``."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--temperature", "3"],
+        ["moments", "--with-vc"],
+        ["spectrum", "--grid", "7"],
+        ["moments", "--grid", "5"],
+        ["moments", "--omega", "x"],
+        ["spectrum", "--with-vc", "--without-vc"],
+        *([command, "-h"] for command in COMMANDS),
+        [],
+        ["bogus"],
+        ["-h"],
+    ], ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_bad_usage_and_help_match_the_top_parser(self, capsys, argv):
+        # the command's parser reads a command line alone; what it refuses
+        # or leaves over prints what the top-level parser prints, byte for byte
+        by_main = outcome(capsys, lambda: main(argv))
+        by_top = outcome(capsys, lambda: cli._build_parser().parse_args(argv))
+        assert by_main == by_top
+        assert by_main[0] in (0, 2) and by_main[1] + by_main[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--grid", "5"],
+        ["geometry", "--temperature", "3", "--p", "1"],
+        ["thermal", "--temperature", "1", "stray"],
+    ])
+    def test_left_over_strings_are_reported_under_the_top_usage(self, capsys, argv):
+        code, out, err = outcome(capsys, lambda: main(argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: helixtm [-h]") and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--a", "0.75", "--b", "0.25", "--omega", "6", "--p", "0-5", "--n-max", "3"],
+        ["spectrum", "--omega", "6", "--p", "1", "--with-vc", "--digits", "8"],
+        ["thermal", "--both", "--temperature", "0.1", "--digits", "4"],
+        ["current", "--grid", "16", "--out", "-"],
+        ["geometry", "--R", "2", "--grid", "8"],
+        ["potential", "--a", "0.5,0.25", "--b", "0.5,0.75", "--grid", "8"],
+    ])
+    def test_a_command_line_is_read_by_its_command_parser_alone(self, capsys, monkeypatch, argv):
+        parser = cli._build_parser()
+        expected = parser.parse_args(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser read a valid command line")
+
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        assert cli._parse_args(argv) == expected
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+class TestSignedZero:
+    """No small table prints -0: each value goes through one row format
+    after -0.0 is made 0.0."""
+
+    def test_classical_column_of_branch_zero(self, capsys):
+        # the loop current of branch 0 is 0, so the classical moment is -0.0
+        # before the table normalises it
+        shape = cli._unit_shape(HelixShape(R=1.0, a=0.5, b=0.5, omega=6))
+        assert math.copysign(1.0, classical_moment_closed(shape, 0.0)[2]) == -1.0
+        code, out, err = run_cli(capsys, "moments", "--omega", "6", "--p", "0")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 5 and {row[5] for row in rows} == {"0"}
+        assert "-0" not in {field for row in rows for field in row}
+
+    def test_ratio_of_a_zero_moment(self, capsys, monkeypatch):
+        # 0 over a negative moment is -0.0
+        real = cli.branch_moments
+
+        def moments(shape, pairs, n_max):
+            dec, vectors = real(shape, pairs, n_max)
+            vectors = vectors.copy()
+            vectors[0::2, :, 2], vectors[1::2, :, 2] = -0.0, -1.0
+            return dec, vectors
+
+        monkeypatch.setattr(cli, "branch_moments", moments)
+        code, out, _ = run_cli(capsys, "moments", "--omega", "6", "--p", "1")
+        _, rows = parse_csv(out)
+        assert code == 0 and [row[2:5] for row in rows] == [["0", "-1", "0"]] * 5
+
+    def test_spectrum_rows(self, capsys, monkeypatch):
+        real = cli.branch_spectra
+
+        def signed_zeros(shape, pairs, n_max):
+            dec = real(shape, pairs, n_max)
+            return types.SimpleNamespace(eigenvalues=dec.eigenvalues * -0.0,
+                                         eigenvectors=dec.eigenvectors * -0.0)
+
+        monkeypatch.setattr(cli, "branch_spectra", signed_zeros)
+        code, out, _ = run_cli(capsys, "spectrum", "--omega", "6", "--p", "1", "--n-max", "3")
+        _, rows = parse_csv(out)
+        assert code == 0 and len(rows) == 2 * 8
+        assert all(row[3:] == ["0"] * 7 for row in rows)
+
+    def test_thermal_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "thermal_average", lambda levels, spec: -0.0)
+        code, out, _ = run_cli(capsys, "thermal", "--omega", "6", "--p", "1-2",
+                               "--temperature", "0.1")
+        assert code == 0
+        assert out.splitlines()[2:] == ["1  off  0  0", "1  on   0  0",
+                                        "2  off  0  0", "2  on   0  0"]
 
 
 class TestInstalledEntryPoint:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helixtm import _gformat, cli
-from helixtm.cli import _BLOCK_VALUES, _fmt, _grid_blocks, main
+from helixtm.cli import _BLOCK_VALUES, _grid_blocks, main
 from helixtm.geometry import HelixShape, curvature_potential, frenet_frame, position
 from helixtm.observables import currents
 from helixtm.spectrum import branch_spectra
@@ -25,10 +25,16 @@ SPECIAL = np.array([
 ])
 
 
+def fmt(value, digits):
+    """``%.<digits>g`` of one value, with -0.0 printed as 0."""
+    value = float(value)
+    return "%.*g" % (digits, 0.0 if value == 0.0 else value)
+
+
 def grid_table_per_value(header, columns, digits):
-    """One ``_fmt`` call per value: the writer's output before blocking."""
+    """One ``fmt`` call per value: the writer's output before blocking."""
     lines = [header]
-    lines.extend(",".join(_fmt(x, digits) for x in row) for row in zip(*columns))
+    lines.extend(",".join(fmt(x, digits) for x in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +243,7 @@ PAPER_SECTIONS = ["--a", "0.75,0.5,0.25", "--b", "0.25,0.5,0.75"]
 ], ids=["geometry", "current-p1", "current-p2", "current-p3", "potential"])
 def test_benchmark_tables_match_per_value_reference(monkeypatch, tmp_path, argv):
     # the grid tables of a benchmark round, each block formatted in one
-    # workspace per table, against one ``_fmt`` call per value
+    # workspace per table, against one ``fmt`` call per value
     tables = record_tables(monkeypatch)
     out = tmp_path / "table.csv"
     assert main(argv + ["--omega", "4", "--grid", "16384", "--out", str(out)]) == 0
