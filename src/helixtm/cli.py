@@ -47,13 +47,13 @@ import numpy as np
 
 from . import _gformat, geometry, observables
 # ``speed`` is not called here; perfbench's tracer test checks ``cli.speed``
-from .geometry import HelixShape, arc_length, speed  # noqa: F401
+from .geometry import HelixShape, speed  # noqa: F401
 from .linalg import NoConvergence
 from .observables import (
     ThermalSpec,
     branch_moments,
     classical_moment_closed,
-    loop_current,
+    free_particle_current,
     thermal_average,
 )
 from .spectrum import branch_spectra
@@ -210,12 +210,20 @@ def _parse_p_list(text):
     return out
 
 
+# The largest --digits: ``%`` reads a precision into a C int and raises
+# "precision too big" past it, which for a grid table would come only
+# after the --out file is opened.
+_DIGITS_LIMIT = 2**31 - 1
+
+
 def _resolve(args):
     """The parsed flags with every setting of ``_SETTINGS`` filled in.
 
     Each setting is the flag if given, else the config file's value, else
     its default; ``a`` and ``b`` then become lists of numbers and ``p`` a
     list of branches (by default 1 up to min(3, omega - 1), or 0).
+    ``--grid`` below 2 and ``--digits`` outside 1.._DIGITS_LIMIT are usage
+    errors, raised here, before a command runs or a file is opened.
     """
     config = _parse_config_file(args.config) if args.config else {}
     for key, (default, convert) in _SETTINGS.items():
@@ -234,6 +242,8 @@ def _resolve(args):
         raise UsageError(f"--grid must be >= 2, got {args.grid}")
     if args.digits < 1:
         raise UsageError(f"--digits must be >= 1, got {args.digits}")
+    if args.digits > _DIGITS_LIMIT:
+        raise UsageError(f"--digits must be <= {_DIGITS_LIMIT}, got {args.digits}")
     return args
 
 
@@ -405,7 +415,7 @@ def _cmd_moments(settings):
     pairs = [(p, include_vc) for p in settings.p for include_vc in (False, True)]
     _, vectors = branch_moments(shape, pairs, settings.n_max)
     z = (vectors[..., 2] + 0.0).tolist()  # adding 0.0 turns -0.0 into 0.0
-    loops = loop_current(np.array(settings.p, dtype=float), arc_length(shape))
+    loops = free_particle_current(shape, np.array(settings.p, dtype=float))
     for p, loop, z_off, z_on in zip(settings.p, loops, z[0::2], z[1::2]):
         classical = classical_moment_closed(shape, loop)[2] + 0.0
         for alpha, (t_off, t_on) in enumerate(zip(z_off, z_on)):

@@ -1,11 +1,11 @@
 """Dense Hermitian eigendecomposition with reproducible eigenvector phases.
 
 ``HermitianMatrix`` validates the input (square, finite, Hermitian up
-to a tolerance), ``eigen_decompose`` hands it to LAPACK through
-``numpy.linalg.eigh`` and ``fix_phase`` standardises eigenvector phases,
-which otherwise float freely and would spoil bitwise reproducibility of
-downstream output.  The solver is checked against an inertia-count
-bisection oracle in the tests.
+to the constant ``HERMITICITY_TOL``), ``eigen_decompose`` hands it to
+LAPACK through ``numpy.linalg.eigh`` and ``fix_phase`` standardises
+eigenvector phases, which otherwise float freely and would spoil
+bitwise reproducibility of downstream output.  The solver is checked
+against an inertia-count bisection oracle in the tests.
 
 ``eigh_exact``, the production solve, takes a (B, d, d) stack that
 equals its conjugate transpose bit for bit, as the helix Hamiltonians do
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_HERMITICITY_TOL = 1e-9
+# Largest |A - A*| entry HermitianMatrix accepts; not a setting.
+HERMITICITY_TOL = 1e-9
 # Relative magnitude gap below which fix_phase treats entries as tied.
 _TIE_RTOL = 1e-9
 
@@ -69,32 +70,24 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A validated square matrix with A == A* up to tolerance.
+    """A validated square matrix with |A - A*| <= ``HERMITICITY_TOL`` entrywise.
 
     Construction copies the input, as float64 if it is real and as
     complex128 if it is complex, and rejects non-square, non-finite or
-    non-Hermitian data, so downstream code can rely on all three, and a
-    ``hermiticity_tol`` that is not a real number, or is nan or negative,
-    which would pass or fail them all.
+    non-Hermitian data, so downstream code can rely on all three.
     """
 
     entries: np.ndarray
-    hermiticity_tol: float = DEFAULT_HERMITICITY_TOL
 
     def __post_init__(self):
-        tol = self.hermiticity_tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-            raise ValueError(f"hermiticity_tol must be a real number, got {tol!r}")
-        if not tol >= 0:
-            raise ValueError(f"hermiticity_tol must be >= 0, got {tol}")
         arr = _real_or_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         _check_finite(arr)
         drift = float(np.abs(arr - _adjoint(arr)).max(initial=0.0))
-        if drift > self.hermiticity_tol:
+        if drift > HERMITICITY_TOL:
             raise HermiticityViolation(
-                f"max |A - A*| = {drift:.3e} exceeds tolerance {self.hermiticity_tol:.1e}"
+                f"max |A - A*| = {drift:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

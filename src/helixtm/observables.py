@@ -109,11 +109,10 @@ from .spectrum import branch_momenta, branch_spectra
 
 @dataclass(frozen=True)
 class MomentResult:
-    """Toroidal moment vector and its z component; state_ref = (p, alpha, vc)."""
+    """Toroidal moment vector of one state and its z component."""
 
     vector: np.ndarray
     z: float
-    state_ref: tuple
 
 
 @dataclass(frozen=True)
@@ -289,8 +288,7 @@ def branch_moments(shape, branches, n_max):
 def toroidal_moment(state, shape):
     """Toroidal moment of an eigenstate's current distribution (``moment_vectors`` of one state)."""
     vector = moment_vectors(shape, state.coefficients[None, :, None], [state.p])[0, 0]
-    return MomentResult(vector=vector, z=float(vector[2]),
-                        state_ref=(state.p, state.alpha, state.include_vc))
+    return MomentResult(vector=vector, z=float(vector[2]))
 
 
 # Nodes of the classical moment's trapezoid: more than the rows' degree 4,
@@ -333,14 +331,13 @@ def classical_moment_closed(shape, loop_current):
     return np.array([0.0, y, z])
 
 
-def loop_current(p, length):
-    """Loop current 2*pi*p/L^2 of a curvature-free particle in branch p on a curve of length L."""
-    return 2.0 * math.pi * p / (length * length)
-
-
 def free_particle_current(shape, p):
-    """Loop current 2*pi*p/L^2 of a curvature-free particle in branch p."""
-    return loop_current(p, geometry.arc_length(shape))
+    """Loop current 2*pi*p/L^2 of a curvature-free particle in branch p.
+
+    L is the shape's arc length; ``p`` is a number or an array of them.
+    """
+    length = geometry.arc_length(shape)
+    return 2.0 * math.pi * p / (length * length)
 
 
 def thermal_average(moments, spec):

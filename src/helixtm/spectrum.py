@@ -262,8 +262,20 @@ def _hamiltonian_stack(shape, branches, n_max):
     return t_a + k[:, :, None] * k[:, None, :] * b[table]
 
 
+def _check_basis(shape, basis, config):
+    """Raise ValueError unless the basis has the shape's omega and the config's n_max."""
+    if basis.omega != shape.omega or basis.n_max != config.n_max:
+        raise ValueError(f"basis (omega={basis.omega}, n_max={basis.n_max}) does not match "
+                         f"shape omega={shape.omega} and config n_max={config.n_max}")
+
+
 def build_hamiltonian(shape, basis, config):
-    """The HermitianMatrix of one branch over the basis (``_hamiltonian_stack`` of one pair)."""
+    """The HermitianMatrix of one branch over the basis (``_hamiltonian_stack`` of one pair).
+
+    Raises ValueError if the basis's omega is not the shape's or its
+    n_max not the config's.
+    """
+    _check_basis(shape, basis, config)
     pair = [(basis.p, config.include_vc)]
     return HermitianMatrix(_hamiltonian_stack(shape, pair, basis.n_max)[0])
 
@@ -292,8 +304,11 @@ def branch_spectra(shape, branches, n_max):
 def solve_states(shape, basis, config):
     """All 2*n_max + 1 states of a branch, sorted by ascending energy.
 
-    The one-pair case of ``branch_spectra``, wrapped in ``EigenState`` objects.
+    The one-pair case of ``branch_spectra``, wrapped in ``EigenState``
+    objects.  Raises ValueError if the basis's omega is not the shape's
+    or its n_max not the config's (``make_basis`` gives a basis that fits).
     """
+    _check_basis(shape, basis, config)
     dec = branch_spectra(shape, [(basis.p, config.include_vc)], basis.n_max)
     return list(map(EigenState, dec.eigenvalues[0].tolist(), dec.eigenvectors[0].T,
                     repeat(basis.p), count(), repeat(config.include_vc)))

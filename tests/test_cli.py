@@ -409,6 +409,8 @@ class TestConfigFile:
         ("", ["--p", "x-2"], "bad branch range 'x-2'"),
         ("", ["--p", "one"], "bad branch index 'one'"),
         ("", ["--digits", "0"], "--digits must be >= 1, got 0"),
+        # past the largest precision ``%`` takes, a C int
+        ("", ["--digits", "2147483648"], "--digits must be <= 2147483647, got 2147483648"),
     ])
     def test_usage_error_is_one_line(self, capsys, tmp_path, config, flags, message):
         cfg = tmp_path / "run.cfg"
@@ -626,6 +628,11 @@ class TestExitCodes:
         # a bad --grid is a usage error even where the solve would fail
         (["current", "--grid", "7", "--b", "1e300"], 2),
         (["geometry", "--grid", "1"], 2),
+        # a --digits past a C int is refused before the file is opened, not
+        # by ``%`` after the header is written
+        (["geometry", "--grid", "4", "--digits", "2147483648"], 2),
+        (["potential", "--grid", "4", "--digits", "2147483648"], 2),
+        (["current", "--grid", "8", "--digits", "2147483648"], 2),
     ])
     def test_failed_grid_table_leaves_no_file(self, capsys, tmp_path, argv, status):
         target = tmp_path / "table.csv"

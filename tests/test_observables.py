@@ -437,6 +437,16 @@ class TestClassicalMoment:
         assert L == pytest.approx(14.937429, abs=1e-5)
         assert free_particle_current(UP4, 2.0) == pytest.approx(4 * math.pi / L**2, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", _classical_shapes(6, 36), ids=repr)
+    def test_free_particle_current_of_an_array(self, shape):
+        # the moments table passes every branch at once: each entry is the
+        # scalar call's float
+        ps = list(range(shape.omega))
+        got = free_particle_current(shape, np.array(ps, dtype=float))
+        want = [free_particle_current(shape, p) for p in ps]
+        assert got.tolist() == want
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 def _round_draws(seed, count):
     # round to moderate cross-sections: a in [0.1, 0.8] and b/a in

@@ -135,6 +135,22 @@ class TestValidation:
         want = solve_states(FLAT6, BlochBasis(p=1, n_max=3, omega=6), SpectrumConfig(n_max=3))
         assert [s.energy for s in got] == [s.energy for s in want]
 
+    # omega and n_max are each given twice; a basis that disagrees with the
+    # shape or the config is refused, not solved with one value ignored
+    @pytest.mark.parametrize("basis, config, message", [
+        (BlochBasis(p=1, n_max=2, omega=4), SpectrumConfig(n_max=2),
+         "basis (omega=4, n_max=2) does not match shape omega=6 and config n_max=2"),
+        (BlochBasis(p=1, n_max=2, omega=6), SpectrumConfig(n_max=8),
+         "basis (omega=6, n_max=2) does not match shape omega=6 and config n_max=8"),
+        (BlochBasis(p=1, n_max=2, omega=4), SpectrumConfig(n_max=8),
+         "basis (omega=4, n_max=2) does not match shape omega=6 and config n_max=8"),
+    ])
+    @pytest.mark.parametrize("solve", [solve_states, build_hamiltonian])
+    def test_basis_must_fit_shape_and_config(self, solve, basis, config, message):
+        with pytest.raises(ValueError) as info:
+            solve(FLAT6, basis, config)
+        assert str(info.value) == message
+
     def test_element_rejects_out_of_range_indices(self):
         basis = BlochBasis(p=1.0, n_max=2, omega=6)
         cfg = SpectrumConfig()
